@@ -342,13 +342,17 @@ def classify(
     x_max: float,
     tol: float = SCAN_TOL,
     n_grid: int = SCAN_GRID,
+    *,
+    relation: RelationClass | None = None,
 ) -> Classification:
     """Map the relation of (f1, f2) to the predicted global fate.
 
     The scan is repeated on a twice-finer grid; a fate that does not
     survive grid doubling is reported inconclusive with a caveat.
+    `relation`, when given, is the result of the first scan, already made
+    with these same arguments; only the finer scan then runs.
     """
-    rel = scan_relation(f1, f2, x_max, tol, n_grid)
+    rel = relation if relation is not None else scan_relation(f1, f2, x_max, tol, n_grid)
     rel2 = scan_relation(f1, f2, x_max, tol, 2 * n_grid - 1)
     cls = _fate_of(rel)
     cls2 = _fate_of(rel2)

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import (
     BoxConstructionError,
+    RelationClass,
     StallError,
     align_lower_start,
     align_upper_start,
@@ -56,10 +57,15 @@ class RunResult:
     report_path: Path | None = None
 
 
-def resolve_x_max(spec, numerics: Numerics) -> float:
-    """Inspection window: 10x the larger of data sup and (if found) K."""
+def resolve_x_max(spec, numerics: Numerics) -> tuple[float, RelationClass | None]:
+    """Inspection window: 10x the larger of data sup and (if found) K.
+
+    Returns the window and, when its scan covered exactly that window with
+    the classification's tolerance and grid, the relation it found, so the
+    classification need not scan it again.
+    """
     if numerics.x_max is not None:
-        return numerics.x_max
+        return numerics.x_max, None
     t_floor = min(spec.k1.support_floor(0.0), spec.k2.support_floor(0.0), -1.0)
     _, hi1 = spec.phi.bounds(t_floor)
     _, hi2 = spec.psi.bounds(t_floor)
@@ -68,10 +74,10 @@ def resolve_x_max(spec, numerics: Numerics) -> float:
         rel = analysis.scan_relation(spec.f1, spec.f2, x0, numerics.tol_classify,
                                      numerics.scan_grid)
     except Exception:
-        return x0
+        return x0, None
     if rel.K is not None and 10.0 * rel.K > x0:
-        return 10.0 * rel.K
-    return x0
+        return 10.0 * rel.K, None
+    return x0, rel
 
 
 def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
@@ -143,7 +149,7 @@ def execute_run(
     except ConfigError as e:
         return RunResult(EXIT_VALIDATION, message=f"validation: {e}")
 
-    x_max = resolve_x_max(spec, num)
+    x_max, relation = resolve_x_max(spec, num)
     validation = validate_system(
         spec, num.horizon, x_max,
         a1_grid=num.a1_grid, kernel_grid=num.kernel_grid, n_quad=num.quad_panels,
@@ -155,7 +161,7 @@ def execute_run(
         )
 
     notes = list(GLOBAL_NOTES) + validation.notes
-    cls = classify(spec.f1, spec.f2, x_max, num.tol_classify, num.scan_grid)
+    cls = classify(spec.f1, spec.f2, x_max, num.tol_classify, num.scan_grid, relation=relation)
     rates = check_rate_divergence(spec, num.horizon, num.a5_grid, num.a5_tail_threshold)
     caveats = list(cls.caveats)
     if not rates["all_divergent"]:

@@ -27,6 +27,7 @@ from .functions import (
 )
 from .kernels import (
     DelayKernel,
+    FnComponent,
     GeneralMixtureKernel,
     HistoryComponent,
     KernelCertificate,
@@ -55,25 +56,12 @@ class History(Protocol):
     y_component: HistoryComponent
 
 
-class _Comp:
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, s: float) -> float:
-        return float(self._fn(s))
-
-    def array(self, ss):
-        return np.asarray(self._fn(np.asarray(ss, dtype=float)), dtype=float)
-
-
 class SimpleHistory:
     """History backed by two numpy-compatible callables; test/demo helper."""
 
     def __init__(self, x_fn, y_fn):
-        self.x_component = _Comp(x_fn)
-        self.y_component = _Comp(y_fn)
+        self.x_component = FnComponent(x_fn)
+        self.y_component = FnComponent(y_fn)
 
 
 class InitialFunction:

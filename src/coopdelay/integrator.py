@@ -7,6 +7,16 @@ start and the active stage point, and a lookup exactly at the stage time
 returns the stage state itself.  With zero lag this reduces to classical
 RK4 on the coupled system.
 
+A step evaluates the right-hand side at two distinct stage times (t + h/2
+for k2 and k3, t + h for k4 and the end-of-step derivative), and stored
+history changes only after the step is accepted.  The per-step stage view
+therefore builds each density kernel's quadrature plan once per stage time,
+and looks up the stored part of each distinct node set once, x and y
+together in one call; each stage then blends only the nodes inside the
+current step (usually none or one).  Everything it keeps is dropped when
+the next step starts.  Point kernels read single times and keep the scalar
+path.
+
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
 the threshold, turns non-finite, or a stage increment outruns the step
@@ -18,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryUnderflowError
+from .kernels import HistoryComponent, HistoryUnderflowError
 from .expr import EvalDomainError
 
 __all__ = [
@@ -46,6 +57,11 @@ class IntegrationError(RuntimeError):
     """Numerical failure that is not a detected blow-up."""
 
 
+# per-segment Hermite data, one row each, x and y side by side: values at
+# t0, values at t1, slopes at t0, slopes at t1
+_ROWS = ("_x0", "_y0", "_x1", "_y1", "_dx0", "_dy0", "_dx1", "_dy1")
+
+
 class Trajectory:
     """Piecewise cubic-Hermite history of (x, y) over (-inf, t_front].
 
@@ -55,9 +71,7 @@ class Trajectory:
     """
 
     __slots__ = (
-        "phi", "psi", "n", "t_front", "coverage_floor",
-        "_t0", "_t1", "_x0", "_x1", "_dx0", "_dx1", "_y0", "_y1", "_dy0", "_dy1",
-        "x_component", "y_component",
+        "phi", "psi", "n", "t_front", "coverage_floor", "_t0", "_t1", "_seg", *_ROWS,
     )
 
     def __init__(self, phi=None, psi=None, capacity: int = 4096):
@@ -67,19 +81,25 @@ class Trajectory:
         self.t_front = 0.0
         self.coverage_floor = -math.inf if phi is not None else 0.0
         cap = max(16, capacity)
-        for name in ("_t0", "_t1", "_x0", "_x1", "_dx0", "_dx1", "_y0", "_y1", "_dy0", "_dy1"):
-            setattr(self, name, np.empty(cap, dtype=float))
-        self.x_component = _TrajComponent(self, 0)
-        self.y_component = _TrajComponent(self, 1)
+        self._t0 = np.empty(cap, dtype=float)
+        self._t1 = np.empty(cap, dtype=float)
+        self._seg = np.empty((len(_ROWS), cap), dtype=float)
+        self._bind_rows()
 
     # -- storage -------------------------------------------------------
 
+    def _bind_rows(self) -> None:
+        for row, name in zip(self._seg, _ROWS):
+            setattr(self, name, row)
+
     def _grow(self) -> None:
-        for name in ("_t0", "_t1", "_x0", "_x1", "_dx0", "_dx1", "_y0", "_y1", "_dy0", "_dy1"):
+        n = self.n
+        for name in ("_t0", "_t1", "_seg"):
             old = getattr(self, name)
-            new = np.empty(2 * old.size, dtype=float)
-            new[: self.n] = old[: self.n]
+            new = np.empty(old.shape[:-1] + (2 * old.shape[-1],), dtype=float)
+            new[..., :n] = old[..., :n]
             setattr(self, name, new)
+        self._bind_rows()
 
     def append_segment(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
         if self.n == self._t0.size:
@@ -104,9 +124,8 @@ class Trajectory:
         keep_from = int(np.searchsorted(self._t1[: self.n], t, side="left"))
         if keep_from <= 0:
             return 0
-        for name in ("_t0", "_t1", "_x0", "_x1", "_dx0", "_dx1", "_y0", "_y1", "_dy0", "_dy1"):
-            arr = getattr(self, name)
-            arr[: self.n - keep_from] = arr[keep_from : self.n]
+        for arr in (self._t0, self._t1, self._seg):
+            arr[..., : self.n - keep_from] = arr[..., keep_from : self.n]
         self.n -= keep_from
         self.coverage_floor = float(self._t0[0])
         return keep_from
@@ -147,56 +166,62 @@ class Trajectory:
         h01 = -2.0 * s3 + 3.0 * s2
         h11 = s3 - s2
         if comp == 0:
-            return (
+            return float(
                 h00 * self._x0[i] + h01 * self._x1[i]
                 + h * (h10 * self._dx0[i] + h11 * self._dx1[i])
             )
-        return (
+        return float(
             h00 * self._y0[i] + h01 * self._y1[i]
             + h * (h10 * self._dy0[i] + h11 * self._dy1[i])
         )
 
-    def value_array(self, ts: np.ndarray, comp: int) -> np.ndarray:
+    def value_array(self, ts: np.ndarray, comp: int | None = None) -> np.ndarray:
+        """Values at the times ts of x (comp 0) or y (comp 1), or of both
+        as the rows of a (2, len(ts)) array when comp is None; both then
+        share one segment search and one Hermite basis."""
         ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape, dtype=float)
-        if np.any(ts < self.coverage_floor):
-            bad = float(ts[ts < self.coverage_floor].min())
-            raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {bad!r}")
-        if np.any(ts > self.t_front + 1e-12 * max(1.0, abs(self.t_front))):
-            bad = float(ts.max())
-            raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {bad!r}")
-        neg = ts <= 0.0
-        if np.any(neg):
-            fn = self.phi if comp == 0 else self.psi
-            if fn is None:
-                raise HistoryUnderflowError("no initial function")
-            out[neg] = fn.array(ts[neg])
-        pos = ~neg
-        if np.any(pos):
-            tp = ts[pos]
-            view = self._t0[: self.n]
-            idx = np.clip(view.searchsorted(tp, side="right") - 1, 0, self.n - 1)
-            t0 = self._t0[idx]
-            h = self._t1[idx] - t0
-            s = (tp - t0) / h
-            s2 = s * s
-            s3 = s2 * s
-            h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-            h10 = s3 - 2.0 * s2 + s
-            h01 = -2.0 * s3 + 3.0 * s2
-            h11 = s3 - s2
-            if comp == 0:
-                vals = (
-                    h00 * self._x0[idx] + h01 * self._x1[idx]
-                    + h * (h10 * self._dx0[idx] + h11 * self._dx1[idx])
-                )
+        comps = (0, 1) if comp is None else (comp,)
+        out = np.empty((len(comps),) + ts.shape, dtype=float)
+        if ts.size:
+            lo = ts.min()
+            hi = ts.max()
+            if lo < self.coverage_floor:
+                raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {float(lo)!r}")
+            if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
+                raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
+            if lo > 0.0:
+                out = self._hermite(ts, comps)
             else:
-                vals = (
-                    h00 * self._y0[idx] + h01 * self._y1[idx]
-                    + h * (h10 * self._dy0[idx] + h11 * self._dy1[idx])
-                )
-            out[pos] = vals
-        return out
+                neg = ts <= 0.0
+                if np.any(neg):
+                    for row, c in zip(out, comps):
+                        fn = self.phi if c == 0 else self.psi
+                        if fn is None:
+                            raise HistoryUnderflowError("no initial function")
+                        row[neg] = fn.array(ts[neg])
+                pos = ~neg
+                if np.any(pos):
+                    out[:, pos] = self._hermite(ts[pos], comps)
+        return out if comp is None else out[0]
+
+    def _hermite(self, ts: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
+        """Stored-segment values at the positive times ts, one row per component."""
+        # a time before the first segment can only come from a hand-built
+        # history; it reads the first segment, as value_scalar does
+        idx = self._t0[: self.n].searchsorted(ts, side="right") - 1
+        np.maximum(idx, 0, out=idx)
+        t0 = self._t0[idx]
+        h = self._t1[idx] - t0
+        s = (ts - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+        h10 = s3 - 2.0 * s2 + s
+        h01 = -2.0 * s3 + 3.0 * s2
+        h11 = s3 - s2
+        rows = self._seg if len(comps) == 2 else self._seg[comps[0] :: 2]
+        g = rows.take(idx, axis=1).reshape((4, len(comps)) + idx.shape)
+        return h00 * g[0] + h01 * g[1] + h * (h10 * g[2] + h11 * g[3])
 
     def value(self, t: float) -> tuple[float, float]:
         return self.value_scalar(t, 0), self.value_scalar(t, 1)
@@ -230,21 +255,36 @@ class Trajectory:
                 fh.write(f"{ts[i]:.17g},{xs[i]:.17g},{ys[i]:.17g}\n")
 
 
-class _TrajComponent:
-    __slots__ = ("traj", "comp")
+class _StepSamples:
+    """Both components at one node set for the current step and stage time.
 
-    def __init__(self, traj: Trajectory, comp: int):
-        self.traj = traj
-        self.comp = comp
+    The part of the nodes inside stored history is looked up once, for x
+    and y together; the in-step tail keeps its blend weights, so each
+    stage only blends its own start and stage values.
+    """
 
-    def __call__(self, s: float) -> float:
-        return self.traj.value_scalar(s, self.comp)
+    __slots__ = ("stored", "w", "w_start")
 
-    def array(self, ss: np.ndarray) -> np.ndarray:
-        return self.traj.value_array(ss, self.comp)
+    def __init__(self, view: "_StageHistory", nodes: np.ndarray):
+        k = int(nodes.searchsorted(view.traj.t_front, side="right"))
+        if k:
+            self.stored = view.traj.value_array(nodes[:k])
+        else:
+            self.stored = np.empty((2, 0), dtype=float)
+        self.stored.flags.writeable = False
+        tail = nodes[k:]
+        if not tail.size:
+            self.w = None
+            return
+        if view.t_stage > view.t0:
+            w = np.minimum(np.maximum((tail - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
+        else:
+            w = np.ones_like(tail)
+        self.w = w
+        self.w_start = 1.0 - w
 
 
-class _StageComponent:
+class _StageComponent(HistoryComponent):
     __slots__ = ("view", "comp")
 
     def __init__(self, view: "_StageHistory", comp: int):
@@ -260,31 +300,27 @@ class _StageComponent:
         w = (s - v.t0) / (v.t_stage - v.t0)
         return (1.0 - w) * v.start[self.comp] + w * v.stage[self.comp]
 
-    def array(self, ss: np.ndarray) -> np.ndarray:
+    def sample(self, kernel, t, n_quad):
         v = self.view
-        ss = np.asarray(ss, dtype=float)
-        front = v.traj.t_front
-        if ss[-1] <= front and ss[0] <= front:
-            return v.traj.value_array(ss, self.comp)
-        out = np.empty(ss.shape, dtype=float)
-        past = ss <= front
-        if np.any(past):
-            out[past] = v.traj.value_array(ss[past], self.comp)
-        cur = ~past
-        if np.any(cur):
-            sc = ss[cur]
-            if v.t_stage > v.t0:
-                w = np.clip((sc - v.t0) / (v.t_stage - v.t0), 0.0, 1.0)
-            else:
-                w = np.ones_like(sc)
-            out[cur] = (1.0 - w) * v.start[self.comp] + w * v.stage[self.comp]
-        return out
+        c = self.comp
+        plan, samples = v.samples(kernel, t, n_quad)
+        if samples.w is None:
+            return plan, samples.stored[c]
+        tail = samples.w_start * v.start[c] + samples.w * v.stage[c]
+        return plan, np.concatenate((samples.stored[c], tail))
 
 
 class _StageHistory:
-    """Mutable per-step view combining stored history with the live stage."""
+    """Mutable per-step view combining stored history with the live stage.
 
-    __slots__ = ("traj", "t0", "start", "t_stage", "stage", "x_component", "y_component")
+    Stored history does not change inside a step, so the view keeps, until
+    the next `set_step`, each kernel's plan per stage time and the stored
+    lookups per distinct node set (see `_StepSamples`).  The right-hand
+    side reads it through `components()`; the view holds no reference back
+    to them, so a finished run's history is freed as soon as it is dropped.
+    """
+
+    __slots__ = ("traj", "t0", "start", "t_stage", "stage", "_plans", "_samples")
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
@@ -292,16 +328,42 @@ class _StageHistory:
         self.start = (0.0, 0.0)
         self.t_stage = 0.0
         self.stage = (0.0, 0.0)
-        self.x_component = _StageComponent(self, 0)
-        self.y_component = _StageComponent(self, 1)
+        self._plans: dict = {}
+        self._samples: dict = {}
 
     def set_step(self, t0: float, x0: float, y0: float) -> None:
         self.t0 = t0
         self.start = (x0, y0)
+        self._plans.clear()
+        self._samples.clear()
 
     def set_stage(self, t: float, x: float, y: float) -> None:
         self.t_stage = t
         self.stage = (x, y)
+
+    def components(self) -> "_StageComponents":
+        return _StageComponents(_StageComponent(self, 0), _StageComponent(self, 1))
+
+    def samples(self, kernel, t: float, n_quad: int):
+        """The kernel's plan at t and the samples of its nodes, each built
+        once per step and stage time."""
+        key = (kernel, t, n_quad, self.t_stage)
+        hit = self._plans.get(key)
+        if hit is None:
+            plan = kernel.plan(t, n_quad)
+            nodes_key = (plan.nodes.tobytes(), self.t_stage)
+            samples = self._samples.get(nodes_key)
+            if samples is None:
+                samples = self._samples[nodes_key] = _StepSamples(self, plan.nodes)
+            hit = self._plans[key] = (plan, samples)
+        return hit
+
+
+class _StageComponents(NamedTuple):
+    """The history the right-hand side reads during a step."""
+
+    x_component: _StageComponent
+    y_component: _StageComponent
 
 
 @dataclass
@@ -351,12 +413,13 @@ def integrate(
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
     view = _StageHistory(traj)
+    hist = view.components()
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
 
     def deriv(ts: float, xs: float, ys: float) -> tuple[float, float]:
         view.set_stage(ts, xs, ys)
-        return rhs(spec, ts, xs, ys, view, n_quad)
+        return rhs(spec, ts, xs, ys, hist, n_quad)
 
     view.set_step(t, x, y)
     try:

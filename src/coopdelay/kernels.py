@@ -7,9 +7,11 @@ atoms plus one density piece.  A purely singular-continuous distribution
 is out of scope; atoms plus a density cover every supported model.
 
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
-is evaluated with composite Simpson panels for the density part.  Quadrature
-nodes that fall before the start of recorded history raise
-HistoryUnderflowError instead of extrapolating.
+is evaluated with composite Simpson panels for the density part: the kernel's
+plan at t (nodes, weights, density at the nodes) is read through the history
+component's `sample`, which lets a history share plans and lookups between
+calls at the same time.  Quadrature nodes that fall before the start of
+recorded history raise HistoryUnderflowError instead of extrapolating.
 
 Atoms may sit exactly at the current time (zero lag): the integrand always
 reads the opposite component's history, so no implicit equation arises.
@@ -18,7 +20,7 @@ reads the opposite component's history, so no implicit equation arises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +33,9 @@ __all__ = [
     "UniformDensityKernel",
     "TriangularDensityKernel",
     "GeneralMixtureKernel",
+    "HistoryComponent",
     "HistoryUnderflowError",
+    "QuadPlan",
     "KernelCertificate",
     "KernelViolation",
     "stieltjes_integrate",
@@ -49,13 +53,40 @@ class HistoryUnderflowError(LookupError):
     """A lookup was requested before the start of recorded history."""
 
 
-class HistoryComponent(Protocol):
-    def __call__(self, s: float) -> float: ...
+class QuadPlan(NamedTuple):
+    """Composite Simpson plan of a density over [floor, t]: ascending nodes,
+    their weights, and the density at the nodes (kept apart from the weights
+    so a feedback integral is dot(weights, f(u(nodes)) * density))."""
 
-    def array(self, ss: np.ndarray) -> np.ndarray: ...
+    nodes: np.ndarray
+    weights: np.ndarray
+    density: np.ndarray
 
 
-class _FnComponent:
+class HistoryComponent:
+    """One component of a history, read at a time or at an array of times.
+
+    `sample` serves density quadrature: it returns a kernel's plan at t and
+    the component's values at the plan's nodes.  A history that can share
+    plans and lookups between calls overrides it.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, s: float) -> float:
+        raise NotImplementedError
+
+    def array(self, ss: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def sample(self, kernel: "DelayKernel", t: float, n_quad: int) -> tuple[QuadPlan, np.ndarray]:
+        plan = kernel.plan(t, n_quad)
+        return plan, self.array(plan.nodes)
+
+
+class FnComponent(HistoryComponent):
+    """A history component backed by a numpy-compatible callable."""
+
     __slots__ = ("_fn",)
 
     def __init__(self, fn: Callable):
@@ -70,7 +101,7 @@ class _FnComponent:
 
 def as_component(fn: Callable) -> HistoryComponent:
     """Wrap a numpy-compatible callable as a history component."""
-    return _FnComponent(fn)
+    return FnComponent(fn)
 
 
 @dataclass(frozen=True)
@@ -110,14 +141,29 @@ def _as_lag(lag: str | Expression) -> Expression:
     return lag if isinstance(lag, Expression) else parse(lag, var="t")
 
 
+def _window(floor: float, t: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson nodes and weights on the non-empty window [floor, t]."""
+    if t - floor <= 0.0:
+        raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
+    return simpson_nodes_weights(floor, t, n_quad)
+
+
 class DelayKernel:
-    """Base class; subclasses define the distribution at each time t."""
+    """Base class; subclasses define the distribution at each time t.
+
+    A kernel with a density part builds its quadrature `plan(t, n_quad)`;
+    the feedback integral and the mass of that part both come from it.
+    """
 
     def support_floor(self, t: float) -> float:
         raise NotImplementedError
 
     def span(self, t: float) -> float:
         return t - self.support_floor(t)
+
+    def plan(self, t: float, n_quad: int = DEFAULT_PANELS) -> QuadPlan:
+        """Quadrature plan of the density part at time t."""
+        raise NotImplementedError
 
     def integrate(
         self, f: ProductionFunction, u: HistoryComponent, t: float, n_quad: int = DEFAULT_PANELS
@@ -129,6 +175,16 @@ class DelayKernel:
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def _density_integral(self, f, u: HistoryComponent, t: float, n_quad: int) -> float:
+        if n_quad < 2:
+            raise ValueError("density quadrature needs n_quad >= 2")
+        plan, vals = u.sample(self, t, n_quad)
+        return float(np.dot(plan.weights, f.eval_array(vals) * plan.density))
+
+    def _density_mass(self, t: float, n_quad: int) -> float:
+        plan = self.plan(t, n_quad)
+        return float(np.dot(plan.weights, plan.density))
 
 
 class PointMassKernel(DelayKernel):
@@ -166,22 +222,16 @@ class _DensityWindowKernel(DelayKernel):
     def _density(self, nodes: np.ndarray, floor: float, span: float) -> np.ndarray:
         raise NotImplementedError
 
-    def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
-        if n_quad < 2:
-            raise ValueError("density quadrature needs n_quad >= 2")
+    def plan(self, t, n_quad=DEFAULT_PANELS):
         floor = self.lag.evaluate(t)
-        span = t - floor
-        if span <= 0.0:
-            raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
-        nodes, weights = simpson_nodes_weights(floor, t, n_quad)
-        vals = f.eval_array(u.array(nodes))
-        return float(np.dot(weights, vals * self._density(nodes, floor, span)))
+        nodes, weights = _window(floor, t, n_quad)
+        return QuadPlan(nodes, weights, self._density(nodes, floor, t - floor))
+
+    def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
+        return self._density_integral(f, u, t, n_quad)
 
     def mass(self, t, n_quad=DEFAULT_PANELS):
-        floor = self.lag.evaluate(t)
-        span = t - floor
-        nodes, weights = simpson_nodes_weights(floor, t, n_quad)
-        return float(np.dot(weights, self._density(nodes, floor, span)))
+        return self._density_mass(t, n_quad)
 
 
 class UniformDensityKernel(_DensityWindowKernel):
@@ -236,29 +286,24 @@ class GeneralMixtureKernel(DelayKernel):
             floors.append(self.density_lag.evaluate(t))
         return min(floors)
 
+    def plan(self, t, n_quad=DEFAULT_PANELS):
+        if self.density is None:
+            raise ValueError("mixture kernel has no density part")
+        nodes, weights = _window(self.density_lag.evaluate(t), t, n_quad)
+        return QuadPlan(nodes, weights, self.density.evaluate_array(t - nodes))
+
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
         total = 0.0
         for lag, w in self.atoms:
             total += w * f(u(lag.evaluate(t)))
         if self.density is not None:
-            if n_quad < 2:
-                raise ValueError("density quadrature needs n_quad >= 2")
-            floor = self.density_lag.evaluate(t)
-            span = t - floor
-            if span <= 0.0:
-                raise ValueError(f"mixture density window is empty at t={t!r}")
-            nodes, weights = simpson_nodes_weights(floor, t, n_quad)
-            dens = self.density.evaluate_array(t - nodes)
-            vals = f.eval_array(u.array(nodes))
-            total += float(np.dot(weights, vals * dens))
+            total += self._density_integral(f, u, t, n_quad)
         return total
 
     def mass(self, t, n_quad=DEFAULT_PANELS):
         total = sum(w for _, w in self.atoms)
         if self.density is not None:
-            floor = self.density_lag.evaluate(t)
-            nodes, weights = simpson_nodes_weights(floor, t, n_quad)
-            total += float(np.dot(weights, self.density.evaluate_array(t - nodes)))
+            total += self._density_mass(t, n_quad)
         return total
 
     def describe(self) -> str:
@@ -286,7 +331,7 @@ def stieltjes_integrate(
     n_quad: int = DEFAULT_PANELS,
 ) -> float:
     """Integrate f(u(s)) against the kernel's distribution at time t."""
-    if not hasattr(u, "array"):
+    if not isinstance(u, HistoryComponent):
         u = as_component(u)
     return kernel.integrate(f, u, t, n_quad)
 
@@ -316,6 +361,8 @@ def validate_kernel(
             m = kernel.mass(t, n_quad)
         except EvalDomainError as e:
             return KernelViolation(t, "domain-error", str(e))
+        except ValueError as e:  # a density over an empty window has no mass
+            return KernelViolation(t, "mass", str(e))
         residual = abs(m - 1.0)
         worst = max(worst, residual)
         if residual > MASS_TOL:

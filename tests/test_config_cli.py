@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from coopdelay import analysis
+from coopdelay.analysis import classify
 from coopdelay.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -10,7 +12,13 @@ from coopdelay.cli import (
     execute_run,
     main,
 )
-from coopdelay.config import ConfigError, config_text, load_config, parse_kernel
+from coopdelay.config import (
+    ConfigError,
+    config_text,
+    load_config,
+    parse_kernel,
+    system_from_mapping,
+)
 from coopdelay.kernels import (
     GeneralMixtureKernel,
     PointMassKernel,
@@ -173,12 +181,56 @@ class TestPipeline:
         assert checks["nonoscillation"] == "pass"
         assert result.exit_code == EXIT_OK
 
+    def test_point_lag_final_state_is_plain_float(self, tmp_path, capsys):
+        cfg = load_config(CONFIGS / "sqrt_logistic_point.cfg")
+        cfg.numerics.horizon = 3.0
+        rep = execute_run(cfg, out_dir=tmp_path).report
+        assert [type(v) for v in rep["outcome"]["final_state"]] == [float, float]
+        main(["run", str(CONFIGS / "sqrt_logistic_point.cfg"), "--horizon", "3",
+              "--out-dir", str(tmp_path)])
+        assert "np.float64" not in capsys.readouterr().out
+
     def test_reports_note_conventions(self, tmp_path):
         cfg = load_config(CONFIGS / "linear_decay.cfg")
         result = execute_run(cfg, out_dir=tmp_path)
         notes = " ".join(result.report["notes"])
         assert "evaluate to 0" in notes
         assert "sampled horizon" in notes
+
+
+class TestRelationScans:
+    SYSTEM = (
+        "[system]\nf1 = sqrt(x) + 2\nf2 = x\nr1 = 1\nr2 = 1\n"
+        'kernel1 = point lag="t - 1"\nkernel2 = point lag="t - 1"\n'
+    )
+
+    @pytest.mark.parametrize(
+        "data, numerics, scans",
+        [
+            ("phi = 5\npsi = 5\n", "", 2),  # x_max = 50 is the window scanned first
+            ("phi = 1\npsi = 1\n", "", 3),  # K = 4 widens x_max to 40: scanned again
+            ("phi = 5\npsi = 5\n", "x_max = 30\n", 2),  # fixed window, no window scan
+        ],
+    )
+    def test_classification_reuses_the_window_scan(self, tmp_path, monkeypatch, data, numerics, scans):
+        calls = []
+        scan = analysis.scan_relation
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "scan_relation", counted)
+        p = write_config(tmp_path, "s.cfg", self.SYSTEM + data + "[numerics]\n" + numerics)
+        cfg = load_config(p)
+        result = execute_run(cfg, analysis_only=True, out_dir=tmp_path)
+        assert result.exit_code == EXIT_OK
+        assert len(calls) == scans
+        spec = system_from_mapping(cfg.system)
+        num = cfg.numerics
+        fresh = classify(spec.f1, spec.f2, result.report["numerics"]["x_max"],
+                         num.tol_classify, num.scan_grid)
+        assert result.report["classification"] == fresh.to_dict()
 
 
 class TestDeterminism:

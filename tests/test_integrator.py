@@ -1,14 +1,20 @@
+import gc
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import parse
 from coopdelay.functions import Modulation, ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
+    _StageHistory,
     default_dt,
     detect_nonoscillation_violation,
     eval_trajectory,
@@ -249,3 +255,152 @@ def test_modulated_equilibrium_run():
     assert outcome.status in ("converged", "reached-horizon")
     assert outcome.final_state[0] == pytest.approx(4.0, abs=1e-3)
     assert outcome.final_state[1] == pytest.approx(4.0, abs=1e-3)
+
+
+def test_point_lag_final_state_is_plain_float():
+    spec = spec_of("sqrt(x)+2", "x", k1=PointMassKernel("t-1"), k2=PointMassKernel("t-1"),
+                   phi="5", psi="5", g1="x", g2="x")
+    _, outcome = integrate(spec, horizon=3.0, dt=1e-2)
+    assert [type(v) for v in outcome.final_state] == [float, float]
+
+
+# -- per-step reuse of plans and stored lookups in the stage view -----------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+STEP = 0.05
+
+
+def stored_history():
+    """History stored on [0, 2] in steps of STEP, with non-constant initial data."""
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    traj, outcome = integrate(spec, horizon=2.0, dt=STEP)
+    return traj, outcome.final_state
+
+
+def stage_view(traj, state, t_stage, stage):
+    view = _StageHistory(traj)
+    view.set_step(traj.t_front, *state)
+    view.set_stage(t_stage, *stage)
+    return view
+
+
+def blended(nodes, view, comp):
+    """The in-step linear blend, one node at a time."""
+    out = []
+    for s in nodes:
+        w = min(max((s - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
+        out.append((1.0 - w) * view.start[comp] + w * view.stage[comp])
+    return np.array(out)
+
+
+def count_array_lookups(monkeypatch):
+    calls = []
+    original = Trajectory.value_array
+
+    def counted(self, ts, comp=None):
+        calls.append(np.size(ts))
+        return original(self, ts, comp)
+
+    monkeypatch.setattr(Trajectory, "value_array", counted)
+    return calls
+
+
+class TestStageView:
+    @given(
+        lag=st.floats(min_value=2.1, max_value=4.0),
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        n_quad=st.integers(min_value=2, max_value=40),
+        triangular=st.booleans(),
+        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookups_match_stored_history_and_blend(self, lag, frac, n_quad, triangular, stage):
+        traj, state = stored_history()
+        front = traj.t_front
+        t = front + frac * STEP
+        kernel = (TriangularDensityKernel if triangular else UniformDensityKernel)(f"t-{lag!r}")
+        view = stage_view(traj, state, t, stage)
+        for comp, component in enumerate(view.components()):
+            plan, vals = component.sample(kernel, t, n_quad)
+            direct = kernel.plan(t, n_quad)
+            for got, want in zip(plan, direct):
+                assert np.array_equal(got, want)
+            nodes = plan.nodes
+            assert nodes[0] < 0.0 < front < nodes[-1]  # straddles 0 and the front
+            k = int(np.searchsorted(nodes, front, side="right"))
+            assert np.array_equal(vals[:k], traj.value_array(nodes[:k], comp))
+            assert np.array_equal(vals[k:], blended(nodes[k:], view, comp))
+
+    def test_lookup_after_append_sees_new_segment(self):
+        traj, state = stored_history()
+        front = traj.t_front
+        kernel = UniformDensityKernel("t-1")
+        t1 = front + STEP
+        view = stage_view(traj, state, t1, (9.0, 9.0))
+        x_hist = view.components().x_component
+        before = x_hist.sample(kernel, t1, 16)[1]
+        traj.append_segment(front, t1, state[0], 3.0, 0.0, 0.0, state[1], 4.0, 0.0, 0.0)
+        view.set_step(t1, 3.0, 4.0)  # the next step, at the same stage time
+        view.set_stage(t1, 3.0, 4.0)
+        plan, after = x_hist.sample(kernel, t1, 16)
+        assert np.array_equal(after, traj.value_array(plan.nodes, 0))
+        assert after[-1] == 3.0 and before[-1] == 9.0
+
+    def test_same_time_stages_share_stored_part(self, monkeypatch):
+        traj, state = stored_history()
+        t = traj.t_front + 0.5 * STEP
+        kernel = TriangularDensityKernel("t-1")
+        view = stage_view(traj, state, t, (1.5, 2.5))
+        x_hist, y_hist = view.components()
+        calls = count_array_lookups(monkeypatch)
+        plan, x_a = x_hist.sample(kernel, t, 64)
+        _, y_a = y_hist.sample(kernel, t, 64)
+        view.set_stage(t, 7.0, 8.0)
+        _, x_b = x_hist.sample(kernel, t, 64)
+        _, y_b = y_hist.sample(kernel, t, 64)
+        k = int(np.searchsorted(plan.nodes, traj.t_front, side="right"))
+        assert calls == [k]  # one lookup serves x and y at both stages
+        for a, b in ((x_a, x_b), (y_a, y_b)):
+            assert np.array_equal(a[:k], b[:k])
+            assert np.all(a[k:] != b[k:])
+        view.set_step(traj.t_front, *state)  # a new step looks up again
+        x_hist.sample(kernel, t, 64)
+        assert len(calls) == 2
+
+    def test_trimmed_history_still_underflows(self):
+        traj, state = stored_history()
+        traj.trim_before(1.0)
+        assert traj.coverage_floor > 0.5
+        t = traj.t_front + STEP
+        view = stage_view(traj, state, t, state)
+        with pytest.raises(HistoryUnderflowError):
+            view.components().y_component.sample(UniformDensityKernel("t-1.5"), t, 16)
+
+
+@pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular"])
+def test_window_runs_repeat_bit_identically(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    spec = system_from_mapping(cfg.system)
+    dt, n_quad = cfg.numerics.dt, cfg.numerics.quad_panels
+    runs = [integrate(spec, horizon=3.0, dt=dt, n_quad=n_quad) for _ in range(2)]
+    (ta, oa), (tb, ob) = runs
+    for comp in (0, 1):
+        assert np.array_equal(ta.step_values(comp), tb.step_values(comp))
+    assert oa.final_state == ob.final_state
+    trimmed, ot = integrate(spec, horizon=3.0, dt=dt, n_quad=n_quad, trim_history=True)
+    assert trimmed.coverage_floor > 0.0
+    assert ot.final_state == oa.final_state
+
+
+def test_finished_run_leaves_no_reference_cycles():
+    # a history kept alive by a cycle waits for the cycle collector, and
+    # consecutive runs in one process then hold several histories at once
+    spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel("t-1"), k2=PointMassKernel("t-1"))
+    gc.collect()
+    gc.disable()
+    try:
+        integrate(spec, horizon=0.5, dt=5e-3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -174,6 +174,16 @@ class TestValidate:
         res = validate_kernel(k, [0.0, 2.5, 7.0])
         assert isinstance(res, KernelCertificate)
 
+    def test_empty_window_is_a_mass_violation(self):
+        for k in (
+            UniformDensityKernel("t"),
+            GeneralMixtureKernel(atoms=[("t-1", 0.5)], density="0.5", density_lag="t/2"),
+        ):
+            res = validate_kernel(k, [0.0, 1.0])
+            assert isinstance(res, KernelViolation)
+            assert (res.kind, res.t) == ("mass", 0.0)
+            assert "empty" in res.detail
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             validate_kernel(PointMassKernel("t"), [])
