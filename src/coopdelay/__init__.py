@@ -31,7 +31,6 @@ from .integrator import (
     RunOutcome,
     Trajectory,
     detect_nonoscillation_violation,
-    eval_trajectory,
     integrate,
 )
 from .kernels import (
@@ -42,7 +41,6 @@ from .kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
     stieltjes_integrate,
-    support_floor,
     validate_kernel,
 )
 from .presets import PRESETS, preset_system_mapping

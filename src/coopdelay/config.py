@@ -39,7 +39,7 @@ from .kernels import (
 )
 
 __all__ = ["ConfigError", "Numerics", "Outputs", "RunConfig", "load_config",
-           "build_system", "parse_kernel", "config_text", "system_from_mapping"]
+           "parse_kernel", "config_text", "system_from_mapping"]
 
 
 class ConfigError(ValueError):
@@ -195,8 +195,6 @@ def system_from_mapping(system: dict, *, max_lag_bound: float = 1e3,
         label=label,
     )
 
-
-build_system = system_from_mapping
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 

@@ -383,16 +383,17 @@ class Expression:
     __call__ = evaluate
 
     def evaluate_array(self, vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
+        if type(vs) is not np.ndarray or vs.dtype != np.float64:
+            vs = np.asarray(vs, dtype=float)
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 r = self._array(vs)
         except FloatingPointError as e:
             raise EvalDomainError(f"{self.serialize()}: {e}") from None
-        r = np.asarray(r, dtype=float)
-        if r.shape != vs.shape:  # expression with no variable
+        if type(r) is not np.ndarray or r.shape != vs.shape:
+            # a number: the expression has no variable, or the input is 0-d
             r = np.full_like(vs, float(r))
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise EvalDomainError(f"{self.serialize()}: non-finite result")
         return r
 

@@ -10,10 +10,13 @@ RK4 on the coupled system.
 A step evaluates the right-hand side at two distinct stage times (t + h/2
 for k2 and k3, t + h for k4 and the end-of-step derivative), and stored
 history changes only after the step is accepted.  The per-step stage view
-therefore builds each density kernel's quadrature plan once per stage time,
-and looks up the stored part of each distinct node set once, x and y
-together in one call; each stage then blends only the nodes inside the
-current step (usually none or one).  Everything it keeps is dropped when
+serves each density kernel's feedback through `HistoryComponent.feedback`:
+on the kernel's first use in a step it builds the kernel's plans at both
+stage times and looks up their stored parts in one call, x and y together;
+the sum over stored nodes is then computed once per stage time, production
+function and component, and each stage adds only the nodes inside the
+current step (usually none or one), blended toward its own stage state.
+Equal kernels share all of it.  Everything the view keeps is dropped when
 the next step starts.  Point kernels read single times and keep the scalar
 path.
 
@@ -41,7 +44,6 @@ __all__ = [
     "RunOutcome",
     "IntegrationError",
     "integrate",
-    "eval_trajectory",
     "detect_nonoscillation_violation",
     "default_dt",
 ]
@@ -55,6 +57,10 @@ EXTINCTION_THRESHOLD = 1e-12
 
 class IntegrationError(RuntimeError):
     """Numerical failure that is not a detected blow-up."""
+
+
+class _StageGuard(Exception):
+    """A blow-up guard fired inside a step; the argument names it."""
 
 
 # per-segment Hermite data, one row each, x and y side by side: values at
@@ -255,33 +261,52 @@ class Trajectory:
                 fh.write(f"{ts[i]:.17g},{xs[i]:.17g},{ys[i]:.17g}\n")
 
 
-class _StepSamples:
-    """Both components at one node set for the current step and stage time.
+class _StepWindow:
+    """One density kernel's quadrature at the two stage times of a step.
 
-    The part of the nodes inside stored history is looked up once, for x
-    and y together; the in-step tail keeps its blend weights, so each
-    stage only blends its own start and stage values.
+    For each stage time (slot 0 at the midpoint, slot 1 at the step end)
+    it keeps the plan, the number of its nodes inside stored history, the
+    stored values there (rows x and y; one lookup serves both components
+    and both stage times) and, for the nodes inside the step, the product
+    weight * density and the blend weights toward the start and the stage
+    state.  The sum over stored nodes is computed once per production
+    function and component; each stage then adds only its tail.
     """
 
-    __slots__ = ("stored", "w", "w_start")
+    __slots__ = ("plans", "split", "stored", "tails", "sums")
 
-    def __init__(self, view: "_StageHistory", nodes: np.ndarray):
-        k = int(nodes.searchsorted(view.traj.t_front, side="right"))
-        if k:
-            self.stored = view.traj.value_array(nodes[:k])
-        else:
-            self.stored = np.empty((2, 0), dtype=float)
-        self.stored.flags.writeable = False
-        tail = nodes[k:]
-        if not tail.size:
-            self.w = None
-            return
-        if view.t_stage > view.t0:
-            w = np.minimum(np.maximum((tail - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
-        else:
-            w = np.ones_like(tail)
-        self.w = w
-        self.w_start = 1.0 - w
+    def __init__(self, view: "_StageHistory", kernel, n_quad: int):
+        front = view.traj.t_front
+        self.plans = [kernel.plan(t, n_quad) for t in view.times]
+        self.split = [int(p.nodes.searchsorted(front, side="right")) for p in self.plans]
+        both = view.traj.value_array(np.concatenate([p.nodes[:k] for p, k in zip(self.plans, self.split)]))
+        both.flags.writeable = False
+        k0 = self.split[0]
+        self.stored = (both[:, :k0], both[:, k0:])
+        self.tails = [_tail(view.t0, t, p, k) for t, p, k in zip(view.times, self.plans, self.split)]
+        self.sums: dict = {}
+
+    def stored_sum(self, f, comp: int, slot: int) -> float:
+        """dot(weights * density, f(u)) over the slot's stored nodes, once."""
+        key = (f, comp, slot)
+        total = self.sums.get(key)
+        if total is None:
+            k = self.split[slot]
+            plan = self.plans[slot]
+            wd = plan.weights[:k] * plan.density[:k]
+            total = self.sums[key] = float(np.dot(wd, f.eval_array(self.stored[slot][comp])))
+        return total
+
+
+def _tail(t0: float, t_stage: float, plan, k: int) -> list[tuple[float, float, float]]:
+    """(weight * density, start blend, stage blend) of each plan node after
+    the first k, for the linear blend between the step start at t0 and the
+    stage.  Scalar arithmetic: the tail is usually a single node."""
+    out = []
+    for s, wj, dj in zip(plan.nodes[k:].tolist(), plan.weights[k:].tolist(), plan.density[k:].tolist()):
+        w = min(max((s - t0) / (t_stage - t0), 0.0), 1.0) if t_stage > t0 else 1.0
+        out.append((wj * dj, 1.0 - w, w))
+    return out
 
 
 class _StageComponent(HistoryComponent):
@@ -300,42 +325,49 @@ class _StageComponent(HistoryComponent):
         w = (s - v.t0) / (v.t_stage - v.t0)
         return (1.0 - w) * v.start[self.comp] + w * v.stage[self.comp]
 
-    def sample(self, kernel, t, n_quad):
+    def feedback(self, kernel, f, t, n_quad):
+        """The stored sum of the kernel's window at t plus its in-step tail,
+        blended toward the stage state set for t."""
         v = self.view
         c = self.comp
-        plan, samples = v.samples(kernel, t, n_quad)
-        if samples.w is None:
-            return plan, samples.stored[c]
-        tail = samples.w_start * v.start[c] + samples.w * v.stage[c]
-        return plan, np.concatenate((samples.stored[c], tail))
+        slot = v.slot(t)
+        win = v.window(kernel, n_quad)
+        total = win.stored_sum(f, c, slot)
+        for wd, w0, w1 in win.tails[slot]:
+            total += wd * f(w0 * v.start[c] + w1 * v.stage[c])
+        return total
 
 
 class _StageHistory:
     """Mutable per-step view combining stored history with the live stage.
 
-    Stored history does not change inside a step, so the view keeps, until
-    the next `set_step`, each kernel's plan per stage time and the stored
-    lookups per distinct node set (see `_StepSamples`).  The right-hand
-    side reads it through `components()`; the view holds no reference back
-    to them, so a finished run's history is freed as soon as it is dropped.
+    A step evaluates the right-hand side at two stage times, and stored
+    history does not change inside it, so the view keeps, until the next
+    `set_step`, one `_StepWindow` per density kernel (equal kernels share
+    one).  The right-hand side reads it through `components()`; the view
+    holds no reference back to them, so a finished run's history is freed
+    as soon as it is dropped.
     """
 
-    __slots__ = ("traj", "t0", "start", "t_stage", "stage", "_plans", "_samples")
+    __slots__ = ("traj", "t0", "start", "times", "t_stage", "stage", "_windows")
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self.t0 = 0.0
         self.start = (0.0, 0.0)
+        self.times = (0.0, 0.0)
         self.t_stage = 0.0
         self.stage = (0.0, 0.0)
-        self._plans: dict = {}
-        self._samples: dict = {}
+        self._windows: dict = {}
 
-    def set_step(self, t0: float, x0: float, y0: float) -> None:
+    def set_step(self, t0: float, t1: float, x0: float, y0: float) -> None:
+        """Start the step [t0, t1] from (x0, y0); its stage times are formed
+        as `integrate` forms them.  A step with t1 == t0 has the single
+        stage time t0."""
         self.t0 = t0
         self.start = (x0, y0)
-        self._plans.clear()
-        self._samples.clear()
+        self.times = (t0 + 0.5 * (t1 - t0), t1)
+        self._windows.clear()
 
     def set_stage(self, t: float, x: float, y: float) -> None:
         self.t_stage = t
@@ -344,19 +376,21 @@ class _StageHistory:
     def components(self) -> "_StageComponents":
         return _StageComponents(_StageComponent(self, 0), _StageComponent(self, 1))
 
-    def samples(self, kernel, t: float, n_quad: int):
-        """The kernel's plan at t and the samples of its nodes, each built
-        once per step and stage time."""
-        key = (kernel, t, n_quad, self.t_stage)
-        hit = self._plans.get(key)
-        if hit is None:
-            plan = kernel.plan(t, n_quad)
-            nodes_key = (plan.nodes.tobytes(), self.t_stage)
-            samples = self._samples.get(nodes_key)
-            if samples is None:
-                samples = self._samples[nodes_key] = _StepSamples(self, plan.nodes)
-            hit = self._plans[key] = (plan, samples)
-        return hit
+    def slot(self, t: float) -> int:
+        """Index of t among the step's stage times."""
+        if t == self.times[1]:
+            return 1
+        if t == self.times[0]:
+            return 0
+        raise ValueError(f"t={t!r} is not a stage time of the step {self.times!r}")
+
+    def window(self, kernel, n_quad: int) -> _StepWindow:
+        """The kernel's quadrature at both stage times, built once per step."""
+        key = (kernel, n_quad)
+        win = self._windows.get(key)
+        if win is None:
+            win = self._windows[key] = _StepWindow(self, kernel, n_quad)
+        return win
 
 
 class _StageComponents(NamedTuple):
@@ -421,7 +455,7 @@ def integrate(
         view.set_stage(ts, xs, ys)
         return rhs(spec, ts, xs, ys, hist, n_quad)
 
-    view.set_step(t, x, y)
+    view.set_step(t, t, x, y)
     try:
         dx, dy = deriv(t, x, y)
     except (EvalDomainError, HistoryUnderflowError) as e:
@@ -436,47 +470,48 @@ def integrate(
     check_every = 16
     eps_t = 1e-12 * max(1.0, horizon)
 
+    def guard(name: str, sx: float, sy: float, kx: float = 0.0, ky: float = 0.0,
+              ratio: float = stage_ratio) -> None:
+        """Stop the step when a state is non-finite or past the threshold, or
+        its increment h * k outruns ratio * (1 + |step start state|)."""
+        if (
+            not (math.isfinite(sx) and math.isfinite(sy))
+            or max(abs(sx), abs(sy)) > blowup_threshold
+            or h * max(abs(kx), abs(ky)) > ratio * scale0
+        ):
+            raise _StageGuard(name)
+
     while t < horizon - eps_t:
         # drift-free node times: i*dt exactly, final step clamped to horizon
         t1_nominal = (steps + 1) * dt
         t1 = horizon if t1_nominal >= horizon - eps_t else t1_nominal
         h = t1 - t
         scale0 = 1.0 + max(abs(x), abs(y))
-        view.set_step(t, x, y)
+        view.set_step(t, t1, x, y)
         k1x, k1y = dx, dy
         try:
             sx = x + 0.5 * h * k1x
             sy = y + 0.5 * h * k1y
-            if not (math.isfinite(sx) and math.isfinite(sy)) or max(abs(sx), abs(sy)) > blowup_threshold or h * max(abs(k1x), abs(k1y)) > stage_ratio * scale0:
-                guard_note = "stage-1"
-                status = "blow-up"
-                break
+            guard("stage-1", sx, sy, k1x, k1y)
             k2x, k2y = deriv(t + 0.5 * h, sx, sy)
             sx = x + 0.5 * h * k2x
             sy = y + 0.5 * h * k2y
-            if not (math.isfinite(sx) and math.isfinite(sy)) or max(abs(sx), abs(sy)) > blowup_threshold or h * max(abs(k2x), abs(k2y)) > stage_ratio * scale0:
-                guard_note = "stage-2"
-                status = "blow-up"
-                break
+            guard("stage-2", sx, sy, k2x, k2y)
             k3x, k3y = deriv(t + 0.5 * h, sx, sy)
             sx = x + h * k3x
             sy = y + h * k3y
-            if not (math.isfinite(sx) and math.isfinite(sy)) or max(abs(sx), abs(sy)) > blowup_threshold or h * max(abs(k3x), abs(k3y)) > stage_ratio * scale0:
-                guard_note = "stage-3"
-                status = "blow-up"
-                break
+            guard("stage-3", sx, sy, k3x, k3y)
             k4x, k4y = deriv(t1, sx, sy)
-            if h * max(abs(k4x), abs(k4y)) > 6.0 * stage_ratio * scale0:
-                guard_note = "stage-4"
-                status = "blow-up"
-                break
+            # k4's state passed stage-3, so only its increment can fire here
+            guard("stage-4", sx, sy, k4x, k4y, 6.0 * stage_ratio)
             x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y1 = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            if not (math.isfinite(x1) and math.isfinite(y1)) or max(abs(x1), abs(y1)) > blowup_threshold:
-                guard_note = "state-threshold"
-                status = "blow-up"
-                break
+            guard("state-threshold", x1, y1)
             dx1, dy1 = deriv(t1, x1, y1)
+        except _StageGuard as e:
+            guard_note = e.args[0]
+            status = "blow-up"
+            break
         except EvalDomainError as e:
             if max(abs(x), abs(y)) > 1e6:
                 guard_note = f"domain-error:{e}"
@@ -525,11 +560,6 @@ def integrate(
         diagnostics={"steps": steps, "dt": dt, "stage_guard": guard_note},
     )
     return traj, outcome
-
-
-def eval_trajectory(traj: Trajectory, t: float) -> tuple[float, float]:
-    """State at time t; initial data for t <= 0, error beyond the front."""
-    return traj.value(t)
 
 
 def detect_nonoscillation_violation(

@@ -7,11 +7,15 @@ atoms plus one density piece.  A purely singular-continuous distribution
 is out of scope; atoms plus a density cover every supported model.
 
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
-is evaluated with composite Simpson panels for the density part: the kernel's
-plan at t (nodes, weights, density at the nodes) is read through the history
-component's `sample`, which lets a history share plans and lookups between
-calls at the same time.  Quadrature nodes that fall before the start of
-recorded history raise HistoryUnderflowError instead of extrapolating.
+is evaluated with composite Simpson panels for the density part: the kernel
+builds its plan at t (nodes, weights, density at the nodes) and the history
+component's `feedback` returns the density part of the integral.  Its default
+is dot(weights, f(u(nodes)) * density); a history that serves many calls at
+the same times, such as the integrator's per-step view, overrides it to keep
+the plans and the part of the sum over stored history between calls.  Density
+windows compare equal by kind and lag, so equal windows can share that work.
+Quadrature nodes that fall before the start of recorded history raise
+HistoryUnderflowError instead of extrapolating.
 
 Atoms may sit exactly at the current time (zero lag): the integrand always
 reads the opposite component's history, so no implicit equation arises.
@@ -39,7 +43,6 @@ __all__ = [
     "KernelCertificate",
     "KernelViolation",
     "stieltjes_integrate",
-    "support_floor",
     "validate_kernel",
     "as_component",
     "simpson_nodes_weights",
@@ -66,9 +69,9 @@ class QuadPlan(NamedTuple):
 class HistoryComponent:
     """One component of a history, read at a time or at an array of times.
 
-    `sample` serves density quadrature: it returns a kernel's plan at t and
-    the component's values at the plan's nodes.  A history that can share
-    plans and lookups between calls overrides it.
+    `feedback` serves density quadrature: it returns the density part of a
+    kernel's feedback integral of f at t.  A history that can share plans,
+    lookups and evaluations of f between calls overrides it.
     """
 
     __slots__ = ()
@@ -79,9 +82,9 @@ class HistoryComponent:
     def array(self, ss: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, kernel: "DelayKernel", t: float, n_quad: int) -> tuple[QuadPlan, np.ndarray]:
+    def feedback(self, kernel: "DelayKernel", f: ProductionFunction, t: float, n_quad: int) -> float:
         plan = kernel.plan(t, n_quad)
-        return plan, self.array(plan.nodes)
+        return float(np.dot(plan.weights, f.eval_array(self.array(plan.nodes)) * plan.density))
 
 
 class FnComponent(HistoryComponent):
@@ -117,23 +120,33 @@ class KernelViolation:
     detail: str
 
 
-_WEIGHT_CACHE: dict[int, np.ndarray] = {}
+# n_panels -> (node indices 0..2*n_panels as floats, Simpson weights on unit spacing)
+_SIMPSON_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def simpson_nodes_weights(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson with n_panels parabolic panels
-    (2*n_panels subintervals) on [a, b]."""
+    (2*n_panels subintervals) on [a, b].
+
+    The nodes are those of np.linspace(a, b, 2*n_panels + 1), bit for bit:
+    the same operations on a cached index ramp, without linspace's per-call
+    overhead."""
     if n_panels < 1:
         raise ValueError("need at least one Simpson panel")
-    w = _WEIGHT_CACHE.get(n_panels)
-    if w is None:
+    cached = _SIMPSON_CACHE.get(n_panels)
+    if cached is None:
         w = np.ones(2 * n_panels + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         w /= 3.0
-        _WEIGHT_CACHE[n_panels] = w
-    nodes = np.linspace(a, b, 2 * n_panels + 1)
-    h = (b - a) / (2 * n_panels)
+        cached = _SIMPSON_CACHE[n_panels] = (np.arange(2 * n_panels + 1, dtype=float), w)
+    ramp, w = cached
+    div = 2 * n_panels
+    h = (b - a) / div
+    # linspace divides first when the step underflows to zero
+    nodes = ramp * h if h else ramp / div * (b - a)
+    nodes += a
+    nodes[-1] = b
     return nodes, w * h
 
 
@@ -179,8 +192,7 @@ class DelayKernel:
     def _density_integral(self, f, u: HistoryComponent, t: float, n_quad: int) -> float:
         if n_quad < 2:
             raise ValueError("density quadrature needs n_quad >= 2")
-        plan, vals = u.sample(self, t, n_quad)
-        return float(np.dot(plan.weights, f.eval_array(vals) * plan.density))
+        return u.feedback(self, f, t, n_quad)
 
     def _density_mass(self, t: float, n_quad: int) -> float:
         plan = self.plan(t, n_quad)
@@ -209,12 +221,24 @@ class PointMassKernel(DelayKernel):
 
 
 class _DensityWindowKernel(DelayKernel):
-    """Shared machinery for densities supported on [h(t), t]."""
+    """Shared machinery for densities supported on [h(t), t].
 
-    __slots__ = ("lag",)
+    Two windows of the same kind and lag are equal, so a history can share
+    their plans.  The hash is taken once: hashing the lag walks its syntax
+    tree.
+    """
+
+    __slots__ = ("lag", "_hash")
 
     def __init__(self, lag: str | Expression):
         self.lag = _as_lag(lag)
+        self._hash = hash((type(self), self.lag))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.lag == self.lag
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def support_floor(self, t: float) -> float:
         return self.lag.evaluate(t)
@@ -316,11 +340,6 @@ class GeneralMixtureKernel(DelayKernel):
 
 
 # ---------------------------------------------------------------------------
-
-
-def support_floor(kernel: DelayKernel, t: float) -> float:
-    """Left endpoint of the kernel's support at time t."""
-    return kernel.support_floor(t)
 
 
 def stieltjes_integrate(

@@ -17,7 +17,6 @@ from coopdelay.integrator import (
     _StageHistory,
     default_dt,
     detect_nonoscillation_violation,
-    eval_trajectory,
     integrate,
 )
 from coopdelay.kernels import (
@@ -62,7 +61,7 @@ class TestLinearDecay:
         ts = np.linspace(0.0, 10.0, 501)
         worst = 0.0
         for t in ts:
-            x, y = eval_trajectory(traj, float(t))
+            x, y = traj.value(float(t))
             exact = math.exp(-t / 2.0)
             worst = max(worst, abs(x - exact), abs(y - exact))
         assert worst <= 1e-6
@@ -100,13 +99,29 @@ class TestBlowup:
         assert outcome.status == "blow-up"
         assert 2.9 < outcome.blowup_time <= 3.0
         for t in np.linspace(0.0, 2.5, 26):
-            x, _ = eval_trajectory(traj, float(t))
+            x, _ = traj.value(float(t))
             assert abs(x - 1.0 / (3.0 - t)) <= 1e-4
 
     def test_positive_history_stays_positive(self):
         traj, _ = integrate(quadratic_blowup(), horizon=4.0, dt=1e-4)
         assert np.all(traj.step_values(0) > 0.0)
         assert np.all(traj.step_values(1) > 0.0)
+
+    @pytest.mark.parametrize(
+        "f, dt, threshold, ratio, guard, t_stop",
+        [
+            ("x^2+x", 0.3, 5.0, 2.0, "stage-1", 1.8),
+            ("x^2+x", 0.05, 1e12, 2.0, "stage-2", 1.95),
+            ("x^2+x", 0.05, 50.0, 20.0, "stage-3", 1.95),
+            ("x^2+x", 0.3, 1e12, 20.0, "stage-4", 1.8),
+            ("exp(x)", 0.3, 5.0, 2.0, "state-threshold", 0.6),
+        ],
+    )
+    def test_each_guard_names_itself(self, f, dt, threshold, ratio, guard, t_stop):
+        _, outcome = integrate(spec_of(f, f, phi="0.5", psi="0.5"), horizon=3.0, dt=dt,
+                               blowup_threshold=threshold, stage_ratio=ratio)
+        assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+        assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
 
 
 class TestEquilibriumHold:
@@ -135,8 +150,8 @@ class TestTrajectoryEvaluation:
     def test_handoff_at_zero(self):
         spec = spec_of("x/2", "x/2", phi="3", psi="5")
         traj, _ = integrate(spec, horizon=1.0, dt=1e-2)
-        assert eval_trajectory(traj, 0.0) == (3.0, 5.0)
-        assert eval_trajectory(traj, -7.5) == (3.0, 5.0)
+        assert traj.value(0.0) == (3.0, 5.0)
+        assert traj.value(-7.5) == (3.0, 5.0)
 
     def test_segment_endpoint_exact(self):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
@@ -148,13 +163,13 @@ class TestTrajectoryEvaluation:
     def test_mid_segment_accuracy(self):
         traj, _ = integrate(linear_half_decay(), horizon=10.0, dt=1e-3)
         for t in (0.1234, 1.00055, 7.77717):
-            x, _ = eval_trajectory(traj, t)
+            x, _ = traj.value(t)
             assert abs(x - math.exp(-t / 2.0)) <= 1e-6
 
     def test_beyond_front_rejected(self):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
         with pytest.raises(ValueError):
-            eval_trajectory(traj, 1.5)
+            traj.value(1.5)
 
     def test_vector_scalar_agree(self):
         traj, _ = integrate(linear_half_decay(), horizon=2.0, dt=1e-2)
@@ -278,10 +293,10 @@ def stored_history():
     return traj, outcome.final_state
 
 
-def stage_view(traj, state, t_stage, stage):
+def stage_view(traj, state, t1):
+    """The view at the start of the step [front, t1] from state."""
     view = _StageHistory(traj)
-    view.set_step(traj.t_front, *state)
-    view.set_stage(t_stage, *stage)
+    view.set_step(traj.t_front, t1, *state)
     return view
 
 
@@ -306,66 +321,119 @@ def count_array_lookups(monkeypatch):
     return calls
 
 
+def counted_production(text):
+    """A production function that records the size of each array evaluation."""
+    e = parse(text)
+    sizes = []
+
+    def array_fn(vs):
+        sizes.append(np.size(vs))
+        return e.evaluate_array(vs)
+
+    return ProductionFunction(e.evaluate, array_fn), sizes
+
+
+WINDOWS = st.builds(
+    lambda lag, triangular: (TriangularDensityKernel if triangular else UniformDensityKernel)(f"t-{lag!r}"),
+    st.floats(min_value=2.1, max_value=4.0),
+    st.booleans(),
+)
+
+
 class TestStageView:
     @given(
-        lag=st.floats(min_value=2.1, max_value=4.0),
+        kernel=WINDOWS,
         frac=st.floats(min_value=0.01, max_value=1.0),
         n_quad=st.integers(min_value=2, max_value=40),
-        triangular=st.booleans(),
         stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_lookups_match_stored_history_and_blend(self, lag, frac, n_quad, triangular, stage):
+    def test_lookups_match_stored_history_and_blend(self, kernel, frac, n_quad, stage):
         traj, state = stored_history()
         front = traj.t_front
-        t = front + frac * STEP
-        kernel = (TriangularDensityKernel if triangular else UniformDensityKernel)(f"t-{lag!r}")
-        view = stage_view(traj, state, t, stage)
-        for comp, component in enumerate(view.components()):
-            plan, vals = component.sample(kernel, t, n_quad)
-            direct = kernel.plan(t, n_quad)
-            for got, want in zip(plan, direct):
+        view = stage_view(traj, state, front + frac * STEP)
+        win = view.window(kernel, n_quad)
+        for slot, t in enumerate(view.times):
+            view.set_stage(t, *stage)
+            plan = win.plans[slot]
+            for got, want in zip(plan, kernel.plan(t, n_quad)):
                 assert np.array_equal(got, want)
             nodes = plan.nodes
             assert nodes[0] < 0.0 < front < nodes[-1]  # straddles 0 and the front
             k = int(np.searchsorted(nodes, front, side="right"))
-            assert np.array_equal(vals[:k], traj.value_array(nodes[:k], comp))
-            assert np.array_equal(vals[k:], blended(nodes[k:], view, comp))
+            assert win.split[slot] == k
+            wd = plan.weights[k:] * plan.density[k:]
+            for comp in (0, 1):
+                assert np.array_equal(win.stored[slot][comp], traj.value_array(nodes[:k], comp))
+                tail = [w0 * view.start[comp] + w1 * view.stage[comp] for _, w0, w1 in win.tails[slot]]
+                assert np.array_equal(tail, blended(nodes[k:], view, comp))
+            assert np.array_equal([w for w, _, _ in win.tails[slot]], wd)
+
+    @given(
+        kernel=WINDOWS,
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        n_quad=st.integers(min_value=2, max_value=40),
+        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+        body=st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_feedback_matches_full_simpson_dot(self, kernel, frac, n_quad, stage, body):
+        traj, state = stored_history()
+        front = traj.t_front
+        f = pf(body)
+        view = stage_view(traj, state, front + frac * STEP)
+        hist = view.components()
+        eps = np.finfo(float).eps
+        for t in view.times:
+            view.set_stage(t, *stage)
+            plan = kernel.plan(t, n_quad)
+            k = int(np.searchsorted(plan.nodes, front, side="right"))
+            for comp, component in enumerate(hist):
+                u = np.concatenate((traj.value_array(plan.nodes[:k], comp),
+                                    blended(plan.nodes[k:], view, comp)))
+                terms = plan.weights * f.eval_array(u) * plan.density
+                got = component.feedback(kernel, f, t, n_quad)
+                assert abs(got - float(np.sum(terms))) <= 64 * eps * float(np.sum(np.abs(terms)))
 
     def test_lookup_after_append_sees_new_segment(self):
         traj, state = stored_history()
         front = traj.t_front
         kernel = UniformDensityKernel("t-1")
         t1 = front + STEP
-        view = stage_view(traj, state, t1, (9.0, 9.0))
-        x_hist = view.components().x_component
-        before = x_hist.sample(kernel, t1, 16)[1]
+        view = stage_view(traj, state, t1)
+        view.set_stage(t1, 9.0, 9.0)
+        win = view.window(kernel, 16)
+        before = [w0 * view.start[0] + w1 * view.stage[0] for _, w0, w1 in win.tails[1]]
         traj.append_segment(front, t1, state[0], 3.0, 0.0, 0.0, state[1], 4.0, 0.0, 0.0)
-        view.set_step(t1, 3.0, 4.0)  # the next step, at the same stage time
+        view.set_step(t1, t1, 3.0, 4.0)  # the next step's first stage, at the same time
         view.set_stage(t1, 3.0, 4.0)
-        plan, after = x_hist.sample(kernel, t1, 16)
+        win = view.window(kernel, 16)
+        plan, after = win.plans[1], win.stored[1][0]
+        assert win.tails[1] == []
         assert np.array_equal(after, traj.value_array(plan.nodes, 0))
         assert after[-1] == 3.0 and before[-1] == 9.0
 
     def test_same_time_stages_share_stored_part(self, monkeypatch):
         traj, state = stored_history()
-        t = traj.t_front + 0.5 * STEP
         kernel = TriangularDensityKernel("t-1")
-        view = stage_view(traj, state, t, (1.5, 2.5))
+        view = stage_view(traj, state, traj.t_front + STEP)
         x_hist, y_hist = view.components()
+        f, evals = counted_production("x^2+x")
         calls = count_array_lookups(monkeypatch)
-        plan, x_a = x_hist.sample(kernel, t, 64)
-        _, y_a = y_hist.sample(kernel, t, 64)
-        view.set_stage(t, 7.0, 8.0)
-        _, x_b = x_hist.sample(kernel, t, 64)
-        _, y_b = y_hist.sample(kernel, t, 64)
-        k = int(np.searchsorted(plan.nodes, traj.t_front, side="right"))
-        assert calls == [k]  # one lookup serves x and y at both stages
-        for a, b in ((x_a, x_b), (y_a, y_b)):
-            assert np.array_equal(a[:k], b[:k])
-            assert np.all(a[k:] != b[k:])
-        view.set_step(traj.t_front, *state)  # a new step looks up again
-        x_hist.sample(kernel, t, 64)
+        feeds = {}
+        for slot, t in enumerate(view.times):
+            for stage in ((1.5, 2.5), (7.0, 8.0)):
+                view.set_stage(t, *stage)
+                feeds[slot, stage] = (x_hist.feedback(kernel, f, t, 64), y_hist.feedback(kernel, f, t, 64))
+        win = view.window(kernel, 64)
+        assert calls == [sum(win.split)]  # one lookup serves x and y at both stage times
+        assert evals == [win.split[0]] * 2 + [win.split[1]] * 2  # once per slot and component
+        for slot in (0, 1):
+            assert win.tails[slot]  # several nodes fall inside the step
+            for a, b in zip(feeds[slot, (1.5, 2.5)], feeds[slot, (7.0, 8.0)]):
+                assert a != b  # the shared stored sum, different tails
+        view.set_step(traj.t_front, traj.t_front + STEP, *state)  # a new step looks up again
+        x_hist.feedback(kernel, f, view.times[0], 64)
         assert len(calls) == 2
 
     def test_trimmed_history_still_underflows(self):
@@ -373,9 +441,34 @@ class TestStageView:
         traj.trim_before(1.0)
         assert traj.coverage_floor > 0.5
         t = traj.t_front + STEP
-        view = stage_view(traj, state, t, state)
+        view = stage_view(traj, state, t)
+        view.set_stage(t, *state)
         with pytest.raises(HistoryUnderflowError):
-            view.components().y_component.sample(UniformDensityKernel("t-1.5"), t, 16)
+            view.components().y_component.feedback(UniformDensityKernel("t-1.5"), pf("x"), t, 16)
+
+    def test_time_outside_the_step_rejected(self):
+        traj, state = stored_history()
+        view = stage_view(traj, state, traj.t_front + STEP)
+        with pytest.raises(ValueError):
+            view.components().x_component.feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
+
+
+@pytest.mark.parametrize(
+    "k1, k2, per_step",
+    [
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), 1),  # equal, not the same object
+        (UniformDensityKernel("t-1"), TriangularDensityKernel("t-1"), 2),
+        (TriangularDensityKernel("t-1"), PointMassKernel("t-1"), 1),
+    ],
+)
+def test_one_lookup_per_step_per_distinct_window(monkeypatch, k1, k2, per_step):
+    spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
+    calls = count_array_lookups(monkeypatch)
+    _, outcome = integrate(spec, horizon=0.5, dt=0.01, n_quad=16)
+    steps = outcome.diagnostics["steps"]
+    assert outcome.status == "reached-horizon" and steps == 50
+    # the first derivative at t = 0 is a step of its own, with one stage time
+    assert len(calls) == per_step * (steps + 1)
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular"])

@@ -12,8 +12,8 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
     as_component,
+    simpson_nodes_weights,
     stieltjes_integrate,
-    support_floor,
     validate_kernel,
 )
 
@@ -35,19 +35,50 @@ def riemann_midpoint(density_fn, integrand_fn, a, b, n=1_000_000):
 
 class TestSupportFloor:
     def test_point_mass(self):
-        assert support_floor(PointMassKernel("t-1"), 5.0) == 4.0
+        assert PointMassKernel("t-1").support_floor(5.0) == 4.0
 
     def test_uniform_at_zero(self):
-        assert support_floor(UniformDensityKernel("t-0.7"), 0.0) == -0.7
+        assert UniformDensityKernel("t-0.7").support_floor(0.0) == -0.7
 
     def test_triangular(self):
-        assert support_floor(TriangularDensityKernel("t-2"), 3.0) == 1.0
+        assert TriangularDensityKernel("t-2").support_floor(3.0) == 1.0
 
     def test_mixture_min_over_parts(self):
         k = GeneralMixtureKernel(
             atoms=[("t-1", 0.5)], density="0.5/2", density_lag="t-2"
         )
-        assert support_floor(k, 10.0) == 8.0
+        assert k.support_floor(10.0) == 8.0
+
+
+class TestSimpson:
+    @given(
+        a=st.floats(min_value=-1e6, max_value=1e6),
+        span=st.floats(min_value=0.0, max_value=1e6),
+        n_panels=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nodes_equal_linspace_bit_for_bit(self, a, span, n_panels):
+        b = a + span
+        nodes, weights = simpson_nodes_weights(a, b, n_panels)
+        want = np.linspace(a, b, 2 * n_panels + 1)
+        assert nodes.tobytes() == want.tobytes()
+        assert weights.shape == want.shape
+
+    def test_underflowing_step_follows_linspace(self):
+        # the step of a subnormal span rounds to zero; linspace then divides first
+        for a, b in ((0.0, 5e-324), (-1e-320, 1e-320), (2.0, 2.0)):
+            nodes, _ = simpson_nodes_weights(a, b, 64)
+            assert nodes.tobytes() == np.linspace(a, b, 129).tobytes()
+
+
+class TestEquality:
+    def test_windows_equal_by_kind_and_lag(self):
+        assert UniformDensityKernel("t-1") == UniformDensityKernel("t - 1")
+        assert hash(UniformDensityKernel("t-1")) == hash(UniformDensityKernel("t - 1"))
+        assert TriangularDensityKernel("t-1") == TriangularDensityKernel("t-1")
+        assert UniformDensityKernel("t-1") != TriangularDensityKernel("t-1")
+        assert UniformDensityKernel("t-1") != UniformDensityKernel("t-2")
+        assert len({UniformDensityKernel("t-1"), TriangularDensityKernel("t-1")}) == 2
 
 
 class TestIntegrate:
