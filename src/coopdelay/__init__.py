@@ -40,7 +40,6 @@ from .kernels import (
     PointMassKernel,
     TriangularDensityKernel,
     UniformDensityKernel,
-    stieltjes_integrate,
     validate_kernel,
 )
 from .presets import PRESETS, preset_system_mapping

@@ -54,6 +54,7 @@ __all__ = [
 
 SCAN_GRID = 4097
 SCAN_TOL = 1e-9
+TOUCH_CANDIDATES = 8  # |delta| minima refined per scan
 BOX_MARGIN = 1e-12
 
 
@@ -206,6 +207,25 @@ def _refine_touch(delta, a, b, tol) -> tuple[float, float]:
     return xm, abs(delta(xm))
 
 
+def _grid_events(signs: np.ndarray, absd: np.ndarray) -> tuple[list, np.ndarray, str]:
+    """What the relation scan reads off its grid, given the deadbanded signs
+    of delta and |delta|: the index pairs of consecutive nonzero signs that
+    differ (one crossing each); the indices of the first TOUCH_CANDIDATES
+    interior minima of |delta| (tangency candidates), skipping minima
+    between opposite nonzero signs, which are crossings; and the run-length
+    sign pattern, e.g. "+-" for one orientation-correct crossing."""
+    nz = np.nonzero(signs != 0.0)[0]
+    flips = np.nonzero(signs[nz[1:]] != signs[nz[:-1]])[0]
+    pairs = list(zip(nz[flips], nz[flips + 1]))
+    s_left, s_right = signs[:-2], signs[2:]
+    crossed = (s_left != 0.0) & (s_right != 0.0) & (s_left != s_right)
+    minima = (absd[1:-1] < absd[:-2]) & (absd[1:-1] <= absd[2:]) & ~crossed
+    candidates = np.nonzero(minima)[0][:TOUCH_CANDIDATES] + 1
+    codes = np.where(signs > 0.0, 1, np.where(signs < 0.0, -1, 0))
+    runs = codes[np.r_[True, codes[1:] != codes[:-1]]]
+    return pairs, candidates, "".join("+" if c > 0 else ("-" if c < 0 else "0") for c in runs)
+
+
 def scan_relation(
     f1: ProductionFunction,
     f2: ProductionFunction,
@@ -230,43 +250,20 @@ def scan_relation(
     # without the deadband the residual noise fabricates crossings in
     # regions where delta genuinely approaches zero (e.g. near the origin)
     zero_eps = 32.0 * 1e-12 * np.maximum(1.0, xs)
-    signs = np.where(np.abs(ds) <= zero_eps, 0.0, np.sign(ds))
-    nz = np.nonzero(signs != 0.0)[0]
-    crossings: list[float] = []
-    if nz.size:
-        prev = nz[0]
-        for i in nz[1:]:
-            if signs[i] != signs[prev]:
-                crossings.append(_refine_crossing(delta, float(xs[prev]), float(xs[i]), tol))
-            prev = i
+    absd = np.abs(ds)
+    signs = np.where(absd <= zero_eps, 0.0, np.sign(ds))
+    pairs, candidates, pattern_str = _grid_events(signs, absd)
+    crossings = [_refine_crossing(delta, float(xs[i]), float(xs[j]), tol) for i, j in pairs]
 
-    # interior |delta| minima without a sign change: tangency candidates;
     # a genuine touch dips well below its neighbors, which filters out
     # inverse-bisection noise in regions where delta is merely small
     tangents: list[float] = []
-    absd = np.abs(ds)
-    candidates = 0
-    for i in range(1, n_grid - 1):
-        if absd[i] < absd[i - 1] and absd[i] <= absd[i + 1]:
-            a, b = float(xs[i - 1]), float(xs[i + 1])
-            if signs[i - 1] != 0 and signs[i + 1] != 0 and signs[i - 1] != signs[i + 1]:
-                continue  # handled as a crossing
-            candidates += 1
-            if candidates > 8:
-                break
-            xm, dm = _refine_touch(delta, a, b, tol)
-            neighbors = min(absd[i - 1], absd[i + 1])
-            if dm <= tol * max(1.0, xm) and neighbors >= max(8.0 * dm, 2.0 * tol * max(1.0, xm)):
-                if not any(abs(xm - c) <= 1e-6 * max(1.0, xm) for c in crossings):
-                    tangents.append(xm)
-
-    # run-length sign pattern, e.g. "+-" for one orientation-correct crossing
-    pattern = []
-    for s in signs:
-        c = "+" if s > 0 else ("-" if s < 0 else "0")
-        if not pattern or pattern[-1] != c:
-            pattern.append(c)
-    pattern_str = "".join(pattern)
+    for i in candidates:
+        xm, dm = _refine_touch(delta, float(xs[i - 1]), float(xs[i + 1]), tol)
+        neighbors = min(absd[i - 1], absd[i + 1])
+        if dm <= tol * max(1.0, xm) and neighbors >= max(8.0 * dm, 2.0 * tol * max(1.0, xm)):
+            if not any(abs(xm - c) <= 1e-6 * max(1.0, xm) for c in crossings):
+                tangents.append(xm)
 
     rel = RelationClass(
         kind="unresolved",

@@ -57,7 +57,6 @@ class Numerics:
     slack: float = 1e-3
     x_max: float | None = None
     tol_classify: float = 1e-9
-    tol_inverse: float = 1e-12
     tol_iteration: float = 1e-8
     n_max_iteration: int = 500
     blowup_threshold: float = 1e12

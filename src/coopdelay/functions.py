@@ -11,7 +11,11 @@ downstream consumers know exactly what was checked.
 
 Inverses are computed by bisection, which monotonicity makes bracketing-
 safe.  Values below the function's range invert to 0 by convention; this
-convention is applied globally and surfaced in run reports.
+convention is applied globally and surfaced in run reports.  The separator
+g = alpha*f1^-1 + (1-alpha)*f2 carries its own inverse, which needs no
+inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an inverse of f2,
+and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is solved for u by one
+bisection and g^-1 = f1(u).
 """
 
 from __future__ import annotations
@@ -133,15 +137,6 @@ class ProductionFunction:
     def from_expression(cls, body: str | Expression, var: str = "x") -> "ProductionFunction":
         e = body if isinstance(body, Expression) else parse(body, var=var)
         return cls(e.evaluate, e.evaluate_array, source=e.serialize(), name=e.serialize(), expression=e)
-
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable[[float], float],
-        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        **kw,
-    ) -> "ProductionFunction":
-        return cls(fn, array_fn, **kw)
 
     def __call__(self, v: float) -> float:
         return self._fn(v)
@@ -470,6 +465,13 @@ def make_separator(
 
     Lies strictly between f1^-1 and f2 wherever they differ, which is what
     synchronizes the two components of the bound sequences.
+
+    Its inverse needs no inverse of f1.  Values up to g(0) invert to 0.
+    On [0, f1(0)] f1^-1 is 0, so g = (1 - alpha) * f2 there and values up
+    to (1 - alpha) * f2(f1(0)) invert through f2.  Above that, x = f1(u)
+    with h(u) = g(f1(u)) = alpha * u + (1 - alpha) * f2(f1(u)) = y, solved
+    for u by one bisection with geometric bracket growth.  A bounded f1
+    needs no special case: h is unbounded even where f1 is not.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
@@ -482,6 +484,24 @@ def make_separator(
         xs = np.asarray(xs, dtype=float)
         return alpha * f1_inv.eval_array(xs) + (1.0 - alpha) * f2.eval_array(xs)
 
+    def h(u: float) -> float:  # g(f1(u))
+        return alpha * u + (1.0 - alpha) * f2(f1(u))
+
+    f1_0 = f1(0.0)
+    g_0 = (1.0 - alpha) * f2(0.0)  # f1^-1(0) = 0
+    g_f1_0 = (1.0 - alpha) * f2(f1_0)
+
+    def scalar_inverse(y: float) -> float:
+        if y <= g_0:
+            return 0.0
+        if y <= g_f1_0:
+            return inverse_auto(f2, y / (1.0 - alpha), f1_0, tol)
+        hi = 1.0
+        while h(hi) < y:  # h grows at least like alpha * u: this stops
+            hi *= 2.0
+        return f1(inverse(h, y, hi, tol))
+
     return ProductionFunction(
-        scalar, array, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}"
+        scalar, array, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}",
+        inverse_fn=scalar_inverse,
     )

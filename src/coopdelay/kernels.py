@@ -42,7 +42,6 @@ __all__ = [
     "QuadPlan",
     "KernelCertificate",
     "KernelViolation",
-    "stieltjes_integrate",
     "validate_kernel",
     "as_component",
     "simpson_nodes_weights",
@@ -340,19 +339,6 @@ class GeneralMixtureKernel(DelayKernel):
 
 
 # ---------------------------------------------------------------------------
-
-
-def stieltjes_integrate(
-    kernel: DelayKernel,
-    f: ProductionFunction,
-    u: HistoryComponent | Callable,
-    t: float,
-    n_quad: int = DEFAULT_PANELS,
-) -> float:
-    """Integrate f(u(s)) against the kernel's distribution at time t."""
-    if not isinstance(u, HistoryComponent):
-        u = as_component(u)
-    return kernel.integrate(f, u, t, n_quad)
 
 
 def validate_kernel(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopdelay import analysis
 from coopdelay.analysis import (
     BoxConstructionError,
     StallError,
@@ -38,7 +41,7 @@ def tangent_pair_below():
     def fwd(v, _q=q):
         return inverse_auto(_q, v, 8.0)
 
-    f1 = ProductionFunction.from_callable(
+    f1 = ProductionFunction(
         fwd, inverse_fn=q.__call__, inverse_array_fn=q.eval_array, name="q^-1"
     )
     return f1, pf("x")
@@ -203,6 +206,129 @@ class TestMonotoneIteration:
         g, _ = choose_separator(f, f, b_floor=1.0)
         with pytest.raises(ValueError):
             monotone_iteration(f, f, g, 2.0, (0.5, 99.0, 10.0, g(10.0)))
+
+
+    @given(
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0),
+        st.floats(0.5, 1.5), st.floats(0.2, 0.6), st.floats(0.05, 0.95), st.floats(1.05, 4.0),
+        st.floats(0.1, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_lotka_volterra_bounds_are_monotone_and_squeeze_K(
+        self, A1, A2, a1, a2, b1, gain, below, above, floor
+    ):
+        # f_i(x) = (A_i + b_i x)/a_i with loop gain b1*b2/(a1*a2) < 1: the one
+        # equilibrium solves K = f1(f2(K)), K = (A1*a2 + b1*A2)/(a1*a2 - b1*b2)
+        b2 = gain * a1 * a2 / b1
+        f1, f2 = pf(f"({A1!r} + {b1!r}*x)/{a1!r}"), pf(f"({A2!r} + {b2!r}*x)/{a2!r}")
+        K = (A1 * a2 + b1 * A2) / (a1 * a2 - b1 * b2)
+        # g lies between f1^-1 and f2, which cross only at K, so any aligned
+        # start below and above K steps inward; floors below f2(0)/2 make the
+        # separator walk alpha toward 1
+        g, alpha = choose_separator(f1, f2, b_floor=floor * f2(0.0))
+        bracket = 4.0 * above * K
+        a0, b0 = align_lower_start(g, below * K, g(below * K), bracket)
+        A0, B0 = align_upper_start(g, above * K, g(above * K), bracket)
+        seq = monotone_iteration(f1, f2, g, K, (a0, b0, A0, B0), alpha=alpha, bracket_hi=bracket)
+        a_vals = [a for a, _ in seq.lower]
+        A_vals = [A for A, _ in seq.upper]
+        assert all(x2 >= x1 for x1, x2 in zip(a_vals, a_vals[1:]))
+        assert all(x2 <= x1 for x1, x2 in zip(A_vals, A_vals[1:]))
+        assert all(a <= K <= A for a, A in zip(a_vals, A_vals))
+        for a, b in seq.lower + seq.upper:
+            assert abs(g(a) - b) <= 1e-10 * max(1.0, abs(b))
+
+
+def grid_events_by_loops(signs, absd):
+    """Reference for analysis._grid_events: the per-grid-point loops that
+    scan_relation ran before, with the refinement calls left out."""
+    pairs = []
+    nz = [i for i in range(len(signs)) if signs[i] != 0.0]
+    if nz:
+        prev = nz[0]
+        for i in nz[1:]:
+            if signs[i] != signs[prev]:
+                pairs.append((prev, i))
+            prev = i
+    candidates = []
+    for i in range(1, len(signs) - 1):
+        if absd[i] < absd[i - 1] and absd[i] <= absd[i + 1]:
+            if signs[i - 1] != 0 and signs[i + 1] != 0 and signs[i - 1] != signs[i + 1]:
+                continue
+            if len(candidates) == 8:
+                break
+            candidates.append(i)
+    pattern = []
+    for v in signs:
+        c = "+" if v > 0 else ("-" if v < 0 else "0")
+        if not pattern or pattern[-1] != c:
+            pattern.append(c)
+    return pairs, candidates, "".join(pattern)
+
+
+class TestScanBookkeeping:
+    """Pins what scan_relation does with the sampled signs: which grid pairs
+    it refines as crossings, which |delta| minima it refines as touches (the
+    first 8 that do not sit between opposite signs) and the run-length sign
+    pattern."""
+
+    @given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([-1.0, 0.0, 1.0, math.nan]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 1e-13, 0.5, 1.0, 2.0, math.inf, math.nan]),
+                 min_size=n, max_size=n),
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_events_match_the_loops(self, grid):
+        signs, absd = grid
+        pairs, candidates, pattern = analysis._grid_events(np.array(signs), np.array(absd))
+        ref_pairs, ref_candidates, ref_pattern = grid_events_by_loops(signs, absd)
+        assert [(int(i), int(j)) for i, j in pairs] == ref_pairs
+        assert candidates.tolist() == ref_candidates
+        assert pattern == ref_pattern
+
+    @pytest.fixture
+    def refined(self, monkeypatch):
+        calls = {"crossing": [], "touch": []}
+        crossing, touch = analysis._refine_crossing, analysis._refine_touch
+
+        def count_crossing(delta, a, b, tol):
+            calls["crossing"].append((a, b))
+            return crossing(delta, a, b, tol)
+
+        def count_touch(delta, a, b, tol):
+            calls["touch"].append((a, b))
+            return touch(delta, a, b, tol)
+
+        monkeypatch.setattr(analysis, "_refine_crossing", count_crossing)
+        monkeypatch.setattr(analysis, "_refine_touch", count_touch)
+        return calls
+
+    def test_alternating_crossings_near_multiples_of_pi(self, refined):
+        # delta = 0.5*sin(x): six sign changes on (0, 20], each one a crossing
+        # whose |delta| minimum is skipped as a touch candidate
+        rel = scan_relation(pf("x"), pf("x + 0.5*sin(x)"), 20.0)
+        assert rel.kind == "unresolved"
+        assert rel.sign_pattern == "+-+-+-+"
+        assert rel.crossings == pytest.approx([k * math.pi for k in range(1, 7)], abs=1e-8)
+        assert rel.tangents == []
+        assert rel.witnesses == rel.crossings
+        assert len(refined["crossing"]) == 6
+        assert refined["touch"] == []
+        for (a, b), c in zip(refined["crossing"], rel.crossings):
+            assert a < c < b
+
+    def test_touch_candidates_stop_at_eight(self, refined):
+        # delta = 0.25*(1 - cos(x)) >= 0 touches 0 at 2k*pi, but inverse noise
+        # near the origin, where delta is below the deadband, supplies the
+        # first eight |delta| minima: the cap is reached before x = 2*pi
+        rel = scan_relation(pf("x"), pf("x + 0.25*(1 - cos(x))"), 60.0)
+        assert rel.kind == "above-everywhere"
+        assert rel.sign_pattern == "0+0+"
+        assert rel.crossings == [] and rel.tangents == []
+        assert refined["crossing"] == []
+        assert len(refined["touch"]) == 8
+        assert all(b < 1e-3 for _, b in refined["touch"])
+        assert [a for a, _ in refined["touch"]] == sorted(a for a, _ in refined["touch"])
 
 
 class TestChooseSeparator:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,18 @@ class TestLoadConfig:
             "[numerics]\nwarp = 9\n",
         )
         with pytest.raises(ConfigError, match="warp"):
+            load_config(p)
+
+    def test_tol_inverse_is_no_longer_a_key(self, tmp_path):
+        # it was parsed and reported, but no inverse read it
+        p = write_config(
+            tmp_path,
+            "old.cfg",
+            "[system]\nf1 = x\nf2 = x\nr1 = 1\nr2 = 1\n"
+            'kernel1 = point lag="t"\nkernel2 = point lag="t"\nphi = 1\npsi = 1\n'
+            "[numerics]\ntol_inverse = 1e-12\n",
+        )
+        with pytest.raises(ConfigError, match=r"\[numerics\] tol_inverse: unknown key"):
             load_config(p)
 
     def test_expression_error_names_key(self, tmp_path):
@@ -180,6 +193,24 @@ class TestPipeline:
         assert checks["permanence-box"] == "pass"
         assert checks["nonoscillation"] == "pass"
         assert result.exit_code == EXIT_OK
+
+    def test_bounded_f1_gets_bound_sequences(self, tmp_path):
+        # f1 = 2*tanh(x) is bounded by 2, so f1^-1 has no value above 2; the
+        # separator's inverse must not need one
+        result = execute_run(load_config(CONFIGS / "tanh_gain.cfg"), analysis_only=True,
+                             out_dir=tmp_path)
+        rep = result.report
+        assert result.exit_code == EXIT_OK
+        assert not any("bound sequences unavailable" in n for n in rep["notes"])
+        bounds = rep["bound_sequences"]
+        assert bounds["converged"]
+        # independent K: the fixed point of 2*tanh(K) = K by bisection
+        lo, hi = 1.0, 2.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if 2.0 * math.tanh(mid) > mid else (lo, mid)
+        assert bounds["lower_end"][0] <= lo <= hi <= bounds["upper_end"][0]
+        assert rep["K"] == pytest.approx(lo, abs=rep["numerics"]["tol_classify"])
 
     def test_point_lag_final_state_is_plain_float(self, tmp_path, capsys):
         cfg = load_config(CONFIGS / "sqrt_logistic_point.cfg")

@@ -161,6 +161,72 @@ class TestSeparator:
         y = g(3.0)
         assert g.inverse(y, bracket_hi=100.0) == pytest.approx(3.0, abs=1e-9)
 
+    # A Lotka-Volterra pair with f1(0) > 0: f1^-1 is 0 on [0, f1(0)], so the
+    # separator's inverse has a branch through f2 below g(f1(0)).
+    LV = ("(1.2 + 0.8*x)/1.3", "(0.7 + 2.3*x)/2.9")
+
+    @staticmethod
+    def assert_round_trip(g, y):
+        # the inverse stops within 1e-12 * max(1, |y|); evaluating g adds its
+        # own f1^-1 bisection error, up to about 2e-12 in the cases below
+        x = g.inverse(y, bracket_hi=1.0)
+        assert abs(g(x) - y) <= 1e-11 * max(1.0, abs(y))
+        return x
+
+    @given(st.floats(min_value=0.05, max_value=0.999), st.floats(min_value=1e-6, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_round_trip_on_the_f2_branch(self, alpha, frac):
+        f1, f2 = pf(self.LV[0]), pf(self.LV[1])
+        g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+        lo, hi = g(0.0), (1.0 - alpha) * f2(f1(0.0))
+        x = self.assert_round_trip(g, lo + frac * (hi - lo))
+        assert 0.0 < x <= f1(0.0)
+
+    @given(st.floats(min_value=0.05, max_value=0.999), st.floats(min_value=1e-6, max_value=50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_round_trip_on_the_h_branch(self, alpha, dy):
+        f1, f2 = pf(self.LV[0]), pf(self.LV[1])
+        g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+        x = self.assert_round_trip(g, (1.0 - alpha) * f2(f1(0.0)) + dy)
+        assert x > f1(0.0)
+
+    @given(st.floats(min_value=0.05, max_value=0.999), st.floats(min_value=1e-3, max_value=1.2))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_round_trip_for_bounded_f1(self, alpha, x):
+        # f1^-1 has no value above 1.5; g^-1 still needs no bracket there.
+        # Targets keep f1' >= 0.5, where g's own f1^-1 resolves u to 2e-12.
+        g = make_separator(pf("1.5*tanh(x)"), pf("x"), alpha, bracket_hi=100.0)
+        self.assert_round_trip(g, g(x))
+
+    def test_inverse_below_g0_is_zero(self):
+        g = make_separator(pf(self.LV[0]), pf(self.LV[1]), 0.5, bracket_hi=100.0)
+        assert g.inverse(g(0.0), bracket_hi=1.0) == 0.0
+        assert g.inverse(0.5 * g(0.0), bracket_hi=1.0) == 0.0
+
+    def test_inverse_is_one_flat_bisection(self):
+        # one g^-1 call bisects once, in u; a nested inversion of f1 inside
+        # every probe of g would make thousands of evaluations
+        calls = [0]
+
+        def counted(text):
+            f = pf(text)
+
+            def fn(v):
+                calls[0] += 1
+                return f(v)
+
+            return ProductionFunction(fn, f.eval_array)
+
+        for f1_text, f2_text, alpha in (self.LV + (0.5,), self.LV + (0.999,),
+                                        ("1.5*tanh(x)", "x", 0.9), ("1+x/2", "1+x/2", 0.5)):
+            f1, f2 = counted(f1_text), counted(f2_text)
+            g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+            knee = (1.0 - alpha) * f2(f1(0.0))
+            for y in (0.5 * (g(0.0) + knee), knee + 1e-3, 1.0, 3.0, 40.0):
+                calls[0] = 0
+                g.inverse(y, bracket_hi=1.0)
+                assert calls[0] <= 250, (f1_text, alpha, y, calls[0])
+
 
 class TestModulation:
     def test_identity_positive(self):
@@ -181,6 +247,6 @@ def test_callable_backed_function_with_cheap_inverse():
     def fwd(v, _q=quartic):
         return inverse_auto(_q, v, 8.0)
 
-    f = ProductionFunction.from_callable(fwd, inverse_fn=quartic.__call__, name="q^-1")
+    f = ProductionFunction(fwd, inverse_fn=quartic.__call__, name="q^-1")
     assert f.inverse(0.5, bracket_hi=8.0) == pytest.approx(quartic(0.5), abs=1e-12)
     assert f(quartic(0.7)) == pytest.approx(0.7, abs=1e-9)

@@ -13,7 +13,6 @@ from coopdelay.kernels import (
     UniformDensityKernel,
     as_component,
     simpson_nodes_weights,
-    stieltjes_integrate,
     validate_kernel,
 )
 
@@ -86,27 +85,27 @@ class TestIntegrate:
         k = PointMassKernel("t-1.5")
         f = pf("x^2+x")
         u = as_component(lambda s: np.asarray(s) * 0 + 3.0)
-        assert stieltjes_integrate(k, f, u, 4.0) == f(3.0)
+        assert k.integrate(f, u, 4.0) == f(3.0)
 
     def test_uniform_constant_history_is_f_of_constant(self):
         k = UniformDensityKernel("t-1")
         f = pf("1+x/2")
         u = as_component(lambda s: np.asarray(s) * 0 + 2.0)
-        assert stieltjes_integrate(k, f, u, 7.0, n_quad=16) == pytest.approx(2.0, abs=1e-12)
+        assert k.integrate(f, u, 7.0, n_quad=16) == pytest.approx(2.0, abs=1e-12)
 
     def test_triangular_linear_history_closed_form(self):
         # identity production, u(s) = s: the integral is t - span/3
         for h, t in ((2.0, 3.0), (0.5, 10.0), (1.0, 0.0)):
             k = TriangularDensityKernel(f"t-{h}")
             u = as_component(lambda s: np.asarray(s, dtype=float))
-            got = stieltjes_integrate(k, IDENTITY, u, t, n_quad=64)
+            got = k.integrate(IDENTITY, u, t, n_quad=64)
             assert got == pytest.approx(t - h / 3.0, abs=1e-10)
 
     def test_triangular_matches_riemann_oracle(self):
         h, t = 2.0, 3.0
         k = TriangularDensityKernel(f"t-{h}")
         u = as_component(lambda s: np.asarray(s, dtype=float))
-        got = stieltjes_integrate(k, IDENTITY, u, t, n_quad=64)
+        got = k.integrate(IDENTITY, u, t, n_quad=64)
         oracle = riemann_midpoint(
             lambda s: (2.0 / h**2) * (s - (t - h)), lambda s: s, t - h, t
         )
@@ -122,7 +121,7 @@ class TestIntegrate:
             lambda s: np.full_like(s, 1.0 / h), lambda s: np.exp(s / 2.0) - 1.0, t - h, t
         )
         errs = [
-            abs(stieltjes_integrate(k, f, u, t, n_quad=n) - oracle) for n in (2, 4, 8, 16)
+            abs(k.integrate(f, u, t, n_quad=n) - oracle) for n in (2, 4, 8, 16)
         ]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 8.0
@@ -134,13 +133,13 @@ class TestIntegrate:
         )
         u = as_component(lambda s: np.asarray(s, dtype=float))
         t = 5.0
-        got = stieltjes_integrate(k, IDENTITY, u, t, n_quad=32)
+        got = k.integrate(IDENTITY, u, t, n_quad=32)
         assert got == pytest.approx(0.5 * 4.0 + 0.5 * 4.0, abs=1e-10)
 
     def test_zero_lag_atom_reads_current_time(self):
         k = PointMassKernel("t")
         u = as_component(lambda s: np.asarray(s, dtype=float) * 2.0)
-        assert stieltjes_integrate(k, IDENTITY, u, 3.0) == 6.0
+        assert k.integrate(IDENTITY, u, 3.0) == 6.0
 
     def test_linearity_in_production(self):
         k = TriangularDensityKernel("t-1")
@@ -148,9 +147,9 @@ class TestIntegrate:
         fa, fb = pf("x^2+x"), pf("1+x/2")
         combo = pf("0.5*(x^2+x) + 2*(1+x/2)")
         t = 4.0
-        ia = stieltjes_integrate(k, fa, u, t)
-        ib = stieltjes_integrate(k, fb, u, t)
-        ic = stieltjes_integrate(k, combo, u, t)
+        ia = k.integrate(fa, u, t)
+        ib = k.integrate(fb, u, t)
+        ic = k.integrate(combo, u, t)
         assert ic == pytest.approx(0.5 * ia + 2.0 * ib, rel=1e-12)
 
     @given(
@@ -170,13 +169,13 @@ class TestIntegrate:
             frac = 0.5 * (1.0 + np.sin(3.0 * s + wiggle))
             return m + (M - m) * frac
 
-        got = stieltjes_integrate(k, f, as_component(traj), 2.0, n_quad=32)
+        got = k.integrate(f, as_component(traj), 2.0, n_quad=32)
         assert f(m) - 1e-9 <= got <= f(M) + 1e-9
 
     def test_density_needs_two_panels(self):
         k = UniformDensityKernel("t-1")
         with pytest.raises(ValueError):
-            stieltjes_integrate(k, IDENTITY, as_component(lambda s: s), 2.0, n_quad=1)
+            k.integrate(IDENTITY, as_component(lambda s: s), 2.0, n_quad=1)
 
 
 class TestValidate:
