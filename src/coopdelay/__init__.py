@@ -23,7 +23,6 @@ from .functions import (
     Modulation,
     ProductionFunction,
     inverse,
-    inverse_function,
     make_separator,
     verify_increasing,
 )

@@ -4,13 +4,16 @@ Everything here works off the comparison curve
 
     delta(x) = f2(x) - f1^-1(x)
 
-on a bounded inspection window (0, x_max].  A single orientation-correct
-sign change pins the positive equilibrium (K, f2(K)) and predicts
-convergence to it; delta negative everywhere predicts extinction; positive
-everywhere predicts unbounded growth; a tangency splits the fate by which
-side of the equilibrium the initial data sits on.  The predictions come
-with machine-checkable certificates: forward-invariant permanence boxes
-and monotone bound sequences that squeeze the state.
+on a bounded inspection window (0, x_max], read along u = f1^-1(x): at
+x = f1(u), delta(x) is the number f2(f1(u)) - u, which needs no inverse,
+and a zero of it is an equilibrium (f1(u), u).  A single
+orientation-correct sign change pins the positive equilibrium (K, f2(K))
+and predicts convergence to it; delta negative everywhere predicts
+extinction; positive everywhere predicts unbounded growth; a tangency
+splits the fate by which side of the equilibrium the initial data sits on.
+The predictions come with machine-checkable certificates:
+forward-invariant permanence boxes and monotone bound sequences that
+squeeze the state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .functions import (
     InverseRangeError,
     ProductionFunction,
     inverse_auto,
-    inverse_function,
     make_separator,
 )
 from .integrator import RunOutcome, Trajectory, detect_nonoscillation_violation
@@ -164,10 +166,6 @@ class PermanenceBox:
 # Relation scan
 
 
-def _delta_on(f2: ProductionFunction, f1_inv: ProductionFunction, xs: np.ndarray) -> np.ndarray:
-    return f2.eval_array(xs) - f1_inv.eval_array(xs)
-
-
 def _refine_crossing(delta, a, b, tol) -> float:
     da, db = delta(a), delta(b)
     if da == 0.0:
@@ -233,37 +231,64 @@ def scan_relation(
     tol: float = SCAN_TOL,
     n_grid: int = SCAN_GRID,
 ) -> RelationClass:
-    """Log-spaced sign scan of delta = f2 - f1^-1 on [tol, x_max]."""
+    """Sign scan of delta = f2 - f1^-1 on the window (0, x_max], sampled
+    log-spaced along u = f1^-1(x) on [tol, u_max].
+
+    At x = f1(u), delta(x) = f2(f1(u)) - u, so no inverse is evaluated.
+    The stretch below f1(0) is not sampled: f1^-1 is 0 there, so delta = f2
+    is positive, with no crossing and no interior minimum.  u_max is
+    f1^-1(x_max).  Where f1 does not reach x_max (a bounded f1, or one that
+    gets there only beyond the inverse's bracket cap), every crossing and
+    touch in the window has u = f2(x) <= f2(x_max), so the grid ends at
+    u_max = 2*f2(x_max), where delta is negative, as it is on the stretch
+    above f1's reach.  Crossings, touches and the side probes are refined
+    in u; crossings, tangents, K and witnesses are reported as x = f1(u).
+    """
     if x_max <= 0:
         raise ValueError("x_max must be positive")
-    # beyond a bounded f1's range no argument produces the value: the
-    # inverse is +inf there and delta is decisively negative
-    f1_inv = inverse_function(f1, bracket_hi=max(x_max, 1.0), above_range="inf")
     lo = max(tol, 1e-12)
-    xs = np.geomspace(lo, x_max, n_grid)
-    ds = _delta_on(f2, f1_inv, xs)
+    try:
+        u_max = inverse_auto(f1, x_max, max(x_max, 1.0))
+    except InverseRangeError:
+        u_max = 2.0 * f2(x_max)
+    u_hi = max(u_max, lo)
+    us = np.geomspace(lo, u_hi, n_grid)
+    xs = f1.eval_array(us)
+    ds = f2.eval_array(xs) - us
 
-    def delta(x: float) -> float:
-        return f2(x) - f1_inv(x)
+    def delta(u: float) -> float:
+        return f2(f1(u)) - u
 
-    # values inside the numeric-inverse resolution are sign-indeterminate;
-    # without the deadband the residual noise fabricates crossings in
+    # values this close to zero are sign-indeterminate at the precision of
+    # f1 and f2; without the deadband rounding fabricates crossings in
     # regions where delta genuinely approaches zero (e.g. near the origin)
     zero_eps = 32.0 * 1e-12 * np.maximum(1.0, xs)
     absd = np.abs(ds)
     signs = np.where(absd <= zero_eps, 0.0, np.sign(ds))
     pairs, candidates, pattern_str = _grid_events(signs, absd)
-    crossings = [_refine_crossing(delta, float(xs[i]), float(xs[j]), tol) for i, j in pairs]
+
+    def u_tol(i: int, j: int) -> float:
+        # the accuracy in u that keeps x = f1(u) within tol * max(1, x): tol
+        # itself, tightened by the grid slope of f1 on [u_i, u_j] where it is steep
+        want = max(1.0, xs[j]) * (us[j] - us[i])
+        return float(tol * want / max(want, (xs[j] - xs[i]) * max(1.0, us[j])))
+
+    crossings_u = [
+        _refine_crossing(delta, float(us[i]), float(us[j]), u_tol(i, j)) for i, j in pairs
+    ]
+    crossings = [f1(u) for u in crossings_u]
 
     # a genuine touch dips well below its neighbors, which filters out
-    # inverse-bisection noise in regions where delta is merely small
-    tangents: list[float] = []
+    # rounding noise in regions where delta is merely small
+    tangents_u: list[float] = []
     for i in candidates:
-        xm, dm = _refine_touch(delta, float(xs[i - 1]), float(xs[i + 1]), tol)
+        um, dm = _refine_touch(delta, float(us[i - 1]), float(us[i + 1]), u_tol(i - 1, i + 1))
+        xm = f1(um)
         neighbors = min(absd[i - 1], absd[i + 1])
         if dm <= tol * max(1.0, xm) and neighbors >= max(8.0 * dm, 2.0 * tol * max(1.0, xm)):
             if not any(abs(xm - c) <= 1e-6 * max(1.0, xm) for c in crossings):
-                tangents.append(xm)
+                tangents_u.append(um)
+    tangents = [f1(u) for u in tangents_u]
 
     rel = RelationClass(
         kind="unresolved",
@@ -275,31 +300,27 @@ def scan_relation(
     )
 
     if len(crossings) == 1 and not tangents:
-        K = crossings[0]
-        left = delta(K * 0.98) if K * 0.98 >= lo else delta(0.5 * (lo + K))
-        right = delta(min(K * 1.02, x_max))
+        u = crossings_u[0]
+        left = delta(u * 0.98) if u * 0.98 >= lo else delta(0.5 * (lo + u))
+        right = delta(min(u * 1.02, u_hi))
         if left > 0.0 > right:
             rel.kind = "single-crossing"
-            rel.K = K
-            rel.f2K = f2(K)
+            rel.K = crossings[0]
+            rel.f2K = f2(rel.K)
         else:
-            rel.witnesses = [K]
+            rel.witnesses = [crossings[0]]
     elif not crossings and len(tangents) == 1:
-        K = tangents[0]
-        probes = [p for p in (K * 0.5, K * 2.0, x_max) if lo < p <= x_max and abs(p - K) > 1e-6]
+        u = tangents_u[0]
+        probes = [p for p in (u * 0.5, u * 2.0, u_hi) if lo < p <= u_hi and abs(p - u) > 1e-6]
         vals = [delta(p) for p in probes]
-        if all(v < 0.0 for v in vals):
+        below = all(v < 0.0 for v in vals)
+        if below or all(v > 0.0 for v in vals):
             rel.kind = "tangent"
-            rel.K = K
-            rel.f2K = f2(K)
-            rel.sign_pattern = "-tangent-"
-        elif all(v > 0.0 for v in vals):
-            rel.kind = "tangent"
-            rel.K = K
-            rel.f2K = f2(K)
-            rel.sign_pattern = "+tangent+"
+            rel.K = tangents[0]
+            rel.f2K = f2(rel.K)
+            rel.sign_pattern = "-tangent-" if below else "+tangent+"
         else:
-            rel.witnesses = [K]
+            rel.witnesses = [tangents[0]]
     elif not crossings and not tangents:
         nzs = signs[signs != 0.0]
         if nzs.size and np.all(nzs < 0.0):
@@ -307,7 +328,7 @@ def scan_relation(
         elif nzs.size and np.all(nzs > 0.0):
             rel.kind = "above-everywhere"
         else:
-            rel.witnesses = [float(xs[int(np.argmin(np.abs(ds)))])]
+            rel.witnesses = [float(xs[int(np.argmin(absd))])]
     else:
         rel.witnesses = crossings + tangents
     return rel
@@ -506,9 +527,8 @@ def contraction_start(
         raise BoxConstructionError("could not bracket the state from above")
     if relation_kind == "above-everywhere":
         a = min(data_inf[0], 1.0) * (1.0 - slack)
-        f1_inv = inverse_function(f1, bracket_hi=max(1.0, data_sup[0]))
         for _ in range(64):
-            floor = f1_inv(a)
+            floor = inverse_auto(f1, a, max(1.0, data_sup[0]))
             b = min(data_inf[1] * (1.0 - slack), f2(a) * (1.0 - slack))
             if b >= floor and f1(b) >= a:
                 return a, b
@@ -611,36 +631,48 @@ def permanence_bounds(
         m2 = min((1.0 - slack) * c2, g(m1))
 
     # ceiling: case split on which data bound binds, compared in forward
-    # form (nu2 vs f2(nu1), nu1 vs f1(nu2)) so ties resolve exactly
+    # form (nu2 vs f2(nu1), nu1 vs f1(nu2)) so ties resolve exactly.  On a
+    # tie rounding may still pick a case whose strict inequalities fail;
+    # then the other two cases are tried, keeping the data inside the box
     scale = max(1.0, K, f2K, nu1_s, nu2_s)
     eps = slack * scale
-    nu1 = max(K, nu1_s) + eps
-    nu2 = max(f2K, nu2_s) + eps
+    top1, top2 = max(K, nu1_s), max(f2K, nu2_s)
+    nu1, nu2 = top1 + eps, top2 + eps
+
+    def ceiling(case: str) -> tuple[float, float]:
+        if case == "data-binds-x":
+            gap = inv_or_inf(f1, nu1) - f2(nu1)
+            if not math.isfinite(gap):
+                gap = 2.0 * (nu2 + f2(nu1) + 1.0)
+            return nu1, f2(nu1) + 0.5 * gap
+        if case == "data-binds-y":
+            gap = inv_or_inf(f2, nu2) - f1(nu2)
+            if not math.isfinite(gap):
+                gap = 2.0 * (nu1 + f1(nu2) + 1.0)
+            return f1(nu2) + 0.5 * gap, nu2
+        return nu1, nu2
+
+    cases = ("data-binds-x", "data-binds-y", "data-inside-band")
     if nu2 <= f2(nu1):
-        case = "data-binds-x"
-        gap = inv_or_inf(f1, nu1) - f2(nu1)
-        if not math.isfinite(gap):
-            gap = 2.0 * (nu2 + f2(nu1) + 1.0)
-        M1 = nu1
-        M2 = f2(nu1) + 0.5 * gap
+        chosen = cases[0]
     elif nu1 <= f1(nu2):
-        case = "data-binds-y"
-        gap = inv_or_inf(f2, nu2) - f1(nu2)
-        if not math.isfinite(gap):
-            gap = 2.0 * (nu1 + f1(nu2) + 1.0)
-        M1 = f1(nu2) + 0.5 * gap
-        M2 = nu2
+        chosen = cases[1]
     else:
-        case = "data-inside-band"
-        M1, M2 = nu1, nu2
-    ok_upper = (
-        f2(M1) < M2 - BOX_MARGIN
-        and M2 < inv_or_inf(f1, M1) - BOX_MARGIN
-        and f1(M2) < M1 - BOX_MARGIN
-    )
-    if not ok_upper:
+        chosen = cases[2]
+    for case in (chosen, *(c for c in cases if c != chosen)):
+        M1, M2 = ceiling(case)
+        if (
+            M1 > top1
+            and M2 > top2
+            and f2(M1) < M2 - BOX_MARGIN
+            and M2 < inv_or_inf(f1, M1) - BOX_MARGIN
+            and f1(M2) < M1 - BOX_MARGIN
+        ):
+            break
+    else:
         raise BoxConstructionError(
-            f"ceiling inequalities failed in case {case}: M1={M1!r}, M2={M2!r}"
+            f"ceiling inequalities failed in case {chosen} and in the other two "
+            f"(nu1={nu1!r}, nu2={nu2!r})"
         )
     return PermanenceBox(
         m1=m1,

@@ -9,9 +9,11 @@ opaque callables are certified by grid sampling.  Either way the verified
 interval, the grid size and the method are recorded on the certificate so
 downstream consumers know exactly what was checked.
 
-Inverses are computed by bisection, which monotonicity makes bracketing-
-safe.  Values below the function's range invert to 0 by convention; this
-convention is applied globally and surfaced in run reports.  The separator
+Inverses are computed by one scalar bisection, which monotonicity makes
+bracketing-safe.  Values below the function's range invert to 0 by
+convention; this convention is applied globally and surfaced in run
+reports.  Nothing is inverted on arrays: the relation scan samples along
+u = f1^-1(x) instead (see analysis.scan_relation).  The separator
 g = alpha*f1^-1 + (1-alpha)*f2 carries its own inverse, which needs no
 inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an inverse of f2,
 and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is solved for u by one
@@ -39,7 +41,6 @@ __all__ = [
     "verify_increasing",
     "inverse",
     "inverse_auto",
-    "inverse_function",
     "make_separator",
 ]
 
@@ -109,8 +110,7 @@ class ProductionFunction:
     """A strictly increasing scalar map on the non-negative reals."""
 
     __slots__ = (
-        "_fn", "_array_fn", "source", "name", "certificate", "expression",
-        "_inverse_fn", "_inverse_array_fn",
+        "_fn", "_array_fn", "source", "name", "certificate", "expression", "_inverse_fn",
     )
 
     def __init__(
@@ -121,7 +121,6 @@ class ProductionFunction:
         source: str | None = None,
         name: str | None = None,
         inverse_fn: Callable[[float], float] | None = None,
-        inverse_array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         expression: Expression | None = None,
     ):
         self._fn = fn
@@ -131,7 +130,6 @@ class ProductionFunction:
         self.certificate: MonotonicityCertificate | None = None
         self.expression = expression
         self._inverse_fn = inverse_fn
-        self._inverse_array_fn = inverse_array_fn
 
     @classmethod
     def from_expression(cls, body: str | Expression, var: str = "x") -> "ProductionFunction":
@@ -161,11 +159,6 @@ class ProductionFunction:
         if self._inverse_fn is not None:
             return max(0.0, self._inverse_fn(y))
         return inverse(self, y, bracket_hi, tol)
-
-    def inverse_array(self, ys: np.ndarray, bracket_hi: float, tol: float = DEFAULT_INVERSE_TOL) -> np.ndarray:
-        if self._inverse_array_fn is not None:
-            return np.maximum(0.0, self._inverse_array_fn(np.asarray(ys, dtype=float)))
-        return _bisect_array(self._array_fn, self._fn, np.asarray(ys, dtype=float), bracket_hi, tol)
 
 
 class Modulation:
@@ -373,87 +366,6 @@ def inverse_auto(
             hi = min(cap, 2.0 * hi)
 
 
-def _bisect_array(array_fn, scalar_fn, ys: np.ndarray, bracket_hi: float, tol: float) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    lo = np.zeros_like(ys)
-    hi = np.full_like(ys, float(bracket_hi))
-    f_lo = scalar_fn(0.0)
-    f_hi = scalar_fn(float(bracket_hi))
-    below = ys <= f_lo
-    above = ys > f_hi
-    if np.any(above):
-        bad = float(ys[above].max())
-        raise InverseRangeError(bad, bracket_hi, f_hi)
-    budget = tol * np.maximum(1.0, np.abs(ys))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = array_fn(mid)
-        err = np.abs(fm - ys)
-        if np.all((err <= budget) | below):
-            lo = hi = mid
-            break
-        go_up = fm < ys
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-        # stop once every bracket is at float resolution (per element)
-        if np.all((hi - lo) <= np.spacing(np.maximum(np.abs(hi), 1.0))):
-            break
-    out = 0.5 * (lo + hi)
-    out[below] = 0.0
-    return out
-
-
-def inverse_function(
-    f: ProductionFunction,
-    bracket_hi: float,
-    tol: float = DEFAULT_INVERSE_TOL,
-    cap: float = BRACKET_CAP,
-    above_range: str = "raise",
-) -> ProductionFunction:
-    """The inverse of f as a ProductionFunction (0 below f's range), with
-    the bracket enlarged geometrically on demand.
-
-    For a bounded f, targets above its range either raise (default) or,
-    with above_range="inf", return +inf: no finite argument reaches them.
-    """
-    if above_range not in ("raise", "inf"):
-        raise ValueError("above_range must be 'raise' or 'inf'")
-
-    def scalar(y: float) -> float:
-        try:
-            return inverse_auto(f, y, bracket_hi, tol, cap)
-        except InverseRangeError:
-            if above_range == "inf":
-                return math.inf
-            raise
-
-    def array(ys: np.ndarray) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        hi = float(bracket_hi)
-        while True:
-            try:
-                return f.inverse_array(ys, hi, tol)
-            except InverseRangeError:
-                if hi >= cap:
-                    if above_range == "inf":
-                        f_hi = f(hi)
-                        out = np.full(ys.shape, np.inf)
-                        mask = ys <= f_hi
-                        if np.any(mask):
-                            out[mask] = f.inverse_array(ys[mask], hi, tol)
-                        return out
-                    raise
-                hi = min(cap, 2.0 * hi)
-
-    return ProductionFunction(
-        scalar,
-        array,
-        name=f"{f.name}^-1",
-        inverse_fn=f.__call__,
-        inverse_array_fn=f.eval_array,
-    )
-
-
 def make_separator(
     f1: ProductionFunction,
     f2: ProductionFunction,
@@ -475,14 +387,9 @@ def make_separator(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-    f1_inv = inverse_function(f1, bracket_hi, tol)
 
     def scalar(x: float) -> float:
-        return alpha * f1_inv(x) + (1.0 - alpha) * f2(x)
-
-    def array(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return alpha * f1_inv.eval_array(xs) + (1.0 - alpha) * f2.eval_array(xs)
+        return alpha * inverse_auto(f1, x, bracket_hi, tol) + (1.0 - alpha) * f2(x)
 
     def h(u: float) -> float:  # g(f1(u))
         return alpha * u + (1.0 - alpha) * f2(f1(u))
@@ -502,6 +409,6 @@ def make_separator(
         return f1(inverse(h, y, hi, tol))
 
     return ProductionFunction(
-        scalar, array, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}",
+        scalar, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}",
         inverse_fn=scalar_inverse,
     )

@@ -22,6 +22,7 @@ from coopdelay.analysis import (
     permanence_bounds,
     scan_relation,
 )
+from coopdelay.config import Numerics
 from coopdelay.dynamics import InitialFunction, SystemSpec, check_rate_divergence
 from coopdelay.expr import parse
 from coopdelay.functions import ProductionFunction, inverse_auto
@@ -33,6 +34,9 @@ def pf(text):
     return ProductionFunction.from_expression(text)
 
 
+TOL_CLASSIFY = Numerics().tol_classify
+
+
 def tangent_pair_below():
     """f1^-1(x) = x*(1+(x-1)^2) given exactly; f2 = identity.
     delta = -x*(x-1)^2 <= 0 with equality only at x = 1."""
@@ -41,9 +45,7 @@ def tangent_pair_below():
     def fwd(v, _q=q):
         return inverse_auto(_q, v, 8.0)
 
-    f1 = ProductionFunction(
-        fwd, inverse_fn=q.__call__, inverse_array_fn=q.eval_array, name="q^-1"
-    )
+    f1 = ProductionFunction(fwd, inverse_fn=q.__call__, name="q^-1")
     return f1, pf("x")
 
 
@@ -318,17 +320,81 @@ class TestScanBookkeeping:
             assert a < c < b
 
     def test_touch_candidates_stop_at_eight(self, refined):
-        # delta = 0.25*(1 - cos(x)) >= 0 touches 0 at 2k*pi, but inverse noise
-        # near the origin, where delta is below the deadband, supplies the
-        # first eight |delta| minima: the cap is reached before x = 2*pi
+        # delta = 0.25*(1 - cos(x)) >= 0 touches 0 at x = 2k*pi, nine times in
+        # (0, 60]; only the first eight |delta| minima are refined, so the
+        # ninth touch is never seen.  Several tangencies are several positive
+        # equilibria, which no single fate covers
         rel = scan_relation(pf("x"), pf("x + 0.25*(1 - cos(x))"), 60.0)
-        assert rel.kind == "above-everywhere"
-        assert rel.sign_pattern == "0+0+"
-        assert rel.crossings == [] and rel.tangents == []
-        assert refined["crossing"] == []
         assert len(refined["touch"]) == 8
-        assert all(b < 1e-3 for _, b in refined["touch"])
-        assert [a for a, _ in refined["touch"]] == sorted(a for a, _ in refined["touch"])
+        assert refined["crossing"] == []
+        assert rel.crossings == []
+        assert rel.tangents == pytest.approx([2.0 * k * math.pi for k in range(1, 9)], abs=1e-6)
+        assert rel.kind == "unresolved"
+        assert rel.witnesses == rel.tangents
+
+
+class TestScanAlongU:
+    """The scan samples u = f1^-1(x) and reads delta(f1(u)) as f2(f1(u)) - u:
+    it must find the same relation, and K to tol_classify, as the curves'
+    closed forms say."""
+
+    LV_PAIR = (
+        st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0),
+        st.floats(0.5, 1.5),
+    )
+
+    @staticmethod
+    def lotka_volterra(A1, A2, a1, a2, b1, gain):
+        # f_i(x) = (A_i + b_i x)/a_i, f1(0) = A1/a1 > 0, loop gain b1*b2/(a1*a2)
+        b2 = gain * a1 * a2 / b1
+        return pf(f"({A1!r} + {b1!r}*x)/{a1!r}"), pf(f"({A2!r} + {b2!r}*x)/{a2!r}"), b2
+
+    @given(*LV_PAIR, st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_lotka_volterra_gain_below_one_pins_closed_form_K(self, A1, A2, a1, a2, b1, gain):
+        f1, f2, b2 = self.lotka_volterra(A1, A2, a1, a2, b1, gain)
+        K = (A1 * a2 + b1 * A2) / (a1 * a2 - b1 * b2)
+        rel = scan_relation(f1, f2, 10.0 * max(1.0, K), TOL_CLASSIFY)
+        assert rel.kind == "single-crossing"
+        assert abs(rel.K - K) <= TOL_CLASSIFY * max(1.0, K)
+
+    @given(*LV_PAIR, st.floats(1.05, 4.0), st.floats(1.0, 100.0))
+    @settings(max_examples=40, deadline=None)
+    def test_lotka_volterra_gain_above_one_is_above_everywhere(
+        self, A1, A2, a1, a2, b1, gain, x_max
+    ):
+        # f2(f1(u)) - u = f2(f1(0)) + (gain - 1) u > 0 for every u >= 0
+        f1, f2, _ = self.lotka_volterra(A1, A2, a1, a2, b1, gain)
+        rel = scan_relation(f1, f2, x_max, TOL_CLASSIFY)
+        assert rel.kind == "above-everywhere"
+        assert rel.K is None and rel.crossings == [] and rel.tangents == []
+
+    def test_window_below_f1_of_zero_is_above_everywhere(self):
+        # f1^-1 is 0 on (0, 10] inside [0, f1(0)), so delta = f2 > 0 there;
+        # f1^-1(x_max) is 0, and the grid shrinks to its lower end
+        rel = scan_relation(pf("100 + x"), pf("x"), 10.0)
+        assert rel.kind == "above-everywhere"
+        assert rel.crossings == [] and rel.tangents == []
+
+    @given(st.floats(0.5, 4.0), st.floats(1.05, 6.0), st.floats(1.01, 10.0))
+    @settings(max_examples=40, deadline=None)
+    def test_bounded_f1_pins_the_tanh_fixed_point(self, c1, gain, reach):
+        # f1 = c1*tanh never reaches x_max = reach*c1; the positive
+        # equilibrium is K = c1*tanh(u) with u = c2*tanh(c1*tanh(u)), solved
+        # here by plain bisection on [0, c2], where h > 0 below u and < 0 above
+        c2 = gain / c1
+        f1, f2 = pf(f"{c1!r}*tanh(x)"), pf(f"{c2!r}*tanh(x)")
+        lo, hi = 0.0, c2
+        while hi - lo > 4.0 * math.ulp(hi):
+            mid = 0.5 * (lo + hi)
+            if c2 * math.tanh(c1 * math.tanh(mid)) > mid:
+                lo = mid
+            else:
+                hi = mid
+        K = c1 * math.tanh(0.5 * (lo + hi))
+        rel = scan_relation(f1, f2, reach * c1, TOL_CLASSIFY)
+        assert rel.kind == "single-crossing"
+        assert abs(rel.K - K) <= TOL_CLASSIFY * max(1.0, K)
 
 
 class TestChooseSeparator:
@@ -418,6 +484,18 @@ class TestPermanenceBox:
             cases.add(box.trace["case"])
             self.assert_box_valid(f, f, box, (1.0, 1.0), sup)
         assert len(cases) >= 2
+
+    def test_tie_falls_back_to_a_case_that_holds(self):
+        # f1 = 1 + x and f2 = (1.25 + 1.5x)/3 cross at K = 17/6 with
+        # f2(K) = 11/6.  For this data nu1 = f1(nu2) in exact arithmetic;
+        # rounding picks data-inside-band, whose M2 = f1^-1(M1) misses the
+        # strict margin, while data-binds-x and data-binds-y both hold
+        f1, f2 = pf("(1.0 + 1.0*x)/1.0"), pf("(1.25 + 1.5*x)/3.0")
+        data = (17.0 / 12.0, 5.0 / 6.0)
+        box = permanence_bounds(f1, f2, 17.0 / 6.0, data, data)
+        assert box.trace["case"] in ("data-binds-x", "data-binds-y")
+        self.assert_box_valid(f1, f2, box, data, data)
+        assert box.M1 > 17.0 / 6.0 and box.M2 > 11.0 / 6.0
 
     def test_bad_inputs(self):
         f = pf("1+x/2")

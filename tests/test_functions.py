@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from coopdelay.functions import (
     ProductionFunction,
     inverse,
     inverse_auto,
-    inverse_function,
     make_separator,
     verify_increasing,
 )
@@ -95,15 +93,6 @@ class TestInverse:
         f = pf("x/2")
         assert inverse_auto(f, 100.0, bracket_hi=10.0) == pytest.approx(200.0, rel=1e-11)
 
-    def test_inverse_function_wrapper(self):
-        f_inv = inverse_function(pf("sqrt(x)+2"), bracket_hi=10.0)
-        assert f_inv(4.0) == pytest.approx(4.0, abs=1e-10)
-        assert f_inv(1.0) == 0.0
-        out = f_inv.eval_array(np.array([1.0, 3.0, 4.0]))
-        assert out[0] == 0.0
-        assert out[1] == pytest.approx(1.0, abs=1e-9)
-        assert out[2] == pytest.approx(4.0, abs=1e-9)
-
     @given(st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=100, deadline=None)
     def test_inverse_consistency(self, y):
@@ -151,8 +140,7 @@ class TestSeparator:
         # pair with f2 > f1^-1 strictly on (0, K): crossing at K = 2
         f1, f2 = pf("1+x/2"), pf("1+x/2")
         g = make_separator(f1, f2, alpha, bracket_hi=100.0)
-        f1_inv = inverse_function(f1, bracket_hi=100.0)
-        lo, hi = f1_inv(x), f2(x)
+        lo, hi = inverse_auto(f1, x, 100.0), f2(x)
         if hi - lo > 1e-9:
             assert lo < g(x) < hi
 
