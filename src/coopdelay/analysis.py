@@ -800,7 +800,7 @@ def certify_run(
         # half), not with the norm at whatever horizon the run stopped
         t2 = outcome.t_final
         h = 0.5 * (t2 - max(float(ts[0]), 0.5 * t2))
-        norms = [max(abs(v) for v in traj.value(t)) for t in (t2 - 2.0 * h, t2 - h)]
+        norms = [max(abs(v) for v in traj.value_scalar(t)) for t in (t2 - 2.0 * h, t2 - h)]
         norms.append(max(abs(fx), abs(fy)))
         d1, d2 = norms[1] - norms[0], norms[2] - norms[1]
         if d1 < d2 <= 0.0:  # decaying, and the decay slows down

@@ -178,13 +178,22 @@ def system_from_mapping(system: dict, *, max_lag_bound: float = 1e3,
         raise ConfigError("[system] phi/psi", str(e)) from None
     g1 = system.get("g1")
     g2 = system.get("g2")
+    f1 = ProductionFunction.from_expression(expr_of("f1", "x"))
+    f2 = ProductionFunction.from_expression(expr_of("f2", "x"))
+    r1 = expr_of("r1", "t")
+    r2 = expr_of("r2", "t")
+    # equal descriptors give one kernel object, which the integrator's
+    # per-step view then finds by identity
+    d1, d2 = (_unquote(str(system[k])) for k in ("kernel1", "kernel2"))
+    k1 = parse_kernel(d1, "[system] kernel1")
+    k2 = k1 if d2 == d1 else parse_kernel(d2, "[system] kernel2")
     return SystemSpec(
-        f1=ProductionFunction.from_expression(expr_of("f1", "x")),
-        f2=ProductionFunction.from_expression(expr_of("f2", "x")),
-        r1=expr_of("r1", "t"),
-        r2=expr_of("r2", "t"),
-        k1=parse_kernel(_unquote(str(system["kernel1"])), "[system] kernel1"),
-        k2=parse_kernel(_unquote(str(system["kernel2"])), "[system] kernel2"),
+        f1=f1,
+        f2=f2,
+        r1=r1,
+        r2=r2,
+        k1=k1,
+        k2=k2,
         phi=phi,
         psi=psi,
         g1=Modulation.from_expression(expr_of("g1", "x")) if g1 and str(g1).strip() else None,

@@ -28,7 +28,6 @@ from .functions import (
 from .kernels import (
     DelayKernel,
     FnComponent,
-    GeneralMixtureKernel,
     HistoryComponent,
     KernelCertificate,
     simpson_nodes_weights,
@@ -269,6 +268,6 @@ def validate_system(
                     f"({init.value_at_zero!r} vs {at0!r})"
                 )
 
-    if isinstance(spec.k1, GeneralMixtureKernel) or isinstance(spec.k2, GeneralMixtureKernel):
+    if spec.k1.sampled_mass or spec.k2.sampled_mass:
         rep.notes.append("mixture normalization verified by quadrature on the sampled grid")
     return rep

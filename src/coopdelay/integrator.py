@@ -16,9 +16,17 @@ stage times and looks up their stored parts in one call, x and y together;
 the sum over stored nodes is then computed once per stage time, production
 function and component, and each stage adds only the nodes inside the
 current step (usually none or one), blended toward its own stage state.
-Equal kernels share all of it.  Everything the view keeps is dropped when
-the next step starts.  Point kernels read single times and keep the scalar
-path.
+Point kernels get the same treatment through `HistoryComponent.point_feedback`:
+the lag is evaluated once per kernel and stage time, a lagged time inside
+stored segments reads x and y together with one segment search, one in the
+initial data reads only the component that is fed from it, and f of the
+value read is computed once per production function and component.  A
+lagged time inside the current step (zero lag, or the first steps of a
+proportional lag) is blended toward the live stage state on every call.  All
+of this is built on the first read of a stage time, so a failed lookup
+surfaces at the stage that first needs it.  Equal density windows share all
+of it, and so does one point kernel object serving both components.
+Everything the view keeps is dropped when the next step starts.
 
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
@@ -66,6 +74,19 @@ class _StageGuard(Exception):
 # per-segment Hermite data, one row each, x and y side by side: values at
 # t0, values at t1, slopes at t0, slopes at t1
 _ROWS = ("_x0", "_y0", "_x1", "_y1", "_dx0", "_dy0", "_dx1", "_dy1")
+
+
+def _hermite(s, h, v0, v1, d0, d1):
+    """Cubic Hermite value at the fraction s of a segment of length h, from
+    the end values v0, v1 and the end slopes d0, d1.  Floats and broadcasting
+    arrays go through the same operations in the same order, so scalar and
+    array lookups agree bit for bit."""
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * v0 + (-2.0 * s3 + 3.0 * s2) * v1
+        + h * ((s3 - 2.0 * s2 + s) * d0 + (s3 - s2) * d1)
+    )
 
 
 class Trajectory:
@@ -144,10 +165,15 @@ class Trajectory:
             raise HistoryUnderflowError(f"no initial function covers t={t!r}")
         return fn(t)
 
-    def value_scalar(self, t: float, comp: int) -> float:
+    def value_scalar(self, t: float, comp: int | None = None):
+        """Value at the time t of x (comp 0) or y (comp 1), or the pair
+        (x, y) when comp is None, from one segment search.  Up to the front,
+        bit-identical to value_array at the same time."""
         if t <= 0.0:
             if t < self.coverage_floor:
                 raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {t!r}")
+            if comp is None:
+                return self._initial(t, 0), self._initial(t, 1)
             return self._initial(t, comp)
         if t > self.t_front:
             if t - self.t_front <= 1e-12 * max(1.0, abs(self.t_front)):
@@ -158,28 +184,19 @@ class Trajectory:
             raise HistoryUnderflowError(f"history trimmed to {self.coverage_floor!r}, asked {t!r}")
         if self.n == 0:
             raise HistoryUnderflowError("empty trajectory")
-        view = self._t0[: self.n]
-        i = int(view.searchsorted(t, side="right")) - 1
-        if i < 0:
-            i = 0
-        t0 = self._t0[i]
-        h = self._t1[i] - t0
-        s = (t - t0) / h
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-        h10 = s3 - 2.0 * s2 + s
-        h01 = -2.0 * s3 + 3.0 * s2
-        h11 = s3 - s2
+        # a time before the first segment can only come from a hand-built
+        # history; it reads the first segment
+        i = max(int(self._t0[: self.n].searchsorted(t, side="right")) - 1, 0)
+        # plain floats: the same IEEE operations as on numpy scalars, faster
+        t0 = self._t0.item(i)
+        h = self._t1.item(i) - t0
+        s = (float(t) - t0) / h
+        x0, y0, x1, y1, dx0, dy0, dx1, dy1 = self._seg[:, i].tolist()
+        if comp is None:
+            return _hermite(s, h, x0, x1, dx0, dx1), _hermite(s, h, y0, y1, dy0, dy1)
         if comp == 0:
-            return float(
-                h00 * self._x0[i] + h01 * self._x1[i]
-                + h * (h10 * self._dx0[i] + h11 * self._dx1[i])
-            )
-        return float(
-            h00 * self._y0[i] + h01 * self._y1[i]
-            + h * (h10 * self._dy0[i] + h11 * self._dy1[i])
-        )
+            return _hermite(s, h, x0, x1, dx0, dx1)
+        return _hermite(s, h, y0, y1, dy0, dy1)
 
     def value_array(self, ts: np.ndarray, comp: int | None = None) -> np.ndarray:
         """Values at the times ts of x (comp 0) or y (comp 1), or of both
@@ -196,7 +213,7 @@ class Trajectory:
             if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
             if lo > 0.0:
-                out = self._hermite(ts, comps)
+                out = self._stored(ts, comps)
             else:
                 neg = ts <= 0.0
                 if np.any(neg):
@@ -207,30 +224,20 @@ class Trajectory:
                         row[neg] = fn.array(ts[neg])
                 pos = ~neg
                 if np.any(pos):
-                    out[:, pos] = self._hermite(ts[pos], comps)
+                    out[:, pos] = self._stored(ts[pos], comps)
         return out if comp is None else out[0]
 
-    def _hermite(self, ts: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
+    def _stored(self, ts: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
         """Stored-segment values at the positive times ts, one row per component."""
-        # a time before the first segment can only come from a hand-built
-        # history; it reads the first segment, as value_scalar does
+        # a time before the first segment reads the first segment, as in
+        # value_scalar
         idx = self._t0[: self.n].searchsorted(ts, side="right") - 1
         np.maximum(idx, 0, out=idx)
         t0 = self._t0[idx]
         h = self._t1[idx] - t0
-        s = (ts - t0) / h
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-        h10 = s3 - 2.0 * s2 + s
-        h01 = -2.0 * s3 + 3.0 * s2
-        h11 = s3 - s2
         rows = self._seg if len(comps) == 2 else self._seg[comps[0] :: 2]
         g = rows.take(idx, axis=1).reshape((4, len(comps)) + idx.shape)
-        return h00 * g[0] + h01 * g[1] + h * (h10 * g[2] + h11 * g[3])
-
-    def value(self, t: float) -> tuple[float, float]:
-        return self.value_scalar(t, 0), self.value_scalar(t, 1)
+        return _hermite((ts - t0) / h, h, g[0], g[1], g[2], g[3])
 
     # -- step-resolution views -------------------------------------------
 
@@ -325,6 +332,30 @@ class _StageComponent(HistoryComponent):
         w = (s - v.t0) / (v.t_stage - v.t0)
         return (1.0 - w) * v.start[self.comp] + w * v.stage[self.comp]
 
+    def point_feedback(self, kernel, f, t):
+        """f at the kernel's lagged time s: from stored history or initial
+        data once per stage time, production function and component; for an
+        s inside the step, f of the read at s on every call, which follows
+        the stage state."""
+        v = self.view
+        read = v._points.get((kernel, t))
+        if read is None:
+            read = v.point(kernel, t)
+        s, xy, fed = read
+        if fed is None:
+            # a zero lag reads the stage state itself: going straight to it
+            # skips __call__'s stored-history test, which costs zero-lag
+            # runs several percent
+            return f(v.stage[self.comp] if s >= v.t_stage else self(s))
+        c = self.comp
+        key = (f, c)
+        val = fed.get(key)
+        if val is None:
+            # initial data are read for this component alone: the other
+            # component's initial function need not be defined at s
+            val = fed[key] = f(xy[c] if xy is not None else v.traj.value_scalar(s, c))
+        return val
+
     def feedback(self, kernel, f, t, n_quad):
         """The stored sum of the kernel's window at t plus its in-step tail,
         blended toward the stage state set for t."""
@@ -344,12 +375,12 @@ class _StageHistory:
     A step evaluates the right-hand side at two stage times, and stored
     history does not change inside it, so the view keeps, until the next
     `set_step`, one `_StepWindow` per density kernel (equal kernels share
-    one).  The right-hand side reads it through `components()`; the view
-    holds no reference back to them, so a finished run's history is freed
-    as soon as it is dropped.
+    one) and one read per point kernel object and stage time.  The right-hand side
+    reads it through `components()`; the view holds no reference back to
+    them, so a finished run's history is freed as soon as it is dropped.
     """
 
-    __slots__ = ("traj", "t0", "start", "times", "t_stage", "stage", "_windows")
+    __slots__ = ("traj", "t0", "start", "times", "t_stage", "stage", "_windows", "_points")
 
     def __init__(self, traj: Trajectory):
         self.traj = traj
@@ -359,6 +390,7 @@ class _StageHistory:
         self.t_stage = 0.0
         self.stage = (0.0, 0.0)
         self._windows: dict = {}
+        self._points: dict = {}
 
     def set_step(self, t0: float, t1: float, x0: float, y0: float) -> None:
         """Start the step [t0, t1] from (x0, y0); its stage times are formed
@@ -368,6 +400,7 @@ class _StageHistory:
         self.start = (x0, y0)
         self.times = (t0 + 0.5 * (t1 - t0), t1)
         self._windows.clear()
+        self._points.clear()
 
     def set_stage(self, t: float, x: float, y: float) -> None:
         self.t_stage = t
@@ -383,6 +416,21 @@ class _StageHistory:
         if t == self.times[0]:
             return 0
         raise ValueError(f"t={t!r} is not a stage time of the step {self.times!r}")
+
+    def point(self, kernel, t: float) -> tuple:
+        """The point kernel's read at the stage time t, built on its first use
+        in the step: (s, xy, fed) with the lagged time s, the values (x, y)
+        there from one lookup when s lies in stored segments (else None), and
+        the cache of f of them, which is None when s lies inside the step."""
+        s = kernel.lag.evaluate(t)
+        if s > self.traj.t_front:
+            read = (s, None, None)
+        elif s > 0.0:
+            read = (s, self.traj.value_scalar(s), {})
+        else:
+            read = (s, None, {})
+        self._points[(kernel, t)] = read
+        return read
 
     def window(self, kernel, n_quad: int) -> _StepWindow:
         """The kernel's quadrature at both stage times, built once per step."""
@@ -469,14 +517,16 @@ def integrate(
     extinct_time = None
     check_every = 16
     eps_t = 1e-12 * max(1.0, horizon)
+    isfinite = math.isfinite
 
     def guard(name: str, sx: float, sy: float, kx: float = 0.0, ky: float = 0.0,
               ratio: float = stage_ratio) -> None:
         """Stop the step when a state is non-finite or past the threshold, or
         its increment h * k outruns ratio * (1 + |step start state|)."""
         if (
-            not (math.isfinite(sx) and math.isfinite(sy))
-            or max(abs(sx), abs(sy)) > blowup_threshold
+            abs(sx) > blowup_threshold
+            or abs(sy) > blowup_threshold
+            or not (isfinite(sx) and isfinite(sy))
             or h * max(abs(kx), abs(ky)) > ratio * scale0
         ):
             raise _StageGuard(name)

@@ -10,11 +10,14 @@ The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
 is evaluated with composite Simpson panels for the density part: the kernel
 builds its plan at t (nodes, weights, density at the nodes) and the history
 component's `feedback` returns the density part of the integral.  Its default
-is dot(weights, f(u(nodes)) * density); a history that serves many calls at
-the same times, such as the integrator's per-step view, overrides it to keep
-the plans and the part of the sum over stored history between calls.  Density
-windows compare equal by kind and lag, so equal windows can share that work.
-Quadrature nodes that fall before the start of recorded history raise
+is dot(weights, f(u(nodes)) * density).  A point kernel's feedback f(u(lag(t)))
+comes from the component's `point_feedback` in the same way.  A history that
+serves many calls at the same times, such as the integrator's per-step view,
+overrides both to keep plans, lagged times, history values and values of f
+between calls.  Density windows compare equal by kind and lag, so equal
+windows can share that work; a point kernel shares it with itself, so a
+config gives equal point descriptors one kernel object.  Quadrature nodes and
+lagged times that fall before the start of recorded history raise
 HistoryUnderflowError instead of extrapolating.
 
 Atoms may sit exactly at the current time (zero lag): the integrand always
@@ -69,8 +72,9 @@ class HistoryComponent:
     """One component of a history, read at a time or at an array of times.
 
     `feedback` serves density quadrature: it returns the density part of a
-    kernel's feedback integral of f at t.  A history that can share plans,
-    lookups and evaluations of f between calls overrides it.
+    kernel's feedback integral of f at t.  `point_feedback` returns a point
+    kernel's feedback f(u(lag(t))).  A history that can share plans, lookups
+    and evaluations of f between calls overrides them.
     """
 
     __slots__ = ()
@@ -84,6 +88,9 @@ class HistoryComponent:
     def feedback(self, kernel: "DelayKernel", f: ProductionFunction, t: float, n_quad: int) -> float:
         plan = kernel.plan(t, n_quad)
         return float(np.dot(plan.weights, f.eval_array(self.array(plan.nodes)) * plan.density))
+
+    def point_feedback(self, kernel: "PointMassKernel", f: ProductionFunction, t: float) -> float:
+        return f(self(kernel.lag.evaluate(t)))
 
 
 class FnComponent(HistoryComponent):
@@ -167,6 +174,14 @@ class DelayKernel:
     the feedback integral and the mass of that part both come from it.
     """
 
+    # unit mass depends on the kernel's parameters and is checked by
+    # quadrature on a sampled grid, instead of holding by construction
+    sampled_mass = False
+
+    def atom_lags(self) -> tuple[Expression, ...]:
+        """The lag expressions of the kernel's point masses."""
+        return ()
+
     def support_floor(self, t: float) -> float:
         raise NotImplementedError
 
@@ -198,8 +213,8 @@ class DelayKernel:
         return float(np.dot(plan.weights, plan.density))
 
 
-class PointMassKernel(DelayKernel):
-    """Unit mass concentrated at s = h(t)."""
+class _LagKernel(DelayKernel):
+    """A kernel fixed by its kind and one lag expression h(t)."""
 
     __slots__ = ("lag",)
 
@@ -209,8 +224,18 @@ class PointMassKernel(DelayKernel):
     def support_floor(self, t: float) -> float:
         return self.lag.evaluate(t)
 
+
+class PointMassKernel(_LagKernel):
+    """Unit mass concentrated at s = h(t).
+
+    Compared by identity, which keeps the per-step reads of a history cheap
+    to find."""
+
+    def atom_lags(self):
+        return (self.lag,)
+
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
-        return f(u(self.lag.evaluate(t)))
+        return u.point_feedback(self, f, t)
 
     def mass(self, t, n_quad=DEFAULT_PANELS):
         return 1.0
@@ -219,7 +244,7 @@ class PointMassKernel(DelayKernel):
         return f"point lag={self.lag.serialize()!r}"
 
 
-class _DensityWindowKernel(DelayKernel):
+class _DensityWindowKernel(_LagKernel):
     """Shared machinery for densities supported on [h(t), t].
 
     Two windows of the same kind and lag are equal, so a history can share
@@ -227,10 +252,10 @@ class _DensityWindowKernel(DelayKernel):
     tree.
     """
 
-    __slots__ = ("lag", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, lag: str | Expression):
-        self.lag = _as_lag(lag)
+        super().__init__(lag)
         self._hash = hash((type(self), self.lag))
 
     def __eq__(self, other) -> bool:
@@ -238,9 +263,6 @@ class _DensityWindowKernel(DelayKernel):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def support_floor(self, t: float) -> float:
-        return self.lag.evaluate(t)
 
     def _density(self, nodes: np.ndarray, floor: float, span: float) -> np.ndarray:
         raise NotImplementedError
@@ -285,6 +307,7 @@ class GeneralMixtureKernel(DelayKernel):
     """
 
     __slots__ = ("atoms", "density", "density_lag")
+    sampled_mass = True
 
     def __init__(
         self,
@@ -302,6 +325,9 @@ class GeneralMixtureKernel(DelayKernel):
         for _, w in self.atoms:
             if w <= 0.0:
                 raise ValueError("atom weights must be positive")
+
+    def atom_lags(self):
+        return tuple(lag for lag, _ in self.atoms)
 
     def support_floor(self, t: float) -> float:
         floors = [lag.evaluate(t) for lag, _ in self.atoms]
@@ -356,13 +382,12 @@ def validate_kernel(
                 return KernelViolation(
                     t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}"
                 )
-            if isinstance(kernel, GeneralMixtureKernel):
-                for lag, _ in kernel.atoms:
-                    lv = lag.evaluate(t)
-                    if lv > t + 1e-12:
-                        return KernelViolation(
-                            t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}"
-                        )
+            for lag in kernel.atom_lags():
+                lv = lag.evaluate(t)
+                if lv > t + 1e-12:
+                    return KernelViolation(
+                        t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}"
+                    )
             m = kernel.mass(t, n_quad)
         except EvalDomainError as e:
             return KernelViolation(t, "domain-error", str(e))

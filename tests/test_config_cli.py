@@ -102,6 +102,34 @@ class TestParseKernel:
         k = parse_kernel('mixture atoms="t-1:0.25" density="0.75*2*(1-u)" density_lag="t-1"')
         assert k.density is not None
 
+    def test_equal_descriptors_give_one_kernel(self):
+        system = {"f1": "x", "f2": "x", "r1": "1", "r2": "1", "phi": "1", "psi": "1"}
+        for kernel in ('point lag="t-1"', 'uniform lag="t-1"', 'mixture atoms="t-1:0.5, t-2:0.5"'):
+            spec = system_from_mapping({**system, "kernel1": kernel, "kernel2": kernel})
+            assert spec.k1 is spec.k2
+        spec = system_from_mapping({**system, "kernel1": 'point lag="t-1"', "kernel2": 'point lag="t - 1"'})
+        assert spec.k1 is not spec.k2
+        with pytest.raises(ConfigError, match=r"\[system\] kernel2"):
+            system_from_mapping({**system, "kernel1": 'point lag="t-1"', "kernel2": "point"})
+
+    def test_a_shared_kernel_leaves_the_run_unchanged(self, tmp_path):
+        # the same lag spelled two ways gives two kernel objects
+        text = (CONFIGS / "sqrt_logistic_point.cfg").read_text()
+        text = text.replace("horizon = 60", "horizon = 4")
+        assert 'kernel2 = point lag="t - 1"' in text
+        outs = []
+        for sub, kernel2 in (("shared", 'point lag="t - 1"'), ("apart", 'point lag="t-1"')):
+            (tmp_path / sub).mkdir()
+            path = write_config(tmp_path / sub, "run.cfg", text.replace('kernel2 = point lag="t - 1"', f"kernel2 = {kernel2}"))
+            cfg = load_config(path)
+            spec = system_from_mapping(cfg.system)
+            assert (spec.k1 is spec.k2) == (sub == "shared")
+            result = execute_run(cfg, out_dir=tmp_path / sub)
+            rep = json.loads(result.report_path.read_text())
+            rep.pop("timing_seconds")
+            outs.append((result.exit_code, result.trajectory_path.read_bytes(), json.dumps(rep, sort_keys=True)))
+        assert outs[0] == outs[1]
+
     def test_errors(self):
         with pytest.raises(ConfigError, match="unknown kernel kind"):
             parse_kernel("spline lag=t")

@@ -13,7 +13,7 @@ from coopdelay.dynamics import (
 )
 from coopdelay.expr import parse
 from coopdelay.functions import Modulation, ProductionFunction
-from coopdelay.kernels import PointMassKernel, UniformDensityKernel
+from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
 
 
 def pf(text):
@@ -177,6 +177,18 @@ class TestValidation:
     def test_nonpositive_modulation_rejected(self):
         rep = validate_system(make_spec(g1="x-10"), horizon=10.0, x_max=20.0)
         assert any("g1" in e for e in rep.errors)
+
+    def test_mixture_normalization_note(self):
+        note = "mixture normalization verified by quadrature on the sampled grid"
+        mixture = GeneralMixtureKernel(atoms=[("t-1", 0.5)], density="1", density_lag="t-0.5")
+        for k1, k2, noted in (
+            (mixture, PointMassKernel("t-1"), True),
+            (UniformDensityKernel("t-1"), mixture, True),
+            (UniformDensityKernel("t-1"), PointMassKernel("t-1"), False),
+        ):
+            rep = validate_system(make_spec(k1=k1, k2=k2), horizon=10.0, x_max=20.0)
+            assert rep.ok
+            assert (note in rep.notes) == noted
 
     def test_t_floor_reaches_kernel_support(self):
         spec = make_spec(k1=PointMassKernel("t-3"), k2=UniformDensityKernel("t-1"))

@@ -20,6 +20,7 @@ from coopdelay.integrator import (
     integrate,
 )
 from coopdelay.kernels import (
+    FnComponent,
     HistoryUnderflowError,
     PointMassKernel,
     TriangularDensityKernel,
@@ -61,7 +62,7 @@ class TestLinearDecay:
         ts = np.linspace(0.0, 10.0, 501)
         worst = 0.0
         for t in ts:
-            x, y = traj.value(float(t))
+            x, y = traj.value_scalar(float(t))
             exact = math.exp(-t / 2.0)
             worst = max(worst, abs(x - exact), abs(y - exact))
         assert worst <= 1e-6
@@ -99,7 +100,7 @@ class TestBlowup:
         assert outcome.status == "blow-up"
         assert 2.9 < outcome.blowup_time <= 3.0
         for t in np.linspace(0.0, 2.5, 26):
-            x, _ = traj.value(float(t))
+            x, _ = traj.value_scalar(float(t))
             assert abs(x - 1.0 / (3.0 - t)) <= 1e-4
 
     def test_positive_history_stays_positive(self):
@@ -150,8 +151,8 @@ class TestTrajectoryEvaluation:
     def test_handoff_at_zero(self):
         spec = spec_of("x/2", "x/2", phi="3", psi="5")
         traj, _ = integrate(spec, horizon=1.0, dt=1e-2)
-        assert traj.value(0.0) == (3.0, 5.0)
-        assert traj.value(-7.5) == (3.0, 5.0)
+        assert traj.value_scalar(0.0) == (3.0, 5.0)
+        assert traj.value_scalar(-7.5) == (3.0, 5.0)
 
     def test_segment_endpoint_exact(self):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
@@ -163,13 +164,13 @@ class TestTrajectoryEvaluation:
     def test_mid_segment_accuracy(self):
         traj, _ = integrate(linear_half_decay(), horizon=10.0, dt=1e-3)
         for t in (0.1234, 1.00055, 7.77717):
-            x, _ = traj.value(t)
+            x, _ = traj.value_scalar(t)
             assert abs(x - math.exp(-t / 2.0)) <= 1e-6
 
     def test_beyond_front_rejected(self):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
         with pytest.raises(ValueError):
-            traj.value(1.5)
+            traj.value_scalar(1.5)
 
     def test_vector_scalar_agree(self):
         traj, _ = integrate(linear_half_decay(), horizon=2.0, dt=1e-2)
@@ -497,3 +498,263 @@ def test_finished_run_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- scalar lookups and the point stage view ---------------------------------
+
+
+def arithmetic_history(trim_before=None):
+    """History stored on [0, 2] in steps of STEP.  The initial data use
+    arithmetic only, so their scalar and array evaluations agree bit for bit."""
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
+                   phi="2+t/3", psi="1+t*t/4")
+    traj, _ = integrate(spec, horizon=2.0, dt=STEP)
+    if trim_before is not None:
+        traj.trim_before(trim_before)
+    return traj
+
+
+def bits(v):
+    return float(v).hex()
+
+
+LOOKUP_TIMES = st.one_of(
+    st.floats(min_value=-3.0, max_value=0.0),  # initial data, 0 included
+    st.integers(min_value=0, max_value=40).map(lambda i: ("end", i)),  # segment ends
+    st.just(("front",)),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+def lookup_time(traj, drawn):
+    if isinstance(drawn, float):
+        return drawn
+    if drawn[0] == "front":
+        return traj.t_front
+    ends = traj.step_times()
+    return float(ends[drawn[1] % len(ends)])
+
+
+class TestScalarLookup:
+    @given(times=st.lists(LOOKUP_TIMES, min_size=1, max_size=12), trimmed=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_and_pair_match_array_bit_for_bit(self, times, trimmed):
+        # several lookups on one history, in any order
+        traj = arithmetic_history(trim_before=1.0 if trimmed else None)
+        for drawn in times:
+            t = lookup_time(traj, drawn)
+            if t < traj.coverage_floor:
+                for comp in (0, 1, None):
+                    with pytest.raises(HistoryUnderflowError):
+                        traj.value_scalar(t, comp)
+                    with pytest.raises(HistoryUnderflowError):
+                        traj.value_array(np.array([t]), comp)
+                continue
+            both = traj.value_array(np.array([t]))[:, 0]
+            pair = traj.value_scalar(t)
+            assert [bits(v) for v in pair] == [bits(v) for v in both]
+            for comp in (0, 1):
+                v = traj.value_scalar(t, comp)
+                assert type(v) is float
+                assert bits(v) == bits(traj.value_array(np.array([t]), comp)[0]) == bits(both[comp])
+
+    def test_trimmed_history_underflows_as_before(self):
+        traj = arithmetic_history(trim_before=1.0)
+        assert traj.coverage_floor > 0.5
+        for comp in (0, 1, None):
+            with pytest.raises(HistoryUnderflowError, match="history trimmed to"):
+                traj.value_scalar(0.5, comp)
+            with pytest.raises(HistoryUnderflowError, match="history starts at"):
+                traj.value_scalar(-0.5, comp)
+
+
+def count_scalar_lookups(monkeypatch):
+    calls = []
+    original = Trajectory.value_scalar
+
+    def counted(self, t, comp=None):
+        calls.append(comp)
+        return original(self, t, comp)
+
+    monkeypatch.setattr(Trajectory, "value_scalar", counted)
+    return calls
+
+
+def point_system(lag1, lag2):
+    return system_from_mapping({
+        "f1": "1+x/2", "f2": "x/2", "r1": "1", "r2": "1",
+        "kernel1": f'point lag="{lag1}"', "kernel2": f'point lag="{lag2}"',
+        "phi": "2+t/3", "psi": "1+t*t/4",
+    })
+
+
+@pytest.mark.parametrize(
+    "lag1, lag2, stored, initial",
+    [
+        # the first derivative at t = 0 is a step with one stage time, then
+        # 150 steps with two each; a lagged time up to 0 reads the initial
+        # data, one component at a time
+        # one shared kernel: one (x, y) lookup per stage time once t - 1 > 0
+        ("t-1", "t-1", 2 * 50, 2 * (1 + 2 * 100)),
+        # off the grid of stage times, so rounding cannot move a lagged time across 0
+        ("t-0.3025", "t-0.7025", 2 * 120 + 2 * 80, 2 + 2 * 30 + 2 * 70),
+        ("t", "t", 0, 2),  # zero lag reads the stage state after t = 0
+        ("t/2", "t/2", 2 * 149, 2),  # the first step reads inside itself
+    ],
+)
+def test_one_scalar_lookup_per_point_kernel_and_stage_time(monkeypatch, lag1, lag2, stored, initial):
+    spec = point_system(lag1, lag2)
+    calls = count_scalar_lookups(monkeypatch)
+    _, outcome = integrate(spec, horizon=1.5, dt=0.01)
+    assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 150
+    assert calls.count(None) == stored  # x and y together, from one segment search
+    assert len(calls) - stored == initial
+
+
+def test_initial_data_are_read_only_for_the_component_fed_from_them():
+    # kernel2 feeds y from x at t - 2, where psi is undefined; only phi is
+    # read there
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.5"), k2=PointMassKernel("t-2"),
+                   phi="1+t/4", psi="sqrt(t+1)")
+    _, outcome = integrate(spec, horizon=3.0, dt=0.01)
+    assert outcome.status == "reached-horizon"
+    shared = PointMassKernel("t-2")
+    with pytest.raises(IntegrationError, match="right-hand side failed at t=0"):
+        integrate(spec_of("1+x/2", "x/2", k1=shared, k2=shared, phi="1+t/4", psi="sqrt(t+1)"),
+                  horizon=3.0, dt=0.01)
+
+
+POINT_LAGS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=STEP),  # inside the step, or just behind it
+    st.floats(min_value=0.0, max_value=3.0),  # stored history and initial data
+)
+
+
+def direct_read(view, s, comp):
+    """The component at s as the stage view reads it: stored history up to
+    the front, the stage state from the stage time on, and the linear blend
+    between the step start and the stage in between."""
+    s = float(s)
+    if s <= view.traj.t_front:
+        return view.traj.value_scalar(s, comp)
+    if s >= view.t_stage:
+        return view.stage[comp]
+    w = (s - view.t0) / (view.t_stage - view.t0)
+    return (1.0 - w) * view.start[comp] + w * view.stage[comp]
+
+
+class TestPointStageView:
+    @given(
+        lag=POINT_LAGS,
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=3),
+        bodies=st.lists(st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"]), min_size=1, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_point_feedback_matches_direct_read(self, lag, frac, stages, bodies):
+        traj, state = stored_history()
+        kernel = PointMassKernel(f"t-{lag!r}")
+        view = stage_view(traj, state, traj.t_front + frac * STEP)
+        hist = view.components()
+        fs = [pf(b) for b in bodies]
+        for t in view.times:
+            for stage in stages:
+                view.set_stage(t, *stage)
+                for comp, component in enumerate(hist):
+                    direct = FnComponent(lambda s, c=comp: direct_read(view, s, c))
+                    for f in fs:
+                        got = kernel.integrate(f, component, t)
+                        assert bits(got) == bits(kernel.integrate(f, direct, t))
+
+    def test_stored_read_is_shared_by_stages_and_components(self, monkeypatch):
+        traj, state = stored_history()
+        kernel = PointMassKernel("t-1")
+        view = stage_view(traj, state, traj.t_front + STEP)
+        x_hist, y_hist = view.components()
+        calls = count_scalar_lookups(monkeypatch)
+        evals = []
+        f = ProductionFunction(lambda v: evals.append(v) or v * v)
+        for t in view.times:
+            for stage in ((1.5, 2.5), (7.0, 8.0)):
+                view.set_stage(t, *stage)
+                kernel.integrate(f, x_hist, t)
+                kernel.integrate(f, y_hist, t)
+        assert calls == [None, None]  # one (x, y) lookup per stage time
+        assert len(evals) == 4  # f once per stage time and component
+        view.set_step(traj.t_front, traj.t_front + STEP, *state)  # a new step reads again
+        kernel.integrate(f, x_hist, view.times[0])
+        assert len(calls) == 3
+
+    def test_in_step_read_blends_on_every_call(self):
+        traj, state = stored_history()
+        kernel = PointMassKernel("t")
+        view = stage_view(traj, state, traj.t_front + STEP)
+        x_hist, _ = view.components()
+        f = pf("x")
+        t = view.times[0]
+        for x in (1.5, 7.0):
+            view.set_stage(t, x, 0.0)
+            assert kernel.integrate(f, x_hist, t) == x
+
+    def test_lookup_error_surfaces_at_the_stage_time_that_reads_it(self):
+        traj, state = stored_history()
+        traj.trim_before(1.0)
+        # at the midpoint the lag reads stored history; at the step end it
+        # reads before the trimmed floor
+        floor = traj.coverage_floor
+        front = traj.t_front
+        kernel = PointMassKernel(f"t - {front - floor - 0.5 * STEP!r} * (t - {front!r}) / {0.5 * STEP!r}")
+        view = stage_view(traj, state, front + STEP)
+        x_hist, _ = view.components()
+        mid, end = view.times
+        view.set_stage(mid, *state)
+        kernel.integrate(pf("x"), x_hist, mid)
+        view.set_stage(end, *state)
+        with pytest.raises(HistoryUnderflowError):
+            kernel.integrate(pf("x"), x_hist, end)
+
+
+class TestPointLagStops:
+    @pytest.mark.parametrize(
+        "f, v, dt, threshold, ratio, guard, t_stop, x_stop",
+        [
+            ("x^2+x", "0.5", 0.05, 5.0, 2.0, "stage-1", 2.8000000000000003, 4.904112625900183),
+            ("x^2+x", "1", 0.05, 50.0, 2.0, "stage-2", 2.0, 43.40257934500686),
+            ("x^2+x", "1", 0.05, 5.0, 2.0, "stage-3", 1.35, 4.7329243482823165),
+            ("exp(x)", "0.3", 0.05, 1e12, 20.0, "stage-4", 2.1, 358.82276069556735),
+            ("exp(x)", "0.5", 0.3, 5.0, 2.0, "state-threshold", 1.2, 2.510901686386852),
+        ],
+    )
+    def test_each_guard_names_itself_with_a_stored_lag(self, f, v, dt, threshold, ratio, guard, t_stop, x_stop):
+        k = PointMassKernel("t-0.2")
+        _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), horizon=3.0, dt=dt,
+                               blowup_threshold=threshold, stage_ratio=ratio)
+        assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+        assert outcome.blowup_time == outcome.t_final == t_stop
+        assert outcome.final_state == (x_stop, x_stop)
+
+    def test_domain_error_at_a_large_state_is_a_blow_up(self):
+        f = "x^2+x+ln(2e6-x)"
+        k = PointMassKernel("t-0.2")
+        _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
+        assert outcome.status == "blow-up" and outcome.t_final == 1.74
+        assert outcome.diagnostics["stage_guard"] == (
+            "domain-error:x^2.0 + x + ln(2000000.0 - x) at 2335488.544829695: math domain error"
+        )
+
+    @pytest.mark.parametrize("lag, near", [("t", "0.6900000000000001"), ("t-0.2", "1.32"), ("t/2", "2.96")])
+    def test_domain_error_at_a_small_state_fails(self, lag, near):
+        f = "x^2+x+sqrt(5-x)"
+        k = PointMassKernel(lag)
+        with pytest.raises(IntegrationError, match=rf"right-hand side failed near t={near}: .*math domain error"):
+            integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
+
+    def test_history_underflow_stops_the_run(self):
+        # the lagged time t - 1 - t^2/10 turns back for t > 5 and reaches
+        # behind what trimming kept
+        k = PointMassKernel("t-1-t^2/10")
+        with pytest.raises(IntegrationError, match=(
+            r"history underflow near t=6\.04: history trimmed to 1\.3900000000000001, asked 1\.3897499999999998"
+        )):
+            integrate(spec_of("x/2", "x/2", k1=k, k2=k), horizon=12.0, dt=0.01, trim_history=True)

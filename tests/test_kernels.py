@@ -214,6 +214,25 @@ class TestValidate:
             assert (res.kind, res.t) == ("mass", 0.0)
             assert "empty" in res.detail
 
+    def test_advanced_atom_lag_in_mixture(self):
+        # the support floor is t - 1, so only the atom check sees t + 1
+        k = GeneralMixtureKernel(atoms=[("t-1", 0.5), ("t+1", 0.5)])
+        res = validate_kernel(k, [0.0, 1.0])
+        assert res == KernelViolation(0.0, "advanced-lag", "atom lag 1.0 exceeds t=0.0")
+
+    def test_kernels_list_their_atom_lags(self):
+        point = PointMassKernel("t-2")
+        mixture = GeneralMixtureKernel(atoms=[("t-1", 0.5), ("t/2", 0.25)], density="0.5", density_lag="t-1")
+        assert point.atom_lags() == (point.lag,)
+        assert mixture.atom_lags() == tuple(lag for lag, _ in mixture.atoms)
+        assert UniformDensityKernel("t-1").atom_lags() == ()
+        assert TriangularDensityKernel("t-1").atom_lags() == ()
+
+    def test_only_mixtures_have_sampled_mass(self):
+        assert GeneralMixtureKernel(atoms=[("t-1", 1.0)]).sampled_mass
+        for k in (PointMassKernel("t-1"), UniformDensityKernel("t-1"), TriangularDensityKernel("t-1")):
+            assert not k.sampled_mass
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             validate_kernel(PointMassKernel("t"), [])
