@@ -27,6 +27,7 @@ from .dynamics import SystemSpec
 from .functions import (
     InverseRangeError,
     ProductionFunction,
+    Separator,
     inverse_auto,
     make_separator,
 )
@@ -417,7 +418,7 @@ def choose_separator(
     b_floor: float,
     alpha0: float = 0.5,
     bracket_hi: float = 1e6,
-) -> tuple[ProductionFunction, float]:
+) -> Separator:
     """Blend g = alpha*f1^-1 + (1-alpha)*f2 with g(0) <= b_floor.
 
     Since f1^-1(0) = 0, pushing alpha toward 1 scales g(0) = (1-alpha)*f2(0)
@@ -429,63 +430,83 @@ def choose_separator(
     for _ in range(60):
         g = make_separator(f1, f2, alpha, bracket_hi)
         if g(0.0) <= b_floor:
-            return g, alpha
+            return g
         alpha = 0.5 * (1.0 + alpha)
     raise BoxConstructionError(
         f"no alpha in (0,1) reached g(0) <= {b_floor!r}; f2(0) = {f2(0.0)!r}"
     )
 
 
-def align_lower_start(g: ProductionFunction, a: float, b: float, bracket_hi: float) -> tuple[float, float]:
+def align_lower_start(g: Separator, a: float, b: float) -> tuple[float, float]:
     """(a0, b0) with b0 = g(a0), a0 = min(a, g^-1(b))."""
-    a0 = min(a, inverse_auto(g, b, bracket_hi))
+    a0 = min(a, g.inverse(b))
     return a0, g(a0)
 
 
-def align_upper_start(g: ProductionFunction, A: float, B: float, bracket_hi: float) -> tuple[float, float]:
+def align_upper_start(g: Separator, A: float, B: float) -> tuple[float, float]:
     """(A0, B0) with B0 = g(A0), A0 = max(A, g^-1(B))."""
-    A0 = max(A, inverse_auto(g, B, bracket_hi))
+    A0 = max(A, g.inverse(B))
     return A0, g(A0)
 
 
 def monotone_iteration(
     f1: ProductionFunction,
     f2: ProductionFunction,
-    g: ProductionFunction,
+    g: Separator,
     K: float,
     start: tuple[float, float, float, float],
     n_max: int = 500,
     tol: float = 1e-8,
-    alpha: float | None = None,
-    bracket_hi: float = 1e6,
 ) -> BoundSequences:
     """Squeeze [a_n, A_n] x [b_n, B_n] toward the equilibrium.
 
-    Lower recursion: a' = min(g^-1(f2(a)), f1(b)), b' = min(f2(a), g(f1(b)));
-    the upper recursion mirrors it with max.  Both keep b = g(a) and
-    B = g(A) automatically; the sandwich a <= a' <= K <= A' <= A is
-    asserted at every step and a numerical failure raises StallError.
+    The recursion is a' = min(g^-1(f2(a)), f1(b)), b' = min(f2(a),
+    g(f1(b))) below and the same with max above; b = g(a) and B = g(A)
+    throughout.  Each bound carries u = f1^-1(a) (U with A), so no step
+    inverts f1: g(f1(b)) is h(b) = alpha*b + (1-alpha)*f2(f1(b)), and g(a)
+    is alpha*u + (1-alpha)*f2(a).  g is strictly increasing, so
+    g^-1(f2(a)) <= f1(b) exactly when f2(a) <= h(b): one comparison picks
+    the branch of both mins.  When h(b) wins, (a', u', b') = (f1(b), b,
+    h(b)) with no inverse; only otherwise does g.inverse_xu(f2(a)) run,
+    giving a' with its u'.  Only the start bisects f1^-1, once per side.
+
+    The sandwich a <= a' <= K <= A' <= A is asserted at every step, and
+    b' = g(a'), B' = g(A') are checked from the carried u (exact on the
+    h(b) branch, the bisection's accuracy on the other); a numerical
+    failure raises StallError.
     """
     a, b, A, B = start
+    u, U = g.f1_inverse(a), g.f1_inverse(A)
     scale = max(1.0, abs(A), abs(B))
-    if abs(g(a) - b) > 1e-9 * scale or abs(g(A) - B) > 1e-9 * scale:
+    if abs(g.at(a, u) - b) > 1e-9 * scale or abs(g.at(A, U) - B) > 1e-9 * scale:
         raise ValueError("start must be pre-aligned with b = g(a), B = g(A)")
     if not (a <= K <= A):
         raise ValueError(f"need a0 <= K <= A0, got a0={a!r} K={K!r} A0={A!r}")
+
+    def step(a: float, b: float, pick) -> tuple[float, float, float]:
+        # pick is min (lower) or max (upper); h(b) wins ties: no inverse
+        y, x = f2(a), f1(b)
+        hb = g.at(x, b)
+        if pick(hb, y) == hb:
+            return x, b, hb
+        x, u = g.inverse_xu(y)
+        return x, u, y
+
+    def aligned(x: float, u: float, y: float) -> bool:
+        return abs(g.at(x, u) - y) <= 1e-10 * max(1.0, abs(y))
+
     eps = 1e-12 * scale
     lower = [(a, b)]
     upper = [(A, B)]
     converged = False
     for n in range(n_max):
-        a_next = min(inverse_auto(g, f2(a), bracket_hi), f1(b))
-        b_next = min(f2(a), g(f1(b)))
-        A_next = max(inverse_auto(g, f2(A), bracket_hi), f1(B))
-        B_next = max(f2(A), g(f1(B)))
+        a_next, u, b_next = step(a, b, min)
+        A_next, U, B_next = step(A, B, max)
         if a_next < a - eps or A_next > A + eps:
             raise StallError(f"bound sequences lost monotonicity at step {n}")
         if a_next > K + max(eps, tol) or A_next < K - max(eps, tol):
             raise StallError(f"bound sequences crossed the equilibrium at step {n}")
-        if abs(g(a_next) - b_next) > 1e-10 * max(1.0, abs(b_next)):
+        if not (aligned(a_next, u, b_next) and aligned(A_next, U, B_next)):
             raise StallError(f"separator alignment lost at step {n}")
         a, b, A, B = a_next, b_next, A_next, B_next
         lower.append((a, b))
@@ -496,7 +517,7 @@ def monotone_iteration(
     return BoundSequences(
         lower=lower,
         upper=upper,
-        alpha=alpha,
+        alpha=g.alpha,
         terminal_gap=upper[-1][0] - lower[-1][0],
         terminal_gap_y=upper[-1][1] - lower[-1][1],
         converged=converged,
@@ -616,7 +637,7 @@ def permanence_bounds(
         c2_terms.append(inv_or_inf(f1, mu1))
     c1 = min(c1_terms)
     c2 = min(c2_terms)
-    g, alpha = choose_separator(f1, f2, b_floor=0.99 * (1.0 - slack) * c2, alpha0=alpha0, bracket_hi=hi)
+    g = choose_separator(f1, f2, b_floor=0.99 * (1.0 - slack) * c2, alpha0=alpha0, bracket_hi=hi)
     m1 = (1.0 - slack) * c1
     inward = 0
     m2 = min((1.0 - slack) * c2, g(m1))
@@ -681,7 +702,7 @@ def permanence_bounds(
         M2=M2,
         trace={
             "case": case,
-            "alpha": alpha,
+            "alpha": g.alpha,
             "nu1": nu1,
             "nu2": nu2,
             "slack": slack,

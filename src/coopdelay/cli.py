@@ -98,16 +98,12 @@ def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
             notes.append(f"permanence box unavailable: {e}")
         if box is not None:
             try:
-                g, alpha = choose_separator(
-                    spec.f1, spec.f2, b_floor=box.m2, alpha0=numerics.alpha
-                )
-                bracket = max(4.0 * box.M1, 1.0)
-                a0, b0 = align_lower_start(g, box.m1, box.m2, bracket)
-                A0, B0 = align_upper_start(g, box.M1, box.M2, bracket)
+                g = choose_separator(spec.f1, spec.f2, b_floor=box.m2, alpha0=numerics.alpha)
+                a0, b0 = align_lower_start(g, box.m1, box.m2)
+                A0, B0 = align_upper_start(g, box.M1, box.M2)
                 bounds = monotone_iteration(
                     spec.f1, spec.f2, g, K, (a0, b0, A0, B0),
                     n_max=numerics.n_max_iteration, tol=numerics.tol_iteration,
-                    alpha=alpha, bracket_hi=bracket,
                 )
             except (StallError, BoxConstructionError, ValueError) as e:
                 notes.append(f"bound sequences unavailable: {e}")

@@ -17,7 +17,7 @@ u = f1^-1(x) instead (see analysis.scan_relation).  The separator
 g = alpha*f1^-1 + (1-alpha)*f2 carries its own inverse, which needs no
 inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an inverse of f2,
 and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is solved for u by one
-bisection and g^-1 = f1(u).
+bisection and g^-1 = f1(u), returned with its u.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "inverse",
     "inverse_auto",
     "make_separator",
+    "Separator",
 ]
 
 DEFAULT_INVERSE_TOL = 1e-12
@@ -366,49 +367,85 @@ def inverse_auto(
             hi = min(cap, 2.0 * hi)
 
 
+class Separator(ProductionFunction):
+    """The separator g = alpha * f1^-1 + (1 - alpha) * f2 built by
+    make_separator, with the pieces that let the bound sequences evaluate
+    and invert it along u = f1^-1(x) instead of inverting f1."""
+
+    __slots__ = ("f1", "f2", "alpha", "_bracket_hi", "_tol", "_f1_0", "_f2_f1_0", "_g_0", "_g_f1_0")
+
+    def __init__(
+        self, f1: ProductionFunction, f2: ProductionFunction, alpha: float,
+        bracket_hi: float, tol: float,
+    ):
+        super().__init__(self.__call__, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}")
+        self.f1, self.f2, self.alpha = f1, f2, alpha
+        self._bracket_hi, self._tol = bracket_hi, tol
+        self._f1_0 = f1(0.0)
+        self._f2_f1_0 = f2(self._f1_0)
+        self._g_0 = (1.0 - alpha) * f2(0.0)  # f1^-1(0) = 0
+        self._g_f1_0 = (1.0 - alpha) * self._f2_f1_0
+
+    def __call__(self, x: float) -> float:
+        return self.at(x, self.f1_inverse(x))
+
+    def f1_inverse(self, x: float) -> float:
+        """u = f1^-1(x) by bisection; 0 where x <= f1(0)."""
+        return inverse_auto(self.f1, x, self._bracket_hi, self._tol)
+
+    def at(self, x: float, u: float) -> float:
+        """g(x) given u = f1^-1(x); at(f1(u), u) is h(u) = g(f1(u))."""
+        return self.alpha * u + (1.0 - self.alpha) * self.f2(x)
+
+    def inverse(self, y: float, bracket_hi: float | None = None, tol: float | None = None) -> float:
+        """g^-1(y).  g inverts itself: the bracket and tolerance are not read."""
+        return self.inverse_xu(y)[0]
+
+    def inverse_xu(self, y: float) -> tuple[float, float]:
+        """(x, u) with g(x) = y and u = f1^-1(x).
+
+        Values up to g(0) give (0, 0).  Up to g(f1(0)) = (1 - alpha) *
+        f2(f1(0)), plus the tolerance, x inverts f2 on [0, f1(0)] and u is
+        0.  Above that, u solves h(u) = y by one bisection and x = f1(u)."""
+        if y <= self._g_0:
+            return 0.0, 0.0
+        if y <= self._g_f1_0 + self._tol * max(1.0, abs(y)):
+            # within the tolerance of g(f1(0)) the h bisection could only
+            # return u ~ tol; the clamp keeps x in [0, f1(0)] instead
+            target = min(y / (1.0 - self.alpha), self._f2_f1_0)
+            return self.f2.inverse(target, self._f1_0, self._tol), 0.0
+        f1 = self.f1
+
+        def h(u: float) -> float:
+            return self.at(f1(u), u)
+
+        hi = 1.0
+        while h(hi) < y:  # h grows at least like alpha * u: this stops
+            hi *= 2.0
+        u = inverse(h, y, hi, self._tol)
+        return f1(u), u
+
+
 def make_separator(
     f1: ProductionFunction,
     f2: ProductionFunction,
     alpha: float,
     bracket_hi: float,
     tol: float = DEFAULT_INVERSE_TOL,
-) -> ProductionFunction:
-    """The strictly increasing blend alpha * f1^-1 + (1 - alpha) * f2.
+) -> Separator:
+    """The strictly increasing blend g = alpha * f1^-1 + (1 - alpha) * f2.
 
     Lies strictly between f1^-1 and f2 wherever they differ, which is what
     synchronizes the two components of the bound sequences.
 
-    Its inverse needs no inverse of f1.  Values up to g(0) invert to 0.
-    On [0, f1(0)] f1^-1 is 0, so g = (1 - alpha) * f2 there and values up
-    to (1 - alpha) * f2(f1(0)) invert through f2.  Above that, x = f1(u)
-    with h(u) = g(f1(u)) = alpha * u + (1 - alpha) * f2(f1(u)) = y, solved
-    for u by one bisection with geometric bracket growth.  A bounded f1
-    needs no special case: h is unbounded even where f1 is not.
+    g(x) bisects f1^-1 from [0, bracket_hi], growing the bracket as needed.
+    Every other use goes along u = f1^-1(x), which needs no inverse of f1:
+    `at(x, u)` is g(x) for a known u, and at(f1(u), u) = alpha * u +
+    (1 - alpha) * f2(f1(u)) = h(u) is g(f1(u)).  `inverse_xu(y)` returns x
+    = g^-1(y) together with its u, from one bisection of h (or of f2 where
+    x <= f1(0), there u = 0); `inverse` is its x.  A bounded f1 needs no
+    special case: h is unbounded even where f1 is not.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
-
-    def scalar(x: float) -> float:
-        return alpha * inverse_auto(f1, x, bracket_hi, tol) + (1.0 - alpha) * f2(x)
-
-    def h(u: float) -> float:  # g(f1(u))
-        return alpha * u + (1.0 - alpha) * f2(f1(u))
-
-    f1_0 = f1(0.0)
-    g_0 = (1.0 - alpha) * f2(0.0)  # f1^-1(0) = 0
-    g_f1_0 = (1.0 - alpha) * f2(f1_0)
-
-    def scalar_inverse(y: float) -> float:
-        if y <= g_0:
-            return 0.0
-        if y <= g_f1_0:
-            return inverse_auto(f2, y / (1.0 - alpha), f1_0, tol)
-        hi = 1.0
-        while h(hi) < y:  # h grows at least like alpha * u: this stops
-            hi *= 2.0
-        return f1(inverse(h, y, hi, tol))
-
-    return ProductionFunction(
-        scalar, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}",
-        inverse_fn=scalar_inverse,
-    )
+    return Separator(f1, f2, alpha, bracket_hi, tol)

@@ -177,6 +177,9 @@ class DelayKernel:
     # unit mass depends on the kernel's parameters and is checked by
     # quadrature on a sampled grid, instead of holding by construction
     sampled_mass = False
+    # the support floor is the kernel's one lag, so checking the floor
+    # checks its atom too
+    floor_is_only_lag = False
 
     def atom_lags(self) -> tuple[Expression, ...]:
         """The lag expressions of the kernel's point masses."""
@@ -217,6 +220,7 @@ class _LagKernel(DelayKernel):
     """A kernel fixed by its kind and one lag expression h(t)."""
 
     __slots__ = ("lag",)
+    floor_is_only_lag = True
 
     def __init__(self, lag: str | Expression):
         self.lag = _as_lag(lag)
@@ -375,6 +379,7 @@ def validate_kernel(
     if not t_grid:
         raise ValueError("validation grid must be non-empty")
     worst = 0.0
+    atoms = () if kernel.floor_is_only_lag else kernel.atom_lags()
     for t in t_grid:
         try:
             floor = kernel.support_floor(t)
@@ -382,7 +387,7 @@ def validate_kernel(
                 return KernelViolation(
                     t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}"
                 )
-            for lag in kernel.atom_lags():
+            for lag in atoms:
                 lv = lag.evaluate(t)
                 if lv > t + 1e-12:
                     return KernelViolation(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdelay import analysis
+from coopdelay import analysis, functions
 from coopdelay.analysis import (
     BoxConstructionError,
     StallError,
@@ -25,7 +25,7 @@ from coopdelay.analysis import (
 from coopdelay.config import Numerics
 from coopdelay.dynamics import InitialFunction, SystemSpec, check_rate_divergence
 from coopdelay.expr import parse
-from coopdelay.functions import ProductionFunction, inverse_auto
+from coopdelay.functions import DEFAULT_INVERSE_TOL, ProductionFunction, Separator, inverse_auto
 from coopdelay.integrator import integrate
 from coopdelay.kernels import PointMassKernel
 
@@ -142,11 +142,11 @@ def analytic_g_affine(x, alpha=0.5):
 class TestMonotoneIteration:
     def test_affine_pair_converges_to_two(self):
         f = pf("1+x/2")
-        g, alpha = choose_separator(f, f, b_floor=0.625, alpha0=0.5)
-        assert alpha == 0.5  # g(0) = 0.5 <= 0.625 already
-        a0, b0 = align_lower_start(g, 0.5, g(0.5), bracket_hi=100.0)
-        A0, B0 = align_upper_start(g, 10.0, g(10.0), bracket_hi=100.0)
-        seq = monotone_iteration(f, f, g, 2.0, (a0, b0, A0, B0), n_max=200, tol=1e-8, alpha=alpha)
+        g = choose_separator(f, f, b_floor=0.625, alpha0=0.5)
+        assert g.alpha == 0.5  # g(0) = 0.5 <= 0.625 already
+        a0, b0 = align_lower_start(g, 0.5, g(0.5))
+        A0, B0 = align_upper_start(g, 10.0, g(10.0))
+        seq = monotone_iteration(f, f, g, 2.0, (a0, b0, A0, B0), n_max=200, tol=1e-8)
         assert seq.converged
         assert seq.lower[-1][0] == pytest.approx(2.0, abs=1e-7)
         assert seq.upper[-1][0] == pytest.approx(2.0, abs=1e-7)
@@ -178,8 +178,8 @@ class TestMonotoneIteration:
             oracle.append(a)
 
         fp = pf("1+x/2")
-        gp, _ = choose_separator(fp, fp, b_floor=g(0.5), alpha0=0.5)
-        a0, b0 = align_lower_start(gp, 0.5, g(0.5), bracket_hi=100.0)
+        gp = choose_separator(fp, fp, b_floor=g(0.5), alpha0=0.5)
+        a0, b0 = align_lower_start(gp, 0.5, g(0.5))
         seq = monotone_iteration(fp, fp, gp, 2.0, (a0, b0, 10.0, gp(10.0)), n_max=60, tol=0.0)
         got = [p[0] for p in seq.lower]
         for o, m in zip(oracle, got):
@@ -187,16 +187,16 @@ class TestMonotoneIteration:
 
     def test_sqrt_pair_upper_descends_to_four(self):
         f1, f2 = pf("sqrt(x)+2"), pf("x")
-        g, alpha = choose_separator(f1, f2, b_floor=0.5, alpha0=0.5)
-        a0, b0 = align_lower_start(g, 0.5, g(0.5), bracket_hi=1e4)
-        A0, B0 = align_upper_start(g, 10.0, g(10.0), bracket_hi=1e4)
-        seq = monotone_iteration(f1, f2, g, 4.0, (a0, b0, A0, B0), n_max=500, tol=1e-8, alpha=alpha)
+        g = choose_separator(f1, f2, b_floor=0.5, alpha0=0.5)
+        a0, b0 = align_lower_start(g, 0.5, g(0.5))
+        A0, B0 = align_upper_start(g, 10.0, g(10.0))
+        seq = monotone_iteration(f1, f2, g, 4.0, (a0, b0, A0, B0), n_max=500, tol=1e-8)
         assert seq.converged
         assert seq.upper[-1][0] == pytest.approx(4.0, abs=1e-7)
 
     def test_fixed_point_start_stays_constant(self):
         f = pf("1+x/2")
-        g, _ = choose_separator(f, f, b_floor=1.0, alpha0=0.5)
+        g = choose_separator(f, f, b_floor=1.0, alpha0=0.5)
         K = 2.0
         bK = g(K)
         seq = monotone_iteration(f, f, g, K, (K, bK, K, bK), n_max=5, tol=1e-10)
@@ -205,7 +205,7 @@ class TestMonotoneIteration:
 
     def test_misaligned_start_rejected(self):
         f = pf("1+x/2")
-        g, _ = choose_separator(f, f, b_floor=1.0)
+        g = choose_separator(f, f, b_floor=1.0)
         with pytest.raises(ValueError):
             monotone_iteration(f, f, g, 2.0, (0.5, 99.0, 10.0, g(10.0)))
 
@@ -227,11 +227,10 @@ class TestMonotoneIteration:
         # g lies between f1^-1 and f2, which cross only at K, so any aligned
         # start below and above K steps inward; floors below f2(0)/2 make the
         # separator walk alpha toward 1
-        g, alpha = choose_separator(f1, f2, b_floor=floor * f2(0.0))
-        bracket = 4.0 * above * K
-        a0, b0 = align_lower_start(g, below * K, g(below * K), bracket)
-        A0, B0 = align_upper_start(g, above * K, g(above * K), bracket)
-        seq = monotone_iteration(f1, f2, g, K, (a0, b0, A0, B0), alpha=alpha, bracket_hi=bracket)
+        g = choose_separator(f1, f2, b_floor=floor * f2(0.0))
+        a0, b0 = align_lower_start(g, below * K, g(below * K))
+        A0, B0 = align_upper_start(g, above * K, g(above * K))
+        seq = monotone_iteration(f1, f2, g, K, (a0, b0, A0, B0))
         a_vals = [a for a, _ in seq.lower]
         A_vals = [A for A, _ in seq.upper]
         assert all(x2 >= x1 for x1, x2 in zip(a_vals, a_vals[1:]))
@@ -239,6 +238,146 @@ class TestMonotoneIteration:
         assert all(a <= K <= A for a, A in zip(a_vals, A_vals))
         for a, b in seq.lower + seq.upper:
             assert abs(g(a) - b) <= 1e-10 * max(1.0, abs(b))
+
+    @staticmethod
+    def assert_matches_reference_recursion(f1_fn, f2_fn, f1, f2, K, below, above):
+        """monotone_iteration against the defining min/max recursion,
+        written with plain-float bisections: g(x) inverts f1 on every call
+        and g^-1 bisects g itself."""
+
+        def bisect(fn, y, hi):  # increasing fn with fn(0) <= y <= fn(hi)
+            lo = 0.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                lo, hi = (mid, hi) if fn(mid) < y else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        def grow(fn, y):  # a bracket top with fn(top) >= y, or None
+            hi = 1.0
+            while fn(hi) < y:
+                if hi > 2.0**60:
+                    return None
+                hi *= 2.0
+            return hi
+
+        def f1_inv(x):  # inf above the range of a bounded f1
+            if x <= f1_fn(0.0):
+                return 0.0
+            hi = grow(f1_fn, x)
+            return math.inf if hi is None else bisect(f1_fn, x, hi)
+
+        g = choose_separator(f1, f2, b_floor=0.5 * f2(K))
+        alpha = g.alpha
+
+        def g_fn(x):
+            return alpha * f1_inv(x) + (1.0 - alpha) * f2_fn(x)
+
+        def g_inv(y):
+            if y <= g_fn(0.0):
+                return 0.0
+            return bisect(g_fn, y, grow(g_fn, y))
+
+        a, b = align_lower_start(g, below, g(below))
+        A, B = align_upper_start(g, above, g(above))
+        tol = 1e-8
+        seq = monotone_iteration(f1, f2, g, K, (a, b, A, B), n_max=300, tol=tol)
+        lower, upper = [(a, b)], [(A, B)]
+        converged = False
+        for _ in range(300):
+            a, b, A, B = (
+                min(g_inv(f2_fn(a)), f1_fn(b)), min(f2_fn(a), g_fn(f1_fn(b))),
+                max(g_inv(f2_fn(A)), f1_fn(B)), max(f2_fn(A), g_fn(f1_fn(B))),
+            )
+            lower.append((a, b))
+            upper.append((A, B))
+            if A - a <= tol:
+                converged = True
+                break
+        shape = (len(seq.lower), len(seq.upper), seq.converged)
+        assert shape == (len(lower), len(upper), converged)
+        for got, want in zip(seq.lower + seq.upper, lower + upper):
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(y))
+
+    @given(
+        st.floats(0.0, 2.0), st.floats(0.5, 2.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0),
+        st.floats(0.5, 1.5), st.floats(0.2, 0.6), st.floats(0.05, 0.95), st.floats(1.05, 4.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_lotka_volterra_matches_reference_recursion(
+        self, A1, A2, a1, a2, b1, gain, below, above
+    ):
+        # A1 > 0 puts f1(0) > 0, where f1^-1 is 0 on [0, f1(0)]
+        b2 = gain * a1 * a2 / b1
+        f1, f2 = pf(f"({A1!r} + {b1!r}*x)/{a1!r}"), pf(f"({A2!r} + {b2!r}*x)/{a2!r}")
+        K = (A1 * a2 + b1 * A2) / (a1 * a2 - b1 * b2)
+        self.assert_matches_reference_recursion(
+            lambda x: (A1 + b1 * x) / a1, lambda x: (A2 + b2 * x) / a2,
+            f1, f2, K, below * K, above * K,
+        )
+
+    @given(st.floats(1.1, 3.0), st.floats(1.1, 3.0), st.floats(0.05, 0.95), st.floats(0.1, 0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_tanh_pair_matches_reference_recursion(self, c1, c2, below, frac):
+        # f_i = c_i*tanh(x) with c1*c2 > 1: one positive equilibrium K < c1,
+        # the fixed point of x -> f1(f2(x)); the upper start stays below
+        # sup f1 = c1, where f1^-1 exists
+        f1_fn = lambda x: c1 * math.tanh(x)
+        f2_fn = lambda x: c2 * math.tanh(x)
+        lo, hi = 1e-9, c1
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f1_fn(f2_fn(mid)) > mid else (lo, mid)
+        K = 0.5 * (lo + hi)
+        self.assert_matches_reference_recursion(
+            f1_fn, f2_fn, pf(f"{c1!r}*tanh(x)"), pf(f"{c2!r}*tanh(x)"),
+            K, below * K, K + frac * (c1 - K),
+        )
+
+    def test_steps_where_f1_wins_make_no_inverse_call(self, monkeypatch):
+        calls = [0]
+        bisect = functions.inverse
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(functions, "inverse", counted)
+        f = pf("1+x/2")
+        g = choose_separator(f, f, b_floor=0.625, alpha0=0.5)
+        # from a0 = 0.5, f1(b) wins every step; from a0 = 0, the first
+        # lower step takes g^-1(f2(a))
+        for lo, n_inverse_steps in ((0.5, 0), (0.0, 1)):
+            start = (lo, g(lo), 10.0, g(10.0))
+            calls[0] = 0
+            seq = monotone_iteration(f, f, g, 2.0, start, n_max=200, tol=1e-8)
+            assert seq.converged
+            steps = [
+                (p, q) for side in (seq.lower, seq.upper) for p, q in zip(side, side[1:])
+            ]
+            took_inverse = [q[0] != f(p[1]) for p, q in steps]
+            assert sum(took_inverse) == n_inverse_steps
+            # f1^-1 of a0 and A0 aligns the start; after it only the
+            # g^-1 steps invert
+            assert calls[0] <= n_inverse_steps + 2
+
+    def test_inaccurate_separator_inverse_raises(self):
+        class Perturbed(Separator):
+            __slots__ = ()
+
+            def inverse_xu(self, y):
+                x, u = super().inverse_xu(y)
+                return x, u + 1e-6
+
+        f = pf("1+x/2")
+        start = lambda g: (0.0, g(0.0), 10.0, g(10.0))  # noqa: E731
+        exact = Separator(f, f, 0.5, 1e6, DEFAULT_INVERSE_TOL)
+        assert monotone_iteration(f, f, exact, 2.0, start(exact)).converged
+        g = Perturbed(f, f, 0.5, 1e6, DEFAULT_INVERSE_TOL)
+        with pytest.raises(StallError, match="separator alignment lost at step 0"):
+            monotone_iteration(f, f, g, 2.0, start(g))
 
 
 def grid_events_by_loops(signs, absd):
@@ -400,14 +539,13 @@ class TestScanAlongU:
 class TestChooseSeparator:
     def test_alpha_walks_toward_one_for_small_floor(self):
         f = pf("1+x/2")  # g(0) = (1-alpha) * 1
-        g, alpha = choose_separator(f, f, b_floor=0.3, alpha0=0.5)
-        assert alpha > 0.5
+        g = choose_separator(f, f, b_floor=0.3, alpha0=0.5)
+        assert g.alpha > 0.5
         assert g(0.0) <= 0.3
 
     def test_zero_at_origin_keeps_default(self):
         f1, f2 = pf("sqrt(x)+2"), pf("x")  # f2(0) = 0
-        _, alpha = choose_separator(f1, f2, b_floor=1e-6, alpha0=0.5)
-        assert alpha == 0.5
+        assert choose_separator(f1, f2, b_floor=1e-6, alpha0=0.5).alpha == 0.5
 
 
 class TestContraction:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopdelay.expr import Expression
 from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import (
     GeneralMixtureKernel,
@@ -219,6 +220,23 @@ class TestValidate:
         k = GeneralMixtureKernel(atoms=[("t-1", 0.5), ("t+1", 0.5)])
         res = validate_kernel(k, [0.0, 1.0])
         assert res == KernelViolation(0.0, "advanced-lag", "atom lag 1.0 exceeds t=0.0")
+
+    def test_point_lag_is_evaluated_once_per_grid_time(self, monkeypatch):
+        # a point kernel's one atom is its support floor: checking the
+        # floor checks the atom, with no second evaluation
+        calls = [0]
+        evaluate = Expression.evaluate
+
+        def counted(self, v):
+            calls[0] += 1
+            return evaluate(self, v)
+
+        monkeypatch.setattr(Expression, "evaluate", counted)
+        grid = [0.0, 1.0, 2.5, 4.0]
+        assert isinstance(validate_kernel(PointMassKernel("t-1"), grid), KernelCertificate)
+        assert calls[0] == len(grid)
+        res = validate_kernel(PointMassKernel("t+1"), grid)
+        assert res == KernelViolation(0.0, "advanced-lag", "support floor 1.0 exceeds t=0.0")
 
     def test_kernels_list_their_atom_lags(self):
         point = PointMassKernel("t-2")
