@@ -347,9 +347,10 @@ class Expression:
         self.root = root
         self.var = var
         self.source = source
-        src = _emit(root)
-        self._scalar = eval(f"lambda v: {src}", _SCALAR_ENV)
-        self._array = eval(f"lambda v: {src}", _ARRAY_ENV)
+        # one compile; the scalar and array callables share its code object
+        code = compile(f"lambda v: {_emit(root)}", "<expr>", "eval")
+        self._scalar = eval(code, _SCALAR_ENV)
+        self._array = eval(code, _ARRAY_ENV)
         self._text: str | None = None
 
     def __eq__(self, other) -> bool:

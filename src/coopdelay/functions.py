@@ -156,6 +156,12 @@ class ProductionFunction:
 
     # -- inversion ----------------------------------------------------
 
+    @property
+    def bisects(self) -> bool:
+        """Whether `inverse` bisects over the bracket it is given; a closed-form
+        inverse does not read the bracket."""
+        return self._inverse_fn is None
+
     def inverse(self, y: float, bracket_hi: float, tol: float = DEFAULT_INVERSE_TOL) -> float:
         if self._inverse_fn is not None:
             return max(0.0, self._inverse_fn(y))
@@ -356,15 +362,19 @@ def inverse_auto(
     tol: float = DEFAULT_INVERSE_TOL,
     cap: float = BRACKET_CAP,
 ) -> float:
-    """Inverse with geometric bracket enlargement (x2) up to cap."""
+    """Inverse with geometric bracket enlargement (x2) up to cap.
+
+    The bracket grows by evaluating f alone, and f is inverted once, over
+    the first bracket whose top reaches y: the same bracket, result and
+    InverseRangeError as inverting over each doubled bracket in turn.  A
+    function whose inverse does not read the bracket is inverted at once."""
     hi = float(bracket_hi)
-    while True:
-        try:
-            return f.inverse(y, hi, tol)
-        except InverseRangeError:
+    if f.bisects and y > f(0.0):  # at or below f(0) the inverse is 0
+        while y > (f_hi := f(hi)):
             if hi >= cap:
-                raise
+                raise InverseRangeError(y, hi, f_hi)
             hi = min(cap, 2.0 * hi)
+    return f.inverse(y, hi, tol)
 
 
 class Separator(ProductionFunction):
@@ -373,6 +383,7 @@ class Separator(ProductionFunction):
     and invert it along u = f1^-1(x) instead of inverting f1."""
 
     __slots__ = ("f1", "f2", "alpha", "_bracket_hi", "_tol", "_f1_0", "_f2_f1_0", "_g_0", "_g_f1_0")
+    bisects = False  # g inverts itself along u; the bracket is not read
 
     def __init__(
         self, f1: ProductionFunction, f2: ProductionFunction, alpha: float,

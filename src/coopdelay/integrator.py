@@ -12,10 +12,15 @@ for k2 and k3, t + h for k4 and the end-of-step derivative), and stored
 history changes only after the step is accepted.  The per-step stage view
 serves each density kernel's feedback through `HistoryComponent.feedback`:
 on the kernel's first use in a step it builds the kernel's plans at both
-stage times and looks up their stored parts in one call, x and y together;
-the sum over stored nodes is then computed once per stage time, production
-function and component, and each stage adds only the nodes inside the
-current step (usually none or one), blended toward its own stage state.
+stage times and looks up their stored parts in one call, x and y together.
+f is then evaluated once per production function and component, over the
+stored nodes of both stage times, and each stage time's stored sum is the
+dot of its weights times density with its own part of that row.  Each stage
+adds only the nodes inside the current step (usually none or one), blended
+toward its own stage state.  If that one evaluation raises a domain error,
+each stage time's stored nodes are evaluated on their own when a stage
+first reads them, so the error surfaces at the stage that first reads the
+failing nodes: an error at the step-end nodes alone, at the step-end stage.
 Point kernels get the same treatment through `HistoryComponent.point_feedback`:
 the lag is evaluated once per kernel and stage time, a lagged time inside
 stored segments reads x and y together with one segment search, one in the
@@ -204,7 +209,6 @@ class Trajectory:
         share one segment search and one Hermite basis."""
         ts = np.asarray(ts, dtype=float)
         comps = (0, 1) if comp is None else (comp,)
-        out = np.empty((len(comps),) + ts.shape, dtype=float)
         if ts.size:
             lo = ts.min()
             hi = ts.max()
@@ -212,19 +216,20 @@ class Trajectory:
                 raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {float(lo)!r}")
             if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
-            if lo > 0.0:
-                out = self._stored(ts, comps)
-            else:
-                neg = ts <= 0.0
-                if np.any(neg):
-                    for row, c in zip(out, comps):
-                        fn = self.phi if c == 0 else self.psi
-                        if fn is None:
-                            raise HistoryUnderflowError("no initial function")
-                        row[neg] = fn.array(ts[neg])
-                pos = ~neg
-                if np.any(pos):
-                    out[:, pos] = self._stored(ts[pos], comps)
+        if ts.size and lo > 0.0:
+            out = self._stored(ts, comps)
+        else:
+            out = np.empty((len(comps),) + ts.shape, dtype=float)
+            neg = ts <= 0.0
+            if np.any(neg):
+                for row, c in zip(out, comps):
+                    fn = self.phi if c == 0 else self.psi
+                    if fn is None:
+                        raise HistoryUnderflowError("no initial function")
+                    row[neg] = fn.array(ts[neg])
+            pos = ~neg
+            if np.any(pos):
+                out[:, pos] = self._stored(ts[pos], comps)
         return out if comp is None else out[0]
 
     def _stored(self, ts: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
@@ -273,35 +278,52 @@ class _StepWindow:
 
     For each stage time (slot 0 at the midpoint, slot 1 at the step end)
     it keeps the plan, the number of its nodes inside stored history, the
-    stored values there (rows x and y; one lookup serves both components
-    and both stage times) and, for the nodes inside the step, the product
-    weight * density and the blend weights toward the start and the stage
-    state.  The sum over stored nodes is computed once per production
-    function and component; each stage then adds only its tail.
+    product weight * density over those nodes, the stored values there
+    (rows x and y; one lookup serves both components and both stage times)
+    and, for the nodes inside the step, weight * density and the blend
+    weights toward the start and the stage state.  f is evaluated once per
+    production function and component over the stored nodes of both slots,
+    and each slot's stored sum is the dot of its weight * density with its
+    own part of that row; each stage then adds only its tail.  When that
+    evaluation raises a domain error, each slot is evaluated on its own as
+    it is read, so the error surfaces at the stage that first reads the
+    failing slot.
     """
 
-    __slots__ = ("plans", "split", "stored", "tails", "sums")
+    __slots__ = ("plans", "split", "wd", "values", "stored", "tails", "sums")
 
     def __init__(self, view: "_StageHistory", kernel, n_quad: int):
         front = view.traj.t_front
         self.plans = [kernel.plan(t, n_quad) for t in view.times]
         self.split = [int(p.nodes.searchsorted(front, side="right")) for p in self.plans]
+        self.wd = [p.weights[:k] * p.density[:k] for p, k in zip(self.plans, self.split)]
         both = view.traj.value_array(np.concatenate([p.nodes[:k] for p, k in zip(self.plans, self.split)]))
         both.flags.writeable = False
         k0 = self.split[0]
+        self.values = both
         self.stored = (both[:, :k0], both[:, k0:])
         self.tails = [_tail(view.t0, t, p, k) for t, p, k in zip(view.times, self.plans, self.split)]
         self.sums: dict = {}
 
     def stored_sum(self, f, comp: int, slot: int) -> float:
         """dot(weights * density, f(u)) over the slot's stored nodes, once."""
-        key = (f, comp, slot)
-        total = self.sums.get(key)
-        if total is None:
-            k = self.split[slot]
-            plan = self.plans[slot]
-            wd = plan.weights[:k] * plan.density[:k]
-            total = self.sums[key] = float(np.dot(wd, f.eval_array(self.stored[slot][comp])))
+        sums = self.sums
+        total = sums.get((f, comp, slot))
+        if total is not None:
+            return total
+        if (f, comp, 1 - slot) not in sums:
+            try:
+                fu = f.eval_array(self.values[comp])
+            except EvalDomainError:
+                # the slot that holds the failing node fails again below,
+                # when a stage first reads it on its own
+                pass
+            else:
+                k0 = self.split[0]
+                sums[f, comp, 0] = float(np.dot(self.wd[0], fu[:k0]))
+                sums[f, comp, 1] = float(np.dot(self.wd[1], fu[k0:]))
+                return sums[f, comp, slot]
+        total = sums[f, comp, slot] = float(np.dot(self.wd[slot], f.eval_array(self.stored[slot][comp])))
         return total
 
 

@@ -171,3 +171,11 @@ def test_round_trip_preserves_value(tree, v):
             reparsed.evaluate(v)
         return
     assert reparsed.evaluate(v) == expected
+
+
+def test_scalar_and_array_callables_share_one_compiled_code_object():
+    e = parse("sqrt(x)+2*tanh(x)^2")
+    assert e._scalar.__code__ is e._array.__code__
+    assert e._scalar.__globals__ is not e._array.__globals__
+    assert e.evaluate(0.25) == pytest.approx(0.5 + 2.0 * math.tanh(0.25) ** 2, rel=1e-15)
+    assert e.evaluate_array(np.array([0.25]))[0] == pytest.approx(e.evaluate(0.25), rel=1e-15)

@@ -1,16 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopdelay import functions
+from coopdelay.expr import EvalDomainError
 from coopdelay.functions import (
+    BRACKET_CAP,
+    DEFAULT_INVERSE_TOL,
     InverseRangeError,
     MonotonicityCertificate,
     MonotonicityViolation,
     PositivityCertificate,
     Modulation,
     ProductionFunction,
+    Separator,
     inverse,
     inverse_auto,
     make_separator,
@@ -110,6 +116,95 @@ class TestInverse:
         f = pf("exp(x)-1")
         lo, hi = sorted((y1, y2))
         assert inverse(f, lo, 64.0) <= inverse(f, hi, 64.0) + 1e-12
+
+
+def inverse_by_retries(f, y, bracket_hi, tol=DEFAULT_INVERSE_TOL, cap=BRACKET_CAP):
+    """Reference for inverse_auto: invert over each doubled bracket in turn
+    until one no longer raises InverseRangeError."""
+    hi = float(bracket_hi)
+    while True:
+        try:
+            return f.inverse(y, hi, tol)
+        except InverseRangeError:
+            if hi >= cap:
+                raise
+            hi = min(cap, 2.0 * hi)
+
+
+def inverse_outcome(fn, *args):
+    try:
+        return "value", fn(*args).hex()
+    except InverseRangeError as e:
+        return "range", e.y, e.bracket_hi, e.f_hi, str(e)
+    except EvalDomainError as e:
+        return "domain", str(e)
+
+
+# increasing functions: unbounded, bounded (tanh, the rational), and one
+# that overflows to a domain error before the bracket cap
+GROWN = ["x/2", "sqrt(x)+2", "1+x/2", "x^3+x", "2*tanh(x)", "3-1/(1+x)", "exp(x)-1"]
+
+
+@st.composite
+def inverse_targets(draw):
+    """(f, y, bracket_hi, cap): y at or below f(0), just below, at or just
+    above the top of one of the doubled brackets, or anywhere."""
+    f = pf(draw(st.sampled_from(GROWN)))
+    hi = draw(st.floats(min_value=1e-3, max_value=1e3))  # exp overflows from 710
+    cap = draw(st.sampled_from([BRACKET_CAP, 2.0**12]))
+    where = draw(st.sampled_from(["below-f0", "bracket", "any"]))
+    if where == "below-f0":
+        y = f(0.0) - draw(st.floats(min_value=0.0, max_value=10.0))
+    elif where == "bracket":
+        top = min(cap, hi * 2.0 ** draw(st.integers(min_value=0, max_value=55)))
+        try:
+            y = f(top)
+        except EvalDomainError:
+            y = 1e300
+        y = float(np.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))) if draw(st.booleans()) else y
+    else:
+        y = draw(st.floats(min_value=-1.0, max_value=1e18))
+    return f, y, hi, cap
+
+
+class TestInverseAuto:
+    @given(inverse_targets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_inverting_each_doubled_bracket(self, target):
+        f, y, hi, cap = target
+        want = inverse_outcome(inverse_by_retries, f, y, hi, DEFAULT_INVERSE_TOL, cap)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            original = functions.inverse
+            mp.setattr(functions, "inverse", lambda *a: calls.append(a[1]) or original(*a))
+            got = inverse_outcome(inverse_auto, f, y, hi, DEFAULT_INVERSE_TOL, cap)
+        assert got == want
+        # one inversion per target; a target past the cap raises before it
+        assert calls == ([y] if got[0] == "value" else [])
+
+    def test_bounded_f_beyond_the_cap(self):
+        f = pf("2*tanh(x)")
+        with pytest.raises(InverseRangeError) as err:
+            inverse_auto(f, 2.5, 1.0)
+        assert (err.value.y, err.value.bracket_hi, err.value.f_hi) == (2.5, BRACKET_CAP, 2.0)
+
+    def test_self_inverting_functions_are_not_evaluated(self):
+        evals = []
+
+        class CountedSeparator(Separator):
+            __slots__ = ()
+
+            def __call__(self, x):
+                evals.append(x)
+                return super().__call__(x)
+
+        f = pf("1+x/2")
+        g = CountedSeparator(f, f, 0.5, 100.0, DEFAULT_INVERSE_TOL)
+        closed = ProductionFunction(lambda v: evals.append(v) or 2.0 * v, inverse_fn=lambda v: v / 2.0)
+        for y in (0.5, 3.0, 1e6):
+            assert inverse_auto(g, y, 1.0) == g.inverse(y)
+            assert inverse_auto(closed, y, 1.0) == y / 2.0
+        assert evals == []
 
 
 class TestSeparator:

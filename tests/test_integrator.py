@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
-from coopdelay.expr import parse
+from coopdelay.expr import EvalDomainError, parse
 from coopdelay.functions import Modulation, ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
@@ -21,6 +21,7 @@ from coopdelay.integrator import (
 )
 from coopdelay.kernels import (
     FnComponent,
+    GeneralMixtureKernel,
     HistoryUnderflowError,
     PointMassKernel,
     TriangularDensityKernel,
@@ -123,6 +124,44 @@ class TestBlowup:
                                blowup_threshold=threshold, stage_ratio=ratio)
         assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
         assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
+
+
+FAMILIES = {
+    "tanh": st.builds(lambda a, b: f"{a!r}*tanh({b!r}*x)", st.floats(0.5, 3.0), st.floats(0.5, 2.0)),
+    "affine": st.builds(lambda c, b: f"{c!r}+{b!r}*x", st.floats(0.0, 2.0), st.floats(0.1, 0.9)),
+    "sqrt": st.builds(lambda a, c: f"{a!r}*sqrt(x)+{c!r}", st.floats(0.5, 2.0), st.floats(0.0, 1.0)),
+}
+LAG_KERNELS = st.builds(
+    lambda kind, lag: kind(f"t-{lag!r}"),
+    st.sampled_from([PointMassKernel, UniformDensityKernel, TriangularDensityKernel]),
+    st.floats(min_value=0.2, max_value=1.5),
+)
+
+
+@st.composite
+def positive_systems(draw):
+    """A system with non-negative production, positive initial data and
+    dt * max(r1, r2) <= 1."""
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    r1, r2 = draw(st.floats(0.1, 4.0)), draw(st.floats(0.1, 4.0))
+    dt = draw(st.floats(0.3, 1.0)) * min(0.1, 1.0 / max(r1, r2))
+    p1, p2 = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+    q1, q2 = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 0.9))
+    g = "x" if draw(st.booleans()) else None
+    spec = spec_of(draw(family), draw(family), r1=repr(r1), r2=repr(r2),
+                   k1=draw(LAG_KERNELS), k2=draw(LAG_KERNELS),
+                   phi=f"{p1!r}*(1+{q1!r}*sin(3*t))", psi=f"{p2!r}*(1+{q2!r}*sin(3*t))",
+                   g1=g, g2=g)
+    return spec, dt
+
+
+@given(positive_systems())
+@settings(max_examples=40, deadline=None)
+def test_positive_data_stay_positive(system):
+    spec, dt = system
+    traj, _ = integrate(spec, horizon=6.0, dt=dt, n_quad=8)
+    for comp in (0, 1):
+        assert np.all(traj.step_values(comp) > 0.0)
 
 
 class TestEquilibriumHold:
@@ -428,7 +467,7 @@ class TestStageView:
                 feeds[slot, stage] = (x_hist.feedback(kernel, f, t, 64), y_hist.feedback(kernel, f, t, 64))
         win = view.window(kernel, 64)
         assert calls == [sum(win.split)]  # one lookup serves x and y at both stage times
-        assert evals == [win.split[0]] * 2 + [win.split[1]] * 2  # once per slot and component
+        assert evals == [sum(win.split)] * 2  # once per component, over both slots' nodes
         for slot in (0, 1):
             assert win.tails[slot]  # several nodes fall inside the step
             for a, b in zip(feeds[slot, (1.5, 2.5)], feeds[slot, (7.0, 8.0)]):
@@ -452,6 +491,92 @@ class TestStageView:
         view = stage_view(traj, state, traj.t_front + STEP)
         with pytest.raises(ValueError):
             view.components().x_component.feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
+
+
+def slot_reference(view, kernel, f, t, n_quad, comp):
+    """A window's feedback with f evaluated on one stage time's stored nodes
+    alone: dot(weights * density, f(value_array(stored nodes))), then the
+    in-step tail node by node, blended toward the stage state."""
+    plan = kernel.plan(t, n_quad)
+    k = int(plan.nodes.searchsorted(view.traj.t_front, side="right"))
+    wd = plan.weights[:k] * plan.density[:k]
+    total = float(np.dot(wd, f.eval_array(view.traj.value_array(plan.nodes[:k], comp))))
+    for s, wj, dj in zip(plan.nodes[k:].tolist(), plan.weights[k:].tolist(), plan.density[k:].tolist()):
+        w = min(max((s - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
+        total += wj * dj * f((1.0 - w) * view.start[comp] + w * view.stage[comp])
+    return total
+
+
+def feedback_window(kind, lag):
+    if kind == "uniform":
+        return UniformDensityKernel(f"t-{lag!r}")
+    if kind == "triangular":
+        return TriangularDensityKernel(f"t-{lag!r}")
+    return GeneralMixtureKernel([("t-0.05", 0.25)], density=kind, density_lag=f"t-{lag!r}")
+
+
+class TestOneEvaluationPerPair:
+    @given(
+        kind=st.sampled_from(["uniform", "triangular", "exp(-u)", "u/4+1"]),
+        lag_frac=st.floats(min_value=0.0, max_value=1.0),
+        trimmed=st.booleans(),
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        n_quad=st.integers(min_value=2, max_value=40),
+        stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=2),
+        bodies=st.lists(st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]),
+                        min_size=1, max_size=2),
+        end_first=st.booleans(),
+        y_first=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_feedback_matches_the_per_slot_reference_bit_for_bit(
+        self, kind, lag_frac, trimmed, frac, n_quad, stages, bodies, end_first, y_first
+    ):
+        traj, state = stored_history()
+        if trimmed:
+            traj.trim_before(1.0)  # keeps [0.95, 2]: the windows stay inside it
+            lag = 0.1 + 0.9 * lag_frac
+        else:
+            lag = 0.1 + 3.9 * lag_frac  # beyond about 2 the windows straddle 0
+        kernel = feedback_window(kind, lag)
+        view = stage_view(traj, state, traj.t_front + frac * STEP)
+        hist = list(enumerate(view.components()))
+        fs = [pf(b) for b in bodies]
+        times = view.times[::-1] if end_first else view.times
+        for t in times:
+            for stage in stages:
+                view.set_stage(t, *stage)
+                for comp, component in hist[::-1] if y_first else hist:
+                    for f in fs:
+                        got = component.feedback(kernel, f, t, n_quad)
+                        assert bits(got) == bits(slot_reference(view, kernel, f, t, n_quad, comp))
+
+    def test_domain_error_at_step_end_nodes_surfaces_at_the_step_end(self):
+        # x(s) = s on [0, 2], and f is undefined below 0.5: the midpoint
+        # window starts at 0.6, the step-end window at 0.4
+        traj = Trajectory()
+        for i in range(40):
+            t0, t1 = i * STEP, (i + 1) * STEP
+            traj.append_segment(t0, t1, t0, t1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        front = traj.t_front
+        state = (front, 1.0)
+        f = pf("sqrt(x-0.5)")
+        for end_first in (False, True):
+            view = stage_view(traj, state, front + STEP)
+            mid, end = view.times
+            kernel = UniformDensityKernel(f"0.6 - 8*(t - {mid!r})")
+            x_hist, _ = view.components()
+            if not end_first:
+                view.set_stage(mid, *state)
+                got = x_hist.feedback(kernel, f, mid, 16)
+                assert bits(got) == bits(slot_reference(view, kernel, f, mid, 16, 0))
+            view.set_stage(end, *state)
+            with pytest.raises(EvalDomainError, match="sqrt"):
+                x_hist.feedback(kernel, f, end, 16)
+            if end_first:  # the failed read leaves the midpoint readable
+                view.set_stage(mid, *state)
+                got = x_hist.feedback(kernel, f, mid, 16)
+                assert bits(got) == bits(slot_reference(view, kernel, f, mid, 16, 0))
 
 
 @pytest.mark.parametrize(
