@@ -758,8 +758,9 @@ def certify_run(
     spaced samples over the second half of the run, lies within the bound
     envelope, so the verdict does not depend on how long the run was (a
     norm that is not decaying at a slowing rate is taken as its own
-    limit); (iii) the one-sided invariance holds when the initial data is
-    one-sided.
+    limit); (iii) the one-sided invariance holds when the initial data,
+    sampled over the whole window [spec.data_floor(), 0] that the analysis
+    reads, is one-sided.
     Failures with an explaining caveat downgrade to mismatch-explained.
     """
     checks: list[dict] = []
@@ -793,19 +794,19 @@ def certify_run(
     else:
         checks.append({"name": "permanence-box", "status": "skip", "detail": "no box"})
 
+    K, f2K = cls.relation.K, cls.relation.f2K
+    side = initial_side(spec, K, f2K, spec.data_floor()) if K is not None else None
     expected = cls.fate
     if cls.fate == "bistable":
-        side = initial_side(spec, cls.relation.K, cls.relation.f2K, traj.coverage_floor if math.isfinite(traj.coverage_floor) else -10.0)
-        if side == "mixed":
+        if side in ("above", "below"):
+            expected = cls.fate_above if side == "above" else cls.fate_below
+        else:
             checks.append({"name": "fate", "status": "skip",
                            "detail": "mixed-side initial data: fate not predicted"})
             expected = None
-        else:
-            expected = cls.fate_above if side == "above" else cls.fate_below
 
     fx, fy = outcome.final_state
     if expected == "to-equilibrium":
-        K, f2K = cls.relation.K, cls.relation.f2K
         gap_x = bounds.terminal_gap if bounds is not None else 0.0
         gap_y = bounds.terminal_gap_y if bounds is not None else 0.0
         ok = abs(fx - K) <= gap_x + fate_tol and abs(fy - f2K) <= gap_y + fate_tol
@@ -848,15 +849,9 @@ def certify_run(
         if cls.fate != "bistable":
             checks.append({"name": "fate", "status": "skip", "detail": "no prediction"})
 
-    if cls.relation.K is not None:
-        side = initial_side(
-            spec, cls.relation.K, cls.relation.f2K,
-            traj.coverage_floor if math.isfinite(traj.coverage_floor) else -10.0,
-        )
+    if K is not None:
         if side in ("above", "below"):
-            hit = detect_nonoscillation_violation(
-                traj, cls.relation.K, cls.relation.f2K, side, tol=box_tol
-            )
+            hit = detect_nonoscillation_violation(traj, K, f2K, side, tol=box_tol)
             if hit is None:
                 checks.append({"name": "nonoscillation", "status": "pass",
                                "detail": f"{side}-side data stayed {side}"})

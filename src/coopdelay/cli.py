@@ -66,7 +66,7 @@ def resolve_x_max(spec, numerics: Numerics) -> tuple[float, RelationClass | None
     """
     if numerics.x_max is not None:
         return numerics.x_max, None
-    t_floor = min(spec.k1.support_floor(0.0), spec.k2.support_floor(0.0), -1.0)
+    t_floor = spec.data_floor()
     _, hi1 = spec.phi.bounds(t_floor)
     _, hi2 = spec.psi.bounds(t_floor)
     x0 = 10.0 * max(1.0, hi1, hi2)
@@ -84,7 +84,7 @@ def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
     """Permanence box and bound sequences appropriate for the fate."""
     box = None
     bounds = None
-    t_floor = min(spec.k1.support_floor(0.0), spec.k2.support_floor(0.0), -1.0)
+    t_floor = spec.data_floor()
     lo1, hi1 = spec.phi.bounds(t_floor)
     lo2, hi2 = spec.psi.bounds(t_floor)
     if cls.fate == "to-equilibrium":

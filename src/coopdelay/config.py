@@ -247,10 +247,14 @@ def load_config(path) -> RunConfig:
             current = getattr(numerics, k)
             target = type(current) if current is not None else float
             setattr(numerics, k, _coerce(k, v, target, "numerics"))
-    for k in ("dt", "horizon", "quad_panels", "slack"):
+    for k in ("dt", "horizon", "slack"):
         v = getattr(numerics, k)
         if v is not None and v <= 0:
             raise ConfigError(f"[numerics] {k}", "must be positive")
+    # Simpson needs two panels; a scan or sampled check needs two points
+    for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):
+        if getattr(numerics, k) < least:
+            raise ConfigError(f"[numerics] {k}", f"must be at least {least}")
     if not 0.0 < numerics.alpha < 1.0:
         raise ConfigError("[numerics] alpha", "must lie strictly inside (0, 1)")
 

@@ -20,12 +20,19 @@ config gives equal point descriptors one kernel object.  Quadrature nodes and
 lagged times that fall before the start of recorded history raise
 HistoryUnderflowError instead of extrapolating.
 
+A point mass and the uniform and triangular windows have unit mass by
+construction, so `validate_kernel` checks only the user's lags on them
+(advanced, empty window, domain error).  A mixture's weights and density come
+from the user, so its mass is checked by quadrature on the sampled grid
+(`sampled_mass`).
+
 Atoms may sit exactly at the current time (zero lag): the integrand always
 reads the opposite component's history, so no implicit equation arises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,7 +53,7 @@ __all__ = [
     "KernelCertificate",
     "KernelViolation",
     "validate_kernel",
-    "as_component",
+    "FnComponent",
     "simpson_nodes_weights",
 ]
 
@@ -108,15 +115,11 @@ class FnComponent(HistoryComponent):
         return np.asarray(self._fn(np.asarray(ss, dtype=float)), dtype=float)
 
 
-def as_component(fn: Callable) -> HistoryComponent:
-    """Wrap a numpy-compatible callable as a history component."""
-    return FnComponent(fn)
-
-
 @dataclass(frozen=True)
 class KernelCertificate:
     t_points: int
     max_mass_residual: float
+    max_span: float
 
 
 @dataclass(frozen=True)
@@ -160,22 +163,29 @@ def _as_lag(lag: str | Expression) -> Expression:
     return lag if isinstance(lag, Expression) else parse(lag, var="t")
 
 
-def _window(floor: float, t: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson nodes and weights on the non-empty window [floor, t]."""
+def _check_window(floor: float, t: float) -> None:
     if t - floor <= 0.0:
         raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
+
+
+def _window(floor: float, t: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson nodes and weights on the non-empty window [floor, t]."""
+    if n_quad < 2:
+        raise ValueError("density quadrature needs n_quad >= 2")
+    _check_window(floor, t)
     return simpson_nodes_weights(floor, t, n_quad)
 
 
 class DelayKernel:
     """Base class; subclasses define the distribution at each time t.
 
-    A kernel with a density part builds its quadrature `plan(t, n_quad)`;
-    the feedback integral and the mass of that part both come from it.
+    A kernel with a density part builds its quadrature `plan(t, n_quad)`,
+    and the feedback integral of that part comes from it.
     """
 
     # unit mass depends on the kernel's parameters and is checked by
-    # quadrature on a sampled grid, instead of holding by construction
+    # quadrature (`mass`) on a sampled grid, instead of holding by
+    # construction
     sampled_mass = False
     # the support floor is the kernel's one lag, so checking the floor
     # checks its atom too
@@ -199,21 +209,6 @@ class DelayKernel:
         self, f: ProductionFunction, u: HistoryComponent, t: float, n_quad: int = DEFAULT_PANELS
     ) -> float:
         raise NotImplementedError
-
-    def mass(self, t: float, n_quad: int = DEFAULT_PANELS) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def _density_integral(self, f, u: HistoryComponent, t: float, n_quad: int) -> float:
-        if n_quad < 2:
-            raise ValueError("density quadrature needs n_quad >= 2")
-        return u.feedback(self, f, t, n_quad)
-
-    def _density_mass(self, t: float, n_quad: int) -> float:
-        plan = self.plan(t, n_quad)
-        return float(np.dot(plan.weights, plan.density))
 
 
 class _LagKernel(DelayKernel):
@@ -240,12 +235,6 @@ class PointMassKernel(_LagKernel):
 
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
         return u.point_feedback(self, f, t)
-
-    def mass(self, t, n_quad=DEFAULT_PANELS):
-        return 1.0
-
-    def describe(self) -> str:
-        return f"point lag={self.lag.serialize()!r}"
 
 
 class _DensityWindowKernel(_LagKernel):
@@ -277,10 +266,7 @@ class _DensityWindowKernel(_LagKernel):
         return QuadPlan(nodes, weights, self._density(nodes, floor, t - floor))
 
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
-        return self._density_integral(f, u, t, n_quad)
-
-    def mass(self, t, n_quad=DEFAULT_PANELS):
-        return self._density_mass(t, n_quad)
+        return u.feedback(self, f, t, n_quad)
 
 
 class UniformDensityKernel(_DensityWindowKernel):
@@ -289,18 +275,12 @@ class UniformDensityKernel(_DensityWindowKernel):
     def _density(self, nodes, floor, span):
         return np.full(nodes.shape, 1.0 / span)
 
-    def describe(self) -> str:
-        return f"uniform lag={self.lag.serialize()!r}"
-
 
 class TriangularDensityKernel(_DensityWindowKernel):
     """Density rising linearly from 0 at h(t) to 2/(t - h(t)) at t."""
 
     def _density(self, nodes, floor, span):
         return (2.0 / (span * span)) * (nodes - floor)
-
-    def describe(self) -> str:
-        return f"triangular lag={self.lag.serialize()!r}"
 
 
 class GeneralMixtureKernel(DelayKernel):
@@ -350,22 +330,16 @@ class GeneralMixtureKernel(DelayKernel):
         for lag, w in self.atoms:
             total += w * f(u(lag.evaluate(t)))
         if self.density is not None:
-            total += self._density_integral(f, u, t, n_quad)
+            total += u.feedback(self, f, t, n_quad)
         return total
 
-    def mass(self, t, n_quad=DEFAULT_PANELS):
+    def mass(self, t: float, n_quad: int = DEFAULT_PANELS) -> float:
+        """Atom weights plus the quadrature mass of the density part at t."""
         total = sum(w for _, w in self.atoms)
         if self.density is not None:
-            total += self._density_mass(t, n_quad)
+            plan = self.plan(t, n_quad)
+            total += float(np.dot(plan.weights, plan.density))
         return total
-
-    def describe(self) -> str:
-        parts = [f"({lag.serialize()}, {w})" for lag, w in self.atoms]
-        if self.density is not None:
-            parts.append(
-                f"density {self.density.serialize()!r} lag={self.density_lag.serialize()!r}"
-            )
-        return "mixture " + " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +348,23 @@ class GeneralMixtureKernel(DelayKernel):
 def validate_kernel(
     kernel: DelayKernel, t_grid: Sequence[float], n_quad: int = DEFAULT_PANELS
 ) -> KernelCertificate | KernelViolation:
-    """Check unit mass (to 1e-8) and non-advanced lags at every grid point."""
+    """Check non-advanced lags, non-empty windows and unit mass at every
+    grid point, and measure the widest span.
+
+    Each grid time evaluates the support floor once and reads it three
+    times: the advanced-lag check, the empty-window check of a kernel with
+    no atoms, and the span t - floor.  A point mass and the uniform and
+    triangular windows have unit mass by construction (Simpson's rule is
+    exact on a constant or linear density), so only a kernel with
+    `sampled_mass` builds a quadrature plan, and its mass must be 1 to
+    within 1e-8; the others certify a residual of 0.
+    """
     t_grid = list(t_grid)
     if not t_grid:
         raise ValueError("validation grid must be non-empty")
     worst = 0.0
+    widest = -math.inf
+    all_density = not kernel.atom_lags()
     atoms = () if kernel.floor_is_only_lag else kernel.atom_lags()
     for t in t_grid:
         try:
@@ -387,19 +373,22 @@ def validate_kernel(
                 return KernelViolation(
                     t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}"
                 )
+            if all_density:
+                _check_window(floor, t)
             for lag in atoms:
                 lv = lag.evaluate(t)
                 if lv > t + 1e-12:
                     return KernelViolation(
                         t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}"
                     )
-            m = kernel.mass(t, n_quad)
+            m = kernel.mass(t, n_quad) if kernel.sampled_mass else 1.0
         except EvalDomainError as e:
             return KernelViolation(t, "domain-error", str(e))
         except ValueError as e:  # a density over an empty window has no mass
             return KernelViolation(t, "mass", str(e))
+        widest = max(widest, t - floor)
         residual = abs(m - 1.0)
         worst = max(worst, residual)
         if residual > MASS_TOL:
             return KernelViolation(t, "mass", f"total mass {m!r} at t={t!r}")
-    return KernelCertificate(t_points=len(t_grid), max_mass_residual=worst)
+    return KernelCertificate(t_points=len(t_grid), max_mass_residual=worst, max_span=widest)

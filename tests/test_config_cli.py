@@ -77,6 +77,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[numerics\] tol_inverse: unknown key"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("quad_panels", 1), ("quad_panels", 0), ("kernel_grid", 0), ("a1_grid", 1), ("scan_grid", 1)],
+    )
+    def test_grid_sizes_are_range_checked(self, tmp_path, key, value):
+        p = write_config(
+            tmp_path,
+            "grid.cfg",
+            "[system]\nf1 = x\nf2 = x\nr1 = 1\nr2 = 1\n"
+            'kernel1 = uniform lag="t-1"\nkernel2 = point lag="t"\nphi = 1\npsi = 1\n'
+            f"[numerics]\n{key} = {value}\n",
+        )
+        with pytest.raises(ConfigError, match=rf"\[numerics\] {key}: must be at least"):
+            load_config(p)
+        assert main(["classify", str(p), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
     def test_expression_error_names_key(self, tmp_path):
         p = write_config(
             tmp_path,
@@ -220,6 +236,29 @@ class TestPipeline:
         checks = {c["name"]: c["status"] for c in rep["certification"]["checks"]}
         assert checks["permanence-box"] == "pass"
         assert checks["nonoscillation"] == "pass"
+        assert result.exit_code == EXIT_OK
+
+    MIXED_DATA = (
+        "[system]\nf1 = 1 + x/2\nf2 = 1 + x/2\nr1 = 1\nr2 = 1\n"
+        'kernel1 = point lag="{lag}"\nkernel2 = point lag="{lag}"\nphi = {phi}\npsi = 1.5\n'
+        "[numerics]\ndt = 2e-2\nhorizon = 200\n"
+    )
+
+    @pytest.mark.parametrize(
+        "lag, phi, numerics",
+        [
+            # phi is 1.5 on [-9.5, 0] but climbs to 12 at t = -20, above K = 2
+            ("t - 20", "max(1.5, -t - 8)", ""),
+            # a trimmed history must not shrink the data window to t = 0
+            ("t - 1", "1.5 - 3*t", "trim_history = true\n"),
+        ],
+    )
+    def test_nonoscillation_reads_the_whole_data_window(self, tmp_path, lag, phi, numerics):
+        p = write_config(tmp_path, "mixed.cfg", self.MIXED_DATA.format(lag=lag, phi=phi) + numerics)
+        result = execute_run(load_config(p), out_dir=tmp_path)
+        checks = {c["name"]: c for c in result.report["certification"]["checks"]}
+        assert checks["nonoscillation"]["status"] == "skip"
+        assert checks["nonoscillation"]["detail"] == "initial data not one-sided"
         assert result.exit_code == EXIT_OK
 
     def test_bounded_f1_gets_bound_sequences(self, tmp_path):

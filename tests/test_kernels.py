@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from coopdelay.expr import Expression
 from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import (
+    FnComponent,
     GeneralMixtureKernel,
     KernelCertificate,
     KernelViolation,
     PointMassKernel,
     TriangularDensityKernel,
     UniformDensityKernel,
-    as_component,
     simpson_nodes_weights,
     validate_kernel,
 )
@@ -85,27 +85,27 @@ class TestIntegrate:
     def test_point_mass_reduces_to_evaluation(self):
         k = PointMassKernel("t-1.5")
         f = pf("x^2+x")
-        u = as_component(lambda s: np.asarray(s) * 0 + 3.0)
+        u = FnComponent(lambda s: np.asarray(s) * 0 + 3.0)
         assert k.integrate(f, u, 4.0) == f(3.0)
 
     def test_uniform_constant_history_is_f_of_constant(self):
         k = UniformDensityKernel("t-1")
         f = pf("1+x/2")
-        u = as_component(lambda s: np.asarray(s) * 0 + 2.0)
+        u = FnComponent(lambda s: np.asarray(s) * 0 + 2.0)
         assert k.integrate(f, u, 7.0, n_quad=16) == pytest.approx(2.0, abs=1e-12)
 
     def test_triangular_linear_history_closed_form(self):
         # identity production, u(s) = s: the integral is t - span/3
         for h, t in ((2.0, 3.0), (0.5, 10.0), (1.0, 0.0)):
             k = TriangularDensityKernel(f"t-{h}")
-            u = as_component(lambda s: np.asarray(s, dtype=float))
+            u = FnComponent(lambda s: np.asarray(s, dtype=float))
             got = k.integrate(IDENTITY, u, t, n_quad=64)
             assert got == pytest.approx(t - h / 3.0, abs=1e-10)
 
     def test_triangular_matches_riemann_oracle(self):
         h, t = 2.0, 3.0
         k = TriangularDensityKernel(f"t-{h}")
-        u = as_component(lambda s: np.asarray(s, dtype=float))
+        u = FnComponent(lambda s: np.asarray(s, dtype=float))
         got = k.integrate(IDENTITY, u, t, n_quad=64)
         oracle = riemann_midpoint(
             lambda s: (2.0 / h**2) * (s - (t - h)), lambda s: s, t - h, t
@@ -117,7 +117,7 @@ class TestIntegrate:
         h, t = 1.0, 2.0
         k = UniformDensityKernel(f"t-{h}")
         f = pf("exp(x)-1")
-        u = as_component(lambda s: np.asarray(s, dtype=float) / 2.0)
+        u = FnComponent(lambda s: np.asarray(s, dtype=float) / 2.0)
         oracle = riemann_midpoint(
             lambda s: np.full_like(s, 1.0 / h), lambda s: np.exp(s / 2.0) - 1.0, t - h, t
         )
@@ -132,19 +132,19 @@ class TestIntegrate:
         k = GeneralMixtureKernel(
             atoms=[("t-1", 0.5)], density="0.5/2", density_lag="t-2"
         )
-        u = as_component(lambda s: np.asarray(s, dtype=float))
+        u = FnComponent(lambda s: np.asarray(s, dtype=float))
         t = 5.0
         got = k.integrate(IDENTITY, u, t, n_quad=32)
         assert got == pytest.approx(0.5 * 4.0 + 0.5 * 4.0, abs=1e-10)
 
     def test_zero_lag_atom_reads_current_time(self):
         k = PointMassKernel("t")
-        u = as_component(lambda s: np.asarray(s, dtype=float) * 2.0)
+        u = FnComponent(lambda s: np.asarray(s, dtype=float) * 2.0)
         assert k.integrate(IDENTITY, u, 3.0) == 6.0
 
     def test_linearity_in_production(self):
         k = TriangularDensityKernel("t-1")
-        u = as_component(lambda s: np.abs(np.asarray(s, dtype=float)) + 0.5)
+        u = FnComponent(lambda s: np.abs(np.asarray(s, dtype=float)) + 0.5)
         fa, fb = pf("x^2+x"), pf("1+x/2")
         combo = pf("0.5*(x^2+x) + 2*(1+x/2)")
         t = 4.0
@@ -170,13 +170,13 @@ class TestIntegrate:
             frac = 0.5 * (1.0 + np.sin(3.0 * s + wiggle))
             return m + (M - m) * frac
 
-        got = k.integrate(f, as_component(traj), 2.0, n_quad=32)
+        got = k.integrate(f, FnComponent(traj), 2.0, n_quad=32)
         assert f(m) - 1e-9 <= got <= f(M) + 1e-9
 
     def test_density_needs_two_panels(self):
         k = UniformDensityKernel("t-1")
         with pytest.raises(ValueError):
-            k.integrate(IDENTITY, as_component(lambda s: s), 2.0, n_quad=1)
+            k.integrate(IDENTITY, FnComponent(lambda s: s), 2.0, n_quad=1)
 
 
 class TestValidate:
@@ -222,8 +222,9 @@ class TestValidate:
         assert res == KernelViolation(0.0, "advanced-lag", "atom lag 1.0 exceeds t=0.0")
 
     def test_point_lag_is_evaluated_once_per_grid_time(self, monkeypatch):
-        # a point kernel's one atom is its support floor: checking the
-        # floor checks the atom, with no second evaluation
+        # a point kernel's one atom is its support floor, and a window has
+        # unit mass by construction: one floor evaluation checks the lag,
+        # the window and the span, and no quadrature plan is built
         calls = [0]
         evaluate = Expression.evaluate
 
@@ -233,10 +234,41 @@ class TestValidate:
 
         monkeypatch.setattr(Expression, "evaluate", counted)
         grid = [0.0, 1.0, 2.5, 4.0]
-        assert isinstance(validate_kernel(PointMassKernel("t-1"), grid), KernelCertificate)
-        assert calls[0] == len(grid)
-        res = validate_kernel(PointMassKernel("t+1"), grid)
-        assert res == KernelViolation(0.0, "advanced-lag", "support floor 1.0 exceeds t=0.0")
+        for kind in (PointMassKernel, UniformDensityKernel, TriangularDensityKernel):
+            calls[0] = 0
+            res = validate_kernel(kind("t-1"), grid)
+            assert res == KernelCertificate(t_points=len(grid), max_mass_residual=0.0, max_span=1.0)
+            assert calls[0] == len(grid)
+            res = validate_kernel(kind("t+1"), grid)
+            assert res == KernelViolation(0.0, "advanced-lag", "support floor 1.0 exceeds t=0.0")
+
+    @given(
+        c=st.floats(min_value=0.1, max_value=100.0),
+        t=st.floats(min_value=0.0, max_value=100.0),
+        n_quad=st.integers(min_value=2, max_value=128),
+        kind=st.sampled_from([UniformDensityKernel, TriangularDensityKernel]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_plans_have_unit_mass(self, c, t, n_quad, kind):
+        # the quadrature check that validation no longer runs on windows:
+        # Simpson integrates their constant or linear density exactly
+        plan = kind(f"t - {c!r}").plan(t, n_quad)
+        assert abs(float(np.dot(plan.weights, plan.density)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            PointMassKernel("t/2 - 1"),
+            UniformDensityKernel("t - 3 + t/5"),
+            TriangularDensityKernel("t - 1 - 1/(1 + t)"),
+            GeneralMixtureKernel(atoms=[("t/3 - 1", 0.5)], density="0.5", density_lag="t - 1"),
+        ],
+    )
+    def test_max_span_is_the_widest_span_on_the_grid(self, kernel):
+        grid = [0.0, 0.5, 3.0, 7.25, 10.0]
+        res = validate_kernel(kernel, grid)
+        assert isinstance(res, KernelCertificate)
+        assert res.max_span == max(kernel.span(t) for t in grid)
 
     def test_kernels_list_their_atom_lags(self):
         point = PointMassKernel("t-2")
