@@ -20,7 +20,6 @@ from .dynamics import InitialFunction, SystemSpec, check_rate_divergence, rhs, v
 from .expr import EvalDomainError, Expression, ParseError, parse
 from .functions import (
     InverseRangeError,
-    Modulation,
     ProductionFunction,
     inverse,
     make_separator,

@@ -153,12 +153,6 @@ class PermanenceBox:
     M2: float
     trace: dict = field(default_factory=dict)
 
-    def contains(self, x: float, y: float, tol: float = 0.0) -> bool:
-        return (
-            self.m1 - tol <= x <= self.M1 + tol
-            and self.m2 - tol <= y <= self.M2 + tol
-        )
-
     def to_dict(self) -> dict:
         return {"m1": self.m1, "m2": self.m2, "M1": self.M1, "M2": self.M2, "trace": self.trace}
 

@@ -30,7 +30,8 @@ from .analysis import (
     monotone_iteration,
     permanence_bounds,
 )
-from .config import ConfigError, Numerics, RunConfig, config_text, load_config, system_from_mapping
+from .config import (ConfigError, Numerics, RunConfig, check_numerics, config_text, load_config,
+                     system_from_mapping)
 from .dynamics import RATE_DIVERGENCE_CAVEAT, check_rate_divergence, validate_system
 from .integrator import IntegrationError, integrate
 from .presets import PRESETS, PresetParameterError, preset_system_mapping
@@ -94,7 +95,7 @@ def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
                 spec.f1, spec.f2, K, (lo1, lo2), (hi1, hi2),
                 slack=numerics.slack, alpha0=numerics.alpha,
             )
-        except BoxConstructionError as e:
+        except (BoxConstructionError, ValueError) as e:  # data touching 0 have no box
             notes.append(f"permanence box unavailable: {e}")
         if box is not None:
             try:
@@ -236,19 +237,21 @@ def execute_run(
 
 
 def _apply_overrides(config: RunConfig, args) -> None:
+    """Apply --dt and --horizon, range-checked like the file's own values."""
     if getattr(args, "dt", None) is not None:
         config.numerics.dt = args.dt
     if getattr(args, "horizon", None) is not None:
         config.numerics.horizon = args.horizon
+    check_numerics(config.numerics)
 
 
 def _cmd_run(args) -> int:
     try:
         config = load_config(args.config)
+        _apply_overrides(config, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    _apply_overrides(config, args)
     result = execute_run(config, out_dir=args.out_dir)
     if result.message:
         print(result.message, file=sys.stderr)
@@ -271,10 +274,10 @@ def _cmd_run(args) -> int:
 def _cmd_classify(args) -> int:
     try:
         config = load_config(args.config)
+        _apply_overrides(config, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    _apply_overrides(config, args)
     result = execute_run(config, analysis_only=True, out_dir=args.out_dir)
     if result.message:
         print(result.message, file=sys.stderr)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .dynamics import InitialFunction, SystemSpec
 from .expr import ParseError, parse
-from .functions import Modulation, ProductionFunction
+from .functions import ProductionFunction
 from .kernels import (
     DelayKernel,
     GeneralMixtureKernel,
@@ -39,7 +39,7 @@ from .kernels import (
 )
 
 __all__ = ["ConfigError", "Numerics", "Outputs", "RunConfig", "load_config",
-           "parse_kernel", "config_text", "system_from_mapping"]
+           "check_numerics", "parse_kernel", "config_text", "system_from_mapping"]
 
 
 class ConfigError(ValueError):
@@ -196,8 +196,8 @@ def system_from_mapping(system: dict, *, max_lag_bound: float = 1e3,
         k2=k2,
         phi=phi,
         psi=psi,
-        g1=Modulation.from_expression(expr_of("g1", "x")) if g1 and str(g1).strip() else None,
-        g2=Modulation.from_expression(expr_of("g2", "x")) if g2 and str(g2).strip() else None,
+        g1=expr_of("g1", "x") if g1 and str(g1).strip() else None,
+        g2=expr_of("g2", "x") if g2 and str(g2).strip() else None,
         max_lag_bound=max_lag_bound,
         unbounded_delay_ok=unbounded_delay_ok,
         label=label,
@@ -217,6 +217,21 @@ def _coerce(name: str, raw: str, target, section: str):
         return float(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"[{section}] {name}", f"cannot parse {raw!r}") from None
+
+
+def check_numerics(numerics: Numerics) -> None:
+    """Raise ConfigError naming the first [numerics] value out of range."""
+    for k in ("dt", "horizon", "x_max"):
+        v = getattr(numerics, k)
+        if v is not None and v <= 0:
+            raise ConfigError(f"[numerics] {k}", "must be positive")
+    # Simpson needs two panels; a scan or sampled check needs two points
+    for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):
+        if getattr(numerics, k) < least:
+            raise ConfigError(f"[numerics] {k}", f"must be at least {least}")
+    for k in ("alpha", "slack"):
+        if not 0.0 < getattr(numerics, k) < 1.0:
+            raise ConfigError(f"[numerics] {k}", "must lie strictly inside (0, 1)")
 
 
 def load_config(path) -> RunConfig:
@@ -247,16 +262,7 @@ def load_config(path) -> RunConfig:
             current = getattr(numerics, k)
             target = type(current) if current is not None else float
             setattr(numerics, k, _coerce(k, v, target, "numerics"))
-    for k in ("dt", "horizon", "slack"):
-        v = getattr(numerics, k)
-        if v is not None and v <= 0:
-            raise ConfigError(f"[numerics] {k}", "must be positive")
-    # Simpson needs two panels; a scan or sampled check needs two points
-    for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):
-        if getattr(numerics, k) < least:
-            raise ConfigError(f"[numerics] {k}", f"must be at least {least}")
-    if not 0.0 < numerics.alpha < 1.0:
-        raise ConfigError("[numerics] alpha", "must lie strictly inside (0, 1)")
+    check_numerics(numerics)
 
     outputs = Outputs()
     if "outputs" in cp:

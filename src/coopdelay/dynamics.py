@@ -6,39 +6,26 @@ The right-hand side of the integrated system is
     dy/dt = r2(t) * G2(y) * [ I2(t) - y ]
 
 where I1 integrates f1 over the y-history against kernel 1 and I2
-integrates f2 over the x-history against kernel 2.  G1 and G2 default to
-the constant 1, which removes the modulated layer without a separate
-code path.
+integrates f2 over the x-history against kernel 2; `rhs` takes both
+histories as the components the kernels integrate against.  G1 and G2 are
+expressions in the state, the constant 1 when unset, which removes the
+modulated layer without a separate code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
+from . import functions
 from .expr import EvalDomainError, Expression, parse
-from .functions import (
-    Modulation,
-    MonotonicityCertificate,
-    PositivityViolation,
-    ProductionFunction,
-)
-from .kernels import (
-    DelayKernel,
-    FnComponent,
-    HistoryComponent,
-    KernelCertificate,
-    simpson_nodes_weights,
-    validate_kernel,
-)
+from .functions import ProductionFunction
+from .kernels import DelayKernel, KernelCertificate, simpson_nodes_weights, validate_kernel
 
 __all__ = [
     "InitialFunction",
     "SystemSpec",
-    "History",
-    "SimpleHistory",
     "rhs",
     "check_rate_divergence",
     "validate_system",
@@ -50,19 +37,6 @@ __all__ = [
 RATE_DIVERGENCE_CAVEAT = "a5-heuristic-failed"
 
 
-class History(Protocol):
-    x_component: HistoryComponent
-    y_component: HistoryComponent
-
-
-class SimpleHistory:
-    """History backed by two numpy-compatible callables; test/demo helper."""
-
-    def __init__(self, x_fn, y_fn):
-        self.x_component = FnComponent(x_fn)
-        self.y_component = FnComponent(y_fn)
-
-
 class InitialFunction:
     """Initial data on the non-positive half-line.
 
@@ -71,11 +45,10 @@ class InitialFunction:
     tail of its pre-history.
     """
 
-    __slots__ = ("body", "value_at_zero", "source")
+    __slots__ = ("body", "value_at_zero")
 
     def __init__(self, body: str | Expression, value_at_zero: float | None = None):
         self.body = body if isinstance(body, Expression) else parse(body, var="t")
-        self.source = self.body.serialize()
         self.value_at_zero = (
             float(value_at_zero) if value_at_zero is not None else self.body.evaluate(0.0)
         )
@@ -112,8 +85,8 @@ class SystemSpec:
     k2: DelayKernel
     phi: InitialFunction
     psi: InitialFunction
-    g1: Modulation | None = None
-    g2: Modulation | None = None
+    g1: Expression | None = None
+    g2: Expression | None = None
     unbounded_delay_ok: bool = False
     max_lag_bound: float = 1e3
     label: str = ""
@@ -132,12 +105,14 @@ def rhs(
     t: float,
     x: float,
     y: float,
-    hist: History,
+    x_hist,
+    y_hist,
     n_quad: int = 64,
 ) -> tuple[float, float]:
-    """Derivative pair at time t given the current state and dense history."""
-    feed_x = spec.k1.integrate(spec.f1, hist.y_component, t, n_quad)
-    feed_y = spec.k2.integrate(spec.f2, hist.x_component, t, n_quad)
+    """Derivative pair at time t given the current state and the x and y
+    histories."""
+    feed_x = spec.k1.integrate(spec.f1, y_hist, t, n_quad)
+    feed_y = spec.k2.integrate(spec.f2, x_hist, t, n_quad)
     gx = spec.g1(x) if spec.g1 is not None else 1.0
     gy = spec.g2(y) if spec.g2 is not None else 1.0
     dx = spec.r1.evaluate(t) * (gx * (feed_x - x))
@@ -182,7 +157,6 @@ class ValidationReport:
     errors: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     kernel_mass_residual: float = 0.0
-    max_observed_span: float = 0.0
     t_floor: float = 0.0
 
     @property
@@ -207,14 +181,16 @@ def validate_system(
     kernel (one `validate_kernel` pass over the grid, which also samples a
     mixture's normalization; the other kernels have unit mass by
     construction and report a residual of 0), non-negative bounded rates
-    on the sampled horizon, and admissible initial data.  Sampled checks
-    are noted as such.
+    on the sampled horizon, and admissible initial data over the window
+    [spec.data_floor(), 0] that the analysis reads.  Sampled checks are
+    noted as such.
     """
     rep = ValidationReport()
 
+    # looked up on the module at call time, so a wrapper set there sees the call
     for name, f in (("f1", spec.f1), ("f2", spec.f2)):
-        res = f.verify(x_max, a1_grid)
-        if not isinstance(res, MonotonicityCertificate):
+        res = functions.verify_increasing(f, x_max, a1_grid)
+        if isinstance(res, functions.MonotonicityViolation):
             rep.errors.append(
                 f"{name}: {res.kind} on [{res.x_left:.6g}, {res.x_right:.6g}] {res.detail}"
             )
@@ -222,8 +198,8 @@ def validate_system(
     for name, g in (("g1", spec.g1), ("g2", spec.g2)):
         if g is None:
             continue
-        res = g.verify_positive(x_max, a1_grid)
-        if isinstance(res, PositivityViolation):
+        res = functions.verify_positive(g, x_max, a1_grid)
+        if isinstance(res, functions.PositivityViolation):
             rep.errors.append(f"{name}: not positive near x={res.x:.6g} {res.detail}")
 
     t_grid = np.linspace(0.0, horizon, kernel_grid)
@@ -233,7 +209,6 @@ def validate_system(
             rep.errors.append(f"{name}: {res.kind} violation at t={res.t:.6g}: {res.detail}")
             continue
         rep.kernel_mass_residual = max(rep.kernel_mass_residual, res.max_mass_residual)
-        rep.max_observed_span = max(rep.max_observed_span, res.max_span)
         if res.max_span > spec.max_lag_bound and not spec.unbounded_delay_ok:
             rep.errors.append(
                 f"{name}: delay span {res.max_span:.6g} exceeds max_lag_bound "
@@ -251,13 +226,12 @@ def validate_system(
             rep.errors.append(f"{name}: negative rate at t={t_bad:.6g}")
     rep.notes.append("rates checked non-negative and bounded on the sampled horizon only")
 
-    rep.t_floor = min(spec.k1.support_floor(0.0), spec.k2.support_floor(0.0), 0.0)
-    t_floor = rep.t_floor - 1e-9
+    rep.t_floor = spec.data_floor()
+    ts = np.linspace(rep.t_floor, 0.0, init_grid)
     for name, init in (("phi", spec.phi), ("psi", spec.psi)):
         if init.value_at_zero <= 0.0:
             rep.errors.append(f"{name}: value at 0 must be strictly positive")
         try:
-            ts = np.linspace(t_floor, 0.0, init_grid)
             vals = init.array(ts)
         except EvalDomainError as e:
             rep.errors.append(f"{name}: {e}")

@@ -7,7 +7,9 @@ ln, sqrt and tanh of a monotone argument; sums with constants or terms of
 the same direction; scaling by a nonzero constant).  Other expressions and
 opaque callables are certified by grid sampling.  Either way the verified
 interval, the grid size and the method are recorded on the certificate so
-downstream consumers know exactly what was checked.
+downstream consumers know exactly what was checked.  `verify_positive`
+samples a growth modulation G (an expression) for positivity on the same
+kind of grid.
 
 Inverses are computed by one scalar bisection, which monotonicity makes
 bracketing-safe.  Values below the function's range invert to 0 by
@@ -32,13 +34,13 @@ from .expr import BinOp, Call, EvalDomainError, Expression, Neg, Node, Num, Var,
 
 __all__ = [
     "ProductionFunction",
-    "Modulation",
     "MonotonicityCertificate",
     "MonotonicityViolation",
     "PositivityCertificate",
     "PositivityViolation",
     "InverseRangeError",
     "verify_increasing",
+    "verify_positive",
     "inverse",
     "inverse_auto",
     "make_separator",
@@ -110,32 +112,27 @@ def _vectorize(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarra
 class ProductionFunction:
     """A strictly increasing scalar map on the non-negative reals."""
 
-    __slots__ = (
-        "_fn", "_array_fn", "source", "name", "certificate", "expression", "_inverse_fn",
-    )
+    __slots__ = ("_fn", "_array_fn", "name", "expression", "_inverse_fn")
 
     def __init__(
         self,
         fn: Callable[[float], float],
         array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         *,
-        source: str | None = None,
         name: str | None = None,
         inverse_fn: Callable[[float], float] | None = None,
         expression: Expression | None = None,
     ):
         self._fn = fn
         self._array_fn = array_fn if array_fn is not None else _vectorize(fn)
-        self.source = source
-        self.name = name or source or getattr(fn, "__name__", "f")
-        self.certificate: MonotonicityCertificate | None = None
+        self.name = name or getattr(fn, "__name__", "f")
         self.expression = expression
         self._inverse_fn = inverse_fn
 
     @classmethod
     def from_expression(cls, body: str | Expression, var: str = "x") -> "ProductionFunction":
         e = body if isinstance(body, Expression) else parse(body, var=var)
-        return cls(e.evaluate, e.evaluate_array, source=e.serialize(), name=e.serialize(), expression=e)
+        return cls(e.evaluate, e.evaluate_array, name=e.serialize(), expression=e)
 
     def __call__(self, v: float) -> float:
         return self._fn(v)
@@ -145,14 +142,6 @@ class ProductionFunction:
 
     def __repr__(self) -> str:
         return f"ProductionFunction({self.name!r})"
-
-    # -- verification -------------------------------------------------
-
-    def verify(self, x_max: float, n_grid: int = DEFAULT_GRID):
-        result = verify_increasing(self, x_max, n_grid)
-        if isinstance(result, MonotonicityCertificate):
-            self.certificate = result
-        return result
 
     # -- inversion ----------------------------------------------------
 
@@ -166,44 +155,6 @@ class ProductionFunction:
         if self._inverse_fn is not None:
             return max(0.0, self._inverse_fn(y))
         return inverse(self, y, bracket_hi, tol)
-
-
-class Modulation:
-    """A state-dependent growth modulation, positive for positive states."""
-
-    __slots__ = ("_fn", "_array_fn", "source", "name", "certificate")
-
-    def __init__(self, fn, array_fn=None, *, source=None, name=None):
-        self._fn = fn
-        self._array_fn = array_fn if array_fn is not None else _vectorize(fn)
-        self.source = source
-        self.name = name or source or "G"
-        self.certificate: PositivityCertificate | None = None
-
-    @classmethod
-    def from_expression(cls, body: str | Expression, var: str = "x") -> "Modulation":
-        e = body if isinstance(body, Expression) else parse(body, var=var)
-        return cls(e.evaluate, e.evaluate_array, source=e.serialize(), name=e.serialize())
-
-    def __call__(self, v: float) -> float:
-        return self._fn(v)
-
-    def eval_array(self, vs):
-        return self._array_fn(np.asarray(vs, dtype=float))
-
-    def verify_positive(self, x_max: float, n_grid: int = DEFAULT_GRID):
-        xs = np.linspace(0.0, x_max, n_grid)
-        try:
-            vals = self.eval_array(xs)
-        except EvalDomainError as e:
-            return PositivityViolation(x=float("nan"), value=None, detail=str(e))
-        bad = np.nonzero((xs > 0.0) & (vals <= 0.0))[0]
-        if bad.size:
-            i = int(bad[0])
-            return PositivityViolation(x=float(xs[i]), value=float(vals[i]))
-        cert = PositivityCertificate(x_max=x_max, n_grid=n_grid)
-        self.certificate = cert
-        return cert
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +261,24 @@ def verify_increasing(
         x_max=float(x_max), n_grid=int(n_grid), plateau_fraction=float(plateau),
         method="symbolic" if proved else "grid",
     )
+
+
+def verify_positive(
+    g: Expression, x_max: float, n_grid: int = DEFAULT_GRID
+) -> PositivityCertificate | PositivityViolation:
+    """Check on a uniform grid of [0, x_max] that the modulation g is
+    positive for positive arguments; returns the first grid point where it
+    is not, or a certificate recording the grid."""
+    xs = np.linspace(0.0, x_max, n_grid)
+    try:
+        vals = g.evaluate_array(xs)
+    except EvalDomainError as e:
+        return PositivityViolation(x=float("nan"), value=None, detail=str(e))
+    bad = np.nonzero((xs > 0.0) & (vals <= 0.0))[0]
+    if bad.size:
+        i = int(bad[0])
+        return PositivityViolation(x=float(xs[i]), value=float(vals[i]))
+    return PositivityCertificate(x_max=x_max, n_grid=n_grid)
 
 
 def inverse(

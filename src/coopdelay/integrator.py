@@ -9,9 +9,10 @@ RK4 on the coupled system.
 
 A step evaluates the right-hand side at two distinct stage times (t + h/2
 for k2 and k3, t + h for k4 and the end-of-step derivative), and stored
-history changes only after the step is accepted.  The per-step stage view
-serves each density kernel's feedback through `HistoryComponent.feedback`:
-on the kernel's first use in a step it builds the kernel's plans at both
+history changes only after the step is accepted.  The kernels read x and
+y through one `_StageComponent` each, over one shared per-step view.  A
+density kernel's feedback comes from the component's `feedback`: on the
+kernel's first use in a step it builds the kernel's plans at both
 stage times and looks up their stored parts in one call, x and y together.
 f is then evaluated once per production function and component, over the
 stored nodes of both stage times, and each stage time's stored sum is the
@@ -21,7 +22,7 @@ toward its own stage state.  If that one evaluation raises a domain error,
 each stage time's stored nodes are evaluated on their own when a stage
 first reads them, so the error surfaces at the stage that first reads the
 failing nodes: an error at the step-end nodes alone, at the step-end stage.
-Point kernels get the same treatment through `HistoryComponent.point_feedback`:
+Point kernels get the same treatment through the component's `point_feedback`:
 the lag is evaluated once per kernel and stage time, a lagged time inside
 stored segments reads x and y together with one segment search, one in the
 initial data reads only the component that is fed from it, and f of the
@@ -44,12 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryComponent, HistoryUnderflowError
+from .kernels import HistoryUnderflowError
 from .expr import EvalDomainError
 
 __all__ = [
@@ -203,12 +203,10 @@ class Trajectory:
             return _hermite(s, h, x0, x1, dx0, dx1)
         return _hermite(s, h, y0, y1, dy0, dy1)
 
-    def value_array(self, ts: np.ndarray, comp: int | None = None) -> np.ndarray:
-        """Values at the times ts of x (comp 0) or y (comp 1), or of both
-        as the rows of a (2, len(ts)) array when comp is None; both then
-        share one segment search and one Hermite basis."""
+    def value_array(self, ts: np.ndarray) -> np.ndarray:
+        """Values of x and y at the times ts, as the rows of a (2, len(ts))
+        array, from one segment search and one Hermite basis."""
         ts = np.asarray(ts, dtype=float)
-        comps = (0, 1) if comp is None else (comp,)
         if ts.size:
             lo = ts.min()
             hi = ts.max()
@@ -217,31 +215,28 @@ class Trajectory:
             if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
         if ts.size and lo > 0.0:
-            out = self._stored(ts, comps)
-        else:
-            out = np.empty((len(comps),) + ts.shape, dtype=float)
-            neg = ts <= 0.0
-            if np.any(neg):
-                for row, c in zip(out, comps):
-                    fn = self.phi if c == 0 else self.psi
-                    if fn is None:
-                        raise HistoryUnderflowError("no initial function")
-                    row[neg] = fn.array(ts[neg])
-            pos = ~neg
-            if np.any(pos):
-                out[:, pos] = self._stored(ts[pos], comps)
-        return out if comp is None else out[0]
+            return self._stored(ts)
+        out = np.empty((2,) + ts.shape, dtype=float)
+        neg = ts <= 0.0
+        if np.any(neg):
+            for row, fn in zip(out, (self.phi, self.psi)):
+                if fn is None:
+                    raise HistoryUnderflowError("no initial function")
+                row[neg] = fn.array(ts[neg])
+        pos = ~neg
+        if np.any(pos):
+            out[:, pos] = self._stored(ts[pos])
+        return out
 
-    def _stored(self, ts: np.ndarray, comps: tuple[int, ...]) -> np.ndarray:
-        """Stored-segment values at the positive times ts, one row per component."""
+    def _stored(self, ts: np.ndarray) -> np.ndarray:
+        """Stored-segment values of x and y at the positive times ts."""
         # a time before the first segment reads the first segment, as in
         # value_scalar
         idx = self._t0[: self.n].searchsorted(ts, side="right") - 1
         np.maximum(idx, 0, out=idx)
         t0 = self._t0[idx]
         h = self._t1[idx] - t0
-        rows = self._seg if len(comps) == 2 else self._seg[comps[0] :: 2]
-        g = rows.take(idx, axis=1).reshape((4, len(comps)) + idx.shape)
+        g = self._seg.take(idx, axis=1).reshape((4, 2) + idx.shape)
         return _hermite((ts - t0) / h, h, g[0], g[1], g[2], g[3])
 
     # -- step-resolution views -------------------------------------------
@@ -338,7 +333,9 @@ def _tail(t0: float, t_stage: float, plan, k: int) -> list[tuple[float, float, f
     return out
 
 
-class _StageComponent(HistoryComponent):
+class _StageComponent:
+    """x (comp 0) or y (comp 1) as the kernels read it during a step."""
+
     __slots__ = ("view", "comp")
 
     def __init__(self, view: "_StageHistory", comp: int):
@@ -398,8 +395,9 @@ class _StageHistory:
     history does not change inside it, so the view keeps, until the next
     `set_step`, one `_StepWindow` per density kernel (equal kernels share
     one) and one read per point kernel object and stage time.  The right-hand side
-    reads it through `components()`; the view holds no reference back to
-    them, so a finished run's history is freed as soon as it is dropped.
+    reads it through one `_StageComponent` per component; the view holds no
+    reference back to them, so a finished run's history is freed as soon as
+    it is dropped.
     """
 
     __slots__ = ("traj", "t0", "start", "times", "t_stage", "stage", "_windows", "_points")
@@ -427,9 +425,6 @@ class _StageHistory:
     def set_stage(self, t: float, x: float, y: float) -> None:
         self.t_stage = t
         self.stage = (x, y)
-
-    def components(self) -> "_StageComponents":
-        return _StageComponents(_StageComponent(self, 0), _StageComponent(self, 1))
 
     def slot(self, t: float) -> int:
         """Index of t among the step's stage times."""
@@ -461,13 +456,6 @@ class _StageHistory:
         if win is None:
             win = self._windows[key] = _StepWindow(self, kernel, n_quad)
         return win
-
-
-class _StageComponents(NamedTuple):
-    """The history the right-hand side reads during a step."""
-
-    x_component: _StageComponent
-    y_component: _StageComponent
 
 
 @dataclass
@@ -517,13 +505,13 @@ def integrate(
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
     view = _StageHistory(traj)
-    hist = view.components()
+    x_hist, y_hist = _StageComponent(view, 0), _StageComponent(view, 1)
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
 
     def deriv(ts: float, xs: float, ys: float) -> tuple[float, float]:
         view.set_stage(ts, xs, ys)
-        return rhs(spec, ts, xs, ys, hist, n_quad)
+        return rhs(spec, ts, xs, ys, x_hist, y_hist, n_quad)
 
     view.set_step(t, t, x, y)
     try:

@@ -8,17 +8,17 @@ is out of scope; atoms plus a density cover every supported model.
 
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
 is evaluated with composite Simpson panels for the density part: the kernel
-builds its plan at t (nodes, weights, density at the nodes) and the history
-component's `feedback` returns the density part of the integral.  Its default
-is dot(weights, f(u(nodes)) * density).  A point kernel's feedback f(u(lag(t)))
-comes from the component's `point_feedback` in the same way.  A history that
-serves many calls at the same times, such as the integrator's per-step view,
-overrides both to keep plans, lagged times, history values and values of f
-between calls.  Density windows compare equal by kind and lag, so equal
-windows can share that work; a point kernel shares it with itself, so a
-config gives equal point descriptors one kernel object.  Quadrature nodes and
-lagged times that fall before the start of recorded history raise
-HistoryUnderflowError instead of extrapolating.
+builds its plan at t (nodes, weights, density at the nodes), and the history
+component u returns the density part, dot(weights, f(u(nodes)) * density),
+from `u.feedback(kernel, f, t, n_quad)`.  A point kernel's f(u(lag(t))) comes
+from `u.point_feedback(kernel, f, t)`, a mixture's atoms read u(s).  The
+integrator's per-step view is that component, and it keeps plans, lagged
+times, history values and values of f between the calls of a step.  Density
+windows compare equal by kind and lag, so equal windows can share that work;
+a point kernel shares it with itself, so a config gives equal point
+descriptors one kernel object.  Quadrature nodes and lagged times that fall
+before the start of recorded history raise HistoryUnderflowError instead of
+extrapolating.
 
 A point mass and the uniform and triangular windows have unit mass by
 construction, so `validate_kernel` checks only the user's lags on them
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,13 +47,11 @@ __all__ = [
     "UniformDensityKernel",
     "TriangularDensityKernel",
     "GeneralMixtureKernel",
-    "HistoryComponent",
     "HistoryUnderflowError",
     "QuadPlan",
     "KernelCertificate",
     "KernelViolation",
     "validate_kernel",
-    "FnComponent",
     "simpson_nodes_weights",
 ]
 
@@ -73,46 +71,6 @@ class QuadPlan(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
     density: np.ndarray
-
-
-class HistoryComponent:
-    """One component of a history, read at a time or at an array of times.
-
-    `feedback` serves density quadrature: it returns the density part of a
-    kernel's feedback integral of f at t.  `point_feedback` returns a point
-    kernel's feedback f(u(lag(t))).  A history that can share plans, lookups
-    and evaluations of f between calls overrides them.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, s: float) -> float:
-        raise NotImplementedError
-
-    def array(self, ss: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def feedback(self, kernel: "DelayKernel", f: ProductionFunction, t: float, n_quad: int) -> float:
-        plan = kernel.plan(t, n_quad)
-        return float(np.dot(plan.weights, f.eval_array(self.array(plan.nodes)) * plan.density))
-
-    def point_feedback(self, kernel: "PointMassKernel", f: ProductionFunction, t: float) -> float:
-        return f(self(kernel.lag.evaluate(t)))
-
-
-class FnComponent(HistoryComponent):
-    """A history component backed by a numpy-compatible callable."""
-
-    __slots__ = ("_fn",)
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-
-    def __call__(self, s: float) -> float:
-        return float(self._fn(s))
-
-    def array(self, ss: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(np.asarray(ss, dtype=float)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -205,9 +163,8 @@ class DelayKernel:
         """Quadrature plan of the density part at time t."""
         raise NotImplementedError
 
-    def integrate(
-        self, f: ProductionFunction, u: HistoryComponent, t: float, n_quad: int = DEFAULT_PANELS
-    ) -> float:
+    def integrate(self, f: ProductionFunction, u, t: float, n_quad: int = DEFAULT_PANELS) -> float:
+        """Feedback integral of f against the history component u at t."""
         raise NotImplementedError
 
 

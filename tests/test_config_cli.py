@@ -79,9 +79,12 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("quad_panels", 1), ("quad_panels", 0), ("kernel_grid", 0), ("a1_grid", 1), ("scan_grid", 1)],
+        [("quad_panels", 1), ("quad_panels", 0), ("kernel_grid", 0), ("a1_grid", 1), ("scan_grid", 1),
+         ("x_max", -5), ("x_max", 0), ("slack", 1.5)],
     )
     def test_grid_sizes_are_range_checked(self, tmp_path, key, value):
+        reason = {"x_max": "must be positive",
+                  "slack": "must lie strictly inside"}.get(key, "must be at least")
         p = write_config(
             tmp_path,
             "grid.cfg",
@@ -89,7 +92,7 @@ class TestLoadConfig:
             'kernel1 = uniform lag="t-1"\nkernel2 = point lag="t"\nphi = 1\npsi = 1\n'
             f"[numerics]\n{key} = {value}\n",
         )
-        with pytest.raises(ConfigError, match=rf"\[numerics\] {key}: must be at least"):
+        with pytest.raises(ConfigError, match=rf"\[numerics\] {key}: {reason}"):
             load_config(p)
         assert main(["classify", str(p), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
@@ -103,6 +106,38 @@ class TestLoadConfig:
         result = execute_run(load_config(p), out_dir=tmp_path)
         assert result.exit_code == EXIT_VALIDATION
         assert "[system] f1" in result.message
+
+
+LINEAR_PAIR = (
+    "[system]\nf1 = 0.5*x + 1\nf2 = 0.5*x + 1\nr1 = 1\nr2 = 1\n"
+    'kernel1 = point lag="{lag}"\nkernel2 = point lag="{lag}"\nphi = {phi}\npsi = 1\n'
+)
+
+
+@pytest.mark.parametrize(
+    "command, system, args, code, text",
+    [
+        # phi is negative on [-1, -0.5), inside the data window [-1, 0] the
+        # analysis reads, though the lag reaches back to -0.25 only
+        ("classify", LINEAR_PAIR.format(lag="t - 0.25", phi="1 + 2*t"), [], EXIT_VALIDATION,
+         "phi: negative initial data at t=-1"),
+        # phi touches 0 at t = -1: admissible data, but no permanence box
+        ("classify", LINEAR_PAIR.format(lag="t - 1", phi="(1 + t)^2"), [], EXIT_OK,
+         "permanence box unavailable: initial data infima must be positive"),
+        ("run", None, ["--dt", "-1"], EXIT_VALIDATION, "[numerics] dt: must be positive"),
+        ("run", None, ["--horizon", "0"], EXIT_VALIDATION, "[numerics] horizon: must be positive"),
+        ("classify", LINEAR_PAIR.format(lag="t - 1", phi="1") + "[numerics]\nx_max = -5\n", [],
+         EXIT_VALIDATION, "[numerics] x_max: must be positive"),
+    ],
+    ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative"],
+)
+def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
+    path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"
+    out_dir = tmp_path / "out"
+    assert main([command, str(path), *args, "--out-dir", str(out_dir)]) == code
+    captured = capsys.readouterr()
+    reports = "".join(p.read_text() for p in sorted(out_dir.glob("*.json")))
+    assert text in captured.out + captured.err + reports
 
 
 class TestParseKernel:

@@ -29,3 +29,10 @@ def test_package_imports_resolve():
         assert missing == [], f"coopdelay.{node.module} lacks {missing}"
         assert all(getattr(coopdelay, a.asname or a.name) is getattr(module, a.name)
                    for a in node.names)
+
+
+@pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory"])
+def test_removed_layers_stay_removed(name):
+    # G1/G2 are plain expressions and the reference history lives in the tests
+    modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
+    assert [m.__name__ for m in modules if hasattr(m, name)] == []

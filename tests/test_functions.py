@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopdelay import functions
-from coopdelay.expr import EvalDomainError
+from coopdelay.expr import EvalDomainError, parse
 from coopdelay.functions import (
     BRACKET_CAP,
     DEFAULT_INVERSE_TOL,
@@ -14,13 +14,13 @@ from coopdelay.functions import (
     MonotonicityCertificate,
     MonotonicityViolation,
     PositivityCertificate,
-    Modulation,
     ProductionFunction,
     Separator,
     inverse,
     inverse_auto,
     make_separator,
     verify_increasing,
+    verify_positive,
 )
 
 
@@ -313,12 +313,10 @@ class TestSeparator:
 
 class TestModulation:
     def test_identity_positive(self):
-        m = Modulation.from_expression("x")
-        assert isinstance(m.verify_positive(10.0), PositivityCertificate)
+        assert isinstance(verify_positive(parse("x"), 10.0), PositivityCertificate)
 
     def test_violation(self):
-        m = Modulation.from_expression("x-1")
-        res = m.verify_positive(2.0)
+        res = verify_positive(parse("x-1"), 2.0)
         assert not isinstance(res, PositivityCertificate)
         assert res.x <= 1.0
 

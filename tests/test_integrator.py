@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import EvalDomainError, parse
-from coopdelay.functions import Modulation, ProductionFunction
+from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
@@ -20,13 +20,13 @@ from coopdelay.integrator import (
     integrate,
 )
 from coopdelay.kernels import (
-    FnComponent,
     GeneralMixtureKernel,
     HistoryUnderflowError,
     PointMassKernel,
     TriangularDensityKernel,
     UniformDensityKernel,
 )
+from reference_history import FnComponent, stage_components
 
 
 def pf(text):
@@ -43,8 +43,8 @@ def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None,
         k2=k2 or PointMassKernel("t"),
         phi=InitialFunction(phi),
         psi=InitialFunction(psi),
-        g1=Modulation.from_expression(g1) if g1 else None,
-        g2=Modulation.from_expression(g2) if g2 else None,
+        g1=parse(g1) if g1 else None,
+        g2=parse(g2) if g2 else None,
     )
 
 
@@ -214,7 +214,7 @@ class TestTrajectoryEvaluation:
     def test_vector_scalar_agree(self):
         traj, _ = integrate(linear_half_decay(), horizon=2.0, dt=1e-2)
         ts = np.array([-1.0, 0.0, 0.005, 0.5, 1.995, 2.0])
-        vx = traj.value_array(ts, 0)
+        vx = traj.value_array(ts)[0]
         for t, v in zip(ts, vx):
             assert v == traj.value_scalar(float(t), 0)
 
@@ -353,9 +353,9 @@ def count_array_lookups(monkeypatch):
     calls = []
     original = Trajectory.value_array
 
-    def counted(self, ts, comp=None):
+    def counted(self, ts):
         calls.append(np.size(ts))
-        return original(self, ts, comp)
+        return original(self, ts)
 
     monkeypatch.setattr(Trajectory, "value_array", counted)
     return calls
@@ -404,7 +404,7 @@ class TestStageView:
             assert win.split[slot] == k
             wd = plan.weights[k:] * plan.density[k:]
             for comp in (0, 1):
-                assert np.array_equal(win.stored[slot][comp], traj.value_array(nodes[:k], comp))
+                assert np.array_equal(win.stored[slot][comp], traj.value_array(nodes[:k])[comp])
                 tail = [w0 * view.start[comp] + w1 * view.stage[comp] for _, w0, w1 in win.tails[slot]]
                 assert np.array_equal(tail, blended(nodes[k:], view, comp))
             assert np.array_equal([w for w, _, _ in win.tails[slot]], wd)
@@ -422,14 +422,14 @@ class TestStageView:
         front = traj.t_front
         f = pf(body)
         view = stage_view(traj, state, front + frac * STEP)
-        hist = view.components()
+        hist = stage_components(view)
         eps = np.finfo(float).eps
         for t in view.times:
             view.set_stage(t, *stage)
             plan = kernel.plan(t, n_quad)
             k = int(np.searchsorted(plan.nodes, front, side="right"))
             for comp, component in enumerate(hist):
-                u = np.concatenate((traj.value_array(plan.nodes[:k], comp),
+                u = np.concatenate((traj.value_array(plan.nodes[:k])[comp],
                                     blended(plan.nodes[k:], view, comp)))
                 terms = plan.weights * f.eval_array(u) * plan.density
                 got = component.feedback(kernel, f, t, n_quad)
@@ -450,14 +450,14 @@ class TestStageView:
         win = view.window(kernel, 16)
         plan, after = win.plans[1], win.stored[1][0]
         assert win.tails[1] == []
-        assert np.array_equal(after, traj.value_array(plan.nodes, 0))
+        assert np.array_equal(after, traj.value_array(plan.nodes)[0])
         assert after[-1] == 3.0 and before[-1] == 9.0
 
     def test_same_time_stages_share_stored_part(self, monkeypatch):
         traj, state = stored_history()
         kernel = TriangularDensityKernel("t-1")
         view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, y_hist = view.components()
+        x_hist, y_hist = stage_components(view)
         f, evals = counted_production("x^2+x")
         calls = count_array_lookups(monkeypatch)
         feeds = {}
@@ -484,13 +484,13 @@ class TestStageView:
         view = stage_view(traj, state, t)
         view.set_stage(t, *state)
         with pytest.raises(HistoryUnderflowError):
-            view.components().y_component.feedback(UniformDensityKernel("t-1.5"), pf("x"), t, 16)
+            stage_components(view)[1].feedback(UniformDensityKernel("t-1.5"), pf("x"), t, 16)
 
     def test_time_outside_the_step_rejected(self):
         traj, state = stored_history()
         view = stage_view(traj, state, traj.t_front + STEP)
         with pytest.raises(ValueError):
-            view.components().x_component.feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
+            stage_components(view)[0].feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
 
 
 def slot_reference(view, kernel, f, t, n_quad, comp):
@@ -500,7 +500,7 @@ def slot_reference(view, kernel, f, t, n_quad, comp):
     plan = kernel.plan(t, n_quad)
     k = int(plan.nodes.searchsorted(view.traj.t_front, side="right"))
     wd = plan.weights[:k] * plan.density[:k]
-    total = float(np.dot(wd, f.eval_array(view.traj.value_array(plan.nodes[:k], comp))))
+    total = float(np.dot(wd, f.eval_array(view.traj.value_array(plan.nodes[:k])[comp])))
     for s, wj, dj in zip(plan.nodes[k:].tolist(), plan.weights[k:].tolist(), plan.density[k:].tolist()):
         w = min(max((s - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
         total += wj * dj * f((1.0 - w) * view.start[comp] + w * view.stage[comp])
@@ -540,7 +540,7 @@ class TestOneEvaluationPerPair:
             lag = 0.1 + 3.9 * lag_frac  # beyond about 2 the windows straddle 0
         kernel = feedback_window(kind, lag)
         view = stage_view(traj, state, traj.t_front + frac * STEP)
-        hist = list(enumerate(view.components()))
+        hist = list(enumerate(stage_components(view)))
         fs = [pf(b) for b in bodies]
         times = view.times[::-1] if end_first else view.times
         for t in times:
@@ -565,7 +565,7 @@ class TestOneEvaluationPerPair:
             view = stage_view(traj, state, front + STEP)
             mid, end = view.times
             kernel = UniformDensityKernel(f"0.6 - 8*(t - {mid!r})")
-            x_hist, _ = view.components()
+            x_hist, _ = stage_components(view)
             if not end_first:
                 view.set_stage(mid, *state)
                 got = x_hist.feedback(kernel, f, mid, 16)
@@ -672,8 +672,8 @@ class TestScalarLookup:
                 for comp in (0, 1, None):
                     with pytest.raises(HistoryUnderflowError):
                         traj.value_scalar(t, comp)
-                    with pytest.raises(HistoryUnderflowError):
-                        traj.value_array(np.array([t]), comp)
+                with pytest.raises(HistoryUnderflowError):
+                    traj.value_array(np.array([t]))
                 continue
             both = traj.value_array(np.array([t]))[:, 0]
             pair = traj.value_scalar(t)
@@ -681,7 +681,7 @@ class TestScalarLookup:
             for comp in (0, 1):
                 v = traj.value_scalar(t, comp)
                 assert type(v) is float
-                assert bits(v) == bits(traj.value_array(np.array([t]), comp)[0]) == bits(both[comp])
+                assert bits(v) == bits(both[comp])
 
     def test_trimmed_history_underflows_as_before(self):
         traj = arithmetic_history(trim_before=1.0)
@@ -781,7 +781,7 @@ class TestPointStageView:
         traj, state = stored_history()
         kernel = PointMassKernel(f"t-{lag!r}")
         view = stage_view(traj, state, traj.t_front + frac * STEP)
-        hist = view.components()
+        hist = stage_components(view)
         fs = [pf(b) for b in bodies]
         for t in view.times:
             for stage in stages:
@@ -796,7 +796,7 @@ class TestPointStageView:
         traj, state = stored_history()
         kernel = PointMassKernel("t-1")
         view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, y_hist = view.components()
+        x_hist, y_hist = stage_components(view)
         calls = count_scalar_lookups(monkeypatch)
         evals = []
         f = ProductionFunction(lambda v: evals.append(v) or v * v)
@@ -815,7 +815,7 @@ class TestPointStageView:
         traj, state = stored_history()
         kernel = PointMassKernel("t")
         view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, _ = view.components()
+        x_hist, _ = stage_components(view)
         f = pf("x")
         t = view.times[0]
         for x in (1.5, 7.0):
@@ -831,7 +831,7 @@ class TestPointStageView:
         front = traj.t_front
         kernel = PointMassKernel(f"t - {front - floor - 0.5 * STEP!r} * (t - {front!r}) / {0.5 * STEP!r}")
         view = stage_view(traj, state, front + STEP)
-        x_hist, _ = view.components()
+        x_hist, _ = stage_components(view)
         mid, end = view.times
         view.set_stage(mid, *state)
         kernel.integrate(pf("x"), x_hist, mid)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from coopdelay.expr import Expression
 from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import (
-    FnComponent,
     GeneralMixtureKernel,
     KernelCertificate,
     KernelViolation,
@@ -16,6 +15,7 @@ from coopdelay.kernels import (
     simpson_nodes_weights,
     validate_kernel,
 )
+from reference_history import FnComponent
 
 
 def pf(text):
