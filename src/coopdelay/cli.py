@@ -188,7 +188,6 @@ def execute_run(
         try:
             traj, outcome = integrate(
                 spec, num.horizon, num.dt,
-                n_quad=num.quad_panels,
                 blowup_threshold=num.blowup_threshold,
                 stage_ratio=num.stage_ratio,
                 converge_rtol=num.converge_rtol,

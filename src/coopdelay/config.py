@@ -52,6 +52,8 @@ class ConfigError(ValueError):
 class Numerics:
     horizon: float = 60.0
     dt: float | None = None
+    # Simpson panels of a mixture kernel's mass check in validation; runs
+    # integrate every density window on the step grid, whatever this says
     quad_panels: int = 64
     alpha: float = 0.5
     slack: float = 1e-3
@@ -225,7 +227,8 @@ def check_numerics(numerics: Numerics) -> None:
         v = getattr(numerics, k)
         if v is not None and v <= 0:
             raise ConfigError(f"[numerics] {k}", "must be positive")
-    # Simpson needs two panels; a scan or sampled check needs two points
+    # the mixture mass check's Simpson rule needs two panels; a scan or
+    # sampled check needs two points
     for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):
         if getattr(numerics, k) < least:
             raise ConfigError(f"[numerics] {k}", f"must be at least {least}")

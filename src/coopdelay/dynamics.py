@@ -107,12 +107,11 @@ def rhs(
     y: float,
     x_hist,
     y_hist,
-    n_quad: int = 64,
 ) -> tuple[float, float]:
     """Derivative pair at time t given the current state and the x and y
     histories."""
-    feed_x = spec.k1.integrate(spec.f1, y_hist, t, n_quad)
-    feed_y = spec.k2.integrate(spec.f2, x_hist, t, n_quad)
+    feed_x = spec.k1.integrate(spec.f1, y_hist, t)
+    feed_y = spec.k2.integrate(spec.f2, x_hist, t)
     gx = spec.g1(x) if spec.g1 is not None else 1.0
     gy = spec.g2(y) if spec.g2 is not None else 1.0
     dx = spec.r1.evaluate(t) * (gx * (feed_x - x))
@@ -179,7 +178,7 @@ def validate_system(
     Covers strict monotonicity and positivity of the production pair,
     positivity of the modulations, lag validity and the delay span of each
     kernel (one `validate_kernel` pass over the grid, which also samples a
-    mixture's normalization; the other kernels have unit mass by
+    mixture's normalization with n_quad Simpson panels; the other kernels have unit mass by
     construction and report a residual of 0), non-negative bounded rates
     on the sampled horizon, and admissible initial data over the window
     [spec.data_floor(), 0] that the analysis reads.  Sampled checks are

@@ -1,38 +1,47 @@
 """Fixed-step RK4 with cubic-Hermite dense output for delayed lookups.
 
-History access during a step follows the usual overlapping-argument
-treatment: completed segments are read through their Hermite interpolant,
-lookups strictly inside the current step blend linearly between the step
-start and the active stage point, and a lookup exactly at the stage time
-returns the stage state itself.  With zero lag this reduces to classical
-RK4 on the coupled system.
+History access.  Completed steps are stored as cubic Hermite segments
+(`Trajectory`), and the initial functions serve times up to 0.  Inside the
+current step, which is not stored yet, a read at s between the step start
+t0 and the active stage time reads the quadratic through the start value,
+the start slope k1 and the stage state,
 
-A step evaluates the right-hand side at two distinct stage times (t + h/2
-for k2 and k3, t + h for k4 and the end-of-step derivative), and stored
-history changes only after the step is accepted.  The kernels read x and
-y through one `_StageComponent` each, over one shared per-step view.  A
-density kernel's feedback comes from the component's `feedback`: on the
-kernel's first use in a step it builds the kernel's plans at both
-stage times and looks up their stored parts in one call, x and y together.
-f is then evaluated once per production function and component, over the
-stored nodes of both stage times, and each stage time's stored sum is the
-dot of its weights times density with its own part of that row.  Each stage
-adds only the nodes inside the current step (usually none or one), blended
-toward its own stage state.  If that one evaluation raises a domain error,
-each stage time's stored nodes are evaluated on their own when a stage
-first reads them, so the error surfaces at the stage that first reads the
-failing nodes: an error at the step-end nodes alone, at the step-end stage.
-Point kernels get the same treatment through the component's `point_feedback`:
-the lag is evaluated once per kernel and stage time, a lagged time inside
-stored segments reads x and y together with one segment search, one in the
-initial data reads only the component that is fed from it, and f of the
-value read is computed once per production function and component.  A
-lagged time inside the current step (zero lag, or the first steps of a
-proportional lag) is blended toward the live stage state on every call.  All
-of this is built on the first read of a stage time, so a failed lookup
-surfaces at the stage that first needs it.  Equal density windows share all
-of it, and so does one point kernel object serving both components.
-Everything the view keeps is dropped when the next step starts.
+    x0 * (1 - r^2) + x_stage * r^2 + T * (r - r^2) * k1,   r = (s - t0) / T,
+
+with T the stage time minus t0; a read at the stage time returns the stage
+state itself.  With zero lag this reduces to classical RK4 on the coupled
+system, and a lag or window that reaches into the step keeps the method's
+fourth order.  A step evaluates the right-hand side at two distinct stage
+times (t + h/2 for k2 and k3, t + h for k4 and the end-of-step
+derivative); stored history changes only after the step is accepted.  The
+kernels read x and y through one `_StageComponent` each, over one shared
+per-step view (`_StageHistory`).
+
+Point kernels: the lag is evaluated once per kernel and stage time; a
+lagged time inside stored segments reads x and y together with one segment
+search, one in the initial data reads only the component fed from it, and
+f of the value read is computed once per production function and
+component.  A lagged time inside the current step is read from the
+quadratic on every call, toward the live stage state.
+
+Density kernels: one quadrature serves uniform, triangular and mixture
+densities with any lag, composite Simpson on the step grid.  When a step is
+accepted, the view stores x and y at its end and at its Hermite midpoint
+(`_StepGrid`); the initial data fill the same half-step grid below 0, back
+to the lowest floor a window has read.  f of a component is evaluated once
+per grid node, when a window first reads it.  The feedback at a stage time
+t with floor h(t) is then the head, Simpson from h(t) to the next step end
+with two Hermite reads; the body, whole steps from there to t0, one dot of
+Simpson weights times density with the stored f values; and the tail, the
+panel from t0 to t, whose midpoint is read from the quadratic above and whose
+end is the stage state.  A window whose floor lies inside the step is a
+single in-step panel.  Head and body are computed once per kernel and stage
+time (and kept per production function and component), so each call pays
+only for its tail.  The rule needs no history lookup after the grid is set
+up, and its resolution follows dt: n_quad does not steer a run.  Equal
+density windows share all of it, and so does one point kernel object
+serving both components.  The reads of a step fail, if they fail, at the
+stage that first needs them.
 
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
@@ -268,69 +277,204 @@ class Trajectory:
                 fh.write(f"{ts[i]:.17g},{xs[i]:.17g},{ys[i]:.17g}\n")
 
 
-class _StepWindow:
-    """One density kernel's quadrature at the two stage times of a step.
+def _midpoint(v0, v1, d0, d1, h):
+    """The Hermite cubic's value halfway through a step of length h; floats
+    and arrays alike."""
+    return (v0 + v1) * 0.5 + h * (d0 - d1) * 0.125
 
-    For each stage time (slot 0 at the midpoint, slot 1 at the step end)
-    it keeps the plan, the number of its nodes inside stored history, the
-    product weight * density over those nodes, the stored values there
-    (rows x and y; one lookup serves both components and both stage times)
-    and, for the nodes inside the step, weight * density and the blend
-    weights toward the start and the stage state.  f is evaluated once per
-    production function and component over the stored nodes of both slots,
-    and each slot's stored sum is the dot of its weight * density with its
-    own part of that row; each stage then adds only its tail.  When that
-    evaluation raises a domain error, each slot is evaluated on its own as
-    it is read, so the error surfaces at the stage that first reads the
-    failing slot.
+
+class _StepGrid:
+    """x, y and f of them on the grid of step ends and step midpoints.
+
+    Node times ascend and step ends sit at even indices, so a run of nodes
+    from one step end to another is a run of whole Simpson panels; `w` holds
+    their weights, dt/6 times 1, 4, 2, 4, ..., from index 0 on.  A stored
+    step adds its Hermite midpoint and its end.  Below the first stored time
+    the initial data fill the same grid, at multiples of dt/2, as far back
+    as a window's floor has reached (`cover`).  f of a component is
+    evaluated once per node, the first time a window reads the node, so a
+    domain error surfaces at the stage that first reads the failing node.
     """
 
-    __slots__ = ("plans", "split", "wd", "values", "stored", "tails", "sums")
+    __slots__ = ("traj", "dt", "n", "t", "xy", "w", "_fed")
 
-    def __init__(self, view: "_StageHistory", kernel, n_quad: int):
-        front = view.traj.t_front
-        self.plans = [kernel.plan(t, n_quad) for t in view.times]
-        self.split = [int(p.nodes.searchsorted(front, side="right")) for p in self.plans]
-        self.wd = [p.weights[:k] * p.density[:k] for p, k in zip(self.plans, self.split)]
-        both = view.traj.value_array(np.concatenate([p.nodes[:k] for p, k in zip(self.plans, self.split)]))
-        both.flags.writeable = False
-        k0 = self.split[0]
-        self.values = both
-        self.stored = (both[:, :k0], both[:, k0:])
-        self.tails = [_tail(view.t0, t, p, k) for t, p, k in zip(view.times, self.plans, self.split)]
+    def __init__(self, traj: Trajectory, dt: float, t0: float, start: tuple[float, float]):
+        self.traj = traj
+        self.dt = dt
+        self.n = 0
+        self.t = np.empty(0)
+        self.xy = np.empty((2, 0))
+        self.w = np.empty(0)
+        self._fed: dict = {}
+        self._resize(2 * traj._t0.size + 1, 0)
+        if traj.n:  # set up over stored steps: start at the first one
+            t0, start = traj._t0[0], (traj._x0[0], traj._y0[0])
+        self.t[0] = t0
+        self.xy[:, 0] = start
+        self.n = 1
+        for j in range(traj.n):
+            # rows x0, x1, dx0, dx1, y0, y1, dy0, dy1 in push's order
+            self.push(traj._t0[j], traj._t1[j], *traj._seg[[0, 2, 4, 6, 1, 3, 5, 7], j].tolist())
+
+    def _resize(self, size: int, shift: int) -> None:
+        """Make room for size nodes, moving the n stored ones up by shift."""
+        cap = self.t.size
+        if size > cap:
+            cap = max(size, 2 * cap)
+            w = np.full(cap, 2.0)
+            w[1::2] = 4.0
+            w[0] = 1.0
+            self.w = w * (self.dt / 6.0)
+        elif not shift:
+            return
+        n = self.n
+        for name in ("t", "xy"):
+            old = getattr(self, name)
+            new = np.empty(old.shape[:-1] + (cap,)) if cap != old.shape[-1] else old
+            new[..., shift : shift + n] = old[..., :n]
+            setattr(self, name, new)
+        for entry in self._fed.values():
+            old = entry[0]
+            new = np.empty(cap) if cap != old.size else old
+            new[shift : shift + n] = old[:n]
+            entry[0] = new
+            entry[1] += shift
+            entry[2] += shift
+
+    def cover(self, floor: float) -> None:
+        """Extend the grid down to the first step end at or below floor, from
+        the initial data; HistoryUnderflowError below recorded history."""
+        lowest = float(self.t[0])
+        if floor >= lowest:
+            return
+        half = 0.5 * self.dt
+        k = max(1, math.ceil((lowest - floor) / self.dt))
+        while lowest + (-2 * k) * half > floor:
+            k += 1
+        times = lowest + np.arange(-2 * k, 0) * half
+        values = self.traj.value_array(times)
+        self._resize(self.n + 2 * k, 2 * k)
+        self.n += 2 * k
+        self.t[: 2 * k] = times
+        self.xy[:, : 2 * k] = values
+
+    def push(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
+        """Add the step [t0, t1]: its midpoint and its end."""
+        n = self.n
+        if n + 2 > self.t.size:
+            self._resize(n + 2, 0)
+        h = t1 - t0
+        self.t[n] = t0 + 0.5 * h
+        self.t[n + 1] = t1
+        xy = self.xy
+        xy[0, n] = _midpoint(x0, x1, dx0, dx1, h)
+        xy[0, n + 1] = x1
+        xy[1, n] = _midpoint(y0, y1, dy0, dy1, h)
+        xy[1, n + 1] = y1
+        self.n = n + 2
+
+    def trim(self, t: float) -> None:
+        """Drop the nodes before t, a stored step end."""
+        cut = int(self.t[: self.n].searchsorted(t, side="left"))
+        cut -= cut % 2
+        if cut <= 0:
+            return
+        n = self.n - cut
+        self.t[:n] = self.t[cut : self.n]
+        self.xy[:, :n] = self.xy[:, cut : self.n]
+        for entry in self._fed.values():
+            entry[0][:n] = entry[0][cut : self.n]
+            entry[1] = max(entry[1] - cut, 0)
+            entry[2] = max(entry[2] - cut, 0)
+        self.n = n
+
+    def fed(self, f, comp: int, i: int) -> np.ndarray:
+        """f of the component at the nodes from i on, each evaluated once."""
+        n = self.n
+        entry = self._fed.get((f, comp))
+        if entry is None:
+            entry = self._fed[f, comp] = [np.empty(self.t.size), i, i]
+        fu, lo, hi = entry
+        if i > hi:  # nothing read between hi and i
+            lo = hi = i
+        row = self.xy[comp]
+        if i < lo:
+            fu[i:lo] = f.eval_array(row[i:lo])
+            lo = i
+        if hi < n - 2:
+            fu[hi:n] = f.eval_array(row[hi:n])
+        else:  # the usual case: the last step's two nodes
+            for j in range(hi, n):
+                fu[j] = f(row.item(j))
+        entry[1] = lo
+        entry[2] = n
+        return fu[i:n]
+
+
+class _Window:
+    """One density kernel's feedback at one stage time of a step.
+
+    Composite Simpson in three parts: the head, from the floor h(t) to the
+    first step end at or after it, with two Hermite reads (`head`: weight
+    times density, and the (x, y) read); the body, whole steps from there
+    to the step start, as one dot of `wd` (weight times density) with the
+    grid's f values from node `i` on; and the tail, the panel from the step
+    start to the stage time, whose midpoint is read from the in-step
+    interpolant and whose end is the stage state (`tail`: weight times
+    density, and the time read).  The head and the body do not depend on the
+    stage state, so their sum is kept per production function and component.
+    A window whose floor lies inside the step is one in-step panel.
+    """
+
+    __slots__ = ("i", "wd", "head", "tail", "sums")
+
+    def __init__(self, view: "_StageHistory", kernel, t: float):
+        if t not in view.times:
+            raise ValueError(f"t={t!r} is not a stage time of the step {view.times!r}")
+        floor = kernel.density_floor(t)
+        t0 = view.t0
+        T = t - t0
         self.sums: dict = {}
+        self.head = ()
+        if floor > t0:
+            mid = 0.5 * (floor + t)
+            d = kernel.density_at(t, floor, np.array([floor, mid, t])).tolist()
+            third = (t - floor) / 6.0
+            self.i = self.wd = None
+            self.tail = ((third * d[0], floor), (4.0 * third * d[1], mid), (third * d[2], t))
+            return
+        grid = view.grid
+        if grid is None:
+            grid = view.grid = _StepGrid(view.traj, view.dt, t0, view.start)
+        grid.cover(floor)
+        n = grid.n
+        i = int(grid.t[:n].searchsorted(floor, side="left"))
+        i += i & 1  # a midpoint: the head runs on to the step end after it
+        e = float(grid.t[i])
+        mid = 0.5 * (floor + e)
+        tm = t0 + 0.5 * T
+        # one density evaluation: the head's floor and midpoint, the tail's
+        # midpoint and end, then the grid nodes from e to t0
+        dens = kernel.density_at(t, floor, np.concatenate(((floor, mid, tm, t), grid.t[i:n])))
+        d = dens[:4].tolist()
+        w = grid.w[: n - i] * dens[4:]
+        w[-1] = ((view.dt / 6.0 if i < n - 1 else 0.0) + T / 6.0) * dens[-1]
+        if e > floor:
+            third = (e - floor) / 6.0
+            w[0] += third * dens[4]
+            traj = view.traj
+            self.head = ((third * d[0], traj.value_scalar(floor)), (4.0 * third * d[1], traj.value_scalar(mid)))
+        self.i = i
+        self.wd = w
+        self.tail = ((4.0 * T / 6.0 * d[2], tm), (T / 6.0 * d[3], t)) if T > 0.0 else ()
 
-    def stored_sum(self, f, comp: int, slot: int) -> float:
-        """dot(weights * density, f(u)) over the slot's stored nodes, once."""
-        sums = self.sums
-        total = sums.get((f, comp, slot))
-        if total is not None:
-            return total
-        if (f, comp, 1 - slot) not in sums:
-            try:
-                fu = f.eval_array(self.values[comp])
-            except EvalDomainError:
-                # the slot that holds the failing node fails again below,
-                # when a stage first reads it on its own
-                pass
-            else:
-                k0 = self.split[0]
-                sums[f, comp, 0] = float(np.dot(self.wd[0], fu[:k0]))
-                sums[f, comp, 1] = float(np.dot(self.wd[1], fu[k0:]))
-                return sums[f, comp, slot]
-        total = sums[f, comp, slot] = float(np.dot(self.wd[slot], f.eval_array(self.stored[slot][comp])))
+    def stored_sum(self, grid: _StepGrid, f, comp: int) -> float:
+        """Head plus body for f of the component, once."""
+        total = 0.0 if self.wd is None else float(np.dot(self.wd, grid.fed(f, comp, self.i)))
+        for wd, xy in self.head:
+            total += wd * f(xy[comp])
+        self.sums[f, comp] = total
         return total
-
-
-def _tail(t0: float, t_stage: float, plan, k: int) -> list[tuple[float, float, float]]:
-    """(weight * density, start blend, stage blend) of each plan node after
-    the first k, for the linear blend between the step start at t0 and the
-    stage.  Scalar arithmetic: the tail is usually a single node."""
-    out = []
-    for s, wj, dj in zip(plan.nodes[k:].tolist(), plan.weights[k:].tolist(), plan.density[k:].tolist()):
-        w = min(max((s - t0) / (t_stage - t0), 0.0), 1.0) if t_stage > t0 else 1.0
-        out.append((wj * dj, 1.0 - w, w))
-    return out
 
 
 class _StageComponent:
@@ -348,8 +492,7 @@ class _StageComponent:
             return v.traj.value_scalar(s, self.comp)
         if s >= v.t_stage:
             return v.stage[self.comp]
-        w = (s - v.t0) / (v.t_stage - v.t0)
-        return (1.0 - w) * v.start[self.comp] + w * v.stage[self.comp]
+        return v.inner(s, self.comp)
 
     def point_feedback(self, kernel, f, t):
         """f at the kernel's lagged time s: from stored history or initial
@@ -375,16 +518,21 @@ class _StageComponent:
             val = fed[key] = f(xy[c] if xy is not None else v.traj.value_scalar(s, c))
         return val
 
-    def feedback(self, kernel, f, t, n_quad):
-        """The stored sum of the kernel's window at t plus its in-step tail,
-        blended toward the stage state set for t."""
+    def feedback(self, kernel, f, t, n_quad=None):
+        """The density part of the kernel's feedback at the stage time t, on
+        the step grid (n_quad, the panel count of plan-based components, does
+        not apply): the kept head and body plus the tail, read toward the
+        stage state set for t."""
         v = self.view
         c = self.comp
-        slot = v.slot(t)
-        win = v.window(kernel, n_quad)
-        total = win.stored_sum(f, c, slot)
-        for wd, w0, w1 in win.tails[slot]:
-            total += wd * f(w0 * v.start[c] + w1 * v.stage[c])
+        win = v._windows.get((kernel, t))
+        if win is None:
+            win = v.window(kernel, t)
+        total = win.sums.get((f, c))
+        if total is None:
+            total = win.stored_sum(v.grid, f, c)
+        for wd, s in win.tail:
+            total += wd * f(v.inner(s, c))
         return total
 
 
@@ -393,31 +541,38 @@ class _StageHistory:
 
     A step evaluates the right-hand side at two stage times, and stored
     history does not change inside it, so the view keeps, until the next
-    `set_step`, one `_StepWindow` per density kernel (equal kernels share
-    one) and one read per point kernel object and stage time.  The right-hand side
-    reads it through one `_StageComponent` per component; the view holds no
-    reference back to them, so a finished run's history is freed as soon as
-    it is dropped.
+    `set_step`, one `_Window` per density kernel and stage time (equal
+    kernels share one) and one read per point kernel object and stage time.
+    Across steps it keeps the step grid of the density feedbacks, which
+    `append_segment` and `trim_before` keep in step with the trajectory.
+    The right-hand side reads it through one `_StageComponent` per
+    component; the view holds no reference back to them, so a finished
+    run's history is freed as soon as it is dropped.
     """
 
-    __slots__ = ("traj", "t0", "start", "times", "t_stage", "stage", "_windows", "_points")
+    __slots__ = ("traj", "dt", "grid", "t0", "start", "slope", "times", "t_stage", "stage",
+                 "_windows", "_points")
 
-    def __init__(self, traj: Trajectory):
+    def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
+        self.dt = dt
+        self.grid: _StepGrid | None = None
         self.t0 = 0.0
         self.start = (0.0, 0.0)
+        self.slope = (0.0, 0.0)
         self.times = (0.0, 0.0)
         self.t_stage = 0.0
         self.stage = (0.0, 0.0)
         self._windows: dict = {}
         self._points: dict = {}
 
-    def set_step(self, t0: float, t1: float, x0: float, y0: float) -> None:
-        """Start the step [t0, t1] from (x0, y0); its stage times are formed
-        as `integrate` forms them.  A step with t1 == t0 has the single
-        stage time t0."""
+    def set_step(self, t0: float, t1: float, x0: float, y0: float, dx0: float, dy0: float) -> None:
+        """Start the step [t0, t1] from (x0, y0) with slopes (dx0, dy0); its
+        stage times are formed as `integrate` forms them.  A step with
+        t1 == t0 has the single stage time t0."""
         self.t0 = t0
         self.start = (x0, y0)
+        self.slope = (dx0, dy0)
         self.times = (t0 + 0.5 * (t1 - t0), t1)
         self._windows.clear()
         self._points.clear()
@@ -426,13 +581,15 @@ class _StageHistory:
         self.t_stage = t
         self.stage = (x, y)
 
-    def slot(self, t: float) -> int:
-        """Index of t among the step's stage times."""
-        if t == self.times[1]:
-            return 1
-        if t == self.times[0]:
-            return 0
-        raise ValueError(f"t={t!r} is not a stage time of the step {self.times!r}")
+    def inner(self, s: float, comp: int) -> float:
+        """The component at s inside the step, t0 < s <= t_stage: the
+        quadratic through the step start, with the start slope, and the stage
+        state, x0*(1 - r^2) + x_stage*r^2 + T*(r - r^2)*k1 with
+        T = t_stage - t0 and r = (s - t0)/T."""
+        T = self.t_stage - self.t0
+        r = (s - self.t0) / T
+        r2 = r * r
+        return self.start[comp] * (1.0 - r2) + self.stage[comp] * r2 + T * (r - r2) * self.slope[comp]
 
     def point(self, kernel, t: float) -> tuple:
         """The point kernel's read at the stage time t, built on its first use
@@ -449,13 +606,26 @@ class _StageHistory:
         self._points[(kernel, t)] = read
         return read
 
-    def window(self, kernel, n_quad: int) -> _StepWindow:
-        """The kernel's quadrature at both stage times, built once per step."""
-        key = (kernel, n_quad)
-        win = self._windows.get(key)
+    def window(self, kernel, t: float) -> _Window:
+        """The density kernel's window at the stage time t, built once per
+        step."""
+        win = self._windows.get((kernel, t))
         if win is None:
-            win = self._windows[key] = _StepWindow(self, kernel, n_quad)
+            win = self._windows[kernel, t] = _Window(self, kernel, t)
         return win
+
+    def append_segment(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
+        """Store the accepted step in the trajectory and on the step grid."""
+        if self.grid is not None:
+            self.grid.push(t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1)
+        self.traj.append_segment(t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1)
+
+    def trim_before(self, t: float) -> int:
+        """Trim the trajectory and the step grid alike; segments removed."""
+        removed = self.traj.trim_before(t)
+        if removed and self.grid is not None:
+            self.grid.trim(self.traj.coverage_floor)
+        return removed
 
 
 @dataclass
@@ -483,7 +653,6 @@ def integrate(
     horizon: float,
     dt: float | None = None,
     *,
-    n_quad: int = 64,
     blowup_threshold: float = BLOWUP_THRESHOLD,
     stage_ratio: float = STAGE_RATIO,
     converge_rtol: float = CONVERGE_RTOL,
@@ -504,16 +673,16 @@ def integrate(
         raise ValueError("dt must be positive")
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
-    view = _StageHistory(traj)
+    view = _StageHistory(traj, dt)
     x_hist, y_hist = _StageComponent(view, 0), _StageComponent(view, 1)
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
 
     def deriv(ts: float, xs: float, ys: float) -> tuple[float, float]:
         view.set_stage(ts, xs, ys)
-        return rhs(spec, ts, xs, ys, x_hist, y_hist, n_quad)
+        return rhs(spec, ts, xs, ys, x_hist, y_hist)
 
-    view.set_step(t, t, x, y)
+    view.set_step(t, t, x, y, 0.0, 0.0)
     try:
         dx, dy = deriv(t, x, y)
     except (EvalDomainError, HistoryUnderflowError) as e:
@@ -547,7 +716,7 @@ def integrate(
         t1 = horizon if t1_nominal >= horizon - eps_t else t1_nominal
         h = t1 - t
         scale0 = 1.0 + max(abs(x), abs(y))
-        view.set_step(t, t1, x, y)
+        view.set_step(t, t1, x, y, dx, dy)
         k1x, k1y = dx, dy
         try:
             sx = x + 0.5 * h * k1x
@@ -581,7 +750,7 @@ def integrate(
         except HistoryUnderflowError as e:
             raise IntegrationError(f"history underflow near t={t!r}: {e}") from e
 
-        traj.append_segment(t, t1, x, x1, k1x, dx1, y, y1, k1y, dy1)
+        view.append_segment(t, t1, x, x1, k1x, dx1, y, y1, k1y, dy1)
         steps += 1
         t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
@@ -606,7 +775,7 @@ def integrate(
             if trim_history:
                 bound = spec.max_span(t)
                 if math.isfinite(bound):
-                    traj.trim_before(t - bound - 10.0 * dt)
+                    view.trim_before(t - bound - 10.0 * dt)
 
     if status == "blow-up":
         blow_time = t

@@ -7,24 +7,28 @@ atoms plus one density piece.  A purely singular-continuous distribution
 is out of scope; atoms plus a density cover every supported model.
 
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
-is evaluated with composite Simpson panels for the density part: the kernel
-builds its plan at t (nodes, weights, density at the nodes), and the history
-component u returns the density part, dot(weights, f(u(nodes)) * density),
-from `u.feedback(kernel, f, t, n_quad)`.  A point kernel's f(u(lag(t))) comes
-from `u.point_feedback(kernel, f, t)`, a mixture's atoms read u(s).  The
-integrator's per-step view is that component, and it keeps plans, lagged
-times, history values and values of f between the calls of a step.  Density
-windows compare equal by kind and lag, so equal windows can share that work;
-a point kernel shares it with itself, so a config gives equal point
-descriptors one kernel object.  Quadrature nodes and lagged times that fall
+asks the history component u for its parts: a point kernel's f(u(lag(t)))
+from `u.point_feedback(kernel, f, t)`, a mixture's atoms from u(s), and the
+density part from `u.feedback(kernel, f, t, n_quad)`.  The component chooses
+the quadrature.  A density kernel supplies what any rule needs: the floor
+h(t) of its density's window (`density_floor`) and the density at given
+times (`density_at`).  `plan(t, n_quad)` is the composite Simpson rule with
+n_quad panels on [h(t), t]; a plain component (the tests' reference) dots
+its weights times density with f(u(nodes)), and a mixture's mass check
+integrates its density with it.  The integrator does not use plans: its
+per-step view integrates on the grid of step ends and step midpoints, where
+it keeps x, y and f once, so n_quad does not steer a run (see
+`integrator`).  Density windows compare equal by kind and lag, so equal
+windows can share that work; a point kernel shares it with itself, so a
+config gives equal point descriptors one kernel object.  History reads
 before the start of recorded history raise HistoryUnderflowError instead of
 extrapolating.
 
 A point mass and the uniform and triangular windows have unit mass by
 construction, so `validate_kernel` checks only the user's lags on them
-(advanced, empty window, domain error).  A mixture's weights and density come
-from the user, so its mass is checked by quadrature on the sampled grid
-(`sampled_mass`).
+(advanced, empty window, domain error), with one array evaluation of each
+lag over the grid.  A mixture's weights and density come from the user, so
+its mass is checked by quadrature at each grid time (`sampled_mass`).
 
 Atoms may sit exactly at the current time (zero lag): the integrand always
 reads the opposite component's history, so no implicit equation arises.
@@ -126,19 +130,12 @@ def _check_window(floor: float, t: float) -> None:
         raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
 
 
-def _window(floor: float, t: float, n_quad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson nodes and weights on the non-empty window [floor, t]."""
-    if n_quad < 2:
-        raise ValueError("density quadrature needs n_quad >= 2")
-    _check_window(floor, t)
-    return simpson_nodes_weights(floor, t, n_quad)
-
-
 class DelayKernel:
     """Base class; subclasses define the distribution at each time t.
 
-    A kernel with a density part builds its quadrature `plan(t, n_quad)`,
-    and the feedback integral of that part comes from it.
+    A kernel with a density part names its window's floor
+    (`density_floor`) and its density (`density_at`); `plan` is the Simpson
+    rule on that window.
     """
 
     # unit mass depends on the kernel's parameters and is checked by
@@ -153,15 +150,33 @@ class DelayKernel:
         """The lag expressions of the kernel's point masses."""
         return ()
 
+    def support_lags(self) -> tuple[Expression, ...]:
+        """Every lag expression of the kernel; the support floor is their
+        minimum."""
+        raise NotImplementedError
+
     def support_floor(self, t: float) -> float:
         raise NotImplementedError
 
     def span(self, t: float) -> float:
         return t - self.support_floor(t)
 
-    def plan(self, t: float, n_quad: int = DEFAULT_PANELS) -> QuadPlan:
-        """Quadrature plan of the density part at time t."""
+    def density_floor(self, t: float) -> float:
+        """Start h(t) of the density part's window [h(t), t]; ValueError when
+        the window is empty."""
         raise NotImplementedError
+
+    def density_at(self, t: float, floor: float, nodes: np.ndarray) -> np.ndarray:
+        """The density of the window [floor, t] at the times nodes."""
+        raise NotImplementedError
+
+    def plan(self, t: float, n_quad: int = DEFAULT_PANELS) -> QuadPlan:
+        """Composite Simpson plan of the density part at time t."""
+        if n_quad < 2:
+            raise ValueError("density quadrature needs n_quad >= 2")
+        floor = self.density_floor(t)
+        nodes, weights = simpson_nodes_weights(floor, t, n_quad)
+        return QuadPlan(nodes, weights, self.density_at(t, floor, nodes))
 
     def integrate(self, f: ProductionFunction, u, t: float, n_quad: int = DEFAULT_PANELS) -> float:
         """Feedback integral of f against the history component u at t."""
@@ -176,6 +191,9 @@ class _LagKernel(DelayKernel):
 
     def __init__(self, lag: str | Expression):
         self.lag = _as_lag(lag)
+
+    def support_lags(self):
+        return (self.lag,)
 
     def support_floor(self, t: float) -> float:
         return self.lag.evaluate(t)
@@ -198,7 +216,7 @@ class _DensityWindowKernel(_LagKernel):
     """Shared machinery for densities supported on [h(t), t].
 
     Two windows of the same kind and lag are equal, so a history can share
-    their plans.  The hash is taken once: hashing the lag walks its syntax
+    their reads.  The hash is taken once: hashing the lag walks its syntax
     tree.
     """
 
@@ -214,13 +232,10 @@ class _DensityWindowKernel(_LagKernel):
     def __hash__(self) -> int:
         return self._hash
 
-    def _density(self, nodes: np.ndarray, floor: float, span: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def plan(self, t, n_quad=DEFAULT_PANELS):
+    def density_floor(self, t):
         floor = self.lag.evaluate(t)
-        nodes, weights = _window(floor, t, n_quad)
-        return QuadPlan(nodes, weights, self._density(nodes, floor, t - floor))
+        _check_window(floor, t)
+        return floor
 
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
         return u.feedback(self, f, t, n_quad)
@@ -229,14 +244,15 @@ class _DensityWindowKernel(_LagKernel):
 class UniformDensityKernel(_DensityWindowKernel):
     """Constant density 1/(t - h(t)) on [h(t), t]."""
 
-    def _density(self, nodes, floor, span):
-        return np.full(nodes.shape, 1.0 / span)
+    def density_at(self, t, floor, nodes):
+        return np.full(nodes.shape, 1.0 / (t - floor))
 
 
 class TriangularDensityKernel(_DensityWindowKernel):
     """Density rising linearly from 0 at h(t) to 2/(t - h(t)) at t."""
 
-    def _density(self, nodes, floor, span):
+    def density_at(self, t, floor, nodes):
+        span = t - floor
         return (2.0 / (span * span)) * (nodes - floor)
 
 
@@ -270,17 +286,21 @@ class GeneralMixtureKernel(DelayKernel):
     def atom_lags(self):
         return tuple(lag for lag, _ in self.atoms)
 
-    def support_floor(self, t: float) -> float:
-        floors = [lag.evaluate(t) for lag, _ in self.atoms]
-        if self.density_lag is not None:
-            floors.append(self.density_lag.evaluate(t))
-        return min(floors)
+    def support_lags(self):
+        return self.atom_lags() + ((self.density_lag,) if self.density_lag is not None else ())
 
-    def plan(self, t, n_quad=DEFAULT_PANELS):
+    def support_floor(self, t: float) -> float:
+        return min(lag.evaluate(t) for lag in self.support_lags())
+
+    def density_floor(self, t):
         if self.density is None:
             raise ValueError("mixture kernel has no density part")
-        nodes, weights = _window(self.density_lag.evaluate(t), t, n_quad)
-        return QuadPlan(nodes, weights, self.density.evaluate_array(t - nodes))
+        floor = self.density_lag.evaluate(t)
+        _check_window(floor, t)
+        return floor
+
+    def density_at(self, t, floor, nodes):
+        return self.density.evaluate_array(t - nodes)
 
     def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
         total = 0.0
@@ -302,50 +322,70 @@ class GeneralMixtureKernel(DelayKernel):
 # ---------------------------------------------------------------------------
 
 
+def _check_at(kernel: DelayKernel, t: float, n_quad: int) -> KernelViolation | tuple[float, float]:
+    """Every check at the grid time t, one lag evaluation each: the
+    violation, or the span t - floor and the mass residual."""
+    try:
+        floor = kernel.support_floor(t)
+        if floor > t + 1e-12:
+            return KernelViolation(t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}")
+        if not kernel.atom_lags():
+            _check_window(floor, t)
+        for lag in () if kernel.floor_is_only_lag else kernel.atom_lags():
+            lv = lag.evaluate(t)
+            if lv > t + 1e-12:
+                return KernelViolation(t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}")
+        m = kernel.mass(t, n_quad) if kernel.sampled_mass else 1.0
+    except EvalDomainError as e:
+        return KernelViolation(t, "domain-error", str(e))
+    except ValueError as e:  # a density over an empty window has no mass
+        return KernelViolation(t, "mass", str(e))
+    residual = abs(m - 1.0)
+    if residual > MASS_TOL:
+        return KernelViolation(t, "mass", f"total mass {m!r} at t={t!r}")
+    return t - floor, residual
+
+
 def validate_kernel(
     kernel: DelayKernel, t_grid: Sequence[float], n_quad: int = DEFAULT_PANELS
 ) -> KernelCertificate | KernelViolation:
     """Check non-advanced lags, non-empty windows and unit mass at every
     grid point, and measure the widest span.
 
-    Each grid time evaluates the support floor once and reads it three
-    times: the advanced-lag check, the empty-window check of a kernel with
-    no atoms, and the span t - floor.  A point mass and the uniform and
-    triangular windows have unit mass by construction (Simpson's rule is
-    exact on a constant or linear density), so only a kernel with
-    `sampled_mass` builds a quadrature plan, and its mass must be 1 to
-    within 1e-8; the others certify a residual of 0.
+    Each lag is evaluated once over the whole grid, as an array.  The grid
+    times where a lag is advanced or a density window is empty are then
+    checked one by one, in order, so the first violation keeps its kind,
+    detail and time; when an array evaluation raises a domain error, every
+    grid time is checked that way, which locates it.  A point mass and the
+    uniform and triangular windows have unit mass by construction (Simpson's
+    rule is exact on a constant or linear density), so only a kernel with
+    `sampled_mass` builds a quadrature plan, at every grid time, and its mass
+    must be 1 to within 1e-8; the others certify a residual of 0.
     """
-    t_grid = list(t_grid)
-    if not t_grid:
+    times = [float(t) for t in t_grid]
+    if not times:
         raise ValueError("validation grid must be non-empty")
-    worst = 0.0
+    ts = np.array(times)
     widest = -math.inf
-    all_density = not kernel.atom_lags()
-    atoms = () if kernel.floor_is_only_lag else kernel.atom_lags()
-    for t in t_grid:
-        try:
-            floor = kernel.support_floor(t)
-            if floor > t + 1e-12:
-                return KernelViolation(
-                    t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}"
-                )
-            if all_density:
-                _check_window(floor, t)
-            for lag in atoms:
-                lv = lag.evaluate(t)
-                if lv > t + 1e-12:
-                    return KernelViolation(
-                        t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}"
-                    )
-            m = kernel.mass(t, n_quad) if kernel.sampled_mass else 1.0
-        except EvalDomainError as e:
-            return KernelViolation(t, "domain-error", str(e))
-        except ValueError as e:  # a density over an empty window has no mass
-            return KernelViolation(t, "mass", str(e))
-        widest = max(widest, t - floor)
-        residual = abs(m - 1.0)
-        worst = max(worst, residual)
-        if residual > MASS_TOL:
-            return KernelViolation(t, "mass", f"total mass {m!r} at t={t!r}")
-    return KernelCertificate(t_points=len(t_grid), max_mass_residual=worst, max_span=widest)
+    try:
+        lags = [lag.evaluate_array(ts) for lag in kernel.support_lags()]
+    except EvalDomainError:
+        suspects = range(len(times))
+    else:
+        floors = np.minimum.reduce(lags)
+        widest = float(np.max(ts - floors))
+        if kernel.sampled_mass:
+            suspects = range(len(times))
+        else:
+            bad = ts - floors <= 0.0 if not kernel.atom_lags() else np.zeros(ts.shape, dtype=bool)
+            for values in lags:
+                bad |= values > ts + 1e-12
+            suspects = np.flatnonzero(bad).tolist()
+    worst = 0.0
+    for i in suspects:
+        res = _check_at(kernel, times[i], n_quad)
+        if isinstance(res, KernelViolation):
+            return res
+        widest = max(widest, res[0])
+        worst = max(worst, res[1])
+    return KernelCertificate(t_points=len(times), max_mass_residual=worst, max_span=widest)

@@ -26,7 +26,7 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
 )
-from reference_history import FnComponent, stage_components
+from reference_history import FnComponent, in_step_read, stage_components, step_grid_feedback
 
 
 def pf(text):
@@ -76,7 +76,7 @@ class TestLinearDecay:
             ts = traj.step_times()
             xs = traj.step_values(0)
             errs.append(float(np.max(np.abs(xs - np.exp(-ts / 2.0)))))
-        assert errs[0] / errs[1] >= 8.0
+        assert errs[0] / errs[1] >= 2.0**3.9
 
     def test_deterministic_reruns(self):
         t1, o1 = integrate(linear_half_decay(), horizon=4.0, dt=1e-3)
@@ -159,7 +159,7 @@ def positive_systems(draw):
 @settings(max_examples=40, deadline=None)
 def test_positive_data_stay_positive(system):
     spec, dt = system
-    traj, _ = integrate(spec, horizon=6.0, dt=dt, n_quad=8)
+    traj, _ = integrate(spec, horizon=6.0, dt=dt)
     for comp in (0, 1):
         assert np.all(traj.step_values(comp) > 0.0)
 
@@ -306,7 +306,7 @@ def test_modulated_equilibrium_run():
         g1="x",
         g2="x",
     )
-    _, outcome = integrate(spec, horizon=60.0, dt=5e-3, n_quad=32)
+    _, outcome = integrate(spec, horizon=60.0, dt=5e-3)
     assert outcome.status in ("converged", "reached-horizon")
     assert outcome.final_state[0] == pytest.approx(4.0, abs=1e-3)
     assert outcome.final_state[1] == pytest.approx(4.0, abs=1e-3)
@@ -319,7 +319,7 @@ def test_point_lag_final_state_is_plain_float():
     assert [type(v) for v in outcome.final_state] == [float, float]
 
 
-# -- per-step reuse of plans and stored lookups in the stage view -----------
+# -- density windows on the step grid ----------------------------------------
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 STEP = 0.05
@@ -334,19 +334,12 @@ def stored_history():
 
 
 def stage_view(traj, state, t1):
-    """The view at the start of the step [front, t1] from state."""
-    view = _StageHistory(traj)
-    view.set_step(traj.t_front, t1, *state)
+    """The view at the start of the step [front, t1] from state, with the
+    stored slopes at the front as the start slopes."""
+    view = _StageHistory(traj, STEP)
+    i = traj.n - 1
+    view.set_step(traj.t_front, t1, *state, float(traj._dx1[i]), float(traj._dy1[i]))
     return view
-
-
-def blended(nodes, view, comp):
-    """The in-step linear blend, one node at a time."""
-    out = []
-    for s in nodes:
-        w = min(max((s - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
-        out.append((1.0 - w) * view.start[comp] + w * view.stage[comp])
-    return np.array(out)
 
 
 def count_array_lookups(monkeypatch):
@@ -362,15 +355,24 @@ def count_array_lookups(monkeypatch):
 
 
 def counted_production(text):
-    """A production function that records the size of each array evaluation."""
+    """A production function that records its scalar arguments and the size
+    of each array evaluation."""
     e = parse(text)
-    sizes = []
+    scalars, sizes = [], []
+
+    def scalar_fn(v):
+        scalars.append(v)
+        return e.evaluate(v)
 
     def array_fn(vs):
         sizes.append(np.size(vs))
         return e.evaluate_array(vs)
 
-    return ProductionFunction(e.evaluate, array_fn), sizes
+    return ProductionFunction(scalar_fn, array_fn), scalars, sizes
+
+
+def close(got, want, rel=1e-13):
+    return abs(got - want) <= rel * abs(want)
 
 
 WINDOWS = st.builds(
@@ -378,103 +380,178 @@ WINDOWS = st.builds(
     st.floats(min_value=2.1, max_value=4.0),
     st.booleans(),
 )
+BODIES = ["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]
+
+
+def feedback_window(kind, lag):
+    lag = lag if isinstance(lag, str) else f"t-{lag!r}"
+    if kind == "uniform":
+        return UniformDensityKernel(lag)
+    if kind == "triangular":
+        return TriangularDensityKernel(lag)
+    return GeneralMixtureKernel([("t-0.05", 0.25)], density=kind, density_lag=lag)
+
+
+KINDS = ["uniform", "triangular", "exp(-u)", "u/4+1"]
+
+
+LAGS = st.one_of(
+    st.floats(min_value=0.001, max_value=0.5 * STEP),  # inside the step at the midpoint
+    st.floats(min_value=0.001, max_value=4.0),  # beyond about 2 the windows straddle 0
+    st.sampled_from(["t/2", "t/2 - 1.5", "t/3 - 0.7*t"]),  # non-constant lags
+)
 
 
 class TestStageView:
     @given(
         kernel=WINDOWS,
         frac=st.floats(min_value=0.01, max_value=1.0),
-        n_quad=st.integers(min_value=2, max_value=40),
         stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_lookups_match_stored_history_and_blend(self, kernel, frac, n_quad, stage):
+    def test_lookups_match_stored_history_and_blend(self, kernel, frac, stage):
+        # the grid holds the stored step ends as stored, each step's Hermite
+        # midpoint and the initial data at multiples of STEP/2; the tail
+        # reads the in-step quadratic at the panel midpoint and the stage
         traj, state = stored_history()
         front = traj.t_front
         view = stage_view(traj, state, front + frac * STEP)
-        win = view.window(kernel, n_quad)
-        for slot, t in enumerate(view.times):
-            view.set_stage(t, *stage)
-            plan = win.plans[slot]
-            for got, want in zip(plan, kernel.plan(t, n_quad)):
-                assert np.array_equal(got, want)
-            nodes = plan.nodes
-            assert nodes[0] < 0.0 < front < nodes[-1]  # straddles 0 and the front
-            k = int(np.searchsorted(nodes, front, side="right"))
-            assert win.split[slot] == k
-            wd = plan.weights[k:] * plan.density[k:]
-            for comp in (0, 1):
-                assert np.array_equal(win.stored[slot][comp], traj.value_array(nodes[:k])[comp])
-                tail = [w0 * view.start[comp] + w1 * view.stage[comp] for _, w0, w1 in win.tails[slot]]
-                assert np.array_equal(tail, blended(nodes[k:], view, comp))
-            assert np.array_equal([w for w, _, _ in win.tails[slot]], wd)
-
-    @given(
-        kernel=WINDOWS,
-        frac=st.floats(min_value=0.01, max_value=1.0),
-        n_quad=st.integers(min_value=2, max_value=40),
-        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
-        body=st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_feedback_matches_full_simpson_dot(self, kernel, frac, n_quad, stage, body):
-        traj, state = stored_history()
-        front = traj.t_front
-        f = pf(body)
-        view = stage_view(traj, state, front + frac * STEP)
-        hist = stage_components(view)
-        eps = np.finfo(float).eps
         for t in view.times:
             view.set_stage(t, *stage)
-            plan = kernel.plan(t, n_quad)
-            k = int(np.searchsorted(plan.nodes, front, side="right"))
-            for comp, component in enumerate(hist):
-                u = np.concatenate((traj.value_array(plan.nodes[:k])[comp],
-                                    blended(plan.nodes[k:], view, comp)))
-                terms = plan.weights * f.eval_array(u) * plan.density
-                got = component.feedback(kernel, f, t, n_quad)
-                assert abs(got - float(np.sum(terms))) <= 64 * eps * float(np.sum(np.abs(terms)))
+            win = view.window(kernel, t)
+            grid = view.grid
+            ts, xy = grid.t[: grid.n], grid.xy[:, : grid.n]
+            floor = kernel.density_floor(t)
+            assert ts[0] <= floor < 0.0 < front == ts[-1]  # straddles 0, up to the front
+            assert win.i % 2 == 0 and ts[win.i] >= floor and (win.i == 0 or ts[win.i - 2] < floor)
+            ends = traj.step_times()
+            k = int(np.searchsorted(ts, 0.0))
+            assert np.array_equal(ts[k::2], ends)
+            assert np.array_equal(xy[:, k::2], traj.value_array(ends))
+            mids = ts[k + 1 :: 2]
+            assert np.allclose(mids, 0.5 * (ends[:-1] + ends[1:]), rtol=0, atol=1e-15)
+            assert np.allclose(xy[:, k + 1 :: 2], traj.value_array(mids), rtol=1e-15, atol=0)
+            assert np.array_equal(ts[:k], np.arange(-k, 0) * (0.5 * STEP))
+            assert np.array_equal(xy[:, :k], traj.value_array(ts[:k]))
+            T = t - front
+            assert [s for _, s in win.tail] == [front + 0.5 * T, t]
+            for comp in (0, 1):
+                assert view.inner(t, comp) == stage[comp]
+                s = front + 0.5 * T
+                assert bits(view.inner(s, comp)) == bits(in_step_read(view, s, comp))
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        lag=LAGS,
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+        body=st.sampled_from(BODIES),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_feedback_matches_full_simpson_dot(self, kind, lag, frac, stage, body):
+        # uniform, triangular and mixture densities; constant lags, windows
+        # straddling 0 or inside the step, and moving lags
+        traj, state = stored_history()
+        kernel = feedback_window(kind, lag)
+        f = pf(body)
+        view = stage_view(traj, state, traj.t_front + frac * STEP)
+        for t in view.times:
+            view.set_stage(t, *stage)
+            for comp, component in enumerate(stage_components(view)):
+                got = component.feedback(kernel, f, t, 64)
+                assert close(got, step_grid_feedback(view, kernel, f, t, comp))
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        lag=st.floats(min_value=0.001, max_value=1.5),
+        frac=st.floats(min_value=0.01, max_value=1.0),
+        body=st.sampled_from(BODIES),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_step_reads_initial_data_across_zero(self, kind, lag, frac, body):
+        # the first step of a run: stored history is the point t = 0 alone,
+        # and windows reach back into the initial data or lie in the step
+        spec = spec_of("1+x/2", "x/2", phi="2+sin(3*t)", psi="1+t^2/4")
+        traj = Trajectory(spec.phi, spec.psi)
+        kernel = feedback_window(kind, lag)
+        f = pf(body)
+        view = _StageHistory(traj, STEP)
+        view.set_step(0.0, 0.0, 2.0, 1.0, 0.0, 0.0)
+        view.set_stage(0.0, 2.0, 1.0)
+        for comp, component in enumerate(stage_components(view)):
+            assert close(component.feedback(kernel, f, 0.0, 64), step_grid_feedback(view, kernel, f, 0.0, comp))
+        view.set_step(0.0, frac * STEP, 2.0, 1.0, 0.7, -0.4)
+        for t in view.times:
+            view.set_stage(t, 2.1, 0.9)
+            for comp, component in enumerate(stage_components(view)):
+                got = component.feedback(kernel, f, t, 64)
+                assert close(got, step_grid_feedback(view, kernel, f, t, comp))
 
     def test_lookup_after_append_sees_new_segment(self):
         traj, state = stored_history()
         front = traj.t_front
         kernel = UniformDensityKernel("t-1")
+        f = pf("x")
         t1 = front + STEP
         view = stage_view(traj, state, t1)
+        x_hist, _ = stage_components(view)
         view.set_stage(t1, 9.0, 9.0)
-        win = view.window(kernel, 16)
-        before = [w0 * view.start[0] + w1 * view.stage[0] for _, w0, w1 in win.tails[1]]
-        traj.append_segment(front, t1, state[0], 3.0, 0.0, 0.0, state[1], 4.0, 0.0, 0.0)
-        view.set_step(t1, t1, 3.0, 4.0)  # the next step's first stage, at the same time
+        before = x_hist.feedback(kernel, f, t1, 16)
+        assert close(before, step_grid_feedback(view, kernel, f, t1, 0))
+        view.append_segment(front, t1, state[0], 3.0, 0.0, 0.0, state[1], 4.0, 0.0, 0.0)
+        view.set_step(t1, t1, 3.0, 4.0, 0.0, 0.0)  # the next step's first stage, at the same time
         view.set_stage(t1, 3.0, 4.0)
-        win = view.window(kernel, 16)
-        plan, after = win.plans[1], win.stored[1][0]
-        assert win.tails[1] == []
-        assert np.array_equal(after, traj.value_array(plan.nodes)[0])
-        assert after[-1] == 3.0 and before[-1] == 9.0
+        after = x_hist.feedback(kernel, f, t1, 16)
+        grid = view.grid
+        assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * STEP, t1]
+        assert grid.xy[0, grid.n - 1] == 3.0
+        assert view.window(kernel, t1).tail == ()
+        assert close(after, step_grid_feedback(view, kernel, f, t1, 0))
+        assert after != before
 
     def test_same_time_stages_share_stored_part(self, monkeypatch):
         traj, state = stored_history()
         kernel = TriangularDensityKernel("t-1")
         view = stage_view(traj, state, traj.t_front + STEP)
         x_hist, y_hist = stage_components(view)
-        f, evals = counted_production("x^2+x")
+        f, scalars, sizes = counted_production("x^2+x")
         calls = count_array_lookups(monkeypatch)
         feeds = {}
-        for slot, t in enumerate(view.times):
+        for t in view.times:
             for stage in ((1.5, 2.5), (7.0, 8.0)):
                 view.set_stage(t, *stage)
-                feeds[slot, stage] = (x_hist.feedback(kernel, f, t, 64), y_hist.feedback(kernel, f, t, 64))
-        win = view.window(kernel, 64)
-        assert calls == [sum(win.split)]  # one lookup serves x and y at both stage times
-        assert evals == [sum(win.split)] * 2  # once per component, over both slots' nodes
-        for slot in (0, 1):
-            assert win.tails[slot]  # several nodes fall inside the step
-            for a, b in zip(feeds[slot, (1.5, 2.5)], feeds[slot, (7.0, 8.0)]):
+                feeds[t, stage] = (x_hist.feedback(kernel, f, t, 64), y_hist.feedback(kernel, f, t, 64))
+        first = view.window(kernel, view.times[0]).i
+        assert calls == []  # the windows lie in stored history: the grid reads no initial data
+        # f once per component over the grid nodes from the midpoint window's
+        # first step end on; the step-end window's nodes are among them
+        assert sizes == [view.grid.n - first] * 2
+        # per stage time and component: two head reads, then two tail reads per call
+        assert len(scalars) == 2 * 2 * (2 + 2 * 2)
+        for t in view.times:
+            assert view.window(kernel, t).tail
+            for a, b in zip(feeds[t, (1.5, 2.5)], feeds[t, (7.0, 8.0)]):
                 assert a != b  # the shared stored sum, different tails
-        view.set_step(traj.t_front, traj.t_front + STEP, *state)  # a new step looks up again
+        view.set_step(traj.t_front, traj.t_front + STEP, *state, 0.0, 0.0)  # a new step: new windows
         x_hist.feedback(kernel, f, view.times[0], 64)
-        assert len(calls) == 2
+        assert calls == [] and len(sizes) == 2  # the grid's f values are kept
+
+    def test_trim_drops_grid_nodes_with_the_segments(self):
+        traj, state = stored_history()
+        kernel = TriangularDensityKernel("t-0.6")
+        f = pf("sqrt(x)+2")
+        t1 = traj.t_front + STEP
+        view = stage_view(traj, state, t1)
+        x_hist, y_hist = stage_components(view)
+        view.set_stage(t1, *state)
+        before = (x_hist.feedback(kernel, f, t1, 64), y_hist.feedback(kernel, f, t1, 64))
+        assert view.trim_before(1.0) > 0
+        grid = view.grid
+        assert grid.t[0] == traj.coverage_floor and grid.n == 2 * traj.n + 1
+        view.set_step(traj.t_front, t1, *view.start, *view.slope)  # new windows, kept grid values
+        view.set_stage(t1, *state)
+        after = (x_hist.feedback(kernel, f, t1, 64), y_hist.feedback(kernel, f, t1, 64))
+        assert [bits(v) for v in after] == [bits(v) for v in before]
 
     def test_trimmed_history_still_underflows(self):
         traj, state = stored_history()
@@ -493,51 +570,38 @@ class TestStageView:
             stage_components(view)[0].feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
 
 
-def slot_reference(view, kernel, f, t, n_quad, comp):
-    """A window's feedback with f evaluated on one stage time's stored nodes
-    alone: dot(weights * density, f(value_array(stored nodes))), then the
-    in-step tail node by node, blended toward the stage state."""
-    plan = kernel.plan(t, n_quad)
-    k = int(plan.nodes.searchsorted(view.traj.t_front, side="right"))
-    wd = plan.weights[:k] * plan.density[:k]
-    total = float(np.dot(wd, f.eval_array(view.traj.value_array(plan.nodes[:k])[comp])))
-    for s, wj, dj in zip(plan.nodes[k:].tolist(), plan.weights[k:].tolist(), plan.density[k:].tolist()):
-        w = min(max((s - view.t0) / (view.t_stage - view.t0), 0.0), 1.0)
-        total += wj * dj * f((1.0 - w) * view.start[comp] + w * view.stage[comp])
-    return total
-
-
-def feedback_window(kind, lag):
-    if kind == "uniform":
-        return UniformDensityKernel(f"t-{lag!r}")
-    if kind == "triangular":
-        return TriangularDensityKernel(f"t-{lag!r}")
-    return GeneralMixtureKernel([("t-0.05", 0.25)], density=kind, density_lag=f"t-{lag!r}")
+def fresh_reference(view, kernel, f, t, comp):
+    """The window's feedback from a new view of the same step and stage,
+    which serves this one read and nothing else."""
+    other = _StageHistory(view.traj, view.dt)
+    other.set_step(view.t0, view.times[1], *view.start, *view.slope)
+    other.set_stage(view.t_stage, *view.stage)
+    return stage_components(other)[comp].feedback(kernel, f, t, 64)
 
 
 class TestOneEvaluationPerPair:
     @given(
-        kind=st.sampled_from(["uniform", "triangular", "exp(-u)", "u/4+1"]),
+        kind=st.sampled_from(KINDS),
         lag_frac=st.floats(min_value=0.0, max_value=1.0),
         trimmed=st.booleans(),
         frac=st.floats(min_value=0.01, max_value=1.0),
-        n_quad=st.integers(min_value=2, max_value=40),
         stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=2),
-        bodies=st.lists(st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]),
-                        min_size=1, max_size=2),
+        bodies=st.lists(st.sampled_from(BODIES), min_size=1, max_size=2),
         end_first=st.booleans(),
         y_first=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
     def test_feedback_matches_the_per_slot_reference_bit_for_bit(
-        self, kind, lag_frac, trimmed, frac, n_quad, stages, bodies, end_first, y_first
+        self, kind, lag_frac, trimmed, frac, stages, bodies, end_first, y_first
     ):
+        # whatever order the stages, components and production functions
+        # read a step's windows in, each read equals a view that serves it alone
         traj, state = stored_history()
         if trimmed:
             traj.trim_before(1.0)  # keeps [0.95, 2]: the windows stay inside it
-            lag = 0.1 + 0.9 * lag_frac
+            lag = 0.01 + 0.99 * lag_frac
         else:
-            lag = 0.1 + 3.9 * lag_frac  # beyond about 2 the windows straddle 0
+            lag = 0.01 + 3.99 * lag_frac  # beyond about 2 the windows straddle 0
         kernel = feedback_window(kind, lag)
         view = stage_view(traj, state, traj.t_front + frac * STEP)
         hist = list(enumerate(stage_components(view)))
@@ -548,8 +612,8 @@ class TestOneEvaluationPerPair:
                 view.set_stage(t, *stage)
                 for comp, component in hist[::-1] if y_first else hist:
                     for f in fs:
-                        got = component.feedback(kernel, f, t, n_quad)
-                        assert bits(got) == bits(slot_reference(view, kernel, f, t, n_quad, comp))
+                        got = component.feedback(kernel, f, t, 64)
+                        assert bits(got) == bits(fresh_reference(view, kernel, f, t, comp))
 
     def test_domain_error_at_step_end_nodes_surfaces_at_the_step_end(self):
         # x(s) = s on [0, 2], and f is undefined below 0.5: the midpoint
@@ -569,47 +633,97 @@ class TestOneEvaluationPerPair:
             if not end_first:
                 view.set_stage(mid, *state)
                 got = x_hist.feedback(kernel, f, mid, 16)
-                assert bits(got) == bits(slot_reference(view, kernel, f, mid, 16, 0))
+                assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
+                assert close(got, step_grid_feedback(view, kernel, f, mid, 0))
             view.set_stage(end, *state)
             with pytest.raises(EvalDomainError, match="sqrt"):
                 x_hist.feedback(kernel, f, end, 16)
             if end_first:  # the failed read leaves the midpoint readable
                 view.set_stage(mid, *state)
                 got = x_hist.feedback(kernel, f, mid, 16)
-                assert bits(got) == bits(slot_reference(view, kernel, f, mid, 16, 0))
+                assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
 
 
 @pytest.mark.parametrize(
-    "k1, k2, per_step",
+    "k1, k2, windows, points",
     [
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), 1),  # equal, not the same object
-        (UniformDensityKernel("t-1"), TriangularDensityKernel("t-1"), 2),
-        (TriangularDensityKernel("t-1"), PointMassKernel("t-1"), 1),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), 1, 0),  # equal, not the same object
+        (UniformDensityKernel("t-1"), TriangularDensityKernel("t-1"), 2, 0),
+        (TriangularDensityKernel("t-1"), PointMassKernel("t-1"), 1, 1),
     ],
 )
-def test_one_lookup_per_step_per_distinct_window(monkeypatch, k1, k2, per_step):
+def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points):
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
     calls = count_array_lookups(monkeypatch)
-    _, outcome = integrate(spec, horizon=0.5, dt=0.01, n_quad=16)
+    scalar_reads = count_scalar_lookups(monkeypatch)
+    f1, f1_scalars, f1_sizes = counted_production("1+x/2")
+    f2, f2_scalars, f2_sizes = counted_production("x/2")
+    spec.f1, spec.f2 = f1, f2
+    _, outcome = integrate(spec, horizon=0.5, dt=0.01)
     steps = outcome.diagnostics["steps"]
     assert outcome.status == "reached-horizon" and steps == 50
-    # the first derivative at t = 0 is a step of its own, with one stage time
-    assert len(calls) == per_step * (steps + 1)
+    # one lookup of the initial data, x and y together, back to the floor -1
+    # at t = 0: the step ends -1, -0.99, ..., 0 with their midpoints
+    assert calls == [200]
+    # per distinct window and stage time at most two head reads, and per
+    # point kernel and stage time one read
+    assert len(scalar_reads) <= windows * 2 * (1 + 2 * steps) + points * (1 + 2 * steps)
+    for scalars, sizes, fed in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
+        if isinstance(fed, PointMassKernel):
+            assert sizes == []
+            continue
+        # f over the initial data once, at t = 0; then per step at most two
+        # new grid nodes, two head reads per stage time, and two tail reads
+        # per call (two calls per stage time)
+        assert sizes == [201]
+        assert len(scalars) <= 2 + steps * (2 + 2 * 2 + 2 * 2 * 2)
 
 
-@pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular"])
+@pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
 def test_window_runs_repeat_bit_identically(name):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     spec = system_from_mapping(cfg.system)
-    dt, n_quad = cfg.numerics.dt, cfg.numerics.quad_panels
-    runs = [integrate(spec, horizon=3.0, dt=dt, n_quad=n_quad) for _ in range(2)]
+    dt = cfg.numerics.dt
+    runs = [integrate(spec, horizon=3.0, dt=dt) for _ in range(2)]
     (ta, oa), (tb, ob) = runs
     for comp in (0, 1):
         assert np.array_equal(ta.step_values(comp), tb.step_values(comp))
     assert oa.final_state == ob.final_state
-    trimmed, ot = integrate(spec, horizon=3.0, dt=dt, n_quad=n_quad, trim_history=True)
-    assert trimmed.coverage_floor > 0.0
+    # trimming drops grid nodes with the segments; what is kept, and every
+    # later step, is the same to the bit
+    trimmed, ot = integrate(spec, horizon=3.0, dt=dt, trim_history=True)
+    assert 0.0 < trimmed.coverage_floor and trimmed.n < ta.n
     assert ot.final_state == oa.final_state
+    kept = ta.n - trimmed.n
+    for name_ in ("_t0", "_t1", "_seg"):
+        assert np.array_equal(getattr(trimmed, name_)[..., : trimmed.n], getattr(ta, name_)[..., kept : ta.n])
+
+
+# state at t = 3 of the accuracy probes that read inside a step, from the
+# previous scheme at step 0.02/32: the windows by a fixed 64- and 32-panel
+# Simpson rule over dense history reads (that rule's own error is about
+# 2.5e-9 and 4e-10), the proportional lag through the linear in-step blend
+IN_STEP_PROBES = {
+    "logistic_distributed": (2.357600250698009, 2.4324281378803114),
+    "sqrt_logistic_triangular": (4.067023990703251, 4.133918226817993),
+    "pantograph_logistic": (3.0547019838632004, 3.0547019838632004),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_STEP_PROBES))
+def test_in_step_reads_converge_at_fourth_order(name):
+    spec = system_from_mapping(load_config(CONFIGS / f"{name}.cfg").system)
+
+    def state(dt):
+        return integrate(spec, horizon=3.0, dt=dt, converge_rtol=0.0)[1].final_state
+
+    def gap(a, b):
+        return max(abs(a[0] - b[0]), abs(a[1] - b[1])) / max(1.0, *map(abs, b))
+
+    fine = state(0.04 / 32)
+    assert gap(fine, IN_STEP_PROBES[name]) < 3e-9  # the independent rule agrees
+    coarse, mid = gap(state(0.04), fine), gap(state(0.02), fine)
+    assert math.log2(coarse / mid) >= 3.5
 
 
 def test_finished_run_leaves_no_reference_cycles():
@@ -758,15 +872,12 @@ POINT_LAGS = st.one_of(
 
 def direct_read(view, s, comp):
     """The component at s as the stage view reads it: stored history up to
-    the front, the stage state from the stage time on, and the linear blend
-    between the step start and the stage in between."""
+    the front, the stage state from the stage time on, and the in-step
+    quadratic in between."""
     s = float(s)
     if s <= view.traj.t_front:
         return view.traj.value_scalar(s, comp)
-    if s >= view.t_stage:
-        return view.stage[comp]
-    w = (s - view.t0) / (view.t_stage - view.t0)
-    return (1.0 - w) * view.start[comp] + w * view.stage[comp]
+    return in_step_read(view, s, comp)
 
 
 class TestPointStageView:
@@ -807,7 +918,7 @@ class TestPointStageView:
                 kernel.integrate(f, y_hist, t)
         assert calls == [None, None]  # one (x, y) lookup per stage time
         assert len(evals) == 4  # f once per stage time and component
-        view.set_step(traj.t_front, traj.t_front + STEP, *state)  # a new step reads again
+        view.set_step(traj.t_front, traj.t_front + STEP, *state, 0.0, 0.0)  # a new step reads again
         kernel.integrate(f, x_hist, view.times[0])
         assert len(calls) == 3
 
@@ -848,7 +959,7 @@ class TestPointLagStops:
             ("x^2+x", "1", 0.05, 50.0, 2.0, "stage-2", 2.0, 43.40257934500686),
             ("x^2+x", "1", 0.05, 5.0, 2.0, "stage-3", 1.35, 4.7329243482823165),
             ("exp(x)", "0.3", 0.05, 1e12, 20.0, "stage-4", 2.1, 358.82276069556735),
-            ("exp(x)", "0.5", 0.3, 5.0, 2.0, "state-threshold", 1.2, 2.510901686386852),
+            ("exp(x)", "0.5", 0.3, 20.0, 20.0, "state-threshold", 1.5, 4.791867306739396),
         ],
     )
     def test_each_guard_names_itself_with_a_stored_lag(self, f, v, dt, threshold, ratio, guard, t_stop, x_stop):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopdelay.expr import Expression
+from coopdelay import kernels
 from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import (
     GeneralMixtureKernel,
@@ -223,24 +224,60 @@ class TestValidate:
 
     def test_point_lag_is_evaluated_once_per_grid_time(self, monkeypatch):
         # a point kernel's one atom is its support floor, and a window has
-        # unit mass by construction: one floor evaluation checks the lag,
-        # the window and the span, and no quadrature plan is built
-        calls = [0]
-        evaluate = Expression.evaluate
+        # unit mass by construction: one array evaluation of the lag over the
+        # grid checks the lag, the window and the span, and no quadrature
+        # plan is built; only a violating grid time is read again, by itself
+        calls = []
+        evaluate, evaluate_array = Expression.evaluate, Expression.evaluate_array
 
         def counted(self, v):
-            calls[0] += 1
+            calls.append(1)
             return evaluate(self, v)
 
+        def counted_array(self, vs):
+            calls.append(np.size(vs))
+            return evaluate_array(self, vs)
+
         monkeypatch.setattr(Expression, "evaluate", counted)
+        monkeypatch.setattr(Expression, "evaluate_array", counted_array)
         grid = [0.0, 1.0, 2.5, 4.0]
         for kind in (PointMassKernel, UniformDensityKernel, TriangularDensityKernel):
-            calls[0] = 0
+            calls.clear()
             res = validate_kernel(kind("t-1"), grid)
             assert res == KernelCertificate(t_points=len(grid), max_mass_residual=0.0, max_span=1.0)
-            assert calls[0] == len(grid)
+            assert calls == [len(grid)]
+            calls.clear()
             res = validate_kernel(kind("t+1"), grid)
             assert res == KernelViolation(0.0, "advanced-lag", "support floor 1.0 exceeds t=0.0")
+            assert calls == [len(grid), 1]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            PointMassKernel("t - 1 + t^2/20"),  # advanced from t = 4.47 on
+            UniformDensityKernel("t - 2 + t/2"),  # empty window at t = 4
+            TriangularDensityKernel("t - ln(t - 3)"),  # domain error below t = 3
+            GeneralMixtureKernel(atoms=[("t - 1", 0.5), ("t - 3 + t/2", 0.5)]),  # atom advanced
+            GeneralMixtureKernel(atoms=[("t - 1", 0.5)], density="1/(1 + u)", density_lag="t - 1"),  # mass
+            GeneralMixtureKernel(atoms=[("t/2 - 1", 0.5)], density="0.5", density_lag="t - 1"),  # certifies
+            UniformDensityKernel("t - 1 - sin(t)/2"),  # certifies
+        ],
+    )
+    def test_array_pass_finds_what_the_scalar_loop_finds(self, kernel):
+        # the scalar checks of every grid time in order, as validation ran
+        # them before the lags were evaluated as arrays
+        grid = [0.25 * i for i in range(41)]
+        for t in grid:
+            want = kernels._check_at(kernel, t, 64)
+            if isinstance(want, KernelViolation):
+                break
+        else:
+            want = None
+        got = validate_kernel(kernel, grid)
+        if want is None:
+            assert isinstance(got, KernelCertificate)
+        else:
+            assert got == want
 
     @given(
         c=st.floats(min_value=0.1, max_value=100.0),
