@@ -763,13 +763,12 @@ def certify_run(
     ys = traj.step_values(1)
 
     if box is not None:
-        floors1 = spec.k1.support_floor
-        floors2 = spec.k2.support_floor
-        t_enter = ts[-1]
-        for t in ts:
-            if floors1(float(t)) >= 0.0 and floors2(float(t)) >= 0.0:
-                t_enter = float(t)
-                break
+        # the first stored time at which both kernel supports lie in forward
+        # time, from one array evaluation of each support lag
+        entered = np.ones(ts.shape, dtype=bool)
+        for lag in spec.k1.support_lags() + spec.k2.support_lags():
+            entered &= lag.evaluate_array(ts) >= 0.0
+        t_enter = float(ts[np.argmax(entered)]) if entered.any() else ts[-1]
         mask = ts >= t_enter
         inside = (
             (xs[mask] >= box.m1 - box_tol)
@@ -812,10 +811,10 @@ def certify_run(
         envelope = max(bounds.terminal_gap, bounds.terminal_gap_y) if bounds is not None else 0.0
         # the bound envelope describes the limit as t -> oo, so compare it
         # with the limit extrapolated from the run's own decay (Aitken
-        # delta^2 over three equally spaced norms spanning the stored second
-        # half), not with the norm at whatever horizon the run stopped
+        # delta^2 over three equally spaced norms spanning the second half of
+        # the run), not with the norm at whatever horizon the run stopped
         t2 = outcome.t_final
-        h = 0.5 * (t2 - max(float(ts[0]), 0.5 * t2))
+        h = 0.25 * t2
         norms = [max(abs(v) for v in traj.value_scalar(t)) for t in (t2 - 2.0 * h, t2 - h)]
         norms.append(max(abs(fx), abs(fy)))
         d1, d2 = norms[1] - norms[0], norms[2] - norms[1]

@@ -193,7 +193,6 @@ def execute_run(
                 converge_rtol=num.converge_rtol,
                 window_spans=num.window_spans,
                 extinction_threshold=num.extinction_threshold,
-                trim_history=num.trim_history,
             )
         except IntegrationError as e:
             return RunResult(EXIT_NUMERICAL, message=f"numerical: {e}")
@@ -337,6 +336,9 @@ def _batch_worker(payload: tuple[str, str | None]) -> tuple[str, int, str, str]:
 
 
 def _cmd_batch(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_VALIDATION
     root = Path(args.directory)
     configs = sorted(str(p) for p in root.glob("*.cfg"))
     if not configs:

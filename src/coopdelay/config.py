@@ -73,7 +73,6 @@ class Numerics:
     kernel_grid: int = 101
     max_lag_bound: float = 1e3
     unbounded_delay_ok: bool = False
-    trim_history: bool = False
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

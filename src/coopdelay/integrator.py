@@ -1,10 +1,14 @@
 """Fixed-step RK4 with cubic-Hermite dense output for delayed lookups.
 
-History access.  Completed steps are stored as cubic Hermite segments
-(`Trajectory`), and the initial functions serve times up to 0.  Inside the
-current step, which is not stored yet, a read at s between the step start
-t0 and the active stage time reads the quadratic through the start value,
-the start slope k1 and the stage state,
+History access.  The run's history is append-only (`Trajectory`): one node
+per accepted step end holds the time and x, y, x', y' there, node 0 holds
+the initial state with the slope of the first right-hand-side call, and
+segment i is the cubic Hermite from node i to node i + 1.  Nothing is ever
+cut: a delay may be unbounded, so a lag can read any time of the run, and
+the checks after a run read all of it.  The initial functions serve times
+up to 0.  Inside the current step, which is not stored yet, a read at s
+between the step start t0 and the active stage time reads the quadratic
+through the start value, the start slope k1 and the stage state,
 
     x0 * (1 - r^2) + x_stage * r^2 + T * (r - r^2) * k1,   r = (s - t0) / T,
 
@@ -25,23 +29,23 @@ component.  A lagged time inside the current step is read from the
 quadratic on every call, toward the live stage state.
 
 Density kernels: one quadrature serves uniform, triangular and mixture
-densities with any lag, composite Simpson on the step grid.  When a step is
-accepted, the view stores x and y at its end and at its Hermite midpoint
-(`_StepGrid`); the initial data fill the same half-step grid below 0, back
-to the lowest floor a window has read.  f of a component is evaluated once
-per grid node, when a window first reads it.  The feedback at a stage time
-t with floor h(t) is then the head, Simpson from h(t) to the next step end
-with two Hermite reads; the body, whole steps from there to t0, one dot of
-Simpson weights times density with the stored f values; and the tail, the
-panel from t0 to t, whose midpoint is read from the quadratic above and whose
-end is the stage state.  A window whose floor lies inside the step is a
-single in-step panel.  Head and body are computed once per kernel and stage
-time (and kept per production function and component), so each call pays
-only for its tail.  The rule needs no history lookup after the grid is set
-up, and its resolution follows dt: n_quad does not steer a run.  Equal
-density windows share all of it, and so does one point kernel object
-serving both components.  The reads of a step fail, if they fail, at the
-stage that first needs them.
+densities with any lag, composite Simpson on the step grid.  The view keeps
+x and y at every step end and Hermite midpoint (`_StepGrid`), adding a
+step's two nodes when it is accepted; the initial data fill the same
+half-step grid below 0, back to the lowest floor a window has read.  f of a
+component is evaluated once per grid node, when a window first reads it.
+The feedback at a stage time t with floor h(t) is then the head, Simpson
+from h(t) to the next step end with two Hermite reads; the body, whole
+steps from there to t0, one dot of Simpson weights times density with the
+stored f values; and the tail, the panel from t0 to t, whose midpoint is
+read from the quadratic above and whose end is the stage state.  A window
+whose floor lies inside the step is a single in-step panel.  Head and body
+are computed once per kernel and stage time (and kept per production
+function and component), so each call pays only for its tail.  The rule
+needs no history lookup after the grid is set up, and its resolution
+follows dt.  Equal density windows share all of it, and so does one point
+kernel object serving both components.  The reads of a step fail, if they
+fail, at the stage that first needs them.
 
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
@@ -85,11 +89,6 @@ class _StageGuard(Exception):
     """A blow-up guard fired inside a step; the argument names it."""
 
 
-# per-segment Hermite data, one row each, x and y side by side: values at
-# t0, values at t1, slopes at t0, slopes at t1
-_ROWS = ("_x0", "_y0", "_x1", "_y1", "_dx0", "_dy0", "_dx1", "_dy1")
-
-
 def _hermite(s, h, v0, v1, d0, d1):
     """Cubic Hermite value at the fraction s of a segment of length h, from
     the end values v0, v1 and the end slopes d0, d1.  Floats and broadcasting
@@ -106,70 +105,40 @@ def _hermite(s, h, v0, v1, d0, d1):
 class Trajectory:
     """Piecewise cubic-Hermite history of (x, y) over (-inf, t_front].
 
-    Negative times are served by the initial functions; stored segments
-    are contiguous, share endpoint values exactly, and are immutable once
-    written.
+    Negative times are served by the initial functions.  The stored part is
+    append-only: node i holds the time and x, y, x', y' (row i of `_v`) at
+    the i-th accepted step end, node 0 the run's start, and segment i runs
+    from node i to node i + 1, so segments are contiguous by construction.
+    `n` counts the stored segments; it is -1 before the start node.
     """
 
-    __slots__ = (
-        "phi", "psi", "n", "t_front", "coverage_floor", "_t0", "_t1", "_seg", *_ROWS,
-    )
+    __slots__ = ("phi", "psi", "n", "t_front", "_t", "_v")
 
     def __init__(self, phi=None, psi=None, capacity: int = 4096):
         self.phi = phi
         self.psi = psi
-        self.n = 0
+        self.n = -1
         self.t_front = 0.0
-        self.coverage_floor = -math.inf if phi is not None else 0.0
         cap = max(16, capacity)
-        self._t0 = np.empty(cap, dtype=float)
-        self._t1 = np.empty(cap, dtype=float)
-        self._seg = np.empty((len(_ROWS), cap), dtype=float)
-        self._bind_rows()
+        self._t = np.empty(cap, dtype=float)
+        self._v = np.empty((cap, 4), dtype=float)
 
     # -- storage -------------------------------------------------------
 
-    def _bind_rows(self) -> None:
-        for row, name in zip(self._seg, _ROWS):
-            setattr(self, name, row)
-
-    def _grow(self) -> None:
-        n = self.n
-        for name in ("_t0", "_t1", "_seg"):
-            old = getattr(self, name)
-            new = np.empty(old.shape[:-1] + (2 * old.shape[-1],), dtype=float)
-            new[..., :n] = old[..., :n]
-            setattr(self, name, new)
-        self._bind_rows()
-
-    def append_segment(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
-        if self.n == self._t0.size:
-            self._grow()
-        i = self.n
-        self._t0[i] = t0
-        self._t1[i] = t1
-        self._x0[i] = x0
-        self._x1[i] = x1
-        self._dx0[i] = dx0
-        self._dx1[i] = dx1
-        self._y0[i] = y0
-        self._y1[i] = y1
-        self._dy0[i] = dy0
-        self._dy1[i] = dy1
-        self.n += 1
-        self.t_front = t1
-
-    def trim_before(self, t: float) -> int:
-        """Drop whole segments ending before t; returns segments removed.
-        Only safe when every kernel's support is bounded away from the cut."""
-        keep_from = int(np.searchsorted(self._t1[: self.n], t, side="left"))
-        if keep_from <= 0:
-            return 0
-        for arr in (self._t0, self._t1, self._seg):
-            arr[..., : self.n - keep_from] = arr[..., keep_from : self.n]
-        self.n -= keep_from
-        self.coverage_floor = float(self._t0[0])
-        return keep_from
+    def append(self, t, x, y, dx, dy) -> None:
+        """Store the node at t: the start first, then each accepted step end."""
+        i = self.n + 1
+        if i == self._t.size:
+            self._t = np.concatenate((self._t, np.empty(i)))
+            self._v = np.concatenate((self._v, np.empty((i, 4))))
+        self._t[i] = t
+        v = self._v
+        v[i, 0] = x
+        v[i, 1] = y
+        v[i, 2] = dx
+        v[i, 3] = dy
+        self.n = i
+        self.t_front = t
 
     # -- evaluation ------------------------------------------------------
 
@@ -183,29 +152,25 @@ class Trajectory:
         """Value at the time t of x (comp 0) or y (comp 1), or the pair
         (x, y) when comp is None, from one segment search.  Up to the front,
         bit-identical to value_array at the same time."""
-        if t <= 0.0:
-            if t < self.coverage_floor:
-                raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {t!r}")
-            if comp is None:
-                return self._initial(t, 0), self._initial(t, 1)
-            return self._initial(t, comp)
         if t > self.t_front:
             if t - self.t_front <= 1e-12 * max(1.0, abs(self.t_front)):
                 t = self.t_front
             else:
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {t!r}")
-        if t < self.coverage_floor:
-            raise HistoryUnderflowError(f"history trimmed to {self.coverage_floor!r}, asked {t!r}")
-        if self.n == 0:
-            raise HistoryUnderflowError("empty trajectory")
+        # after the clamp: a history holding only its start node at 0 has no
+        # segment to read
+        if t <= 0.0:
+            if comp is None:
+                return self._initial(t, 0), self._initial(t, 1)
+            return self._initial(t, comp)
         # a time before the first segment can only come from a hand-built
         # history; it reads the first segment
-        i = max(int(self._t0[: self.n].searchsorted(t, side="right")) - 1, 0)
+        i = max(int(self._t[: self.n].searchsorted(t, side="right")) - 1, 0)
         # plain floats: the same IEEE operations as on numpy scalars, faster
-        t0 = self._t0.item(i)
-        h = self._t1.item(i) - t0
+        t0 = self._t.item(i)
+        h = self._t.item(i + 1) - t0
         s = (float(t) - t0) / h
-        x0, y0, x1, y1, dx0, dy0, dx1, dy1 = self._seg[:, i].tolist()
+        (x0, y0, dx0, dy0), (x1, y1, dx1, dy1) = self._v[i : i + 2].tolist()
         if comp is None:
             return _hermite(s, h, x0, x1, dx0, dx1), _hermite(s, h, y0, y1, dy0, dy1)
         if comp == 0:
@@ -219,8 +184,6 @@ class Trajectory:
         if ts.size:
             lo = ts.min()
             hi = ts.max()
-            if lo < self.coverage_floor:
-                raise HistoryUnderflowError(f"history starts at {self.coverage_floor!r}, asked {float(lo)!r}")
             if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
         if ts.size and lo > 0.0:
@@ -241,26 +204,21 @@ class Trajectory:
         """Stored-segment values of x and y at the positive times ts."""
         # a time before the first segment reads the first segment, as in
         # value_scalar
-        idx = self._t0[: self.n].searchsorted(ts, side="right") - 1
+        idx = self._t[: self.n].searchsorted(ts, side="right") - 1
         np.maximum(idx, 0, out=idx)
-        t0 = self._t0[idx]
-        h = self._t1[idx] - t0
-        g = self._seg.take(idx, axis=1).reshape((4, 2) + idx.shape)
-        return _hermite((ts - t0) / h, h, g[0], g[1], g[2], g[3])
+        t0 = self._t[idx]
+        h = self._t[idx + 1] - t0
+        a = self._v.T.take(idx, axis=1)
+        b = self._v.T.take(idx + 1, axis=1)
+        return _hermite((ts - t0) / h, h, a[:2], b[:2], a[2:], b[2:])
 
     # -- step-resolution views -------------------------------------------
 
     def step_times(self) -> np.ndarray:
-        if self.n == 0:
-            return np.array([0.0])
-        return np.concatenate(([self._t0[0]], self._t1[: self.n]))
+        return self._t[: self.n + 1]
 
     def step_values(self, comp: int) -> np.ndarray:
-        if self.n == 0:
-            raise ValueError("empty trajectory")
-        first = self._x0[0] if comp == 0 else self._y0[0]
-        tail = self._x1[: self.n] if comp == 0 else self._y1[: self.n]
-        return np.concatenate(([first], tail))
+        return self._v[: self.n + 1, comp]
 
     # -- export ------------------------------------------------------------
 
@@ -288,17 +246,19 @@ class _StepGrid:
 
     Node times ascend and step ends sit at even indices, so a run of nodes
     from one step end to another is a run of whole Simpson panels; `w` holds
-    their weights, dt/6 times 1, 4, 2, 4, ..., from index 0 on.  A stored
-    step adds its Hermite midpoint and its end.  Below the first stored time
-    the initial data fill the same grid, at multiples of dt/2, as far back
-    as a window's floor has reached (`cover`).  f of a component is
+    their weights, dt/6 times 1, 4, 2, 4, ..., from index 0 on.  The stored
+    part is built from the trajectory's nodes, their Hermite midpoints in
+    one array expression, and each accepted step adds its midpoint and its
+    end (`push`) once the trajectory holds the end.  Below the first stored
+    time the initial data fill the same grid, at multiples of dt/2, as far
+    back as a window's floor has reached (`cover`).  f of a component is
     evaluated once per node, the first time a window reads the node, so a
     domain error surfaces at the stage that first reads the failing node.
     """
 
     __slots__ = ("traj", "dt", "n", "t", "xy", "w", "_fed")
 
-    def __init__(self, traj: Trajectory, dt: float, t0: float, start: tuple[float, float]):
+    def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
         self.dt = dt
         self.n = 0
@@ -306,15 +266,15 @@ class _StepGrid:
         self.xy = np.empty((2, 0))
         self.w = np.empty(0)
         self._fed: dict = {}
-        self._resize(2 * traj._t0.size + 1, 0)
-        if traj.n:  # set up over stored steps: start at the first one
-            t0, start = traj._t0[0], (traj._x0[0], traj._y0[0])
-        self.t[0] = t0
-        self.xy[:, 0] = start
-        self.n = 1
-        for j in range(traj.n):
-            # rows x0, x1, dx0, dx1, y0, y1, dy0, dy1 in push's order
-            self.push(traj._t0[j], traj._t1[j], *traj._seg[[0, 2, 4, 6, 1, 3, 5, 7], j].tolist())
+        m = traj.n + 1
+        self._resize(2 * traj._t.size, 0)
+        ts, v = traj._t[:m], traj._v[:m].T
+        h = ts[1:] - ts[:-1]
+        self.t[: 2 * m - 1 : 2] = ts
+        self.t[1 : 2 * m - 1 : 2] = ts[:-1] + 0.5 * h
+        self.xy[:, : 2 * m - 1 : 2] = v[:2]
+        self.xy[:, 1 : 2 * m - 1 : 2] = _midpoint(v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:], h)
+        self.n = 2 * m - 1
 
     def _resize(self, size: int, shift: int) -> None:
         """Make room for size nodes, moving the n stored ones up by shift."""
@@ -343,7 +303,7 @@ class _StepGrid:
 
     def cover(self, floor: float) -> None:
         """Extend the grid down to the first step end at or below floor, from
-        the initial data; HistoryUnderflowError below recorded history."""
+        the initial data (HistoryUnderflowError without them)."""
         lowest = float(self.t[0])
         if floor >= lowest:
             return
@@ -358,11 +318,15 @@ class _StepGrid:
         self.t[: 2 * k] = times
         self.xy[:, : 2 * k] = values
 
-    def push(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
-        """Add the step [t0, t1]: its midpoint and its end."""
+    def push(self, t1, x1, y1, dx1, dy1) -> None:
+        """Add the step that ends at the trajectory's newest node, given here:
+        its midpoint and its end."""
         n = self.n
         if n + 2 > self.t.size:
             self._resize(n + 2, 0)
+        i = self.traj.n - 1
+        t0 = self.traj._t.item(i)
+        x0, y0, dx0, dy0 = self.traj._v[i].tolist()
         h = t1 - t0
         self.t[n] = t0 + 0.5 * h
         self.t[n + 1] = t1
@@ -372,21 +336,6 @@ class _StepGrid:
         xy[1, n] = _midpoint(y0, y1, dy0, dy1, h)
         xy[1, n + 1] = y1
         self.n = n + 2
-
-    def trim(self, t: float) -> None:
-        """Drop the nodes before t, a stored step end."""
-        cut = int(self.t[: self.n].searchsorted(t, side="left"))
-        cut -= cut % 2
-        if cut <= 0:
-            return
-        n = self.n - cut
-        self.t[:n] = self.t[cut : self.n]
-        self.xy[:, :n] = self.xy[:, cut : self.n]
-        for entry in self._fed.values():
-            entry[0][:n] = entry[0][cut : self.n]
-            entry[1] = max(entry[1] - cut, 0)
-            entry[2] = max(entry[2] - cut, 0)
-        self.n = n
 
     def fed(self, f, comp: int, i: int) -> np.ndarray:
         """f of the component at the nodes from i on, each evaluated once."""
@@ -445,7 +394,7 @@ class _Window:
             return
         grid = view.grid
         if grid is None:
-            grid = view.grid = _StepGrid(view.traj, view.dt, t0, view.start)
+            grid = view.grid = _StepGrid(view.traj, view.dt)
         grid.cover(floor)
         n = grid.n
         i = int(grid.t[:n].searchsorted(floor, side="left"))
@@ -518,16 +467,13 @@ class _StageComponent:
             val = fed[key] = f(xy[c] if xy is not None else v.traj.value_scalar(s, c))
         return val
 
-    def feedback(self, kernel, f, t, n_quad=None):
+    def feedback(self, kernel, f, t):
         """The density part of the kernel's feedback at the stage time t, on
-        the step grid (n_quad, the panel count of plan-based components, does
-        not apply): the kept head and body plus the tail, read toward the
+        the step grid: the kept head and body plus the tail, read toward the
         stage state set for t."""
         v = self.view
         c = self.comp
-        win = v._windows.get((kernel, t))
-        if win is None:
-            win = v.window(kernel, t)
+        win = v.window(kernel, t)
         total = win.sums.get((f, c))
         if total is None:
             total = win.stored_sum(v.grid, f, c)
@@ -544,7 +490,7 @@ class _StageHistory:
     `set_step`, one `_Window` per density kernel and stage time (equal
     kernels share one) and one read per point kernel object and stage time.
     Across steps it keeps the step grid of the density feedbacks, which
-    `append_segment` and `trim_before` keep in step with the trajectory.
+    `append` keeps in step with the trajectory.
     The right-hand side reads it through one `_StageComponent` per
     component; the view holds no reference back to them, so a finished
     run's history is freed as soon as it is dropped.
@@ -614,18 +560,12 @@ class _StageHistory:
             win = self._windows[kernel, t] = _Window(self, kernel, t)
         return win
 
-    def append_segment(self, t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1) -> None:
-        """Store the accepted step in the trajectory and on the step grid."""
+    def append(self, t, x, y, dx, dy) -> None:
+        """Store the accepted step's end node at t in the trajectory, and the
+        step on the step grid."""
+        self.traj.append(t, x, y, dx, dy)
         if self.grid is not None:
-            self.grid.push(t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1)
-        self.traj.append_segment(t0, t1, x0, x1, dx0, dx1, y0, y1, dy0, dy1)
-
-    def trim_before(self, t: float) -> int:
-        """Trim the trajectory and the step grid alike; segments removed."""
-        removed = self.traj.trim_before(t)
-        if removed and self.grid is not None:
-            self.grid.trim(self.traj.coverage_floor)
-        return removed
+            self.grid.push(t, x, y, dx, dy)
 
 
 @dataclass
@@ -658,7 +598,6 @@ def integrate(
     converge_rtol: float = CONVERGE_RTOL,
     window_spans: float = WINDOW_SPANS,
     extinction_threshold: float = EXTINCTION_THRESHOLD,
-    trim_history: bool = False,
 ) -> tuple[Trajectory, RunOutcome]:
     """Advance the system to the horizon or an earlier detected outcome.
 
@@ -682,11 +621,16 @@ def integrate(
         view.set_stage(ts, xs, ys)
         return rhs(spec, ts, xs, ys, x_hist, y_hist)
 
+    # the start node goes in before the first right-hand side, whose value
+    # is the node's slope: that call reads only times <= 0, which do not
+    # use the slope
+    traj.append(t, x, y, 0.0, 0.0)
     view.set_step(t, t, x, y, 0.0, 0.0)
     try:
         dx, dy = deriv(t, x, y)
-    except (EvalDomainError, HistoryUnderflowError) as e:
+    except EvalDomainError as e:
         raise IntegrationError(f"right-hand side failed at t=0: {e}") from e
+    traj._v[0, 2:] = dx, dy
 
     steps = 0
     guard_note = None
@@ -747,10 +691,8 @@ def integrate(
                 status = "blow-up"
                 break
             raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
-        except HistoryUnderflowError as e:
-            raise IntegrationError(f"history underflow near t={t!r}: {e}") from e
 
-        view.append_segment(t, t1, x, x1, k1x, dx1, y, y1, k1y, dy1)
+        view.append(t1, x1, y1, dx1, dy1)
         steps += 1
         t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
@@ -761,21 +703,17 @@ def integrate(
 
         if steps % check_every == 0:
             window = max(window_spans * spec.max_span(t), 100.0 * dt)
-            if t - window > traj._t0[0]:
-                view_t1 = traj._t1[: traj.n]
-                i_from = int(view_t1.searchsorted(t - window, side="left"))
-                xs = traj._x1[i_from : traj.n]
-                ys = traj._y1[i_from : traj.n]
+            ts = traj.step_times()
+            if t - window > ts[0]:
+                i_from = int(ts.searchsorted(t - window, side="left"))
+                xs = traj.step_values(0)[i_from:]
+                ys = traj.step_values(1)[i_from:]
                 rel_x = (xs.max() - xs.min()) / max(1.0, abs(x))
                 rel_y = (ys.max() - ys.min()) / max(1.0, abs(y))
                 if rel_x < converge_rtol and rel_y < converge_rtol:
                     status = "converged"
                     conv_point = (x, y)
                     break
-            if trim_history:
-                bound = spec.max_span(t)
-                if math.isfinite(bound):
-                    view.trim_before(t - bound - 10.0 * dt)
 
     if status == "blow-up":
         blow_time = t

@@ -9,20 +9,20 @@ is out of scope; atoms plus a density cover every supported model.
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
 asks the history component u for its parts: a point kernel's f(u(lag(t)))
 from `u.point_feedback(kernel, f, t)`, a mixture's atoms from u(s), and the
-density part from `u.feedback(kernel, f, t, n_quad)`.  The component chooses
-the quadrature.  A density kernel supplies what any rule needs: the floor
-h(t) of its density's window (`density_floor`) and the density at given
-times (`density_at`).  `plan(t, n_quad)` is the composite Simpson rule with
-n_quad panels on [h(t), t]; a plain component (the tests' reference) dots
-its weights times density with f(u(nodes)), and a mixture's mass check
-integrates its density with it.  The integrator does not use plans: its
-per-step view integrates on the grid of step ends and step midpoints, where
-it keeps x, y and f once, so n_quad does not steer a run (see
-`integrator`).  Density windows compare equal by kind and lag, so equal
-windows can share that work; a point kernel shares it with itself, so a
-config gives equal point descriptors one kernel object.  History reads
-before the start of recorded history raise HistoryUnderflowError instead of
-extrapolating.
+density part from `u.feedback(kernel, f, t)`.  The component chooses the
+quadrature and its resolution.  A density kernel supplies what any rule
+needs: the floor h(t) of its density's window (`density_floor`) and the
+density at given times (`density_at`).  `plan(t, n_quad)` is the composite
+Simpson rule with n_quad panels on [h(t), t]; a mixture's mass check
+integrates its density with it, and a plain component built with a panel
+count (the tests' reference) dots its weights times density with
+f(u(nodes)).  The integrator does not use plans: its per-step view
+integrates on the grid of step ends and step midpoints, where it keeps x, y
+and f once (see `integrator`).  Density windows compare equal by kind and
+lag, so equal windows can share that work; a point kernel shares it with
+itself, so a config gives equal point descriptors one kernel object.
+History reads before the start of recorded history raise
+HistoryUnderflowError instead of extrapolating.
 
 A point mass and the uniform and triangular windows have unit mass by
 construction, so `validate_kernel` checks only the user's lags on them
@@ -178,7 +178,7 @@ class DelayKernel:
         nodes, weights = simpson_nodes_weights(floor, t, n_quad)
         return QuadPlan(nodes, weights, self.density_at(t, floor, nodes))
 
-    def integrate(self, f: ProductionFunction, u, t: float, n_quad: int = DEFAULT_PANELS) -> float:
+    def integrate(self, f: ProductionFunction, u, t: float) -> float:
         """Feedback integral of f against the history component u at t."""
         raise NotImplementedError
 
@@ -208,7 +208,7 @@ class PointMassKernel(_LagKernel):
     def atom_lags(self):
         return (self.lag,)
 
-    def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
+    def integrate(self, f, u, t):
         return u.point_feedback(self, f, t)
 
 
@@ -237,8 +237,8 @@ class _DensityWindowKernel(_LagKernel):
         _check_window(floor, t)
         return floor
 
-    def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
-        return u.feedback(self, f, t, n_quad)
+    def integrate(self, f, u, t):
+        return u.feedback(self, f, t)
 
 
 class UniformDensityKernel(_DensityWindowKernel):
@@ -302,12 +302,12 @@ class GeneralMixtureKernel(DelayKernel):
     def density_at(self, t, floor, nodes):
         return self.density.evaluate_array(t - nodes)
 
-    def integrate(self, f, u, t, n_quad=DEFAULT_PANELS):
+    def integrate(self, f, u, t):
         total = 0.0
         for lag, w in self.atoms:
             total += w * f(u(lag.evaluate(t)))
         if self.density is not None:
-            total += u.feedback(self, f, t, n_quad)
+            total += u.feedback(self, f, t)
         return total
 
     def mass(self, t: float, n_quad: int = DEFAULT_PANELS) -> float:

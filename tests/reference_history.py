@@ -2,7 +2,8 @@
 
 `FnComponent` reads a numpy-compatible callable and computes every feedback
 the plain way: a density kernel's as dot(weights, f(u(nodes)) * density) over
-the kernel's plan at t, a point kernel's as f(u(lag(t))).
+the kernel's plan at t with the component's panel count, a point kernel's as
+f(u(lag(t))).
 
 `step_grid_feedback` is the integrator's density feedback at a stage time,
 by the definition of its step-grid rule and one Simpson panel at a time in
@@ -19,15 +20,18 @@ from typing import Callable
 import numpy as np
 
 from coopdelay.integrator import _StageComponent
+from coopdelay.kernels import DEFAULT_PANELS
 
 
 class FnComponent:
-    """A history component backed by a numpy-compatible callable."""
+    """A history component backed by a numpy-compatible callable, whose
+    density feedbacks use n_quad Simpson panels."""
 
-    __slots__ = ("_fn",)
+    __slots__ = ("_fn", "n_quad")
 
-    def __init__(self, fn: Callable):
+    def __init__(self, fn: Callable, n_quad: int = DEFAULT_PANELS):
         self._fn = fn
+        self.n_quad = n_quad
 
     def __call__(self, s: float) -> float:
         return float(self._fn(s))
@@ -35,8 +39,8 @@ class FnComponent:
     def array(self, ss: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(ss, dtype=float)), dtype=float)
 
-    def feedback(self, kernel, f, t: float, n_quad: int) -> float:
-        plan = kernel.plan(t, n_quad)
+    def feedback(self, kernel, f, t: float) -> float:
+        plan = kernel.plan(t, self.n_quad)
         return float(np.dot(plan.weights, f.eval_array(self.array(plan.nodes)) * plan.density))
 
     def point_feedback(self, kernel, f, t: float) -> float:
@@ -83,9 +87,10 @@ def step_grid_feedback(view, kernel, f, t: float, comp: int) -> float:
         return panel(floor, t, inside, inside, inside)
     # step ends: the initial data's at multiples of dt below the first
     # stored time, then the stored ones, up to the step start
-    first = traj.step_times()[0] if traj.n else t0
+    stored_ends = traj.step_times().tolist()
+    first = stored_ends[0]
     ends = [first - k * dt for k in range(math.ceil((first - floor) / dt) + 1, 0, -1)]
-    ends += traj.step_times().tolist() if traj.n else [t0]
+    ends += stored_ends
     ends = [e for e in ends if e >= floor]
     total = panel(floor, ends[0], stored, stored, stored) if ends[0] > floor else 0.0
     for a, b in zip(ends, ends[1:]):

@@ -27,7 +27,7 @@ from coopdelay.dynamics import InitialFunction, SystemSpec, check_rate_divergenc
 from coopdelay.expr import parse
 from coopdelay.functions import DEFAULT_INVERSE_TOL, ProductionFunction, Separator, inverse_auto
 from coopdelay.integrator import integrate
-from coopdelay.kernels import PointMassKernel
+from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
 
 
 def pf(text):
@@ -681,6 +681,28 @@ class TestCertifyRun:
         assert rep.status == "mismatch-explained"
         fate = [c for c in rep.checks if c["name"] == "fate"][0]
         assert fate["status"] == "fail"
+
+    @pytest.mark.parametrize(
+        "k1, k2",
+        [
+            # the mixture's density window [t - 2, t] enters forward time last
+            (PointMassKernel("t-1.37"),
+             GeneralMixtureKernel([("t-0.5", 0.5)], density="0.5/2", density_lag="t-2")),
+            (PointMassKernel("t/2-0.3"), UniformDensityKernel("0.8*t-1.1")),
+            (PointMassKernel("t-20"), PointMassKernel("t")),  # never within the run
+        ],
+    )
+    def test_box_check_starts_where_the_per_step_floors_say(self, k1, k2):
+        spec = _affine_spec()
+        spec.k1, spec.k2 = k1, k2
+        cls = classify(spec.f1, spec.f2, x_max=40.0)
+        box = permanence_bounds(spec.f1, spec.f2, 2.0, (5.0, 5.0), (5.0, 5.0))
+        traj, outcome = integrate(spec, horizon=5.0, dt=1e-2)
+        rep = certify_run(spec, traj, outcome, cls, box=box)
+        ts = [float(t) for t in traj.step_times()]
+        t_enter = next((t for t in ts if k1.support_floor(t) >= 0.0 and k2.support_floor(t) >= 0.0), ts[-1])
+        assert rep.checks[0] == {"name": "permanence-box", "status": "pass",
+                                 "detail": f"inside from t={t_enter:.6g}"}
 
     def test_unexplained_mismatch(self):
         spec = _affine_spec(r_text="2/(exp(2*t)+0.5)")

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from coopdelay import analysis
+import coopdelay
+from coopdelay import analysis, cli
 from coopdelay.analysis import classify
 from coopdelay.cli import (
     EXIT_CERTIFICATION,
@@ -15,6 +18,7 @@ from coopdelay.cli import (
 )
 from coopdelay.config import (
     ConfigError,
+    Numerics,
     config_text,
     load_config,
     parse_kernel,
@@ -55,15 +59,30 @@ class TestLoadConfig:
             load_config("/nonexistent/conf.cfg")
 
     def test_unknown_numerics_key(self, tmp_path):
-        p = write_config(
-            tmp_path,
-            "bad.cfg",
-            "[system]\nf1 = x\nf2 = x\nr1 = 1\nr2 = 1\n"
-            'kernel1 = point lag="t"\nkernel2 = point lag="t"\nphi = 1\npsi = 1\n'
-            "[numerics]\nwarp = 9\n",
-        )
-        with pytest.raises(ConfigError, match="warp"):
-            load_config(p)
+        # trim_history was a key until the run history became append-only
+        for key, value in (("warp", "9"), ("trim_history", "true")):
+            p = write_config(
+                tmp_path,
+                "bad.cfg",
+                "[system]\nf1 = x\nf2 = x\nr1 = 1\nr2 = 1\n"
+                'kernel1 = point lag="t"\nkernel2 = point lag="t"\nphi = 1\npsi = 1\n'
+                f"[numerics]\n{key} = {value}\n",
+            )
+            with pytest.raises(ConfigError, match=rf"\[numerics\] {key}: unknown key"):
+                load_config(p)
+            assert main(["run", str(p), "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+    def test_every_numerics_field_is_read(self):
+        # a field that no module but config.py reads is a knob that is
+        # parsed, range-checked and reported, and changes nothing
+        read = set()
+        for path in Path(coopdelay.__file__).parent.glob("*.py"):
+            if path.name != "config.py":
+                read.update(
+                    node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                )
+        assert [f.name for f in fields(Numerics) if f.name not in read] == []
 
     def test_tol_inverse_is_no_longer_a_key(self, tmp_path):
         # it was parsed and reported, but no inverse read it
@@ -284,8 +303,8 @@ class TestPipeline:
         [
             # phi is 1.5 on [-9.5, 0] but climbs to 12 at t = -20, above K = 2
             ("t - 20", "max(1.5, -t - 8)", ""),
-            # a trimmed history must not shrink the data window to t = 0
-            ("t - 1", "1.5 - 3*t", "trim_history = true\n"),
+            # phi climbs from 1.5 at t = 0 to 4.5 at t = -1, across K = 2
+            ("t - 1", "1.5 - 3*t", ""),
         ],
     )
     def test_nonoscillation_reads_the_whole_data_window(self, tmp_path, lag, phi, numerics):
@@ -295,6 +314,24 @@ class TestPipeline:
         assert checks["nonoscillation"]["status"] == "skip"
         assert checks["nonoscillation"]["detail"] == "initial data not one-sided"
         assert result.exit_code == EXIT_OK
+
+    def test_blow_up_in_the_first_step(self, tmp_path):
+        # the first stage already passes the blow-up threshold: the run keeps
+        # its start node alone, and the checks read that one node
+        p = write_config(
+            tmp_path,
+            "burst.cfg",
+            "[system]\nf1 = x^2 + x\nf2 = x^2 + x\nr1 = 1\nr2 = 1\n"
+            'kernel1 = point lag="t"\nkernel2 = point lag="t"\nphi = 1e5\npsi = 1e5\n'
+            "[numerics]\ndt = 1e-2\nhorizon = 4\n",
+        )
+        result = execute_run(load_config(p), out_dir=tmp_path)
+        assert result.exit_code == EXIT_OK
+        outcome = result.report["outcome"]
+        assert outcome["status"] == "blow-up" and outcome["blowup_time"] == 0.0
+        assert outcome["diagnostics"]["stage_guard"] == "stage-1"
+        assert result.trajectory_path.read_text().splitlines() == ["t,x,y", "0,100000,100000"]
+        assert result.report["certification"]["status"] == "pass"
 
     def test_bounded_f1_gets_bound_sequences(self, tmp_path):
         # f1 = 2*tanh(x) is bounded by 2, so f1^-1 has no value above 2; the
@@ -438,6 +475,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "linear_decay.cfg: exit=0" in out
         assert "quadratic_blowup.cfg: exit=0" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_batch_rejects_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        batch_dir = tmp_path / "batch"
+        batch_dir.mkdir()
+        (batch_dir / "linear_decay.cfg").write_text((CONFIGS / "linear_decay.cfg").read_text())
+        assert main(["batch", str(batch_dir), "--jobs", jobs]) == EXIT_VALIDATION
+        assert "--jobs" in capsys.readouterr().err
 
     def test_config_text_round_trip(self, tmp_path):
         text = config_text(

@@ -196,9 +196,9 @@ class TestTrajectoryEvaluation:
     def test_segment_endpoint_exact(self):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
         i = traj.n // 2
-        t_end = traj._t1[i]
-        assert traj.value_scalar(t_end, 0) == traj._x1[i]
-        assert traj.value_scalar(t_end, 1) == traj._y1[i]
+        t_end = traj.step_times()[i]
+        assert traj.value_scalar(t_end, 0) == traj.step_values(0)[i]
+        assert traj.value_scalar(t_end, 1) == traj.step_values(1)[i]
 
     def test_mid_segment_accuracy(self):
         traj, _ = integrate(linear_half_decay(), horizon=10.0, dt=1e-3)
@@ -222,25 +222,18 @@ class TestTrajectoryEvaluation:
 class TestHistoryBookkeeping:
     def test_underflow_without_initial_functions(self):
         traj = Trajectory(phi=None, psi=None)
-        traj.append_segment(0.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0)
+        traj.append(0.0, 1.0, 1.0, 1.0, 1.0)
+        traj.append(1.0, 2.0, 2.0, 1.0, 1.0)
         with pytest.raises(HistoryUnderflowError):
             traj.value_scalar(-0.5, 0)
 
-    def test_trim_keeps_recent_window(self):
-        traj, _ = integrate(linear_half_decay(), horizon=2.0, dt=1e-2)
-        removed = traj.trim_before(1.0)
-        assert removed > 0
-        assert traj.value_scalar(1.5, 0) == pytest.approx(math.exp(-0.75), abs=1e-6)
-        with pytest.raises(HistoryUnderflowError):
-            traj.value_scalar(0.5, 0)
-
-    def test_trim_during_integration(self):
-        spec = spec_of(
-            "x/2", "x/2", k1=PointMassKernel("t-0.5"), k2=PointMassKernel("t-0.5")
-        )
-        traj, outcome = integrate(spec, horizon=5.0, dt=1e-2, trim_history=True)
-        assert outcome.status == "reached-horizon"
-        assert traj.n < 500
+    def test_read_just_past_a_lone_start_node(self):
+        # within rounding of the front, a read past the start node is the
+        # start itself, not a read of the segment after it
+        traj = Trajectory(phi=InitialFunction("2"), psi=InitialFunction("3"))
+        traj.append(0.0, 2.0, 3.0, 0.5, 0.5)
+        assert traj.value_scalar(5e-13) == (2.0, 3.0)
+        assert traj.value_scalar(5e-13, 1) == 3.0
 
     def test_csv_export(self, tmp_path):
         traj, _ = integrate(linear_half_decay(), horizon=1.0, dt=1e-2)
@@ -276,8 +269,8 @@ class TestNonoscillationDetector:
 
     def test_artificial_crossing_reported(self):
         traj = Trajectory(phi=None, psi=None)
-        traj.append_segment(0.0, 1.0, 5.0, 4.5, 0.0, 0.0, 5.0, 4.5, 0.0, 0.0)
-        traj.append_segment(1.0, 2.0, 4.5, 3.5, 0.0, 0.0, 4.5, 4.2, 0.0, 0.0)
+        for t, x, y in ((0.0, 5.0, 5.0), (1.0, 4.5, 4.5), (2.0, 3.5, 4.2)):
+            traj.append(t, x, y, 0.0, 0.0)
         hit = detect_nonoscillation_violation(traj, 4.0, 4.0, "above")
         assert hit is not None
         t_hit, comp = hit
@@ -337,8 +330,7 @@ def stage_view(traj, state, t1):
     """The view at the start of the step [front, t1] from state, with the
     stored slopes at the front as the start slopes."""
     view = _StageHistory(traj, STEP)
-    i = traj.n - 1
-    view.set_step(traj.t_front, t1, *state, float(traj._dx1[i]), float(traj._dy1[i]))
+    view.set_step(traj.t_front, t1, *state, *traj._v[traj.n, 2:].tolist())
     return view
 
 
@@ -458,7 +450,7 @@ class TestStageView:
         for t in view.times:
             view.set_stage(t, *stage)
             for comp, component in enumerate(stage_components(view)):
-                got = component.feedback(kernel, f, t, 64)
+                got = component.feedback(kernel, f, t)
                 assert close(got, step_grid_feedback(view, kernel, f, t, comp))
 
     @given(
@@ -473,18 +465,19 @@ class TestStageView:
         # and windows reach back into the initial data or lie in the step
         spec = spec_of("1+x/2", "x/2", phi="2+sin(3*t)", psi="1+t^2/4")
         traj = Trajectory(spec.phi, spec.psi)
+        traj.append(0.0, 2.0, 1.0, 0.7, -0.4)  # the start node, as a run stores it
         kernel = feedback_window(kind, lag)
         f = pf(body)
         view = _StageHistory(traj, STEP)
         view.set_step(0.0, 0.0, 2.0, 1.0, 0.0, 0.0)
         view.set_stage(0.0, 2.0, 1.0)
         for comp, component in enumerate(stage_components(view)):
-            assert close(component.feedback(kernel, f, 0.0, 64), step_grid_feedback(view, kernel, f, 0.0, comp))
+            assert close(component.feedback(kernel, f, 0.0), step_grid_feedback(view, kernel, f, 0.0, comp))
         view.set_step(0.0, frac * STEP, 2.0, 1.0, 0.7, -0.4)
         for t in view.times:
             view.set_stage(t, 2.1, 0.9)
             for comp, component in enumerate(stage_components(view)):
-                got = component.feedback(kernel, f, t, 64)
+                got = component.feedback(kernel, f, t)
                 assert close(got, step_grid_feedback(view, kernel, f, t, comp))
 
     def test_lookup_after_append_sees_new_segment(self):
@@ -496,12 +489,12 @@ class TestStageView:
         view = stage_view(traj, state, t1)
         x_hist, _ = stage_components(view)
         view.set_stage(t1, 9.0, 9.0)
-        before = x_hist.feedback(kernel, f, t1, 16)
+        before = x_hist.feedback(kernel, f, t1)
         assert close(before, step_grid_feedback(view, kernel, f, t1, 0))
-        view.append_segment(front, t1, state[0], 3.0, 0.0, 0.0, state[1], 4.0, 0.0, 0.0)
+        view.append(t1, 3.0, 4.0, 0.0, 0.0)
         view.set_step(t1, t1, 3.0, 4.0, 0.0, 0.0)  # the next step's first stage, at the same time
         view.set_stage(t1, 3.0, 4.0)
-        after = x_hist.feedback(kernel, f, t1, 16)
+        after = x_hist.feedback(kernel, f, t1)
         grid = view.grid
         assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * STEP, t1]
         assert grid.xy[0, grid.n - 1] == 3.0
@@ -520,7 +513,7 @@ class TestStageView:
         for t in view.times:
             for stage in ((1.5, 2.5), (7.0, 8.0)):
                 view.set_stage(t, *stage)
-                feeds[t, stage] = (x_hist.feedback(kernel, f, t, 64), y_hist.feedback(kernel, f, t, 64))
+                feeds[t, stage] = (x_hist.feedback(kernel, f, t), y_hist.feedback(kernel, f, t))
         first = view.window(kernel, view.times[0]).i
         assert calls == []  # the windows lie in stored history: the grid reads no initial data
         # f once per component over the grid nodes from the midpoint window's
@@ -533,41 +526,14 @@ class TestStageView:
             for a, b in zip(feeds[t, (1.5, 2.5)], feeds[t, (7.0, 8.0)]):
                 assert a != b  # the shared stored sum, different tails
         view.set_step(traj.t_front, traj.t_front + STEP, *state, 0.0, 0.0)  # a new step: new windows
-        x_hist.feedback(kernel, f, view.times[0], 64)
+        x_hist.feedback(kernel, f, view.times[0])
         assert calls == [] and len(sizes) == 2  # the grid's f values are kept
-
-    def test_trim_drops_grid_nodes_with_the_segments(self):
-        traj, state = stored_history()
-        kernel = TriangularDensityKernel("t-0.6")
-        f = pf("sqrt(x)+2")
-        t1 = traj.t_front + STEP
-        view = stage_view(traj, state, t1)
-        x_hist, y_hist = stage_components(view)
-        view.set_stage(t1, *state)
-        before = (x_hist.feedback(kernel, f, t1, 64), y_hist.feedback(kernel, f, t1, 64))
-        assert view.trim_before(1.0) > 0
-        grid = view.grid
-        assert grid.t[0] == traj.coverage_floor and grid.n == 2 * traj.n + 1
-        view.set_step(traj.t_front, t1, *view.start, *view.slope)  # new windows, kept grid values
-        view.set_stage(t1, *state)
-        after = (x_hist.feedback(kernel, f, t1, 64), y_hist.feedback(kernel, f, t1, 64))
-        assert [bits(v) for v in after] == [bits(v) for v in before]
-
-    def test_trimmed_history_still_underflows(self):
-        traj, state = stored_history()
-        traj.trim_before(1.0)
-        assert traj.coverage_floor > 0.5
-        t = traj.t_front + STEP
-        view = stage_view(traj, state, t)
-        view.set_stage(t, *state)
-        with pytest.raises(HistoryUnderflowError):
-            stage_components(view)[1].feedback(UniformDensityKernel("t-1.5"), pf("x"), t, 16)
 
     def test_time_outside_the_step_rejected(self):
         traj, state = stored_history()
         view = stage_view(traj, state, traj.t_front + STEP)
         with pytest.raises(ValueError):
-            stage_components(view)[0].feedback(UniformDensityKernel("t-1"), pf("x"), 0.5, 16)
+            stage_components(view)[0].feedback(UniformDensityKernel("t-1"), pf("x"), 0.5)
 
 
 def fresh_reference(view, kernel, f, t, comp):
@@ -576,14 +542,13 @@ def fresh_reference(view, kernel, f, t, comp):
     other = _StageHistory(view.traj, view.dt)
     other.set_step(view.t0, view.times[1], *view.start, *view.slope)
     other.set_stage(view.t_stage, *view.stage)
-    return stage_components(other)[comp].feedback(kernel, f, t, 64)
+    return stage_components(other)[comp].feedback(kernel, f, t)
 
 
 class TestOneEvaluationPerPair:
     @given(
         kind=st.sampled_from(KINDS),
         lag_frac=st.floats(min_value=0.0, max_value=1.0),
-        trimmed=st.booleans(),
         frac=st.floats(min_value=0.01, max_value=1.0),
         stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=2),
         bodies=st.lists(st.sampled_from(BODIES), min_size=1, max_size=2),
@@ -592,16 +557,12 @@ class TestOneEvaluationPerPair:
     )
     @settings(max_examples=80, deadline=None)
     def test_feedback_matches_the_per_slot_reference_bit_for_bit(
-        self, kind, lag_frac, trimmed, frac, stages, bodies, end_first, y_first
+        self, kind, lag_frac, frac, stages, bodies, end_first, y_first
     ):
         # whatever order the stages, components and production functions
         # read a step's windows in, each read equals a view that serves it alone
         traj, state = stored_history()
-        if trimmed:
-            traj.trim_before(1.0)  # keeps [0.95, 2]: the windows stay inside it
-            lag = 0.01 + 0.99 * lag_frac
-        else:
-            lag = 0.01 + 3.99 * lag_frac  # beyond about 2 the windows straddle 0
+        lag = 0.01 + 3.99 * lag_frac  # beyond about 2 the windows straddle 0
         kernel = feedback_window(kind, lag)
         view = stage_view(traj, state, traj.t_front + frac * STEP)
         hist = list(enumerate(stage_components(view)))
@@ -612,16 +573,15 @@ class TestOneEvaluationPerPair:
                 view.set_stage(t, *stage)
                 for comp, component in hist[::-1] if y_first else hist:
                     for f in fs:
-                        got = component.feedback(kernel, f, t, 64)
+                        got = component.feedback(kernel, f, t)
                         assert bits(got) == bits(fresh_reference(view, kernel, f, t, comp))
 
     def test_domain_error_at_step_end_nodes_surfaces_at_the_step_end(self):
         # x(s) = s on [0, 2], and f is undefined below 0.5: the midpoint
         # window starts at 0.6, the step-end window at 0.4
         traj = Trajectory()
-        for i in range(40):
-            t0, t1 = i * STEP, (i + 1) * STEP
-            traj.append_segment(t0, t1, t0, t1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+        for i in range(41):
+            traj.append(i * STEP, i * STEP, 1.0, 1.0, 0.0)
         front = traj.t_front
         state = (front, 1.0)
         f = pf("sqrt(x-0.5)")
@@ -632,15 +592,15 @@ class TestOneEvaluationPerPair:
             x_hist, _ = stage_components(view)
             if not end_first:
                 view.set_stage(mid, *state)
-                got = x_hist.feedback(kernel, f, mid, 16)
+                got = x_hist.feedback(kernel, f, mid)
                 assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
                 assert close(got, step_grid_feedback(view, kernel, f, mid, 0))
             view.set_stage(end, *state)
             with pytest.raises(EvalDomainError, match="sqrt"):
-                x_hist.feedback(kernel, f, end, 16)
+                x_hist.feedback(kernel, f, end)
             if end_first:  # the failed read leaves the midpoint readable
                 view.set_stage(mid, *state)
-                got = x_hist.feedback(kernel, f, mid, 16)
+                got = x_hist.feedback(kernel, f, mid)
                 assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
 
 
@@ -689,14 +649,6 @@ def test_window_runs_repeat_bit_identically(name):
     for comp in (0, 1):
         assert np.array_equal(ta.step_values(comp), tb.step_values(comp))
     assert oa.final_state == ob.final_state
-    # trimming drops grid nodes with the segments; what is kept, and every
-    # later step, is the same to the bit
-    trimmed, ot = integrate(spec, horizon=3.0, dt=dt, trim_history=True)
-    assert 0.0 < trimmed.coverage_floor and trimmed.n < ta.n
-    assert ot.final_state == oa.final_state
-    kept = ta.n - trimmed.n
-    for name_ in ("_t0", "_t1", "_seg"):
-        assert np.array_equal(getattr(trimmed, name_)[..., : trimmed.n], getattr(ta, name_)[..., kept : ta.n])
 
 
 # state at t = 3 of the accuracy probes that read inside a step, from the
@@ -742,14 +694,12 @@ def test_finished_run_leaves_no_reference_cycles():
 # -- scalar lookups and the point stage view ---------------------------------
 
 
-def arithmetic_history(trim_before=None):
+def arithmetic_history():
     """History stored on [0, 2] in steps of STEP.  The initial data use
     arithmetic only, so their scalar and array evaluations agree bit for bit."""
     spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
                    phi="2+t/3", psi="1+t*t/4")
     traj, _ = integrate(spec, horizon=2.0, dt=STEP)
-    if trim_before is not None:
-        traj.trim_before(trim_before)
     return traj
 
 
@@ -775,20 +725,13 @@ def lookup_time(traj, drawn):
 
 
 class TestScalarLookup:
-    @given(times=st.lists(LOOKUP_TIMES, min_size=1, max_size=12), trimmed=st.booleans())
+    @given(times=st.lists(LOOKUP_TIMES, min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
-    def test_scalar_and_pair_match_array_bit_for_bit(self, times, trimmed):
+    def test_scalar_and_pair_match_array_bit_for_bit(self, times):
         # several lookups on one history, in any order
-        traj = arithmetic_history(trim_before=1.0 if trimmed else None)
+        traj = arithmetic_history()
         for drawn in times:
             t = lookup_time(traj, drawn)
-            if t < traj.coverage_floor:
-                for comp in (0, 1, None):
-                    with pytest.raises(HistoryUnderflowError):
-                        traj.value_scalar(t, comp)
-                with pytest.raises(HistoryUnderflowError):
-                    traj.value_array(np.array([t]))
-                continue
             both = traj.value_array(np.array([t]))[:, 0]
             pair = traj.value_scalar(t)
             assert [bits(v) for v in pair] == [bits(v) for v in both]
@@ -796,16 +739,6 @@ class TestScalarLookup:
                 v = traj.value_scalar(t, comp)
                 assert type(v) is float
                 assert bits(v) == bits(both[comp])
-
-    def test_trimmed_history_underflows_as_before(self):
-        traj = arithmetic_history(trim_before=1.0)
-        assert traj.coverage_floor > 0.5
-        for comp in (0, 1, None):
-            with pytest.raises(HistoryUnderflowError, match="history trimmed to"):
-                traj.value_scalar(0.5, comp)
-            with pytest.raises(HistoryUnderflowError, match="history starts at"):
-                traj.value_scalar(-0.5, comp)
-
 
 def count_scalar_lookups(monkeypatch):
     calls = []
@@ -934,13 +867,14 @@ class TestPointStageView:
             assert kernel.integrate(f, x_hist, t) == x
 
     def test_lookup_error_surfaces_at_the_stage_time_that_reads_it(self):
-        traj, state = stored_history()
-        traj.trim_before(1.0)
+        stored, state = stored_history()
+        traj = Trajectory()  # the same nodes, without initial functions
+        for t, row in zip(stored.step_times().tolist(), stored._v[: stored.n + 1].tolist()):
+            traj.append(t, *row)
         # at the midpoint the lag reads stored history; at the step end it
-        # reads before the trimmed floor
-        floor = traj.coverage_floor
+        # reads before t = 0, where no initial function covers it
         front = traj.t_front
-        kernel = PointMassKernel(f"t - {front - floor - 0.5 * STEP!r} * (t - {front!r}) / {0.5 * STEP!r}")
+        kernel = PointMassKernel(f"t - {front!r} * (t - {front!r}) / {0.5 * STEP!r}")
         view = stage_view(traj, state, front + STEP)
         x_hist, _ = stage_components(view)
         mid, end = view.times
@@ -986,11 +920,14 @@ class TestPointLagStops:
         with pytest.raises(IntegrationError, match=rf"right-hand side failed near t={near}: .*math domain error"):
             integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
 
-    def test_history_underflow_stops_the_run(self):
+    def test_turning_lag_reads_the_whole_run(self):
         # the lagged time t - 1 - t^2/10 turns back for t > 5 and reaches
-        # behind what trimming kept
+        # ever further into the past (1.4 at t = 6, -3.4 at t = 12): the run
+        # keeps its whole history, reaches the horizon, and its end state is
+        # 3.8e-9 from a run at dt/4
         k = PointMassKernel("t-1-t^2/10")
-        with pytest.raises(IntegrationError, match=(
-            r"history underflow near t=6\.04: history trimmed to 1\.3900000000000001, asked 1\.3897499999999998"
-        )):
-            integrate(spec_of("x/2", "x/2", k1=k, k2=k), horizon=12.0, dt=0.01, trim_history=True)
+        spec = spec_of("x/2", "x/2", k1=k, k2=k)
+        _, coarse = integrate(spec, horizon=12.0, dt=0.01)
+        _, fine = integrate(spec, horizon=12.0, dt=0.0025)
+        assert (coarse.status, coarse.t_final) == ("reached-horizon", 12.0)
+        assert max(abs(a - b) for a, b in zip(coarse.final_state, fine.final_state)) < 1e-8

@@ -92,22 +92,22 @@ class TestIntegrate:
     def test_uniform_constant_history_is_f_of_constant(self):
         k = UniformDensityKernel("t-1")
         f = pf("1+x/2")
-        u = FnComponent(lambda s: np.asarray(s) * 0 + 2.0)
-        assert k.integrate(f, u, 7.0, n_quad=16) == pytest.approx(2.0, abs=1e-12)
+        u = FnComponent(lambda s: np.asarray(s) * 0 + 2.0, n_quad=16)
+        assert k.integrate(f, u, 7.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_triangular_linear_history_closed_form(self):
         # identity production, u(s) = s: the integral is t - span/3
         for h, t in ((2.0, 3.0), (0.5, 10.0), (1.0, 0.0)):
             k = TriangularDensityKernel(f"t-{h}")
-            u = FnComponent(lambda s: np.asarray(s, dtype=float))
-            got = k.integrate(IDENTITY, u, t, n_quad=64)
+            u = FnComponent(lambda s: np.asarray(s, dtype=float), n_quad=64)
+            got = k.integrate(IDENTITY, u, t)
             assert got == pytest.approx(t - h / 3.0, abs=1e-10)
 
     def test_triangular_matches_riemann_oracle(self):
         h, t = 2.0, 3.0
         k = TriangularDensityKernel(f"t-{h}")
-        u = FnComponent(lambda s: np.asarray(s, dtype=float))
-        got = k.integrate(IDENTITY, u, t, n_quad=64)
+        u = FnComponent(lambda s: np.asarray(s, dtype=float), n_quad=64)
+        got = k.integrate(IDENTITY, u, t)
         oracle = riemann_midpoint(
             lambda s: (2.0 / h**2) * (s - (t - h)), lambda s: s, t - h, t
         )
@@ -118,12 +118,14 @@ class TestIntegrate:
         h, t = 1.0, 2.0
         k = UniformDensityKernel(f"t-{h}")
         f = pf("exp(x)-1")
-        u = FnComponent(lambda s: np.asarray(s, dtype=float) / 2.0)
+        def u(n):
+            return FnComponent(lambda s: np.asarray(s, dtype=float) / 2.0, n_quad=n)
+
         oracle = riemann_midpoint(
             lambda s: np.full_like(s, 1.0 / h), lambda s: np.exp(s / 2.0) - 1.0, t - h, t
         )
         errs = [
-            abs(k.integrate(f, u, t, n_quad=n) - oracle) for n in (2, 4, 8, 16)
+            abs(k.integrate(f, u(n), t) - oracle) for n in (2, 4, 8, 16)
         ]
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine >= 8.0
@@ -133,9 +135,9 @@ class TestIntegrate:
         k = GeneralMixtureKernel(
             atoms=[("t-1", 0.5)], density="0.5/2", density_lag="t-2"
         )
-        u = FnComponent(lambda s: np.asarray(s, dtype=float))
+        u = FnComponent(lambda s: np.asarray(s, dtype=float), n_quad=32)
         t = 5.0
-        got = k.integrate(IDENTITY, u, t, n_quad=32)
+        got = k.integrate(IDENTITY, u, t)
         assert got == pytest.approx(0.5 * 4.0 + 0.5 * 4.0, abs=1e-10)
 
     def test_zero_lag_atom_reads_current_time(self):
@@ -171,13 +173,13 @@ class TestIntegrate:
             frac = 0.5 * (1.0 + np.sin(3.0 * s + wiggle))
             return m + (M - m) * frac
 
-        got = k.integrate(f, FnComponent(traj), 2.0, n_quad=32)
+        got = k.integrate(f, FnComponent(traj, n_quad=32), 2.0)
         assert f(m) - 1e-9 <= got <= f(M) + 1e-9
 
     def test_density_needs_two_panels(self):
         k = UniformDensityKernel("t-1")
         with pytest.raises(ValueError):
-            k.integrate(IDENTITY, FnComponent(lambda s: s), 2.0, n_quad=1)
+            k.integrate(IDENTITY, FnComponent(lambda s: s, n_quad=1), 2.0)
 
 
 class TestValidate:
