@@ -6,10 +6,11 @@ The right-hand side of the integrated system is
     dy/dt = r2(t) * G2(y) * [ I2(t) - y ]
 
 where I1 integrates f1 over the y-history against kernel 1 and I2
-integrates f2 over the x-history against kernel 2; `rhs` takes both
-histories as the components the kernels integrate against.  G1 and G2 are
-expressions in the state, the constant 1 when unset, which removes the
-modulated layer without a separate code path.
+integrates f2 over the x-history against kernel 2.  `rhs` takes the two
+integrals as numbers: the integrator computes them through
+`kernel.integrate(f, component, t)`, or for point kernels a block of steps
+ahead.  G1 and G2 are expressions in the state, the constant 1 when unset,
+which removes the modulated layer without a separate code path.
 """
 
 from __future__ import annotations
@@ -105,13 +106,12 @@ def rhs(
     t: float,
     x: float,
     y: float,
-    x_hist,
-    y_hist,
+    feed_x: float,
+    feed_y: float,
 ) -> tuple[float, float]:
-    """Derivative pair at time t given the current state and the x and y
-    histories."""
-    feed_x = spec.k1.integrate(spec.f1, y_hist, t)
-    feed_y = spec.k2.integrate(spec.f2, x_hist, t)
+    """Derivative pair at time t given the current state and the two
+    feedbacks: feed_x the integral of f1 over the y-history against kernel
+    1, feed_y that of f2 over the x-history against kernel 2."""
     gx = spec.g1(x) if spec.g1 is not None else 1.0
     gy = spec.g2(y) if spec.g2 is not None else 1.0
     dx = spec.r1.evaluate(t) * (gx * (feed_x - x))

@@ -21,12 +21,19 @@ derivative); stored history changes only after the step is accepted.  The
 kernels read x and y through one `_StageComponent` each, over one shared
 per-step view (`_StageHistory`).
 
-Point kernels: the lag is evaluated once per kernel and stage time; a
-lagged time inside stored segments reads x and y together with one segment
-search, one in the initial data reads only the component fed from it, and
-f of the value read is computed once per production function and
-component.  A lagged time inside the current step is read from the
-quadratic on every call, toward the live stage state.
+Point kernels: when both kernels are point masses, their feedbacks come
+in blocks of upcoming steps (`pointfeeds`), as in the method of steps: a
+lagged time behind the last accepted step reads known data, one
+`Trajectory.value_array` per block, and f of it is evaluated once per
+production function, component and stage time; a zero lag leaves f of the
+stage state to the stage.  A step no block covers, the first derivative at
+t = 0 and every run with a density or mixture kernel go the per-stage path,
+through `kernel.integrate` and the stage view: per kernel and stage time
+one lag evaluation, one (x, y) lookup in stored history or a read of the
+fed component's initial data, and one f per production function and
+component; a lagged time inside the current step is read from the
+quadratic on every call, toward the live stage state.  Both paths perform
+the same operations on the same numbers, so they agree bit for bit.
 
 Density kernels: one quadrature serves uniform, triangular and mixture
 densities with any lag, composite Simpson on the step grid.  The view keeps
@@ -62,8 +69,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryUnderflowError
+from .kernels import HistoryUnderflowError, PointMassKernel
 from .expr import EvalDomainError
+from .pointfeeds import point_feeds, step_end
 
 __all__ = [
     "Trajectory",
@@ -208,8 +216,8 @@ class Trajectory:
         np.maximum(idx, 0, out=idx)
         t0 = self._t[idx]
         h = self._t[idx + 1] - t0
-        a = self._v.T.take(idx, axis=1)
-        b = self._v.T.take(idx + 1, axis=1)
+        a = self._v[idx].T
+        b = self._v[idx + 1].T
         return _hermite((ts - t0) / h, h, a[:2], b[:2], a[2:], b[2:])
 
     # -- step-resolution views -------------------------------------------
@@ -454,10 +462,7 @@ class _StageComponent:
             read = v.point(kernel, t)
         s, xy, fed = read
         if fed is None:
-            # a zero lag reads the stage state itself: going straight to it
-            # skips __call__'s stored-history test, which costs zero-lag
-            # runs several percent
-            return f(v.stage[self.comp] if s >= v.t_stage else self(s))
+            return f(self(s))
         c = self.comp
         key = (f, c)
         val = fed.get(key)
@@ -491,9 +496,9 @@ class _StageHistory:
     kernels share one) and one read per point kernel object and stage time.
     Across steps it keeps the step grid of the density feedbacks, which
     `append` keeps in step with the trajectory.
-    The right-hand side reads it through one `_StageComponent` per
-    component; the view holds no reference back to them, so a finished
-    run's history is freed as soon as it is dropped.
+    The kernels read it through one `_StageComponent` per component; the
+    view holds no reference back to them, so a finished run's history is
+    freed as soon as it is dropped.
     """
 
     __slots__ = ("traj", "dt", "grid", "t0", "start", "slope", "times", "t_stage", "stage",
@@ -614,12 +619,26 @@ def integrate(
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
     view = _StageHistory(traj, dt)
     x_hist, y_hist = _StageComponent(view, 0), _StageComponent(view, 1)
+    k1, k2, f1, f2 = spec.k1, spec.k2, spec.f1, spec.f2
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
+    eps_t = 1e-12 * max(1.0, horizon)
+    point_only = isinstance(k1, PointMassKernel) and isinstance(k2, PointMassKernel)
+    feeds = point_feeds(spec, traj, dt, horizon, eps_t) if point_only else None
+    # the point feeds of the current step, or None for the per-stage path
+    fed = None
 
-    def deriv(ts: float, xs: float, ys: float) -> tuple[float, float]:
-        view.set_stage(ts, xs, ys)
-        return rhs(spec, ts, xs, ys, x_hist, y_hist)
+    def deriv(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
+        """rhs at the step's midpoint (i = 0) or end (i = 2), where fed holds
+        the stage's feeds at i and i + 1."""
+        if fed is None:
+            # set_stage's two stores, without a call per stage: this path
+            # also serves the steps no point block covers, at their old cost
+            view.t_stage = ts
+            view.stage = (xs, ys)
+            return rhs(spec, ts, xs, ys, k1.integrate(f1, y_hist, ts), k2.integrate(f2, x_hist, ts))
+        fx, fy = fed[i], fed[i + 1]
+        return rhs(spec, ts, xs, ys, f1(ys) if fx is None else fx, f2(xs) if fy is None else fy)
 
     # the start node goes in before the first right-hand side, whose value
     # is the node's slope: that call reads only times <= 0, which do not
@@ -627,7 +646,7 @@ def integrate(
     traj.append(t, x, y, 0.0, 0.0)
     view.set_step(t, t, x, y, 0.0, 0.0)
     try:
-        dx, dy = deriv(t, x, y)
+        dx, dy = deriv(t, x, y, 2)
     except EvalDomainError as e:
         raise IntegrationError(f"right-hand side failed at t=0: {e}") from e
     traj._v[0, 2:] = dx, dy
@@ -639,7 +658,6 @@ def integrate(
     conv_point = None
     extinct_time = None
     check_every = 16
-    eps_t = 1e-12 * max(1.0, horizon)
     isfinite = math.isfinite
 
     def guard(name: str, sx: float, sy: float, kx: float = 0.0, ky: float = 0.0,
@@ -655,32 +673,33 @@ def integrate(
             raise _StageGuard(name)
 
     while t < horizon - eps_t:
-        # drift-free node times: i*dt exactly, final step clamped to horizon
-        t1_nominal = (steps + 1) * dt
-        t1 = horizon if t1_nominal >= horizon - eps_t else t1_nominal
+        t1 = step_end(steps, dt, horizon, eps_t)
         h = t1 - t
+        tm = t + 0.5 * h
         scale0 = 1.0 + max(abs(x), abs(y))
-        view.set_step(t, t1, x, y, dx, dy)
+        fed = next(feeds) if feeds is not None else None
+        if fed is None:
+            view.set_step(t, t1, x, y, dx, dy)
         k1x, k1y = dx, dy
         try:
             sx = x + 0.5 * h * k1x
             sy = y + 0.5 * h * k1y
             guard("stage-1", sx, sy, k1x, k1y)
-            k2x, k2y = deriv(t + 0.5 * h, sx, sy)
+            k2x, k2y = deriv(tm, sx, sy, 0)
             sx = x + 0.5 * h * k2x
             sy = y + 0.5 * h * k2y
             guard("stage-2", sx, sy, k2x, k2y)
-            k3x, k3y = deriv(t + 0.5 * h, sx, sy)
+            k3x, k3y = deriv(tm, sx, sy, 0)
             sx = x + h * k3x
             sy = y + h * k3y
             guard("stage-3", sx, sy, k3x, k3y)
-            k4x, k4y = deriv(t1, sx, sy)
+            k4x, k4y = deriv(t1, sx, sy, 2)
             # k4's state passed stage-3, so only its increment can fire here
             guard("stage-4", sx, sy, k4x, k4y, 6.0 * stage_ratio)
             x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             y1 = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             guard("state-threshold", x1, y1)
-            dx1, dy1 = deriv(t1, x1, y1)
+            dx1, dy1 = deriv(t1, x1, y1, 2)
         except _StageGuard as e:
             guard_note = e.args[0]
             status = "blow-up"

@@ -47,11 +47,17 @@ def make_spec(
 
 
 def const_history(x, y):
-    """Constant x and y histories, in the order rhs takes them."""
+    """Constant x and y histories, in the order rhs_of_histories takes them."""
     return (
         FnComponent(lambda s: np.asarray(s, dtype=float) * 0 + x),
         FnComponent(lambda s: np.asarray(s, dtype=float) * 0 + y),
     )
+
+
+def rhs_of_histories(spec, t, x, y, x_hist, y_hist):
+    """rhs with its feedbacks integrated through the kernels from the x and
+    y histories, as a step without point feeds computes them."""
+    return rhs(spec, t, x, y, spec.k1.integrate(spec.f1, y_hist, t), spec.k2.integrate(spec.f2, x_hist, t))
 
 
 class TestRhs:
@@ -62,13 +68,13 @@ class TestRhs:
             r1="2+sin(t)",
             r2="2+cos(t)",
         )
-        dx, dy = rhs(spec, 3.0, 2.0, 2.0, *const_history(2.0, 2.0))
+        dx, dy = rhs_of_histories(spec, 3.0, 2.0, 2.0, *const_history(2.0, 2.0))
         assert dx == pytest.approx(0.0, abs=1e-12)
         assert dy == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_half_feedback(self):
         spec = make_spec(f1="x/2", f2="x/2")
-        dx, dy = rhs(spec, 0.0, 1.0, 1.0, *const_history(1.0, 1.0))
+        dx, dy = rhs_of_histories(spec, 0.0, 1.0, 1.0, *const_history(1.0, 1.0))
         assert (dx, dy) == (-0.5, -0.5)
 
     def test_modulated_equilibrium(self):
@@ -80,14 +86,14 @@ class TestRhs:
             g1="x",
             g2="x",
         )
-        dx, dy = rhs(spec, 5.0, 4.0, 4.0, *const_history(4.0, 4.0))
+        dx, dy = rhs_of_histories(spec, 5.0, 4.0, 4.0, *const_history(4.0, 4.0))
         assert dx == pytest.approx(0.0, abs=1e-12)
         assert dy == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_structure(self):
         # state below the feedback level must be pushed up
         spec = make_spec(f1="1+x/2", f2="1+x/2")
-        dx, dy = rhs(spec, 0.0, 0.5, 0.5, *const_history(0.5, 0.5))
+        dx, dy = rhs_of_histories(spec, 0.0, 0.5, 0.5, *const_history(0.5, 0.5))
         assert dx > 0 and dy > 0
 
     @given(st.integers(min_value=-6, max_value=6))
@@ -97,8 +103,8 @@ class TestRhs:
         base = make_spec(f1="x^2+x", f2="1+x/2", r1="1.5", r2="0.75")
         scaled = make_spec(f1="x^2+x", f2="1+x/2", r1=f"{c!r}*1.5", r2=f"{c!r}*0.75")
         h = const_history(1.3, 0.8)
-        dx0, dy0 = rhs(base, 1.0, 1.3, 0.8, *h)
-        dx1, dy1 = rhs(scaled, 1.0, 1.3, 0.8, *h)
+        dx0, dy0 = rhs_of_histories(base, 1.0, 1.3, 0.8, *h)
+        dx1, dy1 = rhs_of_histories(scaled, 1.0, 1.3, 0.8, *h)
         assert dx1 == c * dx0
         assert dy1 == c * dy0
 

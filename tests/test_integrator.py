@@ -761,26 +761,36 @@ def point_system(lag1, lag2):
 
 
 @pytest.mark.parametrize(
-    "lag1, lag2, stored, initial",
+    "lag1, lag2, arrays, per_stage, initial",
     [
-        # the first derivative at t = 0 is a step with one stage time, then
-        # 150 steps with two each; a lagged time up to 0 reads the initial
-        # data, one component at a time
-        # one shared kernel: one (x, y) lookup per stage time once t - 1 > 0
-        ("t-1", "t-1", 2 * 50, 2 * (1 + 2 * 100)),
-        # off the grid of stage times, so rounding cannot move a lagged time across 0
-        ("t-0.3025", "t-0.7025", 2 * 120 + 2 * 80, 2 + 2 * 30 + 2 * 70),
-        ("t", "t", 0, 2),  # zero lag reads the stage state after t = 0
-        ("t/2", "t/2", 2 * 149, 2),  # the first step reads inside itself
+        # blocks of 8, 16, 32 and 64 steps from t = 0, then one to the horizon
+        # (30 steps); the lagged time t - 1 passes 0 at step 100, so the
+        # 64-step block reads 40 stored times and the last one 60.  Each
+        # stage time up to t = 1 reads the initial data once per component,
+        # and so does the first derivative at t = 0
+        ("t-1", "t-1", [40, 60], 0, 2 * (1 + 2 * 100)),
+        # off the grid of stage times, so rounding cannot move a lagged time
+        # across 0; the blocks end where t - 0.3025 reaches past their start
+        ("t-0.3025", "t-0.7025", [48, 88, 120, 120, 24], 0, 2 + 2 * 30 + 2 * 70),
+        ("t", "t", [], 0, 2),  # zero lag reads the stage state: nothing to look up
+        # the first step reads inside itself; from step j the reads allow a
+        # block of j steps, too short (below MIN_BLOCK = 8) at the tries at
+        # steps 1, 3 and 7, and the try after step 7 waits until step 15.
+        # The per-stage path serves steps 1-14 with one (x, y) lookup per
+        # stage time
+        ("t/2", "t/2", [16, 32, 64, 128, 30], 2 * 14, 2),
     ],
+    ids=["shared-lag", "two-lags", "zero-lag", "proportional"],
 )
-def test_one_scalar_lookup_per_point_kernel_and_stage_time(monkeypatch, lag1, lag2, stored, initial):
+def test_one_array_lookup_per_point_block(monkeypatch, lag1, lag2, arrays, per_stage, initial):
     spec = point_system(lag1, lag2)
-    calls = count_scalar_lookups(monkeypatch)
+    scalar = count_scalar_lookups(monkeypatch)
+    array = count_array_lookups(monkeypatch)
     _, outcome = integrate(spec, horizon=1.5, dt=0.01)
     assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 150
-    assert calls.count(None) == stored  # x and y together, from one segment search
-    assert len(calls) - stored == initial
+    assert array == arrays  # one value_array per block that reads stored history
+    assert scalar.count(None) == per_stage  # stored (x, y) reads one by one
+    assert len(scalar) - per_stage == initial  # initial data, one component at a time
 
 
 def test_initial_data_are_read_only_for_the_component_fed_from_them():
@@ -794,6 +804,74 @@ def test_initial_data_are_read_only_for_the_component_fed_from_them():
     with pytest.raises(IntegrationError, match="right-hand side failed at t=0"):
         integrate(spec_of("1+x/2", "x/2", k1=shared, k2=shared, phi="1+t/4", psi="sqrt(t+1)"),
                   horizon=3.0, dt=0.01)
+
+
+ORACLE_BODIES = st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"])
+
+
+@st.composite
+def point_runs(draw):
+    """A step, two point lags (possibly one shared kernel), two production
+    bodies and G on or off."""
+    dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    lags = st.one_of(
+        st.floats(min_value=0.0, max_value=3 * dt).map(lambda c: f"t-{c!r}"),  # about one step
+        st.floats(min_value=0.0, max_value=2.0).map(lambda c: f"t-{c!r}"),
+        st.sampled_from(["t/2", "t-1-t^2/10"]),
+    )
+    lag1 = draw(lags)
+    lag2 = None if draw(st.booleans()) else draw(lags)  # None: kernel 1 serves both
+    return dt, lag1, lag2, draw(ORACLE_BODIES), draw(ORACLE_BODIES), draw(st.sampled_from([None, "x"]))
+
+
+@given(point_runs())
+@settings(max_examples=60, deadline=None)
+def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
+    # the mixture reads f(u(lag(t))) through the stage view at every stage,
+    # the point kernel from blocks of feeds wherever they cover a step
+    dt, lag1, lag2, f1, f2, g = run
+
+    def result(kernel):
+        k1 = kernel(lag1)
+        k2 = k1 if lag2 is None else kernel(lag2)
+        spec = spec_of(f1, f2, k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4", g1=g, g2=g)
+        try:
+            traj, outcome = integrate(spec, horizon=3.0, dt=dt)
+        except IntegrationError as e:
+            return str(e)
+        nodes = [traj.step_times().tobytes()] + [traj.step_values(c).tobytes() for c in range(4)]
+        return nodes, outcome.status, [bits(v) for v in outcome.final_state], outcome.diagnostics
+
+    assert result(PointMassKernel) == result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
+
+
+class CountedLag:
+    """A lag expression that counts its scalar evaluations."""
+
+    def __init__(self, lag):
+        self.lag = lag
+        self.calls = 0
+
+    def evaluate(self, t):
+        self.calls += 1
+        return self.lag.evaluate(t)
+
+
+@pytest.mark.parametrize("lag", ["t-0.013", "t-0.007", "t", "t-1", "t/2"])
+def test_point_lags_are_evaluated_about_once_per_stage_time(lag):
+    # a block evaluates the lag at the stage times it serves and at the one
+    # that ends it, a step no block serves at its own stage times, and a
+    # block that cannot start is tried again after a doubling wait:
+    # a lag just over or under one step (0.013, 0.007 at dt 0.01) costs
+    # about as many lag evaluations as a long one.  The convergence check
+    # adds two every 16 steps (the kernels' spans).
+    kernel = PointMassKernel(lag)
+    kernel.lag = counted = CountedLag(kernel.lag)
+    _, outcome = integrate(spec_of("2*tanh(x)", "2*tanh(x)", k1=kernel, k2=kernel), horizon=20.0,
+                           dt=0.01, converge_rtol=0.0)
+    steps = outcome.diagnostics["steps"]
+    assert steps == 2000
+    assert 2 * steps < counted.calls <= 2.2 * steps
 
 
 POINT_LAGS = st.one_of(
