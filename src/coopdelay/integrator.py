@@ -21,19 +21,22 @@ derivative); stored history changes only after the step is accepted.  The
 kernels read x and y through one `_StageComponent` each, over one shared
 per-step view (`_StageHistory`).
 
-Point kernels: when both kernels are point masses, their feedbacks come
-in blocks of upcoming steps (`pointfeeds`), as in the method of steps: a
-lagged time behind the last accepted step reads known data, one
-`Trajectory.value_array` per block, and f of it is evaluated once per
-production function, component and stage time; a zero lag leaves f of the
-stage state to the stage.  A step no block covers, the first derivative at
-t = 0 and every run with a density or mixture kernel go the per-stage path,
-through `kernel.integrate` and the stage view: per kernel and stage time
-one lag evaluation, one (x, y) lookup in stored history or a read of the
-fed component's initial data, and one f per production function and
-component; a lagged time inside the current step is read from the
-quadratic on every call, toward the live stage state.  Both paths perform
-the same operations on the same numbers, so they agree bit for bit.
+Blocks of steps: when each kernel is a point mass or a uniform or
+triangular window, the feedbacks come in blocks of upcoming steps (`feeds`),
+as in the method of steps.  What a feedback reads behind the last accepted
+step is known data: a point kernel's lagged time, read for a whole block
+with one `Trajectory.value_array`, with f of it once per production
+function, component and stage time (a zero lag leaves f of the stage state
+to the stage); a window's head and body up to that step, and then the nodes
+the block's own steps add, while its tail is read at the stage.  A step no
+block covers, the first derivative at t = 0 and every run with a mixture
+kernel go the per-stage path, through `kernel.integrate` and the stage view:
+per kernel and stage time one lag evaluation, one (x, y) lookup in stored
+history or a read of the fed component's initial data, and one f per
+production function and component; a lagged time inside the current step is
+read from the quadratic on every call, toward the live stage state.  Point
+feeds perform the same operations on the same numbers on both paths, so
+they agree bit for bit; window feeds add the same terms in another order.
 
 Density kernels: one quadrature serves uniform, triangular and mixture
 densities with any lag, composite Simpson on the step grid.  The view keeps
@@ -46,13 +49,16 @@ from h(t) to the next step end with two Hermite reads; the body, whole
 steps from there to t0, one dot of Simpson weights times density with the
 stored f values; and the tail, the panel from t0 to t, whose midpoint is
 read from the quadratic above and whose end is the stage state.  A window
-whose floor lies inside the step is a single in-step panel.  Head and body
-are computed once per kernel and stage time (and kept per production
-function and component), so each call pays only for its tail.  The rule
-needs no history lookup after the grid is set up, and its resolution
-follows dt.  Equal density windows share all of it, and so does one point
-kernel object serving both components.  The reads of a step fail, if they
-fail, at the stage that first needs them.
+whose floor lies inside the step is a single in-step panel, and stays on
+the per-stage path.  There head and body are computed once per kernel and
+stage time (and kept per production function and component), so each call
+pays only for its tail; a block computes them for all its stage times
+together, one product per production function, and per step adds only the
+nodes of the step before.  The rule needs no history lookup after the grid
+is set up but the head reads, and its resolution follows dt.  Equal density
+windows share all of it, and so does one point kernel object serving both
+components.  The reads of a step fail, if they fail, at the stage that
+first needs them.
 
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
@@ -71,7 +77,7 @@ import numpy as np
 from .dynamics import SystemSpec, rhs
 from .kernels import HistoryUnderflowError, PointMassKernel
 from .expr import EvalDomainError
-from .pointfeeds import point_feeds, step_end
+from .feeds import SERVED, block_feeds, step_end, window_feed
 
 __all__ = [
     "Trajectory",
@@ -623,9 +629,10 @@ def integrate(
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
     eps_t = 1e-12 * max(1.0, horizon)
-    point_only = isinstance(k1, PointMassKernel) and isinstance(k2, PointMassKernel)
-    feeds = point_feeds(spec, traj, dt, horizon, eps_t) if point_only else None
-    # the point feeds of the current step, or None for the per-stage path
+    served = isinstance(k1, SERVED) and isinstance(k2, SERVED)
+    # a density window's block feeds end in a tail read at the stage
+    tails = served and not (isinstance(k1, PointMassKernel) and isinstance(k2, PointMassKernel))
+    # the block feeds of the current step, or None for the per-stage path
     fed = None
 
     def deriv(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
@@ -640,10 +647,26 @@ def integrate(
         fx, fy = fed[i], fed[i + 1]
         return rhs(spec, ts, xs, ys, f1(ys) if fx is None else fx, f2(xs) if fy is None else fy)
 
+    if tails:
+        # a run with a density window reads the tails of its block feeds
+        # toward the stage state from the step start, set per block step;
+        # runs without one keep the deriv above, free of that read
+        per_stage = deriv
+
+        def deriv(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
+            if fed is None:
+                return per_stage(ts, xs, ys, i)
+            x0, y0, dx0, dy0 = start
+            return rhs(spec, ts, xs, ys, window_feed(f1, fed[i], ys, y0, dy0),
+                       window_feed(f2, fed[i + 1], xs, x0, dx0))
+
     # the start node goes in before the first right-hand side, whose value
     # is the node's slope: that call reads only times <= 0, which do not
     # use the slope
     traj.append(t, x, y, 0.0, 0.0)
+    if tails:
+        view.grid = _StepGrid(traj, dt)
+    feeds = block_feeds(spec, view, dt, horizon, eps_t) if served else None
     view.set_step(t, t, x, y, 0.0, 0.0)
     try:
         dx, dy = deriv(t, x, y, 2)
@@ -652,6 +675,7 @@ def integrate(
     traj._v[0, 2:] = dx, dy
 
     steps = 0
+    block_steps = 0
     guard_note = None
     status = "reached-horizon"
     blow_time = None
@@ -680,6 +704,8 @@ def integrate(
         fed = next(feeds) if feeds is not None else None
         if fed is None:
             view.set_step(t, t1, x, y, dx, dy)
+        elif tails:
+            start = (x, y, dx, dy)
         k1x, k1y = dx, dy
         try:
             sx = x + 0.5 * h * k1x
@@ -713,6 +739,7 @@ def integrate(
 
         view.append(t1, x1, y1, dx1, dy1)
         steps += 1
+        block_steps += fed is not None
         t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
         if max(abs(x), abs(y)) < extinction_threshold:
@@ -720,7 +747,8 @@ def integrate(
             extinct_time = t
             break
 
-        if steps % check_every == 0:
+        # converge_rtol <= 0 can never stop the run: skip the window
+        if converge_rtol > 0.0 and steps % check_every == 0:
             window = max(window_spans * spec.max_span(t), 100.0 * dt)
             ts = traj.step_times()
             if t - window > ts[0]:
@@ -743,7 +771,7 @@ def integrate(
         blowup_time=blow_time,
         converged_point=conv_point,
         extinct_time=extinct_time,
-        diagnostics={"steps": steps, "dt": dt, "stage_guard": guard_note},
+        diagnostics={"steps": steps, "block_steps": block_steps, "dt": dt, "stage_guard": guard_note},
     )
     return traj, outcome
 

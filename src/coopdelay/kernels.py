@@ -253,7 +253,11 @@ class TriangularDensityKernel(_DensityWindowKernel):
 
     def density_at(self, t, floor, nodes):
         span = t - floor
-        return (2.0 / (span * span)) * (nodes - floor)
+        # scaled in place: a block's (stage times x nodes) array is then the
+        # one large temporary
+        out = nodes - floor
+        out *= 2.0 / (span * span)
+        return out
 
 
 class GeneralMixtureKernel(DelayKernel):

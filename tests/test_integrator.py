@@ -613,6 +613,9 @@ class TestOneEvaluationPerPair:
     ],
 )
 def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points):
+    # the grid reads the initial data once, at set-up; after that each block
+    # of window feeds reads its heads with one value_array, and every f value
+    # is computed once
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
     calls = count_array_lookups(monkeypatch)
     scalar_reads = count_scalar_lookups(monkeypatch)
@@ -622,21 +625,26 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     _, outcome = integrate(spec, horizon=0.5, dt=0.01)
     steps = outcome.diagnostics["steps"]
     assert outcome.status == "reached-horizon" and steps == 50
+    assert outcome.diagnostics["block_steps"] == steps
     # one lookup of the initial data, x and y together, back to the floor -1
-    # at t = 0: the step ends -1, -0.99, ..., 0 with their midpoints
-    assert calls == [200]
-    # per distinct window and stage time at most two head reads, and per
-    # point kernel and stage time one read
-    assert len(scalar_reads) <= windows * 2 * (1 + 2 * steps) + points * (1 + 2 * steps)
+    # at t = 0: the step ends -1, -0.99, ..., 0 with their midpoints.  Then
+    # blocks of 8 and 16 steps from t = 0 and one of 26 to the horizon, each
+    # reading the floor and the head midpoint of its stage times, per
+    # distinct window
+    blocks = [8, 16, 26]
+    assert calls == [200] + [windows * 2 * 2 * b for b in blocks]
+    # the floor -1 at t = 0 is a grid node, so that window has no head; a
+    # point kernel reads the initial data once per stage time
+    assert len(scalar_reads) == points * (1 + 2 * steps)
     for scalars, sizes, fed in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
         if isinstance(fed, PointMassKernel):
             assert sizes == []
             continue
-        # f over the initial data once, at t = 0; then per step at most two
-        # new grid nodes, two head reads per stage time, and two tail reads
-        # per call (two calls per stage time)
-        assert sizes == [201]
-        assert len(scalars) <= 2 + steps * (2 + 2 * 2 + 2 * 2 * 2)
+        # f over the initial data once, at t = 0, and over each block's head
+        # reads; per step f of the two grid nodes the step before it added
+        # (none before the first) and of two tail reads per stage
+        assert sizes == [201] + [2 * 2 * b for b in blocks]
+        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
@@ -840,7 +848,9 @@ def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
         except IntegrationError as e:
             return str(e)
         nodes = [traj.step_times().tobytes()] + [traj.step_values(c).tobytes() for c in range(4)]
-        return nodes, outcome.status, [bits(v) for v in outcome.final_state], outcome.diagnostics
+        # blocks serve only the point kernel's steps
+        return nodes, outcome.status, [bits(v) for v in outcome.final_state], {
+            k: v for k, v in outcome.diagnostics.items() if k != "block_steps"}
 
     assert result(PointMassKernel) == result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
 
@@ -863,15 +873,15 @@ def test_point_lags_are_evaluated_about_once_per_stage_time(lag):
     # that ends it, a step no block serves at its own stage times, and a
     # block that cannot start is tried again after a doubling wait:
     # a lag just over or under one step (0.013, 0.007 at dt 0.01) costs
-    # about as many lag evaluations as a long one.  The convergence check
-    # adds two every 16 steps (the kernels' spans).
+    # about as many lag evaluations as a long one.  With converge_rtol=0
+    # there is no convergence check, whose window would evaluate them too.
     kernel = PointMassKernel(lag)
     kernel.lag = counted = CountedLag(kernel.lag)
     _, outcome = integrate(spec_of("2*tanh(x)", "2*tanh(x)", k1=kernel, k2=kernel), horizon=20.0,
                            dt=0.01, converge_rtol=0.0)
     steps = outcome.diagnostics["steps"]
     assert steps == 2000
-    assert 2 * steps < counted.calls <= 2.2 * steps
+    assert 2 * steps < counted.calls <= 2.05 * steps
 
 
 POINT_LAGS = st.one_of(
