@@ -7,9 +7,8 @@ The right-hand side of the integrated system is
 
 where I1 integrates f1 over the y-history against kernel 1 and I2
 integrates f2 over the x-history against kernel 2.  `rhs` takes the two
-integrals as numbers: the integrator computes them through
-`kernel.integrate(f, component, t)`, or for point kernels a block of steps
-ahead.  G1 and G2 are expressions in the state, the constant 1 when unset,
+integrals as numbers, which the integrator computes a block of steps ahead
+(`feeds`).  G1 and G2 are expressions in the state, the constant 1 when unset,
 which removes the modulated layer without a separate code path.
 """
 

@@ -1,58 +1,62 @@
 """Kernel feedbacks for blocks of upcoming steps: the method of steps.
 
-A feedback reads known data wherever it reads behind the last accepted step,
-so the delayed system is an ODE with known forcing there (Bellen & Zennaro,
+Whatever a feedback reads behind the last accepted step is known, so the
+delayed system is an ODE with known forcing there (Bellen & Zennaro,
 Numerical Methods for Delay Differential Equations, 2003).  `block_feeds`
-hands `integrate` the feedbacks step by step, built a block of steps at a
-time, for point masses and for uniform and triangular density windows;
-mixtures keep the per-stage path.
+hands `integrate` every feedback of a run, built a block of steps at a time
+by each kernel's `integrate(f, u, t)`, t the block's stage times and u the
+component it reads (`_Reader`).  A feed is what `window_feed` evaluates at a
+stage: a number; None for f of the stage state (a zero lag); a window's
+known sum plus its tail panel, whose midpoint reads the in-step quadratic
+a*u0 + b*us + c*du0; `_InStep`, f of that quadratic at a lagged time inside
+the step; `_Sum`, weighted feeds (a mixture, or a window whose floor lies
+inside the step); or `_Raise`, a lag, read or f that failed, raised at the
+stage that reads it, so a guard that fires at an earlier stage still wins.
 
-Point kernels: the lags at the blocks' stage times, every stored lagged
-time of a block read with one `Trajectory.value_array`, and f once per
-production function, component and stage time.  Lags and f are evaluated
-one element at a time with the scalar `Expression.evaluate`, and stored and
-initial data are read as the per-stage path reads them, so a point feed is
-bit for bit the number the per-stage path computes.
+A point mass reads its lagged time s at the stage time t of a step [t0, t1]:
+the stage state from t on, the quadratic inside the step, stored history up
+to the block's front F, the fed component's initial data up to 0, and times
+in the block's own steps, F < s <= t0, once stored.  Lags and f are
+evaluated with the scalar `Expression.evaluate`, so a point feed is f(u(s))
+bit for bit.  A window is composite Simpson on the step grid
+(`integrator._StepGrid`), in sums of positive terms: the known part from the
+floor h(t) to F, one masked (stage times x nodes) product per production
+function plus two head reads; the part over the block's own nodes, per step;
+and the tail panel.
 
-Density windows, at a stage time t of a step [t0, t1] whose floor h(t) lies
-at or behind the block's front F, are the per-stage path's composite Simpson
-on the step grid, in three sums of positive terms: the known part, from h(t)
-to F (the head with its two Hermite reads, one `value_array` for the whole
-block, and the body with the grid's stored f values, one masked
-matrix-vector product per production function); the part over the block's
-own accepted nodes from F to t0, one small product per step once the step
-before it is stored; and the tail panel from t0 to t, read from the in-step
-quadratic toward the stage state, which `window_feed` evaluates at the stage.
-The sums run in another order than the per-stage dot, so these feeds agree
-with it to rounding, not bit for bit.
+From MIN_BLOCK steps on, a block ends before the step that first reads its
+own steps, or whose window weights pass WINDOW_ELEMENTS; any block ends after
+the first step whose lag raises.  A shorter block reads its stored times one
+by one, cheaper there than one `Trajectory.value_array`.  A build that raises
+is tried again with half the steps, and a one-step build that raises builds
+each feed of the step alone; a feed whose build raises becomes a `_Raise`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .expr import EvalDomainError
-from .kernels import HistoryUnderflowError, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
+from .kernels import HistoryUnderflowError
 
 if TYPE_CHECKING:
     from .dynamics import SystemSpec
-    from .integrator import _StageHistory, _StepGrid
+    from .integrator import Trajectory, _StepGrid
 
-__all__ = ["SERVED", "block_feeds", "step_end", "window_feed"]
+__all__ = ["block_feeds", "step_end", "window_feed"]
 
-# the kernels whose feedbacks blocks serve
-SERVED = (PointMassKernel, UniformDensityKernel, TriangularDensityKernel)
-# steps in the first block and in the shortest one that reads stored
-# history; the longest block bounds the work done ahead of a stop and the
-# block's transient memory, and so does the element budget of a window's
-# weight matrix (stage times x grid nodes; 256 KB at 1 << 15, which keeps
-# the benchmark's peak RSS within 1 MB of the per-stage path's)
+# the longest block bounds the work done ahead of a stop and the block's
+# memory, and so does the element budget of a window's weight matrix (stage
+# times x grid nodes; 256 KB at 1 << 15)
 MIN_BLOCK = 8
 MAX_BLOCK = 256
 WINDOW_ELEMENTS = 1 << 15
+# what a lag, a read or f may raise, raised again at the stage that reads it
+ERRORS = (EvalDomainError, HistoryUnderflowError, ValueError)
 
 
 def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
@@ -63,291 +67,532 @@ def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
     return horizon if t1 >= horizon - eps_t else t1
 
 
+class _InStep:
+    """f at the time s inside the step [t0, t0 + T] read at the stage time
+    t0 + T: the quadratic u0*a + us*b + c*du0, with r = (s - t0)/T,
+    a = 1 - r^2, b = r^2 and c = T*(r - r^2)."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, t0: float, t: float, s: float):
+        T = t - t0
+        r = (s - t0) / T
+        r2 = r * r
+        self.a = 1.0 - r2
+        self.b = r2
+        self.c = T * (r - r2)
+
+    def __call__(self, f, us, u0, du0):
+        return f(u0 * self.a + us * self.b + self.c * du0)
+
+
+class _Sum:
+    """Weighted feeds, added in order from 0.0."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def __call__(self, f, us, u0, du0):
+        total = 0.0
+        for w, feed in self.parts:
+            total += w * window_feed(f, feed, us, u0, du0)
+        return total
+
+
+class _Raise:
+    """A feed whose lag, read or f failed: the error, raised at its stage.
+    It keeps no traceback, whose frames would hold the block in a cycle."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error.with_traceback(None)
+
+    def __call__(self, f, us, u0, du0):
+        raise self.error
+
+
+_DEFERRED = (_InStep, _Sum, _Raise)
+
+
 def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
-    """The feedback a block gives for one stage: a number; None for f of the
-    stage state us (zero lag); or a window's (sum, wm, wt, a, b, c), whose
-    tail reads the in-step quadratic a*u0 + b*us + c*du0 at the panel's
-    midpoint and the stage state at its end."""
+    """The value of a feed (see the module docstring) at a stage whose state
+    is us, in a step that starts from u0 with slope du0."""
     if feed is None:
         return f(us)
-    if feed.__class__ is not tuple:
-        return feed
-    s, wm, wt, a, b, c = feed
-    return s + wm * f(u0 * a + us * b + c * du0) + wt * f(us)
+    if feed.__class__ is tuple:
+        s, wm, wt, a, b, c = feed
+        return s + wm * f(u0 * a + us * b + c * du0) + wt * f(us)
+    if feed.__class__ in _DEFERRED:
+        return feed(f, us, u0, du0)
+    return feed
 
 
-def block_feeds(spec: SystemSpec, view: _StageHistory, dt: float, horizon: float, eps_t: float):
-    """The feedbacks of two `SERVED` kernels, one item per step in turn: fx
-    and fy at the step's midpoint, then fx and fy at its end, each as
-    `window_feed` reads it; or None for a step that the per-stage path
-    serves.  A density window needs the view's step grid.
-
-    The items come in blocks (`_block`), each built when the run reaches
-    its first step, after the step before it is stored.  A block may be as
-    long as twice the last one (at least MIN_BLOCK, at most MAX_BLOCK
-    steps), so its cost follows the steps it serves.  After a block cannot
-    start, the per-stage path serves as many steps as it has served since
-    the last block before the next try, so failed tries stay a vanishing
-    share of the steps and a block starts at most twice as late as it
-    could.
-    """
-    same = spec.k2 == spec.k1
-    j, limit, skip = 0, MIN_BLOCK, 1
-    while True:
-        items, served = _block(spec, same, view, j, limit, dt, horizon, eps_t)
-        if served:
-            yield from items
-            j += served
-            limit = min(MAX_BLOCK, max(MIN_BLOCK, 2 * served))
-            skip = 1
-        else:
-            yield from itertools.repeat(None, skip)
-            j += skip
-            skip *= 2
-
-
-def _block(spec: SystemSpec, same: bool, view: _StageHistory, j: int, limit: int, dt: float,
-           horizon: float, eps_t: float):
-    """The items of at most limit steps from step j, which starts at the
-    trajectory's front, and their number: a list, or with a window a
-    generator that finishes each step's feeds once the step before it is
-    stored.
-
-    Each kernel's lag is evaluated at the stage times, formed as `integrate`
-    forms them.  A point kernel's lagged time s is sorted:
-
-    - s at or after the stage time (zero lag): f of the stage state, which
-      the caller computes (the feed is None);
-    - 0 < s <= the front: stored history;
-    - s <= 0: the initial data, read for the fed component alone;
-    - in between (inside its own step, or in a step accepted after the block
-      began): the block ends before this step.
-
-    A window's floor must lie at or behind the front: the block ends before
-    the first step where it does not, or where the window's weight matrix
-    would pass WINDOW_ELEMENTS.  The points' stored times and the windows'
-    head reads are read together, with one `Trajectory.value_array`.
-
-    A step whose lag or point read raises also ends the block, so the
-    per-stage path raises the error at the stage that reads it; so does a
-    point's f.  When a window's known part raises, no block is built; when f
-    of a node the block accepted raises, that step and the rest of the block
-    are items of None.  A block that reads stored history and ends before
-    MIN_BLOCK steps, short of the horizon, is not built: its array read would
-    cost more than the per-stage reads it replaces.
-    """
-    traj = view.traj
+def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
+                eps_t: float, blocks: list):
+    """The feeds of the derivative at the trajectory's front, then of each
+    step, one item per step: [fx, fy, fx, fy] at the step's midpoint and at
+    its end, a tuple when each is a number or None.  grid is the run's step
+    grid, None without density parts; blocks[0] counts the blocks built.  A
+    block is built when the run reaches its first step, at most twice as
+    long as the last (MIN_BLOCK to MAX_BLOCK steps)."""
     front = traj.t_front
-    # each kernel's lagged times or floors, up to the first step one cannot
-    # serve; kernel 1 feeds x (from y), kernel 2 feeds y (from x)
-    taus, ss1 = _cut(spec.k1, _stage_times(front, j, limit, dt, horizon, eps_t), front, dt)
-    ss2 = ss1
-    if not same:
-        taus, ss2 = _cut(spec.k2, taus, front, dt)
-        ss1 = ss1[: len(taus)]
-    if not taus:
-        return (), 0
-    short = len(taus) < 2 * MIN_BLOCK and taus[-1] < horizon
-    reads = ((spec.k1, ss1),) if same else ((spec.k1, ss1), (spec.k2, ss2))
-    floors = [min(ss) for kernel, ss in reads if not isinstance(kernel, PointMassKernel)]
-    if floors and short:
-        return (), 0
-    try:
-        if floors:
-            # before any window takes grid indices: covering shifts the nodes
-            view.grid.cover(min(floors))
-        readers = [_PointReads(taus, ss, front) if isinstance(kernel, PointMassKernel)
-                   else _WindowBlock(kernel, view.grid, taus, ss) for kernel, ss in reads]
-        times = [r.times for r in readers]
-        cut = len(times[0])  # kernel 1's reads come first
-        if cut or len(times[-1]):
-            if short:
-                return (), 0
-            xs, ys = traj.value_array(np.concatenate(times)).tolist()
-        else:
-            xs = ys = []
-        fx = readers[0].feeds(view, spec.f1, 1, ys[:cut])
-        fy = readers[-1].feeds(view, spec.f2, 0, xs if same else xs[cut:])
-    except (EvalDomainError, HistoryUnderflowError):
-        return (), 0  # the per-stage path raises it again, at the stage that reads it
-    if fx.__class__ is list and fy.__class__ is list:
-        items = list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
-        return items, len(items)
-    n = min([len(f) // 2 for f in (fx, fy) if f.__class__ is list], default=len(taus) // 2)
-    return _window_items(_pairs(fx), _pairs(fy), n), n
+    # the derivative: one stage time, at the front, as a step's two
+    yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front] * 2), 1, dt)[0]
+    ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
+    limit = MIN_BLOCK
+    while True:
+        items, steps = _block(spec, traj, grid, ahead, limit, dt)
+        if not steps:  # past the horizon
+            return
+        blocks[0] += 1
+        yield from items
+        ahead.advance(steps)
+        limit = min(MAX_BLOCK, max(MIN_BLOCK, 2 * steps))
+
+
+class _Ahead:
+    """The upcoming stage times and their steps' starts, two rows per step
+    from step j at t (or the stage times taus, starting at t), and each lag's
+    values there (`values`, by lag or window), each evaluated once."""
+
+    __slots__ = ("j", "t", "dt", "horizon", "eps_t", "done", "taus", "starts", "values")
+
+    def __init__(self, j: int, t: float, dt: float, horizon: float, eps_t: float, taus: list | None = None):
+        self.j, self.t, self.dt, self.horizon, self.eps_t = j, t, dt, horizon, eps_t
+        self.done = taus is not None
+        self.taus: list = taus or []
+        self.starts: list = [t] * len(self.taus)
+        self.values: dict = {}
+
+    def rows(self, steps: int) -> int:
+        """The rows of the next steps steps, fewer at the horizon."""
+        taus, starts, j, t = self.taus, self.starts, self.j, self.t
+        while len(taus) < 2 * steps and not self.done:
+            t1 = step_end(j, self.dt, self.horizon, self.eps_t)
+            taus.append(t + 0.5 * (t1 - t))
+            taus.append(t1)
+            starts.append(t)
+            starts.append(t)
+            j, t = j + 1, t1
+            self.done = t1 == self.horizon
+        self.j, self.t = j, t
+        return min(len(taus), 2 * steps)
+
+    def advance(self, steps: int) -> None:
+        """Drop the rows of the steps a block served."""
+        k = 2 * steps
+        del self.taus[:k]
+        del self.starts[:k]
+        for values in self.values.values():
+            del values[:k]
+
+
+def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[int, dict, dict]:
+    """The rows one block serves, at most steps steps, and each lag's values
+    there: per point lag (by identity) its time, per window its floor."""
+    n = ahead.rows(steps)
+    points: dict = {}
+    windows: dict = {}
+    for kernel in kernels:
+        for lag in kernel.atom_lags():
+            if id(lag) not in points:
+                n, points[id(lag)] = _plan_lag(ahead, id(lag), lag.evaluate, n, front, 0.0)
+        if kernel.density_lag is not None and kernel not in windows:
+            n, windows[kernel] = _plan_lag(ahead, kernel, kernel.density_lag.evaluate, n, front, dt)
+    return n, points, windows
+
+
+def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list]:
+    """lag at the first n rows, and how many a block serves (see the module
+    docstring); dt is 0 for a point lag."""
+    taus, starts = ahead.taus, ahead.starts
+    values = ahead.values.setdefault(key, [])
+    for tau in taus[len(values) : n]:
+        try:
+            values.append(lag(tau))
+        except (EvalDomainError, ValueError) as e:
+            values.append(_Raise(e))
+    plan = values[:n]
+    if not dt and _Raise not in map(type, plan):  # a point lag that never raises here
+        r = next((r for r, s, t0 in zip(itertools.count(), plan, starts) if front < s <= t0), n)
+        return (n, plan) if r < 2 * MIN_BLOCK or r == n else (r & ~1, plan[: r & ~1])
+    low, rows, late = front, 0, False
+    r = -1
+    while r + 1 < n:
+        r += 1
+        s = values[r]
+        if dt and s.__class__ is not _Raise and s >= taus[r]:  # an empty window: its error
+            try:
+                key.density_floor(taus[r])
+            except ValueError as e:
+                s = values[r] = _Raise(e)
+        if s.__class__ is _Raise:
+            if r >= 2:  # the step becomes the next block's first
+                n = r & ~1
+                break
+            n = 2
+        elif s <= starts[r] and (dt or s > front):
+            if s > front and not late:
+                if r >= 2 * MIN_BLOCK:
+                    n = r & ~1
+                    break
+                late = True
+            low = min(low, s)
+            rows += 1
+            if dt and r >= 2 * MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
+                n = r & ~1
+                break
+    return n, values[:n]
+
+
+def _block(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, steps: int, dt: float):
+    """The items of at most steps steps from the front, and their number."""
+    k1, k2 = spec.k1, spec.k2
+    kernels = (k1,) if k2 == k1 else (k1, k2)
+    n, points, windows = _plan(ahead, kernels, traj.t_front, dt, steps)
+    while True:
+        try:
+            block = _Block(traj, grid, ahead, n, points, windows)
+            fx = k1.integrate(spec.f1, _Reader(block, 1), block.taus)
+            fy = k2.integrate(spec.f2, _Reader(block, 0), block.taus)
+        except ERRORS:
+            if n == 2:
+                return _stepwise(spec, traj, grid, ahead, dt), 1
+            n = (n >> 1) & ~1
+            continue
+        return block.items(fx, fy), n >> 1
+
+
+def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float) -> list:
+    """The first step's item with each feed built alone, in the order the
+    stage reads them; a feed whose build raises raises at its stage."""
+    item = []
+    for r in (0, 1):
+        row = _Ahead(ahead.j, ahead.starts[r], dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1] * 2)
+        row.values = {key: values[r : r + 1] * 2 for key, values in ahead.values.items() if len(values) > r}
+        for kernel, f, comp in ((spec.k1, spec.f1, 1), (spec.k2, spec.f2, 0)):
+            try:
+                n, points, windows = _plan(row, (kernel,), traj.t_front, dt, 1)
+                block = _Block(traj, grid, row, n, points, windows)
+                feed = next(iter(_pairs(kernel.integrate(f, _Reader(block, comp), block.taus))))[0]
+            except ERRORS as e:
+                feed = _Raise(e)
+            item.append(feed)
+    return [item]
 
 
 def _pairs(feeds):
-    """A point kernel's list of feeds as (midpoint, end) pairs per step; a
-    window's feeds are made so."""
+    """A kernel's feeds as (midpoint, end) pairs per step."""
     return zip(feeds[0::2], feeds[1::2]) if feeds.__class__ is list else feeds
 
 
-def _window_items(fx, fy, n: int):
-    """The n items of a block with a window, from the pairs of its two
-    feeds; from a step where f of a node the block accepted raises, None
-    (the per-stage path raises it again)."""
-    k = 0
-    try:
-        for (xm, xe), (ym, ye) in zip(fx, fy):
-            yield xm, ym, xe, ye
-            k += 1
-    except EvalDomainError:
-        yield from itertools.repeat(None, n - k)
+class _Block:
+    """The rows of one block and what its kernels read there: the point
+    lags' stored times up to the front, read together (`values`, the x and
+    the y row), times in the block's own steps, read once stored (`read`),
+    and the windows' weights.  `deferred`: some feed is not a number or None.
+    """
 
+    __slots__ = ("traj", "grid", "taus", "starts", "front", "short", "points", "offsets", "stored",
+                 "zero", "values", "windows", "late", "deferred")
 
-def _stage_times(t: float, j: int, limit: int, dt: float, horizon: float, eps_t: float):
-    """The two stage times of each of at most limit steps from step j, which
-    starts at t, formed as `integrate` forms them."""
-    for _ in range(limit):
-        t1 = step_end(j, dt, horizon, eps_t)
-        yield t + 0.5 * (t1 - t)
-        yield t1
-        if t1 == horizon:
-            return
-        t = t1
-        j += 1
-
-
-def _cut(kernel, taus, front: float, dt: float) -> tuple[list, list]:
-    """The stage times taus and the kernel's lagged time (a point) or floor (a
-    window) at them, cut before the first step with a point read neither in
-    stored history up to front nor at its stage time, a floor past front or
-    past the element budget, or a lag that raises (the per-stage path raises
-    it again)."""
-    point = isinstance(kernel, PointMassKernel)
-    lag = kernel.lag
-    served, ss = [], []
-    low = front
-    for tau in taus:
-        try:
-            s = lag.evaluate(tau)
-        except EvalDomainError:
-            break
-        if point:
-            if front < s < tau:
-                break
+    def __init__(self, traj: Trajectory, grid, ahead: _Ahead, n: int, points: dict, windows: dict):
+        self.traj, self.grid = traj, grid
+        self.taus = taus = ahead.taus[:n]
+        self.starts = starts = ahead.starts[:n]
+        self.front = front = traj.t_front
+        self.short = n < 2 * MIN_BLOCK
+        self.late: dict = {}
+        self.deferred = bool(windows)
+        times: list = []
+        self.points = {}
+        self.offsets = {}
+        self.stored = set()  # the point lags whose every time is in times
+        self.zero = set()  # the point lags that read the stage state alone
+        for key, plan in points.items():
+            plan = self.points[key] = plan[:n]
+            self.offsets[key] = len(times)
+            if _Raise not in map(type, plan) and all(map(operator.ge, plan, taus)):
+                self.zero.add(key)
+                continue
+            times += [s for s in plan if s.__class__ is not _Raise and 0.0 < s <= front]
+            if len(times) - self.offsets[key] == n:
+                self.stored.add(key)
+                continue
+            # what the stage reads: the stage state (None), the in-step
+            # quadratic, or an error; the times left are read for each f
+            plan = self.points[key] = [
+                s if s.__class__ is _Raise or s <= t0 else None if s >= t else _InStep(t0, t, s)
+                for s, t, t0 in zip(plan, taus, starts)]
+            self.deferred = self.deferred or any(s is not None and s.__class__ in _DEFERRED for s in plan)
+        if not times:
+            self.values = ((), ())
+        elif self.short:
+            self.values = tuple(zip(*[traj.value_scalar(s) for s in times]))
         else:
-            if s > front or s >= tau:  # reads its own step, or an empty window
-                break
-            low = min(low, s)
-            rows = len(ss) + 1
-            if rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
-                break
-        served.append(tau)
-        ss.append(s)
-    n = len(ss) & ~1
-    return served[:n], ss[:n]
+            self.values = tuple(traj.value_array(np.array(times)).tolist())
+        plans = {kernel: plan[:n] for kernel, plan in windows.items()}
+        floors = [a for plan in plans.values() for a in plan if a.__class__ is not _Raise]
+        if floors:
+            # before any window takes grid indices: extending shifts them
+            grid.extend(min(floors))
+        self.windows = {kernel: _WindowBlock(kernel, grid, taus, starts, plan) for kernel, plan in plans.items()}
+
+    def read(self, s: float) -> tuple:
+        """(x, y) at a time s in the block's own steps, once they hold it."""
+        xy = self.late.get(s)
+        if xy is None:
+            xy = self.late[s] = self.traj.value_scalar(s)
+        return xy
+
+    def items(self, fx, fy):
+        if not self.deferred and fx.__class__ is list and fy.__class__ is list:
+            return list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
+        return self._items(_pairs(fx), _pairs(fy))
+
+    def _items(self, fx, fy):
+        for (xm, xe), (ym, ye) in zip(fx, fy):
+            yield [xm, ym, xe, ye] if self.deferred else (xm, ym, xe, ye)
 
 
-class _PointReads:
-    """A point kernel's lagged times ss at a block's stage times taus, and
-    the stored ones."""
+class _Reader:
+    """The component x (comp 0) or y (comp 1) as a block's kernels read it:
+    the u of `kernel.integrate(f, u, t)`, t the block's stage times."""
 
-    __slots__ = ("taus", "ss", "times")
+    __slots__ = ("block", "comp")
 
-    def __init__(self, taus: list, ss: list, front: float):
-        self.taus = taus
-        self.ss = ss
-        self.times = [s for s in ss if 0.0 < s <= front]
+    def __init__(self, block: _Block, comp: int):
+        self.block, self.comp = block, comp
 
-    def feeds(self, view: _StageHistory, f, comp: int, stored: list) -> list:
-        """f of the component at each lagged time ss[i] for the stage time
-        taus[i], up to the first that raises: None for a zero lag, else f of
-        the next value of stored for a time in stored history, or of the fed
-        component's initial data for a time up to 0."""
-        traj = view.traj
+    def point(self, lag, f, t):
+        """f of the component at the lag's time at each stage time: a list,
+        or with times in the block's own steps pairs per step, read later."""
+        block, comp = self.block, self.comp
+        values = block.values[comp]
+        i = block.offsets[id(lag)]
+        plan = block.points[id(lag)]
+        if id(lag) in block.zero:
+            return [None] * len(plan)
+        if id(lag) in block.stored:
+            try:
+                return [f(v) for v in values[i : i + len(plan)]]
+            except ERRORS:
+                pass  # each read again, its error kept at its stage time
         out = []
-        values = iter(stored)
-        try:
-            for tau, s in zip(self.taus, self.ss):
-                if s >= tau:
-                    out.append(None)
-                else:
-                    out.append(f(next(values) if s > 0.0 else traj.value_scalar(s, comp)))
-        except (EvalDomainError, HistoryUnderflowError):
-            pass  # the per-stage path raises it again, at the stage that reads it
-        return out
+        late = []
+        for r, s in enumerate(plan):
+            if s is None or s.__class__ in _DEFERRED:
+                pass
+            elif s > block.front:
+                late.append(r)
+            else:
+                try:
+                    if s > 0.0:
+                        v = values[i]
+                        i += 1
+                    else:  # the fed component's initial data alone
+                        v = block.traj.value_scalar(s, comp)
+                    s = f(v)
+                except ERRORS as e:
+                    block.deferred = True
+                    s = _Raise(e)
+            out.append(s)
+        return self._late(out, late, f) if late else out
+
+    def _late(self, out: list, late: list, f):
+        block, comp = self.block, self.comp
+        late = iter(late)
+        r = next(late)
+        for j in range(len(out) // 2):
+            while r >> 1 == j:
+                try:
+                    out[r] = f(block.read(out[r])[comp])
+                except ERRORS as e:
+                    block.deferred = True
+                    out[r] = _Raise(e)
+                r = next(late, -1)
+            yield out[2 * j], out[2 * j + 1]
+
+    def window(self, kernel, f, t):
+        """The density window's feeds, per step as (midpoint, end)."""
+        return self.block.windows[kernel].feeds(self.block, f, self.comp)
+
+    def mix(self, atoms: list, density):
+        """Per step, (midpoint, end) sums of the weighted atoms' feeds and
+        then the density's."""
+        self.block.deferred = True
+        parts = [(w, _pairs(feeds)) for w, feeds in atoms] + ([(1.0, density)] if density is not None else [])
+        for _ in range(len(self.block.taus) // 2):
+            pairs = [(w, next(feeds)) for w, feeds in parts]
+            yield [_Sum([(w, pair[e]) for w, pair in pairs]) for e in (0, 1)]
 
 
 class _WindowBlock:
-    """A density window's Simpson weights over a block of stage times.
+    """A density window's feeds over a block's stage times.
 
-    Row r weighs the grid nodes from the first step end at or after its
-    floor (column `first[r]`) to the start of its step (column `last[r]`) as
-    `integrator._Window` does: the head panel's end weight plus the first
-    whole step's start weight at the first node (`edge`), Simpson's 4, 2, 4,
-    ... between, the last whole step's end weight plus the tail panel's start
-    weight at the last.  Columns from `lo` up to the front `p` are the grid's
-    known nodes (`known`, the first and inner ones); the rest are the block's
-    own nodes, the midpoints and ends of its steps, which are its stage times
-    (`own`, the inner and last ones).  Every weight is a Simpson weight times
-    the density, so each sum adds positive terms.
+    `fixed` holds by row a floor inside its step, one Simpson panel of
+    in-step reads (`_Sum`), or a floor that raised (`_Raise`).  The other
+    `rows` weigh the nodes from the first step end at or after the floor
+    (column `first`) to their step's start (column `last`): the head panel's
+    and first whole step's weights at the first, Simpson's 4, 2, 4, ...
+    between, the last whole step's and the tail's at the last, each times the
+    density.  Columns before the front's, k, are the grid's known nodes from
+    `lo` on (`known`, density only, with `edge`); the rest are the block's own
+    nodes, its stage times (`own`).  The head's reads at the floor and the
+    head's midpoint (`times`) come with the known part, or once their step is
+    stored for a floor in the block's own steps (`late`).
     """
 
-    __slots__ = ("lo", "p", "first", "edge", "known", "inner", "own", "times", "head", "tail")
+    __slots__ = ("fixed", "rows", "spans", "lo", "k", "known", "simpson", "first", "edge", "own", "head",
+                 "times", "early", "xy", "late", "tail")
 
-    def __init__(self, kernel, grid: _StepGrid, taus: list, floors: list):
-        """The weights at the stage times taus with the window's floors,
-        which the grid covers."""
-        a = np.array(floors)
-        n = grid.n
-        p = n - 1
+    def __init__(self, kernel, grid: _StepGrid, taus: list, starts: list, plan: list):
+        """The weights at the stage times taus with the floors in plan."""
+        self.fixed = fixed = [None] * len(plan)
         tau = np.array(taus)
-        rows = np.arange(tau.size)
+        if _Raise not in map(type, plan) and all(map(operator.le, plan, starts)):
+            # the usual case: every floor at or behind its step's start
+            rows = list(range(len(plan)))
+            self.spans = list(range(0, len(plan) + 1, 2))
+            a = np.array(plan)
+        else:
+            rows = []
+            for r, a in enumerate(plan):
+                if a.__class__ is _Raise:
+                    fixed[r] = a
+                elif a > starts[r]:
+                    t = taus[r]
+                    mid = 0.5 * (a + t)
+                    d = kernel.density_at(t, a, np.array([a, mid, t])).tolist()
+                    third = (t - a) / 6.0
+                    fixed[r] = _Sum([(third * d[0], _InStep(starts[r], t, a)),
+                                     (4.0 * third * d[1], _InStep(starts[r], t, mid)), (third * d[2], None)])
+                else:
+                    rows.append(r)
+            # the grid rows of step j are rows[spans[j]:spans[j + 1]]
+            self.spans = np.searchsorted(rows, np.arange(0, len(plan) + 1, 2)).tolist()
+            a = np.array([plan[r] for r in rows])
+        self.rows = rows
+        if not rows:
+            return
+        own = tau[: 2 * (rows[-1] >> 1)]  # the block's nodes after the front
+        index = np.arange(len(rows))
+        if len(rows) < len(plan):
+            tau = tau[rows]
+            steps = np.array(rows) >> 1
+        else:
+            steps = index >> 1
+        n = grid.n
         i = grid.t[:n].searchsorted(a, side="left")
+        late = None
+        if a.max() > grid.t[n - 1]:
+            late = a > grid.t[n - 1]
+            i[late] = n + own.searchsorted(a[late], side="left")
         i += i & 1  # a midpoint: the head runs on to the step end after it
-        e = grid.t[i]
-        lo = int(i.min())
-        k = p - lo  # the front's column
-        s = np.concatenate((grid.t[lo:n], tau[:-2]))
+        lo = min(int(i.min()), n - 1)
+        self.lo = lo
+        self.k = k = n - 1 - lo
+        s = np.concatenate((grid.t[lo:n], own))
         first = i - lo
-        last = k + (rows & ~1)
+        e = s[first]
+        last = k + 2 * steps
         t0 = s[last]
         T = tau - t0
         tm = t0 + 0.5 * T
         mid = 0.5 * (a + e)
         d = kernel.density_at(tau[:, None], a[:, None], np.broadcast_to(s, (tau.size, s.size)))
-        dh = kernel.density_at(tau[:, None], a[:, None], np.stack((a, mid, tm, tau), axis=1))
+        dh = kernel.density_at(tau[:, None], a[:, None], np.stack((a, mid, tm, tau, e, t0), axis=1))
         lead = int(first.max()) + 1
         d[:, :lead][np.arange(lead) <= first[:, None]] = 0.0  # inner nodes only
-        w = np.empty(s.size)
-        w[0::2] = grid.w[2]
-        w[1::2] = grid.w[1]
+        simpson = np.empty(s.size)
+        simpson[0::2] = grid.w[2]
+        simpson[1::2] = grid.w[1]
         ends = np.where(first < last, grid.w[0], 0.0)
         third = (e - a) / 6.0
-        self.lo = lo
-        self.p = p
-        self.first = first
-        self.edge = (third + ends) * kernel.density_at(tau, a, s[first])
+        edge = (third + ends) * dh[:, 4]
+        # density dotted with Simpson weights times f, plus the edge unless late
         self.known = d[:, :k]
-        self.inner = w[:k]
-        self.own = d[:, k:] * w[k:]
-        self.own[rows, last - k] = (ends + T / 6.0) * kernel.density_at(tau, a, t0)
+        self.simpson = simpson[:k]
+        self.first = first
+        self.edge = edge
+        self.own = d[:, k:] * simpson[k:]
+        self.own[index, last - k] = (ends + T / 6.0) * dh[:, 5]
+        head = (third * dh[:, 0], 4.0 * third * dh[:, 1])
+        self.late = None
+        self.early = None  # the rows whose heads are read with the known part: all
+        if late is not None:
+            self.own[index[late], first[late] - k] += edge[late]
+            self.first = np.where(late, 0, first)
+            self.edge = np.where(late, 0.0, edge)
+            self.late = [(w0, w1, x, m) if flag else None for w0, w1, x, m, flag
+                         in zip(head[0].tolist(), head[1].tolist(), a.tolist(), mid.tolist(), late.tolist())]
+            self.early = np.flatnonzero(~late)
+            head = (head[0][self.early], head[1][self.early])
+            a, mid = a[self.early], mid[self.early]
+        self.head = head
         self.times = np.concatenate((a, mid))
-        self.head = (third * dh[:, 0], 4.0 * third * dh[:, 1])
-        r = (tm - t0) / T
-        r2 = r * r
-        self.tail = list(zip(
-            (4.0 * T / 6.0 * dh[:, 2]).tolist(), (T / 6.0 * dh[:, 3]).tolist(),
-            (1.0 - r2).tolist(), r2.tolist(), (T * (r - r2)).tolist(),
-        ))
+        self.xy = None
+        # the tail's quadratic as `_InStep` forms it; none at the front's T = 0
+        self.tail = None
+        if taus[rows[0]] > starts[rows[0]]:  # T > 0, so not the derivative at the front
+            r = (tm - t0) / T
+            r2 = r * r
+            self.tail = list(zip(
+                (4.0 * T / 6.0 * dh[:, 2]).tolist(), (T / 6.0 * dh[:, 3]).tolist(),
+                (1.0 - r2).tolist(), r2.tolist(), (T * (r - r2)).tolist(),
+            ))
 
-    def feeds(self, view: _StageHistory, f, comp: int, heads: list):
-        """The known part of f of the component at every stage time, now, and
-        a generator of each step's (midpoint, end) feeds, which adds the part
-        over the block's own nodes once the step before it is stored.  heads
-        holds the component at the head reads (`times`)."""
-        grid = view.grid
-        fk = grid.fed(f, comp, self.lo)[: self.p - self.lo + 1]
-        known = self.known @ (self.inner * fk[:-1]) + self.edge * fk[self.first]
-        fh = f.eval_array(np.array(heads))
-        half = fh.size // 2
-        known += self.head[0] * fh[:half] + self.head[1] * fh[half:]
-        return self._steps(grid, f, comp, known)
+    def feeds(self, block: _Block, f, comp: int):
+        """The known part of f of the component now, and a generator of each
+        step's feeds, which adds the part over the block's own nodes."""
+        if not self.rows:
+            return _pairs(self.fixed)
+        fk = block.grid.fed(f, comp, self.lo)[: self.k + 1]
+        known = self.known @ (self.simpson * fk[:-1]) + self.edge * fk[self.first]
+        times = self.times
+        if times.size:
+            traj = block.traj
+            if block.short:
+                fh = np.array([f(traj.value_scalar(s, comp)) for s in times.tolist()])
+            else:
+                if self.xy is None and times.min() > 0.0:  # stored history: both components at once
+                    self.xy = traj.value_array(times)
+                fh = f.eval_array(self.xy[comp] if self.xy is not None else traj.value_array(times, comp))
+            m = fh.size // 2
+            heads = self.head[0] * fh[:m] + self.head[1] * fh[m:]
+            if self.early is None:
+                known += heads
+            else:
+                known[self.early] += heads
+        return self._steps(block, f, comp, known)
 
-    def _steps(self, grid: _StepGrid, f, comp: int, known):
-        own, tail, p = self.own, self.tail, self.p
-        for r in range(0, own.shape[0], 2):
-            mid, end = (known[r : r + 2] + own[r : r + 2, : r + 1] @ grid.fed(f, comp, p)).tolist()
-            yield (mid, *tail[r]), (end, *tail[r + 1])
+    def _steps(self, block: _Block, f, comp: int, known):
+        grid = block.grid
+        fixed, rows, own, late, tail, spans = self.fixed, self.rows, self.own, self.late, self.tail, self.spans
+        p = grid.n - 1
+        if late is None and tail is not None and len(rows) == len(fixed):  # the usual case
+            for r in range(0, len(rows), 2):
+                try:
+                    mid, end = (known[r : r + 2] + own[r : r + 2, : r + 1] @ grid.fed(f, comp, p)).tolist()
+                except ERRORS as e:
+                    yield [_Raise(e), _Raise(e)]
+                    return
+                yield (mid, *tail[r]), (end, *tail[r + 1])
+            return
+        for j in range(len(spans) - 1):
+            g, h = spans[j], spans[j + 1]  # the step's grid rows
+            pair = fixed[2 * j : 2 * j + 2]
+            try:
+                values = (known[g:h] + own[g:h, : 2 * j + 1] @ grid.fed(f, comp, p)).tolist() if h > g else []
+                for q, value in enumerate(values, g):
+                    if late is not None and late[q] is not None:
+                        w0, w1, a, m = late[q]
+                        value += w0 * f(block.read(a)[comp]) + w1 * f(block.read(m)[comp])
+                    pair[rows[q] & 1] = value if tail is None else (value, *tail[q])
+            except ERRORS as e:
+                yield [_Raise(e), _Raise(e)]
+                return
+            yield pair

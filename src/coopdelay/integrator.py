@@ -17,48 +17,19 @@ state itself.  With zero lag this reduces to classical RK4 on the coupled
 system, and a lag or window that reaches into the step keeps the method's
 fourth order.  A step evaluates the right-hand side at two distinct stage
 times (t + h/2 for k2 and k3, t + h for k4 and the end-of-step
-derivative); stored history changes only after the step is accepted.  The
-kernels read x and y through one `_StageComponent` each, over one shared
-per-step view (`_StageHistory`).
+derivative); stored history changes only after the step is accepted.
 
-Blocks of steps: when each kernel is a point mass or a uniform or
-triangular window, the feedbacks come in blocks of upcoming steps (`feeds`),
-as in the method of steps.  What a feedback reads behind the last accepted
-step is known data: a point kernel's lagged time, read for a whole block
-with one `Trajectory.value_array`, with f of it once per production
-function, component and stage time (a zero lag leaves f of the stage state
-to the stage); a window's head and body up to that step, and then the nodes
-the block's own steps add, while its tail is read at the stage.  A step no
-block covers, the first derivative at t = 0 and every run with a mixture
-kernel go the per-stage path, through `kernel.integrate` and the stage view:
-per kernel and stage time one lag evaluation, one (x, y) lookup in stored
-history or a read of the fed component's initial data, and one f per
-production function and component; a lagged time inside the current step is
-read from the quadratic on every call, toward the live stage state.  Point
-feeds perform the same operations on the same numbers on both paths, so
-they agree bit for bit; window feeds add the same terms in another order.
+Feedbacks.  Every right-hand side, the derivative at t = 0's included,
+takes its two feedbacks from `feeds.block_feeds`, a block of upcoming steps
+at a time; what they read inside the step is read at the stage with
+`feeds.window_feed`.  A step whose feeds are numbers, or f of the stage
+state for a zero lag, runs the `plain` right-hand side, any other step the
+`general` one, which reads toward the stage state from the step's start.
 
-Density kernels: one quadrature serves uniform, triangular and mixture
-densities with any lag, composite Simpson on the step grid.  The view keeps
-x and y at every step end and Hermite midpoint (`_StepGrid`), adding a
-step's two nodes when it is accepted; the initial data fill the same
-half-step grid below 0, back to the lowest floor a window has read.  f of a
-component is evaluated once per grid node, when a window first reads it.
-The feedback at a stage time t with floor h(t) is then the head, Simpson
-from h(t) to the next step end with two Hermite reads; the body, whole
-steps from there to t0, one dot of Simpson weights times density with the
-stored f values; and the tail, the panel from t0 to t, whose midpoint is
-read from the quadratic above and whose end is the stage state.  A window
-whose floor lies inside the step is a single in-step panel, and stays on
-the per-stage path.  There head and body are computed once per kernel and
-stage time (and kept per production function and component), so each call
-pays only for its tail; a block computes them for all its stage times
-together, one product per production function, and per step adds only the
-nodes of the step before.  The rule needs no history lookup after the grid
-is set up but the head reads, and its resolution follows dt.  Equal density
-windows share all of it, and so does one point kernel object serving both
-components.  The reads of a step fail, if they fail, at the stage that
-first needs them.
+Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
+ends and Hermite midpoints, with f of each node evaluated once; the panel
+from the step start to the stage time reads its midpoint from the quadratic
+above and ends at the stage state (see `feeds`).
 
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
@@ -75,9 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryUnderflowError, PointMassKernel
+from .kernels import HistoryUnderflowError
 from .expr import EvalDomainError
-from .feeds import SERVED, block_feeds, step_end, window_feed
+from .feeds import block_feeds, step_end, window_feed
 
 __all__ = [
     "Trajectory",
@@ -191,9 +162,10 @@ class Trajectory:
             return _hermite(s, h, x0, x1, dx0, dx1)
         return _hermite(s, h, y0, y1, dy0, dy1)
 
-    def value_array(self, ts: np.ndarray) -> np.ndarray:
+    def value_array(self, ts: np.ndarray, comp: int | None = None) -> np.ndarray:
         """Values of x and y at the times ts, as the rows of a (2, len(ts))
-        array, from one segment search and one Hermite basis."""
+        array, or of the component comp alone (and only its initial data),
+        from one segment search and one Hermite basis."""
         ts = np.asarray(ts, dtype=float)
         if ts.size:
             lo = ts.min()
@@ -201,18 +173,20 @@ class Trajectory:
             if hi > self.t_front + 1e-12 * max(1.0, abs(self.t_front)):
                 raise ValueError(f"trajectory ends at t={self.t_front!r}, asked {float(hi)!r}")
         if ts.size and lo > 0.0:
-            return self._stored(ts)
-        out = np.empty((2,) + ts.shape, dtype=float)
-        neg = ts <= 0.0
-        if np.any(neg):
-            for row, fn in zip(out, (self.phi, self.psi)):
-                if fn is None:
-                    raise HistoryUnderflowError("no initial function")
-                row[neg] = fn.array(ts[neg])
-        pos = ~neg
-        if np.any(pos):
-            out[:, pos] = self._stored(ts[pos])
-        return out
+            out = self._stored(ts)
+        else:
+            out = np.empty((2,) + ts.shape, dtype=float)
+            neg = ts <= 0.0
+            if np.any(neg):
+                for c in (0, 1) if comp is None else (comp,):
+                    fn = self.phi if c == 0 else self.psi
+                    if fn is None:
+                        raise HistoryUnderflowError("no initial function")
+                    out[c, neg] = fn.array(ts[neg])
+            pos = ~neg
+            if np.any(pos):
+                out[:, pos] = self._stored(ts[pos])
+        return out if comp is None else out[comp]
 
     def _stored(self, ts: np.ndarray) -> np.ndarray:
         """Stored-segment values of x and y at the positive times ts."""
@@ -259,18 +233,17 @@ class _StepGrid:
     """x, y and f of them on the grid of step ends and step midpoints.
 
     Node times ascend and step ends sit at even indices, so a run of nodes
-    from one step end to another is a run of whole Simpson panels; `w` holds
-    their weights, dt/6 times 1, 4, 2, 4, ..., from index 0 on.  The stored
-    part is built from the trajectory's nodes, their Hermite midpoints in
-    one array expression, and each accepted step adds its midpoint and its
-    end (`push`) once the trajectory holds the end.  Below the first stored
-    time the initial data fill the same grid, at multiples of dt/2, as far
-    back as a window's floor has reached (`cover`).  f of a component is
-    evaluated once per node, the first time a window reads the node, so a
-    domain error surfaces at the stage that first reads the failing node.
+    between step ends is a run of whole Simpson panels, weighted by `w`, dt/6
+    times 1, 4, 2, 4, ...  Each accepted step adds its midpoint and end
+    (`push`); below the first stored time the times go on at multiples of
+    dt/2 as far back as a floor has reached (`extend`).  f of a component is
+    evaluated once per node, when a window first reads it (`fed`), after the
+    component's initial data there, so a window reads only the initial data
+    of the component it is fed from, and a domain error surfaces at the stage
+    that first reads the failing node.
     """
 
-    __slots__ = ("traj", "dt", "n", "t", "xy", "w", "_fed")
+    __slots__ = ("traj", "dt", "n", "t", "xy", "w", "filled", "_fed")
 
     def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
@@ -279,6 +252,7 @@ class _StepGrid:
         self.t = np.empty(0)
         self.xy = np.empty((2, 0))
         self.w = np.empty(0)
+        self.filled = [0, 0]  # per component, the lowest node that holds its value
         self._fed: dict = {}
         m = traj.n + 1
         self._resize(2 * traj._t.size, 0)
@@ -307,6 +281,7 @@ class _StepGrid:
             new = np.empty(old.shape[:-1] + (cap,)) if cap != old.shape[-1] else old
             new[..., shift : shift + n] = old[..., :n]
             setattr(self, name, new)
+        self.filled = [i + shift for i in self.filled]
         for entry in self._fed.values():
             old = entry[0]
             new = np.empty(cap) if cap != old.size else old
@@ -315,9 +290,9 @@ class _StepGrid:
             entry[1] += shift
             entry[2] += shift
 
-    def cover(self, floor: float) -> None:
-        """Extend the grid down to the first step end at or below floor, from
-        the initial data (HistoryUnderflowError without them)."""
+    def extend(self, floor: float) -> None:
+        """Extend the grid's times down to the first step end at or below
+        floor."""
         lowest = float(self.t[0])
         if floor >= lowest:
             return
@@ -325,12 +300,9 @@ class _StepGrid:
         k = max(1, math.ceil((lowest - floor) / self.dt))
         while lowest + (-2 * k) * half > floor:
             k += 1
-        times = lowest + np.arange(-2 * k, 0) * half
-        values = self.traj.value_array(times)
         self._resize(self.n + 2 * k, 2 * k)
         self.n += 2 * k
-        self.t[: 2 * k] = times
-        self.xy[:, : 2 * k] = values
+        self.t[: 2 * k] = lowest + np.arange(-2 * k, 0) * half
 
     def push(self, t1, x1, y1, dx1, dy1) -> None:
         """Add the step that ends at the trajectory's newest node, given here:
@@ -352,15 +324,21 @@ class _StepGrid:
         self.n = n + 2
 
     def fed(self, f, comp: int, i: int) -> np.ndarray:
-        """f of the component at the nodes from i on, each evaluated once."""
+        """f of the component at the nodes from i on, each evaluated once;
+        below the stored nodes the component's initial data are read first
+        (HistoryUnderflowError without them)."""
         n = self.n
+        row = self.xy[comp]
+        low = self.filled[comp]
+        if i < low:
+            row[i:low] = self.traj.value_array(self.t[i:low], comp)
+            self.filled[comp] = i
         entry = self._fed.get((f, comp))
         if entry is None:
             entry = self._fed[f, comp] = [np.empty(self.t.size), i, i]
         fu, lo, hi = entry
         if i > hi:  # nothing read between hi and i
             lo = hi = i
-        row = self.xy[comp]
         if i < lo:
             fu[i:lo] = f.eval_array(row[i:lo])
             lo = i
@@ -372,211 +350,6 @@ class _StepGrid:
         entry[1] = lo
         entry[2] = n
         return fu[i:n]
-
-
-class _Window:
-    """One density kernel's feedback at one stage time of a step.
-
-    Composite Simpson in three parts: the head, from the floor h(t) to the
-    first step end at or after it, with two Hermite reads (`head`: weight
-    times density, and the (x, y) read); the body, whole steps from there
-    to the step start, as one dot of `wd` (weight times density) with the
-    grid's f values from node `i` on; and the tail, the panel from the step
-    start to the stage time, whose midpoint is read from the in-step
-    interpolant and whose end is the stage state (`tail`: weight times
-    density, and the time read).  The head and the body do not depend on the
-    stage state, so their sum is kept per production function and component.
-    A window whose floor lies inside the step is one in-step panel.
-    """
-
-    __slots__ = ("i", "wd", "head", "tail", "sums")
-
-    def __init__(self, view: "_StageHistory", kernel, t: float):
-        if t not in view.times:
-            raise ValueError(f"t={t!r} is not a stage time of the step {view.times!r}")
-        floor = kernel.density_floor(t)
-        t0 = view.t0
-        T = t - t0
-        self.sums: dict = {}
-        self.head = ()
-        if floor > t0:
-            mid = 0.5 * (floor + t)
-            d = kernel.density_at(t, floor, np.array([floor, mid, t])).tolist()
-            third = (t - floor) / 6.0
-            self.i = self.wd = None
-            self.tail = ((third * d[0], floor), (4.0 * third * d[1], mid), (third * d[2], t))
-            return
-        grid = view.grid
-        if grid is None:
-            grid = view.grid = _StepGrid(view.traj, view.dt)
-        grid.cover(floor)
-        n = grid.n
-        i = int(grid.t[:n].searchsorted(floor, side="left"))
-        i += i & 1  # a midpoint: the head runs on to the step end after it
-        e = float(grid.t[i])
-        mid = 0.5 * (floor + e)
-        tm = t0 + 0.5 * T
-        # one density evaluation: the head's floor and midpoint, the tail's
-        # midpoint and end, then the grid nodes from e to t0
-        dens = kernel.density_at(t, floor, np.concatenate(((floor, mid, tm, t), grid.t[i:n])))
-        d = dens[:4].tolist()
-        w = grid.w[: n - i] * dens[4:]
-        w[-1] = ((view.dt / 6.0 if i < n - 1 else 0.0) + T / 6.0) * dens[-1]
-        if e > floor:
-            third = (e - floor) / 6.0
-            w[0] += third * dens[4]
-            traj = view.traj
-            self.head = ((third * d[0], traj.value_scalar(floor)), (4.0 * third * d[1], traj.value_scalar(mid)))
-        self.i = i
-        self.wd = w
-        self.tail = ((4.0 * T / 6.0 * d[2], tm), (T / 6.0 * d[3], t)) if T > 0.0 else ()
-
-    def stored_sum(self, grid: _StepGrid, f, comp: int) -> float:
-        """Head plus body for f of the component, once."""
-        total = 0.0 if self.wd is None else float(np.dot(self.wd, grid.fed(f, comp, self.i)))
-        for wd, xy in self.head:
-            total += wd * f(xy[comp])
-        self.sums[f, comp] = total
-        return total
-
-
-class _StageComponent:
-    """x (comp 0) or y (comp 1) as the kernels read it during a step."""
-
-    __slots__ = ("view", "comp")
-
-    def __init__(self, view: "_StageHistory", comp: int):
-        self.view = view
-        self.comp = comp
-
-    def __call__(self, s: float) -> float:
-        v = self.view
-        if s <= v.traj.t_front:
-            return v.traj.value_scalar(s, self.comp)
-        if s >= v.t_stage:
-            return v.stage[self.comp]
-        return v.inner(s, self.comp)
-
-    def point_feedback(self, kernel, f, t):
-        """f at the kernel's lagged time s: from stored history or initial
-        data once per stage time, production function and component; for an
-        s inside the step, f of the read at s on every call, which follows
-        the stage state."""
-        v = self.view
-        read = v._points.get((kernel, t))
-        if read is None:
-            read = v.point(kernel, t)
-        s, xy, fed = read
-        if fed is None:
-            return f(self(s))
-        c = self.comp
-        key = (f, c)
-        val = fed.get(key)
-        if val is None:
-            # initial data are read for this component alone: the other
-            # component's initial function need not be defined at s
-            val = fed[key] = f(xy[c] if xy is not None else v.traj.value_scalar(s, c))
-        return val
-
-    def feedback(self, kernel, f, t):
-        """The density part of the kernel's feedback at the stage time t, on
-        the step grid: the kept head and body plus the tail, read toward the
-        stage state set for t."""
-        v = self.view
-        c = self.comp
-        win = v.window(kernel, t)
-        total = win.sums.get((f, c))
-        if total is None:
-            total = win.stored_sum(v.grid, f, c)
-        for wd, s in win.tail:
-            total += wd * f(v.inner(s, c))
-        return total
-
-
-class _StageHistory:
-    """Mutable per-step view combining stored history with the live stage.
-
-    A step evaluates the right-hand side at two stage times, and stored
-    history does not change inside it, so the view keeps, until the next
-    `set_step`, one `_Window` per density kernel and stage time (equal
-    kernels share one) and one read per point kernel object and stage time.
-    Across steps it keeps the step grid of the density feedbacks, which
-    `append` keeps in step with the trajectory.
-    The kernels read it through one `_StageComponent` per component; the
-    view holds no reference back to them, so a finished run's history is
-    freed as soon as it is dropped.
-    """
-
-    __slots__ = ("traj", "dt", "grid", "t0", "start", "slope", "times", "t_stage", "stage",
-                 "_windows", "_points")
-
-    def __init__(self, traj: Trajectory, dt: float):
-        self.traj = traj
-        self.dt = dt
-        self.grid: _StepGrid | None = None
-        self.t0 = 0.0
-        self.start = (0.0, 0.0)
-        self.slope = (0.0, 0.0)
-        self.times = (0.0, 0.0)
-        self.t_stage = 0.0
-        self.stage = (0.0, 0.0)
-        self._windows: dict = {}
-        self._points: dict = {}
-
-    def set_step(self, t0: float, t1: float, x0: float, y0: float, dx0: float, dy0: float) -> None:
-        """Start the step [t0, t1] from (x0, y0) with slopes (dx0, dy0); its
-        stage times are formed as `integrate` forms them.  A step with
-        t1 == t0 has the single stage time t0."""
-        self.t0 = t0
-        self.start = (x0, y0)
-        self.slope = (dx0, dy0)
-        self.times = (t0 + 0.5 * (t1 - t0), t1)
-        self._windows.clear()
-        self._points.clear()
-
-    def set_stage(self, t: float, x: float, y: float) -> None:
-        self.t_stage = t
-        self.stage = (x, y)
-
-    def inner(self, s: float, comp: int) -> float:
-        """The component at s inside the step, t0 < s <= t_stage: the
-        quadratic through the step start, with the start slope, and the stage
-        state, x0*(1 - r^2) + x_stage*r^2 + T*(r - r^2)*k1 with
-        T = t_stage - t0 and r = (s - t0)/T."""
-        T = self.t_stage - self.t0
-        r = (s - self.t0) / T
-        r2 = r * r
-        return self.start[comp] * (1.0 - r2) + self.stage[comp] * r2 + T * (r - r2) * self.slope[comp]
-
-    def point(self, kernel, t: float) -> tuple:
-        """The point kernel's read at the stage time t, built on its first use
-        in the step: (s, xy, fed) with the lagged time s, the values (x, y)
-        there from one lookup when s lies in stored segments (else None), and
-        the cache of f of them, which is None when s lies inside the step."""
-        s = kernel.lag.evaluate(t)
-        if s > self.traj.t_front:
-            read = (s, None, None)
-        elif s > 0.0:
-            read = (s, self.traj.value_scalar(s), {})
-        else:
-            read = (s, None, {})
-        self._points[(kernel, t)] = read
-        return read
-
-    def window(self, kernel, t: float) -> _Window:
-        """The density kernel's window at the stage time t, built once per
-        step."""
-        win = self._windows.get((kernel, t))
-        if win is None:
-            win = self._windows[kernel, t] = _Window(self, kernel, t)
-        return win
-
-    def append(self, t, x, y, dx, dy) -> None:
-        """Store the accepted step's end node at t in the trajectory, and the
-        step on the step grid."""
-        self.traj.append(t, x, y, dx, dy)
-        if self.grid is not None:
-            self.grid.push(t, x, y, dx, dy)
 
 
 @dataclass
@@ -623,59 +396,42 @@ def integrate(
         raise ValueError("dt must be positive")
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
-    view = _StageHistory(traj, dt)
-    x_hist, y_hist = _StageComponent(view, 0), _StageComponent(view, 1)
-    k1, k2, f1, f2 = spec.k1, spec.k2, spec.f1, spec.f2
+    f1, f2 = spec.f1, spec.f2
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
     eps_t = 1e-12 * max(1.0, horizon)
-    served = isinstance(k1, SERVED) and isinstance(k2, SERVED)
-    # a density window's block feeds end in a tail read at the stage
-    tails = served and not (isinstance(k1, PointMassKernel) and isinstance(k2, PointMassKernel))
-    # the block feeds of the current step, or None for the per-stage path
-    fed = None
+    # the step's feeds, and its start values and slopes
+    fed = start = None
 
-    def deriv(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
-        """rhs at the step's midpoint (i = 0) or end (i = 2), where fed holds
-        the stage's feeds at i and i + 1."""
-        if fed is None:
-            # set_stage's two stores, without a call per stage: this path
-            # also serves the steps no point block covers, at their old cost
-            view.t_stage = ts
-            view.stage = (xs, ys)
-            return rhs(spec, ts, xs, ys, k1.integrate(f1, y_hist, ts), k2.integrate(f2, x_hist, ts))
+    def plain(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
+        """rhs at the step's midpoint (i = 0) or end (i = 2), fed holding
+        the stage's feeds at i and i + 1: numbers, or None for f of the
+        stage state."""
         fx, fy = fed[i], fed[i + 1]
         return rhs(spec, ts, xs, ys, f1(ys) if fx is None else fx, f2(xs) if fy is None else fy)
 
-    if tails:
-        # a run with a density window reads the tails of its block feeds
-        # toward the stage state from the step start, set per block step;
-        # runs without one keep the deriv above, free of that read
-        per_stage = deriv
-
-        def deriv(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
-            if fed is None:
-                return per_stage(ts, xs, ys, i)
-            x0, y0, dx0, dy0 = start
-            return rhs(spec, ts, xs, ys, window_feed(f1, fed[i], ys, y0, dy0),
-                       window_feed(f2, fed[i + 1], xs, x0, dx0))
+    def general(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
+        """rhs as `plain`, for feeds of any kind."""
+        x0, y0, dx0, dy0 = start
+        return rhs(spec, ts, xs, ys, window_feed(f1, fed[i], ys, y0, dy0),
+                   window_feed(f2, fed[i + 1], xs, x0, dx0))
 
     # the start node goes in before the first right-hand side, whose value
     # is the node's slope: that call reads only times <= 0, which do not
     # use the slope
     traj.append(t, x, y, 0.0, 0.0)
-    if tails:
-        view.grid = _StepGrid(traj, dt)
-    feeds = block_feeds(spec, view, dt, horizon, eps_t) if served else None
-    view.set_step(t, t, x, y, 0.0, 0.0)
+    grid = _StepGrid(traj, dt) if spec.k1.density_lag is not None or spec.k2.density_lag is not None else None
+    blocks = [0]
+    feeds = block_feeds(spec, traj, grid, dt, horizon, eps_t, blocks)
+    fed = next(feeds)
+    start = (x, y, 0.0, 0.0)
     try:
-        dx, dy = deriv(t, x, y, 2)
+        dx, dy = (plain if fed.__class__ is tuple else general)(t, x, y, 2)
     except EvalDomainError as e:
         raise IntegrationError(f"right-hand side failed at t=0: {e}") from e
     traj._v[0, 2:] = dx, dy
 
     steps = 0
-    block_steps = 0
     guard_note = None
     status = "reached-horizon"
     blow_time = None
@@ -701,10 +457,11 @@ def integrate(
         h = t1 - t
         tm = t + 0.5 * h
         scale0 = 1.0 + max(abs(x), abs(y))
-        fed = next(feeds) if feeds is not None else None
-        if fed is None:
-            view.set_step(t, t1, x, y, dx, dy)
-        elif tails:
+        fed = next(feeds)
+        if fed.__class__ is tuple:
+            deriv = plain
+        else:
+            deriv = general
             start = (x, y, dx, dy)
         k1x, k1y = dx, dy
         try:
@@ -737,9 +494,10 @@ def integrate(
                 break
             raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
 
-        view.append(t1, x1, y1, dx1, dy1)
+        traj.append(t1, x1, y1, dx1, dy1)
+        if grid is not None:
+            grid.push(t1, x1, y1, dx1, dy1)
         steps += 1
-        block_steps += fed is not None
         t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
         if max(abs(x), abs(y)) < extinction_threshold:
@@ -771,7 +529,7 @@ def integrate(
         blowup_time=blow_time,
         converged_point=conv_point,
         extinct_time=extinct_time,
-        diagnostics={"steps": steps, "block_steps": block_steps, "dt": dt, "stage_guard": guard_note},
+        diagnostics={"steps": steps, "blocks": blocks[0], "dt": dt, "stage_guard": guard_note},
     )
     return traj, outcome
 

@@ -7,22 +7,18 @@ atoms plus one density piece.  A purely singular-continuous distribution
 is out of scope; atoms plus a density cover every supported model.
 
 The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
-asks the history component u for its parts: a point kernel's f(u(lag(t)))
-from `u.point_feedback(kernel, f, t)`, a mixture's atoms from u(s), and the
-density part from `u.feedback(kernel, f, t)`.  The component chooses the
-quadrature and its resolution.  A density kernel supplies what any rule
-needs: the floor h(t) of its density's window (`density_floor`) and the
-density at given times (`density_at`).  `plan(t, n_quad)` is the composite
-Simpson rule with n_quad panels on [h(t), t]; a mixture's mass check
-integrates its density with it, and a plain component built with a panel
-count (the tests' reference) dots its weights times density with
-f(u(nodes)).  The integrator does not use plans: its per-step view
-integrates on the grid of step ends and step midpoints, where it keeps x, y
-and f once (see `integrator`).  Density windows compare equal by kind and
-lag, so equal windows can share that work; a point kernel shares it with
-itself, so a config gives equal point descriptors one kernel object.
-History reads before the start of recorded history raise
-HistoryUnderflowError instead of extrapolating.
+is `integrate(f, u, t)`, which names the kernel's parts to the history
+component u: `u.point(lag, f, t)` per point mass, `u.window(kernel, f, t)`
+for the density, and `u.mix` to weigh a mixture's atoms and add its density.
+The component chooses the quadrature: the integrator's (see `feeds`) reads a
+block of stage times t on its grid of step ends and midpoints; a plain
+component (the tests' reference) reads one time t with the kernel's Simpson
+`plan(t, n_quad)`, with which a mixture's mass check also integrates.  A
+density kernel names its window's floor lag (`density_lag`), the floor h(t)
+(`density_floor`) and the density at given times (`density_at`).  Density
+windows compare equal by kind and lag, so equal windows share their reads; a
+config gives equal point descriptors one kernel object.  Reads before the
+start of recorded history raise HistoryUnderflowError.
 
 A point mass and the uniform and triangular windows have unit mass by
 construction, so `validate_kernel` checks only the user's lags on them
@@ -142,6 +138,8 @@ class DelayKernel:
     # quadrature (`mass`) on a sampled grid, instead of holding by
     # construction
     sampled_mass = False
+    # the lag h(t) of the density part's window [h(t), t]; None without one
+    density_lag = None
     # the support floor is the kernel's one lag, so checking the floor
     # checks its atom too
     floor_is_only_lag = False
@@ -178,8 +176,9 @@ class DelayKernel:
         nodes, weights = simpson_nodes_weights(floor, t, n_quad)
         return QuadPlan(nodes, weights, self.density_at(t, floor, nodes))
 
-    def integrate(self, f: ProductionFunction, u, t: float) -> float:
-        """Feedback integral of f against the history component u at t."""
+    def integrate(self, f: ProductionFunction, u, t):
+        """The feedback integral of f against the history component u at t,
+        one time or a block's stage times (see `feeds`)."""
         raise NotImplementedError
 
 
@@ -200,16 +199,14 @@ class _LagKernel(DelayKernel):
 
 
 class PointMassKernel(_LagKernel):
-    """Unit mass concentrated at s = h(t).
-
-    Compared by identity, which keeps the per-step reads of a history cheap
-    to find."""
+    """Unit mass concentrated at s = h(t).  Compared by identity: a config
+    gives equal point descriptors one kernel object."""
 
     def atom_lags(self):
         return (self.lag,)
 
     def integrate(self, f, u, t):
-        return u.point_feedback(self, f, t)
+        return u.point(self.lag, f, t)
 
 
 class _DensityWindowKernel(_LagKernel):
@@ -232,13 +229,17 @@ class _DensityWindowKernel(_LagKernel):
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def density_lag(self):
+        return self.lag
+
     def density_floor(self, t):
         floor = self.lag.evaluate(t)
         _check_window(floor, t)
         return floor
 
     def integrate(self, f, u, t):
-        return u.feedback(self, f, t)
+        return u.window(self, f, t)
 
 
 class UniformDensityKernel(_DensityWindowKernel):
@@ -307,12 +308,8 @@ class GeneralMixtureKernel(DelayKernel):
         return self.density.evaluate_array(t - nodes)
 
     def integrate(self, f, u, t):
-        total = 0.0
-        for lag, w in self.atoms:
-            total += w * f(u(lag.evaluate(t)))
-        if self.density is not None:
-            total += u.feedback(self, f, t)
-        return total
+        return u.mix([(w, u.point(lag, f, t)) for lag, w in self.atoms],
+                     u.window(self, f, t) if self.density is not None else None)
 
     def mass(self, t: float, n_quad: int = DEFAULT_PANELS) -> float:
         """Atom weights plus the quadrature mass of the density part at t."""

@@ -31,8 +31,10 @@ def test_package_imports_resolve():
                    for a in node.names)
 
 
-@pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory"])
+@pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
+                                  "_StageHistory", "_StageComponent", "_Window", "SERVED"])
 def test_removed_layers_stay_removed(name):
-    # G1/G2 are plain expressions and the reference history lives in the tests
+    # G1/G2 are plain expressions, the reference history lives in the tests,
+    # and blocks of steps are the one feed path
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []

@@ -1,35 +1,156 @@
-"""Feedbacks from blocks of steps against the per-stage path.
+"""Feedbacks from blocks of steps against their definitions.
 
-The per-stage oracle is the same run with the block driver replaced by one
-that serves no step, so every feedback goes through `kernel.integrate` and
-the stage view.  Point feeds from blocks are bit-identical to it (see
-tests/test_integrator.py); density-window feeds add the same Simpson terms
-in another order, so they agree to rounding.
+Each feed a block hands `integrate` is read through `window_feed` at drawn
+stage states and compared with the feedback computed for its stage alone by
+the definitions in tests/reference_history.py (`drive`): point masses bit
+for bit, density windows, which add the same Simpson terms in another order,
+to rounding.  The stops and the window configs' states are pinned to those
+of the per-stage path that blocks replaced.
 """
 
-import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdelay import integrator
+from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import SystemSpec
 from coopdelay.expr import EvalDomainError, parse
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
+from reference_history import WINDOW_RTOL, drive
 from test_integrator import CONFIGS, spec_of
 
-# relative to max(1, |x|), at every stored node of runs up to t = 1.5
-WINDOW_RTOL = 1e-12
+
+def stored_history(dt, horizon=2.0):
+    """History stored on [0, horizon] in steps of dt, with non-constant
+    initial data."""
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    return integrate(spec, horizon=horizon, dt=dt)[0]
+
+
+BODIES = ["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"]
+DENSITIES = ["exp(-u)", "u/4+1"]
+
+
+def lags(dt):
+    return st.one_of(
+        st.just("t"),  # a zero lag, or an empty window
+        st.floats(min_value=0.0, max_value=3 * dt).map(lambda c: f"t-{c!r}"),  # inside the step or the block's
+        st.floats(min_value=0.0, max_value=3.0).map(lambda c: f"t-{c!r}"),  # stored; beyond 2 across 0
+        st.sampled_from(["t/2", "t/2-1.5", "t-1-t^2/10", "t-0.3-t^2"]),  # moving, the last one back
+    )
+
+
+@st.composite
+def kernels(draw, dt):
+    kind = draw(st.sampled_from(["point", "uniform", "triangular", "mixture", "atoms"]))
+    lag = draw(lags(dt))
+    if kind == "point":
+        return PointMassKernel(lag)
+    if kind == "uniform":
+        return UniformDensityKernel(lag)
+    if kind == "triangular":
+        return TriangularDensityKernel(lag)
+    atoms = [(draw(lags(dt)), 0.25), (draw(lags(dt)), 0.5)][: draw(st.integers(1, 2))]
+    if kind == "atoms":
+        return GeneralMixtureKernel(atoms)
+    return GeneralMixtureKernel(atoms, density=draw(st.sampled_from(DENSITIES)), density_lag=lag)
+
+
+@st.composite
+def block_runs(draw):
+    """A step, two kernels (possibly one object), production bodies, a
+    window budget that may end blocks early, and a seed for the states."""
+    dt = draw(st.sampled_from([0.05, 0.1]))
+    k1 = draw(kernels(dt))
+    k2 = k1 if draw(st.booleans()) else draw(kernels(dt))
+    budget = draw(st.sampled_from([feeds.WINDOW_ELEMENTS, 300]))
+    return dt, k1, k2, draw(st.sampled_from(BODIES)), draw(st.sampled_from(BODIES)), budget, draw(st.integers(0, 2**16))
+
+
+@given(block_runs())
+@settings(max_examples=120, deadline=None)
+def test_window_feeds_from_blocks_agree_with_the_per_stage_path(run):
+    # floors behind the front, inside the step, in the block's own steps and
+    # across 0; stored, initial, in-step and zero point lags; mixtures; and
+    # blocks that end at a small weight budget
+    dt, k1, k2, f1, f2, budget, seed = run
+    spec = spec_of(f1, f2, k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feeds, "WINDOW_ELEMENTS", budget)
+        drive(spec, stored_history(dt), dt, 10, random.Random(seed), states=2)
+
+
+def test_windows_past_the_old_element_budget():
+    # 3,000 grid nodes per stage time: the weights of 8 steps pass
+    # WINDOW_ELEMENTS, which would have left them to the per-stage path; a
+    # block holds MIN_BLOCK = 8 steps whatever their weights
+    dt = 1e-3
+    spec = spec_of("sqrt(x)+2", "x/2", k1=UniformDensityKernel("t-1.5"), k2=TriangularDensityKernel("t-1.5"))
+    assert drive(spec, stored_history(dt), dt, 10, random.Random(2)) == 2
+
+
+# the states at t = 3 of the per-stage path, at the config's step; its
+# blocks of window feeds matched it to 1e-12 at every node
+WINDOW_CONFIGS = {
+    "logistic_distributed": (2.357600245783333, 2.432428131933536, 19),
+    "sqrt_logistic_triangular": (4.067023991212494, 4.13391822853555, 19),
+    "quadratic_integro": (8467.74410950823, 8467.74410950823, 375),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CONFIGS))
+def test_window_configs_agree_with_the_per_stage_path(name):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    _, outcome = integrate(system_from_mapping(cfg.system), horizon=3.0, dt=cfg.numerics.dt)
+    x, y, blocks = WINDOW_CONFIGS[name]
+    assert outcome.status == "reached-horizon" and outcome.diagnostics["blocks"] == blocks
+    for got, want in zip(outcome.final_state, (x, y)):
+        assert abs(got - want) <= WINDOW_RTOL * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize(
+    "k1, k2, sizes",
+    [
+        # 8, 16 and 32 steps, then 53, whose 106 stage times x about 310 grid
+        # nodes fill WINDOW_ELEMENTS, and the 32 left
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        # floors inside the step: nothing ends a block before MAX_BLOCK
+        (UniformDensityKernel("t-0.003"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 128, 52]),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        (GeneralMixtureKernel(density="1", density_lag="t-1"), UniformDensityKernel("t-1"),
+         [8, 16, 32, 53, 53, 53, 53, 32]),
+        # floors in the block's own steps from its second step on
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.013"), [8, 16, 32, 53, 53, 53, 53, 32]),
+    ],
+    ids=["uniform", "point-triangular", "in-step", "one-in-step", "mixture", "own-steps"],
+)
+def test_block_steps_count_the_steps_a_block_serves(monkeypatch, k1, k2, sizes):
+    served = []
+    block = feeds._block
+
+    def spy(*args):
+        items, steps = block(*args)
+        served.append(steps)
+        return items, steps
+
+    monkeypatch.setattr(feeds, "_block", spy)
+    spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
+    _, outcome = integrate(spec, horizon=3.0, dt=0.01)
+    assert outcome.diagnostics["steps"] == 300
+    # the first is the derivative at t = 0
+    assert served == [1] + sizes and outcome.diagnostics["blocks"] == len(sizes)
 
 
 def run(spec, horizon, dt):
-    """The run's nodes, outcome and the number of rhs calls, or the error
-    text and the number of rhs calls before it."""
+    """The error text and the number of rhs calls before it."""
     calls = []
     rhs = integrator.rhs
 
@@ -39,133 +160,30 @@ def run(spec, horizon, dt):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "rhs", counted)
-        try:
-            traj, outcome = integrate(spec, horizon=horizon, dt=dt)
-        except IntegrationError as e:
-            return str(e), len(calls)
-    nodes = np.array([traj.step_times(), traj.step_values(0), traj.step_values(1)])
-    return nodes, outcome, len(calls)
-
-
-def per_stage_run(spec, horizon, dt):
-    """`run` with no step served from a block."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrator, "block_feeds", lambda *args: itertools.repeat(None))
-        return run(spec, horizon, dt)
-
-
-def assert_agree(blocks, stages):
-    (nodes, outcome, calls), (ref, ref_outcome, ref_calls) = blocks, stages
-    assert (outcome.status, outcome.t_final, calls) == (ref_outcome.status, ref_outcome.t_final, ref_calls)
-    assert np.array_equal(nodes[0], ref[0])
-    scale = np.maximum(1.0, np.abs(ref[1:]))
-    assert np.all(np.abs(nodes[1:] - ref[1:]) <= WINDOW_RTOL * scale)
-    assert ref_outcome.diagnostics["block_steps"] == 0
-
-
-def window(kind, lag):
-    return (UniformDensityKernel if kind == "uniform" else TriangularDensityKernel)(lag)
-
-
-BODIES = st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"])
-
-
-MOVING = ["t-1-t^2/10", "t/2-0.5", "t-0.3-t^2"]  # the last floor moves back past -1
-
-
-@st.composite
-def window_runs(draw):
-    """A density window, constant (t - 1, or up to 2.5 back, so early
-    windows straddle 0) or moving, with a second kernel that is the same window, the other
-    density kind, a window with another lag or a point mass, and a horizon
-    that may clamp the last step."""
-    dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
-    c = draw(st.one_of(st.just(1.0), st.floats(min_value=0.001, max_value=2.5), st.just(None)))
-    lag = f"t-{c!r}" if c is not None else draw(st.sampled_from(MOVING))
-    kind = draw(st.sampled_from(["uniform", "triangular"]))
-    k1 = window(kind, lag)
-    second = draw(st.sampled_from(["same", "other", "other-lag", "point-lag", "point-zero"]))
-    k2 = {
-        "same": lambda: window(kind, lag),
-        "other": lambda: window("triangular" if kind == "uniform" else "uniform", lag),
-        "other-lag": lambda: window(draw(st.sampled_from(["uniform", "triangular"])), draw(st.sampled_from(MOVING))),
-        "point-lag": lambda: PointMassKernel("t-1"),
-        "point-zero": lambda: PointMassKernel("t"),
-    }[second]()
-    if draw(st.booleans()):
-        k1, k2 = k2, k1
-    horizon = 1.5 + draw(st.sampled_from([0.0, 0.37])) * dt
-    return dt, c, k1, k2, draw(BODIES), draw(BODIES), horizon
-
-
-@given(window_runs())
-@settings(max_examples=80, deadline=None)
-def test_window_feeds_from_blocks_agree_with_the_per_stage_path(drawn):
-    dt, c, k1, k2, f1, f2, horizon = drawn
-    spec = spec_of(f1, f2, k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
-    blocks = run(spec, horizon, dt)
-    assert_agree(blocks, per_stage_run(spec, horizon, dt))
-    outcome = blocks[1]
-    # a block of MIN_BLOCK = 8 steps from t = 0 serves every lag at least 8
-    # steps long
-    if c is None or c >= 8 * dt:
-        assert outcome.diagnostics["block_steps"] > 0
-
-
-@pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "quadratic_integro"])
-def test_window_configs_agree_with_the_per_stage_path(name):
-    # to t = 3 at the config's own step; blocks serve every step
-    cfg = load_config(CONFIGS / f"{name}.cfg")
-    spec = system_from_mapping(cfg.system)
-    blocks = run(spec, 3.0, cfg.numerics.dt)
-    assert_agree(blocks, per_stage_run(spec, 3.0, cfg.numerics.dt))
-    assert blocks[1].diagnostics["block_steps"] == blocks[1].diagnostics["steps"] == round(3.0 / cfg.numerics.dt)
-
-
-@pytest.mark.parametrize(
-    "k1, k2, served",
-    [
-        # every step, from t = 0: the floors t - 1 lie behind the front
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), 300),
-        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), 300),
-        # the floor lies inside the step at both stage times
-        (UniformDensityKernel("t-0.003"), UniformDensityKernel("t-0.003"), 0),
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), 0),
-        # mixtures keep the per-stage path
-        (GeneralMixtureKernel(density="1", density_lag="t-1"), UniformDensityKernel("t-1"), 0),
-    ],
-    ids=["uniform", "point-triangular", "in-step", "one-in-step", "mixture"],
-)
-def test_block_steps_count_the_steps_a_block_serves(k1, k2, served):
-    spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
-    _, outcome = integrate(spec, horizon=3.0, dt=0.01)
-    assert outcome.diagnostics["steps"] == 300
-    assert outcome.diagnostics["block_steps"] == served
+        with pytest.raises(IntegrationError) as e:
+            integrate(spec, horizon=horizon, dt=dt)
+    return str(e.value), len(calls)
 
 
 def test_domain_error_in_the_known_part_surfaces_at_the_per_stage_step():
     # y(s) = 1 + s below 0, and f1 is undefined below 0.5: the floor
-    # t - 0.3 - t^2/2 moves back past -0.5 at t = 2.18, where the grid's f
-    # values over the newly covered nodes fail in one array evaluation
+    # t - 0.3 - t^2/2 moves back past -0.5 at t = 2.18, where the head read
+    # at the floor fails first; the message, stop time and rhs call count
+    # are those of the per-stage path this replaced
     spec = spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"),
                    k2=UniformDensityKernel("t-1"), phi="2", psi="1+t")
-    message, calls = run(spec, 3.0, 0.01)
-    assert "right-hand side failed near t=2.1" in message and "sqrt" in message
-    assert (message, calls) == per_stage_run(spec, 3.0, 0.01)
-    # the step before it came from a block
-    _, outcome = integrate(spec, horizon=2.1, dt=0.01)
-    assert outcome.diagnostics["block_steps"] > 0
+    assert run(spec, 3.0, 0.01) == (
+        "right-hand side failed near t=2.18: sqrt(x - 0.5) at 0.4978874999999998: math domain error", 873)
 
 
 def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
     # f1 fails at the value the grid holds at the midpoint of step 20 (t =
-    # 0.205), the y node the next step reads first, inside a block.  The
-    # two paths' nodes differ by rounding, so f fails near that value, and
-    # its message leaves the value out
+    # 0.205), the y node the next step reads first, inside a block; the
+    # message, stop time and rhs call count are those of the per-stage path
+    # this replaced
     spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel("t-1"), k2=UniformDensityKernel("t-1"),
                    phi="2+sin(3*t)", psi="1+t^2/4")
     traj, outcome = integrate(spec, horizon=0.3, dt=0.01)
-    assert outcome.diagnostics["block_steps"] == 30
     (_, y0, _, dy0), (_, y1, _, dy1) = traj._v[20:22].tolist()
     bad = integrator._midpoint(y0, y1, dy0, dy1, traj._t.item(21) - traj._t.item(20))
     body = parse("1+x/2")
@@ -181,9 +199,7 @@ def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
         return body.evaluate_array(vs)
 
     spec.f1 = ProductionFunction(scalar, array)
-    message, calls = run(spec, 0.5, 0.01)
-    assert message == "right-hand side failed near t=0.21: undefined near the node"
-    assert (message, calls) == per_stage_run(spec, 0.5, 0.01)
+    assert run(spec, 0.5, 0.01) == ("right-hand side failed near t=0.21: undefined near the node", 85)
 
 
 def test_converge_rtol_zero_skips_the_convergence_window(monkeypatch):

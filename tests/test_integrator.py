@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import EvalDomainError, parse
+from coopdelay.feeds import _InStep, block_feeds, step_end, window_feed
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
-    _StageHistory,
+    _StepGrid,
     default_dt,
     detect_nonoscillation_violation,
     integrate,
@@ -26,7 +28,7 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
 )
-from reference_history import FnComponent, in_step_read, stage_components, step_grid_feedback
+from reference_history import Stage, check, drive, in_step_read, stage_read
 
 
 def pf(text):
@@ -326,21 +328,13 @@ def stored_history():
     return traj, outcome.final_state
 
 
-def stage_view(traj, state, t1):
-    """The view at the start of the step [front, t1] from state, with the
-    stored slopes at the front as the start slopes."""
-    view = _StageHistory(traj, STEP)
-    view.set_step(traj.t_front, t1, *state, *traj._v[traj.n, 2:].tolist())
-    return view
-
-
 def count_array_lookups(monkeypatch):
     calls = []
     original = Trajectory.value_array
 
-    def counted(self, ts):
+    def counted(self, ts, comp=None):
         calls.append(np.size(ts))
-        return original(self, ts)
+        return original(self, ts, comp)
 
     monkeypatch.setattr(Trajectory, "value_array", counted)
     return calls
@@ -363,15 +357,6 @@ def counted_production(text):
     return ProductionFunction(scalar_fn, array_fn), scalars, sizes
 
 
-def close(got, want, rel=1e-13):
-    return abs(got - want) <= rel * abs(want)
-
-
-WINDOWS = st.builds(
-    lambda lag, triangular: (TriangularDensityKernel if triangular else UniformDensityKernel)(f"t-{lag!r}"),
-    st.floats(min_value=2.1, max_value=4.0),
-    st.booleans(),
-)
 BODIES = ["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]
 
 
@@ -394,187 +379,166 @@ LAGS = st.one_of(
 )
 
 
+def first_items(spec, traj, horizon=3.0):
+    """The feeds of the derivative at the front and of the step after it."""
+    items = block_feeds(spec, traj, _StepGrid(traj, STEP), STEP, horizon, 1e-12 * horizon, [0])
+    return next(items), next(items)
+
+
+def stage_at(traj, t, state):
+    """The stage of the step from the trajectory's front at the time t."""
+    return Stage(traj, STEP, traj.t_front, tuple(traj._v[traj.n, :2].tolist()),
+                 tuple(traj._v[traj.n, 2:].tolist()), t, state)
+
+
 class TestStageView:
-    @given(
-        kernel=WINDOWS,
-        frac=st.floats(min_value=0.01, max_value=1.0),
-        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_lookups_match_stored_history_and_blend(self, kernel, frac, stage):
-        # the grid holds the stored step ends as stored, each step's Hermite
-        # midpoint and the initial data at multiples of STEP/2; the tail
-        # reads the in-step quadratic at the panel midpoint and the stage
+    def test_lookups_match_stored_history_and_blend(self):
+        # the grid keeps each stored step end as stored and each step's
+        # Hermite midpoint; below 0 its times go on at multiples of STEP/2,
+        # and a component's values there are read from its own initial data
+        # when f of it is first asked for, so the other component's need not
+        # be defined there.  An in-step read is the quadratic by definition
         traj, state = stored_history()
+        traj.psi = InitialFunction("sqrt(t+1.5)")
+        grid = _StepGrid(traj, STEP)
+        grid.extend(-2.01)
+        ts = grid.t[: grid.n]
+        k = int(np.searchsorted(ts, 0.0))
+        assert ts[0] <= -2.01 < ts[2] and ts[-1] == traj.t_front
+        assert np.array_equal(ts[:k], np.arange(-k, 0) * (0.5 * STEP))
+        ends = traj.step_times()
+        assert np.array_equal(ts[k::2], ends)
+        mids = ts[k + 1 :: 2]
+        assert np.allclose(mids, 0.5 * (ends[:-1] + ends[1:]), rtol=0, atol=1e-15)
+        ident = pf("x")
+        fx = grid.fed(ident, 0, 0)
+        assert np.array_equal(fx[:k], traj.value_array(ts[:k], 0))
+        assert np.array_equal(fx[k::2], traj.step_values(0))
+        assert np.allclose(fx[k + 1 :: 2], traj.value_array(mids)[0], rtol=1e-15, atol=0)
+        with pytest.raises(EvalDomainError, match="sqrt"):
+            grid.fed(ident, 1, 0)
+        i = int(np.searchsorted(ts, -1.5))
+        assert np.array_equal(grid.fed(ident, 1, i)[: k - i], traj.value_array(ts[i:k], 1))
         front = traj.t_front
-        view = stage_view(traj, state, front + frac * STEP)
-        for t in view.times:
-            view.set_stage(t, *stage)
-            win = view.window(kernel, t)
-            grid = view.grid
-            ts, xy = grid.t[: grid.n], grid.xy[:, : grid.n]
-            floor = kernel.density_floor(t)
-            assert ts[0] <= floor < 0.0 < front == ts[-1]  # straddles 0, up to the front
-            assert win.i % 2 == 0 and ts[win.i] >= floor and (win.i == 0 or ts[win.i - 2] < floor)
-            ends = traj.step_times()
-            k = int(np.searchsorted(ts, 0.0))
-            assert np.array_equal(ts[k::2], ends)
-            assert np.array_equal(xy[:, k::2], traj.value_array(ends))
-            mids = ts[k + 1 :: 2]
-            assert np.allclose(mids, 0.5 * (ends[:-1] + ends[1:]), rtol=0, atol=1e-15)
-            assert np.allclose(xy[:, k + 1 :: 2], traj.value_array(mids), rtol=1e-15, atol=0)
-            assert np.array_equal(ts[:k], np.arange(-k, 0) * (0.5 * STEP))
-            assert np.array_equal(xy[:, :k], traj.value_array(ts[:k]))
-            T = t - front
-            assert [s for _, s in win.tail] == [front + 0.5 * T, t]
+        stage = stage_at(traj, front + STEP, (1.5, 2.5))
+        for s in (front + 0.3 * STEP, front + STEP):
             for comp in (0, 1):
-                assert view.inner(t, comp) == stage[comp]
-                s = front + 0.5 * T
-                assert bits(view.inner(s, comp)) == bits(in_step_read(view, s, comp))
+                read = window_feed(ident, _InStep(front, front + STEP, s), stage.stage[comp], state[comp],
+                                   stage.slope[comp])
+                assert bits(read) == bits(in_step_read(stage, s, comp))
 
     @given(
         kind=st.sampled_from(KINDS),
         lag=LAGS,
         frac=st.floats(min_value=0.01, max_value=1.0),
-        stage=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
         body=st.sampled_from(BODIES),
+        seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_feedback_matches_full_simpson_dot(self, kind, lag, frac, stage, body):
+    @settings(max_examples=100, deadline=None)
+    def test_feedback_matches_full_simpson_dot(self, kind, lag, frac, body, seed):
         # uniform, triangular and mixture densities; constant lags, windows
-        # straddling 0 or inside the step, and moving lags
-        traj, state = stored_history()
+        # straddling 0 or inside the step, and moving lags; the second step
+        # clamped to frac of a step by the horizon
+        traj, _ = stored_history()
         kernel = feedback_window(kind, lag)
-        f = pf(body)
-        view = stage_view(traj, state, traj.t_front + frac * STEP)
-        for t in view.times:
-            view.set_stage(t, *stage)
-            for comp, component in enumerate(stage_components(view)):
-                got = component.feedback(kernel, f, t)
-                assert close(got, step_grid_feedback(view, kernel, f, t, comp))
+        spec = spec_of(body, body, k1=kernel, k2=kernel)
+        drive(spec, traj, STEP, 2, random.Random(seed), states=2, horizon=traj.t_front + (1.0 + frac) * STEP)
 
     @given(
         kind=st.sampled_from(KINDS),
         lag=st.floats(min_value=0.001, max_value=1.5),
         frac=st.floats(min_value=0.01, max_value=1.0),
         body=st.sampled_from(BODIES),
+        seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_first_step_reads_initial_data_across_zero(self, kind, lag, frac, body):
-        # the first step of a run: stored history is the point t = 0 alone,
+    def test_first_step_reads_initial_data_across_zero(self, kind, lag, frac, body, seed):
+        # the first steps of a run: stored history is the start node alone,
         # and windows reach back into the initial data or lie in the step
-        spec = spec_of("1+x/2", "x/2", phi="2+sin(3*t)", psi="1+t^2/4")
+        spec = spec_of(body, "x/2", k1=feedback_window(kind, lag), k2=PointMassKernel(f"t-{lag!r}"),
+                       phi="2+sin(3*t)", psi="1+t^2/4")
         traj = Trajectory(spec.phi, spec.psi)
-        traj.append(0.0, 2.0, 1.0, 0.7, -0.4)  # the start node, as a run stores it
-        kernel = feedback_window(kind, lag)
-        f = pf(body)
-        view = _StageHistory(traj, STEP)
-        view.set_step(0.0, 0.0, 2.0, 1.0, 0.0, 0.0)
-        view.set_stage(0.0, 2.0, 1.0)
-        for comp, component in enumerate(stage_components(view)):
-            assert close(component.feedback(kernel, f, 0.0), step_grid_feedback(view, kernel, f, 0.0, comp))
-        view.set_step(0.0, frac * STEP, 2.0, 1.0, 0.7, -0.4)
-        for t in view.times:
-            view.set_stage(t, 2.1, 0.9)
-            for comp, component in enumerate(stage_components(view)):
-                got = component.feedback(kernel, f, t)
-                assert close(got, step_grid_feedback(view, kernel, f, t, comp))
+        traj.append(0.0, 2.0, 1.0, 0.7, -0.4)  # the start node, with a slope
+        drive(spec, traj, STEP, 3, random.Random(seed), horizon=(2.0 + frac) * STEP)
 
     def test_lookup_after_append_sees_new_segment(self):
         traj, state = stored_history()
-        front = traj.t_front
         kernel = UniformDensityKernel("t-1")
         f = pf("x")
-        t1 = front + STEP
-        view = stage_view(traj, state, t1)
-        x_hist, _ = stage_components(view)
-        view.set_stage(t1, 9.0, 9.0)
-        before = x_hist.feedback(kernel, f, t1)
-        assert close(before, step_grid_feedback(view, kernel, f, t1, 0))
-        view.append(t1, 3.0, 4.0, 0.0, 0.0)
-        view.set_step(t1, t1, 3.0, 4.0, 0.0, 0.0)  # the next step's first stage, at the same time
-        view.set_stage(t1, 3.0, 4.0)
-        after = x_hist.feedback(kernel, f, t1)
-        grid = view.grid
-        assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * STEP, t1]
+        spec = spec_of("x", "x", k1=kernel, k2=kernel)
+        grid = _StepGrid(traj, STEP)
+        items = block_feeds(spec, traj, grid, STEP, 3.0, 3e-12, [0])
+        next(items)
+        front = traj.t_front
+        t1 = step_end(traj.n, STEP, 3.0, 3e-12)
+        before = next(items)
+        check(before[2], stage_at(traj, t1, (9.0, 9.0)), kernel, f, 1)
+        traj.append(t1, 3.0, 4.0, 0.0, 0.0)
+        grid.push(t1, 3.0, 4.0, 0.0, 0.0)
+        assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * (t1 - front), t1]
         assert grid.xy[0, grid.n - 1] == 3.0
-        assert view.window(kernel, t1).tail == ()
-        assert close(after, step_grid_feedback(view, kernel, f, t1, 0))
-        assert after != before
+        after = next(items)  # the next step's feeds read the new segment
+        t2 = step_end(traj.n, STEP, 3.0, 3e-12)
+        check(after[2], stage_at(traj, t2, (9.0, 9.0)), kernel, f, 1)
+        assert window_feed(f, after[2], 9.0, 4.0, 0.0) != window_feed(f, before[2], 9.0, state[1], 0.0)
 
     def test_same_time_stages_share_stored_part(self, monkeypatch):
+        # a block computes a window's known part once per production
+        # function and component; each read of a feed at a stage evaluates
+        # f at the tail's two reads only
         traj, state = stored_history()
         kernel = TriangularDensityKernel("t-1")
-        view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, y_hist = stage_components(view)
         f, scalars, sizes = counted_production("x^2+x")
+        spec = spec_of("x", "x", k1=kernel, k2=kernel)
+        spec.f1 = spec.f2 = f
         calls = count_array_lookups(monkeypatch)
+        _, item = first_items(spec, traj)
+        # one lookup of the head reads of the block's 8 steps, at the floor and
+        # the head midpoint of each stage time, for both components as they
+        # lie in stored history; per component f over the grid nodes from the
+        # earliest floor and over the head reads
+        assert calls == [2 * 2 * 8] and len(sizes) == 4
+        reads = len(scalars)
         feeds = {}
-        for t in view.times:
+        for slot in range(4):
             for stage in ((1.5, 2.5), (7.0, 8.0)):
-                view.set_stage(t, *stage)
-                feeds[t, stage] = (x_hist.feedback(kernel, f, t), y_hist.feedback(kernel, f, t))
-        first = view.window(kernel, view.times[0]).i
-        assert calls == []  # the windows lie in stored history: the grid reads no initial data
-        # f once per component over the grid nodes from the midpoint window's
-        # first step end on; the step-end window's nodes are among them
-        assert sizes == [view.grid.n - first] * 2
-        # per stage time and component: two head reads, then two tail reads per call
-        assert len(scalars) == 2 * 2 * (2 + 2 * 2)
-        for t in view.times:
-            assert view.window(kernel, t).tail
-            for a, b in zip(feeds[t, (1.5, 2.5)], feeds[t, (7.0, 8.0)]):
-                assert a != b  # the shared stored sum, different tails
-        view.set_step(traj.t_front, traj.t_front + STEP, *state, 0.0, 0.0)  # a new step: new windows
-        x_hist.feedback(kernel, f, view.times[0])
-        assert calls == [] and len(sizes) == 2  # the grid's f values are kept
-
-    def test_time_outside_the_step_rejected(self):
-        traj, state = stored_history()
-        view = stage_view(traj, state, traj.t_front + STEP)
-        with pytest.raises(ValueError):
-            stage_components(view)[0].feedback(UniformDensityKernel("t-1"), pf("x"), 0.5)
-
-
-def fresh_reference(view, kernel, f, t, comp):
-    """The window's feedback from a new view of the same step and stage,
-    which serves this one read and nothing else."""
-    other = _StageHistory(view.traj, view.dt)
-    other.set_step(view.t0, view.times[1], *view.start, *view.slope)
-    other.set_stage(view.t_stage, *view.stage)
-    return stage_components(other)[comp].feedback(kernel, f, t)
+                feeds[slot, stage] = window_feed(f, item[slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
+        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 1 and len(sizes) == 4
+        for slot in range(4):
+            assert feeds[slot, (1.5, 2.5)] != feeds[slot, (7.0, 8.0)]  # one known part, two tails
 
 
 class TestOneEvaluationPerPair:
     @given(
         kind=st.sampled_from(KINDS),
         lag_frac=st.floats(min_value=0.0, max_value=1.0),
-        frac=st.floats(min_value=0.01, max_value=1.0),
         stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=2),
         bodies=st.lists(st.sampled_from(BODIES), min_size=1, max_size=2),
         end_first=st.booleans(),
         y_first=st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_feedback_matches_the_per_slot_reference_bit_for_bit(
-        self, kind, lag_frac, frac, stages, bodies, end_first, y_first
+        self, kind, lag_frac, stages, bodies, end_first, y_first
     ):
         # whatever order the stages, components and production functions
-        # read a step's windows in, each read equals a view that serves it alone
+        # read a step's feeds in, each read equals that of a new block that
+        # serves it alone
         traj, state = stored_history()
         lag = 0.01 + 3.99 * lag_frac  # beyond about 2 the windows straddle 0
         kernel = feedback_window(kind, lag)
-        view = stage_view(traj, state, traj.t_front + frac * STEP)
-        hist = list(enumerate(stage_components(view)))
-        fs = [pf(b) for b in bodies]
-        times = view.times[::-1] if end_first else view.times
-        for t in times:
-            for stage in stages:
-                view.set_stage(t, *stage)
-                for comp, component in hist[::-1] if y_first else hist:
-                    for f in fs:
-                        got = component.feedback(kernel, f, t)
-                        assert bits(got) == bits(fresh_reference(view, kernel, f, t, comp))
+        spec = spec_of(bodies[0], bodies[-1], k1=kernel, k2=kernel)
+        _, item = first_items(spec, traj)
+        slots = [0, 1, 2, 3]
+        slots = slots[2:] + slots[:2] if end_first else slots
+        slots = [s ^ 1 for s in slots] if y_first else slots
+        for stage in stages:
+            for slot in slots:
+                f = spec.f1 if slot % 2 == 0 else spec.f2
+                comp = 1 - slot % 2
+                got = window_feed(f, item[slot], stage[comp], state[comp], 0.0)
+                fresh = first_items(spec, traj)[1][slot]
+                assert bits(got) == bits(window_feed(f, fresh, stage[comp], state[comp], 0.0))
 
     def test_domain_error_at_step_end_nodes_surfaces_at_the_step_end(self):
         # x(s) = s on [0, 2], and f is undefined below 0.5: the midpoint
@@ -583,25 +547,17 @@ class TestOneEvaluationPerPair:
         for i in range(41):
             traj.append(i * STEP, i * STEP, 1.0, 1.0, 0.0)
         front = traj.t_front
-        state = (front, 1.0)
-        f = pf("sqrt(x-0.5)")
+        mid = front + 0.5 * (step_end(traj.n, STEP, 3.0, 3e-12) - front)
+        kernel = UniformDensityKernel(f"0.6 - 8*(t - {mid!r})")
+        spec = spec_of("x", "sqrt(x-0.5)", k1=PointMassKernel("t-1"), k2=kernel)
+        _, (xm, ym, xe, ye) = first_items(spec, traj)
         for end_first in (False, True):
-            view = stage_view(traj, state, front + STEP)
-            mid, end = view.times
-            kernel = UniformDensityKernel(f"0.6 - 8*(t - {mid!r})")
-            x_hist, _ = stage_components(view)
-            if not end_first:
-                view.set_stage(mid, *state)
-                got = x_hist.feedback(kernel, f, mid)
-                assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
-                assert close(got, step_grid_feedback(view, kernel, f, mid, 0))
-            view.set_stage(end, *state)
-            with pytest.raises(EvalDomainError, match="sqrt"):
-                x_hist.feedback(kernel, f, end)
             if end_first:  # the failed read leaves the midpoint readable
-                view.set_stage(mid, *state)
-                got = x_hist.feedback(kernel, f, mid)
-                assert bits(got) == bits(fresh_reference(view, kernel, f, mid, 0))
+                with pytest.raises(EvalDomainError, match="sqrt"):
+                    window_feed(spec.f2, ye, front, front, 1.0)
+            check(ym, stage_at(traj, mid, (front, 1.0)), kernel, spec.f2, 0)
+            with pytest.raises(EvalDomainError, match="sqrt"):
+                window_feed(spec.f2, ye, front, front, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -613,9 +569,12 @@ class TestOneEvaluationPerPair:
     ],
 )
 def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points):
-    # the grid reads the initial data once, at set-up; after that each block
-    # of window feeds reads its heads with one value_array, and every f value
-    # is computed once
+    # the components fed through a window (one window may feed both): the
+    # grid reads each one's initial data once, at set-up; after that each
+    # block reads its head reads before 0 with one value_array per fed
+    # component, and every f value is computed once
+    assert windows == len({k for k in (k1, k2) if k.density_lag is not None})
+    fed = 2 - points
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
     calls = count_array_lookups(monkeypatch)
     scalar_reads = count_scalar_lookups(monkeypatch)
@@ -625,26 +584,28 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     _, outcome = integrate(spec, horizon=0.5, dt=0.01)
     steps = outcome.diagnostics["steps"]
     assert outcome.status == "reached-horizon" and steps == 50
-    assert outcome.diagnostics["block_steps"] == steps
-    # one lookup of the initial data, x and y together, back to the floor -1
-    # at t = 0: the step ends -1, -0.99, ..., 0 with their midpoints.  Then
-    # blocks of 8 and 16 steps from t = 0 and one of 26 to the horizon, each
-    # reading the floor and the head midpoint of its stage times, per
-    # distinct window
+    # blocks of 8 and 16 steps from t = 0 and one of 26 to the horizon
     blocks = [8, 16, 26]
-    assert calls == [200] + [windows * 2 * 2 * b for b in blocks]
-    # the floor -1 at t = 0 is a grid node, so that window has no head; a
-    # point kernel reads the initial data once per stage time
-    assert len(scalar_reads) == points * (1 + 2 * steps)
-    for scalars, sizes, fed in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
-        if isinstance(fed, PointMassKernel):
+    assert outcome.diagnostics["blocks"] == len(blocks)
+    # the initial data back to the floor -1 at t = 0, the step ends -1,
+    # -0.99, ..., 0 with their midpoints, once per fed component; then per
+    # block and fed component the floor and head midpoint of each stage time
+    assert calls == [200] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
+    # the derivative at t = 0 is a block of one short step, whose head reads
+    # go one by one, two per stage time and fed component; a point kernel
+    # reads the initial data of the component it is fed from once per stage
+    # time
+    assert len(scalar_reads) == 2 * 2 * fed + points * 2 * (1 + steps)
+    for scalars, sizes, kernel in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
+        if isinstance(kernel, PointMassKernel):
             assert sizes == []
             continue
         # f over the initial data once, at t = 0, and over each block's head
         # reads; per step f of the two grid nodes the step before it added
-        # (none before the first) and of two tail reads per stage
+        # (none before the first) and of two tail reads per stage, and f of
+        # the derivative at t = 0's four head reads
         assert sizes == [201] + [2 * 2 * b for b in blocks]
-        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps
+        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps + 4
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
@@ -769,49 +730,50 @@ def point_system(lag1, lag2):
 
 
 @pytest.mark.parametrize(
-    "lag1, lag2, arrays, per_stage, initial",
+    "lag1, lag2, arrays, late, initial",
     [
         # blocks of 8, 16, 32 and 64 steps from t = 0, then one to the horizon
         # (30 steps); the lagged time t - 1 passes 0 at step 100, so the
         # 64-step block reads 40 stored times and the last one 60.  Each
         # stage time up to t = 1 reads the initial data once per component,
-        # and so does the first derivative at t = 0
-        ("t-1", "t-1", [40, 60], 0, 2 * (1 + 2 * 100)),
+        # and so do the two stage times, both at 0, of the derivative at t = 0
+        ("t-1", "t-1", [40, 60], 0, 2 * (2 + 2 * 100)),
         # off the grid of stage times, so rounding cannot move a lagged time
-        # across 0; the blocks end where t - 0.3025 reaches past their start
-        ("t-0.3025", "t-0.7025", [48, 88, 120, 120, 24], 0, 2 + 2 * 30 + 2 * 70),
-        ("t", "t", [], 0, 2),  # zero lag reads the stage state: nothing to look up
-        # the first step reads inside itself; from step j the reads allow a
-        # block of j steps, too short (below MIN_BLOCK = 8) at the tries at
-        # steps 1, 3 and 7, and the try after step 7 waits until step 15.
-        # The per-stage path serves steps 1-14 with one (x, y) lookup per
-        # stage time
-        ("t/2", "t/2", [16, 32, 64, 128, 30], 2 * 14, 2),
+        # across 0.  From 8 steps on a block ends where t - 0.3025 reaches
+        # past its start: blocks of 8, 16, 30, 30, 30, 30 and 6 steps; the
+        # last is short and reads its 24 stored times one by one
+        ("t-0.3025", "t-0.7025", [48, 88, 120, 120], 24, 2 * 2 + 2 * 30 + 2 * 70),
+        ("t", "t", [], 0, 0),  # zero lag reads the stage state: nothing to look up
+        # the first step reads inside itself; the first block's other 7 steps
+        # read the block's own steps, each lagged time once that step is
+        # stored; from step 8 on blocks of 8, 16, 32, 64 and 22 steps end
+        # before their own steps' times
+        ("t/2", "t/2", [16, 32, 64, 128, 44], 2 * 7, 0),
     ],
     ids=["shared-lag", "two-lags", "zero-lag", "proportional"],
 )
-def test_one_array_lookup_per_point_block(monkeypatch, lag1, lag2, arrays, per_stage, initial):
+def test_one_array_lookup_per_point_block(monkeypatch, lag1, lag2, arrays, late, initial):
     spec = point_system(lag1, lag2)
     scalar = count_scalar_lookups(monkeypatch)
     array = count_array_lookups(monkeypatch)
     _, outcome = integrate(spec, horizon=1.5, dt=0.01)
     assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 150
-    assert array == arrays  # one value_array per block that reads stored history
-    assert scalar.count(None) == per_stage  # stored (x, y) reads one by one
-    assert len(scalar) - per_stage == initial  # initial data, one component at a time
+    assert array == arrays  # one value_array per block of MIN_BLOCK steps or more
+    assert scalar.count(None) == late  # (x, y) reads one by one
+    assert len(scalar) - late == initial  # initial data, one component at a time
 
 
 def test_initial_data_are_read_only_for_the_component_fed_from_them():
-    # kernel2 feeds y from x at t - 2, where psi is undefined; only phi is
-    # read there
-    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.5"), k2=PointMassKernel("t-2"),
-                   phi="1+t/4", psi="sqrt(t+1)")
-    _, outcome = integrate(spec, horizon=3.0, dt=0.01)
-    assert outcome.status == "reached-horizon"
-    shared = PointMassKernel("t-2")
-    with pytest.raises(IntegrationError, match="right-hand side failed at t=0"):
-        integrate(spec_of("1+x/2", "x/2", k1=shared, k2=shared, phi="1+t/4", psi="sqrt(t+1)"),
-                  horizon=3.0, dt=0.01)
+    # kernel2 feeds y from x back to t - 2, where psi is undefined; only phi
+    # is read there, by a point kernel or a density window
+    for kernel in (PointMassKernel, UniformDensityKernel, TriangularDensityKernel):
+        spec = spec_of("1+x/2", "x/2", k1=kernel("t-0.5"), k2=kernel("t-2"), phi="1+t/4", psi="sqrt(t+1.5)")
+        _, outcome = integrate(spec, horizon=3.0, dt=0.01)
+        assert (outcome.status, outcome.t_final) == ("reached-horizon", 3.0)
+        shared = kernel("t-2")
+        with pytest.raises(IntegrationError, match=r"right-hand side failed at t=0: sqrt\(t \+ 1.5\)"):
+            integrate(spec_of("1+x/2", "x/2", k1=shared, k2=shared, phi="1+t/4", psi="sqrt(t+1.5)"),
+                      horizon=3.0, dt=0.01)
 
 
 ORACLE_BODIES = st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"])
@@ -835,8 +797,8 @@ def point_runs(draw):
 @given(point_runs())
 @settings(max_examples=60, deadline=None)
 def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
-    # the mixture reads f(u(lag(t))) through the stage view at every stage,
-    # the point kernel from blocks of feeds wherever they cover a step
+    # the mixture weighs f(u(lag(t))) by 1 at every stage, the point kernel
+    # hands it over as it is
     dt, lag1, lag2, f1, f2, g = run
 
     def result(kernel):
@@ -848,9 +810,7 @@ def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
         except IntegrationError as e:
             return str(e)
         nodes = [traj.step_times().tobytes()] + [traj.step_values(c).tobytes() for c in range(4)]
-        # blocks serve only the point kernel's steps
-        return nodes, outcome.status, [bits(v) for v in outcome.final_state], {
-            k: v for k, v in outcome.diagnostics.items() if k != "block_steps"}
+        return nodes, outcome.status, [bits(v) for v in outcome.final_state], outcome.diagnostics
 
     assert result(PointMassKernel) == result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
 
@@ -891,71 +851,58 @@ POINT_LAGS = st.one_of(
 )
 
 
-def direct_read(view, s, comp):
-    """The component at s as the stage view reads it: stored history up to
-    the front, the stage state from the stage time on, and the in-step
-    quadratic in between."""
-    s = float(s)
-    if s <= view.traj.t_front:
-        return view.traj.value_scalar(s, comp)
-    return in_step_read(view, s, comp)
-
-
 class TestPointStageView:
     @given(
         lag=POINT_LAGS,
         frac=st.floats(min_value=0.01, max_value=1.0),
-        stages=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)), min_size=1, max_size=3),
         bodies=st.lists(st.sampled_from(["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x"]), min_size=1, max_size=2),
+        seed=st.integers(0, 2**16),
     )
     @settings(max_examples=100, deadline=None)
-    def test_point_feedback_matches_direct_read(self, lag, frac, stages, bodies):
-        traj, state = stored_history()
+    def test_point_feedback_matches_direct_read(self, lag, frac, bodies, seed):
+        # bit for bit: stored history, initial data, the in-step quadratic
+        # and the stage state, over steps the horizon may clamp
+        traj, _ = stored_history()
         kernel = PointMassKernel(f"t-{lag!r}")
-        view = stage_view(traj, state, traj.t_front + frac * STEP)
-        hist = stage_components(view)
-        fs = [pf(b) for b in bodies]
-        for t in view.times:
-            for stage in stages:
-                view.set_stage(t, *stage)
-                for comp, component in enumerate(hist):
-                    direct = FnComponent(lambda s, c=comp: direct_read(view, s, c))
-                    for f in fs:
-                        got = kernel.integrate(f, component, t)
-                        assert bits(got) == bits(kernel.integrate(f, direct, t))
+        spec = spec_of(bodies[0], bodies[-1], k1=kernel, k2=kernel)
+        drive(spec, traj, STEP, 3, random.Random(seed), states=3, horizon=traj.t_front + (2.0 + frac) * STEP)
 
     def test_stored_read_is_shared_by_stages_and_components(self, monkeypatch):
+        # a block of one step, which is short: one (x, y) lookup per stage
+        # time serves both components, and f runs once per stage time and
+        # component however often the stages read the feeds
         traj, state = stored_history()
         kernel = PointMassKernel("t-1")
-        view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, y_hist = stage_components(view)
         calls = count_scalar_lookups(monkeypatch)
         evals = []
         f = ProductionFunction(lambda v: evals.append(v) or v * v)
-        for t in view.times:
-            for stage in ((1.5, 2.5), (7.0, 8.0)):
-                view.set_stage(t, *stage)
-                kernel.integrate(f, x_hist, t)
-                kernel.integrate(f, y_hist, t)
-        assert calls == [None, None]  # one (x, y) lookup per stage time
-        assert len(evals) == 4  # f once per stage time and component
-        view.set_step(traj.t_front, traj.t_front + STEP, *state, 0.0, 0.0)  # a new step reads again
-        kernel.integrate(f, x_hist, view.times[0])
-        assert len(calls) == 3
+        spec = spec_of("x", "x", k1=kernel, k2=kernel)
+        spec.f1 = spec.f2 = f
+        items = block_feeds(spec, traj, None, STEP, traj.t_front + STEP, 1e-12, [0])
+        next(items)
+        del calls[:], evals[:]
+        item = next(items)
+        assert calls == [None, None] and len(evals) == 4
+        for stage in ((1.5, 2.5), (7.0, 8.0)):
+            for slot in range(4):
+                assert window_feed(f, item[slot], stage[slot % 2], 0.0, 0.0) == item[slot]
+        assert len(calls) == 2 and len(evals) == 4
 
     def test_in_step_read_blends_on_every_call(self):
+        # a zero lag reads the stage state, a lag inside the step the
+        # quadratic toward it, at every read
         traj, state = stored_history()
-        kernel = PointMassKernel("t")
-        view = stage_view(traj, state, traj.t_front + STEP)
-        x_hist, _ = stage_components(view)
         f = pf("x")
-        t = view.times[0]
-        for x in (1.5, 7.0):
-            view.set_stage(t, x, 0.0)
-            assert kernel.integrate(f, x_hist, t) == x
+        for lag in ("t", "t-0.01"):
+            kernel = PointMassKernel(lag)
+            _, item = first_items(spec_of("x", "x", k1=kernel, k2=kernel), traj)
+            t = step_end(traj.n, STEP, 3.0, 3e-12)
+            for x in (1.5, 7.0):
+                stage = stage_at(traj, t, (x, 0.0))
+                assert window_feed(f, item[3], x, state[0], stage.slope[0]) == stage_read(stage, t - (lag != "t") * 0.01, 0)
 
     def test_lookup_error_surfaces_at_the_stage_time_that_reads_it(self):
-        stored, state = stored_history()
+        stored, _ = stored_history()
         traj = Trajectory()  # the same nodes, without initial functions
         for t, row in zip(stored.step_times().tolist(), stored._v[: stored.n + 1].tolist()):
             traj.append(t, *row)
@@ -963,14 +910,12 @@ class TestPointStageView:
         # reads before t = 0, where no initial function covers it
         front = traj.t_front
         kernel = PointMassKernel(f"t - {front!r} * (t - {front!r}) / {0.5 * STEP!r}")
-        view = stage_view(traj, state, front + STEP)
-        x_hist, _ = stage_components(view)
-        mid, end = view.times
-        view.set_stage(mid, *state)
-        kernel.integrate(pf("x"), x_hist, mid)
-        view.set_stage(end, *state)
+        spec = spec_of("x", "x", k1=kernel, k2=PointMassKernel("t-1"))
+        _, (xm, ym, xe, ye) = first_items(spec, traj)
+        window_feed(spec.f1, xm, 1.0, 1.0, 0.0)
         with pytest.raises(HistoryUnderflowError):
-            kernel.integrate(pf("x"), x_hist, end)
+            window_feed(spec.f1, xe, 1.0, 1.0, 0.0)
+        drive(spec, traj, STEP, 1, random.Random(0))  # and as the definition reads it
 
 
 class TestPointLagStops:
