@@ -324,18 +324,20 @@ _ARRAY_ENV = {
 }
 
 
-def _emit(node: Node) -> str:
+def _emit(node: Node, var: str = "v") -> str:
+    """Python source for node, its variable named var, run in the names of
+    _SCALAR_ENV or _ARRAY_ENV."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
-        return "v"
+        return var
     if isinstance(node, Neg):
-        return f"(-{_emit(node.operand)})"
+        return f"(-{_emit(node.operand, var)})"
     if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_emit(a) for a in node.args)})"
+        return f"{node.fn}({', '.join(_emit(a, var) for a in node.args)})"
     if node.op == "^":
-        return f"_pow({_emit(node.left)}, {_emit(node.right)})"
-    return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
+        return f"_pow({_emit(node.left, var)}, {_emit(node.right, var)})"
+    return f"({_emit(node.left, var)} {node.op} {_emit(node.right, var)})"
 
 
 class Expression:

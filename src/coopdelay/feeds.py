@@ -29,7 +29,11 @@ own steps, or whose window weights pass WINDOW_ELEMENTS; any block ends after
 the first step whose lag raises.  A shorter block reads its stored times one
 by one, cheaper there than one `Trajectory.value_array`.  A build that raises
 is tried again with half the steps, and a one-step build that raises builds
-each feed of the step alone; a feed whose build raises becomes a `_Raise`.
+each feed of the step alone, as a block of one row; a feed whose build
+raises becomes a `_Raise`, and in a block of one row so does a window whose
+build raises, so a mixture's atoms raise before its density.  The derivative
+at the front is a block of one row too: its one stage time serves as both
+the midpoint and the end of an item.
 """
 
 from __future__ import annotations
@@ -139,8 +143,8 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
     block is built when the run reaches its first step, at most twice as
     long as the last (MIN_BLOCK to MAX_BLOCK steps)."""
     front = traj.t_front
-    # the derivative: one stage time, at the front, as a step's two
-    yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front] * 2), 1, dt)[0]
+    # the derivative: a block of one row, at the front
+    yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front]), 1, dt)[0]
     ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
     limit = MIN_BLOCK
     while True:
@@ -233,7 +237,7 @@ def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple
             if r >= 2:  # the step becomes the next block's first
                 n = r & ~1
                 break
-            n = 2
+            n = min(n, 2)
         elif s <= starts[r] and (dt or s > front):
             if s > front and not late:
                 if r >= 2 * MIN_BLOCK:
@@ -259,20 +263,21 @@ def _block(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, steps: int, 
             fx = k1.integrate(spec.f1, _Reader(block, 1), block.taus)
             fy = k2.integrate(spec.f2, _Reader(block, 0), block.taus)
         except ERRORS:
-            if n == 2:
+            if n <= 2:
                 return _stepwise(spec, traj, grid, ahead, dt), 1
             n = (n >> 1) & ~1
             continue
-        return block.items(fx, fy), n >> 1
+        return block.items(fx, fy), (n + 1) >> 1
 
 
 def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float) -> list:
-    """The first step's item with each feed built alone, in the order the
-    stage reads them; a feed whose build raises raises at its stage."""
+    """The first step's item with each feed built alone, a block of one row,
+    in the order the stage reads them; a feed whose build raises raises at
+    its stage."""
     item = []
-    for r in (0, 1):
-        row = _Ahead(ahead.j, ahead.starts[r], dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1] * 2)
-        row.values = {key: values[r : r + 1] * 2 for key, values in ahead.values.items() if len(values) > r}
+    for r in range(min(2, len(ahead.taus))):
+        row = _Ahead(ahead.j, ahead.starts[r], dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1])
+        row.values = {key: values[r : r + 1] for key, values in ahead.values.items() if len(values) > r}
         for kernel, f, comp in ((spec.k1, spec.f1, 1), (spec.k2, spec.f2, 0)):
             try:
                 n, points, windows = _plan(row, (kernel,), traj.t_front, dt, 1)
@@ -281,12 +286,15 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
             except ERRORS as e:
                 feed = _Raise(e)
             item.append(feed)
-    return [item]
+    return [item if len(item) == 4 else item * 2]
 
 
 def _pairs(feeds):
-    """A kernel's feeds as (midpoint, end) pairs per step."""
-    return zip(feeds[0::2], feeds[1::2]) if feeds.__class__ is list else feeds
+    """A kernel's feeds as (midpoint, end) pairs per step; the one row of a
+    block of one row is both."""
+    if feeds.__class__ is not list:
+        return feeds
+    return zip(feeds[0::2], feeds[1::2]) if len(feeds) > 1 else zip(feeds, feeds)
 
 
 class _Block:
@@ -339,7 +347,7 @@ class _Block:
         if floors:
             # before any window takes grid indices: extending shifts them
             grid.extend(min(floors))
-        self.windows = {kernel: _WindowBlock(kernel, grid, taus, starts, plan) for kernel, plan in plans.items()}
+        self.windows = plans  # each window's floors, weighed at its first read
 
     def read(self, s: float) -> tuple:
         """(x, y) at a time s in the block's own steps, once they hold it."""
@@ -350,6 +358,8 @@ class _Block:
 
     def items(self, fx, fy):
         if not self.deferred and fx.__class__ is list and fy.__class__ is list:
+            if len(fx) == 1:
+                fx, fy = fx * 2, fy * 2
             return list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
         return self._items(_pairs(fx), _pairs(fy))
 
@@ -417,15 +427,26 @@ class _Reader:
             yield out[2 * j], out[2 * j + 1]
 
     def window(self, kernel, f, t):
-        """The density window's feeds, per step as (midpoint, end)."""
-        return self.block.windows[kernel].feeds(self.block, f, self.comp)
+        """The density window's feeds, per step as (midpoint, end).  In a
+        block of one row a window that raises is a `_Raise`, read after what
+        a mixture's atoms raise there."""
+        block = self.block
+        try:
+            window = block.windows[kernel]
+            if window.__class__ is list:
+                window = block.windows[kernel] = _WindowBlock(kernel, block.grid, block.taus, block.starts, window)
+            return window.feeds(block, f, self.comp)
+        except ERRORS as e:
+            if len(block.taus) > 1:
+                raise
+            return iter([[_Raise(e)] * 2])
 
     def mix(self, atoms: list, density):
         """Per step, (midpoint, end) sums of the weighted atoms' feeds and
         then the density's."""
         self.block.deferred = True
         parts = [(w, _pairs(feeds)) for w, feeds in atoms] + ([(1.0, density)] if density is not None else [])
-        for _ in range(len(self.block.taus) // 2):
+        for _ in range((len(self.block.taus) + 1) // 2):
             pairs = [(w, next(feeds)) for w, feeds in parts]
             yield [_Sum([(w, pair[e]) for w, pair in pairs]) for e in (0, 1)]
 
@@ -456,7 +477,7 @@ class _WindowBlock:
         if _Raise not in map(type, plan) and all(map(operator.le, plan, starts)):
             # the usual case: every floor at or behind its step's start
             rows = list(range(len(plan)))
-            self.spans = list(range(0, len(plan) + 1, 2))
+            self.spans = list(range(0, len(plan) + 2, 2))
             a = np.array(plan)
         else:
             rows = []
@@ -473,7 +494,7 @@ class _WindowBlock:
                 else:
                     rows.append(r)
             # the grid rows of step j are rows[spans[j]:spans[j + 1]]
-            self.spans = np.searchsorted(rows, np.arange(0, len(plan) + 1, 2)).tolist()
+            self.spans = np.searchsorted(rows, np.arange(0, len(plan) + 2, 2)).tolist()
             a = np.array([plan[r] for r in rows])
         self.rows = rows
         if not rows:
@@ -514,7 +535,9 @@ class _WindowBlock:
         third = (e - a) / 6.0
         edge = (third + ends) * dh[:, 4]
         # density dotted with Simpson weights times f, plus the edge unless late
-        self.known = d[:, :k]
+        # BLAS sums a product with one row (a dot) in another order than one
+        # with several, so a block of one row weighs its row as two
+        self.known = d[:, :k] if len(rows) > 1 else np.repeat(d[:, :k], 2, axis=0)
         self.simpson = simpson[:k]
         self.first = first
         self.edge = edge
@@ -551,7 +574,7 @@ class _WindowBlock:
         if not self.rows:
             return _pairs(self.fixed)
         fk = block.grid.fed(f, comp, self.lo)[: self.k + 1]
-        known = self.known @ (self.simpson * fk[:-1]) + self.edge * fk[self.first]
+        known = (self.known @ (self.simpson * fk[:-1]))[: len(self.rows)] + self.edge * fk[self.first]
         times = self.times
         if times.size:
             traj = block.traj
@@ -573,7 +596,7 @@ class _WindowBlock:
         grid = block.grid
         fixed, rows, own, late, tail, spans = self.fixed, self.rows, self.own, self.late, self.tail, self.spans
         p = grid.n - 1
-        if late is None and tail is not None and len(rows) == len(fixed):  # the usual case
+        if late is None and tail is not None and len(rows) == len(fixed) > 1:  # the usual case
             for r in range(0, len(rows), 2):
                 try:
                     mid, end = (known[r : r + 2] + own[r : r + 2, : r + 1] @ grid.fed(f, comp, p)).tolist()
@@ -595,4 +618,4 @@ class _WindowBlock:
             except ERRORS as e:
                 yield [_Raise(e), _Raise(e)]
                 return
-            yield pair
+            yield pair if len(pair) == 2 else pair * 2

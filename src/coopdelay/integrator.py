@@ -26,6 +26,27 @@ at a time; what they read inside the step is read at the stage with
 state for a zero lag, runs the `plain` right-hand side, any other step the
 `general` one, which reads toward the stage state from the step's start.
 
+The compiled step.  With both production functions expressions and no
+mixture kernel, `integrate` generates one function for its run
+(`_compile_steps`, from `expr._emit`'s source of f, r and G) that takes
+every step whose item is plain for its kernels with all of it inline: a
+number, or None for f of the stage state, for a point kernel, and a
+window's known sum with its tail panel for a uniform or triangular window.
+It forms the stage states, r(t) * (G(x) * (feed - x)) and the window's
+tail in `rhs`'s and `window_feed`'s operation order, so its nodes are
+bit-identical to the generic loop's; each rate is evaluated once per stage
+time, and a rate of 1 or an unset G folds away (1.0 * z == z).  The guards
+come in their order, each a test without calls that fires wherever the
+generic guard fires (and also at a state equal to the threshold or on a NaN
+increment); each accepted step is stored and checked for extinction as
+below.  At an item that is not plain, an exception of the inline
+arithmetic, a guard that fires or a non-finite derivative, it hands the
+state before the step and the step's item back, and the generic loop runs
+that step through `plain` or `general`, `rhs` and `Expression.evaluate`: it
+alone raises or names a guard.  Callable-backed production functions and
+mixtures run the generic loop throughout.  The derivative at t = 0 always
+takes `rhs`.
+
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
 ends and Hermite midpoints, with f of each node evaluated once; the panel
 from the step start to the stage time reads its midpoint from the quadratic
@@ -46,8 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryUnderflowError
-from .expr import EvalDomainError
+from .kernels import HistoryUnderflowError, PointMassKernel, _DensityWindowKernel
+from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
 from .feeds import block_feeds, step_end, window_feed
 
 __all__ = [
@@ -64,6 +85,8 @@ STAGE_RATIO = 2.0
 CONVERGE_RTOL = 1e-9
 WINDOW_SPANS = 10.0
 EXTINCTION_THRESHOLD = 1e-12
+# the convergence window is checked after every CHECK_EVERY-th step
+CHECK_EVERY = 16
 
 
 class IntegrationError(RuntimeError):
@@ -372,6 +395,141 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
     return float(min(1e-2, max(1e-4, 1e-3 * m)))
 
 
+def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
+                   eps_t: float, threshold: float, ratio: float, converge: bool, extinction: float):
+    """The run's compiled step (see the module docstring), or None when a
+    production function is not an expression or a kernel is a mixture.
+
+    run(feeds, t, x, y, dx, dy, steps) takes steps from the state at t, whose
+    slopes are dx, dy and which ends step number steps, and returns the state
+    it reached with its slopes, the steps taken in all, and None: at the
+    horizon, at extinction, or, with converge, after every CHECK_EVERY-th
+    step.  At a step whose item is not plain, which raises, fires a guard or
+    ends in a non-finite derivative, it returns the state before the step and
+    the step's item instead.
+    """
+    kinds = []
+    for kernel in (spec.k1, spec.k2):
+        if isinstance(kernel, PointMassKernel):
+            kinds.append("point")
+        elif isinstance(kernel, _DensityWindowKernel):
+            kinds.append("window")
+        else:
+            return None
+    if spec.f1.expression is None or spec.f2.expression is None:
+        return None
+    # per component: its name, f, its kernel's kind, the component f reads, r and G
+    comps = (("x", spec.f1.expression.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
+             ("y", spec.f2.expression.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
+
+    def rates(tv: str) -> list:
+        """Each rate at the stage time tv, once; a rate of 1 folds away."""
+        return [f"r{c} = {_emit(r, tv)}" for c, _, _, _, r, _ in comps if r != Num(1.0)]
+
+    def derivative(slot: str, state: dict, out: dict) -> list:
+        """rhs's r * (G * (feed - state)) at the state, from the feeds at
+        slot, m (the midpoint) or e (the end), in rhs's and window_feed's
+        operation order."""
+        lines = []
+        for c, f, kind, read, r, g in comps:
+            feed, us = f"f{c}{slot}", state[read]
+            if kind == "point":  # a number, or None for f of the stage state
+                value = f"({_emit(f, us)} if {feed} is None else {feed})"
+            else:  # s + wm * f(u0 * a + us * b + c * du0) + wt * f(us)
+                lines.append(f"q = {read} * a{c}{slot} + {us} * b{c}{slot} + c{c}{slot} * d{read}")
+                value = f"(s{c}{slot} + w{c}{slot} * {_emit(f, 'q')} + v{c}{slot} * {_emit(f, us)})"
+            term = f"({value} - {state[c]})"
+            if g is not None:
+                term = f"({_emit(g, state[c])} * {term})"
+            lines.append(f"{out[c]} = {term}" if r == Num(1.0) else f"{out[c]} = r{c} * {term}")
+        return lines
+
+    # the generic guard's tests without calls: they fail wherever those fire,
+    # and also at a state equal to the threshold or on a NaN increment, where
+    # the generic loop then decides
+    def guard(*tests: str) -> list:
+        return [f"if not ({' and '.join(tests)}):", "    return t, x, y, dx, dy, steps, item"]
+
+    def states(sx: str, sy: str) -> tuple:
+        return f"-THRESHOLD < {sx} < THRESHOLD", f"-THRESHOLD < {sy} < THRESHOLD"
+
+    def increments(kx: str, ky: str) -> tuple:
+        return f"-bound <= h * {kx} <= bound", f"-bound <= h * {ky} <= bound"
+
+    plain, unpack = [], []
+    for c, _, kind, _, _, _ in comps:
+        for slot in "me":
+            feed = f"f{c}{slot}"
+            if kind == "point":
+                plain.append(f"({feed} is None or {feed}.__class__ is float)")
+            else:
+                plain.append(f"{feed}.__class__ is tuple")
+                unpack.append(f"s{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, c{c}{slot} = {feed}")
+    stage = {"x": "sx", "y": "sy"}
+    body = [
+        "h = t1 - t",
+        "tm = t + 0.5 * h",
+        "scale0 = 1.0 + max(abs(x), abs(y))",
+        "bound = RATIO * scale0",
+        "sx = x + 0.5 * h * dx",
+        "sy = y + 0.5 * h * dy",
+        *guard(*states("sx", "sy"), *increments("dx", "dy")),
+        *rates("tm"),
+        *derivative("m", stage, {"x": "k2x", "y": "k2y"}),
+        "sx = x + 0.5 * h * k2x",
+        "sy = y + 0.5 * h * k2y",
+        *guard(*states("sx", "sy"), *increments("k2x", "k2y")),
+        *derivative("m", stage, {"x": "k3x", "y": "k3y"}),
+        "sx = x + h * k3x",
+        "sy = y + h * k3y",
+        *guard(*states("sx", "sy"), *increments("k3x", "k3y")),
+        *rates("t1"),
+        *derivative("e", stage, {"x": "k4x", "y": "k4y"}),
+        # k4's state passed stage-3, so only its increment can fire here
+        "bound = RATIO4 * scale0",
+        *guard(*increments("k4x", "k4y")),
+        "x1 = x + (h / 6.0) * (dx + 2.0 * k2x + 2.0 * k3x + k4x)",
+        "y1 = y + (h / 6.0) * (dy + 2.0 * k2y + 2.0 * k3y + k4y)",
+        *guard(*states("x1", "y1")),
+        *derivative("e", {"x": "x1", "y": "y1"}, {"x": "dx1", "y": "dy1"}),
+    ]
+    source = "\n".join([
+        "def run(feeds, t, x, y, dx, dy, steps):",
+        "    while t < LIMIT:",
+        "        t1 = (steps + 1) * DT",
+        "        if t1 >= LIMIT:",
+        "            t1 = HORIZON",
+        "        item = next(feeds)",
+        "        fxm, fym, fxe, fye = item",
+        f"        if not ({' and '.join(plain)}):",
+        "            return t, x, y, dx, dy, steps, item",
+        *("        " + line for line in unpack),
+        "        try:",
+        *("            " + line for line in body),
+        "        except Exception:",
+        "            return t, x, y, dx, dy, steps, item",
+        # a non-finite k2, k3 or k4 makes the next guarded state non-finite
+        "        if not (isfinite(dx1) and isfinite(dy1)):",
+        "            return t, x, y, dx, dy, steps, item",
+        "        append(t1, x1, y1, dx1, dy1)",
+        *(["        push(t1, x1, y1, dx1, dy1)"] if grid is not None else []),
+        "        steps += 1",
+        "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
+        "        if max(abs(x), abs(y)) < EXTINCTION:",
+        "            break",
+        *(["        if steps % CHECK_EVERY == 0:", "            break"] if converge else []),
+        "    return t, x, y, dx, dy, steps, None",
+    ])
+    namespace = dict(
+        _SCALAR_ENV, next=next, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite,
+        append=traj.append, push=grid.push if grid is not None else None, LIMIT=horizon - eps_t, DT=dt,
+        HORIZON=horizon, THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction,
+        CHECK_EVERY=CHECK_EVERY,
+    )
+    exec(compile(source, "<compiled step>", "exec"), namespace)
+    return namespace.pop("run")  # the namespace would hold it in a cycle
+
+
 def integrate(
     spec: SystemSpec,
     horizon: float,
@@ -388,12 +546,12 @@ def integrate(
     Deterministic: identical inputs produce bit-identical trajectories.
     Pass converge_rtol=0 to disable the trailing-window convergence stop.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     if dt is None:
         dt = default_dt(spec, horizon)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
     f1, f2 = spec.f1, spec.f2
@@ -437,8 +595,10 @@ def integrate(
     blow_time = None
     conv_point = None
     extinct_time = None
-    check_every = 16
     isfinite = math.isfinite
+    run = _compile_steps(spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio,
+                         converge_rtol > 0.0, extinction_threshold)
+    compiled = 0
 
     def guard(name: str, sx: float, sy: float, kx: float = 0.0, ky: float = 0.0,
               ratio: float = stage_ratio) -> None:
@@ -453,52 +613,58 @@ def integrate(
             raise _StageGuard(name)
 
     while t < horizon - eps_t:
-        t1 = step_end(steps, dt, horizon, eps_t)
-        h = t1 - t
-        tm = t + 0.5 * h
-        scale0 = 1.0 + max(abs(x), abs(y))
-        fed = next(feeds)
-        if fed.__class__ is tuple:
-            deriv = plain
+        if run is None:
+            fed = next(feeds)
         else:
-            deriv = general
-            start = (x, y, dx, dy)
-        k1x, k1y = dx, dy
-        try:
-            sx = x + 0.5 * h * k1x
-            sy = y + 0.5 * h * k1y
-            guard("stage-1", sx, sy, k1x, k1y)
-            k2x, k2y = deriv(tm, sx, sy, 0)
-            sx = x + 0.5 * h * k2x
-            sy = y + 0.5 * h * k2y
-            guard("stage-2", sx, sy, k2x, k2y)
-            k3x, k3y = deriv(tm, sx, sy, 0)
-            sx = x + h * k3x
-            sy = y + h * k3y
-            guard("stage-3", sx, sy, k3x, k3y)
-            k4x, k4y = deriv(t1, sx, sy, 2)
-            # k4's state passed stage-3, so only its increment can fire here
-            guard("stage-4", sx, sy, k4x, k4y, 6.0 * stage_ratio)
-            x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y1 = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            guard("state-threshold", x1, y1)
-            dx1, dy1 = deriv(t1, x1, y1, 2)
-        except _StageGuard as e:
-            guard_note = e.args[0]
-            status = "blow-up"
-            break
-        except EvalDomainError as e:
-            if max(abs(x), abs(y)) > 1e6:
-                guard_note = f"domain-error:{e}"
+            taken = steps
+            t, x, y, dx, dy, steps, fed = run(feeds, t, x, y, dx, dy, steps)
+            compiled += steps - taken
+        if fed is not None:  # the step, generic
+            t1 = step_end(steps, dt, horizon, eps_t)
+            h = t1 - t
+            tm = t + 0.5 * h
+            scale0 = 1.0 + max(abs(x), abs(y))
+            if fed.__class__ is tuple:
+                deriv = plain
+            else:
+                deriv = general
+                start = (x, y, dx, dy)
+            k1x, k1y = dx, dy
+            try:
+                sx = x + 0.5 * h * k1x
+                sy = y + 0.5 * h * k1y
+                guard("stage-1", sx, sy, k1x, k1y)
+                k2x, k2y = deriv(tm, sx, sy, 0)
+                sx = x + 0.5 * h * k2x
+                sy = y + 0.5 * h * k2y
+                guard("stage-2", sx, sy, k2x, k2y)
+                k3x, k3y = deriv(tm, sx, sy, 0)
+                sx = x + h * k3x
+                sy = y + h * k3y
+                guard("stage-3", sx, sy, k3x, k3y)
+                k4x, k4y = deriv(t1, sx, sy, 2)
+                # k4's state passed stage-3, so only its increment can fire here
+                guard("stage-4", sx, sy, k4x, k4y, 6.0 * stage_ratio)
+                x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                y1 = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+                guard("state-threshold", x1, y1)
+                dx1, dy1 = deriv(t1, x1, y1, 2)
+            except _StageGuard as e:
+                guard_note = e.args[0]
                 status = "blow-up"
                 break
-            raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
+            except EvalDomainError as e:
+                if max(abs(x), abs(y)) > 1e6:
+                    guard_note = f"domain-error:{e}"
+                    status = "blow-up"
+                    break
+                raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
 
-        traj.append(t1, x1, y1, dx1, dy1)
-        if grid is not None:
-            grid.push(t1, x1, y1, dx1, dy1)
-        steps += 1
-        t, x, y, dx, dy = t1, x1, y1, dx1, dy1
+            traj.append(t1, x1, y1, dx1, dy1)
+            if grid is not None:
+                grid.push(t1, x1, y1, dx1, dy1)
+            steps += 1
+            t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
         if max(abs(x), abs(y)) < extinction_threshold:
             status = "extinct"
@@ -506,7 +672,7 @@ def integrate(
             break
 
         # converge_rtol <= 0 can never stop the run: skip the window
-        if converge_rtol > 0.0 and steps % check_every == 0:
+        if converge_rtol > 0.0 and steps % CHECK_EVERY == 0:
             window = max(window_spans * spec.max_span(t), 100.0 * dt)
             ts = traj.step_times()
             if t - window > ts[0]:
@@ -529,7 +695,8 @@ def integrate(
         blowup_time=blow_time,
         converged_point=conv_point,
         extinct_time=extinct_time,
-        diagnostics={"steps": steps, "blocks": blocks[0], "dt": dt, "stage_guard": guard_note},
+        diagnostics={"steps": steps, "blocks": blocks[0], "dt": dt, "stage_guard": guard_note,
+                     "compiled_steps": compiled},
     )
     return traj, outcome
 

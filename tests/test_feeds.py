@@ -23,7 +23,7 @@ from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
 from reference_history import WINDOW_RTOL, drive
-from test_integrator import CONFIGS, spec_of
+from test_integrator import CONFIGS, on_path, spec_of
 
 
 def stored_history(dt, horizon=2.0):
@@ -168,12 +168,27 @@ def run(spec, horizon, dt):
 def test_domain_error_in_the_known_part_surfaces_at_the_per_stage_step():
     # y(s) = 1 + s below 0, and f1 is undefined below 0.5: the floor
     # t - 0.3 - t^2/2 moves back past -0.5 at t = 2.18, where the head read
-    # at the floor fails first; the message, stop time and rhs call count
-    # are those of the per-stage path this replaced
-    spec = spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"),
-                   k2=UniformDensityKernel("t-1"), phi="2", psi="1+t")
-    assert run(spec, 3.0, 0.01) == (
-        "right-hand side failed near t=2.18: sqrt(x - 0.5) at 0.4978874999999998: math domain error", 873)
+    # at the floor fails first; the message, stop time and, on the generic
+    # loop, whose every rhs call counts, the rhs call count are those of the
+    # per-stage path this replaced; the compiled step raises the same
+    def spec(path):
+        return on_path(spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"),
+                               k2=UniformDensityKernel("t-1"), phi="2", psi="1+t"), path)
+
+    message = "right-hand side failed near t=2.18: sqrt(x - 0.5) at 0.4978874999999998: math domain error"
+    assert run(spec("generic"), 3.0, 0.01) == (message, 873)
+    assert run(spec("compiled"), 3.0, 0.01)[0] == message
+
+
+def test_a_mixture_atom_raises_before_its_density_at_one_stage():
+    # at t = 0 the atom reads psi at -2 and the density over [-1, 0], where
+    # psi = sqrt(t + 0.8) + 0.6 is undefined below -0.8: the atom's error
+    # comes first, as the mixture adds its atoms before its density
+    spec = spec_of("1+x/2", "x/2", k1=GeneralMixtureKernel([("t-2", 0.5)], density="0.5", density_lag="t-1"),
+                   k2=PointMassKernel("t-0.5"), phi="1", psi="sqrt(t + 0.8) + 0.6")
+    with pytest.raises(IntegrationError) as e:
+        integrate(spec, horizon=3.0, dt=0.01)
+    assert str(e.value) == "right-hand side failed at t=0: sqrt(t + 0.8) + 0.6 at -2.0: math domain error"
 
 
 def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():

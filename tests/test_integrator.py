@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -48,6 +49,22 @@ def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None,
         g1=parse(g1) if g1 else None,
         g2=parse(g2) if g2 else None,
     )
+
+
+def on_path(spec, path):
+    """The spec for the compiled step, or for the generic loop alone a copy
+    with callable-backed production functions, which the compiled step does
+    not take."""
+    if path == "compiled":
+        return spec
+
+    def callable_backed(f):
+        return ProductionFunction(f.expression.evaluate, f.expression.evaluate_array)
+
+    return dataclasses.replace(spec, f1=callable_backed(spec.f1), f2=callable_backed(spec.f2))
+
+
+PATHS = ["compiled", "generic"]
 
 
 def linear_half_decay():
@@ -122,10 +139,15 @@ class TestBlowup:
         ],
     )
     def test_each_guard_names_itself(self, f, dt, threshold, ratio, guard, t_stop):
-        _, outcome = integrate(spec_of(f, f, phi="0.5", psi="0.5"), horizon=3.0, dt=dt,
-                               blowup_threshold=threshold, stage_ratio=ratio)
-        assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
-        assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
+        # on both paths; with zero lags the compiled step takes every
+        # accepted step
+        for path in PATHS:
+            _, outcome = integrate(on_path(spec_of(f, f, phi="0.5", psi="0.5"), path), horizon=3.0, dt=dt,
+                                   blowup_threshold=threshold, stage_ratio=ratio)
+            assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+            assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
+            steps = outcome.diagnostics["steps"]
+            assert outcome.diagnostics["compiled_steps"] == (steps if path == "compiled" else 0)
 
 
 FAMILIES = {
@@ -591,11 +613,10 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     # -0.99, ..., 0 with their midpoints, once per fed component; then per
     # block and fed component the floor and head midpoint of each stage time
     assert calls == [200] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
-    # the derivative at t = 0 is a block of one short step, whose head reads
-    # go one by one, two per stage time and fed component; a point kernel
-    # reads the initial data of the component it is fed from once per stage
-    # time
-    assert len(scalar_reads) == 2 * 2 * fed + points * 2 * (1 + steps)
+    # the derivative at t = 0 is a block of one row, whose head reads go one
+    # by one, two per fed component; a point kernel reads the initial data of
+    # the component it is fed from once per stage time
+    assert len(scalar_reads) == 2 * fed + points * (1 + 2 * steps)
     for scalars, sizes, kernel in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
         if isinstance(kernel, PointMassKernel):
             assert sizes == []
@@ -603,9 +624,9 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
         # f over the initial data once, at t = 0, and over each block's head
         # reads; per step f of the two grid nodes the step before it added
         # (none before the first) and of two tail reads per stage, and f of
-        # the derivative at t = 0's four head reads
+        # the derivative at t = 0's two head reads
         assert sizes == [201] + [2 * 2 * b for b in blocks]
-        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps + 4
+        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps + 2
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
@@ -736,13 +757,13 @@ def point_system(lag1, lag2):
         # (30 steps); the lagged time t - 1 passes 0 at step 100, so the
         # 64-step block reads 40 stored times and the last one 60.  Each
         # stage time up to t = 1 reads the initial data once per component,
-        # and so do the two stage times, both at 0, of the derivative at t = 0
-        ("t-1", "t-1", [40, 60], 0, 2 * (2 + 2 * 100)),
+        # and so does the derivative at t = 0, one stage time
+        ("t-1", "t-1", [40, 60], 0, 2 * (1 + 2 * 100)),
         # off the grid of stage times, so rounding cannot move a lagged time
         # across 0.  From 8 steps on a block ends where t - 0.3025 reaches
         # past its start: blocks of 8, 16, 30, 30, 30, 30 and 6 steps; the
         # last is short and reads its 24 stored times one by one
-        ("t-0.3025", "t-0.7025", [48, 88, 120, 120], 24, 2 * 2 + 2 * 30 + 2 * 70),
+        ("t-0.3025", "t-0.7025", [48, 88, 120, 120], 24, 2 + 2 * 30 + 2 * 70),
         ("t", "t", [], 0, 0),  # zero lag reads the stage state: nothing to look up
         # the first step reads inside itself; the first block's other 7 steps
         # read the block's own steps, each lagged time once that step is
@@ -794,11 +815,23 @@ def point_runs(draw):
     return dt, lag1, lag2, draw(ORACLE_BODIES), draw(ORACLE_BODIES), draw(st.sampled_from([None, "x"]))
 
 
+def steps_reading_inside(traj, lags):
+    """The accepted steps at one of whose stage times a lag reads inside the
+    step, before the stage time: the feeds the compiled step leaves to the
+    generic loop."""
+    ts = traj.step_times().tolist()
+    lags = [parse(lag, var="t") for lag in lags]
+    return sum(
+        any(t0 < lag.evaluate(t) < t for lag in lags for t in (t0 + 0.5 * (t1 - t0), t1))
+        for t0, t1 in zip(ts, ts[1:]))
+
+
 @given(point_runs())
 @settings(max_examples=60, deadline=None)
 def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
     # the mixture weighs f(u(lag(t))) by 1 at every stage, the point kernel
-    # hands it over as it is
+    # hands it over as it is; the compiled step takes the point kernel's
+    # steps but those that read inside themselves, and no mixture step
     dt, lag1, lag2, f1, f2, g = run
 
     def result(kernel):
@@ -808,11 +841,20 @@ def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
         try:
             traj, outcome = integrate(spec, horizon=3.0, dt=dt)
         except IntegrationError as e:
-            return str(e)
+            return str(e), None
         nodes = [traj.step_times().tobytes()] + [traj.step_values(c).tobytes() for c in range(4)]
-        return nodes, outcome.status, [bits(v) for v in outcome.final_state], outcome.diagnostics
+        diagnostics = dict(outcome.diagnostics)
+        compiled = diagnostics.pop("compiled_steps")
+        inside = steps_reading_inside(traj, [lag1] if lag2 is None else [lag1, lag2])
+        return (nodes, outcome.status, [bits(v) for v in outcome.final_state], diagnostics), (compiled, inside)
 
-    assert result(PointMassKernel) == result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
+    point, point_counts = result(PointMassKernel)
+    mixture, mixture_counts = result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
+    assert point == mixture
+    if point_counts is not None:
+        compiled, inside = point_counts
+        assert compiled == point[3]["steps"] - inside
+        assert mixture_counts[0] == 0
 
 
 class CountedLag:
@@ -930,28 +972,37 @@ class TestPointLagStops:
         ],
     )
     def test_each_guard_names_itself_with_a_stored_lag(self, f, v, dt, threshold, ratio, guard, t_stop, x_stop):
+        # on both paths; at dt 0.3 the lag reads inside the step, which the
+        # compiled step leaves to the generic loop
         k = PointMassKernel("t-0.2")
-        _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), horizon=3.0, dt=dt,
-                               blowup_threshold=threshold, stage_ratio=ratio)
-        assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
-        assert outcome.blowup_time == outcome.t_final == t_stop
-        assert outcome.final_state == (x_stop, x_stop)
+        for path in PATHS:
+            _, outcome = integrate(on_path(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), path), horizon=3.0, dt=dt,
+                                   blowup_threshold=threshold, stage_ratio=ratio)
+            assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+            assert outcome.blowup_time == outcome.t_final == t_stop
+            assert outcome.final_state == (x_stop, x_stop)
+            compiled = outcome.diagnostics["steps"] if path == "compiled" and dt < 0.2 else 0
+            assert outcome.diagnostics["compiled_steps"] == compiled
 
     def test_domain_error_at_a_large_state_is_a_blow_up(self):
         f = "x^2+x+ln(2e6-x)"
         k = PointMassKernel("t-0.2")
-        _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
-        assert outcome.status == "blow-up" and outcome.t_final == 1.74
-        assert outcome.diagnostics["stage_guard"] == (
-            "domain-error:x^2.0 + x + ln(2000000.0 - x) at 2335488.544829695: math domain error"
-        )
+        for path in PATHS:
+            _, outcome = integrate(on_path(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), path), horizon=10.0,
+                                   dt=0.01)
+            assert outcome.status == "blow-up" and outcome.t_final == 1.74
+            assert outcome.diagnostics["stage_guard"] == (
+                "domain-error:x^2.0 + x + ln(2000000.0 - x) at 2335488.544829695: math domain error"
+            )
+            assert outcome.diagnostics["compiled_steps"] == (174 if path == "compiled" else 0)
 
     @pytest.mark.parametrize("lag, near", [("t", "0.6900000000000001"), ("t-0.2", "1.32"), ("t/2", "2.96")])
     def test_domain_error_at_a_small_state_fails(self, lag, near):
         f = "x^2+x+sqrt(5-x)"
         k = PointMassKernel(lag)
-        with pytest.raises(IntegrationError, match=rf"right-hand side failed near t={near}: .*math domain error"):
-            integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
+        for path in PATHS:
+            with pytest.raises(IntegrationError, match=rf"right-hand side failed near t={near}: .*math domain error"):
+                integrate(on_path(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), path), horizon=10.0, dt=0.01)
 
     def test_turning_lag_reads_the_whole_run(self):
         # the lagged time t - 1 - t^2/10 turns back for t > 5 and reaches
@@ -964,3 +1015,75 @@ class TestPointLagStops:
         _, fine = integrate(spec, horizon=12.0, dt=0.0025)
         assert (coarse.status, coarse.t_final) == ("reached-horizon", 12.0)
         assert max(abs(a - b) for a, b in zip(coarse.final_state, fine.final_state)) < 1e-8
+
+
+# -- the compiled step against the generic loop -------------------------------
+
+COMPILED_BODIES = ["x", "1+x/2", "2*tanh(x)", "x^2+x", "exp(x)", "sqrt(x-0.4)+1", "ln(x)+2", "x^2+x+ln(40-x)"]
+
+
+@st.composite
+def compiled_runs(draw):
+    """A system of point, window or mixture kernels, possibly one of each,
+    with production functions, G and rates in t that may leave their domain
+    or blow up, and blow-up guards that may fire early."""
+    dt = draw(st.sampled_from([0.02, 0.05, 0.1]))
+    def lags(low):
+        return st.one_of(
+            st.floats(min_value=low, max_value=3 * dt).map(lambda c: f"t-{c!r}"),  # in the step or the block's
+            st.floats(min_value=low, max_value=2.5).map(lambda c: f"t-{c!r}"),  # stored, or initial data
+            st.sampled_from(["t/2-0.5", "t-1-t^2/10"] + ["t", "t/2"] * (low == 0.0)),
+        )
+
+    def kernel():
+        kind = draw(st.sampled_from(["point", "uniform", "triangular", "mixture"]))
+        if kind == "point":
+            return PointMassKernel(draw(lags(0.0)))
+        if kind == "uniform":
+            return UniformDensityKernel(draw(lags(1e-3)))
+        if kind == "triangular":
+            return TriangularDensityKernel(draw(lags(1e-3)))
+        return GeneralMixtureKernel([(draw(lags(0.0)), 0.5)], density="1", density_lag=f"t-{0.5 + dt!r}")
+
+    k1 = kernel()
+    k2 = k1 if draw(st.booleans()) else kernel()
+    spec = spec_of(draw(st.sampled_from(COMPILED_BODIES)), draw(st.sampled_from(COMPILED_BODIES)),
+                   r1=draw(st.sampled_from(["1", "2", "1+sin(t)", "exp(-t/4)", "sqrt(2.5-t)"])),
+                   r2=draw(st.sampled_from(["1", "ln(t+0.5)+1", "1/(t+0.2)"])), k1=k1, k2=k2,
+                   phi=draw(st.sampled_from(["1", "0.5+t/4", "2+sin(3*t)"])), psi=draw(st.sampled_from(["1", "3+t"])),
+                   g1=draw(st.sampled_from([None, "x", "sqrt(x)"])), g2=draw(st.sampled_from([None, "x"])))
+    # a horizon off the step grid clamps the last step
+    options = dict(horizon=draw(st.sampled_from([3.0, 2.4321])), blowup_threshold=draw(st.sampled_from([1e12, 50.0])),
+                   stage_ratio=draw(st.sampled_from([2.0, 20.0])))
+    return spec, dt, options
+
+
+@given(compiled_runs())
+@settings(max_examples=120, deadline=None)
+def test_compiled_step_runs_bit_identically_to_the_generic_loop(run):
+    # node bytes, outcome, guard and error text; the generic loop takes no
+    # step compiled
+    spec, dt, options = run
+
+    def result(path):
+        try:
+            traj, outcome = integrate(on_path(spec, path), dt=dt, **options)
+        except Exception as e:  # noqa: BLE001 - the type and text are compared
+            return type(e).__name__, str(e)
+        diagnostics = dict(outcome.diagnostics)
+        if path == "generic":
+            assert diagnostics["compiled_steps"] == 0
+        del diagnostics["compiled_steps"]
+        return (traj._t[: traj.n + 1].tobytes(), traj._v[: traj.n + 1].tobytes(), outcome.status,
+                [bits(v) for v in outcome.final_state], outcome.t_final, outcome.blowup_time,
+                outcome.converged_point, outcome.extinct_time, diagnostics)
+
+    assert result("compiled") == result("generic")
+
+
+@pytest.mark.parametrize("name, value", [("horizon", math.nan), ("horizon", math.inf), ("horizon", -1.0),
+                                         ("dt", math.nan), ("dt", math.inf), ("dt", 0.0)])
+def test_non_finite_or_non_positive_horizon_and_dt_are_rejected(name, value):
+    args = {"horizon": 1.0, "dt": 0.01, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {value!r}$"):
+        integrate(linear_half_decay(), **args)
