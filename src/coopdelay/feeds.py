@@ -137,8 +137,8 @@ def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
 def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
                 eps_t: float, blocks: list):
     """The feeds of the derivative at the trajectory's front, then of each
-    step, one item per step: [fx, fy, fx, fy] at the step's midpoint and at
-    its end, a tuple when each is a number or None.  grid is the run's step
+    step, one item per step: the tuple (fx, fy, fx, fy) at the step's
+    midpoint and at its end, whatever the feeds are.  grid is the run's step
     grid, None without density parts; blocks[0] counts the blocks built.  A
     block is built when the run reaches its first step, at most twice as
     long as the last (MIN_BLOCK to MAX_BLOCK steps)."""
@@ -286,7 +286,7 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
             except ERRORS as e:
                 feed = _Raise(e)
             item.append(feed)
-    return [item if len(item) == 4 else item * 2]
+    return [tuple(item if len(item) == 4 else item * 2)]
 
 
 def _pairs(feeds):
@@ -301,11 +301,12 @@ class _Block:
     """The rows of one block and what its kernels read there: the point
     lags' stored times up to the front, read together (`values`, the x and
     the y row), times in the block's own steps, read once stored (`read`),
-    and the windows' weights.  `deferred`: some feed is not a number or None.
+    and the windows' weights.  `items` pairs the two kernels' feeds into one
+    tuple per step, whatever the feeds are.
     """
 
     __slots__ = ("traj", "grid", "taus", "starts", "front", "short", "points", "offsets", "stored",
-                 "zero", "values", "windows", "late", "deferred")
+                 "zero", "values", "windows", "late")
 
     def __init__(self, traj: Trajectory, grid, ahead: _Ahead, n: int, points: dict, windows: dict):
         self.traj, self.grid = traj, grid
@@ -314,7 +315,6 @@ class _Block:
         self.front = front = traj.t_front
         self.short = n < 2 * MIN_BLOCK
         self.late: dict = {}
-        self.deferred = bool(windows)
         times: list = []
         self.points = {}
         self.offsets = {}
@@ -335,7 +335,6 @@ class _Block:
             plan = self.points[key] = [
                 s if s.__class__ is _Raise or s <= t0 else None if s >= t else _InStep(t0, t, s)
                 for s, t, t0 in zip(plan, taus, starts)]
-            self.deferred = self.deferred or any(s is not None and s.__class__ in _DEFERRED for s in plan)
         if not times:
             self.values = ((), ())
         elif self.short:
@@ -357,15 +356,11 @@ class _Block:
         return xy
 
     def items(self, fx, fy):
-        if not self.deferred and fx.__class__ is list and fy.__class__ is list:
+        if fx.__class__ is list and fy.__class__ is list:
             if len(fx) == 1:
                 fx, fy = fx * 2, fy * 2
             return list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
-        return self._items(_pairs(fx), _pairs(fy))
-
-    def _items(self, fx, fy):
-        for (xm, xe), (ym, ye) in zip(fx, fy):
-            yield [xm, ym, xe, ye] if self.deferred else (xm, ym, xe, ye)
+        return ((xm, ym, xe, ye) for (xm, xe), (ym, ye) in zip(_pairs(fx), _pairs(fy)))
 
 
 class _Reader:
@@ -407,7 +402,6 @@ class _Reader:
                         v = block.traj.value_scalar(s, comp)
                     s = f(v)
                 except ERRORS as e:
-                    block.deferred = True
                     s = _Raise(e)
             out.append(s)
         return self._late(out, late, f) if late else out
@@ -421,7 +415,6 @@ class _Reader:
                 try:
                     out[r] = f(block.read(out[r])[comp])
                 except ERRORS as e:
-                    block.deferred = True
                     out[r] = _Raise(e)
                 r = next(late, -1)
             yield out[2 * j], out[2 * j + 1]
@@ -444,7 +437,6 @@ class _Reader:
     def mix(self, atoms: list, density):
         """Per step, (midpoint, end) sums of the weighted atoms' feeds and
         then the density's."""
-        self.block.deferred = True
         parts = [(w, _pairs(feeds)) for w, feeds in atoms] + ([(1.0, density)] if density is not None else [])
         for _ in range((len(self.block.taus) + 1) // 2):
             pairs = [(w, next(feeds)) for w, feeds in parts]

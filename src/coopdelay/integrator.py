@@ -20,32 +20,31 @@ times (t + h/2 for k2 and k3, t + h for k4 and the end-of-step
 derivative); stored history changes only after the step is accepted.
 
 Feedbacks.  Every right-hand side, the derivative at t = 0's included,
-takes its two feedbacks from `feeds.block_feeds`, a block of upcoming steps
-at a time; what they read inside the step is read at the stage with
-`feeds.window_feed`.  A step whose feeds are numbers, or f of the stage
-state for a zero lag, runs the `plain` right-hand side, any other step the
-`general` one, which reads toward the stage state from the step's start.
+takes its two feedbacks from `feeds.block_feeds`, one item of four feeds
+per step (x and y at the step's midpoint, then at its end) read a block of
+upcoming steps at a time; what they read inside the step is read at the
+stage with `feeds.window_feed`.
 
-The compiled step.  With both production functions expressions and no
-mixture kernel, `integrate` generates one function for its run
-(`_compile_steps`, from `expr._emit`'s source of f, r and G) that takes
-every step whose item is plain for its kernels with all of it inline: a
-number, or None for f of the stage state, for a point kernel, and a
-window's known sum with its tail panel for a uniform or triangular window.
-It forms the stage states, r(t) * (G(x) * (feed - x)) and the window's
-tail in `rhs`'s and `window_feed`'s operation order, so its nodes are
-bit-identical to the generic loop's; each rate is evaluated once per stage
-time, and a rate of 1 or an unset G folds away (1.0 * z == z).  The guards
-come in their order, each a test without calls that fires wherever the
-generic guard fires (and also at a state equal to the threshold or on a NaN
-increment); each accepted step is stored and checked for extinction as
-below.  At an item that is not plain, an exception of the inline
-arithmetic, a guard that fires or a non-finite derivative, it hands the
-state before the step and the step's item back, and the generic loop runs
-that step through `plain` or `general`, `rhs` and `Expression.evaluate`: it
-alone raises or names a guard.  Callable-backed production functions and
-mixtures run the generic loop throughout.  The derivative at t = 0 always
-takes `rhs`.
+The step.  `_compile_steps` writes the RK4 step once, as a template of
+Python source, and renders it in two ways.  The compiled loop, generated
+when both production functions are expressions and no kernel is a mixture,
+takes every step whose feeds are plain for its kernels with all of it
+inline (from `expr._emit`'s source of f, r and G): a number, or None for f
+of the stage state, for a point kernel, and a window's known sum with its
+tail panel for a uniform or triangular window.  It forms the stage states,
+r(t) * (G(x) * (feed - x)) and the window's tail in `rhs`'s and
+`window_feed`'s operation order; each rate is evaluated once per stage time,
+and a rate of 1 or an unset G folds away (1.0 * z == z).  Its guards are
+tests without calls that fail wherever the checked guards fire (and also at
+a state equal to the threshold or on a NaN increment).  At a feed that is
+not plain, an exception of the inline arithmetic, a guard that fails or a
+non-finite derivative it hands the state before the step and the step's
+item back.  The checked step, generated when a run first needs it, takes
+that one step, and every step of a run the compiled loop does not take:
+each stage calls `rhs` (as the module holds it then) on the `window_feed`
+values, and each guard raises with its name and the values it compared.
+Both store each accepted step; the nodes they make are bit-identical.  The
+derivative at t = 0 is one `rhs` call.
 
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
 ends and Hermite midpoints, with f of each node evaluated once; the panel
@@ -55,8 +54,12 @@ above and ends at the stage state (see `feeds`).
 Runs terminate early on blow-up or on convergence of the state over a
 trailing window.  Blow-up is declared when a state or stage value passes
 the threshold, turns non-finite, or a stage increment outruns the step
-(|dt * k| > ratio * (1 + |state|)); the reported time is the last accepted
-state, the final moment the trajectory is trustworthy.
+(|dt * k| > ratio * (1 + |state|), six times the ratio for k4); the
+reported time is the last accepted state, the final moment the trajectory
+is trustworthy, and the diagnostics name the guard and the values it
+compared.  A domain error at a state past 1e6 is a blow-up too; any other
+error a feed or the right-hand side raises (`feeds.ERRORS`) ends the run
+with IntegrationError.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import numpy as np
 from .dynamics import SystemSpec, rhs
 from .kernels import HistoryUnderflowError, PointMassKernel, _DensityWindowKernel
 from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
-from .feeds import block_feeds, step_end, window_feed
+from .feeds import ERRORS, block_feeds, window_feed
 
 __all__ = [
     "Trajectory",
@@ -94,7 +97,16 @@ class IntegrationError(RuntimeError):
 
 
 class _StageGuard(Exception):
-    """A blow-up guard fired inside a step; the argument names it."""
+    """A blow-up guard fired inside a step; the arguments are its name and
+    the values it compared."""
+
+
+def _json_safe(v):
+    """A guard value for the report: a non-finite float as "nan", "inf" or
+    "-inf", which strict JSON lacks, also inside a list."""
+    if v.__class__ is list:
+        return [_json_safe(u) for u in v]
+    return v if math.isfinite(v) else str(v)
 
 
 def _hermite(s, h, v0, v1, d0, d1):
@@ -396,9 +408,11 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
 
 
 def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
-                   eps_t: float, threshold: float, ratio: float, converge: bool, extinction: float):
-    """The run's compiled step (see the module docstring), or None when a
-    production function is not an expression or a kernel is a mixture.
+                   eps_t: float, threshold: float, ratio: float, converge: bool, extinction: float,
+                   checked: bool = False):
+    """The run's RK4 step (see the module docstring), rendered from one
+    template: the compiled loop (None when a production function is not an
+    expression or a kernel is a mixture), or with checked the checked step.
 
     run(feeds, t, x, y, dx, dy, steps) takes steps from the state at t, whose
     slopes are dx, dy and which ends step number steps, and returns the state
@@ -407,29 +421,35 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
     step.  At a step whose item is not plain, which raises, fires a guard or
     ends in a non-finite derivative, it returns the state before the step and
     the step's item instead.
+
+    step(item, t, x, y, dx, dy, steps) takes that step with the feeds of
+    item, stores its end and returns the end state with its slopes.  A guard
+    that fires raises _StageGuard(name, values), values what it compared;
+    what a feed or the right-hand side raises passes through.
     """
-    kinds = []
-    for kernel in (spec.k1, spec.k2):
-        if isinstance(kernel, PointMassKernel):
-            kinds.append("point")
-        elif isinstance(kernel, _DensityWindowKernel):
-            kinds.append("window")
-        else:
+    if not checked:
+        kinds = ["point" if isinstance(kernel, PointMassKernel) else
+                 "window" if isinstance(kernel, _DensityWindowKernel) else None for kernel in (spec.k1, spec.k2)]
+        if None in kinds or spec.f1.expression is None or spec.f2.expression is None:
             return None
-    if spec.f1.expression is None or spec.f2.expression is None:
-        return None
-    # per component: its name, f, its kernel's kind, the component f reads, r and G
-    comps = (("x", spec.f1.expression.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
-             ("y", spec.f2.expression.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
+        # per component: its name, f, its kernel's kind, the component f reads, r and G
+        comps = (("x", spec.f1.expression.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
+                 ("y", spec.f2.expression.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
 
     def rates(tv: str) -> list:
-        """Each rate at the stage time tv, once; a rate of 1 folds away."""
-        return [f"r{c} = {_emit(r, tv)}" for c, _, _, _, r, _ in comps if r != Num(1.0)]
+        """Each rate at the stage time tv, once; a rate of 1 folds away.  The
+        checked step leaves them to rhs."""
+        return [] if checked else [f"r{c} = {_emit(r, tv)}" for c, _, _, _, r, _ in comps if r != Num(1.0)]
 
     def derivative(slot: str, state: dict, out: dict) -> list:
         """rhs's r * (G * (feed - state)) at the state, from the feeds at
-        slot, m (the midpoint) or e (the end), in rhs's and window_feed's
-        operation order."""
+        slot, m (the midpoint) or e (the end): inline in rhs's and
+        window_feed's operation order, or in the checked step the module's
+        rhs of the window_feed values."""
+        if checked:
+            xs, ys = state["x"], state["y"]
+            return [f"{out['x']}, {out['y']} = rhs(spec, {'tm' if slot == 'm' else 't1'}, {xs}, {ys}, "
+                    f"window_feed(f1, fx{slot}, {ys}, y, dy), window_feed(f2, fy{slot}, {xs}, x, dx))"]
         lines = []
         for c, f, kind, read, r, g in comps:
             feed, us = f"f{c}{slot}", state[read]
@@ -444,27 +464,29 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
             lines.append(f"{out[c]} = {term}" if r == Num(1.0) else f"{out[c]} = r{c} * {term}")
         return lines
 
-    # the generic guard's tests without calls: they fail wherever those fire,
-    # and also at a state equal to the threshold or on a NaN increment, where
-    # the generic loop then decides
-    def guard(*tests: str) -> list:
+    def guard(name: str, state: tuple, k: tuple | None = None, tested: bool = True) -> list:
+        """The guard on the state (unless not tested) and on the increments
+        h * k (with k).  The checked step's test fires at a state past the
+        threshold or non-finite, or an increment past the bound; the compiled
+        loop's tests without calls fail wherever that fires, and also at a
+        state equal to the threshold or on a NaN increment, where the checked
+        step then decides."""
+        (sx, sy), tests = state, []
+        if checked:
+            values = f"'state': [{sx}, {sy}], 'threshold': THRESHOLD"
+            if tested:
+                tests += [f"abs({sx}) > THRESHOLD", f"abs({sy}) > THRESHOLD",
+                          f"not (isfinite({sx}) and isfinite({sy}))"]
+            if k is not None:
+                tests.append(f"h * max(abs({k[0]}), abs({k[1]})) > bound")
+                values += f", 'increments': [h * {k[0]}, h * {k[1]}], 'bound': bound"
+            return [f"if {' or '.join(tests)}:", f"    raise StageGuard({name!r}, {{{values}}})"]
+        if tested:
+            tests += [f"-THRESHOLD < {sx} < THRESHOLD", f"-THRESHOLD < {sy} < THRESHOLD"]
+        if k is not None:
+            tests += [f"-bound <= h * {k[0]} <= bound", f"-bound <= h * {k[1]} <= bound"]
         return [f"if not ({' and '.join(tests)}):", "    return t, x, y, dx, dy, steps, item"]
 
-    def states(sx: str, sy: str) -> tuple:
-        return f"-THRESHOLD < {sx} < THRESHOLD", f"-THRESHOLD < {sy} < THRESHOLD"
-
-    def increments(kx: str, ky: str) -> tuple:
-        return f"-bound <= h * {kx} <= bound", f"-bound <= h * {ky} <= bound"
-
-    plain, unpack = [], []
-    for c, _, kind, _, _, _ in comps:
-        for slot in "me":
-            feed = f"f{c}{slot}"
-            if kind == "point":
-                plain.append(f"({feed} is None or {feed}.__class__ is float)")
-            else:
-                plain.append(f"{feed}.__class__ is tuple")
-                unpack.append(f"s{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, c{c}{slot} = {feed}")
     stage = {"x": "sx", "y": "sy"}
     body = [
         "h = t1 - t",
@@ -473,61 +495,78 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         "bound = RATIO * scale0",
         "sx = x + 0.5 * h * dx",
         "sy = y + 0.5 * h * dy",
-        *guard(*states("sx", "sy"), *increments("dx", "dy")),
+        *guard("stage-1", ("sx", "sy"), ("dx", "dy")),
         *rates("tm"),
         *derivative("m", stage, {"x": "k2x", "y": "k2y"}),
         "sx = x + 0.5 * h * k2x",
         "sy = y + 0.5 * h * k2y",
-        *guard(*states("sx", "sy"), *increments("k2x", "k2y")),
+        *guard("stage-2", ("sx", "sy"), ("k2x", "k2y")),
         *derivative("m", stage, {"x": "k3x", "y": "k3y"}),
         "sx = x + h * k3x",
         "sy = y + h * k3y",
-        *guard(*states("sx", "sy"), *increments("k3x", "k3y")),
+        *guard("stage-3", ("sx", "sy"), ("k3x", "k3y")),
         *rates("t1"),
         *derivative("e", stage, {"x": "k4x", "y": "k4y"}),
         # k4's state passed stage-3, so only its increment can fire here
         "bound = RATIO4 * scale0",
-        *guard(*increments("k4x", "k4y")),
+        *guard("stage-4", ("sx", "sy"), ("k4x", "k4y"), tested=False),
         "x1 = x + (h / 6.0) * (dx + 2.0 * k2x + 2.0 * k3x + k4x)",
         "y1 = y + (h / 6.0) * (dy + 2.0 * k2y + 2.0 * k3y + k4y)",
-        *guard(*states("x1", "y1")),
+        *guard("state-threshold", ("x1", "y1")),
         *derivative("e", {"x": "x1", "y": "y1"}, {"x": "dx1", "y": "dy1"}),
     ]
-    source = "\n".join([
-        "def run(feeds, t, x, y, dx, dy, steps):",
-        "    while t < LIMIT:",
-        "        t1 = (steps + 1) * DT",
-        "        if t1 >= LIMIT:",
-        "            t1 = HORIZON",
-        "        item = next(feeds)",
-        "        fxm, fym, fxe, fye = item",
-        f"        if not ({' and '.join(plain)}):",
-        "            return t, x, y, dx, dy, steps, item",
-        *("        " + line for line in unpack),
-        "        try:",
-        *("            " + line for line in body),
-        "        except Exception:",
-        "            return t, x, y, dx, dy, steps, item",
-        # a non-finite k2, k3 or k4 makes the next guarded state non-finite
-        "        if not (isfinite(dx1) and isfinite(dy1)):",
-        "            return t, x, y, dx, dy, steps, item",
-        "        append(t1, x1, y1, dx1, dy1)",
-        *(["        push(t1, x1, y1, dx1, dy1)"] if grid is not None else []),
-        "        steps += 1",
-        "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
-        "        if max(abs(x), abs(y)) < EXTINCTION:",
-        "            break",
-        *(["        if steps % CHECK_EVERY == 0:", "            break"] if converge else []),
-        "    return t, x, y, dx, dy, steps, None",
-    ])
+    end = ["t1 = (steps + 1) * DT", "if t1 >= LIMIT:", "    t1 = HORIZON"]
+    store = ["append(t1, x1, y1, dx1, dy1)", *(["push(t1, x1, y1, dx1, dy1)"] if grid is not None else [])]
+    if checked:
+        source = "\n".join([
+            "def step(item, t, x, y, dx, dy, steps):",
+            *("    " + line for line in [*end, "fxm, fym, fxe, fye = item", *body, *store,
+                                         "return t1, x1, y1, dx1, dy1"]),
+        ])
+    else:
+        plain, unpack = [], []
+        for c, _, kind, _, _, _ in comps:
+            for slot in "me":
+                feed = f"f{c}{slot}"
+                if kind == "point":
+                    plain.append(f"({feed} is None or {feed}.__class__ is float)")
+                else:
+                    plain.append(f"{feed}.__class__ is tuple")
+                    unpack.append(f"s{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, c{c}{slot} = {feed}")
+        source = "\n".join([
+            "def run(feeds, t, x, y, dx, dy, steps):",
+            "    while t < LIMIT:",
+            *("        " + line for line in end),
+            "        item = next(feeds)",
+            "        fxm, fym, fxe, fye = item",
+            f"        if not ({' and '.join(plain)}):",
+            "            return t, x, y, dx, dy, steps, item",
+            *("        " + line for line in unpack),
+            "        try:",
+            *("            " + line for line in body),
+            "        except Exception:",
+            "            return t, x, y, dx, dy, steps, item",
+            # a non-finite k2, k3 or k4 makes the next guarded state non-finite
+            "        if not (isfinite(dx1) and isfinite(dy1)):",
+            "            return t, x, y, dx, dy, steps, item",
+            *("        " + line for line in store),
+            "        steps += 1",
+            "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
+            "        if max(abs(x), abs(y)) < EXTINCTION:",
+            "            break",
+            *(["        if steps % CHECK_EVERY == 0:", "            break"] if converge else []),
+            "    return t, x, y, dx, dy, steps, None",
+        ])
+    # rhs as the module holds it now, so a patched rhs counts the checked step's calls
     namespace = dict(
         _SCALAR_ENV, next=next, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite,
         append=traj.append, push=grid.push if grid is not None else None, LIMIT=horizon - eps_t, DT=dt,
         HORIZON=horizon, THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction,
-        CHECK_EVERY=CHECK_EVERY,
+        CHECK_EVERY=CHECK_EVERY, rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2,
+        StageGuard=_StageGuard,
     )
-    exec(compile(source, "<compiled step>", "exec"), namespace)
-    return namespace.pop("run")  # the namespace would hold it in a cycle
+    exec(compile(source, f"<{'checked' if checked else 'compiled'} step>", "exec"), namespace)
+    return namespace.pop("step" if checked else "run")  # the namespace would hold it in a cycle
 
 
 def integrate(
@@ -554,25 +593,9 @@ def integrate(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
     traj = Trajectory(spec.phi, spec.psi, capacity=min(1 << 20, int(horizon / dt) + 64))
-    f1, f2 = spec.f1, spec.f2
     x, y = spec.phi.value_at_zero, spec.psi.value_at_zero
     t = 0.0
     eps_t = 1e-12 * max(1.0, horizon)
-    # the step's feeds, and its start values and slopes
-    fed = start = None
-
-    def plain(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
-        """rhs at the step's midpoint (i = 0) or end (i = 2), fed holding
-        the stage's feeds at i and i + 1: numbers, or None for f of the
-        stage state."""
-        fx, fy = fed[i], fed[i + 1]
-        return rhs(spec, ts, xs, ys, f1(ys) if fx is None else fx, f2(xs) if fy is None else fy)
-
-    def general(ts: float, xs: float, ys: float, i: int) -> tuple[float, float]:
-        """rhs as `plain`, for feeds of any kind."""
-        x0, y0, dx0, dy0 = start
-        return rhs(spec, ts, xs, ys, window_feed(f1, fed[i], ys, y0, dy0),
-                   window_feed(f2, fed[i + 1], xs, x0, dx0))
 
     # the start node goes in before the first right-hand side, whose value
     # is the node's slope: that call reads only times <= 0, which do not
@@ -581,90 +604,49 @@ def integrate(
     grid = _StepGrid(traj, dt) if spec.k1.density_lag is not None or spec.k2.density_lag is not None else None
     blocks = [0]
     feeds = block_feeds(spec, traj, grid, dt, horizon, eps_t, blocks)
-    fed = next(feeds)
-    start = (x, y, 0.0, 0.0)
+    _, _, fx, fy = next(feeds)
     try:
-        dx, dy = (plain if fed.__class__ is tuple else general)(t, x, y, 2)
-    except EvalDomainError as e:
+        dx, dy = rhs(spec, t, x, y, window_feed(spec.f1, fx, y, y, 0.0), window_feed(spec.f2, fy, x, x, 0.0))
+    except ERRORS as e:
         raise IntegrationError(f"right-hand side failed at t=0: {e}") from e
     traj._v[0, 2:] = dx, dy
 
     steps = 0
-    guard_note = None
+    guard_note = guard_values = None
     status = "reached-horizon"
     blow_time = None
     conv_point = None
     extinct_time = None
-    isfinite = math.isfinite
-    run = _compile_steps(spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio,
-                         converge_rtol > 0.0, extinction_threshold)
+    options = (spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio, converge_rtol > 0.0,
+               extinction_threshold)
+    run = _compile_steps(*options)
+    step = None  # the checked step, compiled when a step first needs it
     compiled = 0
-
-    def guard(name: str, sx: float, sy: float, kx: float = 0.0, ky: float = 0.0,
-              ratio: float = stage_ratio) -> None:
-        """Stop the step when a state is non-finite or past the threshold, or
-        its increment h * k outruns ratio * (1 + |step start state|)."""
-        if (
-            abs(sx) > blowup_threshold
-            or abs(sy) > blowup_threshold
-            or not (isfinite(sx) and isfinite(sy))
-            or h * max(abs(kx), abs(ky)) > ratio * scale0
-        ):
-            raise _StageGuard(name)
 
     while t < horizon - eps_t:
         if run is None:
-            fed = next(feeds)
+            item = next(feeds)
         else:
             taken = steps
-            t, x, y, dx, dy, steps, fed = run(feeds, t, x, y, dx, dy, steps)
+            t, x, y, dx, dy, steps, item = run(feeds, t, x, y, dx, dy, steps)
             compiled += steps - taken
-        if fed is not None:  # the step, generic
-            t1 = step_end(steps, dt, horizon, eps_t)
-            h = t1 - t
-            tm = t + 0.5 * h
-            scale0 = 1.0 + max(abs(x), abs(y))
-            if fed.__class__ is tuple:
-                deriv = plain
-            else:
-                deriv = general
-                start = (x, y, dx, dy)
-            k1x, k1y = dx, dy
+        if item is not None:  # the step, checked
+            if step is None:
+                step = _compile_steps(*options, checked=True)
             try:
-                sx = x + 0.5 * h * k1x
-                sy = y + 0.5 * h * k1y
-                guard("stage-1", sx, sy, k1x, k1y)
-                k2x, k2y = deriv(tm, sx, sy, 0)
-                sx = x + 0.5 * h * k2x
-                sy = y + 0.5 * h * k2y
-                guard("stage-2", sx, sy, k2x, k2y)
-                k3x, k3y = deriv(tm, sx, sy, 0)
-                sx = x + h * k3x
-                sy = y + h * k3y
-                guard("stage-3", sx, sy, k3x, k3y)
-                k4x, k4y = deriv(t1, sx, sy, 2)
-                # k4's state passed stage-3, so only its increment can fire here
-                guard("stage-4", sx, sy, k4x, k4y, 6.0 * stage_ratio)
-                x1 = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                y1 = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-                guard("state-threshold", x1, y1)
-                dx1, dy1 = deriv(t1, x1, y1, 2)
+                t, x, y, dx, dy = step(item, t, x, y, dx, dy, steps)
             except _StageGuard as e:
-                guard_note = e.args[0]
+                guard_note, values = e.args
+                guard_values = {key: _json_safe(v) for key, v in values.items()}
                 status = "blow-up"
                 break
-            except EvalDomainError as e:
-                if max(abs(x), abs(y)) > 1e6:
-                    guard_note = f"domain-error:{e}"
-                    status = "blow-up"
-                    break
-                raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
-
-            traj.append(t1, x1, y1, dx1, dy1)
-            if grid is not None:
-                grid.push(t1, x1, y1, dx1, dy1)
+            except ERRORS as e:
+                if not (isinstance(e, EvalDomainError) and max(abs(x), abs(y)) > 1e6):
+                    raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
+                guard_note = f"domain-error:{e}"
+                status = "blow-up"
+                break
             steps += 1
-            t, x, y, dx, dy = t1, x1, y1, dx1, dy1
 
         if max(abs(x), abs(y)) < extinction_threshold:
             status = "extinct"
@@ -696,7 +678,7 @@ def integrate(
         converged_point=conv_point,
         extinct_time=extinct_time,
         diagnostics={"steps": steps, "blocks": blocks[0], "dt": dt, "stage_guard": guard_note,
-                     "compiled_steps": compiled},
+                     "guard_values": guard_values, "compiled_steps": compiled},
     )
     return traj, outcome
 

@@ -198,6 +198,7 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
         if j >= 0 and traj.t_front >= horizon - eps_t:
             break
         item = next(items)
+        assert item.__class__ is tuple  # one item shape, whatever its feeds
         t0 = traj.t_front
         start = tuple(traj._v[traj.n, :2].tolist())
         slope = tuple(traj._v[traj.n, 2:].tolist())

@@ -11,6 +11,7 @@ from coopdelay import analysis, cli
 from coopdelay.analysis import classify
 from coopdelay.cli import (
     EXIT_CERTIFICATION,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     execute_run,
@@ -147,8 +148,14 @@ LINEAR_PAIR = (
         ("run", None, ["--horizon", "0"], EXIT_VALIDATION, "[numerics] horizon: must be positive"),
         ("classify", LINEAR_PAIR.format(lag="t - 1", phi="1") + "[numerics]\nx_max = -5\n", [],
          EXIT_VALIDATION, "[numerics] x_max: must be positive"),
+        # the window is empty on [1.2325, 1.2365], between the validation's
+        # grid times 0.05 apart: the step that reads it fails by name
+        ("run", "[system]\nf1 = 1 + x/2\nf2 = 1 + x/2\nr1 = 1\nr2 = 1\nphi = 1\npsi = 1\n"
+         'kernel1 = uniform lag="t - min(0.5, max(0, abs(t - 1.2345) - 0.002))"\nkernel2 = point lag="t - 1"\n'
+         "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
+         "numerical: right-hand side failed near t=1.232: kernel window is empty at t=1.2325 (floor 1.2325)"),
     ],
-    ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative"],
+    ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "empty-window"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"
@@ -330,6 +337,9 @@ class TestPipeline:
         outcome = result.report["outcome"]
         assert outcome["status"] == "blow-up" and outcome["blowup_time"] == 0.0
         assert outcome["diagnostics"]["stage_guard"] == "stage-1"
+        # the increment h * k = 1e-2 * 1e10 outran 2 * (1 + 1e5)
+        assert json.loads(result.report_path.read_text())["outcome"]["diagnostics"]["guard_values"] == {
+            "state": [50100000.0, 50100000.0], "increments": [1e8, 1e8], "threshold": 1e12, "bound": 200002.0}
         assert result.trajectory_path.read_text().splitlines() == ["t,x,y", "0,100000,100000"]
         assert result.report["certification"]["status"] == "pass"
 

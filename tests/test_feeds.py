@@ -168,8 +168,8 @@ def run(spec, horizon, dt):
 def test_domain_error_in_the_known_part_surfaces_at_the_per_stage_step():
     # y(s) = 1 + s below 0, and f1 is undefined below 0.5: the floor
     # t - 0.3 - t^2/2 moves back past -0.5 at t = 2.18, where the head read
-    # at the floor fails first; the message, stop time and, on the generic
-    # loop, whose every rhs call counts, the rhs call count are those of the
+    # at the floor fails first; the message, stop time and, on the checked
+    # step, whose every rhs call counts, the rhs call count are those of the
     # per-stage path this replaced; the compiled step raises the same
     def spec(path):
         return on_path(spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"),

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 from pathlib import Path
@@ -52,9 +53,9 @@ def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None,
 
 
 def on_path(spec, path):
-    """The spec for the compiled step, or for the generic loop alone a copy
-    with callable-backed production functions, which the compiled step does
-    not take."""
+    """The spec for the compiled step, or for the checked step alone
+    ("generic") a copy with callable-backed production functions, which the
+    compiled step does not take."""
     if path == "compiled":
         return spec
 
@@ -128,6 +129,15 @@ class TestBlowup:
         assert np.all(traj.step_values(0) > 0.0)
         assert np.all(traj.step_values(1) > 0.0)
 
+    # what each guard below compared, for x and y alike (see guard_values)
+    GUARD_VALUES = {
+        "stage-1": (8.467131617765407, 7.16211544013275, 11.772147795398064),
+        "stage-2": (41.93471205752041, 44.15345104726821, 41.7159730677726),
+        "stage-3": (107.78399030124336, 87.92600376735706, 417.15973067772603),
+        "stage-4": (78.26821793666733, 1837.7741816944974, 706.3288677238838),
+        "state-threshold": (5.334062067958716, None, None),
+    }
+
     @pytest.mark.parametrize(
         "f, dt, threshold, ratio, guard, t_stop",
         [
@@ -145,9 +155,32 @@ class TestBlowup:
             _, outcome = integrate(on_path(spec_of(f, f, phi="0.5", psi="0.5"), path), horizon=3.0, dt=dt,
                                    blowup_threshold=threshold, stage_ratio=ratio)
             assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+            assert outcome.diagnostics["guard_values"] == guard_values(threshold, *self.GUARD_VALUES[guard])
             assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
             steps = outcome.diagnostics["steps"]
             assert outcome.diagnostics["compiled_steps"] == (steps if path == "compiled" else 0)
+
+    def test_non_finite_guard_values_are_strict_json(self):
+        # G = 1e308 and -1e308 overflow the slopes at t = 0 to inf and -inf;
+        # with a NaN threshold only the finiteness test can fire
+        spec = spec_of("x+2", "x+2", g1="1e308", g2="-1e308")
+        for path in PATHS:
+            _, outcome = integrate(on_path(spec, path), horizon=1.0, dt=0.1, blowup_threshold=math.nan)
+            assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", "stage-1")
+            values = outcome.diagnostics["guard_values"]
+            assert values == {"state": ["inf", "-inf"], "increments": ["inf", "-inf"], "threshold": "nan",
+                              "bound": 4.0}
+            json.dumps(values, allow_nan=False)
+
+
+def guard_values(threshold, state, increment, bound):
+    """The report of a guard that fired on equal x and y: the stage state and
+    threshold, and the increments h * k and their bound unless the guard
+    compares states alone (None)."""
+    values = {"state": [state, state], "threshold": threshold}
+    if increment is not None:
+        values.update(increments=[increment, increment], bound=bound)
+    return values
 
 
 FAMILIES = {
@@ -641,6 +674,22 @@ def test_window_runs_repeat_bit_identically(name):
     assert oa.final_state == ob.final_state
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_the_compiled_step_takes_the_committed_configs(name):
+    # every accepted step but pantograph_logistic's first, whose lag t/2
+    # reads inside the step; a fall-back to the checked step would show
+    # nowhere else but in a slower benchmark
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    num = cfg.numerics
+    _, outcome = integrate(system_from_mapping(cfg.system), min(num.horizon, 3.0), num.dt,
+                           blowup_threshold=num.blowup_threshold, stage_ratio=num.stage_ratio,
+                           converge_rtol=num.converge_rtol, window_spans=num.window_spans,
+                           extinction_threshold=num.extinction_threshold)
+    steps = outcome.diagnostics["steps"]
+    assert steps > 0
+    assert outcome.diagnostics["compiled_steps"] == steps - (name == "pantograph_logistic")
+
+
 # state at t = 3 of the accuracy probes that read inside a step, from the
 # previous scheme at step 0.02/32: the windows by a fixed 64- and 32-panel
 # Simpson rule over dense history reads (that rule's own error is about
@@ -818,7 +867,7 @@ def point_runs(draw):
 def steps_reading_inside(traj, lags):
     """The accepted steps at one of whose stage times a lag reads inside the
     step, before the stage time: the feeds the compiled step leaves to the
-    generic loop."""
+    checked step."""
     ts = traj.step_times().tolist()
     lags = [parse(lag, var="t") for lag in lags]
     return sum(
@@ -961,6 +1010,15 @@ class TestPointStageView:
 
 
 class TestPointLagStops:
+    # what each guard below compared, for x and y alike (see guard_values)
+    GUARD_VALUES = {
+        "stage-1": (5.155893161464945, 0.5035610711295253, 11.808225251800366),
+        "stage-2": (51.13808999754686, 15.471021305079981, 88.80515869001373),
+        "stage-3": (5.248634720456737, 0.5157103721744206, 11.465848696564633),
+        "stage-4": (5642.815841386664, 79283.45712490736, 43178.731283468085),
+        "state-threshold": (99.1556951481846, None, None),
+    }
+
     @pytest.mark.parametrize(
         "f, v, dt, threshold, ratio, guard, t_stop, x_stop",
         [
@@ -973,12 +1031,13 @@ class TestPointLagStops:
     )
     def test_each_guard_names_itself_with_a_stored_lag(self, f, v, dt, threshold, ratio, guard, t_stop, x_stop):
         # on both paths; at dt 0.3 the lag reads inside the step, which the
-        # compiled step leaves to the generic loop
+        # compiled step leaves to the checked step
         k = PointMassKernel("t-0.2")
         for path in PATHS:
             _, outcome = integrate(on_path(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), path), horizon=3.0, dt=dt,
                                    blowup_threshold=threshold, stage_ratio=ratio)
             assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
+            assert outcome.diagnostics["guard_values"] == guard_values(threshold, *self.GUARD_VALUES[guard])
             assert outcome.blowup_time == outcome.t_final == t_stop
             assert outcome.final_state == (x_stop, x_stop)
             compiled = outcome.diagnostics["steps"] if path == "compiled" and dt < 0.2 else 0
@@ -994,6 +1053,7 @@ class TestPointLagStops:
             assert outcome.diagnostics["stage_guard"] == (
                 "domain-error:x^2.0 + x + ln(2000000.0 - x) at 2335488.544829695: math domain error"
             )
+            assert outcome.diagnostics["guard_values"] is None  # no named guard fired
             assert outcome.diagnostics["compiled_steps"] == (174 if path == "compiled" else 0)
 
     @pytest.mark.parametrize("lag, near", [("t", "0.6900000000000001"), ("t-0.2", "1.32"), ("t/2", "2.96")])
@@ -1017,7 +1077,7 @@ class TestPointLagStops:
         assert max(abs(a - b) for a, b in zip(coarse.final_state, fine.final_state)) < 1e-8
 
 
-# -- the compiled step against the generic loop -------------------------------
+# -- the compiled step against the checked step --------------------------------
 
 COMPILED_BODIES = ["x", "1+x/2", "2*tanh(x)", "x^2+x", "exp(x)", "sqrt(x-0.4)+1", "ln(x)+2", "x^2+x+ln(40-x)"]
 
@@ -1061,8 +1121,8 @@ def compiled_runs(draw):
 @given(compiled_runs())
 @settings(max_examples=120, deadline=None)
 def test_compiled_step_runs_bit_identically_to_the_generic_loop(run):
-    # node bytes, outcome, guard and error text; the generic loop takes no
-    # step compiled
+    # node bytes, outcome, guard, guard values and error text; the checked
+    # step takes every step of the "generic" path
     spec, dt, options = run
 
     def result(path):
