@@ -59,6 +59,8 @@ SCAN_GRID = 4097
 SCAN_TOL = 1e-9
 TOUCH_CANDIDATES = 8  # |delta| minima refined per scan
 BOX_MARGIN = 1e-12
+CERT_TOL = 1e-9  # slack of the certification's box and side-of-(K, f2(K)) checks
+FATE_TOL = 1e-3  # slack of certify_run's fate check
 
 
 class StallError(RuntimeError):
@@ -709,15 +711,13 @@ def permanence_bounds(
 # Run certification
 
 
-def initial_side(
-    spec: SystemSpec, K: float, f2K: float, t_floor: float, stol: float = 1e-9
-) -> str:
+def initial_side(spec: SystemSpec, K: float, f2K: float, t_floor: float) -> str:
     """above | below | mixed, from the initial data's sampled bounds."""
     lo1, hi1 = spec.phi.bounds(t_floor)
     lo2, hi2 = spec.psi.bounds(t_floor)
-    if lo1 >= K - stol and lo2 >= f2K - stol:
+    if lo1 >= K - CERT_TOL and lo2 >= f2K - CERT_TOL:
         return "above"
-    if hi1 <= K + stol and hi2 <= f2K + stol:
+    if hi1 <= K + CERT_TOL and hi2 <= f2K + CERT_TOL:
         return "below"
     return "mixed"
 
@@ -739,8 +739,6 @@ def certify_run(
     box: PermanenceBox | None = None,
     bounds: BoundSequences | None = None,
     caveats: tuple[str, ...] | list[str] = (),
-    box_tol: float = 1e-9,
-    fate_tol: float = 1e-3,
 ) -> CertificationReport:
     """Cross-check a finished simulation against its prediction.
 
@@ -771,10 +769,10 @@ def certify_run(
         t_enter = float(ts[np.argmax(entered)]) if entered.any() else ts[-1]
         mask = ts >= t_enter
         inside = (
-            (xs[mask] >= box.m1 - box_tol)
-            & (xs[mask] <= box.M1 + box_tol)
-            & (ys[mask] >= box.m2 - box_tol)
-            & (ys[mask] <= box.M2 + box_tol)
+            (xs[mask] >= box.m1 - CERT_TOL)
+            & (xs[mask] <= box.M1 + CERT_TOL)
+            & (ys[mask] >= box.m2 - CERT_TOL)
+            & (ys[mask] <= box.M2 + CERT_TOL)
         )
         if np.all(inside):
             checks.append({"name": "permanence-box", "status": "pass",
@@ -802,7 +800,7 @@ def certify_run(
     if expected == "to-equilibrium":
         gap_x = bounds.terminal_gap if bounds is not None else 0.0
         gap_y = bounds.terminal_gap_y if bounds is not None else 0.0
-        ok = abs(fx - K) <= gap_x + fate_tol and abs(fy - f2K) <= gap_y + fate_tol
+        ok = abs(fx - K) <= gap_x + FATE_TOL and abs(fy - f2K) <= gap_y + FATE_TOL
         checks.append({
             "name": "fate", "status": "pass" if ok else "fail",
             "detail": f"terminal ({fx:.6g}, {fy:.6g}) vs equilibrium ({K:.6g}, {f2K:.6g})",
@@ -823,11 +821,11 @@ def certify_run(
             rate = f"{-math.log(d2 / d1) / h:.6g}" if d2 < 0.0 else "inf"
         else:  # not a settling decay: nothing to extrapolate
             limit, rate = norms[2], "none"
-        ok = limit <= envelope + fate_tol
+        ok = limit <= envelope + FATE_TOL
         checks.append({
             "name": "fate", "status": "pass" if ok else "fail",
             "detail": (
-                f"extrapolated limit {limit:.6g} vs envelope {envelope + fate_tol:.6g} "
+                f"extrapolated limit {limit:.6g} vs envelope {envelope + FATE_TOL:.6g} "
                 f"(norms {norms[0]:.6g}, {norms[1]:.6g}, {norms[2]:.6g} at "
                 f"t={t2 - 2.0 * h:.6g}, {t2 - h:.6g}, {t2:.6g}; decay rate {rate})"
             ),
@@ -844,7 +842,7 @@ def certify_run(
 
     if K is not None:
         if side in ("above", "below"):
-            hit = detect_nonoscillation_violation(traj, K, f2K, side, tol=box_tol)
+            hit = detect_nonoscillation_violation(traj, K, f2K, side, tol=CERT_TOL)
             if hit is None:
                 checks.append({"name": "nonoscillation", "status": "pass",
                                "detail": f"{side}-side data stayed {side}"})

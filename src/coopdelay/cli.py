@@ -234,56 +234,40 @@ def execute_run(
 # command-line front end
 
 
-def _apply_overrides(config: RunConfig, args) -> None:
-    """Apply --dt and --horizon, range-checked like the file's own values."""
-    if getattr(args, "dt", None) is not None:
-        config.numerics.dt = args.dt
-    if getattr(args, "horizon", None) is not None:
-        config.numerics.horizon = args.horizon
-    check_numerics(config.numerics)
-
-
-def _cmd_run(args) -> int:
+def _cmd_execute(args) -> int:
+    """`run`, and `classify` (analysis only), which differs in what it prints."""
     try:
         config = load_config(args.config)
-        _apply_overrides(config, args)
+        # --dt and --horizon, range-checked like the file's own values
+        if args.dt is not None:
+            config.numerics.dt = args.dt
+        if args.horizon is not None:
+            config.numerics.horizon = args.horizon
+        check_numerics(config.numerics)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    result = execute_run(config, out_dir=args.out_dir)
+    analysis_only = args.cmd == "classify"
+    result = execute_run(config, analysis_only=analysis_only, out_dir=args.out_dir)
     if result.message:
         print(result.message, file=sys.stderr)
-    if result.report is not None:
-        outcome = result.report.get("outcome") or {}
-        cert = result.report.get("certification") or {}
-        print(
-            f"{config.label}: fate={result.report['fate']} "
-            f"outcome={outcome.get('status')} "
-            f"final={outcome.get('final_state')} "
-            f"certification={cert.get('status')}"
-        )
-        if result.report_path:
-            print(f"report: {result.report_path}")
-        if result.trajectory_path:
-            print(f"trajectory: {result.trajectory_path}")
-    return result.exit_code
-
-
-def _cmd_classify(args) -> int:
-    try:
-        config = load_config(args.config)
-        _apply_overrides(config, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    result = execute_run(config, analysis_only=True, out_dir=args.out_dir)
-    if result.message:
-        print(result.message, file=sys.stderr)
-    if result.report is not None:
-        print(
-            f"{config.label}: fate={result.report['fate']} K={result.report['K']} "
-            f"caveats={result.report['caveats']}"
-        )
+    report = result.report
+    if report is None:
+        return result.exit_code
+    if analysis_only:
+        print(f"{config.label}: fate={report['fate']} K={report['K']} caveats={report['caveats']}")
+        return result.exit_code
+    outcome = report.get("outcome") or {}
+    cert = report.get("certification") or {}
+    print(
+        f"{config.label}: fate={report['fate']} "
+        f"outcome={outcome.get('status')} "
+        f"final={outcome.get('final_state')} "
+        f"certification={cert.get('status')}"
+    )
+    # a run that returns a report has written it and its trajectory
+    print(f"report: {result.report_path}")
+    print(f"trajectory: {result.trajectory_path}")
     return result.exit_code
 
 
@@ -364,19 +348,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_run = sub.add_parser("run", help="validate, analyze, simulate, certify")
-    p_run.add_argument("config")
-    p_run.add_argument("--dt", type=float, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
-    p_run.add_argument("--out-dir", default=None)
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_cls = sub.add_parser("classify", help="analysis only, no integration")
-    p_cls.add_argument("config")
-    p_cls.add_argument("--dt", type=float, default=None)
-    p_cls.add_argument("--horizon", type=float, default=None)
-    p_cls.add_argument("--out-dir", default=None)
-    p_cls.set_defaults(fn=_cmd_classify)
+    for name, summary in (("run", "validate, analyze, simulate, certify"),
+                          ("classify", "analysis only, no integration")):
+        p_exec = sub.add_parser(name, help=summary)
+        p_exec.add_argument("config")
+        p_exec.add_argument("--dt", type=float, default=None)
+        p_exec.add_argument("--horizon", type=float, default=None)
+        p_exec.add_argument("--out-dir", default=None)
+        p_exec.set_defaults(fn=_cmd_execute)
 
     p_preset = sub.add_parser("preset", help="preset catalog")
     preset_sub = p_preset.add_subparsers(dest="preset_cmd", required=True)

@@ -23,8 +23,9 @@ Every validation failure names the offending section and key.
 from __future__ import annotations
 
 import configparser
+import math
 import shlex
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dynamics import InitialFunction, SystemSpec
@@ -224,8 +225,8 @@ def check_numerics(numerics: Numerics) -> None:
     """Raise ConfigError naming the first [numerics] value out of range."""
     for k in ("dt", "horizon", "x_max"):
         v = getattr(numerics, k)
-        if v is not None and v <= 0:
-            raise ConfigError(f"[numerics] {k}", "must be positive")
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"[numerics] {k}", "must be positive and finite")
     # the mixture mass check's Simpson rule needs two panels; a scan or
     # sampled check needs two points
     for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):

@@ -35,6 +35,8 @@ __all__ = [
 
 # wire name of the report caveat set when the rate-divergence heuristic fails
 RATE_DIVERGENCE_CAVEAT = "a5-heuristic-failed"
+# validate_system samples the initial data at this many times of the data window
+INIT_GRID = 2001
 
 
 class InitialFunction:
@@ -169,7 +171,6 @@ def validate_system(
     *,
     a1_grid: int = 10_001,
     kernel_grid: int = 101,
-    init_grid: int = 2001,
     n_quad: int = 64,
 ) -> ValidationReport:
     """Run every structural check the theory relies on.
@@ -225,7 +226,7 @@ def validate_system(
     rep.notes.append("rates checked non-negative and bounded on the sampled horizon only")
 
     rep.t_floor = spec.data_floor()
-    ts = np.linspace(rep.t_floor, 0.0, init_grid)
+    ts = np.linspace(rep.t_floor, 0.0, INIT_GRID)
     for name, init in (("phi", spec.phi), ("psi", spec.psi)):
         if init.value_at_zero <= 0.0:
             rep.errors.append(f"{name}: value at 0 must be strictly positive")

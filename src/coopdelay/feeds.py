@@ -520,10 +520,11 @@ class _WindowBlock:
         dh = kernel.density_at(tau[:, None], a[:, None], np.stack((a, mid, tm, tau, e, t0), axis=1))
         lead = int(first.max()) + 1
         d[:, :lead][np.arange(lead) <= first[:, None]] = 0.0  # inner nodes only
+        sixth = grid.dt / 6.0
         simpson = np.empty(s.size)
-        simpson[0::2] = grid.w[2]
-        simpson[1::2] = grid.w[1]
-        ends = np.where(first < last, grid.w[0], 0.0)
+        simpson[0::2] = 2.0 * sixth
+        simpson[1::2] = 4.0 * sixth
+        ends = np.where(first < last, sixth, 0.0)
         third = (e - a) / 6.0
         edge = (third + ends) * dh[:, 4]
         # density dotted with Simpson weights times f, plus the edge unless late

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import BinOp, Call, EvalDomainError, Expression, Neg, Node, Num, Var, parse
+from .expr import Call, EvalDomainError, Expression, Neg, Node, Num, Var, parse
 
 __all__ = [
     "ProductionFunction",

@@ -268,8 +268,9 @@ class _StepGrid:
     """x, y and f of them on the grid of step ends and step midpoints.
 
     Node times ascend and step ends sit at even indices, so a run of nodes
-    between step ends is a run of whole Simpson panels, weighted by `w`, dt/6
-    times 1, 4, 2, 4, ...  Each accepted step adds its midpoint and end
+    between step ends is a run of whole Simpson panels, weighted dt/6 times
+    1, 4, 2, 4, ... (see `feeds`).  Each accepted step adds its midpoint, the
+    value of its Hermite cubic at s = 1/2 (`_midpoint`), and its end
     (`push`); below the first stored time the times go on at multiples of
     dt/2 as far back as a floor has reached (`extend`).  f of a component is
     evaluated once per node, when a window first reads it (`fed`), after the
@@ -278,7 +279,7 @@ class _StepGrid:
     that first reads the failing node.
     """
 
-    __slots__ = ("traj", "dt", "n", "t", "xy", "w", "filled", "_fed")
+    __slots__ = ("traj", "dt", "n", "t", "xy", "filled", "_fed")
 
     def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
@@ -286,7 +287,6 @@ class _StepGrid:
         self.n = 0
         self.t = np.empty(0)
         self.xy = np.empty((2, 0))
-        self.w = np.empty(0)
         self.filled = [0, 0]  # per component, the lowest node that holds its value
         self._fed: dict = {}
         m = traj.n + 1
@@ -304,10 +304,6 @@ class _StepGrid:
         cap = self.t.size
         if size > cap:
             cap = max(size, 2 * cap)
-            w = np.full(cap, 2.0)
-            w[1::2] = 4.0
-            w[0] = 1.0
-            self.w = w * (self.dt / 6.0)
         elif not shift:
             return
         n = self.n
@@ -408,8 +404,7 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
 
 
 def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
-                   eps_t: float, threshold: float, ratio: float, converge: bool, extinction: float,
-                   checked: bool = False):
+                   eps_t: float, threshold: float, ratio: float, extinction: float, checked: bool = False):
     """The run's RK4 step (see the module docstring), rendered from one
     template: the compiled loop (None when a production function is not an
     expression or a kernel is a mixture), or with checked the checked step.
@@ -417,10 +412,11 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
     run(feeds, t, x, y, dx, dy, steps) takes steps from the state at t, whose
     slopes are dx, dy and which ends step number steps, and returns the state
     it reached with its slopes, the steps taken in all, and None: at the
-    horizon, at extinction, or, with converge, after every CHECK_EVERY-th
-    step.  At a step whose item is not plain, which raises, fires a guard or
-    ends in a non-finite derivative, it returns the state before the step and
-    the step's item instead.
+    horizon, at extinction, or after every CHECK_EVERY-th step, where the
+    caller checks the convergence window (and skips it when converge_rtol
+    is 0).  At a step whose item is not plain, which raises, fires a guard
+    or ends in a non-finite derivative, it returns the state before the step
+    and the step's item instead.
 
     step(item, t, x, y, dx, dy, steps) takes that step with the feeds of
     item, stores its end and returns the end state with its slopes.  A guard
@@ -554,7 +550,8 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
             "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
             "        if max(abs(x), abs(y)) < EXTINCTION:",
             "            break",
-            *(["        if steps % CHECK_EVERY == 0:", "            break"] if converge else []),
+            "        if steps % CHECK_EVERY == 0:",
+            "            break",
             "    return t, x, y, dx, dy, steps, None",
         ])
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
@@ -617,8 +614,7 @@ def integrate(
     blow_time = None
     conv_point = None
     extinct_time = None
-    options = (spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio, converge_rtol > 0.0,
-               extinction_threshold)
+    options = (spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio, extinction_threshold)
     run = _compile_steps(*options)
     step = None  # the checked step, compiled when a step first needs it
     compiled = 0

@@ -140,9 +140,6 @@ class DelayKernel:
     sampled_mass = False
     # the lag h(t) of the density part's window [h(t), t]; None without one
     density_lag = None
-    # the support floor is the kernel's one lag, so checking the floor
-    # checks its atom too
-    floor_is_only_lag = False
 
     def atom_lags(self) -> tuple[Expression, ...]:
         """The lag expressions of the kernel's point masses."""
@@ -186,7 +183,6 @@ class _LagKernel(DelayKernel):
     """A kernel fixed by its kind and one lag expression h(t)."""
 
     __slots__ = ("lag",)
-    floor_is_only_lag = True
 
     def __init__(self, lag: str | Expression):
         self.lag = _as_lag(lag)
@@ -324,15 +320,15 @@ class GeneralMixtureKernel(DelayKernel):
 
 
 def _check_at(kernel: DelayKernel, t: float, n_quad: int) -> KernelViolation | tuple[float, float]:
-    """Every check at the grid time t, one lag evaluation each: the
-    violation, or the span t - floor and the mass residual."""
+    """Every check at the grid time t: the violation, or the span t - floor
+    and the mass residual."""
     try:
         floor = kernel.support_floor(t)
         if floor > t + 1e-12:
             return KernelViolation(t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}")
         if not kernel.atom_lags():
             _check_window(floor, t)
-        for lag in () if kernel.floor_is_only_lag else kernel.atom_lags():
+        for lag in kernel.atom_lags():
             lv = lag.evaluate(t)
             if lv > t + 1e-12:
                 return KernelViolation(t, "advanced-lag", f"atom lag {lv!r} exceeds t={t!r}")

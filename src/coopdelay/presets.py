@@ -8,6 +8,7 @@ validation gate as a hand-written config file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,10 +29,15 @@ def _kernel_line(kind: str, tau: float, span: float) -> str:
     raise PresetParameterError(f"unknown kernel family {kind!r}")
 
 
-def _positive(params: dict, names: tuple[str, ...]) -> None:
+def _in_range(params: dict, names: tuple[str, ...], zero_ok: bool = False) -> None:
+    """Each named parameter must be a finite number, positive or, with
+    zero_ok, non-negative."""
     for n in names:
-        if not params[n] > 0:
-            raise PresetParameterError(f"{n} must be positive, got {params[n]!r}")
+        v = params[n]
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise PresetParameterError(f"{n} must be a finite number, got {v!r}")
+        if v < 0 or (v == 0 and not zero_ok):
+            raise PresetParameterError(f"{n} must be {'non-negative' if zero_ok else 'positive'}, got {v!r}")
 
 
 @dataclass
@@ -54,9 +60,8 @@ class Preset:
 
 
 def _tanh_build(p: dict) -> dict:
-    _positive(p, ("c1", "c2", "mu1", "mu2"))
-    if p["tau"] < 0:
-        raise PresetParameterError("tau must be non-negative")
+    _in_range(p, ("c1", "c2", "mu1", "mu2"))
+    _in_range(p, ("tau",), zero_ok=True)
     kernel = _kernel_line(p["kernel"], p["tau"], p["span"])
     return {
         "f1": f"({p['c1']!r}/{p['mu1']!r})*tanh(x)",
@@ -71,10 +76,8 @@ def _tanh_build(p: dict) -> dict:
 
 
 def _lotka_volterra_build(p: dict) -> dict:
-    _positive(p, ("a1", "a2", "b1", "b2"))
-    for n in ("A1", "A2"):
-        if p[n] < 0:
-            raise PresetParameterError(f"{n} must be non-negative, got {p[n]!r}")
+    _in_range(p, ("a1", "a2", "b1", "b2"))
+    _in_range(p, ("A1", "A2"), zero_ok=True)
     kernel = _kernel_line(p["kernel"], p["tau"], p["span"])
     return {
         "f1": f"({p['A1']!r} + {p['b1']!r}*x)/{p['a1']!r}",
@@ -91,7 +94,7 @@ def _lotka_volterra_build(p: dict) -> dict:
 
 
 def _gopalsamy_build(p: dict) -> dict:
-    _positive(p, ("K1", "K2", "alpha1", "alpha2"))
+    _in_range(p, ("K1", "K2", "alpha1", "alpha2"))
     for i in ("1", "2"):
         if not p[f"alpha{i}"] > p[f"K{i}"]:
             raise PresetParameterError(

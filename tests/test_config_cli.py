@@ -148,14 +148,26 @@ LINEAR_PAIR = (
         ("run", None, ["--horizon", "0"], EXIT_VALIDATION, "[numerics] horizon: must be positive"),
         ("classify", LINEAR_PAIR.format(lag="t - 1", phi="1") + "[numerics]\nx_max = -5\n", [],
          EXIT_VALIDATION, "[numerics] x_max: must be positive"),
+        ("classify", None, ["--dt", "nan"], EXIT_VALIDATION, "[numerics] dt: must be positive and finite"),
+        ("run", None, ["--horizon", "inf"], EXIT_VALIDATION, "[numerics] horizon: must be positive and finite"),
+        ("classify", LINEAR_PAIR.format(lag="t - 1", phi="1") + "[numerics]\nx_max = inf\n", [],
+         EXIT_VALIDATION, "[numerics] x_max: must be positive and finite"),
         # the window is empty on [1.2325, 1.2365], between the validation's
         # grid times 0.05 apart: the step that reads it fails by name
         ("run", "[system]\nf1 = 1 + x/2\nf2 = 1 + x/2\nr1 = 1\nr2 = 1\nphi = 1\npsi = 1\n"
          'kernel1 = uniform lag="t - min(0.5, max(0, abs(t - 1.2345) - 0.002))"\nkernel2 = point lag="t - 1"\n'
          "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
          "numerical: right-hand side failed near t=1.232: kernel window is empty at t=1.2325 (floor 1.2325)"),
+        # the lag is undefined on [1.2325, 1.2365], between the same grid
+        # times: the step that reads it names the lag and the time
+        ("run", "[system]\nf1 = 1 + x/2\nf2 = 1 + x/2\nr1 = 1\nr2 = 1\nphi = 1\npsi = 1\n"
+         'kernel1 = point lag="t - 1 - 0*ln(abs(t - 1.2345) - 0.002)"\nkernel2 = point lag="t - 1"\n'
+         "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
+         "numerical: right-hand side failed near t=1.232: "
+         "t - 1.0 - 0.0*ln(abs(t - 1.2345) - 0.002) at 1.233: math domain error"),
     ],
-    ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "empty-window"],
+    ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
+         "horizon-inf", "x_max-inf", "empty-window", "lag-raises"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"

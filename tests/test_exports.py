@@ -31,10 +31,27 @@ def test_package_imports_resolve():
                    for a in node.names)
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # a name a module imports is read there or re-exported through __all__;
+    # the package __init__, which exists to re-export, is not in MODULES
+    tree = ast.parse(Path(coopdelay.__path__[0], f"{name}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"coopdelay.{name}"), "__all__", ()))
+    assert {n: line for n, line in imported.items() if n not in used | exported} == {}
+
+
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
-                                  "_StageHistory", "_StageComponent", "_Window", "SERVED"])
+                                  "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
+                                  "_cmd_classify"])
 def test_removed_layers_stay_removed(name):
     # G1/G2 are plain expressions, the reference history lives in the tests,
-    # and blocks of steps are the one feed path
+    # blocks of steps are the one feed path, and run and classify share one
+    # handler
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from coopdelay.analysis import classify, find_equilibrium
+from coopdelay.cli import EXIT_VALIDATION, main
 from coopdelay.config import system_from_mapping
 from coopdelay.dynamics import validate_system
 from coopdelay.presets import PRESETS, PresetParameterError, preset_system_mapping
@@ -107,6 +108,20 @@ class TestCatalog:
             preset_system_mapping("nope")
         with pytest.raises(PresetParameterError, match="unknown parameter"):
             preset_system_mapping("tanh", {"gamma": 1.0})
+
+    @pytest.mark.parametrize("name, param, value", [
+        ("tanh", "c1", "abc"), ("tanh", "c1", "inf"), ("tanh", "tau", "nan"),
+        ("lotka_volterra", "A1", "-inf"), ("gopalsamy", "alpha2", "nan"),
+    ])
+    def test_a_range_checked_parameter_must_be_a_finite_number(self, tmp_path, capsys, name, param, value):
+        # the CLI passes a value float() cannot parse on as the string
+        raw = value if value == "abc" else float(value)
+        with pytest.raises(PresetParameterError, match=rf"^{param} must be a finite number"):
+            preset_system_mapping(name, {param: raw})
+        out = tmp_path / "p.cfg"
+        assert main(["preset", "emit", name, "--param", f"{param}={value}", "--out", str(out)]) == EXIT_VALIDATION
+        assert f"preset error: {param} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_find_equilibrium_consistency_across_presets(self):
         spec = build("gopalsamy", K1=2.0, K2=1.0, alpha1=5.0, alpha2=4.0)
