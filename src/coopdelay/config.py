@@ -235,6 +235,13 @@ def check_numerics(numerics: Numerics) -> None:
     for k in ("alpha", "slack"):
         if not 0.0 < getattr(numerics, k) < 1.0:
             raise ConfigError(f"[numerics] {k}", "must lie strictly inside (0, 1)")
+    # a NaN tolerance never stops a run, and the report would write it as NaN,
+    # which is not JSON
+    if not (math.isfinite(numerics.converge_rtol) and numerics.converge_rtol >= 0.0):
+        raise ConfigError("[numerics] converge_rtol", "must be finite and non-negative")
+    for k in ("blowup_threshold", "stage_ratio", "window_spans", "extinction_threshold"):
+        if not math.isfinite(getattr(numerics, k)):
+            raise ConfigError(f"[numerics] {k}", "must be finite")
 
 
 def load_config(path) -> RunConfig:

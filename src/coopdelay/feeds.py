@@ -19,14 +19,20 @@ to the block's front F, the fed component's initial data up to 0, and times
 in the block's own steps, F < s <= t0, once stored.  Lags and f are
 evaluated with the scalar `Expression.evaluate`, so a point feed is f(u(s))
 bit for bit.  A window is composite Simpson on the step grid
-(`integrator._StepGrid`), in sums of positive terms: the known part from the
-floor h(t) to F, one masked (stage times x nodes) product per production
-function plus two head reads; the part over the block's own nodes, per step;
-and the tail panel.
+(`integrator._StepGrid`), in sums of non-negative terms, never a difference
+of sums (`_WindowBlock`).  From the first node that every row of a block
+covers on, a uniform or triangular density factors (`density_factors`) into
+per-row coefficients of one or two sums that the rows share: one pass over
+the known nodes up to F per block and production function, then running sums
+that each step carries on by its two new nodes.  Only each row's lead-in, the
+nodes between the rows' floors, keeps dense weights, and so does every node
+of a density that does not factor (a mixture's).  Two head reads and the
+tail panel complete a feed.
 
 From MIN_BLOCK steps on, a block ends before the step that first reads its
-own steps, or whose window weights pass WINDOW_ELEMENTS; any block ends after
-the first step whose lag raises.  A shorter block reads its stored times one
+own steps, or whose dense window weights would pass WINDOW_ELEMENTS (for a
+factored density, however long its window); any block ends after the first
+step whose lag raises.  A shorter block reads its stored times one
 by one, cheaper there than one `Trajectory.value_array`.  A build that raises
 is tried again with half the steps, and a one-step build that raises builds
 each feed of the step alone, as a block of one row; a feed whose build
@@ -39,6 +45,7 @@ the midpoint and the end of an item.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import TYPE_CHECKING
 
@@ -54,8 +61,9 @@ if TYPE_CHECKING:
 __all__ = ["block_feeds", "step_end", "window_feed"]
 
 # the longest block bounds the work done ahead of a stop and the block's
-# memory, and so does the element budget of a window's weight matrix (stage
-# times x grid nodes; 256 KB at 1 << 15)
+# memory, and so does the element budget of a window's dense weights (stage
+# times x lead-in nodes, or x every node for a density that does not factor;
+# 256 KB at 1 << 15)
 MIN_BLOCK = 8
 MAX_BLOCK = 256
 WINDOW_ELEMENTS = 1 << 15
@@ -223,7 +231,8 @@ def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple
     if not dt and _Raise not in map(type, plan):  # a point lag that never raises here
         r = next((r for r, s, t0 in zip(itertools.count(), plan, starts) if front < s <= t0), n)
         return (n, plan) if r < 2 * MIN_BLOCK or r == n else (r & ~1, plan[: r & ~1])
-    low, rows, late = front, 0, False
+    low, high, rows, late = front, -math.inf, 0, False
+    dense = dt and key.density_factors is None  # a density weighed node by node
     r = -1
     while r + 1 < n:
         r += 1
@@ -245,10 +254,16 @@ def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple
                     break
                 late = True
             low = min(low, s)
+            high = max(high, s)
             rows += 1
-            if dt and r >= 2 * MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
-                n = r & ~1
-                break
+            if dt and r >= 2 * MIN_BLOCK:
+                # the dense weights' nodes per row: from the lowest floor to
+                # the highest, or for a density that does not factor to the
+                # last row's step
+                width = (front - low) * (2.0 / dt) + rows if dense else (high - low) * (2.0 / dt)
+                if rows * (width + 3.0) > WINDOW_ELEMENTS:
+                    n = r & ~1
+                    break
     return n, values[:n]
 
 
@@ -449,18 +464,27 @@ class _WindowBlock:
     `fixed` holds by row a floor inside its step, one Simpson panel of
     in-step reads (`_Sum`), or a floor that raised (`_Raise`).  The other
     `rows` weigh the nodes from the first step end at or after the floor
-    (column `first`) to their step's start (column `last`): the head panel's
-    and first whole step's weights at the first, Simpson's 4, 2, 4, ...
-    between, the last whole step's and the tail's at the last, each times the
-    density.  Columns before the front's, k, are the grid's known nodes from
-    `lo` on (`known`, density only, with `edge`); the rest are the block's own
-    nodes, its stage times (`own`).  The head's reads at the floor and the
-    head's midpoint (`times`) come with the known part, or once their step is
-    stored for a floor in the block's own steps (`late`).
+    (node first) to their step's start (node last): the head panel's and
+    first whole step's weights at the first, Simpson's 4, 2, 4, ... between,
+    the last whole step's and the tail's at the last (`wl`), each times the
+    density.  Nodes up to the front's, k, are the grid's known nodes from
+    `lo` on; the rest are the block's own nodes, its stage times.
+
+    From node c on, the first past every row's first, the density factors
+    (`density_factors`): per row, coefficients (`coef`) of sums that every
+    row shares, sum w*f and sum w*f*(s - s_c), which `feeds` takes over the
+    known nodes (`common`) and `_steps` carries on by each step's two new
+    nodes (`inc`).  Only the nodes before c keep dense weights, in the known
+    part (`known`) and in the block's own nodes (`own`): a row's lead-in
+    from its first, as wide as the floors spread, not as long as the window;
+    or, for a density that does not factor (a mixture's), every node.  All
+    weights and sums are of non-negative terms.  The head's reads at the
+    floor and the head's midpoint (`times`) come with the known part, or
+    once their step is stored for a floor in the block's own steps (`late`).
     """
 
-    __slots__ = ("fixed", "rows", "spans", "lo", "k", "known", "simpson", "first", "edge", "own", "head",
-                 "times", "early", "xy", "late", "tail")
+    __slots__ = ("fixed", "rows", "spans", "lo", "k", "c", "known", "own", "common", "coef", "inc", "wl",
+                 "head", "times", "early", "xy", "late", "tail")
 
     def __init__(self, kernel, grid: _StepGrid, taus: list, starts: list, plan: list):
         """The weights at the stage times taus with the floors in plan."""
@@ -469,7 +493,7 @@ class _WindowBlock:
         if _Raise not in map(type, plan) and all(map(operator.le, plan, starts)):
             # the usual case: every floor at or behind its step's start
             rows = list(range(len(plan)))
-            self.spans = list(range(0, len(plan) + 2, 2))
+            self.spans = [*range(0, len(plan), 2), len(plan)]
             a = np.array(plan)
         else:
             rows = []
@@ -516,33 +540,53 @@ class _WindowBlock:
         T = tau - t0
         tm = t0 + 0.5 * T
         mid = 0.5 * (a + e)
-        d = kernel.density_at(tau[:, None], a[:, None], np.broadcast_to(s, (tau.size, s.size)))
         dh = kernel.density_at(tau[:, None], a[:, None], np.stack((a, mid, tm, tau, e, t0), axis=1))
-        lead = int(first.max()) + 1
-        d[:, :lead][np.arange(lead) <= first[:, None]] = 0.0  # inner nodes only
         sixth = grid.dt / 6.0
         simpson = np.empty(s.size)
         simpson[0::2] = 2.0 * sixth
         simpson[1::2] = 4.0 * sixth
-        ends = np.where(first < last, sixth, 0.0)
+        whole = first < last  # a whole step between the head and the tail
+        ends = np.where(whole, sixth, 0.0)
         third = (e - a) / 6.0
         edge = (third + ends) * dh[:, 4]
-        # density dotted with Simpson weights times f, plus the edge unless late
-        # BLAS sums a product with one row (a dot) in another order than one
-        # with several, so a block of one row weighs its row as two
-        self.known = d[:, :k] if len(rows) > 1 else np.repeat(d[:, :k], 2, axis=0)
-        self.simpson = simpson[:k]
-        self.first = first
-        self.edge = edge
-        self.own = d[:, k:] * simpson[k:]
-        self.own[index, last - k] = (ends + T / 6.0) * dh[:, 5]
+        # the step start's weight: the last whole step's end (or the head's)
+        # and the tail's start
+        self.wl = ((ends + T / 6.0) * dh[:, 5] + np.where(whole, 0.0, edge)).tolist()
+        # node c, the first past every row's first, starts the sums that the
+        # rows share; the nodes before it (all, for a density that does not
+        # factor) keep dense weights
+        c = int(first.max()) + 1
+        if kernel.density_factors is None or c >= s.size:
+            c = s.size
+        self.c = c
+        dense = kernel.density_at(tau[:, None], a[:, None], np.broadcast_to(s[:c], (tau.size, c)))
+        dense *= simpson[:c]
+        nodes = np.arange(c)
+        outer = nodes <= first[:, None]  # inner nodes only
+        if c > last.min():
+            outer |= nodes >= last[:, None]
+        np.copyto(dense, 0.0, where=outer)
+        dense[index[whole], first[whole]] = edge[whole]
+        self.known = dense[:, : k + 1]
+        self.own = dense[:, k + 1 :]
+        coef = np.zeros((2, tau.size))
+        factors = kernel.density_factors(tau, a, s[c]) if c < s.size else ()
+        common = np.empty((len(factors), s.size - c))
+        for m, factor in enumerate(factors):
+            coef[m] = factor
+            common[m] = simpson[c:] * (s[c:] - s[c]) ** m
+        self.coef = coef.tolist()
+        # the sums' weights over the known nodes c to k - 1, then by own node
+        # from the front's on
+        kc = max(k - c, 0)
+        self.common = common[:, :kc]
+        inc = np.zeros((2, s.size - k))
+        inc[: len(common), max(c - k, 0) :] = common[:, kc:]
+        self.inc = inc.tolist()
         head = (third * dh[:, 0], 4.0 * third * dh[:, 1])
         self.late = None
         self.early = None  # the rows whose heads are read with the known part: all
         if late is not None:
-            self.own[index[late], first[late] - k] += edge[late]
-            self.first = np.where(late, 0, first)
-            self.edge = np.where(late, 0.0, edge)
             self.late = [(w0, w1, x, m) if flag else None for w0, w1, x, m, flag
                          in zip(head[0].tolist(), head[1].tolist(), a.tolist(), mid.tolist(), late.tolist())]
             self.early = np.flatnonzero(~late)
@@ -566,8 +610,11 @@ class _WindowBlock:
         step's feeds, which adds the part over the block's own nodes."""
         if not self.rows:
             return _pairs(self.fixed)
-        fk = block.grid.fed(f, comp, self.lo)[: self.k + 1]
-        known = (self.known @ (self.simpson * fk[:-1]))[: len(self.rows)] + self.edge * fk[self.first]
+        k = self.k
+        fk = block.grid.fed(f, comp, self.lo)[: k + 1]
+        known = self.known @ fk[: self.known.shape[1]]
+        sums = [0.0, 0.0]
+        sums[: len(self.common)] = (self.common @ fk[self.c : k]).tolist()
         times = self.times
         if times.size:
             traj = block.traj
@@ -583,27 +630,47 @@ class _WindowBlock:
                 known += heads
             else:
                 known[self.early] += heads
-        return self._steps(block, f, comp, known)
+        return self._steps(block, f, comp, known.tolist(), *sums, fk.item(k))
 
-    def _steps(self, block: _Block, f, comp: int, known):
+    def _steps(self, block: _Block, f, comp: int, known: list, s0: float, s1: float, fp: float):
+        """Each step's feeds: its rows' known parts plus the sums over the
+        nodes up to its start, the dense own part and f at the start (fp,
+        the front's at the first step), and the heads read late."""
         grid = block.grid
         fixed, rows, own, late, tail, spans = self.fixed, self.rows, self.own, self.late, self.tail, self.spans
-        p = grid.n - 1
-        if late is None and tail is not None and len(rows) == len(fixed) > 1:  # the usual case
+        (c0, c1), (inc0, inc1), wl = self.coef, self.inc, self.wl
+        if late is None and tail is not None and len(rows) == len(fixed) > 1 and not own.shape[1]:
+            # the usual case: f at the step's start and the two nodes before
             for r in range(0, len(rows), 2):
-                try:
-                    mid, end = (known[r : r + 2] + own[r : r + 2, : r + 1] @ grid.fed(f, comp, p)).tolist()
-                except ERRORS as e:
-                    yield [_Raise(e), _Raise(e)]
-                    return
-                yield (mid, *tail[r]), (end, *tail[r + 1])
+                if r:
+                    try:
+                        fa, fm, fp = grid.fed(f, comp, grid.n - 3).tolist()
+                    except ERRORS as e:
+                        yield [_Raise(e), _Raise(e)]
+                        return
+                    s0 += inc0[r - 2] * fa + inc0[r - 1] * fm
+                    s1 += inc1[r - 2] * fa + inc1[r - 1] * fm
+                yield ((known[r] + c0[r] * s0 + c1[r] * s1 + wl[r] * fp, *tail[r]),
+                       (known[r + 1] + c0[r + 1] * s0 + c1[r + 1] * s1 + wl[r + 1] * fp, *tail[r + 1]))
             return
+        p = grid.n - 1  # the front: own node 0
+        width = own.shape[1]
+        done = 0  # the own nodes in the sums
         for j in range(len(spans) - 1):
             g, h = spans[j], spans[j + 1]  # the step's grid rows
             pair = fixed[2 * j : 2 * j + 2]
             try:
-                values = (known[g:h] + own[g:h, : 2 * j + 1] @ grid.fed(f, comp, p)).tolist() if h > g else []
-                for q, value in enumerate(values, g):
+                if h > g:
+                    fo = grid.fed(f, comp, p)  # the own nodes up to the step's start
+                    new = fo[done:].tolist()
+                    for q, v in enumerate(new[:-1], done):
+                        s0 += inc0[q] * v
+                        s1 += inc1[q] * v
+                    done, fp = 2 * j, new[-1]
+                    m = min(2 * j, width)
+                    dense = (own[g:h, :m] @ fo[1 : m + 1]).tolist() if m else [0.0] * (h - g)
+                for q in range(g, h):
+                    value = known[q] + c0[q] * s0 + c1[q] * s1 + wl[q] * fp + dense[q - g]
                     if late is not None and late[q] is not None:
                         w0, w1, a, m = late[q]
                         value += w0 * f(block.read(a)[comp]) + w1 * f(block.read(m)[comp])

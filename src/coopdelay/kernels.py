@@ -15,7 +15,9 @@ block of stage times t on its grid of step ends and midpoints; a plain
 component (the tests' reference) reads one time t with the kernel's Simpson
 `plan(t, n_quad)`, with which a mixture's mass check also integrates.  A
 density kernel names its window's floor lag (`density_lag`), the floor h(t)
-(`density_floor`) and the density at given times (`density_at`).  Density
+(`density_floor`) and the density at given times (`density_at`); a uniform
+or triangular density also states how it factors (`density_factors`), so a
+block of windows can weigh most of its nodes through shared sums.  Density
 windows compare equal by kind and lag, so equal windows share their reads; a
 config gives equal point descriptors one kernel object.  Reads before the
 start of recorded history raise HistoryUnderflowError.
@@ -140,6 +142,10 @@ class DelayKernel:
     sampled_mass = False
     # the lag h(t) of the density part's window [h(t), t]; None without one
     density_lag = None
+    # density_factors(t, floor, ref): the density of [floor, t] at the nodes
+    # s >= ref >= floor as sum_m c_m (s - ref)^m, m < 2, each c_m >= 0: the
+    # tuple of the c_m.  None when the density does not factor so
+    density_factors = None
 
     def atom_lags(self) -> tuple[Expression, ...]:
         """The lag expressions of the kernel's point masses."""
@@ -244,6 +250,9 @@ class UniformDensityKernel(_DensityWindowKernel):
     def density_at(self, t, floor, nodes):
         return np.full(nodes.shape, 1.0 / (t - floor))
 
+    def density_factors(self, t, floor, ref):
+        return (1.0 / (t - floor),)
+
 
 class TriangularDensityKernel(_DensityWindowKernel):
     """Density rising linearly from 0 at h(t) to 2/(t - h(t)) at t."""
@@ -255,6 +264,12 @@ class TriangularDensityKernel(_DensityWindowKernel):
         out = nodes - floor
         out *= 2.0 / (span * span)
         return out
+
+    def density_factors(self, t, floor, ref):
+        # s - floor = (s - ref) + (ref - floor), both parts non-negative
+        span = t - floor
+        q = 2.0 / (span * span)
+        return (q * (ref - floor), q)
 
 
 class GeneralMixtureKernel(DelayKernel):

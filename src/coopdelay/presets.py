@@ -19,7 +19,11 @@ class PresetParameterError(ValueError):
     """A preset parameter violates its documented admissible range."""
 
 
-def _kernel_line(kind: str, tau: float, span: float) -> str:
+def _kernel_line(p: dict) -> str:
+    """The kernel line of a preset's kernel, tau and span, each checked."""
+    _in_range(p, ("tau",), zero_ok=True)
+    _in_range(p, ("span",))
+    kind, tau, span = p["kernel"], p["tau"], p["span"]
     if kind == "point":
         return f'point lag="t - {tau!r}"'
     if kind == "uniform":
@@ -61,8 +65,7 @@ class Preset:
 
 def _tanh_build(p: dict) -> dict:
     _in_range(p, ("c1", "c2", "mu1", "mu2"))
-    _in_range(p, ("tau",), zero_ok=True)
-    kernel = _kernel_line(p["kernel"], p["tau"], p["span"])
+    kernel = _kernel_line(p)
     return {
         "f1": f"({p['c1']!r}/{p['mu1']!r})*tanh(x)",
         "f2": f"({p['c2']!r}/{p['mu2']!r})*tanh(x)",
@@ -78,7 +81,7 @@ def _tanh_build(p: dict) -> dict:
 def _lotka_volterra_build(p: dict) -> dict:
     _in_range(p, ("a1", "a2", "b1", "b2"))
     _in_range(p, ("A1", "A2"), zero_ok=True)
-    kernel = _kernel_line(p["kernel"], p["tau"], p["span"])
+    kernel = _kernel_line(p)
     return {
         "f1": f"({p['A1']!r} + {p['b1']!r}*x)/{p['a1']!r}",
         "f2": f"({p['A2']!r} + {p['b2']!r}*x)/{p['a2']!r}",
@@ -101,7 +104,7 @@ def _gopalsamy_build(p: dict) -> dict:
                 f"facilitation requires alpha{i} > K{i} "
                 f"(got alpha{i}={p[f'alpha{i}']!r}, K{i}={p[f'K{i}']!r})"
             )
-    kernel = _kernel_line(p["kernel"], p["tau"], p["span"])
+    kernel = _kernel_line(p)
     return {
         "f1": f"({p['K1']!r} + {p['alpha1']!r}*x)/(1 + x)",
         "f2": f"({p['K2']!r} + {p['alpha2']!r}*x)/(1 + x)",

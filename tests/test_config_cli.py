@@ -165,9 +165,18 @@ LINEAR_PAIR = (
          "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
          "numerical: right-hand side failed near t=1.232: "
          "t - 1.0 - 0.0*ln(abs(t - 1.2345) - 0.002) at 1.233: math domain error"),
+        # a NaN converge_rtol ran to the horizon and wrote NaN into the report
+        *[(command, LINEAR_PAIR.format(lag="t - 1", phi="1") + f"[numerics]\n{key} = {value}\n", [],
+           EXIT_VALIDATION, f"[numerics] {key}: must be finite")
+          for command, key, value in (
+              ("run", "converge_rtol", "nan"), ("classify", "converge_rtol", "inf"), ("run", "converge_rtol", "-1e-9"),
+              ("run", "blowup_threshold", "inf"), ("run", "stage_ratio", "nan"), ("classify", "window_spans", "inf"),
+              ("run", "extinction_threshold", "-inf"))],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
-         "horizon-inf", "x_max-inf", "empty-window", "lag-raises"],
+         "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "converge_rtol-nan", "converge_rtol-inf",
+         "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan", "window_spans-inf",
+         "extinction_threshold-inf"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"

@@ -9,6 +9,7 @@ of the per-stage path that blocks replaced.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,20 +89,66 @@ def test_window_feeds_from_blocks_agree_with_the_per_stage_path(run):
 
 
 def test_windows_past_the_old_element_budget():
-    # 3,000 grid nodes per stage time: the weights of 8 steps pass
-    # WINDOW_ELEMENTS, which would have left them to the per-stage path; a
-    # block holds MIN_BLOCK = 8 steps whatever their weights
+    # 3,000 grid nodes per stage time: weights over every node would pass
+    # WINDOW_ELEMENTS at MIN_BLOCK steps; the shared sums keep only each row's
+    # lead-in dense, so after the first block of MIN_BLOCK steps the second
+    # serves all 14 steps left to the horizon
     dt = 1e-3
     spec = spec_of("sqrt(x)+2", "x/2", k1=UniformDensityKernel("t-1.5"), k2=TriangularDensityKernel("t-1.5"))
-    assert drive(spec, stored_history(dt), dt, 10, random.Random(2)) == 2
+    assert drive(spec, stored_history(dt), dt, 17, random.Random(2)) == 2
+
+
+@pytest.mark.parametrize(
+    "lag, dt, front",
+    [
+        ("t-1", 5e-4, 2.0),  # 4,000 grid nodes per stage time
+        ("t/2-0.5", 5e-3, 10.0),  # about 2,200, and growing
+    ],
+    ids=["long", "proportional"],
+)
+def test_long_windows_are_served_in_blocks_past_min_block(lag, dt, front):
+    # as above: one uniform and one triangular window, every feed within
+    # WINDOW_RTOL of the per-stage definition, in blocks of 8 and 14 steps
+    spec = spec_of("sqrt(x)+2", "x/2", k1=UniformDensityKernel(lag), k2=TriangularDensityKernel(lag))
+    assert drive(spec, stored_history(dt, front), dt, 17, random.Random(3)) == 2
+
+
+def test_a_floor_that_moves_back_through_a_block():
+    # t - 10*(t - 2)^2 from t = 2: the floor lies inside the first step, in
+    # the block's own steps at the second, and then moves back past the front
+    # and the window's start, so later rows read both shared sums far past
+    # their first shared node, among rows of every kind
+    dt = 0.05
+    lag = "t-10*(t-2)^2"
+    spec = spec_of("sqrt(x)+2", "x/2", k1=UniformDensityKernel(lag), k2=TriangularDensityKernel(lag),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    assert drive(spec, stored_history(dt), dt, 12, random.Random(1)) == 2
+
+
+def test_a_long_window_holds_no_weights_per_row_and_node():
+    # uniform t - 1 at dt 5e-4 to t = 3: 4,000 grid nodes per stage time.
+    # With (stage times x nodes) weights per block its tracemalloc peak was
+    # 1.885 MB; with the shared sums it is 1.81 MB, most of it the trajectory
+    # and the step grid.  The bound lies under the former peak and 3% (about
+    # 60 KB) over the present one
+    spec = spec_of("1+x/2", "1+x/2", k1=UniformDensityKernel("t-1"), k2=UniformDensityKernel("t-1"))
+    tracemalloc.start()
+    try:
+        _, outcome = integrate(spec, horizon=3.0, dt=5e-4, converge_rtol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 6000
+    assert peak < 1_870_000
 
 
 # the states at t = 3 of the per-stage path, at the config's step; its
-# blocks of window feeds matched it to 1e-12 at every node
+# blocks of window feeds matched it to 1e-12 at every node.  The blocks:
+# 8, 16, 32 and 64 steps, then 90 (see below) to the horizon
 WINDOW_CONFIGS = {
-    "logistic_distributed": (2.357600245783333, 2.432428131933536, 19),
-    "sqrt_logistic_triangular": (4.067023991212494, 4.13391822853555, 19),
-    "quadratic_integro": (8467.74410950823, 8467.74410950823, 375),
+    "logistic_distributed": (2.357600245783333, 2.432428131933536, 10),
+    "sqrt_logistic_triangular": (4.067023991212494, 4.13391822853555, 10),
+    "quadratic_integro": (8467.74410950823, 8467.74410950823, 36),
 }
 
 
@@ -118,17 +165,20 @@ def test_window_configs_agree_with_the_per_stage_path(name):
 @pytest.mark.parametrize(
     "k1, k2, sizes",
     [
-        # 8, 16 and 32 steps, then 53, whose 106 stage times x about 310 grid
-        # nodes fill WINDOW_ELEMENTS, and the 32 left
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), [8, 16, 32, 53, 53, 53, 53, 32]),
-        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        # 8, 16, 32 and 64 steps, then 90: 180 stage times x a lead-in of 2
+        # nodes per step of floors, plus 3, fill WINDOW_ELEMENTS; and the 90
+        # left
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), [8, 16, 32, 64, 90, 90]),
+        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), [8, 16, 32, 64, 90, 90]),
         # floors inside the step: nothing ends a block before MAX_BLOCK
         (UniformDensityKernel("t-0.003"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 128, 52]),
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 90, 90]),
+        # a mixture's density keeps dense weights over every node: 53 steps,
+        # whose 106 stage times x about 310 grid nodes fill WINDOW_ELEMENTS
         (GeneralMixtureKernel(density="1", density_lag="t-1"), UniformDensityKernel("t-1"),
          [8, 16, 32, 53, 53, 53, 53, 32]),
         # floors in the block's own steps from its second step on
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.013"), [8, 16, 32, 53, 53, 53, 53, 32]),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.013"), [8, 16, 32, 64, 90, 90]),
     ],
     ids=["uniform", "point-triangular", "in-step", "one-in-step", "mixture", "own-steps"],
 )

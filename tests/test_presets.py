@@ -112,6 +112,10 @@ class TestCatalog:
     @pytest.mark.parametrize("name, param, value", [
         ("tanh", "c1", "abc"), ("tanh", "c1", "inf"), ("tanh", "tau", "nan"),
         ("lotka_volterra", "A1", "-inf"), ("gopalsamy", "alpha2", "nan"),
+        # tau and span are checked for every preset and kernel family; a NaN
+        # tau wrote lag="t - nan"
+        ("lotka_volterra", "tau", "nan"), ("gopalsamy", "tau", "inf"), ("tanh", "span", "nan"),
+        ("lotka_volterra", "span", "inf"), ("gopalsamy", "span", "-inf"),
     ])
     def test_a_range_checked_parameter_must_be_a_finite_number(self, tmp_path, capsys, name, param, value):
         # the CLI passes a value float() cannot parse on as the string
