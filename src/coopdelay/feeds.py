@@ -6,12 +6,15 @@ Numerical Methods for Delay Differential Equations, 2003).  `block_feeds`
 hands `integrate` every feedback of a run, built a block of steps at a time
 by each kernel's `integrate(f, u, t)`, t the block's stage times and u the
 component it reads (`_Reader`).  A feed is what `window_feed` evaluates at a
-stage: a number; None for f of the stage state (a zero lag); a window's
-known sum plus its tail panel, whose midpoint reads the in-step quadratic
-a*u0 + b*us + c*du0; `_InStep`, f of that quadratic at a lagged time inside
-the step; `_Sum`, weighted feeds (a mixture, or a window whose floor lies
-inside the step); or `_Raise`, a lag, read or f that failed, raised at the
-stage that reads it, so a guard that fires at an earlier stage still wins.
+stage: a number; None for f of the stage state (a zero lag); a window's row,
+the tuple (known, c0, c1, wl, wm, wt, a, b, c, sums, ...), whose value is
+known + c0*s0 + c1*s1 + wl*fp with its block's running sums (`_Sums`) plus
+the tail panel wm*f(a*u0 + b*us + c*du0) + wt*f(us), the panel's midpoint
+read from the in-step quadratic; `_InStep`, f of that quadratic at a lagged
+time inside the step; `_Sum`, weighted feeds (a mixture, or a window whose
+floor lies inside the step); or `_Raise`, a lag, read or f that failed,
+raised at the stage that reads it, so a guard that fires at an earlier
+stage still wins.
 
 A point mass reads its lagged time s at the stage time t of a step [t0, t1]:
 the stage state from t on, the quadratic inside the step, stored history up
@@ -20,32 +23,36 @@ in the block's own steps, F < s <= t0, once stored.  Lags and f are
 evaluated with the scalar `Expression.evaluate`, so a point feed is f(u(s))
 bit for bit.  A window is composite Simpson on the step grid
 (`integrator._StepGrid`), in sums of non-negative terms, never a difference
-of sums (`_WindowBlock`).  From the first node that every row of a block
-covers on, a uniform or triangular density factors (`density_factors`) into
-per-row coefficients of one or two sums that the rows share: one pass over
-the known nodes up to F per block and production function, then running sums
-that each step carries on by its two new nodes.  Only each row's lead-in, the
-nodes between the rows' floors, keeps dense weights, and so does every node
-of a density that does not factor (a mixture's).  Two head reads and the
-tail panel complete a feed.
+of sums (`_WindowBlock`).  A uniform or triangular density factors
+(`density_factors`).  From the first node past every row's first on, each
+row weighs one or two sums that the rows of the block share: one pass over
+the known nodes up to F per block and production function, then the step
+template adds each step's two new nodes as it stores the step, with the
+weights the block hands over (`integrator._compile_steps`), so a step reads
+its rows as they are.  Each row's lead-in, its nodes before that one, comes
+from suffix sums over the known nodes, by the row's own density factors.
+Only a density that does not factor (a mixture's) keeps dense weights, over
+every node.  Two head reads and the tail panel complete a feed.
 
 From MIN_BLOCK steps on, a block ends before the step that first reads its
-own steps, or whose dense window weights would pass WINDOW_ELEMENTS (for a
-factored density, however long its window); any block ends after the first
-step whose lag raises.  A shorter block reads its stored times one
-by one, cheaper there than one `Trajectory.value_array`.  A build that raises
-is tried again with half the steps, and a one-step build that raises builds
-each feed of the step alone, as a block of one row; a feed whose build
-raises becomes a `_Raise`, and in a block of one row so does a window whose
-build raises, so a mixture's atoms raise before its density.  The derivative
-at the front is a block of one row too: its one stage time serves as both
-the midpoint and the end of an item.
+own steps, or, for a density that does not factor, whose dense weights
+would pass WINDOW_ELEMENTS; any block ends after the first step whose lag
+raises (BLOCK_ENDS counts why blocks end).  A shorter block reads its stored
+times one by one, cheaper there than one `Trajectory.value_array`.  A build
+that raises is tried again with half the steps, and a one-step build that
+raises builds each feed of the step alone, as a block of one row; a feed
+whose build raises becomes a `_Raise`, and in a block of one row so does a
+window whose build raises, so a mixture's atoms raise before its density.
+The derivative at the front is a block of one row too: its one stage time
+serves as both the midpoint and the end of an item.  A window whose floors
+all lie behind the front hands over its rows CHUNK steps at a time; any
+other works out each step's rows as the step reads them, after the steps
+before it are stored.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from typing import TYPE_CHECKING
 
@@ -58,17 +65,24 @@ if TYPE_CHECKING:
     from .dynamics import SystemSpec
     from .integrator import Trajectory, _StepGrid
 
-__all__ = ["block_feeds", "step_end", "window_feed"]
+__all__ = ["BLOCK_ENDS", "block_feeds", "step_end", "window_feed"]
 
 # the longest block bounds the work done ahead of a stop and the block's
-# memory, and so does the element budget of a window's dense weights (stage
-# times x lead-in nodes, or x every node for a density that does not factor;
-# 256 KB at 1 << 15)
+# memory, and so does the element budget of the dense window weights of a
+# density that does not factor (stage times x nodes; 256 KB at 1 << 15); a
+# factored window's rows are made CHUNK steps at a time, so a block holds
+# few of them at once (they take about 0.6 KB per step of a window that
+# feeds both components)
 MIN_BLOCK = 8
 MAX_BLOCK = 256
 WINDOW_ELEMENTS = 1 << 15
+CHUNK = 32
 # what a lag, a read or f may raise, raised again at the stage that reads it
 ERRORS = (EvalDomainError, HistoryUnderflowError, ValueError)
+# why a block ends: it served the steps asked for, its dense window weights
+# reached WINDOW_ELEMENTS, a row reads its own steps, a lag or read raised,
+# or the horizon
+BLOCK_ENDS = ("limit", "budget", "own-steps", "raise", "horizon")
 
 
 def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
@@ -126,6 +140,20 @@ class _Raise:
         raise self.error
 
 
+class _Sums:
+    """The running sums that the rows of a factored window's block share:
+    s0 and s1 over the nodes from its node c to the start of the step being
+    taken, f at that start (fp), and the error of f at a node they hold,
+    raised by each row that reads them.  The step template carries them on
+    as it stores each step (`integrator._compile_steps`)."""
+
+    __slots__ = ("s0", "s1", "fp", "error")
+
+    def __init__(self, s0: float, s1: float, fp: float):
+        self.s0, self.s1, self.fp = s0, s1, fp
+        self.error = None
+
+
 _DEFERRED = (_InStep, _Sum, _Raise)
 
 
@@ -134,8 +162,11 @@ def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
     is us, in a step that starts from u0 with slope du0."""
     if feed is None:
         return f(us)
-    if feed.__class__ is tuple:
-        s, wm, wt, a, b, c = feed
+    if feed.__class__ is tuple:  # a factored window's row
+        known, c0, c1, wl, wm, wt, a, b, c, sums = feed[:10]
+        if sums.error is not None:
+            raise sums.error
+        s = known + c0 * sums.s0 + c1 * sums.s1 + wl * sums.fp
         return s + wm * f(u0 * a + us * b + c * du0) + wt * f(us)
     if feed.__class__ in _DEFERRED:
         return feed(f, us, u0, du0)
@@ -143,24 +174,26 @@ def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
 
 
 def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
-                eps_t: float, blocks: list):
+                eps_t: float, ends: dict):
     """The feeds of the derivative at the trajectory's front, then of each
     step, one item per step: the tuple (fx, fy, fx, fy) at the step's
     midpoint and at its end, whatever the feeds are.  grid is the run's step
-    grid, None without density parts; blocks[0] counts the blocks built.  A
-    block is built when the run reaches its first step, at most twice as
-    long as the last (MIN_BLOCK to MAX_BLOCK steps)."""
+    grid, None without density parts; ends counts the blocks built by why
+    each ended (BLOCK_ENDS).  A block is built when the run reaches its
+    first step, at most twice as long as the last (MIN_BLOCK to MAX_BLOCK
+    steps)."""
     front = traj.t_front
     # the derivative: a block of one row, at the front
     yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front]), 1, dt)[0]
     ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
     limit = MIN_BLOCK
     while True:
-        items, steps = _block(spec, traj, grid, ahead, limit, dt)
+        items, steps, reason = _block(spec, traj, grid, ahead, limit, dt)
         if not steps:  # past the horizon
             return
-        blocks[0] += 1
+        ends[reason] += 1
         yield from items
+        items = None  # not held while the next block is built
         ahead.advance(steps)
         limit = min(MAX_BLOCK, max(MIN_BLOCK, 2 * steps))
 
@@ -202,36 +235,53 @@ class _Ahead:
             del values[:k]
 
 
-def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[int, dict, dict]:
-    """The rows one block serves, at most steps steps, and each lag's values
-    there: per point lag (by identity) its time, per window its floor."""
+def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[int, dict, dict, str]:
+    """The rows one block serves, at most steps steps, each lag's values
+    there: per point lag (by identity) its time, per window its floor, and
+    why the block ends there (BLOCK_ENDS)."""
     n = ahead.rows(steps)
+    reason = "limit" if n == 2 * steps else "horizon"
     points: dict = {}
     windows: dict = {}
     for kernel in kernels:
         for lag in kernel.atom_lags():
             if id(lag) not in points:
-                n, points[id(lag)] = _plan_lag(ahead, id(lag), lag.evaluate, n, front, 0.0)
+                m, points[id(lag)], why = _plan_lag(ahead, id(lag), lag, n, front, 0.0)
+                if m < n:
+                    n, reason = m, why
         if kernel.density_lag is not None and kernel not in windows:
-            n, windows[kernel] = _plan_lag(ahead, kernel, kernel.density_lag.evaluate, n, front, dt)
-    return n, points, windows
+            m, windows[kernel], why = _plan_lag(ahead, kernel, kernel.density_lag, n, front, dt)
+            if m < n:
+                n, reason = m, why
+    return n, points, windows, reason
 
 
-def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list]:
-    """lag at the first n rows, and how many a block serves (see the module
-    docstring); dt is 0 for a point lag."""
+def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list, str | None]:
+    """lag at the first n rows, how many a block serves (see the module
+    docstring) and why it serves fewer; dt is 0 for a point lag, whose times
+    are evaluated one by one, with the scalar evaluation its reads use."""
     taus, starts = ahead.taus, ahead.starts
     values = ahead.values.setdefault(key, [])
-    for tau in taus[len(values) : n]:
+    new = taus[len(values) : n]
+    if dt and len(new) > 1:  # a window's floors at once, unless one fails
         try:
-            values.append(lag(tau))
+            values += lag.evaluate_array(np.array(new)).tolist()
+            new = ()
+        except EvalDomainError:
+            pass
+    for tau in new:
+        try:
+            values.append(lag.evaluate(tau))
         except (EvalDomainError, ValueError) as e:
             values.append(_Raise(e))
     plan = values[:n]
-    if not dt and _Raise not in map(type, plan):  # a point lag that never raises here
+    if _Raise not in map(type, plan) and (not dt or key.density_factors is not None
+                                          and all(map(operator.lt, plan, taus))):
+        # a point lag, or a factored window that is never empty, which never
+        # raises here: the block ends only at a read of its own steps
         r = next((r for r, s, t0 in zip(itertools.count(), plan, starts) if front < s <= t0), n)
-        return (n, plan) if r < 2 * MIN_BLOCK or r == n else (r & ~1, plan[: r & ~1])
-    low, high, rows, late = front, -math.inf, 0, False
+        return (n, plan, None) if r < 2 * MIN_BLOCK or r == n else (r & ~1, plan[: r & ~1], "own-steps")
+    low, rows, late, reason = front, 0, False, None
     dense = dt and key.density_factors is None  # a density weighed node by node
     r = -1
     while r + 1 < n:
@@ -243,6 +293,7 @@ def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple
             except ValueError as e:
                 s = values[r] = _Raise(e)
         if s.__class__ is _Raise:
+            reason = "raise"
             if r >= 2:  # the step becomes the next block's first
                 n = r & ~1
                 break
@@ -250,28 +301,28 @@ def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple
         elif s <= starts[r] and (dt or s > front):
             if s > front and not late:
                 if r >= 2 * MIN_BLOCK:
-                    n = r & ~1
+                    n, reason = r & ~1, "own-steps"
                     break
                 late = True
-            low = min(low, s)
-            high = max(high, s)
-            rows += 1
-            if dt and r >= 2 * MIN_BLOCK:
+            if dense:
                 # the dense weights' nodes per row: from the lowest floor to
-                # the highest, or for a density that does not factor to the
-                # last row's step
-                width = (front - low) * (2.0 / dt) + rows if dense else (high - low) * (2.0 / dt)
-                if rows * (width + 3.0) > WINDOW_ELEMENTS:
-                    n = r & ~1
+                # the last row's step
+                low = min(low, s)
+                rows += 1
+                if r >= 2 * MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
+                    n, reason = r & ~1, "budget"
                     break
-    return n, values[:n]
+    return n, values[:n], reason
 
 
 def _block(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, steps: int, dt: float):
-    """The items of at most steps steps from the front, and their number."""
+    """The items of at most steps steps from the front, their number, and
+    why the block ends there (BLOCK_ENDS)."""
     k1, k2 = spec.k1, spec.k2
     kernels = (k1,) if k2 == k1 else (k1, k2)
-    n, points, windows = _plan(ahead, kernels, traj.t_front, dt, steps)
+    if grid is not None:
+        grid.sync()
+    n, points, windows, reason = _plan(ahead, kernels, traj.t_front, dt, steps)
     while True:
         try:
             block = _Block(traj, grid, ahead, n, points, windows)
@@ -279,10 +330,10 @@ def _block(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, steps: int, 
             fy = k2.integrate(spec.f2, _Reader(block, 0), block.taus)
         except ERRORS:
             if n <= 2:
-                return _stepwise(spec, traj, grid, ahead, dt), 1
-            n = (n >> 1) & ~1
+                return _stepwise(spec, traj, grid, ahead, dt), 1, "raise"
+            n, reason = (n >> 1) & ~1, "raise"
             continue
-        return block.items(fx, fy), (n + 1) >> 1
+        return block.items(fx, fy), (n + 1) >> 1, reason
 
 
 def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float) -> list:
@@ -295,21 +346,22 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
         row.values = {key: values[r : r + 1] for key, values in ahead.values.items() if len(values) > r}
         for kernel, f, comp in ((spec.k1, spec.f1, 1), (spec.k2, spec.f2, 0)):
             try:
-                n, points, windows = _plan(row, (kernel,), traj.t_front, dt, 1)
+                n, points, windows, _ = _plan(row, (kernel,), traj.t_front, dt, 1)
                 block = _Block(traj, grid, row, n, points, windows)
-                feed = next(iter(_pairs(kernel.integrate(f, _Reader(block, comp), block.taus))))[0]
+                feed = next(_rows(kernel.integrate(f, _Reader(block, comp), block.taus)))
             except ERRORS as e:
                 feed = _Raise(e)
             item.append(feed)
     return [tuple(item if len(item) == 4 else item * 2)]
 
 
-def _pairs(feeds):
-    """A kernel's feeds as (midpoint, end) pairs per step; the one row of a
-    block of one row is both."""
-    if feeds.__class__ is not list:
-        return feeds
-    return zip(feeds[0::2], feeds[1::2]) if len(feeds) > 1 else zip(feeds, feeds)
+def _rows(feeds):
+    """A kernel's feeds row by row, midpoint and end of each step in turn,
+    from a list or from lists of whole steps' rows made as they are read;
+    the one row of a block of one row is both."""
+    if feeds.__class__ is list:
+        return iter(feeds * 2 if len(feeds) == 1 else feeds)
+    return itertools.chain.from_iterable(feeds)
 
 
 class _Block:
@@ -375,7 +427,8 @@ class _Block:
             if len(fx) == 1:
                 fx, fy = fx * 2, fy * 2
             return list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
-        return ((xm, ym, xe, ye) for (xm, xe), (ym, ye) in zip(_pairs(fx), _pairs(fy)))
+        xs, ys = _rows(fx), _rows(fy)
+        return zip(xs, ys, xs, ys)
 
 
 class _Reader:
@@ -435,9 +488,9 @@ class _Reader:
             yield out[2 * j], out[2 * j + 1]
 
     def window(self, kernel, f, t):
-        """The density window's feeds, per step as (midpoint, end).  In a
-        block of one row a window that raises is a `_Raise`, read after what
-        a mixture's atoms raise there."""
+        """The density window's feeds (`_WindowBlock.feeds`).  In a block of
+        one row a window that raises is a `_Raise`, read after what a
+        mixture's atoms raise there."""
         block = self.block
         try:
             window = block.windows[kernel]
@@ -447,15 +500,15 @@ class _Reader:
         except ERRORS as e:
             if len(block.taus) > 1:
                 raise
-            return iter([[_Raise(e)] * 2])
+            return [_Raise(e)]
 
     def mix(self, atoms: list, density):
         """Per step, (midpoint, end) sums of the weighted atoms' feeds and
         then the density's."""
-        parts = [(w, _pairs(feeds)) for w, feeds in atoms] + ([(1.0, density)] if density is not None else [])
+        parts = [(w, _rows(feeds)) for w, feeds in [*atoms, *([(1.0, density)] if density is not None else [])]]
         for _ in range((len(self.block.taus) + 1) // 2):
-            pairs = [(w, next(feeds)) for w, feeds in parts]
-            yield [_Sum([(w, pair[e]) for w, pair in pairs]) for e in (0, 1)]
+            rows = [(w, next(feeds), next(feeds)) for w, feeds in parts]
+            yield [_Sum([(w, row[e]) for w, *row in rows]) for e in (0, 1)]
 
 
 class _WindowBlock:
@@ -465,29 +518,41 @@ class _WindowBlock:
     in-step reads (`_Sum`), or a floor that raised (`_Raise`).  The other
     `rows` weigh the nodes from the first step end at or after the floor
     (node first) to their step's start (node last): the head panel's and
-    first whole step's weights at the first, Simpson's 4, 2, 4, ... between,
-    the last whole step's and the tail's at the last (`wl`), each times the
-    density.  Nodes up to the front's, k, are the grid's known nodes from
-    `lo` on; the rest are the block's own nodes, its stage times.
+    first whole step's weights at the first (`edge`), Simpson's 4, 2, 4, ...
+    between, the last whole step's and the tail's at the last (`wl`), each
+    times the density.  Nodes up to the front's, k, are the grid's known
+    nodes from `lo` on; the rest are the block's own nodes, its stage times.
 
-    From node c on, the first past every row's first, the density factors
-    (`density_factors`): per row, coefficients (`coef`) of sums that every
-    row shares, sum w*f and sum w*f*(s - s_c), which `feeds` takes over the
-    known nodes (`common`) and `_steps` carries on by each step's two new
-    nodes (`inc`).  Only the nodes before c keep dense weights, in the known
-    part (`known`) and in the block's own nodes (`own`): a row's lead-in
-    from its first, as wide as the floors spread, not as long as the window;
-    or, for a density that does not factor (a mixture's), every node.  All
-    weights and sums are of non-negative terms.  The head's reads at the
-    floor and the head's midpoint (`times`) come with the known part, or
-    once their step is stored for a floor in the block's own steps (`late`).
+    A uniform or triangular density factors (`density_factors`).  From node
+    c on, the first past the first of every row whose floor lies at or
+    behind the front, a row weighs the sums sum w*f and sum w*f*(s - s_c)
+    that every row shares, by its coefficients (`coef`); `feeds` takes them
+    over the known nodes (`common`), and the step template carries them on
+    by each step's two new nodes, weighed by `inc` (see `_Sums`), or
+    `_steps` does where it works out the rows step by step.  Each row's
+    lead-in, its nodes between its first and c, comes from the suffix sums
+    R0[m] = sum_{m <= j < E} w_j f_j and R1[m] = R1[m + 1] + (s_{m+1} - s_m)
+    R0[m + 1] over the known nodes up to E = min(c, k), by the factors of
+    the row's density taken at its first node (`lead`), so no weight is
+    held per row and node; with c = k + 1 the rows of the later steps add
+    the front's node by itself (`extra`).  A density that does not factor (a
+    mixture's) keeps dense weights over every node, in the known part
+    (`known`) and in the block's own nodes (`own`); for one that does,
+    `known` holds the weight of each row's first where it is a known node.
+    All weights and sums are of non-negative terms.  The head's reads at
+    the floor and the head's midpoint (`times`) come with the known part, or
+    once their step is stored for a floor in the block's own steps (`late`);
+    such a row of a factored density adds its own nodes as its step reads
+    them.
     """
 
-    __slots__ = ("fixed", "rows", "spans", "lo", "k", "c", "known", "own", "common", "coef", "inc", "wl",
-                 "head", "times", "early", "xy", "late", "tail")
+    __slots__ = ("kernel", "fixed", "rows", "spans", "lo", "k", "c", "s", "simpson", "first", "last", "tau", "a",
+                 "lead", "edge", "extra", "known", "own", "common", "coef", "inc", "wl", "head", "times", "early",
+                 "xy", "late", "tail", "chunk")
 
     def __init__(self, kernel, grid: _StepGrid, taus: list, starts: list, plan: list):
         """The weights at the stage times taus with the floors in plan."""
+        self.kernel = kernel
         self.fixed = fixed = [None] * len(plan)
         tau = np.array(taus)
         if _Raise not in map(type, plan) and all(map(operator.le, plan, starts)):
@@ -532,17 +597,17 @@ class _WindowBlock:
         lo = min(int(i.min()), n - 1)
         self.lo = lo
         self.k = k = n - 1 - lo
-        s = np.concatenate((grid.t[lo:n], own))
-        first = i - lo
+        self.s = s = np.concatenate((grid.t[lo:n], own))
+        self.first = first = i - lo
         e = s[first]
-        last = k + 2 * steps
+        self.last = last = k + 2 * steps
         t0 = s[last]
         T = tau - t0
         tm = t0 + 0.5 * T
         mid = 0.5 * (a + e)
         dh = kernel.density_at(tau[:, None], a[:, None], np.stack((a, mid, tm, tau, e, t0), axis=1))
         sixth = grid.dt / 6.0
-        simpson = np.empty(s.size)
+        self.simpson = simpson = np.empty(s.size)
         simpson[0::2] = 2.0 * sixth
         simpson[1::2] = 4.0 * sixth
         whole = first < last  # a whole step between the head and the tail
@@ -551,38 +616,53 @@ class _WindowBlock:
         edge = (third + ends) * dh[:, 4]
         # the step start's weight: the last whole step's end (or the head's)
         # and the tail's start
-        self.wl = ((ends + T / 6.0) * dh[:, 5] + np.where(whole, 0.0, edge)).tolist()
-        # node c, the first past every row's first, starts the sums that the
-        # rows share; the nodes before it (all, for a density that does not
-        # factor) keep dense weights
-        c = int(first.max()) + 1
-        if kernel.density_factors is None or c >= s.size:
-            c = s.size
-        self.c = c
-        dense = kernel.density_at(tau[:, None], a[:, None], np.broadcast_to(s[:c], (tau.size, c)))
-        dense *= simpson[:c]
-        nodes = np.arange(c)
-        outer = nodes <= first[:, None]  # inner nodes only
-        if c > last.min():
-            outer |= nodes >= last[:, None]
-        np.copyto(dense, 0.0, where=outer)
-        dense[index[whole], first[whole]] = edge[whole]
-        self.known = dense[:, : k + 1]
-        self.own = dense[:, k + 1 :]
+        self.wl = (ends + T / 6.0) * dh[:, 5] + np.where(whole, 0.0, edge)
+        self.edge = edge = np.where(whole, edge, 0.0)
+        self.tau, self.a = tau, a
         coef = np.zeros((2, tau.size))
-        factors = kernel.density_factors(tau, a, s[c]) if c < s.size else ()
-        common = np.empty((len(factors), s.size - c))
-        for m, factor in enumerate(factors):
-            coef[m] = factor
+        if kernel.density_factors is None:
+            c = s.size
+            dense = kernel.density_at(tau[:, None], a[:, None], np.broadcast_to(s, (tau.size, c)))
+            dense *= simpson
+            nodes = np.arange(c)
+            np.copyto(dense, 0.0, where=(nodes <= first[:, None]) | (nodes >= last[:, None]))  # inner nodes only
+            dense[index[whole], first[whole]] = edge[whole]
+            self.known = dense[:, : k + 1]
+            self.own = dense[:, k + 1 :]
+            self.lead = self.extra = None
+        else:
+            # node c, the first past every first at or behind the front,
+            # starts the sums that the rows share; each such row's lead-in
+            # comes from the suffix sums, by its density's factors at its
+            # first node; a row whose floor lies in the block's own steps
+            # weighs its nodes as its step reads them
+            known = first <= k
+            c = min(int(first[known].max()) + 1, s.size) if known.any() else s.size
+            self.lead = kernel.density_factors(tau, a, s[np.minimum(first, k)])
+            self.known = np.where(known, edge, 0.0)  # the first's weight, where it is a known node
+            # with c = k + 1 the front's node lies between the suffix sums
+            # (up to k) and c: inner to the rows of the later steps
+            self.extra = None
+            if c == k + 1:
+                self.extra = np.where(known & (first < k) & (last > k),
+                                      simpson[k] * kernel.density_at(tau, a, np.full(tau.shape, s[k])), 0.0)
+            if c < s.size:
+                for m, factor in enumerate(kernel.density_factors(tau, a, s[c])):
+                    coef[m] = np.where(known, factor, 0.0)
+            self.own = None
+        self.c = c
+        self.coef = coef
+        common = np.empty((len(self.lead) if self.lead is not None and c < s.size else 0, s.size - c))
+        for m in range(len(common)):
             common[m] = simpson[c:] * (s[c:] - s[c]) ** m
-        self.coef = coef.tolist()
         # the sums' weights over the known nodes c to k - 1, then by own node
-        # from the front's on
+        # from the front's on, two per step of the block (the last step's
+        # weigh nothing the block reads)
         kc = max(k - c, 0)
         self.common = common[:, :kc]
-        inc = np.zeros((2, s.size - k))
-        inc[: len(common), max(c - k, 0) :] = common[:, kc:]
-        self.inc = inc.tolist()
+        inc = np.zeros((2, 2 * (len(plan) + 1 >> 1)))
+        inc[: len(common), max(c - k, 0) : s.size - k] = common[:, kc:]
+        self.inc = inc
         head = (third * dh[:, 0], 4.0 * third * dh[:, 1])
         self.late = None
         self.early = None  # the rows whose heads are read with the known part: all
@@ -594,27 +674,43 @@ class _WindowBlock:
             a, mid = a[self.early], mid[self.early]
         self.head = head
         self.times = np.concatenate((a, mid))
-        self.xy = None
+        self.xy = self.chunk = None
         # the tail's quadratic as `_InStep` forms it; none at the front's T = 0
         self.tail = None
         if taus[rows[0]] > starts[rows[0]]:  # T > 0, so not the derivative at the front
             r = (tm - t0) / T
             r2 = r * r
-            self.tail = list(zip(
-                (4.0 * T / 6.0 * dh[:, 2]).tolist(), (T / 6.0 * dh[:, 3]).tolist(),
-                (1.0 - r2).tolist(), r2.tolist(), (T * (r - r2)).tolist(),
-            ))
+            self.tail = np.stack((4.0 * T / 6.0 * dh[:, 2], T / 6.0 * dh[:, 3], 1.0 - r2, r2, T * (r - r2)))
 
     def feeds(self, block: _Block, f, comp: int):
-        """The known part of f of the component now, and a generator of each
-        step's feeds, which adds the part over the block's own nodes."""
+        """The feeds of f of the component now, as `_rows` reads them: the
+        rows of a factored window whose every floor lies at or behind the
+        front, CHUNK steps at a time, reading the block's running sums
+        (`_Sums`); the fixed feeds when no row reads the grid; or else each
+        step's two feeds, worked out as the step reads them (`_steps`)."""
         if not self.rows:
-            return _pairs(self.fixed)
-        k = self.k
+            return self.fixed
+        k, c, first = self.k, self.c, self.first
         fk = block.grid.fed(f, comp, self.lo)[: k + 1]
-        known = self.known @ fk[: self.known.shape[1]]
+        if self.own is not None:
+            known = self.known @ fk
+        else:
+            known = self.known * fk[np.minimum(first, k)]
+            if self.extra is not None:
+                known += self.extra * fk[k]
+            end = min(c, k)
+            low = int(first.min())
+            if end - low >= 2:  # the lead-ins, from the suffix sums over nodes low + 1 to end - 1
+                s = self.s
+                r0 = np.zeros(end - low + 1)  # R0[m - low]
+                r0[1:-1] = np.cumsum((self.simpson[low + 1 : end] * fk[low + 1 : end])[::-1])[::-1]
+                known += self.lead[0] * r0[np.minimum(first + 1, end) - low]
+                if len(self.lead) > 1:
+                    r1 = np.zeros(end - low + 1)  # R1[m - low]
+                    r1[:-1] = np.cumsum(((s[low + 1 : end + 1] - s[low:end]) * r0[1:])[::-1])[::-1]
+                    known += self.lead[1] * r1[np.minimum(first, end) - low]
         sums = [0.0, 0.0]
-        sums[: len(self.common)] = (self.common @ fk[self.c : k]).tolist()
+        sums[: len(self.common)] = (self.common @ fk[c:k]).tolist()
         times = self.times
         if times.size:
             traj = block.traj
@@ -630,52 +726,92 @@ class _WindowBlock:
                 known += heads
             else:
                 known[self.early] += heads
-        return self._steps(block, f, comp, known.tolist(), *sums, fk.item(k))
+        fp = fk.item(k)
+        if self.late is None and self.tail is not None and len(self.rows) == len(self.fixed) > 1 \
+                and self.own is None:
+            return self._chunks(known, _Sums(*sums, fp))
+        return self._steps(block, f, comp, known.tolist(), *sums, fp)
+
+    def _chunks(self, known: np.ndarray, sums: _Sums):
+        """The rows of a factored window whose every floor lies behind the
+        front, CHUNK steps at a time: each row's known part, then what the
+        rows of every component this window feeds share (`_shared`)."""
+        shared = itertools.repeat(sums)
+        for lo in range(0, known.size, 2 * CHUNK):
+            c0, c1, wl, wm, wt, a, b, c, *inc = self._shared(lo)
+            yield list(zip(known[lo : lo + 2 * CHUNK].tolist(), c0, c1, wl, wm, wt, a, b, c, shared, *inc))
+
+    def _shared(self, lo: int) -> list:
+        """The rows' coefficients, wl and tail from row lo on, CHUNK steps'
+        worth, and the weights of each row's step's start and midpoint in s0
+        and in s1, kept until the next chunk is asked for; a sum a uniform
+        density lacks is 0 throughout."""
+        if self.chunk is None or self.chunk[0] != lo:
+            hi = lo + 2 * CHUNK
+            c0, *rest = np.concatenate((self.coef[: len(self.lead)], self.wl[None], self.tail))[:, lo:hi].tolist()
+            # per own node, then per row: a step's start's and midpoint's, twice
+            inc = [list(itertools.chain.from_iterable(zip(w, w)))
+                   for weights in self.inc[: len(self.lead), lo:hi].tolist() for w in (weights[0::2], weights[1::2])]
+            if len(self.lead) == 1:
+                zero = [0.0] * len(c0)
+                rest, inc = [zero, *rest], [*inc, zero, zero]
+            self.chunk = lo, [c0, *rest, *inc]
+        return self.chunk[1]
 
     def _steps(self, block: _Block, f, comp: int, known: list, s0: float, s1: float, fp: float):
         """Each step's feeds: its rows' known parts plus the sums over the
-        nodes up to its start, the dense own part and f at the start (fp,
-        the front's at the first step), and the heads read late."""
+        nodes up to its start, the dense own part or a late row's own nodes,
+        f at the start (fp, the front's at the first step), and the heads
+        read late."""
         grid = block.grid
-        fixed, rows, own, late, tail, spans = self.fixed, self.rows, self.own, self.late, self.tail, self.spans
-        (c0, c1), (inc0, inc1), wl = self.coef, self.inc, self.wl
-        if late is None and tail is not None and len(rows) == len(fixed) > 1 and not own.shape[1]:
-            # the usual case: f at the step's start and the two nodes before
-            for r in range(0, len(rows), 2):
-                if r:
-                    try:
-                        fa, fm, fp = grid.fed(f, comp, grid.n - 3).tolist()
-                    except ERRORS as e:
-                        yield [_Raise(e), _Raise(e)]
-                        return
-                    s0 += inc0[r - 2] * fa + inc0[r - 1] * fm
-                    s1 += inc1[r - 2] * fa + inc1[r - 1] * fm
-                yield ((known[r] + c0[r] * s0 + c1[r] * s1 + wl[r] * fp, *tail[r]),
-                       (known[r + 1] + c0[r + 1] * s0 + c1[r + 1] * s1 + wl[r + 1] * fp, *tail[r + 1]))
-            return
+        fixed, rows, own, late, spans = self.fixed, self.rows, self.own, self.late, self.spans
+        wl, (c0, c1), (inc0, inc1) = self.wl.tolist(), self.coef.tolist(), self.inc.tolist()
+        tail = self.tail.tolist() if self.tail is not None else None
+        # a row worked out here reads no running sums, its coefficients 0
+        zero = (0.0, 0.0, 0.0)
+        sums = _Sums(*zero)
         p = grid.n - 1  # the front: own node 0
-        width = own.shape[1]
+        width = own.shape[1] if own is not None else 0
         done = 0  # the own nodes in the sums
         for j in range(len(spans) - 1):
             g, h = spans[j], spans[j + 1]  # the step's grid rows
             pair = fixed[2 * j : 2 * j + 2]
             try:
                 if h > g:
-                    fo = grid.fed(f, comp, p)  # the own nodes up to the step's start
-                    new = fo[done:].tolist()
+                    fo = grid.fed(f, comp, p).tolist()  # the own nodes up to the step's start
+                    new = fo[done:]
                     for q, v in enumerate(new[:-1], done):
                         s0 += inc0[q] * v
                         s1 += inc1[q] * v
                     done, fp = 2 * j, new[-1]
                     m = min(2 * j, width)
-                    dense = (own[g:h, :m] @ fo[1 : m + 1]).tolist() if m else [0.0] * (h - g)
+                    dense = (own[g:h, :m] @ np.array(fo[1 : m + 1])).tolist() if m else [0.0] * (h - g)
                 for q in range(g, h):
                     value = known[q] + c0[q] * s0 + c1[q] * s1 + wl[q] * fp + dense[q - g]
                     if late is not None and late[q] is not None:
                         w0, w1, a, m = late[q]
                         value += w0 * f(block.read(a)[comp]) + w1 * f(block.read(m)[comp])
-                    pair[rows[q] & 1] = value if tail is None else (value, *tail[q])
+                        if own is None:  # its nodes, own ones all, from its first to its step's start
+                            value += self._own_part(q, fo)
+                    pair[rows[q] & 1] = value if tail is None else (
+                        value, *zero, *(column[q] for column in tail), sums, *zero, 0.0)
             except ERRORS as e:
                 yield [_Raise(e), _Raise(e)]
                 return
             yield pair if len(pair) == 2 else pair * 2
+
+    def _own_part(self, q: int, fo: list) -> float:
+        """A factored row q's nodes when its floor lies in the block's own
+        steps: its first (with the head's weight) and the inner nodes up to
+        its step's start, by the density's factors at the first inner node;
+        f of them fo from the front's node on."""
+        i, j, k = int(self.first[q]), int(self.last[q]), self.k
+        s, w = self.s[i + 1 : j].tolist(), self.simpson[i + 1 : j].tolist()
+        total = self.edge.item(q) * fo[i - k]
+        if s:
+            factors = self.kernel.density_factors(self.tau.item(q), self.a.item(q), s[0])
+            wf = [wq * v for wq, v in zip(w, fo[i + 1 - k : j - k])]
+            total += factors[0] * sum(wf)
+            if len(factors) > 1:
+                total += factors[1] * sum(x * (sq - s[0]) for x, sq in zip(wf, s))
+        return total

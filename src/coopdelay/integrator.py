@@ -30,20 +30,27 @@ Python source, and renders it in two ways.  The compiled loop, generated
 when both production functions are expressions and no kernel is a mixture,
 takes every step whose feeds are plain for its kernels with all of it
 inline (from `expr._emit`'s source of f, r and G): a number, or None for f
-of the stage state, for a point kernel, and a window's known sum with its
-tail panel for a uniform or triangular window.  It forms the stage states,
-r(t) * (G(x) * (feed - x)) and the window's tail in `rhs`'s and
-`window_feed`'s operation order; each rate is evaluated once per stage time,
-and a rate of 1 or an unset G folds away (1.0 * z == z).  Its guards are
-tests without calls that fail wherever the checked guards fire (and also at
-a state equal to the threshold or on a NaN increment).  At a feed that is
-not plain, an exception of the inline arithmetic, a guard that fails or a
-non-finite derivative it hands the state before the step and the step's
-item back.  The checked step, generated when a run first needs it, takes
-that one step, and every step of a run the compiled loop does not take:
-each stage calls `rhs` (as the module holds it then) on the `window_feed`
-values, and each guard raises with its name and the values it compared.
-Both store each accepted step; the nodes they make are bit-identical.  The
+of the stage state, for a point kernel, and a row of a uniform or
+triangular window, its value read from the block's running sums, with its
+tail panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
+window's row and tail in `rhs`'s and `window_feed`'s operation order; each
+rate is evaluated once per stage time, and a rate of 1 or an unset G folds
+away (1.0 * z == z).  Its guards are tests without calls that fail wherever
+the checked guards fire (and also at a state equal to the threshold or on a
+NaN increment).  At a feed that is not plain, an exception of the inline
+arithmetic, a guard that fails or a non-finite derivative or f at a node it
+hands the state before the step and the step's item back.  The checked
+step, generated when a run first needs it, takes that one step, and every
+step of a run the compiled loop does not take: each stage calls `rhs` (as
+the module holds it then) on the `window_feed` values, and each guard
+raises with its name and the values it compared.  Both store each accepted
+step and do a window's work of it: f, by the scalar f, of the step's
+midpoint (the Hermite cubic at s = 1/2, in `_hermite`'s operation order)
+and of its end (which the compiled loop takes from the end's derivative),
+into the column of the component the window reads (`_Column`; the checked
+step keeps an error f raises at one node with that node), and, from the
+same lines, those nodes, weighed as the row hands them over, into its
+block's running sums.  The nodes they make are bit-identical.  The
 derivative at t = 0 is one `rhs` call.
 
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
@@ -72,7 +79,7 @@ import numpy as np
 from .dynamics import SystemSpec, rhs
 from .kernels import HistoryUnderflowError, PointMassKernel, _DensityWindowKernel
 from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
-from .feeds import ERRORS, block_feeds, window_feed
+from .feeds import BLOCK_ENDS, ERRORS, block_feeds, window_feed
 
 __all__ = [
     "Trajectory",
@@ -258,10 +265,41 @@ class Trajectory:
                 fh.write(f"{ts[i]:.17g},{xs[i]:.17g},{ys[i]:.17g}\n")
 
 
-def _midpoint(v0, v1, d0, d1, h):
-    """The Hermite cubic's value halfway through a step of length h; floats
-    and arrays alike."""
-    return (v0 + v1) * 0.5 + h * (d0 - d1) * 0.125
+class _Column:
+    """f of one component on the step grid, for the windows fed from it.
+
+    Nodes lo to hi hold f in fu.  The step template evaluates f once, with
+    the scalar f, at each node of a step it stores and appends it to pending,
+    which `_StepGrid.sync` moves into fu; other nodes are evaluated when a
+    window first reads them (`_StepGrid.fed`), as an array.  An error f
+    raised at a stored node is kept with the node's index (errors), and
+    raised again by each read that covers that node.
+    """
+
+    __slots__ = ("fu", "lo", "hi", "pending", "errors")
+
+    def __init__(self, size: int, n: int):
+        self.fu = np.empty(size)
+        self.lo = self.hi = n
+        self.pending: list = []
+        self.errors: list = []
+
+    def node(self, f, u: float, feed) -> float:
+        """f at u, appended as the node the checked step stores next.  An
+        error f raises is kept with that node's index, and on the running
+        sums of a factored window's row feed, which add the node; the node
+        then holds NaN.  No traceback, whose frames would hold the column in
+        a cycle."""
+        try:
+            value = f(u)
+        except ERRORS as e:
+            e.with_traceback(None)
+            self.errors.append((self.hi + len(self.pending), e))
+            if feed.__class__ is tuple and feed[9].error is None:
+                feed[9].error = e
+            value = math.nan
+        self.pending.append(value)
+        return value
 
 
 class _StepGrid:
@@ -269,35 +307,29 @@ class _StepGrid:
 
     Node times ascend and step ends sit at even indices, so a run of nodes
     between step ends is a run of whole Simpson panels, weighted dt/6 times
-    1, 4, 2, 4, ... (see `feeds`).  Each accepted step adds its midpoint, the
-    value of its Hermite cubic at s = 1/2 (`_midpoint`), and its end
-    (`push`); below the first stored time the times go on at multiples of
-    dt/2 as far back as a floor has reached (`extend`).  f of a component is
-    evaluated once per node, when a window first reads it (`fed`), after the
-    component's initial data there, so a window reads only the initial data
-    of the component it is fed from, and a domain error surfaces at the stage
-    that first reads the failing node.
+    1, 4, 2, 4, ... (see `feeds`).  `sync` takes in the steps the trajectory
+    stored since the last sync: each step's midpoint, the value of its
+    Hermite cubic at s = 1/2, and its end.  Below the first stored time the
+    times go on at multiples of dt/2 as far back as a floor has reached
+    (`extend`), and a component's values there are its initial data, read
+    when f of it is first asked for, so a window reads only the initial data
+    of the component it is fed from.  f of a component is kept per column
+    (`_Column`).
     """
 
-    __slots__ = ("traj", "dt", "n", "t", "xy", "filled", "_fed")
+    __slots__ = ("traj", "dt", "n", "m", "t", "xy", "filled", "columns")
 
     def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
         self.dt = dt
         self.n = 0
+        self.m = 0  # the trajectory's nodes in the grid
         self.t = np.empty(0)
         self.xy = np.empty((2, 0))
         self.filled = [0, 0]  # per component, the lowest node that holds its value
-        self._fed: dict = {}
-        m = traj.n + 1
+        self.columns: dict = {}
         self._resize(2 * traj._t.size, 0)
-        ts, v = traj._t[:m], traj._v[:m].T
-        h = ts[1:] - ts[:-1]
-        self.t[: 2 * m - 1 : 2] = ts
-        self.t[1 : 2 * m - 1 : 2] = ts[:-1] + 0.5 * h
-        self.xy[:, : 2 * m - 1 : 2] = v[:2]
-        self.xy[:, 1 : 2 * m - 1 : 2] = _midpoint(v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:], h)
-        self.n = 2 * m - 1
+        self.sync()
 
     def _resize(self, size: int, shift: int) -> None:
         """Make room for size nodes, moving the n stored ones up by shift."""
@@ -313,13 +345,42 @@ class _StepGrid:
             new[..., shift : shift + n] = old[..., :n]
             setattr(self, name, new)
         self.filled = [i + shift for i in self.filled]
-        for entry in self._fed.values():
-            old = entry[0]
+        for column in self.columns.values():
+            old = column.fu
             new = np.empty(cap) if cap != old.size else old
             new[shift : shift + n] = old[:n]
-            entry[0] = new
-            entry[1] += shift
-            entry[2] += shift
+            column.fu = new
+            column.lo += shift
+            column.hi += shift
+            column.errors = [(i + shift, e) for i, e in column.errors]
+
+    def sync(self) -> None:
+        """Take in the trajectory's nodes since the last sync, and the f
+        values the step template evaluated at them."""
+        traj = self.traj
+        m = traj.n + 1
+        if m == self.m:
+            return
+        first = max(self.m, 1)  # the first new step end after the start node
+        ts, v = traj._t[first - 1 : m], traj._v[first - 1 : m].T
+        h = ts[1:] - ts[:-1]
+        self._resize(self.n + 2 * (m - first) + 1, 0)
+        n = self.n
+        if not self.m:  # the start node
+            self.t[n] = ts[0]
+            self.xy[:, n] = v[:2, 0]
+            n += 1
+        end = n + 2 * (m - first)
+        self.t[n:end:2] = ts[:-1] + 0.5 * h
+        self.t[n + 1 : end : 2] = ts[1:]
+        self.xy[:, n:end:2] = _hermite(0.5, h, v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:])
+        self.xy[:, n + 1 : end : 2] = v[:2, 1:]
+        self.n, self.m = end, m
+        for column in self.columns.values():
+            if column.pending:
+                column.fu[column.hi : column.hi + len(column.pending)] = column.pending
+                column.hi += len(column.pending)
+                column.pending.clear()
 
     def extend(self, floor: float) -> None:
         """Extend the grid's times down to the first step end at or below
@@ -335,51 +396,38 @@ class _StepGrid:
         self.n += 2 * k
         self.t[: 2 * k] = lowest + np.arange(-2 * k, 0) * half
 
-    def push(self, t1, x1, y1, dx1, dy1) -> None:
-        """Add the step that ends at the trajectory's newest node, given here:
-        its midpoint and its end."""
-        n = self.n
-        if n + 2 > self.t.size:
-            self._resize(n + 2, 0)
-        i = self.traj.n - 1
-        t0 = self.traj._t.item(i)
-        x0, y0, dx0, dy0 = self.traj._v[i].tolist()
-        h = t1 - t0
-        self.t[n] = t0 + 0.5 * h
-        self.t[n + 1] = t1
-        xy = self.xy
-        xy[0, n] = _midpoint(x0, x1, dx0, dx1, h)
-        xy[0, n + 1] = x1
-        xy[1, n] = _midpoint(y0, y1, dy0, dy1, h)
-        xy[1, n + 1] = y1
-        self.n = n + 2
+    def column(self, f, comp: int) -> _Column:
+        """The column of f of the component, made when first asked for."""
+        column = self.columns.get((f, comp))
+        if column is None:
+            self.sync()
+            column = self.columns[f, comp] = _Column(self.t.size, self.n)
+        return column
 
     def fed(self, f, comp: int, i: int) -> np.ndarray:
         """f of the component at the nodes from i on, each evaluated once;
         below the stored nodes the component's initial data are read first
         (HistoryUnderflowError without them)."""
+        column = self.column(f, comp)
+        self.sync()
         n = self.n
+        for j, error in column.errors:
+            if j >= i:
+                raise error
         row = self.xy[comp]
         low = self.filled[comp]
         if i < low:
             row[i:low] = self.traj.value_array(self.t[i:low], comp)
             self.filled[comp] = i
-        entry = self._fed.get((f, comp))
-        if entry is None:
-            entry = self._fed[f, comp] = [np.empty(self.t.size), i, i]
-        fu, lo, hi = entry
-        if i > hi:  # nothing read between hi and i
-            lo = hi = i
-        if i < lo:
-            fu[i:lo] = f.eval_array(row[i:lo])
-            lo = i
-        if hi < n - 2:
-            fu[hi:n] = f.eval_array(row[hi:n])
-        else:  # the usual case: the last step's two nodes
-            for j in range(hi, n):
-                fu[j] = f(row.item(j))
-        entry[1] = lo
-        entry[2] = n
+        fu = column.fu
+        if i > column.hi:  # nothing read between hi and i
+            column.lo = column.hi = i
+        if i < column.lo:
+            fu[i : column.lo] = f.eval_array(row[i : column.lo])
+            column.lo = i
+        if column.hi < n:
+            fu[column.hi : n] = f.eval_array(row[column.hi : n])
+            column.hi = n
         return fu[i:n]
 
 
@@ -407,7 +455,8 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
                    eps_t: float, threshold: float, ratio: float, extinction: float, checked: bool = False):
     """The run's RK4 step (see the module docstring), rendered from one
     template: the compiled loop (None when a production function is not an
-    expression or a kernel is a mixture), or with checked the checked step.
+    expression or a kernel is a mixture), or with checked the checked step
+    and the store of its end, as the pair (step, store).
 
     run(feeds, t, x, y, dx, dy, steps) takes steps from the state at t, whose
     slopes are dx, dy and which ends step number steps, and returns the state
@@ -415,13 +464,16 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
     horizon, at extinction, or after every CHECK_EVERY-th step, where the
     caller checks the convergence window (and skips it when converge_rtol
     is 0).  At a step whose item is not plain, which raises, fires a guard
-    or ends in a non-finite derivative, it returns the state before the step
-    and the step's item instead.
+    or ends in a non-finite derivative or f at a node, it returns the state
+    before the step and the step's item instead.
 
     step(item, t, x, y, dx, dy, steps) takes that step with the feeds of
-    item, stores its end and returns the end state with its slopes.  A guard
-    that fires raises _StageGuard(name, values), values what it compared;
-    what a feed or the right-hand side raises passes through.
+    item and returns the end state with its slopes.  A guard that fires
+    raises _StageGuard(name, values), values what it compared; what a feed
+    or the right-hand side raises passes through.  store(item, t, x, y, dx,
+    dy, t1, x1, y1, dx1, dy1) stores the step's end.  An error of f at a
+    node it stores is raised again by the first read of that node (see
+    `_Column`), and by the sums of a factored window that add it.
     """
     if not checked:
         kinds = ["point" if isinstance(kernel, PointMassKernel) else
@@ -431,17 +483,23 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         # per component: its name, f, its kernel's kind, the component f reads, r and G
         comps = (("x", spec.f1.expression.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
                  ("y", spec.f2.expression.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
+    # per component fed through a density window: its name, the component
+    # f reads, f's name and the column of f of that component on the grid
+    windows = [(c, read, name, grid.column(f, comp)) for c, read, name, f, comp, kernel
+               in (("x", "y", "f1", spec.f1, 1, spec.k1), ("y", "x", "f2", spec.f2, 0, spec.k2))
+               if kernel.density_lag is not None]
 
     def rates(tv: str) -> list:
         """Each rate at the stage time tv, once; a rate of 1 folds away.  The
         checked step leaves them to rhs."""
         return [] if checked else [f"r{c} = {_emit(r, tv)}" for c, _, _, _, r, _ in comps if r != Num(1.0)]
 
-    def derivative(slot: str, state: dict, out: dict) -> list:
+    def derivative(slot: str, state: dict, out: dict, end: bool = False) -> list:
         """rhs's r * (G * (feed - state)) at the state, from the feeds at
         slot, m (the midpoint) or e (the end): inline in rhs's and
         window_feed's operation order, or in the checked step the module's
-        rhs of the window_feed values."""
+        rhs of the window_feed values.  At the end state (end), f of the
+        component a window reads is the step's end node's, fe."""
         if checked:
             xs, ys = state["x"], state["y"]
             return [f"{out['x']}, {out['y']} = rhs(spec, {'tm' if slot == 'm' else 't1'}, {xs}, {ys}, "
@@ -453,7 +511,11 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
                 value = f"({_emit(f, us)} if {feed} is None else {feed})"
             else:  # s + wm * f(u0 * a + us * b + c * du0) + wt * f(us)
                 lines.append(f"q = {read} * a{c}{slot} + {us} * b{c}{slot} + c{c}{slot} * d{read}")
-                value = f"(s{c}{slot} + w{c}{slot} * {_emit(f, 'q')} + v{c}{slot} * {_emit(f, us)})"
+                fu = _emit(f, us)
+                if end:
+                    lines.append(f"fe{c} = {fu}")
+                    fu = f"fe{c}"
+                value = f"(s{c}{slot} + w{c}{slot} * {_emit(f, 'q')} + v{c}{slot} * {fu})"
             term = f"({value} - {state[c]})"
             if g is not None:
                 term = f"({_emit(g, state[c])} * {term})"
@@ -483,6 +545,32 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
             tests += [f"-bound <= h * {k[0]} <= bound", f"-bound <= h * {k[1]} <= bound"]
         return [f"if not ({' and '.join(tests)}):", "    return t, x, y, dx, dy, steps, item"]
 
+    # a factored window's row: (known, c0, c1, wl, wm, wt, a, b, c, sums,
+    # i0, i1, j0, j1), its value known + c0 * s0 + c1 * s1 + wl * fp with the
+    # block's running sums, and the weights of the step's start and midpoint
+    # in s0 (i) and s1 (j) (see `feeds`)
+    def row(c: str, slot: str) -> str:
+        incs = f"i0{c}, i1{c}, j0{c}, j1{c}" if slot == "e" else "_, _, _, _"
+        return (f"k{c}{slot}, p{c}{slot}, r{c}{slot}, l{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, "
+                f"c{c}{slot}, S{c}{slot}, {incs} = f{c}{slot}")
+
+    def midpoints() -> list:
+        """The step's midpoint node, in `_hermite(0.5, ...)`'s operation
+        order, of each component a window reads."""
+        return [f"{u}m = 0.5 * {u} + 0.5 * {u}1 + h * (0.125 * d{u} + -0.125 * d{u}1)"
+                for u in sorted({read for _, read, _, _ in windows})]
+
+    def advance(c: str) -> list:
+        """The step's two new nodes into the running sums of a factored
+        window's block: the step's start (f of it is fp) and its midpoint
+        join them, and f of its end becomes fp."""
+        sums = ["fp = S.fp", f"S.s0 += i0{c} * fp + i1{c} * fm{c}", f"S.s1 += j0{c} * fp + j1{c} * fm{c}",
+                f"S.fp = fe{c}"]
+        if checked:  # a window fed otherwise has no running sums
+            head = [f"if f{c}e.__class__ is tuple:", f"    S, i0{c}, i1{c}, j0{c}, j1{c} = f{c}e[9:]"]
+            return [*head, *("    " + line for line in sums)]
+        return [f"P{c}(fm{c})", f"P{c}(fe{c})", f"S = S{c}e", *sums]
+
     stage = {"x": "sx", "y": "sy"}
     body = [
         "h = t1 - t",
@@ -509,18 +597,24 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         "x1 = x + (h / 6.0) * (dx + 2.0 * k2x + 2.0 * k3x + k4x)",
         "y1 = y + (h / 6.0) * (dy + 2.0 * k2y + 2.0 * k3y + k4y)",
         *guard("state-threshold", ("x1", "y1")),
-        *derivative("e", {"x": "x1", "y": "y1"}, {"x": "dx1", "y": "dy1"}),
+        *derivative("e", {"x": "x1", "y": "y1"}, {"x": "dx1", "y": "dy1"}, end=True),
     ]
     end = ["t1 = (steps + 1) * DT", "if t1 >= LIMIT:", "    t1 = HORIZON"]
-    store = ["append(t1, x1, y1, dx1, dy1)", *(["push(t1, x1, y1, dx1, dy1)"] if grid is not None else [])]
     if checked:
+        store = ["append(t1, x1, y1, dx1, dy1)"]
+        if windows:
+            store += ["fxm, fym, fxe, fye = item", "h = t1 - t", *midpoints()]
+            for c, read, name, _ in windows:
+                store += [f"fm{c} = C{c}.node({name}, {read}m, f{c}e)", f"fe{c} = C{c}.node({name}, {read}1, f{c}e)",
+                          *advance(c)]
         source = "\n".join([
             "def step(item, t, x, y, dx, dy, steps):",
-            *("    " + line for line in [*end, "fxm, fym, fxe, fye = item", *body, *store,
-                                         "return t1, x1, y1, dx1, dy1"]),
+            *("    " + line for line in [*end, "fxm, fym, fxe, fye = item", *body, "return t1, x1, y1, dx1, dy1"]),
+            "def store(item, t, x, y, dx, dy, t1, x1, y1, dx1, dy1):",
+            *("    " + line for line in store),
         ])
     else:
-        plain, unpack = [], []
+        plain, unpack, values = [], [], []
         for c, _, kind, _, _, _ in comps:
             for slot in "me":
                 feed = f"f{c}{slot}"
@@ -528,7 +622,12 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
                     plain.append(f"({feed} is None or {feed}.__class__ is float)")
                 else:
                     plain.append(f"{feed}.__class__ is tuple")
-                    unpack.append(f"s{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, c{c}{slot} = {feed}")
+                    unpack.append(row(c, slot))
+                    values.append(f"s{c}{slot} = k{c}{slot} + p{c}{slot} * S{c}{slot}.s0 + r{c}{slot} * S{c}{slot}.s1"
+                                  f" + l{c}{slot} * S{c}{slot}.fp")
+        nodes = [*midpoints(), *(f"fm{c} = {_emit(comps[0 if c == 'x' else 1][1], read + 'm')}"
+                                 for c, read, _, _ in windows)]
+        finite = ["dx1", "dy1", *(f"fm{c}" for c, _, _, _ in windows)]
         source = "\n".join([
             "def run(feeds, t, x, y, dx, dy, steps):",
             "    while t < LIMIT:",
@@ -539,13 +638,14 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
             "            return t, x, y, dx, dy, steps, item",
             *("        " + line for line in unpack),
             "        try:",
-            *("            " + line for line in body),
+            *("            " + line for line in [*values, *body, *nodes]),
             "        except Exception:",
             "            return t, x, y, dx, dy, steps, item",
             # a non-finite k2, k3 or k4 makes the next guarded state non-finite
-            "        if not (isfinite(dx1) and isfinite(dy1)):",
+            f"        if not ({' and '.join(f'isfinite({v})' for v in finite)}):",
             "            return t, x, y, dx, dy, steps, item",
-            *("        " + line for line in store),
+            "        append(t1, x1, y1, dx1, dy1)",
+            *("        " + line for c, _, _, _ in windows for line in advance(c)),
             "        steps += 1",
             "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
             "        if max(abs(x), abs(y)) < EXTINCTION:",
@@ -557,13 +657,16 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
     namespace = dict(
         _SCALAR_ENV, next=next, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite,
-        append=traj.append, push=grid.push if grid is not None else None, LIMIT=horizon - eps_t, DT=dt,
-        HORIZON=horizon, THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction,
-        CHECK_EVERY=CHECK_EVERY, rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2,
-        StageGuard=_StageGuard,
+        append=traj.append, LIMIT=horizon - eps_t, DT=dt, HORIZON=horizon, THRESHOLD=threshold, RATIO=ratio,
+        RATIO4=6.0 * ratio, EXTINCTION=extinction, CHECK_EVERY=CHECK_EVERY, rhs=rhs, spec=spec,
+        window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard,
     )
+    for c, _, _, column in windows:
+        namespace[f"C{c}"] = column
+        namespace[f"P{c}"] = column.pending.append
     exec(compile(source, f"<{'checked' if checked else 'compiled'} step>", "exec"), namespace)
-    return namespace.pop("step" if checked else "run")  # the namespace would hold it in a cycle
+    # the namespace would hold them in a cycle
+    return (namespace.pop("step"), namespace.pop("store")) if checked else namespace.pop("run")
 
 
 def integrate(
@@ -599,8 +702,8 @@ def integrate(
     # use the slope
     traj.append(t, x, y, 0.0, 0.0)
     grid = _StepGrid(traj, dt) if spec.k1.density_lag is not None or spec.k2.density_lag is not None else None
-    blocks = [0]
-    feeds = block_feeds(spec, traj, grid, dt, horizon, eps_t, blocks)
+    ends = dict.fromkeys(BLOCK_ENDS, 0)
+    feeds = block_feeds(spec, traj, grid, dt, horizon, eps_t, ends)
     _, _, fx, fy = next(feeds)
     try:
         dx, dy = rhs(spec, t, x, y, window_feed(spec.f1, fx, y, y, 0.0), window_feed(spec.f2, fy, x, x, 0.0))
@@ -616,7 +719,7 @@ def integrate(
     extinct_time = None
     options = (spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio, extinction_threshold)
     run = _compile_steps(*options)
-    step = None  # the checked step, compiled when a step first needs it
+    step = None  # the checked step and its store, compiled when a step first needs them
     compiled = 0
 
     while t < horizon - eps_t:
@@ -628,9 +731,9 @@ def integrate(
             compiled += steps - taken
         if item is not None:  # the step, checked
             if step is None:
-                step = _compile_steps(*options, checked=True)
+                step, store = _compile_steps(*options, checked=True)
             try:
-                t, x, y, dx, dy = step(item, t, x, y, dx, dy, steps)
+                end = step(item, t, x, y, dx, dy, steps)
             except _StageGuard as e:
                 guard_note, values = e.args
                 guard_values = {key: _json_safe(v) for key, v in values.items()}
@@ -642,6 +745,8 @@ def integrate(
                 guard_note = f"domain-error:{e}"
                 status = "blow-up"
                 break
+            store(item, t, x, y, dx, dy, *end)
+            t, x, y, dx, dy = end
             steps += 1
 
         if max(abs(x), abs(y)) < extinction_threshold:
@@ -673,8 +778,8 @@ def integrate(
         blowup_time=blow_time,
         converged_point=conv_point,
         extinct_time=extinct_time,
-        diagnostics={"steps": steps, "blocks": blocks[0], "dt": dt, "stage_guard": guard_note,
-                     "guard_values": guard_values, "compiled_steps": compiled},
+        diagnostics={"steps": steps, "blocks": sum(ends.values()), "block_ends": ends, "dt": dt,
+                     "stage_guard": guard_note, "guard_values": guard_values, "compiled_steps": compiled},
     )
     return traj, outcome
 

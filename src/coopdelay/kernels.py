@@ -11,9 +11,7 @@ is `integrate(f, u, t)`, which names the kernel's parts to the history
 component u: `u.point(lag, f, t)` per point mass, `u.window(kernel, f, t)`
 for the density, and `u.mix` to weigh a mixture's atoms and add its density.
 The component chooses the quadrature: the integrator's (see `feeds`) reads a
-block of stage times t on its grid of step ends and midpoints; a plain
-component (the tests' reference) reads one time t with the kernel's Simpson
-`plan(t, n_quad)`, with which a mixture's mass check also integrates.  A
+block of stage times t on its grid of step ends and midpoints.  A
 density kernel names its window's floor lag (`density_lag`), the floor h(t)
 (`density_floor`) and the density at given times (`density_at`); a uniform
 or triangular density also states how it factors (`density_factors`), so a
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +48,6 @@ __all__ = [
     "TriangularDensityKernel",
     "GeneralMixtureKernel",
     "HistoryUnderflowError",
-    "QuadPlan",
     "KernelCertificate",
     "KernelViolation",
     "validate_kernel",
@@ -63,16 +60,6 @@ DEFAULT_PANELS = 64
 
 class HistoryUnderflowError(LookupError):
     """A lookup was requested before the start of recorded history."""
-
-
-class QuadPlan(NamedTuple):
-    """Composite Simpson plan of a density over [floor, t]: ascending nodes,
-    their weights, and the density at the nodes (kept apart from the weights
-    so a feedback integral is dot(weights, f(u(nodes)) * density))."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    density: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,8 +119,7 @@ class DelayKernel:
     """Base class; subclasses define the distribution at each time t.
 
     A kernel with a density part names its window's floor
-    (`density_floor`) and its density (`density_at`); `plan` is the Simpson
-    rule on that window.
+    (`density_floor`) and its density (`density_at`).
     """
 
     # unit mass depends on the kernel's parameters and is checked by
@@ -170,14 +156,6 @@ class DelayKernel:
     def density_at(self, t: float, floor: float, nodes: np.ndarray) -> np.ndarray:
         """The density of the window [floor, t] at the times nodes."""
         raise NotImplementedError
-
-    def plan(self, t: float, n_quad: int = DEFAULT_PANELS) -> QuadPlan:
-        """Composite Simpson plan of the density part at time t."""
-        if n_quad < 2:
-            raise ValueError("density quadrature needs n_quad >= 2")
-        floor = self.density_floor(t)
-        nodes, weights = simpson_nodes_weights(floor, t, n_quad)
-        return QuadPlan(nodes, weights, self.density_at(t, floor, nodes))
 
     def integrate(self, f: ProductionFunction, u, t):
         """The feedback integral of f against the history component u at t,
@@ -323,11 +301,13 @@ class GeneralMixtureKernel(DelayKernel):
                      u.window(self, f, t) if self.density is not None else None)
 
     def mass(self, t: float, n_quad: int = DEFAULT_PANELS) -> float:
-        """Atom weights plus the quadrature mass of the density part at t."""
+        """Atom weights plus the mass of the density part at t, composite
+        Simpson with n_quad panels."""
         total = sum(w for _, w in self.atoms)
         if self.density is not None:
-            plan = self.plan(t, n_quad)
-            total += float(np.dot(plan.weights, plan.density))
+            floor = self.density_floor(t)
+            nodes, weights = simpson_nodes_weights(floor, t, n_quad)
+            total += float(np.dot(weights, self.density_at(t, floor, nodes)))
         return total
 
 

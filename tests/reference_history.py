@@ -3,8 +3,8 @@
 `FnComponent` reads a numpy-compatible callable and gives each feedback the
 plain way, as `kernel.integrate(f, u, t)` asks for it at one time t: a point
 mass's f(u(lag(t))), a density's dot(weights, f(u(nodes)) * density) over
-the kernel's plan at t with the component's panel count, and a mixture's
-weighted atoms plus its density.
+the composite Simpson `plan` of the kernel's window at t with the
+component's panel count, and a mixture's weighted atoms plus its density.
 
 `Stage` is one stage of a step as a run sees it: the stored history up to
 the step start t0, the start state and slope, and the stage time and state.
@@ -20,24 +20,51 @@ midpoint is the in-step read.  It shares no code with `coopdelay.feeds` (no
 grid, no weight pattern, no dot), which it checks.
 
 `drive` takes the items of `feeds.block_feeds` as a run does, storing a
-drawn state at each step end, and `check`s every feed at drawn stage states
-against `kernel_feedback`: point masses and mixtures of atoms bit for bit,
-densities to WINDOW_RTOL relative to max(1, |x|).
+drawn state at each step end as the checked step stores its end, and
+`check`s every feed at drawn stage states against `kernel_feedback`: point
+masses and mixtures of atoms bit for bit, densities to WINDOW_RTOL relative
+to max(1, |x|).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from coopdelay.expr import EvalDomainError
 from coopdelay.feeds import block_feeds, step_end, window_feed
-from coopdelay.integrator import _StepGrid
-from coopdelay.kernels import DEFAULT_PANELS, GeneralMixtureKernel, HistoryUnderflowError, PointMassKernel
+from coopdelay.integrator import _compile_steps, _StepGrid
+from coopdelay.kernels import (
+    DEFAULT_PANELS,
+    GeneralMixtureKernel,
+    HistoryUnderflowError,
+    PointMassKernel,
+    simpson_nodes_weights,
+)
 
 WINDOW_RTOL = 1e-12
 ERRORS = (EvalDomainError, HistoryUnderflowError, ValueError)
+
+
+class QuadPlan(NamedTuple):
+    """Composite Simpson plan of a density over [floor, t]: ascending nodes,
+    their weights, and the density at the nodes (kept apart from the weights
+    so a feedback integral is dot(weights, f(u(nodes)) * density))."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    density: np.ndarray
+
+
+def plan(kernel, t: float, n_quad: int = DEFAULT_PANELS) -> QuadPlan:
+    """Composite Simpson plan of the kernel's density part at time t."""
+    if n_quad < 2:
+        raise ValueError("density quadrature needs n_quad >= 2")
+    floor = kernel.density_floor(t)
+    nodes, weights = simpson_nodes_weights(floor, t, n_quad)
+    return QuadPlan(nodes, weights, kernel.density_at(t, floor, nodes))
 
 
 class FnComponent:
@@ -60,8 +87,8 @@ class FnComponent:
         return f(self(lag.evaluate(t)))
 
     def window(self, kernel, f, t: float) -> float:
-        plan = kernel.plan(t, self.n_quad)
-        return float(np.dot(plan.weights, f.eval_array(self.array(plan.nodes)) * plan.density))
+        rule = plan(kernel, t, self.n_quad)
+        return float(np.dot(rule.weights, f.eval_array(self.array(rule.nodes)) * rule.density))
 
     def mix(self, atoms, density) -> float:
         total = 0.0
@@ -191,8 +218,9 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
     if horizon is None:
         horizon = traj.t_front + (steps + 5) * dt
     eps_t = 1e-12 * max(1.0, horizon)
-    blocks = [0]
-    items = block_feeds(spec, traj, grid, dt, horizon, eps_t, blocks)
+    ends = Counter()
+    items = block_feeds(spec, traj, grid, dt, horizon, eps_t, ends)
+    _, store = _compile_steps(spec, traj, grid, dt, horizon, eps_t, math.inf, math.inf, 0.0, checked=True)
     reads = ((spec.k1, spec.f1, 1, 0), (spec.k2, spec.f2, 0, 1))
     for j in range(-1, steps):
         if j >= 0 and traj.t_front >= horizon - eps_t:
@@ -217,7 +245,5 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
         if j >= 0:
             x1, y1 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
             dx1, dy1 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-            traj.append(t1, x1, y1, dx1, dy1)
-            if grid is not None:
-                grid.push(t1, x1, y1, dx1, dy1)
-    return blocks[0]
+            store(item, t0, *start, *slope, t1, x1, y1, dx1, dy1)
+    return sum(ends.values())

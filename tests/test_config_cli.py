@@ -1,6 +1,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -471,6 +474,17 @@ class TestMainEntry:
         code = main(["classify", str(CONFIGS / "quadratic_blowup.cfg"), "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert "to-infinity" in capsys.readouterr().out
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # `python -m coopdelay`, with the package on the path as the tests
+        # find it, not installed
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(coopdelay.__file__).parent.parent),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "coopdelay", "classify", str(CONFIGS / "linear_decay.cfg"),
+                               "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "fate=to-zero" in done.stdout
+        assert (tmp_path / "linear_decay.json").exists()
 
     def test_preset_list(self, capsys):
         assert main(["preset", "list"]) == EXIT_OK

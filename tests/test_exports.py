@@ -48,10 +48,10 @@ def test_every_import_is_used(name):
 
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
-                                  "_cmd_classify"])
+                                  "_cmd_classify", "_midpoint", "QuadPlan"])
 def test_removed_layers_stay_removed(name):
-    # G1/G2 are plain expressions, the reference history lives in the tests,
-    # blocks of steps are the one feed path, and run and classify share one
-    # handler
+    # G1/G2 are plain expressions, the reference history and the Simpson plan
+    # live in the tests, blocks of steps are the one feed path, run and
+    # classify share one handler, and `_hermite` is the one Hermite evaluator
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []

@@ -125,12 +125,26 @@ def test_a_floor_that_moves_back_through_a_block():
     assert drive(spec, stored_history(dt), dt, 12, random.Random(1)) == 2
 
 
+@pytest.mark.parametrize("kernel", [UniformDensityKernel, TriangularDensityKernel])
+def test_floors_in_the_block_s_own_steps(kernel):
+    # t - 2.7*dt: from each block's fourth stage time on the floor lies in
+    # the block's own steps, past the front, with up to four own nodes
+    # between the row's first and its step's start, which the row adds as
+    # its step reads them; every feed within WINDOW_RTOL
+    dt = 0.05
+    spec = spec_of("sqrt(x)+2", "x/2", k1=kernel(f"t-{2.7 * dt!r}"), k2=kernel("t-1"), phi="2+sin(3*t)",
+                   psi="1+t^2/4")
+    assert drive(spec, stored_history(dt), dt, 20, random.Random(4), states=2) == 2
+
+
 def test_a_long_window_holds_no_weights_per_row_and_node():
     # uniform t - 1 at dt 5e-4 to t = 3: 4,000 grid nodes per stage time.
     # With (stage times x nodes) weights per block its tracemalloc peak was
-    # 1.885 MB; with the shared sums it is 1.81 MB, most of it the trajectory
-    # and the step grid.  The bound lies under the former peak and 3% (about
-    # 60 KB) over the present one
+    # 1.885 MB, with shared sums and dense (stage times x lead-in) weights
+    # 1.81 MB; with suffix sums for the lead-ins and rows made CHUNK steps at
+    # a time it is 1.748 MB, most of it the trajectory and the step grid.  The
+    # bound lies under the former peaks and 3% (about 52 KB) over the present
+    # one
     spec = spec_of("1+x/2", "1+x/2", k1=UniformDensityKernel("t-1"), k2=UniformDensityKernel("t-1"))
     tracemalloc.start()
     try:
@@ -139,16 +153,19 @@ def test_a_long_window_holds_no_weights_per_row_and_node():
     finally:
         tracemalloc.stop()
     assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 6000
-    assert peak < 1_870_000
+    assert peak < 1_800_000
 
 
 # the states at t = 3 of the per-stage path, at the config's step; its
-# blocks of window feeds matched it to 1e-12 at every node.  The blocks:
-# 8, 16, 32 and 64 steps, then 90 (see below) to the horizon
+# blocks of window feeds matched it to 1e-12 at every node.  The blocks
+# double from 8 steps to MAX_BLOCK: at dt 5e-3 the block after 128 steps
+# ends at 199, before the first row whose floor t - 1 passes its front, and
+# 153 are left; at dt 1e-3 eleven blocks of 256 steps and 192 left.  None
+# ends on the element budget, which binds only densities that do not factor
 WINDOW_CONFIGS = {
-    "logistic_distributed": (2.357600245783333, 2.432428131933536, 10),
-    "sqrt_logistic_triangular": (4.067023991212494, 4.13391822853555, 10),
-    "quadratic_integro": (8467.74410950823, 8467.74410950823, 36),
+    "logistic_distributed": (2.357600245783333, 2.432428131933536, 7),
+    "sqrt_logistic_triangular": (4.067023991212494, 4.13391822853555, 7),
+    "quadratic_integro": (8467.74410950823, 8467.74410950823, 16),
 }
 
 
@@ -158,6 +175,7 @@ def test_window_configs_agree_with_the_per_stage_path(name):
     _, outcome = integrate(system_from_mapping(cfg.system), horizon=3.0, dt=cfg.numerics.dt)
     x, y, blocks = WINDOW_CONFIGS[name]
     assert outcome.status == "reached-horizon" and outcome.diagnostics["blocks"] == blocks
+    assert outcome.diagnostics["block_ends"]["budget"] == 0
     for got, want in zip(outcome.final_state, (x, y)):
         assert abs(got - want) <= WINDOW_RTOL * max(1.0, abs(want))
 
@@ -165,31 +183,32 @@ def test_window_configs_agree_with_the_per_stage_path(name):
 @pytest.mark.parametrize(
     "k1, k2, sizes",
     [
-        # 8, 16, 32 and 64 steps, then 90: 180 stage times x a lead-in of 2
-        # nodes per step of floors, plus 3, fill WINDOW_ELEMENTS; and the 90
-        # left
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), [8, 16, 32, 64, 90, 90]),
-        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), [8, 16, 32, 64, 90, 90]),
+        # 8, 16, 32 and 64 steps, then 99: the floor t - 1 of the end of the
+        # block's 100th step, 2.2 - 1 = 1.2000000000000002, passes its front
+        # 1.2, so the block ends before that step; and the 81 left
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-1"), [8, 16, 32, 64, 99, 81]),
+        (PointMassKernel("t-1"), TriangularDensityKernel("t-1"), [8, 16, 32, 64, 99, 81]),
         # floors inside the step: nothing ends a block before MAX_BLOCK
         (UniformDensityKernel("t-0.003"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 128, 52]),
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 90, 90]),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.003"), [8, 16, 32, 64, 99, 81]),
         # a mixture's density keeps dense weights over every node: 53 steps,
         # whose 106 stage times x about 310 grid nodes fill WINDOW_ELEMENTS
         (GeneralMixtureKernel(density="1", density_lag="t-1"), UniformDensityKernel("t-1"),
          [8, 16, 32, 53, 53, 53, 53, 32]),
         # floors in the block's own steps from its second step on
-        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.013"), [8, 16, 32, 64, 90, 90]),
+        (UniformDensityKernel("t-1"), UniformDensityKernel("t-0.013"), [8, 16, 32, 64, 99, 81]),
     ],
     ids=["uniform", "point-triangular", "in-step", "one-in-step", "mixture", "own-steps"],
 )
 def test_block_steps_count_the_steps_a_block_serves(monkeypatch, k1, k2, sizes):
-    served = []
+    served, reasons = [], []
     block = feeds._block
 
     def spy(*args):
-        items, steps = block(*args)
-        served.append(steps)
-        return items, steps
+        built = block(*args)
+        served.append(built[1])
+        reasons.append(built[2])
+        return built
 
     monkeypatch.setattr(feeds, "_block", spy)
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
@@ -197,6 +216,11 @@ def test_block_steps_count_the_steps_a_block_serves(monkeypatch, k1, k2, sizes):
     assert outcome.diagnostics["steps"] == 300
     # the first is the derivative at t = 0
     assert served == [1] + sizes and outcome.diagnostics["blocks"] == len(sizes)
+    # why each block ended, as the report counts it: the last at the horizon,
+    # and only a density that does not factor on the element budget
+    reasons = reasons[1:]
+    assert outcome.diagnostics["block_ends"] == {reason: reasons.count(reason) for reason in feeds.BLOCK_ENDS}
+    assert reasons[-1] == "horizon" and ("budget" in reasons) == isinstance(k1, GeneralMixtureKernel)
 
 
 def run(spec, horizon, dt):
@@ -250,7 +274,7 @@ def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
                    phi="2+sin(3*t)", psi="1+t^2/4")
     traj, outcome = integrate(spec, horizon=0.3, dt=0.01)
     (_, y0, _, dy0), (_, y1, _, dy1) = traj._v[20:22].tolist()
-    bad = integrator._midpoint(y0, y1, dy0, dy1, traj._t.item(21) - traj._t.item(20))
+    bad = integrator._hermite(0.5, traj._t.item(21) - traj._t.item(20), y0, y1, dy0, dy1)
     body = parse("1+x/2")
 
     def scalar(v):
@@ -265,6 +289,41 @@ def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
 
     spec.f1 = ProductionFunction(scalar, array)
     assert run(spec, 0.5, 0.01) == ("right-hand side failed near t=0.21: undefined near the node", 85)
+
+
+def test_a_domain_error_at_a_node_no_window_reads_leaves_the_run_unchanged():
+    # uniform t - 1.3*dt weighs only step ends of the grid: its head panel
+    # reads the trajectory, and its one whole node is its step's start.  f1
+    # fails at the grid's y midpoint of step 7 (t = 0.075), the last step of
+    # the first 8-step block, and nowhere else, so the next block reads from
+    # the end of step 7, the node after the failed one, which holds f of it;
+    # the run is that of an f1 that does not fail, bit for bit
+    dt = 0.01
+    spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel(f"t-{1.3 * dt!r}"), k2=UniformDensityKernel("t-1"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    body = parse("1+x/2")
+    spec.f1 = ProductionFunction(body.evaluate, body.evaluate_array)  # not an expression: the checked step
+    want, outcome = integrate(spec, horizon=0.5, dt=dt)
+    assert outcome.diagnostics["block_ends"]["limit"] >= 1 and outcome.diagnostics["compiled_steps"] == 0
+    (_, y0, _, dy0), (_, y1, _, dy1) = want._v[7:9].tolist()
+    bad = integrator._hermite(0.5, want._t.item(8) - want._t.item(7), y0, y1, dy0, dy1)
+    raised = []
+
+    def scalar(v):
+        if v == bad:
+            raised.append(v)
+            raise EvalDomainError("undefined at the node")
+        return body.evaluate(v)
+
+    def array(vs):
+        if np.any(vs == bad):
+            raise EvalDomainError("undefined at the node")
+        return body.evaluate_array(vs)
+
+    spec.f1 = ProductionFunction(scalar, array)
+    got, outcome = integrate(spec, horizon=0.5, dt=dt)
+    assert raised == [bad] and outcome.status == "reached-horizon"
+    assert np.array_equal(got._v[: got.n + 1], want._v[: want.n + 1])
 
 
 def test_converge_rtol_zero_skips_the_convergence_window(monkeypatch):

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import EvalDomainError, parse
@@ -18,6 +21,7 @@ from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
+    _compile_steps,
     _StepGrid,
     default_dt,
     detect_nonoscillation_violation,
@@ -436,7 +440,7 @@ LAGS = st.one_of(
 
 def first_items(spec, traj, horizon=3.0):
     """The feeds of the derivative at the front and of the step after it."""
-    items = block_feeds(spec, traj, _StepGrid(traj, STEP), STEP, horizon, 1e-12 * horizon, [0])
+    items = block_feeds(spec, traj, _StepGrid(traj, STEP), STEP, horizon, 1e-12 * horizon, Counter())
     return next(items), next(items)
 
 
@@ -522,14 +526,16 @@ class TestStageView:
         f = pf("x")
         spec = spec_of("x", "x", k1=kernel, k2=kernel)
         grid = _StepGrid(traj, STEP)
-        items = block_feeds(spec, traj, grid, STEP, 3.0, 3e-12, [0])
+        items = block_feeds(spec, traj, grid, STEP, 3.0, 3e-12, Counter())
+        _, store = _compile_steps(spec, traj, grid, STEP, 3.0, 3e-12, math.inf, math.inf, 0.0, checked=True)
         next(items)
         front = traj.t_front
+        slope = traj._v[traj.n, 2:].tolist()
         t1 = step_end(traj.n, STEP, 3.0, 3e-12)
         before = next(items)
         check(before[2], stage_at(traj, t1, (9.0, 9.0)), kernel, f, 1)
-        traj.append(t1, 3.0, 4.0, 0.0, 0.0)
-        grid.push(t1, 3.0, 4.0, 0.0, 0.0)
+        store(before, front, *state, *slope, t1, 3.0, 4.0, 0.0, 0.0)
+        grid.sync()
         assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * (t1 - front), t1]
         assert grid.xy[0, grid.n - 1] == 3.0
         after = next(items)  # the next step's feeds read the new segment
@@ -655,11 +661,11 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
             assert sizes == []
             continue
         # f over the initial data once, at t = 0, and over each block's head
-        # reads; per step f of the two grid nodes the step before it added
-        # (none before the first) and of two tail reads per stage, and f of
-        # the derivative at t = 0's two head reads
+        # reads; per step f of the two grid nodes it adds, in the step that
+        # stores them, and of two tail reads per stage, and f of the
+        # derivative at t = 0's two head reads
         assert sizes == [201] + [2 * 2 * b for b in blocks]
-        assert len(scalars) == 2 * (steps - 1) + 4 * 2 * steps + 2
+        assert len(scalars) == 2 * steps + 4 * 2 * steps + 2
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
@@ -969,7 +975,7 @@ class TestPointStageView:
         f = ProductionFunction(lambda v: evals.append(v) or v * v)
         spec = spec_of("x", "x", k1=kernel, k2=kernel)
         spec.f1 = spec.f2 = f
-        items = block_feeds(spec, traj, None, STEP, traj.t_front + STEP, 1e-12, [0])
+        items = block_feeds(spec, traj, None, STEP, traj.t_front + STEP, 1e-12, Counter())
         next(items)
         del calls[:], evals[:]
         item = next(items)
@@ -1139,6 +1145,45 @@ def test_compiled_step_runs_bit_identically_to_the_generic_loop(run):
                 outcome.converged_point, outcome.extinct_time, diagnostics)
 
     assert result("compiled") == result("generic")
+
+
+def test_a_checked_step_inside_a_block_carries_the_window_sums(monkeypatch):
+    # uniform t - 1 feeds x through a block's shared running sums; the point
+    # lag t - 10*(t - 2)^2 of y reads inside the step near t = 2, so the
+    # checked step takes steps 196 to 202 in the middle of the block of steps
+    # 188 to 211, and the compiled step resumes after them.  The later rows
+    # of the block read sums that hold the nodes the checked step stored: the
+    # nodes are those of the generic path, bit for bit
+    spec = spec_of("sqrt(x)+2", "x/2", k1=UniformDensityKernel("t-1"), k2=PointMassKernel("t-10*(t-2)^2"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    served, checked = [], []
+    block, compile_steps = feeds._block, integrator._compile_steps
+
+    def block_spy(*args):
+        built = block(*args)
+        served.append(built[1])
+        return built
+
+    def compile_spy(*args, **kwargs):
+        compiled = compile_steps(*args, **kwargs)
+        if not kwargs.get("checked"):
+            return compiled
+        step, store = compiled
+
+        def counted(item, t, x, y, dx, dy, steps):
+            checked.append(steps)
+            return step(item, t, x, y, dx, dy, steps)
+
+        return counted, store
+
+    monkeypatch.setattr(feeds, "_block", block_spy)
+    monkeypatch.setattr(integrator, "_compile_steps", compile_spy)
+    traj, outcome = integrate(spec, horizon=3.0, dt=0.01)
+    starts = list(itertools.accumulate(served[1:], initial=0))
+    assert checked == list(range(196, 203)) and 188 in starts and 212 in starts and not set(starts) & set(checked)
+    assert outcome.diagnostics["compiled_steps"] == 300 - len(checked)
+    generic, _ = integrate(on_path(spec, "generic"), horizon=3.0, dt=0.01)
+    assert traj._v[: traj.n + 1].tobytes() == generic._v[: generic.n + 1].tobytes()
 
 
 @pytest.mark.parametrize("name, value", [("horizon", math.nan), ("horizon", math.inf), ("horizon", -1.0),

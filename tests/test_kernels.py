@@ -16,7 +16,7 @@ from coopdelay.kernels import (
     simpson_nodes_weights,
     validate_kernel,
 )
-from reference_history import FnComponent
+from reference_history import FnComponent, plan
 
 
 def pf(text):
@@ -291,8 +291,8 @@ class TestValidate:
     def test_window_plans_have_unit_mass(self, c, t, n_quad, kind):
         # the quadrature check that validation no longer runs on windows:
         # Simpson integrates their constant or linear density exactly
-        plan = kind(f"t - {c!r}").plan(t, n_quad)
-        assert abs(float(np.dot(plan.weights, plan.density)) - 1.0) <= 1e-12
+        rule = plan(kind(f"t - {c!r}"), t, n_quad)
+        assert abs(float(np.dot(rule.weights, rule.density)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize(
         "kernel",
