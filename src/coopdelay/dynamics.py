@@ -60,6 +60,12 @@ class InitialFunction:
             return self.value_at_zero
         return self.body.evaluate(t)
 
+    def evaluate_each(self, ts: list) -> list | None:
+        """[self(t) for t in ts] from the body's `evaluate_each`; None where
+        that fails."""
+        out = self.body.evaluate_each(ts)
+        return out and [self.value_at_zero if t >= 0.0 else v for t, v in zip(ts, out)]
+
     def array(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         out = self.body.evaluate_array(np.minimum(ts, 0.0))

@@ -309,6 +309,9 @@ _SCALAR_ENV = {
     "__builtins__": {},
 }
 
+# what the scalar callables raise outside the real domain
+_DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
 _ARRAY_ENV = {
     "_pow": np.power,
     "sqrt": np.sqrt,
@@ -343,7 +346,7 @@ def _emit(node: Node, var: str = "v") -> str:
 class Expression:
     """An immutable parsed expression in one bound variable."""
 
-    __slots__ = ("root", "var", "source", "_scalar", "_array", "_text")
+    __slots__ = ("root", "var", "source", "_scalar", "_array", "_each", "_text")
 
     def __init__(self, root: Node, var: str, source: str | None = None):
         self.root = root
@@ -353,6 +356,7 @@ class Expression:
         code = compile(f"lambda v: {_emit(root)}", "<expr>", "eval")
         self._scalar = eval(code, _SCALAR_ENV)
         self._array = eval(code, _ARRAY_ENV)
+        self._each = None  # compiled at the first evaluate_each
         self._text: str | None = None
 
     def __eq__(self, other) -> bool:
@@ -377,13 +381,26 @@ class Expression:
         """Value at v, or EvalDomainError; never an unsignaled non-finite."""
         try:
             r = self._scalar(v)
-        except (ValueError, ZeroDivisionError, OverflowError) as e:
+        except _DOMAIN_ERRORS as e:
             raise EvalDomainError(f"{self.serialize()} at {v!r}: {e}") from None
         if not math.isfinite(r):
             raise EvalDomainError(f"{self.serialize()} at {v!r}: non-finite result")
         return r
 
     __call__ = evaluate
+
+    def evaluate_each(self, vs) -> list | None:
+        """[evaluate(v) for v in vs], bit for bit, from one pass of code
+        generated in the scalar environment at the first call; None where a
+        value raises or is non-finite, which evaluate then names."""
+        if self._each is None:
+            self._each = eval(compile(f"lambda vs: [{_emit(self.root)} for v in vs]", "<expr>", "eval"), _SCALAR_ENV)
+        try:
+            out = self._each(vs)
+        except _DOMAIN_ERRORS:
+            return None
+        # the sum is finite unless a value is not, or the finite values overflow it
+        return out if math.isfinite(sum(out)) or all(map(math.isfinite, out)) else None
 
     def evaluate_array(self, vs: np.ndarray) -> np.ndarray:
         if type(vs) is not np.ndarray or vs.dtype != np.float64:

@@ -17,22 +17,28 @@ raised at the stage that reads it, so a guard that fires at an earlier
 stage still wins.
 
 A point mass reads its lagged time s at the stage time t of a step [t0, t1]:
-the stage state from t on, the quadratic inside the step, stored history up
-to the block's front F, the fed component's initial data up to 0, and times
-in the block's own steps, F < s <= t0, once stored.  Lags and f are
-evaluated with the scalar `Expression.evaluate`, so a point feed is f(u(s))
-bit for bit.  A window is composite Simpson on the step grid
-(`integrator._StepGrid`), in sums of non-negative terms, never a difference
-of sums (`_WindowBlock`).  A uniform or triangular density factors
-(`density_factors`).  From the first node past every row's first on, each
-row weighs one or two sums that the rows of the block share: one pass over
-the known nodes up to F per block and production function, then the step
-template adds each step's two new nodes as it stores the step, with the
-weights the block hands over (`integrator._compile_steps`), so a step reads
-its rows as they are.  Each row's lead-in, its nodes before that one, comes
-from suffix sums over the known nodes, by the row's own density factors.
-Only a density that does not factor (a mixture's) keeps dense weights, over
-every node.  Two head reads and the tail panel complete a feed.
+the stage state from t to t + 1e-12 (`validate_kernel`'s slack; further
+ahead the lag raises), the quadratic inside the step, stored history up to
+the block's front F, the fed component's initial data up to 0, and times in
+the block's own steps, F < s <= t0, once stored.  A block's lag times, its
+initial data reads and f of its reads are one pass each of code generated
+from the expressions' scalar source (`Expression.evaluate_each`), so a point
+feed is f(u(s)) as `Expression.evaluate` gives it, bit for bit; where a pass
+raises or meets a non-finite value the block evaluates value by value, and
+a value that raises becomes a `_Raise`.
+
+A window is composite Simpson on the step grid (`integrator._StepGrid`), in
+sums of non-negative terms, never a difference of sums (`_WindowBlock`).  A
+uniform or triangular density factors (`density_factors`).  From the first
+node past every row's first on, each row weighs one or two sums that the
+rows of the block share: one pass over the known nodes up to F per block
+and production function, then the step template adds each step's two new
+nodes as it stores the step, with the weights the block hands over
+(`integrator._compile_steps`), so a step reads its rows as they are.  Each
+row's lead-in, its nodes before that one, comes from suffix sums over the
+known nodes, by the row's own density factors.  Only a density that does
+not factor (a mixture's) keeps dense weights, over every node.  Two head
+reads and the tail panel complete a feed.
 
 From MIN_BLOCK steps on, a block ends before the step that first reads its
 own steps, or, for a density that does not factor, whose dense weights
@@ -52,6 +58,7 @@ before it are stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import TYPE_CHECKING
@@ -87,8 +94,10 @@ BLOCK_ENDS = ("limit", "budget", "own-steps", "raise", "horizon")
 
 def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
     """The end of step j: (j + 1) * dt, free of drift, the last step
-    clamped to the horizon.  `integrate` and the blocks both form their
-    steps with it, so the blocks' stage times are the run's."""
+    clamped to the horizon.  The step template forms its steps' ends by
+    these operations (`integrator._compile_steps`), and `_Ahead.rows` a
+    block's in one numpy pass of them, so the blocks' stage times are the
+    run's, bit for bit."""
     t1 = (j + 1) * dt
     return horizon if t1 >= horizon - eps_t else t1
 
@@ -157,6 +166,23 @@ class _Sums:
 _DEFERRED = (_InStep, _Sum, _Raise)
 
 
+def _each(fn, vs) -> list:
+    """fn at each of vs, or a `_Raise` of what it raises there: one generated
+    pass (`Expression.evaluate_each`), bit for bit, where fn has one that
+    does not fail, or else value by value, so each error keeps its value and
+    message."""
+    each = getattr(fn, "evaluate_each", None)
+    out = each(vs) if each is not None and vs else None
+    if out is None:
+        out = []
+        for v in vs:
+            try:
+                out.append(fn(v))
+            except ERRORS as e:
+                out.append(_Raise(e))
+    return out
+
+
 def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
     """The value of a feed (see the module docstring) at a stage whose state
     is us, in a step that starts from u0 with slope du0."""
@@ -213,18 +239,23 @@ class _Ahead:
         self.values: dict = {}
 
     def rows(self, steps: int) -> int:
-        """The rows of the next steps steps, fewer at the horizon."""
-        taus, starts, j, t = self.taus, self.starts, self.j, self.t
-        while len(taus) < 2 * steps and not self.done:
-            t1 = step_end(j, self.dt, self.horizon, self.eps_t)
-            taus.append(t + 0.5 * (t1 - t))
-            taus.append(t1)
-            starts.append(t)
-            starts.append(t)
-            j, t = j + 1, t1
-            self.done = t1 == self.horizon
-        self.j, self.t = j, t
-        return min(len(taus), 2 * steps)
+        """The rows of the next steps steps, fewer at the horizon: the steps
+        still missing made in one pass of `step_end`'s operations, their
+        midpoints t0 + 0.5 * (t1 - t0) as the step forms them."""
+        m = steps - len(self.taus) // 2
+        if m > 0 and not self.done:
+            t1 = np.arange(self.j + 1, self.j + 1 + m) * self.dt
+            clamped = t1 >= self.horizon - self.eps_t
+            if clamped.any():
+                t1 = t1[: clamped.argmax() + 1]
+                t1[-1] = self.horizon
+                self.done = True
+            t0 = np.concatenate(([self.t], t1[:-1]))
+            self.taus += np.stack((t0 + 0.5 * (t1 - t0), t1), axis=1).ravel().tolist()
+            self.starts += t0.repeat(2).tolist()
+            self.j += t1.size
+            self.t = t1.item(-1)
+        return min(len(self.taus), 2 * steps)
 
     def advance(self, steps: int) -> None:
         """Drop the rows of the steps a block served."""
@@ -258,22 +289,25 @@ def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[
 
 def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list, str | None]:
     """lag at the first n rows, how many a block serves (see the module
-    docstring) and why it serves fewer; dt is 0 for a point lag, whose times
-    are evaluated one by one, with the scalar evaluation its reads use."""
+    docstring) and why it serves fewer; dt is 0 for a point lag.  A window's
+    floors are one array where they can be; a point lag's times, with the
+    scalar evaluation its reads use, are one generated pass (`_each`), and a
+    time past its stage time by more than `validate_kernel`'s 1e-12 raises
+    there."""
     taus, starts = ahead.taus, ahead.starts
     values = ahead.values.setdefault(key, [])
     new = taus[len(values) : n]
     if dt and len(new) > 1:  # a window's floors at once, unless one fails
         try:
             values += lag.evaluate_array(np.array(new)).tolist()
-            new = ()
+            new = []
         except EvalDomainError:
             pass
-    for tau in new:
-        try:
-            values.append(lag.evaluate(tau))
-        except (EvalDomainError, ValueError) as e:
-            values.append(_Raise(e))
+    got = _each(lag, new)
+    if not dt:
+        got = [_Raise(ValueError(f"advanced lag {s!r} exceeds t={t!r}"))
+               if s.__class__ is not _Raise and s > t + 1e-12 else s for s, t in zip(got, new)]
+    values += got
     plan = values[:n]
     if _Raise not in map(type, plan) and (not dt or key.density_factors is not None
                                           and all(map(operator.lt, plan, taus))):
@@ -442,36 +476,33 @@ class _Reader:
 
     def point(self, lag, f, t):
         """f of the component at the lag's time at each stage time: a list,
-        or with times in the block's own steps pairs per step, read later."""
+        or with times in the block's own steps pairs per step, read later.
+        The initial data read, and f of what is read, are one pass each
+        (`_each`)."""
         block, comp = self.block, self.comp
-        values = block.values[comp]
-        i = block.offsets[id(lag)]
         plan = block.points[id(lag)]
         if id(lag) in block.zero:
             return [None] * len(plan)
+        i = block.offsets[id(lag)]
         if id(lag) in block.stored:
-            try:
-                return [f(v) for v in values[i : i + len(plan)]]
-            except ERRORS:
-                pass  # each read again, its error kept at its stage time
-        out = []
-        late = []
+            return _each(f, block.values[comp][i : i + len(plan)])
+        stored, early, late = [], [], []
         for r, s in enumerate(plan):
-            if s is None or s.__class__ in _DEFERRED:
-                pass
-            elif s > block.front:
-                late.append(r)
-            else:
-                try:
-                    if s > 0.0:
-                        v = values[i]
-                        i += 1
-                    else:  # the fed component's initial data alone
-                        v = block.traj.value_scalar(s, comp)
-                    s = f(v)
-                except ERRORS as e:
-                    s = _Raise(e)
-            out.append(s)
+            if s is not None and s.__class__ not in _DEFERRED:
+                (late if s > block.front else stored if s > 0.0 else early).append(r)
+        out = list(plan)
+        reads = list(block.values[comp][i : i + len(stored)])
+        if early:  # the fed component's initial data alone
+            traj = block.traj
+            data = (traj.phi, traj.psi)[comp] or functools.partial(traj.value_scalar, comp=comp)
+            for r, v in zip(early, _each(data, [plan[r] for r in early])):
+                if v.__class__ is _Raise:
+                    out[r] = v
+                else:
+                    stored.append(r)
+                    reads.append(v)
+        for r, v in zip(stored, _each(f, reads)):
+            out[r] = v
         return self._late(out, late, f) if late else out
 
     def _late(self, out: list, late: list, f):

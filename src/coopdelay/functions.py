@@ -140,6 +140,11 @@ class ProductionFunction:
     def eval_array(self, vs: np.ndarray) -> np.ndarray:
         return self._array_fn(np.asarray(vs, dtype=float))
 
+    def evaluate_each(self, vs: list) -> list | None:
+        """The expression's `evaluate_each`; None for a function that is not
+        an expression, which is then called value by value."""
+        return None if self.expression is None else self.expression.evaluate_each(vs)
+
     def __repr__(self) -> str:
         return f"ProductionFunction({self.name!r})"
 

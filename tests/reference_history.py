@@ -170,18 +170,27 @@ def step_grid_feedback(stage: Stage, kernel, f, comp: int) -> float:
     return total
 
 
+def lag_time(lag, t: float) -> float:
+    """The lag's time at t, which may run ahead of t by validate_kernel's
+    slack of 1e-12 and no more."""
+    s = lag.evaluate(t)
+    if s > t + 1e-12:
+        raise ValueError(f"advanced lag {s!r} exceeds t={t!r}")
+    return s
+
+
 def kernel_feedback(stage: Stage, kernel, f, comp: int) -> float:
     """The kernel's whole feedback at the stage: a point mass's f of the
-    `stage_read` at its lag, a window's `step_grid_feedback`, and a
-    mixture's weighted atoms, in order, plus its density part."""
+    `stage_read` at its lag (`lag_time`), a window's `step_grid_feedback`,
+    and a mixture's weighted atoms, in order, plus its density part."""
     t = stage.t_stage
     if isinstance(kernel, PointMassKernel):
-        return f(stage_read(stage, kernel.lag.evaluate(t), comp))
+        return f(stage_read(stage, lag_time(kernel.lag, t), comp))
     if not isinstance(kernel, GeneralMixtureKernel):
         return step_grid_feedback(stage, kernel, f, comp)
     total = 0.0
     for lag, w in kernel.atoms:
-        total += w * f(stage_read(stage, lag.evaluate(t), comp))
+        total += w * f(stage_read(stage, lag_time(lag, t), comp))
     if kernel.density is not None:
         total += step_grid_feedback(stage, kernel, f, comp)
     return total

@@ -168,6 +168,13 @@ LINEAR_PAIR = (
          "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
          "numerical: right-hand side failed near t=1.232: "
          "t - 1.0 - 0.0*ln(abs(t - 1.2345) - 0.002) at 1.233: math domain error"),
+        # the lag runs ahead of t on (1.224, 1.244), between the same grid
+        # times: the first stage time there names the lag's value and t
+        ("run", "[system]\nf1 = 1 + x/2\nf2 = 1 + x/2\nr1 = 1\nr2 = 1\nphi = 1\npsi = 1\n"
+         'kernel1 = point lag="t + max(0, 0.01 - abs(t - 1.234))"\n'
+         'kernel2 = point lag="t + max(0, 0.01 - abs(t - 1.234))"\n'
+         "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
+         "numerical: right-hand side failed near t=1.224: advanced lag 1.2249999999999999 exceeds t=1.2245"),
         # a NaN converge_rtol ran to the horizon and wrote NaN into the report
         *[(command, LINEAR_PAIR.format(lag="t - 1", phi="1") + f"[numerics]\n{key} = {value}\n", [],
            EXIT_VALIDATION, f"[numerics] {key}: must be finite")
@@ -177,9 +184,9 @@ LINEAR_PAIR = (
               ("run", "extinction_threshold", "-inf"))],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
-         "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "converge_rtol-nan", "converge_rtol-inf",
-         "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan", "window_spans-inf",
-         "extinction_threshold-inf"],
+         "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "converge_rtol-nan",
+         "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
+         "window_spans-inf", "extinction_threshold-inf"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopdelay import expr
 from coopdelay.expr import (
     BinOp,
     Call,
@@ -179,3 +180,43 @@ def test_scalar_and_array_callables_share_one_compiled_code_object():
     assert e._scalar.__globals__ is not e._array.__globals__
     assert e.evaluate(0.25) == pytest.approx(0.5 + 2.0 * math.tanh(0.25) ** 2, rel=1e-15)
     assert e.evaluate_array(np.array([0.25]))[0] == pytest.approx(e.evaluate(0.25), rel=1e-15)
+
+
+@given(_trees, st.lists(st.floats(min_value=-20.0, max_value=20.0), max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_each_is_evaluate_at_every_value(tree, vs):
+    # bit for bit, which numpy's exp, ln and tanh are not; None exactly where
+    # a value raises or is non-finite
+    e = Expression(tree, "x")
+    want = []
+    for v in vs:
+        try:
+            want.append(e.evaluate(v).hex())
+        except EvalDomainError:
+            want = None
+            break
+    got = e.evaluate_each(vs)
+    assert (got if got is None else [v.hex() for v in got]) == want
+
+
+def test_evaluate_each_tells_a_non_finite_value_from_a_sum_that_overflows():
+    assert parse("x*1e308").evaluate_each([1.5, 1.5]) == [1.5e308, 1.5e308]
+    assert parse("x*x").evaluate_each([2.0, 1e200]) is None
+    assert parse("ln(x)").evaluate_each([1.0, 0.0]) is None
+    assert parse("ln(x)").evaluate_each([]) == []
+
+
+def test_parse_compiles_one_code_object_and_the_pass_one_more_at_first_use(monkeypatch):
+    # every parse paying for the pass as well made analysis-only runs, which
+    # parse many expressions and evaluate few of them this way, slower
+    sources = []
+    monkeypatch.setattr(expr, "compile", lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    e = parse("sqrt(x) + 2")
+    assert len(sources) == 1
+    e.evaluate(1.0)
+    e.evaluate_array(np.ones(3))
+    assert len(sources) == 1
+    assert e.evaluate_each([1.0, 4.0]) == [3.0, 4.0]
+    assert e.evaluate_each([9.0]) == [5.0]
+    assert len(sources) == 2

@@ -8,22 +8,24 @@ to rounding.  The stops and the window configs' states are pinned to those
 of the per-stage path that blocks replaced.
 """
 
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import SystemSpec
-from coopdelay.expr import EvalDomainError, parse
+from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var, parse
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
 from reference_history import WINDOW_RTOL, drive
+from test_expr import _trees
 from test_integrator import CONFIGS, on_path, spec_of
 
 
@@ -86,6 +88,57 @@ def test_window_feeds_from_blocks_agree_with_the_per_stage_path(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(feeds, "WINDOW_ELEMENTS", budget)
         drive(spec, stored_history(dt), dt, 10, random.Random(seed), states=2)
+
+
+@given(_trees, _trees, st.booleans(), st.integers(0, 2**16))
+@example(BinOp("*", Var(), Num(1e308)), Num(0.3), False, 0)  # f overflows to inf at x > 1.8 without raising
+@settings(max_examples=100, deadline=None)
+def test_point_feeds_from_generated_passes_agree_with_the_per_value_path(f, lag, shared, seed):
+    # f and the lag's offset drawn over sqrt, exp, ln, tanh, sin, cos, ^,
+    # min, max and abs, so some values raise or are non-finite: every feed
+    # as the per-stage definition gives it value by value, the same number
+    # bit for bit or the same error at the same row; the lag may run ahead
+    dt = 0.05
+    kernel = PointMassKernel(f"t - ({Expression(lag, 't').serialize()})")
+    spec = spec_of(Expression(f, "x").serialize(), "x/2", k1=kernel, k2=kernel if shared else PointMassKernel("t-0.3"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    drive(spec, stored_history(dt), dt, 10, random.Random(seed), states=2)
+
+
+@pytest.mark.parametrize(
+    "dt, horizon",
+    [
+        (0.07, 1.0),  # dt does not divide the horizon: the last step is shorter
+        (0.1, 0.3),  # 3 * 0.1 > 0.3: the eps_t clamp
+        (2e-3, 60.0),  # sqrt_logistic_point's steps
+    ],
+)
+def test_stage_times_are_step_end_s_bit_for_bit(dt, horizon):
+    # by step_end one step at a time, and from _Ahead's numpy passes over
+    # blocks that serve fewer steps than they asked for, so that a block
+    # continues after advance from rows made for the last
+    eps_t = 1e-12 * max(1.0, horizon)
+    taus, starts, t = [], [], 0.0
+    for j in itertools.count():
+        t1 = feeds.step_end(j, dt, horizon, eps_t)
+        taus += [t + 0.5 * (t1 - t), t1]
+        starts += [t, t]
+        t = t1
+        if t1 == horizon:
+            break
+    ahead = feeds._Ahead(0, 0.0, dt, horizon, eps_t)
+    got_taus, got_starts = [], []
+    for asked, served in itertools.cycle([(8, 8), (16, 5), (3, 3), (256, 200), (1, 1)]):
+        n = ahead.rows(asked)
+        if not n:
+            break
+        served = min(served, (n + 1) >> 1)
+        got_taus += ahead.taus[: 2 * served]
+        got_starts += ahead.starts[: 2 * served]
+        ahead.advance(served)
+    assert [v.hex() for v in got_taus] == [v.hex() for v in taus]
+    assert [v.hex() for v in got_starts] == [v.hex() for v in starts]
+    assert got_taus[-1] == horizon
 
 
 def test_windows_past_the_old_element_budget():

@@ -639,6 +639,7 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
     calls = count_array_lookups(monkeypatch)
     scalar_reads = count_scalar_lookups(monkeypatch)
+    data_reads = count_data_reads(monkeypatch)
     f1, f1_scalars, f1_sizes = counted_production("1+x/2")
     f2, f2_scalars, f2_sizes = counted_production("x/2")
     spec.f1, spec.f2 = f1, f2
@@ -654,8 +655,9 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     assert calls == [200] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
     # the derivative at t = 0 is a block of one row, whose head reads go one
     # by one, two per fed component; a point kernel reads the initial data of
-    # the component it is fed from once per stage time
-    assert len(scalar_reads) == 2 * fed + points * (1 + 2 * steps)
+    # the component it is fed from at each stage time, one pass per block
+    assert len(scalar_reads) == 2 * fed
+    assert data_reads == ([1] + [2 * b for b in blocks]) * points
     for scalars, sizes, kernel in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
         if isinstance(kernel, PointMassKernel):
             assert sizes == []
@@ -797,6 +799,19 @@ def count_scalar_lookups(monkeypatch):
     return calls
 
 
+def count_data_reads(monkeypatch):
+    """The number of times in each pass over initial data."""
+    sizes = []
+    original = InitialFunction.evaluate_each
+
+    def counted(self, ts):
+        sizes.append(len(ts))
+        return original(self, ts)
+
+    monkeypatch.setattr(InitialFunction, "evaluate_each", counted)
+    return sizes
+
+
 def point_system(lag1, lag2):
     return system_from_mapping({
         "f1": "1+x/2", "f2": "x/2", "r1": "1", "r2": "1",
@@ -812,7 +827,8 @@ def point_system(lag1, lag2):
         # (30 steps); the lagged time t - 1 passes 0 at step 100, so the
         # 64-step block reads 40 stored times and the last one 60.  Each
         # stage time up to t = 1 reads the initial data once per component,
-        # and so does the derivative at t = 0, one stage time
+        # and so does the derivative at t = 0, one stage time, in one pass
+        # per block
         ("t-1", "t-1", [40, 60], 0, 2 * (1 + 2 * 100)),
         # off the grid of stage times, so rounding cannot move a lagged time
         # across 0.  From 8 steps on a block ends where t - 0.3025 reaches
@@ -832,11 +848,12 @@ def test_one_array_lookup_per_point_block(monkeypatch, lag1, lag2, arrays, late,
     spec = point_system(lag1, lag2)
     scalar = count_scalar_lookups(monkeypatch)
     array = count_array_lookups(monkeypatch)
+    data = count_data_reads(monkeypatch)
     _, outcome = integrate(spec, horizon=1.5, dt=0.01)
     assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 150
     assert array == arrays  # one value_array per block of MIN_BLOCK steps or more
-    assert scalar.count(None) == late  # (x, y) reads one by one
-    assert len(scalar) - late == initial  # initial data, one component at a time
+    assert scalar == [None] * late  # (x, y) reads one by one
+    assert sum(data) == initial  # initial data, one component at a time
 
 
 def test_initial_data_are_read_only_for_the_component_fed_from_them():
@@ -913,7 +930,8 @@ def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
 
 
 class CountedLag:
-    """A lag expression that counts its scalar evaluations."""
+    """A lag expression that counts the values it evaluates, one at a time
+    or in a pass."""
 
     def __init__(self, lag):
         self.lag = lag
@@ -922,6 +940,12 @@ class CountedLag:
     def evaluate(self, t):
         self.calls += 1
         return self.lag.evaluate(t)
+
+    __call__ = evaluate
+
+    def evaluate_each(self, ts):
+        self.calls += len(ts)
+        return self.lag.evaluate_each(ts)
 
 
 @pytest.mark.parametrize("lag", ["t-0.013", "t-0.007", "t", "t-1", "t/2"])
@@ -939,6 +963,21 @@ def test_point_lags_are_evaluated_about_once_per_stage_time(lag):
     steps = outcome.diagnostics["steps"]
     assert steps == 2000
     assert 2 * steps < counted.calls <= 2.05 * steps
+
+
+def test_a_lag_ahead_of_t_raises_past_the_validation_slack():
+    # within validate_kernel's 1e-12 a lag ahead of t reads the stage state,
+    # as a zero lag does; further ahead it raises at the first stage time
+    # it runs ahead of, a mixture's atom too, naming its value and t
+    runs = [integrate(spec_of("1+x/2", "x/2", k1=kernel, k2=kernel), horizon=1.0, dt=0.01)[0]
+            for kernel in (PointMassKernel("t"), PointMassKernel("t + 5e-13"))]
+    assert np.array_equal(*(traj._v[: traj.n + 1] for traj in runs))
+    ahead = "t + max(0, t - 0.5)"
+    for kernel in (PointMassKernel(ahead), GeneralMixtureKernel([("t - 0.1", 0.5), (ahead, 0.5)])):
+        with pytest.raises(IntegrationError, match=r"near t=0.5: advanced lag 0.51\d* exceeds t=0.505"):
+            integrate(spec_of("1+x/2", "x/2", k1=kernel, k2=PointMassKernel("t")), horizon=1.0, dt=0.01)
+    with pytest.raises(IntegrationError, match=r"at t=0: advanced lag 1e-09 exceeds t=0.0"):
+        integrate(spec_of("1+x/2", "x/2", k1=PointMassKernel("t + 1e-9")), horizon=1.0, dt=0.01)
 
 
 POINT_LAGS = st.one_of(
