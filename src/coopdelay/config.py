@@ -227,21 +227,28 @@ def check_numerics(numerics: Numerics) -> None:
         v = getattr(numerics, k)
         if v is not None and not (math.isfinite(v) and v > 0):
             raise ConfigError(f"[numerics] {k}", "must be positive and finite")
-    # the mixture mass check's Simpson rule needs two panels; a scan or
-    # sampled check needs two points
-    for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2)):
+    # the mixture mass check's Simpson rule needs two panels, the rate
+    # divergence check's one panel of three nodes; a scan or sampled check
+    # needs two points, and the bound sequences one iteration
+    for k, least in (("quad_panels", 2), ("kernel_grid", 1), ("a1_grid", 2), ("scan_grid", 2), ("a5_grid", 3),
+                     ("n_max_iteration", 1)):
         if getattr(numerics, k) < least:
             raise ConfigError(f"[numerics] {k}", f"must be at least {least}")
     for k in ("alpha", "slack"):
         if not 0.0 < getattr(numerics, k) < 1.0:
             raise ConfigError(f"[numerics] {k}", "must lie strictly inside (0, 1)")
-    # a NaN tolerance never stops a run, and the report would write it as NaN,
-    # which is not JSON
-    if not (math.isfinite(numerics.converge_rtol) and numerics.converge_rtol >= 0.0):
-        raise ConfigError("[numerics] converge_rtol", "must be finite and non-negative")
-    for k in ("blowup_threshold", "stage_ratio", "window_spans", "extinction_threshold"):
-        if not math.isfinite(getattr(numerics, k)):
-            raise ConfigError(f"[numerics] {k}", "must be finite")
+    # NaN fails every comparison: a NaN tolerance or bound never stops a
+    # bisection or a run, or disables its check, and the report would write
+    # it as NaN, which is not JSON; a threshold or ratio of 0 or less is a
+    # blow-up at t = 0
+    for k in ("tol_classify", "tol_iteration", "blowup_threshold", "stage_ratio", "window_spans", "max_lag_bound"):
+        v = getattr(numerics, k)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"[numerics] {k}", "must be finite and positive")
+    for k in ("converge_rtol", "extinction_threshold", "a5_tail_threshold"):
+        v = getattr(numerics, k)
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ConfigError(f"[numerics] {k}", "must be finite and non-negative")
 
 
 def load_config(path) -> RunConfig:

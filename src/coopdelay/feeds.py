@@ -5,16 +5,17 @@ delayed system is an ODE with known forcing there (Bellen & Zennaro,
 Numerical Methods for Delay Differential Equations, 2003).  `block_feeds`
 hands `integrate` every feedback of a run, built a block of steps at a time
 by each kernel's `integrate(f, u, t)`, t the block's stage times and u the
-component it reads (`_Reader`).  A feed is what `window_feed` evaluates at a
-stage: a number; None for f of the stage state (a zero lag); a window's row,
-the tuple (known, c0, c1, wl, wm, wt, a, b, c, sums, ...), whose value is
-known + c0*s0 + c1*s1 + wl*fp with its block's running sums (`_Sums`) plus
-the tail panel wm*f(a*u0 + b*us + c*du0) + wt*f(us), the panel's midpoint
-read from the in-step quadratic; `_InStep`, f of that quadratic at a lagged
-time inside the step; `_Sum`, weighted feeds (a mixture, or a window whose
-floor lies inside the step); or `_Raise`, a lag, read or f that failed,
-raised at the stage that reads it, so a guard that fires at an earlier
-stage still wins.
+component it reads (`_Reader`), and each step's end with its feeds:
+`_Ahead.rows` alone decides where steps end.  A feed is what `window_feed`
+evaluates at a stage: a number; None for f of the stage state (a zero lag);
+a window's row, the tuple (known, c0, c1, wl, wm, wt, a, b, c, sums, ...),
+whose value is known + c0*s0 + c1*s1 + wl*fp with its block's running sums
+(`_Sums`) plus the tail panel wm*f(a*u0 + b*us + c*du0) + wt*f(us), the
+panel's midpoint read from the in-step quadratic; `_InStep`, f of that
+quadratic at a lagged time inside the step; `_Sum`, weighted feeds (a
+mixture, or a window whose floor lies inside the step); or `_Raise`, a lag,
+read or f that failed, raised at the stage that reads it, so a guard that
+fires at an earlier stage still wins.
 
 A point mass reads its lagged time s at the stage time t of a step [t0, t1]:
 the stage state from t to t + 1e-12 (`validate_kernel`'s slack; further
@@ -43,14 +44,13 @@ reads and the tail panel complete a feed.
 From MIN_BLOCK steps on, a block ends before the step that first reads its
 own steps, or, for a density that does not factor, whose dense weights
 would pass WINDOW_ELEMENTS; any block ends after the first step whose lag
-raises (BLOCK_ENDS counts why blocks end).  A shorter block reads its stored
-times one by one, cheaper there than one `Trajectory.value_array`.  A build
-that raises is tried again with half the steps, and a one-step build that
-raises builds each feed of the step alone, as a block of one row; a feed
-whose build raises becomes a `_Raise`, and in a block of one row so does a
-window whose build raises, so a mixture's atoms raise before its density.
-The derivative at the front is a block of one row too: its one stage time
-serves as both the midpoint and the end of an item.  A window whose floors
+raises (BLOCK_ENDS counts why blocks end).  A build that raises is tried
+again with half the steps, and a one-step build that raises builds each
+feed of the step alone, as a block of one row; a feed whose build raises
+becomes a `_Raise`, and in a block of one row so does a window whose build
+raises, so a mixture's atoms raise before its density.  The derivative at
+the front is a block of one row too: its item's end is its one stage time,
+which serves as both the midpoint and the end.  A window whose floors
 all lie behind the front hands over its rows CHUNK steps at a time; any
 other works out each step's rows as the step reads them, after the steps
 before it are stored.
@@ -72,7 +72,7 @@ if TYPE_CHECKING:
     from .dynamics import SystemSpec
     from .integrator import Trajectory, _StepGrid
 
-__all__ = ["BLOCK_ENDS", "block_feeds", "step_end", "window_feed"]
+__all__ = ["BLOCK_ENDS", "block_feeds", "window_feed"]
 
 # the longest block bounds the work done ahead of a stop and the block's
 # memory, and so does the element budget of the dense window weights of a
@@ -90,16 +90,6 @@ ERRORS = (EvalDomainError, HistoryUnderflowError, ValueError)
 # reached WINDOW_ELEMENTS, a row reads its own steps, a lag or read raised,
 # or the horizon
 BLOCK_ENDS = ("limit", "budget", "own-steps", "raise", "horizon")
-
-
-def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
-    """The end of step j: (j + 1) * dt, free of drift, the last step
-    clamped to the horizon.  The step template forms its steps' ends by
-    these operations (`integrator._compile_steps`), and `_Ahead.rows` a
-    block's in one numpy pass of them, so the blocks' stage times are the
-    run's, bit for bit."""
-    t1 = (j + 1) * dt
-    return horizon if t1 >= horizon - eps_t else t1
 
 
 class _InStep:
@@ -202,10 +192,11 @@ def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
 def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
                 eps_t: float, ends: dict):
     """The feeds of the derivative at the trajectory's front, then of each
-    step, one item per step: the tuple (fx, fy, fx, fy) at the step's
-    midpoint and at its end, whatever the feeds are.  grid is the run's step
-    grid, None without density parts; ends counts the blocks built by why
-    each ended (BLOCK_ENDS).  A block is built when the run reaches its
+    step, one item per step: the tuple (t1, fx, fy, fx, fy) of the step's
+    end t1 (`_Ahead.rows`) and the feeds at the step's midpoint and at its
+    end, whatever the feeds are; none past the horizon.  grid is the run's
+    step grid, None without density parts; ends counts the blocks built by
+    why each ended (BLOCK_ENDS).  A block is built when the run reaches its
     first step, at most twice as long as the last (MIN_BLOCK to MAX_BLOCK
     steps)."""
     front = traj.t_front
@@ -213,10 +204,8 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
     yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front]), 1, dt)[0]
     ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
     limit = MIN_BLOCK
-    while True:
+    while ahead.taus or not ahead.done:  # up to the horizon
         items, steps, reason = _block(spec, traj, grid, ahead, limit, dt)
-        if not steps:  # past the horizon
-            return
         ends[reason] += 1
         yield from items
         items = None  # not held while the next block is built
@@ -239,9 +228,11 @@ class _Ahead:
         self.values: dict = {}
 
     def rows(self, steps: int) -> int:
-        """The rows of the next steps steps, fewer at the horizon: the steps
-        still missing made in one pass of `step_end`'s operations, their
-        midpoints t0 + 0.5 * (t1 - t0) as the step forms them."""
+        """The rows of the next steps steps, fewer at the horizon, the steps
+        still missing made in one numpy pass.  This is the one place where
+        steps end: step j ends at (j + 1) * dt, free of drift, and the last
+        step at the horizon, from eps_t before it on; a step's midpoint is
+        t0 + 0.5 * (t1 - t0), as the step template forms it from t1."""
         m = steps - len(self.taus) // 2
         if m > 0 and not self.done:
             t1 = np.arange(self.j + 1, self.j + 1 + m) * self.dt
@@ -289,20 +280,13 @@ def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[
 
 def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list, str | None]:
     """lag at the first n rows, how many a block serves (see the module
-    docstring) and why it serves fewer; dt is 0 for a point lag.  A window's
-    floors are one array where they can be; a point lag's times, with the
-    scalar evaluation its reads use, are one generated pass (`_each`), and a
-    time past its stage time by more than `validate_kernel`'s 1e-12 raises
-    there."""
+    docstring) and why it serves fewer; dt is 0 for a point lag.  A point
+    lag's times and a window's floors are one generated pass of the scalar
+    evaluation (`_each`), and a point lag's time past its stage time by more
+    than `validate_kernel`'s 1e-12 raises there."""
     taus, starts = ahead.taus, ahead.starts
     values = ahead.values.setdefault(key, [])
     new = taus[len(values) : n]
-    if dt and len(new) > 1:  # a window's floors at once, unless one fails
-        try:
-            values += lag.evaluate_array(np.array(new)).tolist()
-            new = []
-        except EvalDomainError:
-            pass
     got = _each(lag, new)
     if not dt:
         got = [_Raise(ValueError(f"advanced lag {s!r} exceeds t={t!r}"))
@@ -374,8 +358,9 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
     """The first step's item with each feed built alone, a block of one row,
     in the order the stage reads them; a feed whose build raises raises at
     its stage."""
-    item = []
-    for r in range(min(2, len(ahead.taus))):
+    rows = min(2, len(ahead.taus))
+    item = [ahead.taus[rows - 1]]
+    for r in range(rows):
         row = _Ahead(ahead.j, ahead.starts[r], dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1])
         row.values = {key: values[r : r + 1] for key, values in ahead.values.items() if len(values) > r}
         for kernel, f, comp in ((spec.k1, spec.f1, 1), (spec.k2, spec.f2, 0)):
@@ -386,7 +371,7 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
             except ERRORS as e:
                 feed = _Raise(e)
             item.append(feed)
-    return [tuple(item if len(item) == 4 else item * 2)]
+    return [tuple(item if len(item) == 5 else item + item[1:])]
 
 
 def _rows(feeds):
@@ -403,18 +388,17 @@ class _Block:
     lags' stored times up to the front, read together (`values`, the x and
     the y row), times in the block's own steps, read once stored (`read`),
     and the windows' weights.  `items` pairs the two kernels' feeds into one
-    tuple per step, whatever the feeds are.
+    tuple per step with the step's end, whatever the feeds are.
     """
 
-    __slots__ = ("traj", "grid", "taus", "starts", "front", "short", "points", "offsets", "stored",
-                 "zero", "values", "windows", "late")
+    __slots__ = ("traj", "grid", "taus", "starts", "front", "points", "offsets", "stored", "zero", "values",
+                 "windows", "late")
 
     def __init__(self, traj: Trajectory, grid, ahead: _Ahead, n: int, points: dict, windows: dict):
         self.traj, self.grid = traj, grid
         self.taus = taus = ahead.taus[:n]
         self.starts = starts = ahead.starts[:n]
         self.front = front = traj.t_front
-        self.short = n < 2 * MIN_BLOCK
         self.late: dict = {}
         times: list = []
         self.points = {}
@@ -436,12 +420,7 @@ class _Block:
             plan = self.points[key] = [
                 s if s.__class__ is _Raise or s <= t0 else None if s >= t else _InStep(t0, t, s)
                 for s, t, t0 in zip(plan, taus, starts)]
-        if not times:
-            self.values = ((), ())
-        elif self.short:
-            self.values = tuple(zip(*[traj.value_scalar(s) for s in times]))
-        else:
-            self.values = tuple(traj.value_array(np.array(times)).tolist())
+        self.values = tuple(traj.value_array(np.array(times)).tolist()) if times else ((), ())
         plans = {kernel: plan[:n] for kernel, plan in windows.items()}
         floors = [a for plan in plans.values() for a in plan if a.__class__ is not _Raise]
         if floors:
@@ -457,12 +436,13 @@ class _Block:
         return xy
 
     def items(self, fx, fy):
+        ends = self.taus[1::2] or self.taus  # a block of one row ends at its one stage time
         if fx.__class__ is list and fy.__class__ is list:
             if len(fx) == 1:
                 fx, fy = fx * 2, fy * 2
-            return list(zip(fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
+            return list(zip(ends, fx[0::2], fy[0::2], fx[1::2], fy[1::2]))
         xs, ys = _rows(fx), _rows(fy)
-        return zip(xs, ys, xs, ys)
+        return zip(ends, xs, ys, xs, ys)
 
 
 class _Reader:
@@ -744,13 +724,15 @@ class _WindowBlock:
         sums[: len(self.common)] = (self.common @ fk[c:k]).tolist()
         times = self.times
         if times.size:
-            traj = block.traj
-            if block.short:
-                fh = np.array([f(traj.value_scalar(s, comp)) for s in times.tolist()])
-            else:
-                if self.xy is None and times.min() > 0.0:  # stored history: both components at once
-                    self.xy = traj.value_array(times)
-                fh = f.eval_array(self.xy[comp] if self.xy is not None else traj.value_array(times, comp))
+            if self.xy is None and times.min() > 0.0:  # stored history: both components at once
+                self.xy = block.traj.value_array(times)
+            u = self.xy[comp] if self.xy is not None else block.traj.value_array(times, comp)
+            try:
+                fh = f.eval_array(u)
+            except EvalDomainError:
+                for v in u.tolist():  # the scalar f names the first value that fails
+                    f(v)
+                raise
             m = fh.size // 2
             heads = self.head[0] * fh[:m] + self.head[1] * fh[m:]
             if self.early is None:

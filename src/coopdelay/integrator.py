@@ -20,17 +20,19 @@ times (t + h/2 for k2 and k3, t + h for k4 and the end-of-step
 derivative); stored history changes only after the step is accepted.
 
 Feedbacks.  Every right-hand side, the derivative at t = 0's included,
-takes its two feedbacks from `feeds.block_feeds`, one item of four feeds
-per step (x and y at the step's midpoint, then at its end) read a block of
-upcoming steps at a time; what they read inside the step is read at the
-stage with `feeds.window_feed`.
+takes its two feedbacks from `feeds.block_feeds`, one item per step, the
+step's end and four feeds (x and y at the step's midpoint, then at its
+end), read a block of upcoming steps at a time; what they read inside the
+step is read at the stage with `feeds.window_feed`.
 
 The step.  `_compile_steps` writes the RK4 step once, as a template of
-Python source, and renders it in two ways.  The compiled loop, generated
-when both production functions are expressions and no kernel is a mixture,
-takes every step whose feeds are plain for its kernels with all of it
-inline (from `expr._emit`'s source of f, r and G): a number, or None for f
-of the stage state, for a point kernel, and a row of a uniform or
+Python source, and renders it in two ways.  Both take the step's end from
+its item, so steps end where `feeds._Ahead.rows` puts them, and no other
+code forms a step end; the items end at the horizon.  The compiled loop,
+generated when both production functions are expressions and no kernel is
+a mixture, takes every step whose feeds are plain for its kernels with all
+of it inline (from `expr._emit`'s source of f, r and G): a number, or None
+for f of the stage state, for a point kernel, and a row of a uniform or
 triangular window, its value read from the block's running sums, with its
 tail panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
 window's row and tail in `rhs`'s and `window_feed`'s operation order; each
@@ -451,29 +453,31 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
     return float(min(1e-2, max(1e-4, 1e-3 * m)))
 
 
-def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: float, horizon: float,
-                   eps_t: float, threshold: float, ratio: float, extinction: float, checked: bool = False):
+def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, threshold: float, ratio: float,
+                   extinction: float, checked: bool = False):
     """The run's RK4 step (see the module docstring), rendered from one
     template: the compiled loop (None when a production function is not an
     expression or a kernel is a mixture), or with checked the checked step
     and the store of its end, as the pair (step, store).
 
-    run(feeds, t, x, y, dx, dy, steps) takes steps from the state at t, whose
-    slopes are dx, dy and which ends step number steps, and returns the state
-    it reached with its slopes, the steps taken in all, and None: at the
+    run(feeds, t, x, y, dx, dy, steps) takes a step per item of feeds from
+    the state at t, whose slopes are dx, dy and which ends step number steps,
+    each to the end its item carries, and returns the state it reached with
+    its slopes, the steps taken in all, and None: when feeds ends at the
     horizon, at extinction, or after every CHECK_EVERY-th step, where the
     caller checks the convergence window (and skips it when converge_rtol
     is 0).  At a step whose item is not plain, which raises, fires a guard
     or ends in a non-finite derivative or f at a node, it returns the state
     before the step and the step's item instead.
 
-    step(item, t, x, y, dx, dy, steps) takes that step with the feeds of
-    item and returns the end state with its slopes.  A guard that fires
-    raises _StageGuard(name, values), values what it compared; what a feed
-    or the right-hand side raises passes through.  store(item, t, x, y, dx,
-    dy, t1, x1, y1, dx1, dy1) stores the step's end.  An error of f at a
-    node it stores is raised again by the first read of that node (see
-    `_Column`), and by the sums of a factored window that add it.
+    step(item, t, x, y, dx, dy) takes that step to the end item carries,
+    with its feeds, and returns the end time and state with its slopes.  A
+    guard that fires raises _StageGuard(name, values), values what it
+    compared; what a feed or the right-hand side raises passes through.
+    store(item, t, x, y, dx, dy, t1, x1, y1, dx1, dy1) stores the step's
+    end.  An error of f at a node it stores is raised again by the first read
+    of that node (see `_Column`), and by the sums of a factored window that
+    add it.
     """
     if not checked:
         kinds = ["point" if isinstance(kernel, PointMassKernel) else
@@ -599,17 +603,16 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         *guard("state-threshold", ("x1", "y1")),
         *derivative("e", {"x": "x1", "y": "y1"}, {"x": "dx1", "y": "dy1"}, end=True),
     ]
-    end = ["t1 = (steps + 1) * DT", "if t1 >= LIMIT:", "    t1 = HORIZON"]
     if checked:
         store = ["append(t1, x1, y1, dx1, dy1)"]
         if windows:
-            store += ["fxm, fym, fxe, fye = item", "h = t1 - t", *midpoints()]
+            store += ["_, fxm, fym, fxe, fye = item", "h = t1 - t", *midpoints()]
             for c, read, name, _ in windows:
                 store += [f"fm{c} = C{c}.node({name}, {read}m, f{c}e)", f"fe{c} = C{c}.node({name}, {read}1, f{c}e)",
                           *advance(c)]
         source = "\n".join([
-            "def step(item, t, x, y, dx, dy, steps):",
-            *("    " + line for line in [*end, "fxm, fym, fxe, fye = item", *body, "return t1, x1, y1, dx1, dy1"]),
+            "def step(item, t, x, y, dx, dy):",
+            *("    " + line for line in ["t1, fxm, fym, fxe, fye = item", *body, "return t1, x1, y1, dx1, dy1"]),
             "def store(item, t, x, y, dx, dy, t1, x1, y1, dx1, dy1):",
             *("    " + line for line in store),
         ])
@@ -630,10 +633,8 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         finite = ["dx1", "dy1", *(f"fm{c}" for c, _, _, _ in windows)]
         source = "\n".join([
             "def run(feeds, t, x, y, dx, dy, steps):",
-            "    while t < LIMIT:",
-            *("        " + line for line in end),
-            "        item = next(feeds)",
-            "        fxm, fym, fxe, fye = item",
+            "    for item in feeds:",
+            "        t1, fxm, fym, fxe, fye = item",
             f"        if not ({' and '.join(plain)}):",
             "            return t, x, y, dx, dy, steps, item",
             *("        " + line for line in unpack),
@@ -656,10 +657,9 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, d
         ])
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
     namespace = dict(
-        _SCALAR_ENV, next=next, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite,
-        append=traj.append, LIMIT=horizon - eps_t, DT=dt, HORIZON=horizon, THRESHOLD=threshold, RATIO=ratio,
-        RATIO4=6.0 * ratio, EXTINCTION=extinction, CHECK_EVERY=CHECK_EVERY, rhs=rhs, spec=spec,
-        window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard,
+        _SCALAR_ENV, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite, append=traj.append,
+        THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction, CHECK_EVERY=CHECK_EVERY,
+        rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard,
     )
     for c, _, _, column in windows:
         namespace[f"C{c}"] = column
@@ -704,7 +704,7 @@ def integrate(
     grid = _StepGrid(traj, dt) if spec.k1.density_lag is not None or spec.k2.density_lag is not None else None
     ends = dict.fromkeys(BLOCK_ENDS, 0)
     feeds = block_feeds(spec, traj, grid, dt, horizon, eps_t, ends)
-    _, _, fx, fy = next(feeds)
+    _, _, _, fx, fy = next(feeds)
     try:
         dx, dy = rhs(spec, t, x, y, window_feed(spec.f1, fx, y, y, 0.0), window_feed(spec.f2, fy, x, x, 0.0))
     except ERRORS as e:
@@ -717,7 +717,7 @@ def integrate(
     blow_time = None
     conv_point = None
     extinct_time = None
-    options = (spec, traj, grid, dt, horizon, eps_t, blowup_threshold, stage_ratio, extinction_threshold)
+    options = (spec, traj, grid, blowup_threshold, stage_ratio, extinction_threshold)
     run = _compile_steps(*options)
     step = None  # the checked step and its store, compiled when a step first needs them
     compiled = 0
@@ -733,7 +733,7 @@ def integrate(
             if step is None:
                 step, store = _compile_steps(*options, checked=True)
             try:
-                end = step(item, t, x, y, dx, dy, steps)
+                end = step(item, t, x, y, dx, dy)
             except _StageGuard as e:
                 guard_note, values = e.args
                 guard_values = {key: _json_safe(v) for key, v in values.items()}

@@ -20,10 +20,10 @@ midpoint is the in-step read.  It shares no code with `coopdelay.feeds` (no
 grid, no weight pattern, no dot), which it checks.
 
 `drive` takes the items of `feeds.block_feeds` as a run does, storing a
-drawn state at each step end as the checked step stores its end, and
-`check`s every feed at drawn stage states against `kernel_feedback`: point
-masses and mixtures of atoms bit for bit, densities to WINDOW_RTOL relative
-to max(1, |x|).
+drawn state at each step end as the checked step stores its end; it checks
+each item's step end against `step_end`, and every feed at drawn stage
+states against `kernel_feedback`: point masses and mixtures of atoms bit
+for bit, densities to WINDOW_RTOL relative to max(1, |x|).
 """
 
 import math
@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from coopdelay.expr import EvalDomainError
-from coopdelay.feeds import block_feeds, step_end, window_feed
+from coopdelay.feeds import block_feeds, window_feed
 from coopdelay.integrator import _compile_steps, _StepGrid
 from coopdelay.kernels import (
     DEFAULT_PANELS,
@@ -170,6 +170,15 @@ def step_grid_feedback(stage: Stage, kernel, f, comp: int) -> float:
     return total
 
 
+def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
+    """The end of step j: (j + 1) * dt, free of drift, the last step
+    clamped to the horizon.  `feeds._Ahead.rows` makes a block's step ends
+    in one numpy pass of these operations, so the ends a run's items carry
+    are these, bit for bit."""
+    t1 = (j + 1) * dt
+    return horizon if t1 >= horizon - eps_t else t1
+
+
 def lag_time(lag, t: float) -> float:
     """The lag's time at t, which may run ahead of t by validate_kernel's
     slack of 1e-12 and no more."""
@@ -229,7 +238,7 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
     eps_t = 1e-12 * max(1.0, horizon)
     ends = Counter()
     items = block_feeds(spec, traj, grid, dt, horizon, eps_t, ends)
-    _, store = _compile_steps(spec, traj, grid, dt, horizon, eps_t, math.inf, math.inf, 0.0, checked=True)
+    _, store = _compile_steps(spec, traj, grid, math.inf, math.inf, 0.0, checked=True)
     reads = ((spec.k1, spec.f1, 1, 0), (spec.k2, spec.f2, 0, 1))
     for j in range(-1, steps):
         if j >= 0 and traj.t_front >= horizon - eps_t:
@@ -239,11 +248,13 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
         t0 = traj.t_front
         start = tuple(traj._v[traj.n, :2].tolist())
         slope = tuple(traj._v[traj.n, 2:].tolist())
+        t1 = item[0]
         if j < 0:  # the derivative at the front, at the front's state
-            rows = [(t0, 2)]
+            assert t1 == t0
+            rows = [(t0, 3)]
         else:
-            t1 = step_end(traj.n, dt, horizon, eps_t)
-            rows = [(t0 + 0.5 * (t1 - t0), 0), (t1, 2)]
+            assert t1 == step_end(traj.n, dt, horizon, eps_t)
+            rows = [(t0 + 0.5 * (t1 - t0), 1), (t1, 3)]
         rng.shuffle(rows)
         for t, i in rows:
             for _ in range(states if j >= 0 else 1):

@@ -137,6 +137,18 @@ LINEAR_PAIR = (
 )
 
 
+NUMERICS_OUT_OF_RANGE = [
+    ("classify", "tol_classify", "nan", "finite and positive"),
+    ("run", "a5_tail_threshold", "nan", "finite and non-negative"),
+    ("run", "tol_iteration", "nan", "finite and positive"),
+    ("run", "max_lag_bound", "nan", "finite and positive"),
+    ("run", "stage_ratio", "-1", "finite and positive"),
+    ("run", "blowup_threshold", "0", "finite and positive"),
+    ("run", "n_max_iteration", "-3", "at least 1"),
+    ("run", "a5_grid", "0", "at least 3"),
+]
+
+
 @pytest.mark.parametrize(
     "command, system, args, code, text",
     [
@@ -182,11 +194,18 @@ LINEAR_PAIR = (
               ("run", "converge_rtol", "nan"), ("classify", "converge_rtol", "inf"), ("run", "converge_rtol", "-1e-9"),
               ("run", "blowup_threshold", "inf"), ("run", "stage_ratio", "nan"), ("classify", "window_spans", "inf"),
               ("run", "extinction_threshold", "-inf"))],
+        # one line added to a committed config: a NaN tol_classify crashed
+        # classify, the NaN ones after it ran and wrote NaN into the report,
+        # the threshold and ratio blew up at t = 0, and the counts were taken
+        *[(command, (CONFIGS / f"{name}.cfg").read_text().replace("[numerics]\n", f"[numerics]\n{key} = {value}\n"),
+           [], EXIT_VALIDATION, f"[numerics] {key}: must be {rule}")
+          for name in ("linear_decay", "sqrt_logistic_point") for command, key, value, rule in NUMERICS_OUT_OF_RANGE],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
          "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "converge_rtol-nan",
          "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
-         "window_spans-inf", "extinction_threshold-inf"],
+         "window_spans-inf", "extinction_threshold-inf",
+         *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE]],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"

@@ -48,10 +48,12 @@ def test_every_import_is_used(name):
 
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
-                                  "_cmd_classify", "_midpoint", "QuadPlan"])
+                                  "_cmd_classify", "_midpoint", "QuadPlan", "step_end"])
 def test_removed_layers_stay_removed(name):
-    # G1/G2 are plain expressions, the reference history and the Simpson plan
-    # live in the tests, blocks of steps are the one feed path, run and
-    # classify share one handler, and `_hermite` is the one Hermite evaluator
+    # G1/G2 are plain expressions, the reference history, the Simpson plan
+    # and the step end oracle live in the tests, blocks of steps are the one
+    # feed path and `feeds._Ahead.rows` the one place that ends steps, run
+    # and classify share one handler, and `_hermite` is the one Hermite
+    # evaluator
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []

@@ -24,7 +24,7 @@ from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var, parse
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
-from reference_history import WINDOW_RTOL, drive
+from reference_history import WINDOW_RTOL, drive, step_end
 from test_expr import _trees
 from test_integrator import CONFIGS, on_path, spec_of
 
@@ -120,7 +120,7 @@ def test_stage_times_are_step_end_s_bit_for_bit(dt, horizon):
     eps_t = 1e-12 * max(1.0, horizon)
     taus, starts, t = [], [], 0.0
     for j in itertools.count():
-        t1 = feeds.step_end(j, dt, horizon, eps_t)
+        t1 = step_end(j, dt, horizon, eps_t)
         taus += [t + 0.5 * (t1 - t), t1]
         starts += [t, t]
         t = t1

@@ -16,7 +16,7 @@ from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import EvalDomainError, parse
-from coopdelay.feeds import _InStep, block_feeds, step_end, window_feed
+from coopdelay.feeds import _InStep, block_feeds, window_feed
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
@@ -34,7 +34,7 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
 )
-from reference_history import Stage, check, drive, in_step_read, stage_read
+from reference_history import Stage, check, drive, in_step_read, stage_read, step_end
 
 
 def pf(text):
@@ -527,21 +527,21 @@ class TestStageView:
         spec = spec_of("x", "x", k1=kernel, k2=kernel)
         grid = _StepGrid(traj, STEP)
         items = block_feeds(spec, traj, grid, STEP, 3.0, 3e-12, Counter())
-        _, store = _compile_steps(spec, traj, grid, STEP, 3.0, 3e-12, math.inf, math.inf, 0.0, checked=True)
+        _, store = _compile_steps(spec, traj, grid, math.inf, math.inf, 0.0, checked=True)
         next(items)
         front = traj.t_front
         slope = traj._v[traj.n, 2:].tolist()
         t1 = step_end(traj.n, STEP, 3.0, 3e-12)
         before = next(items)
-        check(before[2], stage_at(traj, t1, (9.0, 9.0)), kernel, f, 1)
+        check(before[3], stage_at(traj, t1, (9.0, 9.0)), kernel, f, 1)
         store(before, front, *state, *slope, t1, 3.0, 4.0, 0.0, 0.0)
         grid.sync()
         assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * (t1 - front), t1]
         assert grid.xy[0, grid.n - 1] == 3.0
         after = next(items)  # the next step's feeds read the new segment
         t2 = step_end(traj.n, STEP, 3.0, 3e-12)
-        check(after[2], stage_at(traj, t2, (9.0, 9.0)), kernel, f, 1)
-        assert window_feed(f, after[2], 9.0, 4.0, 0.0) != window_feed(f, before[2], 9.0, state[1], 0.0)
+        check(after[3], stage_at(traj, t2, (9.0, 9.0)), kernel, f, 1)
+        assert window_feed(f, after[3], 9.0, 4.0, 0.0) != window_feed(f, before[3], 9.0, state[1], 0.0)
 
     def test_same_time_stages_share_stored_part(self, monkeypatch):
         # a block computes a window's known part once per production
@@ -554,17 +554,18 @@ class TestStageView:
         spec.f1 = spec.f2 = f
         calls = count_array_lookups(monkeypatch)
         _, item = first_items(spec, traj)
-        # one lookup of the head reads of the block's 8 steps, at the floor and
-        # the head midpoint of each stage time, for both components as they
-        # lie in stored history; per component f over the grid nodes from the
-        # earliest floor and over the head reads
-        assert calls == [2 * 2 * 8] and len(sizes) == 4
+        # one lookup of the head reads of the derivative at the front, and one
+        # of the block's 8 steps, at the floor and the head midpoint of each
+        # stage time, for both components as they lie in stored history; per
+        # component f over the grid nodes from the earliest floor and over
+        # the head reads of each block
+        assert calls == [2, 2 * 2 * 8] and len(sizes) == 6
         reads = len(scalars)
         feeds = {}
         for slot in range(4):
             for stage in ((1.5, 2.5), (7.0, 8.0)):
-                feeds[slot, stage] = window_feed(f, item[slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
-        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 1 and len(sizes) == 4
+                feeds[slot, stage] = window_feed(f, item[1 + slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
+        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 2 and len(sizes) == 6
         for slot in range(4):
             assert feeds[slot, (1.5, 2.5)] != feeds[slot, (7.0, 8.0)]  # one known part, two tails
 
@@ -597,8 +598,8 @@ class TestOneEvaluationPerPair:
             for slot in slots:
                 f = spec.f1 if slot % 2 == 0 else spec.f2
                 comp = 1 - slot % 2
-                got = window_feed(f, item[slot], stage[comp], state[comp], 0.0)
-                fresh = first_items(spec, traj)[1][slot]
+                got = window_feed(f, item[1 + slot], stage[comp], state[comp], 0.0)
+                fresh = first_items(spec, traj)[1][1 + slot]
                 assert bits(got) == bits(window_feed(f, fresh, stage[comp], state[comp], 0.0))
 
     def test_domain_error_at_step_end_nodes_surfaces_at_the_step_end(self):
@@ -611,7 +612,7 @@ class TestOneEvaluationPerPair:
         mid = front + 0.5 * (step_end(traj.n, STEP, 3.0, 3e-12) - front)
         kernel = UniformDensityKernel(f"0.6 - 8*(t - {mid!r})")
         spec = spec_of("x", "sqrt(x-0.5)", k1=PointMassKernel("t-1"), k2=kernel)
-        _, (xm, ym, xe, ye) = first_items(spec, traj)
+        _, (_, xm, ym, xe, ye) = first_items(spec, traj)
         for end_first in (False, True):
             if end_first:  # the failed read leaves the midpoint readable
                 with pytest.raises(EvalDomainError, match="sqrt"):
@@ -651,23 +652,24 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     assert outcome.diagnostics["blocks"] == len(blocks)
     # the initial data back to the floor -1 at t = 0, the step ends -1,
     # -0.99, ..., 0 with their midpoints, once per fed component; then per
-    # block and fed component the floor and head midpoint of each stage time
-    assert calls == [200] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
-    # the derivative at t = 0 is a block of one row, whose head reads go one
-    # by one, two per fed component; a point kernel reads the initial data of
-    # the component it is fed from at each stage time, one pass per block
-    assert len(scalar_reads) == 2 * fed
+    # block and fed component the floor and head midpoint of each stage
+    # time, the derivative at t = 0's one stage time included
+    assert calls == [200, 2] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
+    # nothing is read one time at a time; a point kernel reads the initial
+    # data of the component it is fed from at each stage time, one pass per
+    # block
+    assert scalar_reads == []
     assert data_reads == ([1] + [2 * b for b in blocks]) * points
     for scalars, sizes, kernel in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
         if isinstance(kernel, PointMassKernel):
             assert sizes == []
             continue
         # f over the initial data once, at t = 0, and over each block's head
-        # reads; per step f of the two grid nodes it adds, in the step that
-        # stores them, and of two tail reads per stage, and f of the
-        # derivative at t = 0's two head reads
-        assert sizes == [201] + [2 * 2 * b for b in blocks]
-        assert len(scalars) == 2 * steps + 4 * 2 * steps + 2
+        # reads, the derivative at t = 0's two included; per step f of the
+        # two grid nodes it adds, in the step that stores them, and of two
+        # tail reads per stage
+        assert sizes == [201, 2] + [2 * 2 * b for b in blocks]
+        assert len(scalars) == 2 * steps + 4 * 2 * steps
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
@@ -680,6 +682,34 @@ def test_window_runs_repeat_bit_identically(name):
     for comp in (0, 1):
         assert np.array_equal(ta.step_values(comp), tb.step_values(comp))
     assert oa.final_state == ob.final_state
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_run_ends_its_steps_where_the_blocks_end_them(monkeypatch, path):
+    # feeds._Ahead.rows alone forms step ends: one it adds off the grid of
+    # multiples of dt splits its step, and the run stores exactly that end
+    extra = 0.4567
+    rows = feeds._Ahead.rows
+
+    def split(self, steps):
+        made = len(self.taus)
+        n = rows(self, steps)
+        for r in range(made, len(self.taus), 2):  # the rows this call made
+            t0, t1 = self.starts[r], self.taus[r + 1]
+            if t0 < extra < t1:
+                self.taus[r : r + 2] = [t0 + 0.5 * (extra - t0), extra, extra + 0.5 * (t1 - extra), t1]
+                self.starts[r : r + 2] = [t0, t0, extra, extra]
+                return min(len(self.taus), 2 * steps)
+        return n
+
+    monkeypatch.setattr(feeds._Ahead, "rows", split)
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    traj, outcome = integrate(on_path(spec, path), horizon=1.0, dt=0.01, converge_rtol=0.0)
+    ends = [0.0] + [step_end(j, 0.01, 1.0, 1e-12) for j in range(100)]
+    assert traj.step_times().tolist() == sorted(ends + [extra])
+    assert outcome.diagnostics["steps"] == 101
+    assert outcome.diagnostics["compiled_steps"] == (101 if path == "compiled" else 0)
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
@@ -833,8 +863,8 @@ def point_system(lag1, lag2):
         # off the grid of stage times, so rounding cannot move a lagged time
         # across 0.  From 8 steps on a block ends where t - 0.3025 reaches
         # past its start: blocks of 8, 16, 30, 30, 30, 30 and 6 steps; the
-        # last is short and reads its 24 stored times one by one
-        ("t-0.3025", "t-0.7025", [48, 88, 120, 120], 24, 2 + 2 * 30 + 2 * 70),
+        # last reads its 24 stored times in one lookup too
+        ("t-0.3025", "t-0.7025", [48, 88, 120, 120, 24], 0, 2 + 2 * 30 + 2 * 70),
         ("t", "t", [], 0, 0),  # zero lag reads the stage state: nothing to look up
         # the first step reads inside itself; the first block's other 7 steps
         # read the block's own steps, each lagged time once that step is
@@ -851,7 +881,7 @@ def test_one_array_lookup_per_point_block(monkeypatch, lag1, lag2, arrays, late,
     data = count_data_reads(monkeypatch)
     _, outcome = integrate(spec, horizon=1.5, dt=0.01)
     assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 150
-    assert array == arrays  # one value_array per block of MIN_BLOCK steps or more
+    assert array == arrays  # one value_array per block that reads stored history
     assert scalar == [None] * late  # (x, y) reads one by one
     assert sum(data) == initial  # initial data, one component at a time
 
@@ -1004,12 +1034,12 @@ class TestPointStageView:
         drive(spec, traj, STEP, 3, random.Random(seed), states=3, horizon=traj.t_front + (2.0 + frac) * STEP)
 
     def test_stored_read_is_shared_by_stages_and_components(self, monkeypatch):
-        # a block of one step, which is short: one (x, y) lookup per stage
-        # time serves both components, and f runs once per stage time and
-        # component however often the stages read the feeds
+        # a block of one step: one lookup of (x, y) at both stage times serves
+        # both components, and f runs once per stage time and component
+        # however often the stages read the feeds
         traj, state = stored_history()
         kernel = PointMassKernel("t-1")
-        calls = count_scalar_lookups(monkeypatch)
+        calls = count_array_lookups(monkeypatch)
         evals = []
         f = ProductionFunction(lambda v: evals.append(v) or v * v)
         spec = spec_of("x", "x", k1=kernel, k2=kernel)
@@ -1018,11 +1048,11 @@ class TestPointStageView:
         next(items)
         del calls[:], evals[:]
         item = next(items)
-        assert calls == [None, None] and len(evals) == 4
+        assert calls == [2] and len(evals) == 4
         for stage in ((1.5, 2.5), (7.0, 8.0)):
             for slot in range(4):
-                assert window_feed(f, item[slot], stage[slot % 2], 0.0, 0.0) == item[slot]
-        assert len(calls) == 2 and len(evals) == 4
+                assert window_feed(f, item[1 + slot], stage[slot % 2], 0.0, 0.0) == item[1 + slot]
+        assert len(calls) == 1 and len(evals) == 4
 
     def test_in_step_read_blends_on_every_call(self):
         # a zero lag reads the stage state, a lag inside the step the
@@ -1035,7 +1065,7 @@ class TestPointStageView:
             t = step_end(traj.n, STEP, 3.0, 3e-12)
             for x in (1.5, 7.0):
                 stage = stage_at(traj, t, (x, 0.0))
-                assert window_feed(f, item[3], x, state[0], stage.slope[0]) == stage_read(stage, t - (lag != "t") * 0.01, 0)
+                assert window_feed(f, item[4], x, state[0], stage.slope[0]) == stage_read(stage, t - (lag != "t") * 0.01, 0)
 
     def test_lookup_error_surfaces_at_the_stage_time_that_reads_it(self):
         stored, _ = stored_history()
@@ -1047,7 +1077,7 @@ class TestPointStageView:
         front = traj.t_front
         kernel = PointMassKernel(f"t - {front!r} * (t - {front!r}) / {0.5 * STEP!r}")
         spec = spec_of("x", "x", k1=kernel, k2=PointMassKernel("t-1"))
-        _, (xm, ym, xe, ye) = first_items(spec, traj)
+        _, (_, xm, ym, xe, ye) = first_items(spec, traj)
         window_feed(spec.f1, xm, 1.0, 1.0, 0.0)
         with pytest.raises(HistoryUnderflowError):
             window_feed(spec.f1, xe, 1.0, 1.0, 0.0)
@@ -1209,9 +1239,9 @@ def test_a_checked_step_inside_a_block_carries_the_window_sums(monkeypatch):
             return compiled
         step, store = compiled
 
-        def counted(item, t, x, y, dx, dy, steps):
-            checked.append(steps)
-            return step(item, t, x, y, dx, dy, steps)
+        def counted(item, t, x, y, dx, dy):
+            checked.append(args[1].n)  # the steps the trajectory holds
+            return step(item, t, x, y, dx, dy)
 
         return counted, store
 
