@@ -22,7 +22,6 @@ from .functions import (
     InverseRangeError,
     ProductionFunction,
     inverse,
-    make_separator,
     verify_increasing,
 )
 from .integrator import (

@@ -29,7 +29,6 @@ from .functions import (
     ProductionFunction,
     Separator,
     inverse_auto,
-    make_separator,
 )
 from .integrator import RunOutcome, Trajectory, detect_nonoscillation_violation
 
@@ -44,8 +43,6 @@ __all__ = [
     "find_equilibrium",
     "classify",
     "choose_separator",
-    "align_lower_start",
-    "align_upper_start",
     "monotone_iteration",
     "contraction_start",
     "contraction_iteration",
@@ -61,6 +58,8 @@ TOUCH_CANDIDATES = 8  # |delta| minima refined per scan
 BOX_MARGIN = 1e-12
 CERT_TOL = 1e-9  # slack of the certification's box and side-of-(K, f2(K)) checks
 FATE_TOL = 1e-3  # slack of certify_run's fate check
+CONTRACTION_FLOOR = 1e-12  # contraction sequences below it in both components read to-zero
+REPORT_HEAD = 8  # bound pairs a report lists from the front of each sequence
 
 
 class StallError(RuntimeError):
@@ -132,7 +131,7 @@ class BoundSequences:
     converged: bool
     verdict: str | None = None  # contraction runs: to-zero | to-infinity | stalled
 
-    def to_dict(self, head: int = 8) -> dict:
+    def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "iterations": max(len(self.lower), len(self.upper)),
@@ -140,8 +139,8 @@ class BoundSequences:
             "terminal_gap_y": self.terminal_gap_y,
             "converged": self.converged,
             "verdict": self.verdict,
-            "lower_head": [list(p) for p in self.lower[:head]],
-            "upper_head": [list(p) for p in self.upper[:head]],
+            "lower_head": [list(p) for p in self.lower[:REPORT_HEAD]],
+            "upper_head": [list(p) for p in self.upper[:REPORT_HEAD]],
             "lower_end": list(self.lower[-1]) if self.lower else None,
             "upper_end": list(self.upper[-1]) if self.upper else None,
         }
@@ -424,7 +423,7 @@ def choose_separator(
         raise ValueError("separator floor must be positive")
     alpha = alpha0
     for _ in range(60):
-        g = make_separator(f1, f2, alpha, bracket_hi)
+        g = Separator(f1, f2, alpha, bracket_hi)
         if g(0.0) <= b_floor:
             return g
         alpha = 0.5 * (1.0 + alpha)
@@ -433,34 +432,25 @@ def choose_separator(
     )
 
 
-def align_lower_start(g: Separator, a: float, b: float) -> tuple[float, float]:
-    """(a0, b0) with b0 = g(a0), a0 = min(a, g^-1(b))."""
-    a0 = min(a, g.inverse(b))
-    return a0, g(a0)
-
-
-def align_upper_start(g: Separator, A: float, B: float) -> tuple[float, float]:
-    """(A0, B0) with B0 = g(A0), A0 = max(A, g^-1(B))."""
-    A0 = max(A, g.inverse(B))
-    return A0, g(A0)
-
-
 def monotone_iteration(
     f1: ProductionFunction,
     f2: ProductionFunction,
     g: Separator,
     K: float,
-    start: tuple[float, float, float, float],
+    box: tuple[float, float, float, float],
     n_max: int = 500,
     tol: float = 1e-8,
 ) -> BoundSequences:
-    """Squeeze [a_n, A_n] x [b_n, B_n] toward the equilibrium.
+    """Squeeze [a_n, A_n] x [b_n, B_n] toward the equilibrium, from the
+    corners of the box (m1, m2, M1, M2).
 
-    The recursion is a' = min(g^-1(f2(a)), f1(b)), b' = min(f2(a),
-    g(f1(b))) below and the same with max above; b = g(a) and B = g(A)
-    throughout.  Each bound carries u = f1^-1(a) (U with A), so no step
-    inverts f1: g(f1(b)) is h(b) = alpha*b + (1-alpha)*f2(f1(b)), and g(a)
-    is alpha*u + (1-alpha)*f2(a).  g is strictly increasing, so
+    The start is aligned with the separator: a0 = min(m1, g^-1(m2)) and A0 =
+    max(M1, g^-1(M2)), with b0 = g(a0) and B0 = g(A0), so [a0, A0] x [b0,
+    B0] holds the box.  The recursion is a' = min(g^-1(f2(a)), f1(b)), b' =
+    min(f2(a), g(f1(b))) below and the same with max above; b = g(a) and B
+    = g(A) throughout.  Each bound carries u = f1^-1(a) (U with A), so no
+    step inverts f1: g(f1(b)) is h(b) = alpha*b + (1-alpha)*f2(f1(b)), and
+    g(a) is alpha*u + (1-alpha)*f2(a).  g is strictly increasing, so
     g^-1(f2(a)) <= f1(b) exactly when f2(a) <= h(b): one comparison picks
     the branch of both mins.  When h(b) wins, (a', u', b') = (f1(b), b,
     h(b)) with no inverse; only otherwise does g.inverse_xu(f2(a)) run,
@@ -471,13 +461,15 @@ def monotone_iteration(
     h(b) branch, the bisection's accuracy on the other); a numerical
     failure raises StallError.
     """
-    a, b, A, B = start
-    u, U = g.f1_inverse(a), g.f1_inverse(A)
-    scale = max(1.0, abs(A), abs(B))
-    if abs(g.at(a, u) - b) > 1e-9 * scale or abs(g.at(A, U) - B) > 1e-9 * scale:
-        raise ValueError("start must be pre-aligned with b = g(a), B = g(A)")
+    m1, m2, M1, M2 = box
+    a = min(m1, g.inverse_xu(m2)[0])
+    u = g.f1_inverse(a)
+    A = max(M1, g.inverse_xu(M2)[0])
+    U = g.f1_inverse(A)
+    b, B = g.at(a, u), g.at(A, U)
     if not (a <= K <= A):
         raise ValueError(f"need a0 <= K <= A0, got a0={a!r} K={K!r} A0={A!r}")
+    scale = max(1.0, abs(A), abs(B))
 
     def step(a: float, b: float, pick) -> tuple[float, float, float]:
         # pick is min (lower) or max (upper); h(b) wins ties: no inverse
@@ -560,17 +552,17 @@ def contraction_iteration(
     start: tuple[float, float],
     n_max: int = 500,
     cap: float = 1e12,
-    tol: float = 1e-12,
 ) -> BoundSequences:
     """Iterate A' = f1(B), B' = f2(A); verdict to-zero once both bounds
-    drop below tol, to-infinity once both exceed cap, stalled otherwise."""
+    drop below CONTRACTION_FLOOR, to-infinity once both exceed cap, stalled
+    otherwise."""
     A, B = start
     seq = [(A, B)]
     verdict = "stalled"
     for _ in range(n_max):
         A, B = f1(B), f2(A)
         seq.append((A, B))
-        if max(A, B) < tol:
+        if max(A, B) < CONTRACTION_FLOOR:
             verdict = "to-zero"
             break
         if min(A, B) > cap:
@@ -599,7 +591,6 @@ def permanence_bounds(
     init_sup: tuple[float, float],
     slack: float = 1e-3,
     alpha0: float = 0.5,
-    bracket_hi: float | None = None,
 ) -> PermanenceBox:
     """A forward-invariant box [m1, M1] x [m2, M2] containing the data.
 
@@ -616,7 +607,7 @@ def permanence_bounds(
     if not (0.0 < slack < 1.0):
         raise ValueError("slack must be in (0, 1)")
     f2K = f2(K)
-    hi = bracket_hi if bracket_hi is not None else 4.0 * max(K, nu1_s, nu2_s, 1.0)
+    hi = 4.0 * max(K, nu1_s, nu2_s, 1.0)
 
     def inv_or_inf(f: ProductionFunction, y: float) -> float:
         try:

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +19,6 @@ from .analysis import (
     BoxConstructionError,
     RelationClass,
     StallError,
-    align_lower_start,
-    align_upper_start,
     certify_run,
     choose_separator,
     classify,
@@ -33,6 +30,7 @@ from .analysis import (
 from .config import (ConfigError, Numerics, RunConfig, check_numerics, config_text, load_config,
                      system_from_mapping)
 from .dynamics import RATE_DIVERGENCE_CAVEAT, check_rate_divergence, validate_system
+from .expr import EvalDomainError
 from .integrator import IntegrationError, integrate
 from .presets import PRESETS, PresetParameterError, preset_system_mapping
 
@@ -82,7 +80,12 @@ def resolve_x_max(spec, numerics: Numerics) -> tuple[float, RelationClass | None
 
 
 def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
-    """Permanence box and bound sequences appropriate for the fate."""
+    """Permanence box and bound sequences appropriate for the fate.
+
+    To-equilibrium: the box, then the monotone bound sequences from its
+    corners.  A failure of either, including a production function that
+    cannot be evaluated where the separator's bracket reaches, is a note
+    in the report and leaves that certificate out; the run goes on."""
     box = None
     bounds = None
     t_floor = spec.data_floor()
@@ -100,13 +103,11 @@ def _build_certificates(spec, cls, numerics: Numerics, notes: list[str]):
         if box is not None:
             try:
                 g = choose_separator(spec.f1, spec.f2, b_floor=box.m2, alpha0=numerics.alpha)
-                a0, b0 = align_lower_start(g, box.m1, box.m2)
-                A0, B0 = align_upper_start(g, box.M1, box.M2)
                 bounds = monotone_iteration(
-                    spec.f1, spec.f2, g, K, (a0, b0, A0, B0),
+                    spec.f1, spec.f2, g, K, (box.m1, box.m2, box.M1, box.M2),
                     n_max=numerics.n_max_iteration, tol=numerics.tol_iteration,
                 )
-            except (StallError, BoxConstructionError, ValueError) as e:
+            except (StallError, BoxConstructionError, ValueError, EvalDomainError) as e:
                 notes.append(f"bound sequences unavailable: {e}")
     elif cls.fate in ("to-zero", "to-infinity"):
         kind = cls.relation.kind
@@ -333,6 +334,8 @@ def _cmd_batch(args) -> int:
     if args.jobs == 1:
         rows = [_batch_worker(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_batch_worker, payloads))
     for path, code, fate, status in rows:

@@ -15,11 +15,14 @@ Inverses are computed by one scalar bisection, which monotonicity makes
 bracketing-safe.  Values below the function's range invert to 0 by
 convention; this convention is applied globally and surfaced in run
 reports.  Nothing is inverted on arrays: the relation scan samples along
-u = f1^-1(x) instead (see analysis.scan_relation).  The separator
-g = alpha*f1^-1 + (1-alpha)*f2 carries its own inverse, which needs no
-inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an inverse of f2,
-and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is solved for u by one
-bisection and g^-1 = f1(u), returned with its u.
+u = f1^-1(x) instead (see analysis.scan_relation).
+
+The separator g = alpha*f1^-1 + (1-alpha)*f2 of the bound sequences is its
+own class, not a ProductionFunction: it is evaluated and inverted only
+along u = f1^-1(x), and nothing hands it to `inverse_auto`.  Its inverse
+needs no inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an
+inverse of f2, and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is
+solved for u by one bisection and g^-1 = f1(u), returned with its u.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "verify_positive",
     "inverse",
     "inverse_auto",
-    "make_separator",
     "Separator",
 ]
 
@@ -334,9 +336,8 @@ def inverse_auto(
     y: float,
     bracket_hi: float,
     tol: float = DEFAULT_INVERSE_TOL,
-    cap: float = BRACKET_CAP,
 ) -> float:
-    """Inverse with geometric bracket enlargement (x2) up to cap.
+    """Inverse with geometric bracket enlargement (x2) up to BRACKET_CAP.
 
     The bracket grows by evaluating f alone, and f is inverted once, over
     the first bracket whose top reaches y: the same bracket, result and
@@ -345,27 +346,36 @@ def inverse_auto(
     hi = float(bracket_hi)
     if f.bisects and y > f(0.0):  # at or below f(0) the inverse is 0
         while y > (f_hi := f(hi)):
-            if hi >= cap:
+            if hi >= BRACKET_CAP:
                 raise InverseRangeError(y, hi, f_hi)
-            hi = min(cap, 2.0 * hi)
+            hi = min(BRACKET_CAP, 2.0 * hi)
     return f.inverse(y, hi, tol)
 
 
-class Separator(ProductionFunction):
-    """The separator g = alpha * f1^-1 + (1 - alpha) * f2 built by
-    make_separator, with the pieces that let the bound sequences evaluate
-    and invert it along u = f1^-1(x) instead of inverting f1."""
+class Separator:
+    """The strictly increasing blend g = alpha * f1^-1 + (1 - alpha) * f2.
 
-    __slots__ = ("f1", "f2", "alpha", "_bracket_hi", "_tol", "_f1_0", "_f2_f1_0", "_g_0", "_g_f1_0")
-    bisects = False  # g inverts itself along u; the bracket is not read
+    Lies strictly between f1^-1 and f2 wherever they differ, which is what
+    synchronizes the two components of the bound sequences.
+
+    g(x) bisects f1^-1 from [0, bracket_hi], growing the bracket as needed
+    (`f1_inverse`).  Every other use goes along u = f1^-1(x), which needs
+    no inverse of f1: `at(x, u)` is g(x) for a known u, and at(f1(u), u) =
+    alpha * u + (1 - alpha) * f2(f1(u)) = h(u) is g(f1(u)).
+    `inverse_xu(y)` returns x = g^-1(y) together with its u, from one
+    bisection of h (or of f2 where x <= f1(0), there u = 0).  A bounded f1
+    needs no special case: h is unbounded even where f1 is not.
+    """
+
+    __slots__ = ("f1", "f2", "alpha", "_bracket_hi", "_f1_0", "_f2_f1_0", "_g_0", "_g_f1_0")
 
     def __init__(
-        self, f1: ProductionFunction, f2: ProductionFunction, alpha: float,
-        bracket_hi: float, tol: float,
+        self, f1: ProductionFunction, f2: ProductionFunction, alpha: float, bracket_hi: float
     ):
-        super().__init__(self.__call__, name=f"{alpha}*{f1.name}^-1 + {1 - alpha}*{f2.name}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly inside (0, 1)")
         self.f1, self.f2, self.alpha = f1, f2, alpha
-        self._bracket_hi, self._tol = bracket_hi, tol
+        self._bracket_hi = bracket_hi
         self._f1_0 = f1(0.0)
         self._f2_f1_0 = f2(self._f1_0)
         self._g_0 = (1.0 - alpha) * f2(0.0)  # f1^-1(0) = 0
@@ -376,15 +386,11 @@ class Separator(ProductionFunction):
 
     def f1_inverse(self, x: float) -> float:
         """u = f1^-1(x) by bisection; 0 where x <= f1(0)."""
-        return inverse_auto(self.f1, x, self._bracket_hi, self._tol)
+        return inverse_auto(self.f1, x, self._bracket_hi)
 
     def at(self, x: float, u: float) -> float:
         """g(x) given u = f1^-1(x); at(f1(u), u) is h(u) = g(f1(u))."""
         return self.alpha * u + (1.0 - self.alpha) * self.f2(x)
-
-    def inverse(self, y: float, bracket_hi: float | None = None, tol: float | None = None) -> float:
-        """g^-1(y).  g inverts itself: the bracket and tolerance are not read."""
-        return self.inverse_xu(y)[0]
 
     def inverse_xu(self, y: float) -> tuple[float, float]:
         """(x, u) with g(x) = y and u = f1^-1(x).
@@ -394,11 +400,11 @@ class Separator(ProductionFunction):
         0.  Above that, u solves h(u) = y by one bisection and x = f1(u)."""
         if y <= self._g_0:
             return 0.0, 0.0
-        if y <= self._g_f1_0 + self._tol * max(1.0, abs(y)):
+        if y <= self._g_f1_0 + DEFAULT_INVERSE_TOL * max(1.0, abs(y)):
             # within the tolerance of g(f1(0)) the h bisection could only
             # return u ~ tol; the clamp keeps x in [0, f1(0)] instead
             target = min(y / (1.0 - self.alpha), self._f2_f1_0)
-            return self.f2.inverse(target, self._f1_0, self._tol), 0.0
+            return self.f2.inverse(target, self._f1_0), 0.0
         f1 = self.f1
 
         def h(u: float) -> float:
@@ -407,30 +413,5 @@ class Separator(ProductionFunction):
         hi = 1.0
         while h(hi) < y:  # h grows at least like alpha * u: this stops
             hi *= 2.0
-        u = inverse(h, y, hi, self._tol)
+        u = inverse(h, y, hi)
         return f1(u), u
-
-
-def make_separator(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
-    alpha: float,
-    bracket_hi: float,
-    tol: float = DEFAULT_INVERSE_TOL,
-) -> Separator:
-    """The strictly increasing blend g = alpha * f1^-1 + (1 - alpha) * f2.
-
-    Lies strictly between f1^-1 and f2 wherever they differ, which is what
-    synchronizes the two components of the bound sequences.
-
-    g(x) bisects f1^-1 from [0, bracket_hi], growing the bracket as needed.
-    Every other use goes along u = f1^-1(x), which needs no inverse of f1:
-    `at(x, u)` is g(x) for a known u, and at(f1(u), u) = alpha * u +
-    (1 - alpha) * f2(f1(u)) = h(u) is g(f1(u)).  `inverse_xu(y)` returns x
-    = g^-1(y) together with its u, from one bisection of h (or of f2 where
-    x <= f1(0), there u = 0); `inverse` is its x.  A bounded f1 needs no
-    special case: h is unbounded even where f1 is not.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    return Separator(f1, f2, alpha, bracket_hi, tol)

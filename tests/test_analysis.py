@@ -9,8 +9,6 @@ from coopdelay import analysis, functions
 from coopdelay.analysis import (
     BoxConstructionError,
     StallError,
-    align_lower_start,
-    align_upper_start,
     certify_run,
     choose_separator,
     classify,
@@ -22,12 +20,14 @@ from coopdelay.analysis import (
     permanence_bounds,
     scan_relation,
 )
-from coopdelay.config import Numerics
+from coopdelay.cli import execute_run
+from coopdelay.config import Numerics, Outputs, RunConfig
 from coopdelay.dynamics import InitialFunction, SystemSpec, check_rate_divergence
 from coopdelay.expr import parse
-from coopdelay.functions import DEFAULT_INVERSE_TOL, ProductionFunction, Separator, inverse_auto
+from coopdelay.functions import ProductionFunction, Separator, inverse_auto
 from coopdelay.integrator import integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
+from coopdelay.presets import preset_system_mapping
 
 
 def pf(text):
@@ -144,9 +144,7 @@ class TestMonotoneIteration:
         f = pf("1+x/2")
         g = choose_separator(f, f, b_floor=0.625, alpha0=0.5)
         assert g.alpha == 0.5  # g(0) = 0.5 <= 0.625 already
-        a0, b0 = align_lower_start(g, 0.5, g(0.5))
-        A0, B0 = align_upper_start(g, 10.0, g(10.0))
-        seq = monotone_iteration(f, f, g, 2.0, (a0, b0, A0, B0), n_max=200, tol=1e-8)
+        seq = monotone_iteration(f, f, g, 2.0, (0.5, g(0.5), 10.0, g(10.0)), n_max=200, tol=1e-8)
         assert seq.converged
         assert seq.lower[-1][0] == pytest.approx(2.0, abs=1e-7)
         assert seq.upper[-1][0] == pytest.approx(2.0, abs=1e-7)
@@ -179,8 +177,7 @@ class TestMonotoneIteration:
 
         fp = pf("1+x/2")
         gp = choose_separator(fp, fp, b_floor=g(0.5), alpha0=0.5)
-        a0, b0 = align_lower_start(gp, 0.5, g(0.5))
-        seq = monotone_iteration(fp, fp, gp, 2.0, (a0, b0, 10.0, gp(10.0)), n_max=60, tol=0.0)
+        seq = monotone_iteration(fp, fp, gp, 2.0, (0.5, g(0.5), 10.0, gp(10.0)), n_max=60, tol=0.0)
         got = [p[0] for p in seq.lower]
         for o, m in zip(oracle, got):
             assert m == pytest.approx(o, abs=1e-9)
@@ -188,9 +185,7 @@ class TestMonotoneIteration:
     def test_sqrt_pair_upper_descends_to_four(self):
         f1, f2 = pf("sqrt(x)+2"), pf("x")
         g = choose_separator(f1, f2, b_floor=0.5, alpha0=0.5)
-        a0, b0 = align_lower_start(g, 0.5, g(0.5))
-        A0, B0 = align_upper_start(g, 10.0, g(10.0))
-        seq = monotone_iteration(f1, f2, g, 4.0, (a0, b0, A0, B0), n_max=500, tol=1e-8)
+        seq = monotone_iteration(f1, f2, g, 4.0, (0.5, g(0.5), 10.0, g(10.0)), n_max=500, tol=1e-8)
         assert seq.converged
         assert seq.upper[-1][0] == pytest.approx(4.0, abs=1e-7)
 
@@ -202,13 +197,6 @@ class TestMonotoneIteration:
         seq = monotone_iteration(f, f, g, K, (K, bK, K, bK), n_max=5, tol=1e-10)
         for a, _b in seq.lower:
             assert a == pytest.approx(K, abs=1e-9)
-
-    def test_misaligned_start_rejected(self):
-        f = pf("1+x/2")
-        g = choose_separator(f, f, b_floor=1.0)
-        with pytest.raises(ValueError):
-            monotone_iteration(f, f, g, 2.0, (0.5, 99.0, 10.0, g(10.0)))
-
 
     @given(
         st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0),
@@ -228,9 +216,8 @@ class TestMonotoneIteration:
         # start below and above K steps inward; floors below f2(0)/2 make the
         # separator walk alpha toward 1
         g = choose_separator(f1, f2, b_floor=floor * f2(0.0))
-        a0, b0 = align_lower_start(g, below * K, g(below * K))
-        A0, B0 = align_upper_start(g, above * K, g(above * K))
-        seq = monotone_iteration(f1, f2, g, K, (a0, b0, A0, B0))
+        box = (below * K, g(below * K), above * K, g(above * K))
+        seq = monotone_iteration(f1, f2, g, K, box)
         a_vals = [a for a, _ in seq.lower]
         A_vals = [A for A, _ in seq.upper]
         assert all(x2 >= x1 for x1, x2 in zip(a_vals, a_vals[1:]))
@@ -279,10 +266,13 @@ class TestMonotoneIteration:
                 return 0.0
             return bisect(g_fn, y, grow(g_fn, y))
 
-        a, b = align_lower_start(g, below, g(below))
-        A, B = align_upper_start(g, above, g(above))
         tol = 1e-8
-        seq = monotone_iteration(f1, f2, g, K, (a, b, A, B), n_max=300, tol=tol)
+        seq = monotone_iteration(f1, f2, g, K, (below, g(below), above, g(above)), n_max=300, tol=tol)
+        # the start aligned with the separator, as monotone_iteration's
+        # contract defines it
+        a = min(below, g_inv(g_fn(below)))
+        A = max(above, g_inv(g_fn(above)))
+        b, B = g_fn(a), g_fn(A)
         lower, upper = [(a, b)], [(A, B)]
         converged = False
         for _ in range(300):
@@ -359,9 +349,9 @@ class TestMonotoneIteration:
             ]
             took_inverse = [q[0] != f(p[1]) for p, q in steps]
             assert sum(took_inverse) == n_inverse_steps
-            # f1^-1 of a0 and A0 aligns the start; after it only the
-            # g^-1 steps invert
-            assert calls[0] <= n_inverse_steps + 2
+            # g^-1 of the box's m2 and M2 and f1^-1 of a0 and A0 align the
+            # start; after it only the g^-1 steps invert
+            assert calls[0] <= n_inverse_steps + 4
 
     def test_inaccurate_separator_inverse_raises(self):
         class Perturbed(Separator):
@@ -373,9 +363,9 @@ class TestMonotoneIteration:
 
         f = pf("1+x/2")
         start = lambda g: (0.0, g(0.0), 10.0, g(10.0))  # noqa: E731
-        exact = Separator(f, f, 0.5, 1e6, DEFAULT_INVERSE_TOL)
+        exact = Separator(f, f, 0.5, 1e6)
         assert monotone_iteration(f, f, exact, 2.0, start(exact)).converged
-        g = Perturbed(f, f, 0.5, 1e6, DEFAULT_INVERSE_TOL)
+        g = Perturbed(f, f, 0.5, 1e6)
         with pytest.raises(StallError, match="separator alignment lost at step 0"):
             monotone_iteration(f, f, g, 2.0, start(g))
 
@@ -748,3 +738,46 @@ class TestInitialSide:
         assert initial_side(above, 2.0, 2.0, -5.0) == "above"
         assert initial_side(below, 2.0, 2.0, -5.0) == "below"
         assert initial_side(mixed, 2.0, 2.0, -5.0) == "mixed"
+
+
+@st.composite
+def stable_lotka_volterra(draw):
+    """lotka_volterra preset parameters in the classify sweep's stable band:
+    loop gain b1*b2/(a1*a2) in [0.2, 0.6], data placed relative to f2(0)
+    as the sweep places them, and a point, uniform or triangular kernel."""
+    A1, A2 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    a1, a2, b1 = draw(st.floats(1.0, 3.0)), draw(st.floats(1.0, 3.0)), draw(st.floats(0.5, 1.5))
+    gain = draw(st.floats(0.2, 0.6))
+    rho1, rho2 = draw(st.floats(0.6, 3.0)), draw(st.floats(1.25, 3.0))
+    f2_0 = A2 / a2
+    return {
+        "A1": A1, "A2": A2, "a1": a1, "a2": a2, "b1": b1, "b2": gain * a1 * a2 / b1,
+        "phi": repr((A1 + b1 * rho1 * f2_0) / a1), "psi": repr(rho2 * f2_0),
+        "kernel": draw(st.sampled_from(["point", "uniform", "triangular"])),
+        "tau": draw(st.floats(0.5, 2.0)), "span": draw(st.floats(0.5, 2.0)),
+    }
+
+
+class TestLotkaVolterraCertificates:
+    @given(stable_lotka_volterra())
+    @settings(max_examples=20, deadline=None)
+    def test_the_run_stays_in_its_box_and_the_bounds_hold_K(self, tmp_path_factory, params):
+        # the checks, not the exit code: a slow approach can still fail the
+        # fate check at horizon 20
+        config = RunConfig(system=preset_system_mapping("lotka_volterra", params),
+                           numerics=Numerics(dt=1e-2, horizon=20.0), outputs=Outputs(), label="lv")
+        report = execute_run(config, out_dir=tmp_path_factory.mktemp("lv")).report
+        assert report["fate"] == "to-equilibrium"
+        checks = {c["name"]: c["status"] for c in report["certification"]["checks"]}
+        assert checks["permanence-box"] == "pass"
+        lower, upper = report["bound_sequences"]["lower_end"][0], report["bound_sequences"]["upper_end"][0]
+        # the scan's K is accurate to tol_classify, and the pair can end
+        # narrower than that
+        slack = report["numerics"]["tol_classify"] * max(1.0, report["K"])
+        assert lower - slack <= report["K"] <= upper + slack
+        # the closed-form K, up to what the g^-1 bisection leaves: it stops
+        # within 1e-12 * max(1, |y|) in value (f1 = 1 + x, f2 = 1 + x/2 ends
+        # its lower bound 1.6e-11 above K = 4)
+        K = (params["A1"] * params["a2"] + params["b1"] * params["A2"]) / (
+            params["a1"] * params["a2"] - params["b1"] * params["b2"])
+        assert lower - 1e-10 * K <= K <= upper + 1e-10 * K

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import math
 import os
@@ -187,6 +188,12 @@ NUMERICS_OUT_OF_RANGE = [
          'kernel2 = point lag="t + max(0, 0.01 - abs(t - 1.234))"\n'
          "[numerics]\ndt = 1e-3\nhorizon = 5\n", [], EXIT_NUMERICAL,
          "numerical: right-hand side failed near t=1.224: advanced lag 1.2249999999999999 exceeds t=1.2245"),
+        # to-equilibrium (K = 2.06758 in [0, x_max = 20.68]), but f1 overflows
+        # at the separator's default bracket of 1e6: the bound sequences are
+        # a note, not a traceback
+        ("classify", "[system]\nf1 = exp(x/4)\nf2 = 3*tanh(x)\nr1 = 1\nr2 = 1\nphi = 1.5\npsi = 1.5\n"
+         'kernel1 = point lag="t - 1"\nkernel2 = point lag="t - 1"\n[numerics]\ndt = 1e-2\nhorizon = 20\n',
+         [], EXIT_OK, "bound sequences unavailable: exp(x/4.0) at 1000000.0: math range error"),
         # a NaN converge_rtol ran to the horizon and wrote NaN into the report
         *[(command, LINEAR_PAIR.format(lag="t - 1", phi="1") + f"[numerics]\n{key} = {value}\n", [],
            EXIT_VALIDATION, f"[numerics] {key}: must be finite")
@@ -202,7 +209,8 @@ NUMERICS_OUT_OF_RANGE = [
           for name in ("linear_decay", "sqrt_logistic_point") for command, key, value, rule in NUMERICS_OUT_OF_RANGE],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
-         "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "converge_rtol-nan",
+         "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "f1-overflows-the-bracket",
+         "converge_rtol-nan",
          "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
          "window_spans-inf", "extinction_threshold-inf",
          *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE]],
@@ -537,22 +545,42 @@ class TestMainEntry:
         assert code == EXIT_VALIDATION
 
     def test_batch(self, tmp_path, capsys):
+        self.assert_batch_runs(tmp_path, capsys, "1")
+
+    def test_batch_in_a_process_pool(self, tmp_path, capsys):
+        self.assert_batch_runs(tmp_path, capsys, "2")
+
+    @staticmethod
+    def assert_batch_runs(tmp_path, capsys, jobs):
         batch_dir = tmp_path / "batch"
         batch_dir.mkdir()
         for name in ("linear_decay.cfg", "quadratic_blowup.cfg"):
             (batch_dir / name).write_text((CONFIGS / name).read_text())
-        code = main(["batch", str(batch_dir), "--out-dir", str(tmp_path / "out"), "--jobs", "1"])
+        code = main(["batch", str(batch_dir), "--out-dir", str(tmp_path / "out"), "--jobs", jobs])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "linear_decay.cfg: exit=0" in out
         assert "quadratic_blowup.cfg: exit=0" in out
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.json")) == [
+            "linear_decay.json", "quadratic_blowup.json"]
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        # only `batch` with a pool needs it; a fresh interpreter shows what
+        # the import alone loads
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(coopdelay.__file__).parent.parent),
+                                                            os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", "import sys, coopdelay.cli; "
+                               "print('multiprocessing' in sys.modules)"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_batch_rejects_jobs_below_one(self, tmp_path, capsys, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was made")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         batch_dir = tmp_path / "batch"
         batch_dir.mkdir()
         (batch_dir / "linear_decay.cfg").write_text((CONFIGS / "linear_decay.cfg").read_text())

@@ -48,12 +48,14 @@ def test_every_import_is_used(name):
 
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
-                                  "_cmd_classify", "_midpoint", "QuadPlan", "step_end"])
+                                  "_cmd_classify", "_midpoint", "QuadPlan", "step_end", "make_separator",
+                                  "align_lower_start", "align_upper_start"])
 def test_removed_layers_stay_removed(name):
     # G1/G2 are plain expressions, the reference history, the Simpson plan
     # and the step end oracle live in the tests, blocks of steps are the one
     # feed path and `feeds._Ahead.rows` the one place that ends steps, run
-    # and classify share one handler, and `_hermite` is the one Hermite
-    # evaluator
+    # and classify share one handler, `_hermite` is the one Hermite
+    # evaluator, and the separator is built by its class and aligned with
+    # the box inside `monotone_iteration`
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []

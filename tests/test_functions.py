@@ -18,7 +18,6 @@ from coopdelay.functions import (
     Separator,
     inverse,
     inverse_auto,
-    make_separator,
     verify_increasing,
     verify_positive,
 )
@@ -177,7 +176,8 @@ class TestInverseAuto:
             calls = []
             original = functions.inverse
             mp.setattr(functions, "inverse", lambda *a: calls.append(a[1]) or original(*a))
-            got = inverse_outcome(inverse_auto, f, y, hi, DEFAULT_INVERSE_TOL, cap)
+            mp.setattr(functions, "BRACKET_CAP", cap)
+            got = inverse_outcome(inverse_auto, f, y, hi, DEFAULT_INVERSE_TOL)
         assert got == want
         # one inversion per target; a target past the cap raises before it
         assert calls == ([y] if got[0] == "value" else [])
@@ -190,19 +190,8 @@ class TestInverseAuto:
 
     def test_self_inverting_functions_are_not_evaluated(self):
         evals = []
-
-        class CountedSeparator(Separator):
-            __slots__ = ()
-
-            def __call__(self, x):
-                evals.append(x)
-                return super().__call__(x)
-
-        f = pf("1+x/2")
-        g = CountedSeparator(f, f, 0.5, 100.0, DEFAULT_INVERSE_TOL)
         closed = ProductionFunction(lambda v: evals.append(v) or 2.0 * v, inverse_fn=lambda v: v / 2.0)
         for y in (0.5, 3.0, 1e6):
-            assert inverse_auto(g, y, 1.0) == g.inverse(y)
             assert inverse_auto(closed, y, 1.0) == y / 2.0
         assert evals == []
 
@@ -210,16 +199,16 @@ class TestInverseAuto:
 class TestSeparator:
     def test_fixed_point_of_matching_pair(self):
         f = pf("1+x/2")
-        g = make_separator(f, f, alpha=0.5, bracket_hi=100.0)
+        g = Separator(f, f, alpha=0.5, bracket_hi=100.0)
         assert g(2.0) == pytest.approx(2.0, abs=1e-10)
 
     def test_meets_at_equilibrium(self):
-        g = make_separator(pf("sqrt(x)+2"), pf("x"), alpha=0.5, bracket_hi=100.0)
+        g = Separator(pf("sqrt(x)+2"), pf("x"), alpha=0.5, bracket_hi=100.0)
         assert g(4.0) == pytest.approx(4.0, abs=1e-10)
 
     def test_half_and_half_arithmetic(self):
         f = pf("x/2")
-        g = make_separator(f, f, alpha=0.5, bracket_hi=100.0)
+        g = Separator(f, f, alpha=0.5, bracket_hi=100.0)
         # 0.5 * (x/2)^-1(1) + 0.5 * (1/2) = 0.5*2 + 0.25
         assert g(1.0) == pytest.approx(1.25, abs=1e-10)
 
@@ -227,22 +216,22 @@ class TestSeparator:
         f = pf("x")
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                make_separator(f, f, alpha, bracket_hi=10.0)
+                Separator(f, f, alpha, bracket_hi=10.0)
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.2, max_value=1.8))
     @settings(max_examples=100, deadline=None)
     def test_strictly_between_where_curves_separated(self, alpha, x):
         # pair with f2 > f1^-1 strictly on (0, K): crossing at K = 2
         f1, f2 = pf("1+x/2"), pf("1+x/2")
-        g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+        g = Separator(f1, f2, alpha, bracket_hi=100.0)
         lo, hi = inverse_auto(f1, x, 100.0), f2(x)
         if hi - lo > 1e-9:
             assert lo < g(x) < hi
 
     def test_separator_own_inverse(self):
-        g = make_separator(pf("1+x/2"), pf("1+x/2"), alpha=0.5, bracket_hi=100.0)
+        g = Separator(pf("1+x/2"), pf("1+x/2"), alpha=0.5, bracket_hi=100.0)
         y = g(3.0)
-        assert g.inverse(y, bracket_hi=100.0) == pytest.approx(3.0, abs=1e-9)
+        assert g.inverse_xu(y)[0] == pytest.approx(3.0, abs=1e-9)
 
     # A Lotka-Volterra pair with f1(0) > 0: f1^-1 is 0 on [0, f1(0)], so the
     # separator's inverse has a branch through f2 below g(f1(0)).
@@ -252,7 +241,7 @@ class TestSeparator:
     def assert_round_trip(g, y):
         # the inverse stops within 1e-12 * max(1, |y|); evaluating g adds its
         # own f1^-1 bisection error, up to about 2e-12 in the cases below
-        x = g.inverse(y, bracket_hi=1.0)
+        x = g.inverse_xu(y)[0]
         assert abs(g(x) - y) <= 1e-11 * max(1.0, abs(y))
         return x
 
@@ -260,7 +249,7 @@ class TestSeparator:
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip_on_the_f2_branch(self, alpha, frac):
         f1, f2 = pf(self.LV[0]), pf(self.LV[1])
-        g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+        g = Separator(f1, f2, alpha, bracket_hi=100.0)
         lo, hi = g(0.0), (1.0 - alpha) * f2(f1(0.0))
         x = self.assert_round_trip(g, lo + frac * (hi - lo))
         assert 0.0 < x <= f1(0.0)
@@ -269,7 +258,7 @@ class TestSeparator:
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip_on_the_h_branch(self, alpha, dy):
         f1, f2 = pf(self.LV[0]), pf(self.LV[1])
-        g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+        g = Separator(f1, f2, alpha, bracket_hi=100.0)
         x = self.assert_round_trip(g, (1.0 - alpha) * f2(f1(0.0)) + dy)
         assert x > f1(0.0)
 
@@ -278,13 +267,13 @@ class TestSeparator:
     def test_inverse_round_trip_for_bounded_f1(self, alpha, x):
         # f1^-1 has no value above 1.5; g^-1 still needs no bracket there.
         # Targets keep f1' >= 0.5, where g's own f1^-1 resolves u to 2e-12.
-        g = make_separator(pf("1.5*tanh(x)"), pf("x"), alpha, bracket_hi=100.0)
+        g = Separator(pf("1.5*tanh(x)"), pf("x"), alpha, bracket_hi=100.0)
         self.assert_round_trip(g, g(x))
 
     def test_inverse_below_g0_is_zero(self):
-        g = make_separator(pf(self.LV[0]), pf(self.LV[1]), 0.5, bracket_hi=100.0)
-        assert g.inverse(g(0.0), bracket_hi=1.0) == 0.0
-        assert g.inverse(0.5 * g(0.0), bracket_hi=1.0) == 0.0
+        g = Separator(pf(self.LV[0]), pf(self.LV[1]), 0.5, bracket_hi=100.0)
+        assert g.inverse_xu(g(0.0))[0] == 0.0
+        assert g.inverse_xu(0.5 * g(0.0))[0] == 0.0
 
     def test_inverse_is_one_flat_bisection(self):
         # one g^-1 call bisects once, in u; a nested inversion of f1 inside
@@ -303,11 +292,11 @@ class TestSeparator:
         for f1_text, f2_text, alpha in (self.LV + (0.5,), self.LV + (0.999,),
                                         ("1.5*tanh(x)", "x", 0.9), ("1+x/2", "1+x/2", 0.5)):
             f1, f2 = counted(f1_text), counted(f2_text)
-            g = make_separator(f1, f2, alpha, bracket_hi=100.0)
+            g = Separator(f1, f2, alpha, bracket_hi=100.0)
             knee = (1.0 - alpha) * f2(f1(0.0))
             for y in (0.5 * (g(0.0) + knee), knee + 1e-3, 1.0, 3.0, 40.0):
                 calls[0] = 0
-                g.inverse(y, bracket_hi=1.0)
+                g.inverse_xu(y)
                 assert calls[0] <= 250, (f1_text, alpha, y, calls[0])
 
 
