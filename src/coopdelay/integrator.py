@@ -60,9 +60,29 @@ ends and Hermite midpoints, with f of each node evaluated once; the panel
 from the step start to the stage time reads its midpoint from the quadratic
 above and ends at the stage state (see `feeds`).
 
-Runs terminate early on blow-up or on convergence of the state over a
-trailing window.  Blow-up is declared when a state or stage value passes
-the threshold, turns non-finite, or a stage increment outruns the step
+Runs terminate early on blow-up, on extinction (both components below the
+extinction threshold) or on convergence of the state over a trailing
+window.  The window is checked after every CHECK_EVERY-th step, at the
+step's time t.  It reaches back max(window_spans * spec.max_span(t),
+100 * dt), and no check is made until t minus the window lies after t = 0,
+the first stored time.  It holds the stored steps from the first at or
+after t minus the window to the state, and the run converges when x and y
+each span (max - min) less than converge_rtol there, relative to max(1, |x|)
+and max(1, |y|) of the state.  Before it reads the window, a check compares
+the state with the window's first stored step x_i, y_i: when
+|x - x_i| / max(1, |x|) >= converge_rtol, or the same for y, it fails
+without reading the rest (`_ends_apart`).  This reject is exact: max - min
+>= |x - x_i| for a window holding both nodes, and rounded subtraction, abs
+and division by the same max(1, |x|) are monotone, so it never refuses a
+window the range test accepts (a NaN fails >= and goes on to the range
+test).  A run that approaches a limit moves almost monotonically, so its
+window's range is mostly the gap between the window's ends, and nearly
+every failing check stops there.  With zero lags the window is 100 * dt, a
+fixed number of steps rather than a span of time, so a run at dt = 1e-300
+"converges" before its state can move.
+
+Blow-up is declared when a state or stage value passes the threshold,
+turns non-finite, or a stage increment outruns the step
 (|dt * k| > ratio * (1 + |state|), six times the ratio for k4); the
 reported time is the last accepted state, the final moment the trajectory
 is trustworthy, and the diagnostics name the guard and the values it
@@ -669,6 +689,20 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     return (namespace.pop("step"), namespace.pop("store")) if checked else namespace.pop("run")
 
 
+def _ends_apart(x: float, y: float, x_i: float, y_i: float, rtol: float) -> bool:
+    """Whether the state x, y and the window's first stored step x_i, y_i
+    already differ by rtol relative to max(1, |state|), so that the window
+    cannot pass `_spread_within` (see the module docstring); NaN never
+    rejects."""
+    return abs(x - x_i) / max(1.0, abs(x)) >= rtol or abs(y - y_i) / max(1.0, abs(y)) >= rtol
+
+
+def _spread_within(xs: np.ndarray, ys: np.ndarray, x: float, y: float, rtol: float) -> bool:
+    """Whether the stored steps xs, ys of the window, which end at the state
+    x, y, span less than rtol relative to max(1, |state|) in each component."""
+    return (xs.max() - xs.min()) / max(1.0, abs(x)) < rtol and (ys.max() - ys.min()) / max(1.0, abs(y)) < rtol
+
+
 def integrate(
     spec: SystemSpec,
     horizon: float,
@@ -680,10 +714,21 @@ def integrate(
     window_spans: float = WINDOW_SPANS,
     extinction_threshold: float = EXTINCTION_THRESHOLD,
 ) -> tuple[Trajectory, RunOutcome]:
-    """Advance the system to the horizon or an earlier detected outcome.
+    """Advance the system to the horizon or an earlier detected outcome:
+    blow-up, extinction or convergence (see the module docstring).
+
+    Convergence is checked after every CHECK_EVERY-th step, at its time t,
+    over the trailing window max(window_spans * spec.max_span(t), 100 * dt),
+    once t minus the window lies after t = 0.  The run converges when x and
+    y each span less than converge_rtol, relative to max(1, |x|) and
+    max(1, |y|) of the state, over the stored steps from the first at or
+    after t minus the window.  A check whose state and first window step
+    already differ by that much fails without reading the rest of the
+    window, which decides exactly as the full test.  Pass converge_rtol=0
+    to disable the stop.  outcome.diagnostics counts the checks made
+    (window_checks) and those that read the whole window (window_scans).
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    Pass converge_rtol=0 to disable the trailing-window convergence stop.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -721,6 +766,7 @@ def integrate(
     run = _compile_steps(*options)
     step = None  # the checked step and its store, compiled when a step first needs them
     compiled = 0
+    checks = scans = 0
 
     while t < horizon - eps_t:
         if run is None:
@@ -759,15 +805,16 @@ def integrate(
             window = max(window_spans * spec.max_span(t), 100.0 * dt)
             ts = traj.step_times()
             if t - window > ts[0]:
+                checks += 1
                 i_from = int(ts.searchsorted(t - window, side="left"))
-                xs = traj.step_values(0)[i_from:]
-                ys = traj.step_values(1)[i_from:]
-                rel_x = (xs.max() - xs.min()) / max(1.0, abs(x))
-                rel_y = (ys.max() - ys.min()) / max(1.0, abs(y))
-                if rel_x < converge_rtol and rel_y < converge_rtol:
-                    status = "converged"
-                    conv_point = (x, y)
-                    break
+                x_i, y_i = traj._v[i_from, :2].tolist()
+                if not _ends_apart(x, y, x_i, y_i, converge_rtol):
+                    scans += 1
+                    if _spread_within(traj.step_values(0)[i_from:], traj.step_values(1)[i_from:], x, y,
+                                      converge_rtol):
+                        status = "converged"
+                        conv_point = (x, y)
+                        break
 
     if status == "blow-up":
         blow_time = t
@@ -779,7 +826,8 @@ def integrate(
         converged_point=conv_point,
         extinct_time=extinct_time,
         diagnostics={"steps": steps, "blocks": sum(ends.values()), "block_ends": ends, "dt": dt,
-                     "stage_guard": guard_note, "guard_values": guard_values, "compiled_steps": compiled},
+                     "stage_guard": guard_note, "guard_values": guard_values, "compiled_steps": compiled,
+                     "window_checks": checks, "window_scans": scans},
     )
     return traj, outcome
 

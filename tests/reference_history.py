@@ -24,6 +24,10 @@ drawn state at each step end as the checked step stores its end; it checks
 each item's step end against `step_end`, and every feed at drawn stage
 states against `kernel_feedback`: point masses and mixtures of atoms bit
 for bit, densities to WINDOW_RTOL relative to max(1, |x|).
+
+`window_checks` replays the convergence checks of a finished run over its
+stored trajectory by the full rule, each window's range read from all of
+its stored steps.
 """
 
 import math
@@ -35,7 +39,7 @@ import numpy as np
 
 from coopdelay.expr import EvalDomainError
 from coopdelay.feeds import block_feeds, window_feed
-from coopdelay.integrator import _compile_steps, _StepGrid
+from coopdelay.integrator import CHECK_EVERY, _compile_steps, _StepGrid
 from coopdelay.kernels import (
     DEFAULT_PANELS,
     GeneralMixtureKernel,
@@ -177,6 +181,28 @@ def step_end(j: int, dt: float, horizon: float, eps_t: float) -> float:
     are these, bit for bit."""
     t1 = (j + 1) * dt
     return horizon if t1 >= horizon - eps_t else t1
+
+
+def window_checks(spec, traj, dt: float, rtol: float, spans: float) -> list:
+    """The convergence checks of the run stored in traj, as pairs (n, passed)
+    of the step count and the verdict.  A check follows every CHECK_EVERY-th
+    step n; its window reaches back max(spans * spec.max_span(t), 100 * dt)
+    from the step's time t, and it is made only when t minus the window lies
+    after the first stored time.  It passes when the stored steps from the
+    first at or after that time to step n span less than rtol relative to
+    max(1, |x|) in x and to max(1, |y|) in y, with x and y those of step n."""
+    ts, xs, ys = traj.step_times(), traj.step_values(0), traj.step_values(1)
+    checks = []
+    for n in range(CHECK_EVERY, traj.n + 1, CHECK_EVERY):
+        t = float(ts[n])
+        window = max(spans * spec.max_span(t), 100.0 * dt)
+        if not t - window > ts[0]:
+            continue
+        i = int(ts[: n + 1].searchsorted(t - window, side="left"))
+        wx, wy = xs[i : n + 1], ys[i : n + 1]
+        checks.append((n, bool((wx.max() - wx.min()) / max(1.0, abs(float(xs[n]))) < rtol
+                               and (wy.max() - wy.min()) / max(1.0, abs(float(ys[n]))) < rtol)))
+    return checks
 
 
 def lag_time(lag, t: float) -> float:

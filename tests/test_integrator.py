@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopdelay import feeds, integrator
@@ -22,6 +22,8 @@ from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
     _compile_steps,
+    _ends_apart,
+    _spread_within,
     _StepGrid,
     default_dt,
     detect_nonoscillation_violation,
@@ -34,7 +36,7 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
 )
-from reference_history import Stage, check, drive, in_step_read, stage_read, step_end
+from reference_history import Stage, check, drive, in_step_read, stage_read, step_end, window_checks
 
 
 def pf(text):
@@ -726,6 +728,75 @@ def test_the_compiled_step_takes_the_committed_configs(name):
     steps = outcome.diagnostics["steps"]
     assert steps > 0
     assert outcome.diagnostics["compiled_steps"] == steps - (name == "pantograph_logistic")
+
+
+# (window_checks, window_scans) of two committed runs: every check of
+# sqrt_logistic_point but its last, which passes, is refused on the window's
+# end points; linear_decay reaches its horizon without a scan
+WINDOW_COUNTS = {"sqrt_logistic_point": (1176, 1), "linear_decay": (619, 0)}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_runs_stop_at_the_first_check_the_full_window_rule_passes(name, path):
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    num = cfg.numerics
+    spec = on_path(system_from_mapping(cfg.system), path)
+    traj, outcome = integrate(spec, num.horizon, num.dt, blowup_threshold=num.blowup_threshold,
+                              stage_ratio=num.stage_ratio, converge_rtol=num.converge_rtol,
+                              window_spans=num.window_spans, extinction_threshold=num.extinction_threshold)
+    checks = window_checks(spec, traj, num.dt, num.converge_rtol, num.window_spans)
+    passed = [n for n, ok in checks if ok]
+    assert outcome.status in ("converged", "reached-horizon", "blow-up")
+    assert passed == ([traj.n] if outcome.status == "converged" else [])
+    diagnostics = outcome.diagnostics
+    assert diagnostics["window_checks"] == len(checks)
+    assert len(passed) <= diagnostics["window_scans"] <= len(checks)
+    if name in WINDOW_COUNTS:
+        assert (diagnostics["window_checks"], diagnostics["window_scans"]) == WINDOW_COUNTS[name]
+
+
+# step values of magnitudes 1e-300 to 1e300, of either sign, zeros and NaN
+STEP_VALUES = st.one_of(
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent, st.sampled_from([-1.0, 1.0]),
+              st.floats(1.0, 9.99), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0, math.nan]),
+)
+
+
+@st.composite
+def settling_windows(draw):
+    """The stored steps of a window, in x and y, and a tolerance.  A column
+    that settles holds one drawn value and values up to one tolerance
+    (relative to max(1, |value|)) from it; another may hold any step value.
+    The values come in runs of equal values (ties and constant stretches)."""
+    rtol = draw(st.sampled_from([1e-9, 1e-15, 1e-3, 1.0]))
+
+    def pool():
+        base = draw(STEP_VALUES)
+        offsets = st.one_of(st.sampled_from([1.0, -1.0, 0.5]), st.floats(-1.0, 1.0))
+        near = offsets.map(lambda d: base + d * rtol * max(1.0, abs(base)))
+        values = st.one_of(st.just(base), near) if draw(st.booleans()) else st.one_of(near, STEP_VALUES)
+        return draw(st.lists(values, min_size=1, max_size=4))
+
+    xs, ys = pool(), pool()
+    runs = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(ys), st.integers(1, 5)),
+                         min_size=1, max_size=8))
+    window = np.array([(x, y) for x, y, k in runs for _ in range(k)])
+    return window[:, 0], window[:, 1], rtol
+
+
+@given(settling_windows())
+@example((np.array([1.0, 1.0 + 0.999e-9]), np.array([2.0, 2.0]), 1e-9))
+@settings(max_examples=400, deadline=None)
+def test_the_end_point_reject_never_refuses_a_window_the_full_rule_accepts(window):
+    # max - min >= |x - x_i| for the two nodes in the window, and the
+    # rounded subtraction, abs and the division by one max(1, |x|) are
+    # monotone, so a window that passes has end points within rtol
+    xs, ys, rtol = window
+    x, y = float(xs[-1]), float(ys[-1])
+    if _spread_within(xs, ys, x, y, rtol):
+        assert not _ends_apart(x, y, float(xs[0]), float(ys[0]), rtol)
 
 
 # state at t = 3 of the accuracy probes that read inside a step, from the
