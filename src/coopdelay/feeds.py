@@ -54,13 +54,25 @@ which serves as both the midpoint and the end.  A window whose floors
 all lie behind the front hands over its rows CHUNK steps at a time; any
 other works out each step's rows as the step reads them, after the steps
 before it are stored.
+
+Blocks are planned by masks (`_plan_lag`, `_Block`) over float arrays
+(`_Ahead`): the stage times, the step starts and each lag's values there,
+NaN where the lag raises.  Masks find the point lags that run ahead, the
+empty windows, the first read of the block's own steps, and the point
+lags that read the stage state alone, stored history alone, or stored
+history and the initial data; the stored times go to
+`Trajectory.value_array` as one array.  Only a row that needs a decision
+of its own goes row by row: one that raises (its error made again where a
+feed needs it, `_error`), a read in the block's own steps or inside the
+step, and a dense window's weight budget.  What reaches an item or an
+error message is a Python float.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -138,6 +150,9 @@ class _Raise:
     def __call__(self, f, us, u0, du0):
         raise self.error
 
+    def __float__(self) -> float:
+        return math.nan
+
 
 class _Sums:
     """The running sums that the rows of a factored window's block share:
@@ -173,6 +188,25 @@ def _each(fn, vs) -> list:
     return out
 
 
+def _each_array(fn, vs: list) -> np.ndarray:
+    """`_each` as one float array, NaN where fn raises (a `_Raise` converts
+    to NaN)."""
+    return np.array(_each(fn, vs), dtype=float)
+
+
+def _error(lag, t: float, window=None) -> _Raise:
+    """The error of a row whose lag value is NaN, made again at its stage
+    time t: what the lag raises there, or else a point lag's that runs
+    ahead, or the window's (the kernel whose floor lag is) that is empty."""
+    try:
+        if window is not None:
+            window.density_floor(t)
+        s = lag(t)
+        raise ValueError(f"advanced lag {s!r} exceeds t={t!r}")
+    except ERRORS as e:
+        return _Raise(e)
+
+
 def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
     """The value of a feed (see the module docstring) at a stage whose state
     is us, in a step that starts from u0 with slope du0."""
@@ -201,10 +235,10 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
     steps)."""
     front = traj.t_front
     # the derivative: a block of one row, at the front
-    yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, [front]), 1, dt)[0]
+    yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, np.array([front])), 1, dt)[0]
     ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
     limit = MIN_BLOCK
-    while ahead.taus or not ahead.done:  # up to the horizon
+    while ahead.taus.size or not ahead.done:  # up to the horizon
         items, steps, reason = _block(spec, traj, grid, ahead, limit, dt)
         ends[reason] += 1
         yield from items
@@ -215,16 +249,17 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
 
 class _Ahead:
     """The upcoming stage times and their steps' starts, two rows per step
-    from step j at t (or the stage times taus, starting at t), and each lag's
-    values there (`values`, by lag or window), each evaluated once."""
+    from step j at t (or the stage times taus, starting at t), as float
+    arrays, and each lag's values there, each evaluated once: by lag or
+    window a float array, NaN at a row where the lag raises (`values`)."""
 
     __slots__ = ("j", "t", "dt", "horizon", "eps_t", "done", "taus", "starts", "values")
 
-    def __init__(self, j: int, t: float, dt: float, horizon: float, eps_t: float, taus: list | None = None):
+    def __init__(self, j: int, t: float, dt: float, horizon: float, eps_t: float, taus: np.ndarray | None = None):
         self.j, self.t, self.dt, self.horizon, self.eps_t = j, t, dt, horizon, eps_t
         self.done = taus is not None
-        self.taus: list = taus or []
-        self.starts: list = [t] * len(self.taus)
+        self.taus = np.empty(0) if taus is None else taus
+        self.starts = np.full(self.taus.size, t)
         self.values: dict = {}
 
     def rows(self, steps: int) -> int:
@@ -233,7 +268,7 @@ class _Ahead:
         steps end: step j ends at (j + 1) * dt, free of drift, and the last
         step at the horizon, from eps_t before it on; a step's midpoint is
         t0 + 0.5 * (t1 - t0), as the step template forms it from t1."""
-        m = steps - len(self.taus) // 2
+        m = steps - self.taus.size // 2
         if m > 0 and not self.done:
             t1 = np.arange(self.j + 1, self.j + 1 + m) * self.dt
             clamped = t1 >= self.horizon - self.eps_t
@@ -242,25 +277,24 @@ class _Ahead:
                 t1[-1] = self.horizon
                 self.done = True
             t0 = np.concatenate(([self.t], t1[:-1]))
-            self.taus += np.stack((t0 + 0.5 * (t1 - t0), t1), axis=1).ravel().tolist()
-            self.starts += t0.repeat(2).tolist()
+            self.taus = np.concatenate((self.taus, np.stack((t0 + 0.5 * (t1 - t0), t1), axis=1).ravel()))
+            self.starts = np.concatenate((self.starts, t0.repeat(2)))
             self.j += t1.size
             self.t = t1.item(-1)
-        return min(len(self.taus), 2 * steps)
+        return min(self.taus.size, 2 * steps)
 
     def advance(self, steps: int) -> None:
         """Drop the rows of the steps a block served."""
         k = 2 * steps
-        del self.taus[:k]
-        del self.starts[:k]
-        for values in self.values.values():
-            del values[:k]
+        self.taus, self.starts = self.taus[k:], self.starts[k:]
+        for key, values in self.values.items():
+            self.values[key] = values[k:]
 
 
 def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[int, dict, dict, str]:
     """The rows one block serves, at most steps steps, each lag's values
-    there: per point lag (by identity) its time, per window its floor, and
-    why the block ends there (BLOCK_ENDS)."""
+    there (`_Ahead.values`): per point lag (by identity) its times, per
+    window its floors, and why the block ends there (BLOCK_ENDS)."""
     n = ahead.rows(steps)
     reason = "limit" if n == 2 * steps else "horizon"
     points: dict = {}
@@ -278,59 +312,57 @@ def _plan(ahead: _Ahead, kernels, front: float, dt: float, steps: int) -> tuple[
     return n, points, windows, reason
 
 
-def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, list, str | None]:
+def _plan_lag(ahead: _Ahead, key, lag, n: int, front: float, dt: float) -> tuple[int, np.ndarray, str | None]:
     """lag at the first n rows, how many a block serves (see the module
     docstring) and why it serves fewer; dt is 0 for a point lag.  A point
     lag's times and a window's floors are one generated pass of the scalar
-    evaluation (`_each`), and a point lag's time past its stage time by more
-    than `validate_kernel`'s 1e-12 raises there."""
-    taus, starts = ahead.taus, ahead.starts
-    values = ahead.values.setdefault(key, [])
-    new = taus[len(values) : n]
-    got = _each(lag, new)
-    if not dt:
-        got = [_Raise(ValueError(f"advanced lag {s!r} exceeds t={t!r}"))
-               if s.__class__ is not _Raise and s > t + 1e-12 else s for s, t in zip(got, new)]
-    values += got
-    plan = values[:n]
-    if _Raise not in map(type, plan) and (not dt or key.density_factors is not None
-                                          and all(map(operator.lt, plan, taus))):
-        # a point lag, or a factored window that is never empty, which never
-        # raises here: the block ends only at a read of its own steps
-        r = next((r for r, s, t0 in zip(itertools.count(), plan, starts) if front < s <= t0), n)
-        return (n, plan, None) if r < 2 * MIN_BLOCK or r == n else (r & ~1, plan[: r & ~1], "own-steps")
-    low, rows, late, reason = front, 0, False, None
-    dense = dt and key.density_factors is None  # a density weighed node by node
-    r = -1
-    while r + 1 < n:
-        r += 1
-        s = values[r]
-        if dt and s.__class__ is not _Raise and s >= taus[r]:  # an empty window: its error
-            try:
-                key.density_floor(taus[r])
-            except ValueError as e:
-                s = values[r] = _Raise(e)
-        if s.__class__ is _Raise:
-            reason = "raise"
-            if r >= 2:  # the step becomes the next block's first
-                n = r & ~1
-                break
-            n = min(n, 2)
-        elif s <= starts[r] and (dt or s > front):
+    evaluation (`_each_array`); masks mark a point lag's time past its stage
+    time by more than `validate_kernel`'s 1e-12 and an empty window as
+    raising (NaN), and find the first read of the block's own steps.  Only
+    a dense window's weight budget goes row by row."""
+    taus = ahead.taus[:n]
+    values = ahead.values.get(key)
+    done = 0 if values is None else values.size
+    if done < n:
+        got = _each_array(lag, taus[done:].tolist())
+        if not dt:
+            got[got > taus[done:] + 1e-12] = math.nan
+        values = ahead.values[key] = got if values is None else np.concatenate((values, got))
+    s = values[:n]
+    if dt:
+        s[s >= taus] = math.nan
+    nan = np.isnan(s)
+    first = int(nan.argmax()) if nan.any() else n  # the first row that raises
+    if first < min(n, 2):
+        return min(n, 2), values, "raise"
+    if dt and key.density_factors is None:  # a density weighed node by node
+        m, why = _budget(s[:first].tolist(), ahead.starts[:first].tolist(), front, dt)
+    else:  # the block ends only at a read of its own steps
+        late = (front < s[:first]) & (s[:first] <= ahead.starts[:first])
+        r = int(late.argmax())  # the first, or 0 without one
+        m, why = (r & ~1, "own-steps") if r >= 2 * MIN_BLOCK and late[r] else (first, None)
+    if m < first:
+        return m, values, why
+    return (first & ~1, values, "raise") if first < n else (n, values, None)
+
+
+def _budget(floors: list, starts: list, front: float, dt: float) -> tuple[int, str | None]:
+    """The rows of a density that does not factor that a block serves, and
+    why it serves fewer: a row whose floor lies in the block's own steps, or
+    whose dense weights, from the lowest floor to the row's step, pass
+    WINDOW_ELEMENTS (both from MIN_BLOCK steps on)."""
+    low, rows, late = front, 0, False
+    for r, (s, t0) in enumerate(zip(floors, starts)):
+        if s <= t0:
             if s > front and not late:
                 if r >= 2 * MIN_BLOCK:
-                    n, reason = r & ~1, "own-steps"
-                    break
+                    return r & ~1, "own-steps"
                 late = True
-            if dense:
-                # the dense weights' nodes per row: from the lowest floor to
-                # the last row's step
-                low = min(low, s)
-                rows += 1
-                if r >= 2 * MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
-                    n, reason = r & ~1, "budget"
-                    break
-    return n, values[:n], reason
+            low = min(low, s)
+            rows += 1
+            if r >= 2 * MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > WINDOW_ELEMENTS:
+                return r & ~1, "budget"
+    return len(floors), None
 
 
 def _block(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, steps: int, dt: float):
@@ -358,11 +390,11 @@ def _stepwise(spec: SystemSpec, traj: Trajectory, grid, ahead: _Ahead, dt: float
     """The first step's item with each feed built alone, a block of one row,
     in the order the stage reads them; a feed whose build raises raises at
     its stage."""
-    rows = min(2, len(ahead.taus))
-    item = [ahead.taus[rows - 1]]
+    rows = min(2, ahead.taus.size)
+    item = [ahead.taus.item(rows - 1)]
     for r in range(rows):
-        row = _Ahead(ahead.j, ahead.starts[r], dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1])
-        row.values = {key: values[r : r + 1] for key, values in ahead.values.items() if len(values) > r}
+        row = _Ahead(ahead.j, ahead.starts.item(r), dt, ahead.horizon, ahead.eps_t, ahead.taus[r : r + 1])
+        row.values = {key: values[r : r + 1].copy() for key, values in ahead.values.items() if values.size > r}
         for kernel, f, comp in ((spec.k1, spec.f1, 1), (spec.k2, spec.f2, 0)):
             try:
                 n, points, windows, _ = _plan(row, (kernel,), traj.t_front, dt, 1)
@@ -389,44 +421,46 @@ class _Block:
     the y row), times in the block's own steps, read once stored (`read`),
     and the windows' weights.  `items` pairs the two kernels' feeds into one
     tuple per step with the step's end, whatever the feeds are.
+
+    A point lag's plan is None when it reads the stage state at every row,
+    or else the array of its times, those of stored history read together
+    (all of them for a lag in `stored`); `_Reader.point` replaces an array
+    that needs decisions row by row with the list of what each row reads.
     """
 
-    __slots__ = ("traj", "grid", "taus", "starts", "front", "points", "offsets", "stored", "zero", "values",
-                 "windows", "late")
+    __slots__ = ("traj", "grid", "taus", "starts", "front", "points", "offsets", "stored", "values", "windows",
+                 "late")
 
     def __init__(self, traj: Trajectory, grid, ahead: _Ahead, n: int, points: dict, windows: dict):
         self.traj, self.grid = traj, grid
         self.taus = taus = ahead.taus[:n]
-        self.starts = starts = ahead.starts[:n]
+        self.starts = ahead.starts[:n]
         self.front = front = traj.t_front
         self.late: dict = {}
         times: list = []
+        count = 0
         self.points = {}
         self.offsets = {}
-        self.stored = set()  # the point lags whose every time is in times
-        self.zero = set()  # the point lags that read the stage state alone
+        self.stored = set()  # the point lags whose every time is stored
         for key, plan in points.items():
-            plan = self.points[key] = plan[:n]
-            self.offsets[key] = len(times)
-            if _Raise not in map(type, plan) and all(map(operator.ge, plan, taus)):
-                self.zero.add(key)
+            plan = plan[:n]
+            if (plan >= taus).all():  # NaN, a row that raises, fails
+                self.points[key] = None
                 continue
-            times += [s for s in plan if s.__class__ is not _Raise and 0.0 < s <= front]
-            if len(times) - self.offsets[key] == n:
+            stored = (0.0 < plan) & (plan <= front)
+            times.append(plan[stored])
+            self.points[key], self.offsets[key] = plan, count
+            m = int(np.count_nonzero(stored))
+            if m == n:
                 self.stored.add(key)
-                continue
-            # what the stage reads: the stage state (None), the in-step
-            # quadratic, or an error; the times left are read for each f
-            plan = self.points[key] = [
-                s if s.__class__ is _Raise or s <= t0 else None if s >= t else _InStep(t0, t, s)
-                for s, t, t0 in zip(plan, taus, starts)]
-        self.values = tuple(traj.value_array(np.array(times)).tolist()) if times else ((), ())
-        plans = {kernel: plan[:n] for kernel, plan in windows.items()}
-        floors = [a for plan in plans.values() for a in plan if a.__class__ is not _Raise]
-        if floors:
+            count += m
+        self.values = traj.value_array(np.concatenate(times)) if count else np.empty((2, 0))
+        self.windows = dict(windows)  # each window's floors, weighed at its first read
+        if windows:
             # before any window takes grid indices: extending shifts them
-            grid.extend(min(floors))
-        self.windows = plans  # each window's floors, weighed at its first read
+            low = np.fmin.reduce(np.concatenate([plan[:n] for plan in windows.values()]))
+            if low == low:  # not NaN: a floor that does not raise
+                grid.extend(low.item())
 
     def read(self, s: float) -> tuple:
         """(x, y) at a time s in the block's own steps, once they hold it."""
@@ -436,7 +470,8 @@ class _Block:
         return xy
 
     def items(self, fx, fy):
-        ends = self.taus[1::2] or self.taus  # a block of one row ends at its one stage time
+        taus = self.taus
+        ends = (taus[1::2] if taus.size > 1 else taus).tolist()  # a block of one row ends at its one stage time
         if fx.__class__ is list and fy.__class__ is list:
             if len(fx) == 1:
                 fx, fy = fx * 2, fy * 2
@@ -461,26 +496,40 @@ class _Reader:
         (`_each`)."""
         block, comp = self.block, self.comp
         plan = block.points[id(lag)]
-        if id(lag) in block.zero:
-            return [None] * len(plan)
+        if plan is None:
+            return [None] * block.taus.size
         i = block.offsets[id(lag)]
         if id(lag) in block.stored:
-            return _each(f, block.values[comp][i : i + len(plan)])
+            return _each(f, block.values[comp, i : i + plan.size].tolist())
+        traj = block.traj
+        data = (traj.phi, traj.psi)[comp] or functools.partial(traj.value_scalar, comp=comp)
+        if plan.__class__ is not list:
+            if (plan <= block.front).all():  # stored history and the initial data alone
+                early = plan <= 0.0
+                got = _each_array(data, plan[early].tolist())
+                if not np.isnan(got).any():
+                    u = np.empty(plan.size)
+                    u[~early] = block.values[comp, i : i + plan.size - got.size]
+                    u[early] = got
+                    return _each(f, u.tolist())
+            # row by row, what the stage reads, kept for the other component:
+            # the stage state (None), the in-step quadratic, an error, or the
+            # time left to read for f
+            plan = block.points[id(lag)] = [
+                _error(lag, t) if s != s else s if s <= t0 else None if s >= t else _InStep(t0, t, s)
+                for s, t, t0 in zip(plan.tolist(), block.taus.tolist(), block.starts.tolist())]
         stored, early, late = [], [], []
         for r, s in enumerate(plan):
             if s is not None and s.__class__ not in _DEFERRED:
                 (late if s > block.front else stored if s > 0.0 else early).append(r)
         out = list(plan)
-        reads = list(block.values[comp][i : i + len(stored)])
-        if early:  # the fed component's initial data alone
-            traj = block.traj
-            data = (traj.phi, traj.psi)[comp] or functools.partial(traj.value_scalar, comp=comp)
-            for r, v in zip(early, _each(data, [plan[r] for r in early])):
-                if v.__class__ is _Raise:
-                    out[r] = v
-                else:
-                    stored.append(r)
-                    reads.append(v)
+        reads = block.values[comp, i : i + len(stored)].tolist()
+        for r, v in zip(early, _each(data, [plan[r] for r in early])):
+            if v.__class__ is _Raise:
+                out[r] = v
+            else:
+                stored.append(r)
+                reads.append(v)
         for r, v in zip(stored, _each(f, reads)):
             out[r] = v
         return self._late(out, late, f) if late else out
@@ -505,7 +554,7 @@ class _Reader:
         block = self.block
         try:
             window = block.windows[kernel]
-            if window.__class__ is list:
+            if window.__class__ is not _WindowBlock:
                 window = block.windows[kernel] = _WindowBlock(kernel, block.grid, block.taus, block.starts, window)
             return window.feeds(block, f, self.comp)
         except ERRORS as e:
@@ -561,33 +610,35 @@ class _WindowBlock:
                  "lead", "edge", "extra", "known", "own", "common", "coef", "inc", "wl", "head", "times", "early",
                  "xy", "late", "tail", "chunk")
 
-    def __init__(self, kernel, grid: _StepGrid, taus: list, starts: list, plan: list):
-        """The weights at the stage times taus with the floors in plan."""
+    def __init__(self, kernel, grid: _StepGrid, taus: np.ndarray, starts: np.ndarray, plan: np.ndarray):
+        """The weights at the stage times taus with the floors in plan, NaN
+        at a row whose floor raises."""
         self.kernel = kernel
-        self.fixed = fixed = [None] * len(plan)
-        tau = np.array(taus)
-        if _Raise not in map(type, plan) and all(map(operator.le, plan, starts)):
+        size = taus.size
+        plan = plan[:size]
+        self.fixed = fixed = [None] * size
+        tau = taus
+        if (plan <= starts).all():
             # the usual case: every floor at or behind its step's start
-            rows = list(range(len(plan)))
-            self.spans = [*range(0, len(plan), 2), len(plan)]
-            a = np.array(plan)
+            rows = range(size)
+            self.spans = [*range(0, size, 2), size]
+            a = plan
         else:
             rows = []
-            for r, a in enumerate(plan):
-                if a.__class__ is _Raise:
-                    fixed[r] = a
-                elif a > starts[r]:
-                    t = taus[r]
+            for r, (a, t, t0) in enumerate(zip(plan.tolist(), taus.tolist(), starts.tolist())):
+                if a != a:
+                    fixed[r] = _error(kernel.density_lag, t, kernel)
+                elif a > t0:
                     mid = 0.5 * (a + t)
                     d = kernel.density_at(t, a, np.array([a, mid, t])).tolist()
                     third = (t - a) / 6.0
-                    fixed[r] = _Sum([(third * d[0], _InStep(starts[r], t, a)),
-                                     (4.0 * third * d[1], _InStep(starts[r], t, mid)), (third * d[2], None)])
+                    fixed[r] = _Sum([(third * d[0], _InStep(t0, t, a)),
+                                     (4.0 * third * d[1], _InStep(t0, t, mid)), (third * d[2], None)])
                 else:
                     rows.append(r)
             # the grid rows of step j are rows[spans[j]:spans[j + 1]]
-            self.spans = np.searchsorted(rows, np.arange(0, len(plan) + 2, 2)).tolist()
-            a = np.array([plan[r] for r in rows])
+            self.spans = np.searchsorted(rows, np.arange(0, size + 2, 2)).tolist()
+            a = plan[rows]
         self.rows = rows
         if not rows:
             return

@@ -3,9 +3,13 @@
 History access.  The run's history is append-only (`Trajectory`): one node
 per accepted step end holds the time and x, y, x', y' there, node 0 holds
 the initial state with the slope of the first right-hand-side call, and
-segment i is the cubic Hermite from node i to node i + 1.  Nothing is ever
-cut: a delay may be unbounded, so a lag can read any time of the run, and
-the checks after a run read all of it.  The initial functions serve times
+segment i is the cubic Hermite from node i to node i + 1.  Nodes are
+stored through flat memoryviews of the node arrays: the compiled loop
+stores the ends of its steps itself, into room for CHECK_EVERY nodes that
+`integrate` reserves before each of its calls, and the start node and the
+checked step's ends go through `Trajectory.append`.  Nothing is ever cut:
+a delay may be unbounded, so a lag can read any time of the run, and the
+checks after a run read all of it.  The initial functions serve times
 up to 0.  Inside the current step, which is not stored yet, a read at s
 between the step start t0 and the active stage time reads the quadratic
 through the start value, the start slope k1 and the stage state,
@@ -161,7 +165,7 @@ class Trajectory:
     `n` counts the stored segments; it is -1 before the start node.
     """
 
-    __slots__ = ("phi", "psi", "n", "t_front", "_t", "_v")
+    __slots__ = ("phi", "psi", "n", "t_front", "_t", "_v", "_tm", "_vm")
 
     def __init__(self, phi=None, psi=None, capacity: int = 4096):
         self.phi = phi
@@ -171,21 +175,39 @@ class Trajectory:
         cap = max(16, capacity)
         self._t = np.empty(cap, dtype=float)
         self._v = np.empty((cap, 4), dtype=float)
+        self._views()
 
     # -- storage -------------------------------------------------------
 
+    def _views(self) -> None:
+        """Flat memoryviews of the node arrays, through which nodes are
+        stored: time i is _tm[i], and x, y, x', y' of node i are _vm[4 * i]
+        to _vm[4 * i + 3]."""
+        self._tm = memoryview(self._t)
+        self._vm = memoryview(self._v.reshape(-1))
+
+    def reserve(self, rows: int) -> None:
+        """Room for rows more nodes after the front's: the arrays grow to at
+        least twice their size when they must, and their views with them."""
+        size = self.n + 1 + rows
+        cap = self._t.size
+        if size > cap:
+            grow = max(size, 2 * cap) - cap
+            self._t = np.concatenate((self._t, np.empty(grow)))
+            self._v = np.concatenate((self._v, np.empty((grow, 4))))
+            self._views()
+
     def append(self, t, x, y, dx, dy) -> None:
-        """Store the node at t: the start first, then each accepted step end."""
+        """Store the node at t: the start, and each step end of the checked
+        step (the compiled loop stores its own, see `_compile_steps`)."""
         i = self.n + 1
-        if i == self._t.size:
-            self._t = np.concatenate((self._t, np.empty(i)))
-            self._v = np.concatenate((self._v, np.empty((i, 4))))
-        self._t[i] = t
-        v = self._v
-        v[i, 0] = x
-        v[i, 1] = y
-        v[i, 2] = dx
-        v[i, 3] = dy
+        self.reserve(1)
+        self._tm[i] = t
+        v, k = self._vm, 4 * i
+        v[k] = x
+        v[k + 1] = y
+        v[k + 2] = dx
+        v[k + 3] = dy
         self.n = i
         self.t_front = t
 
@@ -275,16 +297,18 @@ class Trajectory:
     # -- export ------------------------------------------------------------
 
     def to_csv(self, path, stride: int = 10) -> None:
-        ts = self.step_times()
-        xs = self.step_values(0)
-        ys = self.step_values(1)
-        idx = list(range(0, len(ts), max(1, stride)))
-        if idx[-1] != len(ts) - 1:
-            idx.append(len(ts) - 1)
+        """Every stride-th node and the last one, as lines t,x,y of %.17g
+        numbers (as float.__format__ gives them): each column taken as
+        floats at once, the lines formatted and written in one pass, which
+        holds no joined copy of the file."""
+        last = self.n
+        idx = np.arange(0, last + 1, max(1, stride))
+        if idx[-1] != last:
+            idx = np.append(idx, last)
+        rows = zip(self._t[idx].tolist(), self._v[idx, 0].tolist(), self._v[idx, 1].tolist())
         with open(path, "w", newline="") as fh:
             fh.write("t,x,y\n")
-            for i in idx:
-                fh.write(f"{ts[i]:.17g},{xs[i]:.17g},{ys[i]:.17g}\n")
+            fh.writelines(map("%.17g,%.17g,%.17g\n".__mod__, rows))
 
 
 class _Column:
@@ -486,9 +510,13 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     its slopes, the steps taken in all, and None: when feeds ends at the
     horizon, at extinction, or after every CHECK_EVERY-th step, where the
     caller checks the convergence window (and skips it when converge_rtol
-    is 0).  At a step whose item is not plain, which raises, fires a guard
-    or ends in a non-finite derivative or f at a node, it returns the state
-    before the step and the step's item instead.
+    is 0), so it takes at most CHECK_EVERY steps a call.  It stores each
+    step's end itself, through the trajectory's node views into the room
+    `integrate` reserves before the call, and sets the trajectory's n and
+    t_front, which the blocks built between its steps read.  At a step whose
+    item is not plain, which raises, fires a guard or ends in a non-finite
+    derivative or f at a node, it returns the state before the step and the
+    step's item instead.
 
     step(item, t, x, y, dx, dy) takes that step to the end item carries,
     with its feeds, and returns the end time and state with its slopes.  A
@@ -653,6 +681,7 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         finite = ["dx1", "dy1", *(f"fm{c}" for c, _, _, _ in windows)]
         source = "\n".join([
             "def run(feeds, t, x, y, dx, dy, steps):",
+            "    T, V, i = traj._tm, traj._vm, traj.n",
             "    for item in feeds:",
             "        t1, fxm, fym, fxe, fye = item",
             f"        if not ({' and '.join(plain)}):",
@@ -665,7 +694,16 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             # a non-finite k2, k3 or k4 makes the next guarded state non-finite
             f"        if not ({' and '.join(f'isfinite({v})' for v in finite)}):",
             "            return t, x, y, dx, dy, steps, item",
-            "        append(t1, x1, y1, dx1, dy1)",
+            # the node, into the room integrate reserved
+            "        i += 1",
+            "        T[i] = t1",
+            "        at = 4 * i",
+            "        V[at] = x1",
+            "        V[at + 1] = y1",
+            "        V[at + 2] = dx1",
+            "        V[at + 3] = dy1",
+            "        traj.n = i",
+            "        traj.t_front = t1",
             *("        " + line for c, _, _, _ in windows for line in advance(c)),
             "        steps += 1",
             "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
@@ -677,10 +715,12 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         ])
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
     namespace = dict(
-        _SCALAR_ENV, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite, append=traj.append,
+        _SCALAR_ENV, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite, traj=traj,
         THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction, CHECK_EVERY=CHECK_EVERY,
         rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard,
     )
+    if checked:
+        namespace["append"] = traj.append
     for c, _, _, column in windows:
         namespace[f"C{c}"] = column
         namespace[f"P{c}"] = column.pending.append
@@ -772,6 +812,7 @@ def integrate(
         if run is None:
             item = next(feeds)
         else:
+            traj.reserve(CHECK_EVERY)  # run stores at most CHECK_EVERY steps
             taken = steps
             t, x, y, dx, dy, steps, item = run(feeds, t, x, y, dx, dy, steps)
             compiled += steps - taken

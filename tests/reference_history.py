@@ -28,6 +28,10 @@ for bit, densities to WINDOW_RTOL relative to max(1, |x|).
 `window_checks` replays the convergence checks of a finished run over its
 stored trajectory by the full rule, each window's range read from all of
 its stored steps.
+
+`block_plan` decides row by row how many rows a block of stage times
+serves and why it ends there, from each lag evaluated at one stage time at
+a time; `feeds._plan` decides the same by masks over the block.
 """
 
 import math
@@ -38,6 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from coopdelay.expr import EvalDomainError
+from coopdelay import feeds
 from coopdelay.feeds import block_feeds, window_feed
 from coopdelay.integrator import CHECK_EVERY, _compile_steps, _StepGrid
 from coopdelay.kernels import (
@@ -270,7 +275,8 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
         if j >= 0 and traj.t_front >= horizon - eps_t:
             break
         item = next(items)
-        assert item.__class__ is tuple  # one item shape, whatever its feeds
+        # one item shape, whatever its feeds, and a Python float step end
+        assert item.__class__ is tuple and item[0].__class__ is float
         t0 = traj.t_front
         start = tuple(traj._v[traj.n, :2].tolist())
         slope = tuple(traj._v[traj.n, 2:].tolist())
@@ -293,3 +299,60 @@ def drive(spec, traj, dt, steps, rng, states=1, horizon=None):
             dx1, dy1 = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
             store(item, t0, *start, *slope, t1, x1, y1, dx1, dy1)
     return sum(ends.values())
+
+
+def block_plan(taus: list, starts: list, kernels, front: float, dt: float, reason: str) -> tuple:
+    """The rows a block of the stage times taus, whose steps start at
+    starts, serves from the front, why it ends there (BLOCK_ENDS; reason
+    when no lag ends it before the last row), and each lag's values at those
+    rows by `feeds._plan`'s key (a point lag's id, a window's kernel): a time
+    or floor, or the type and text of what its evaluation raised.  A point
+    lag's time may run ahead of its stage time by 1e-12 and no more, and a
+    window is empty at a floor at or after its stage time.  Row by row, the
+    block ends before a row that raises, from the third row on (else after
+    the second), and from MIN_BLOCK steps on before the first row that reads
+    the block's own steps, or whose dense weights (a density that does not
+    factor) pass WINDOW_ELEMENTS (both read from `feeds` when called)."""
+    n = len(taus)
+    values: dict = {}
+    lags = []
+    for kernel in kernels:
+        lags += [(id(lag), lag, 0.0) for lag in kernel.atom_lags()]
+        if kernel.density_lag is not None:
+            lags.append((kernel, kernel.density_lag, dt))
+    for key, lag, width in lags:
+        if key in values:
+            continue
+        values[key] = [outcome(lambda t=t: lag.evaluate(t) if width else lag_time(lag, t)) for t in taus]
+        m, why = _rows_served(values[key], key, taus, starts, n, front, width)
+        if m < n:
+            n, reason = m, why
+    return n, reason, {key: v[:n] for key, v in values.items()}
+
+
+def _rows_served(values: list, key, taus: list, starts: list, n: int, front: float, dt: float) -> tuple:
+    """`block_plan`'s rows for one lag, dt 0 for a point lag; an empty
+    window's floor becomes its error in values."""
+    low, rows, late, reason = front, 0, False, None
+    dense = dt and key.density_factors is None
+    r = -1
+    while r + 1 < n:
+        r += 1
+        s = values[r]
+        if dt and not isinstance(s, tuple) and s >= taus[r]:
+            s = values[r] = outcome(lambda: key.density_floor(taus[r]))
+        if isinstance(s, tuple):
+            if r >= 2:
+                return r & ~1, "raise"
+            n, reason = min(n, 2), "raise"
+        elif s <= starts[r] and (dt or s > front):
+            if s > front and not late:
+                if r >= 2 * feeds.MIN_BLOCK:
+                    return r & ~1, "own-steps"
+                late = True
+            if dense:
+                low = min(low, s)
+                rows += 1
+                if r >= 2 * feeds.MIN_BLOCK and rows * ((front - low) * (2.0 / dt) + rows + 3.0) > feeds.WINDOW_ELEMENTS:
+                    return r & ~1, "budget"
+    return n, reason

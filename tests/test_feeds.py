@@ -24,7 +24,7 @@ from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var, parse
 from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
-from reference_history import WINDOW_RTOL, drive, step_end
+from reference_history import WINDOW_RTOL, block_plan, drive, step_end
 from test_expr import _trees
 from test_integrator import CONFIGS, on_path, spec_of
 
@@ -133,12 +133,125 @@ def test_stage_times_are_step_end_s_bit_for_bit(dt, horizon):
         if not n:
             break
         served = min(served, (n + 1) >> 1)
-        got_taus += ahead.taus[: 2 * served]
-        got_starts += ahead.starts[: 2 * served]
+        got_taus += ahead.taus[: 2 * served].tolist()
+        got_starts += ahead.starts[: 2 * served].tolist()
         ahead.advance(served)
     assert [v.hex() for v in got_taus] == [v.hex() for v in taus]
     assert [v.hex() for v in got_starts] == [v.hex() for v in starts]
     assert got_taus[-1] == horizon
+
+
+def plan_lags(dt, front):
+    """Lags for block plans from the front: zero, ahead of the stage,
+    inside the step or the block's own steps (with offsets around where the
+    block may first end for them), stored or across t = 0, raising from a
+    time on (in the first rows too), and ahead, or empty as a window's
+    floor, up to a time."""
+    then = st.integers(0, 12).map(lambda q: front + q * dt / 4)
+    return st.one_of(
+        st.just("t"),
+        st.sampled_from([1e-13, 1e-12, 2e-12, 5e-12, 1e-9, 0.01]).map(lambda c: f"t+{c!r}"),
+        st.floats(min_value=0.0, max_value=40 * dt).map(lambda c: f"t-{c!r}"),
+        st.integers(28, 36).map(lambda q: f"t-{q * dt / 4!r}"),
+        st.floats(min_value=0.0, max_value=3.0).map(lambda c: f"t-{c!r}"),
+        st.one_of(then, st.floats(min_value=0.1, max_value=2.0)).map(lambda a: f"t-1-sqrt({a!r}-t)"),
+        st.floats(min_value=0.1, max_value=2.0).map(lambda a: f"t-sqrt({a!r}-t)"),
+        st.one_of(then, st.floats(min_value=0.1, max_value=2.0)).map(lambda a: f"t-0.5*(t-{a!r})"),
+        st.sampled_from(["t/2", "t*0.999"]),
+    )
+
+
+@st.composite
+def plan_kernels(draw, dt, front):
+    kind = draw(st.sampled_from(["point", "uniform", "triangular", "mixture", "mixture", "atoms"]))
+    lag = draw(plan_lags(dt, front))
+    if kind == "point":
+        return PointMassKernel(lag)
+    if kind == "uniform":
+        return UniformDensityKernel(lag)
+    if kind == "triangular":
+        return TriangularDensityKernel(lag)
+    atoms = [(draw(plan_lags(dt, front)), 0.25), (draw(plan_lags(dt, front)), 0.5)][: draw(st.integers(1, 2))]
+    if kind == "atoms":
+        return GeneralMixtureKernel(atoms)
+    return GeneralMixtureKernel(atoms, density="u/4+1", density_lag=lag)
+
+
+def planned(kernels, plans: dict, taus: np.ndarray, n: int) -> dict:
+    """The lags' values in the plans of `feeds._plan` at the first n rows, as
+    `block_plan` gives them: at a row that raises, the error `feeds` makes
+    there."""
+    lags = {id(lag): (lag, None) for kernel in kernels for lag in kernel.atom_lags()}
+    lags |= {kernel: (kernel.density_lag, kernel) for kernel in kernels if kernel.density_lag is not None}
+    out = {}
+    for key, plan in plans.items():
+        lag, window = lags[key]
+        out[key] = plan[:n].tolist()
+        for r in np.flatnonzero(np.isnan(plan[:n])).tolist():
+            error = feeds._error(lag, taus.item(r), window).error
+            out[key][r] = type(error), str(error)
+    return out
+
+
+def check_plans(kernels, dt: float, j: int, horizon: float, blocks, one_row: bool = False) -> None:
+    """`feeds._plan` against `block_plan` over blocks in a row from one
+    _Ahead from step j, each (steps asked, steps served, at most those the
+    block serves), or a block of one row, the derivative at the front."""
+    front = j * dt
+    ahead = feeds._Ahead(j, front, dt, horizon, 1e-12 * max(1.0, horizon), np.array([front]) if one_row else None)
+    for steps, served in blocks:
+        n, points, windows, reason = feeds._plan(ahead, kernels, front, dt, steps)
+        rows = min(ahead.taus.size, 2 * steps)
+        want = block_plan(ahead.taus[:rows].tolist(), ahead.starts[:rows].tolist(), kernels, front, dt,
+                          "limit" if rows == 2 * steps else "horizon")
+        assert (n, reason, planned(kernels, {**points, **windows}, ahead.taus, n)) == want
+        ahead.advance(min(served, (n + 1) >> 1))
+        if not ahead.taus.size and ahead.done:
+            break
+        front = ahead.starts.item(0) if ahead.starts.size else ahead.t
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_plans_agree_with_the_row_by_row_oracle(data):
+    # up to three blocks in a row, each serving a drawn part of its rows,
+    # so later blocks start from lag values evaluated for earlier ones;
+    # lags ahead of their stage, in the block's own steps, zero and across
+    # t = 0, raising, and empty windows; dense windows at a budget small
+    # enough to end blocks
+    draw = data.draw
+    dt = draw(st.sampled_from([0.01, 0.05]))
+    j = draw(st.integers(0, 150))
+    k1 = draw(plan_kernels(dt, j * dt))
+    kernels = (k1,) if draw(st.booleans()) else (k1, draw(plan_kernels(dt, j * dt)))
+    horizon = (j + draw(st.integers(1, 300))) * dt
+    blocks = draw(st.lists(st.tuples(st.integers(1, 64), st.integers(1, 64)), min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feeds, "WINDOW_ELEMENTS", draw(st.sampled_from([feeds.WINDOW_ELEMENTS, 300, 3000])))
+        check_plans(kernels, dt, j, horizon, blocks, one_row=draw(st.integers(0, 9)) == 0)
+
+
+@pytest.mark.parametrize(
+    "lag, one_row",
+    [
+        ("t+1e-12", False),  # ahead by validate_kernel's slack: a zero lag
+        ("t+2e-12", False),  # past it: raises at the first row
+        ("t+2e-12", True),
+        ("t-1-sqrt(1.005-t)", False),  # first raises at row 1, the first step's end
+        ("t-1-sqrt(1.025-t)", False),  # first raises at row 5: the block ends after two steps
+        ("t-1-sqrt(1.18-t)", False),  # first raises at row 36, after MIN_BLOCK steps
+        ("t-0.0825", False),  # first reads the block's own steps at row 16: ends after MIN_BLOCK steps
+        ("t-0.0775", False),  # at row 15: read once stored
+        ("t-0.5*(t-1.013)", False),  # ahead up to 1.013: raises at rows 0 and 1
+    ],
+)
+@pytest.mark.parametrize("kind", ["point", "atom", "uniform"])
+def test_block_plans_at_the_edges_of_their_rules(lag, one_row, kind):
+    # from the front at t = 1 with dt = 0.01, 64 steps asked and 10 served,
+    # then 64 more; a window's floor ahead of its stage is an empty window
+    kernel = {"point": PointMassKernel, "uniform": UniformDensityKernel}.get(kind)
+    kernel = kernel(lag) if kernel else GeneralMixtureKernel([(lag, 0.5), ("t-0.3", 0.5)])
+    check_plans((kernel,), 0.01, 100, 3.0, [(64, 10), (64, 64)], one_row)
 
 
 def test_windows_past_the_old_element_budget():

@@ -694,14 +694,15 @@ def test_a_run_ends_its_steps_where_the_blocks_end_them(monkeypatch, path):
     rows = feeds._Ahead.rows
 
     def split(self, steps):
-        made = len(self.taus)
+        made = self.taus.size
         n = rows(self, steps)
-        for r in range(made, len(self.taus), 2):  # the rows this call made
-            t0, t1 = self.starts[r], self.taus[r + 1]
+        for r in range(made, self.taus.size, 2):  # the rows this call made
+            t0, t1 = self.starts.item(r), self.taus.item(r + 1)
             if t0 < extra < t1:
-                self.taus[r : r + 2] = [t0 + 0.5 * (extra - t0), extra, extra + 0.5 * (t1 - extra), t1]
-                self.starts[r : r + 2] = [t0, t0, extra, extra]
-                return min(len(self.taus), 2 * steps)
+                self.taus = np.concatenate((self.taus[:r], [t0 + 0.5 * (extra - t0), extra,
+                                                            extra + 0.5 * (t1 - extra), t1], self.taus[r + 2 :]))
+                self.starts = np.concatenate((self.starts[:r], [t0, t0, extra, extra], self.starts[r + 2 :]))
+                return min(self.taus.size, 2 * steps)
         return n
 
     monkeypatch.setattr(feeds._Ahead, "rows", split)
@@ -712,6 +713,35 @@ def test_a_run_ends_its_steps_where_the_blocks_end_them(monkeypatch, path):
     assert traj.step_times().tolist() == sorted(ends + [extra])
     assert outcome.diagnostics["steps"] == 101
     assert outcome.diagnostics["compiled_steps"] == (101 if path == "compiled" else 0)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("kernel", [PointMassKernel("t-0.3"), UniformDensityKernel("t-0.3")])
+def test_nodes_stored_while_the_arrays_grow_mid_run_are_bit_identical(monkeypatch, path, kernel):
+    # a trajectory made with 16 rows grows again and again in the run, the
+    # compiled loop storing through views that integrate remakes before
+    # each of its calls; nodes and outcome are those of a run that never grows
+    spec = on_path(spec_of("sqrt(x)+1", "x/2", k1=kernel, k2=PointMassKernel("t-0.7"), phi="2+sin(3*t)",
+                           psi="1+t^2/4"), path)
+    want_traj, want = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
+    sizes = []
+
+    class Small(Trajectory):
+        def __init__(self, phi=None, psi=None, capacity=4096):
+            super().__init__(phi, psi, 16)
+
+        def reserve(self, rows):
+            super().reserve(rows)
+            sizes.append(self._t.size)
+
+    monkeypatch.setattr(integrator, "Trajectory", Small)
+    traj, outcome = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
+    assert want_traj._t.size > traj.n + 1 and sorted(set(sizes)) == [16, 32, 64, 128, 256, 512]
+    assert (traj.n, traj.t_front) == (want_traj.n, want_traj.t_front) == (400, 4.0)
+    for got, ref in ((traj.step_times(), want_traj.step_times()), (traj._v[: traj.n + 1], want_traj._v[: traj.n + 1])):
+        assert got.tobytes() == ref.tobytes()
+    assert outcome == want
+    assert outcome.diagnostics["compiled_steps"] == (400 if path == "compiled" else 0)
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
