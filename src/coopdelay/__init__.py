@@ -18,12 +18,7 @@ from .analysis import (
 from .config import ConfigError, Numerics, RunConfig, load_config, system_from_mapping
 from .dynamics import InitialFunction, SystemSpec, check_rate_divergence, rhs, validate_system
 from .expr import EvalDomainError, Expression, ParseError, parse
-from .functions import (
-    InverseRangeError,
-    ProductionFunction,
-    inverse,
-    verify_increasing,
-)
+from .functions import InverseRangeError, inverse, verify_increasing
 from .integrator import (
     RunOutcome,
     Trajectory,

@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemSpec
-from .functions import (
-    InverseRangeError,
-    ProductionFunction,
-    Separator,
-    inverse_auto,
-)
+from .expr import Expression
+from .functions import InverseRangeError, Separator, inverse_auto
 from .integrator import RunOutcome, Trajectory, detect_nonoscillation_violation
 
 __all__ = [
@@ -221,8 +217,8 @@ def _grid_events(signs: np.ndarray, absd: np.ndarray) -> tuple[list, np.ndarray,
 
 
 def scan_relation(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     x_max: float,
     tol: float = SCAN_TOL,
     n_grid: int = SCAN_GRID,
@@ -249,8 +245,8 @@ def scan_relation(
         u_max = 2.0 * f2(x_max)
     u_hi = max(u_max, lo)
     us = np.geomspace(lo, u_hi, n_grid)
-    xs = f1.eval_array(us)
-    ds = f2.eval_array(xs) - us
+    xs = f1.evaluate_array(us)
+    ds = f2.evaluate_array(xs) - us
 
     def delta(u: float) -> float:
         return f2(f1(u)) - u
@@ -331,8 +327,8 @@ def scan_relation(
 
 
 def find_equilibrium(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     x_max: float,
     tol: float = SCAN_TOL,
 ) -> float | None:
@@ -351,8 +347,8 @@ def find_equilibrium(
 
 
 def classify(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     x_max: float,
     tol: float = SCAN_TOL,
     n_grid: int = SCAN_GRID,
@@ -408,8 +404,8 @@ def _fate_of(rel: RelationClass) -> Classification:
 
 
 def choose_separator(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     b_floor: float,
     alpha0: float = 0.5,
     bracket_hi: float = 1e6,
@@ -433,8 +429,8 @@ def choose_separator(
 
 
 def monotone_iteration(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     g: Separator,
     K: float,
     box: tuple[float, float, float, float],
@@ -454,7 +450,8 @@ def monotone_iteration(
     g^-1(f2(a)) <= f1(b) exactly when f2(a) <= h(b): one comparison picks
     the branch of both mins.  When h(b) wins, (a', u', b') = (f1(b), b,
     h(b)) with no inverse; only otherwise does g.inverse_xu(f2(a)) run,
-    giving a' with its u'.  Only the start bisects f1^-1, once per side.
+    giving a' with its u'.  Only the start inverts f1 by bisection, once per
+    side.
 
     The sandwich a <= a' <= K <= A' <= A is asserted at every step, and
     b' = g(a'), B' = g(A') are checked from the carried u (exact on the
@@ -513,8 +510,8 @@ def monotone_iteration(
 
 
 def contraction_start(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     data_inf: tuple[float, float],
     data_sup: tuple[float, float],
     relation_kind: str,
@@ -547,8 +544,8 @@ def contraction_start(
 
 
 def contraction_iteration(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     start: tuple[float, float],
     n_max: int = 500,
     cap: float = 1e12,
@@ -584,8 +581,8 @@ def contraction_iteration(
 
 
 def permanence_bounds(
-    f1: ProductionFunction,
-    f2: ProductionFunction,
+    f1: Expression,
+    f2: Expression,
     K: float,
     init_inf: tuple[float, float],
     init_sup: tuple[float, float],
@@ -609,7 +606,7 @@ def permanence_bounds(
     f2K = f2(K)
     hi = 4.0 * max(K, nu1_s, nu2_s, 1.0)
 
-    def inv_or_inf(f: ProductionFunction, y: float) -> float:
+    def inv_or_inf(f: Expression, y: float) -> float:
         try:
             return inverse_auto(f, y, hi)
         except InverseRangeError:

@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .dynamics import InitialFunction, SystemSpec
 from .expr import ParseError, parse
-from .functions import ProductionFunction
 from .kernels import (
     DelayKernel,
     GeneralMixtureKernel,
@@ -180,8 +179,8 @@ def system_from_mapping(system: dict, *, max_lag_bound: float = 1e3,
         raise ConfigError("[system] phi/psi", str(e)) from None
     g1 = system.get("g1")
     g2 = system.get("g2")
-    f1 = ProductionFunction.from_expression(expr_of("f1", "x"))
-    f2 = ProductionFunction.from_expression(expr_of("f2", "x"))
+    f1 = expr_of("f1", "x")
+    f2 = expr_of("f2", "x")
     r1 = expr_of("r1", "t")
     r2 = expr_of("r2", "t")
     # equal descriptors give one kernel object, which the integrator's

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import functions
 from .expr import EvalDomainError, Expression, parse
-from .functions import ProductionFunction
 from .kernels import DelayKernel, KernelCertificate, simpson_nodes_weights, validate_kernel
 
 __all__ = [
@@ -85,8 +84,8 @@ class InitialFunction:
 class SystemSpec:
     """A complete instance of the delayed cooperative system."""
 
-    f1: ProductionFunction
-    f2: ProductionFunction
+    f1: Expression
+    f2: Expression
     r1: Expression
     r2: Expression
     k1: DelayKernel
@@ -205,7 +204,8 @@ def validate_system(
             continue
         res = functions.verify_positive(g, x_max, a1_grid)
         if isinstance(res, functions.PositivityViolation):
-            rep.errors.append(f"{name}: not positive near x={res.x:.6g} {res.detail}")
+            where = f"on [0, {x_max:.6g}]" if res.kind == "domain-error" else f"near x={res.x:.6g}"
+            rep.errors.append(f"{name}: {res.kind} {where} {res.detail}")
 
     t_grid = np.linspace(0.0, horizon, kernel_grid)
     for name, k in (("kernel1", spec.k1), ("kernel2", spec.k2)):

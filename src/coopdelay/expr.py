@@ -346,7 +346,7 @@ def _emit(node: Node, var: str = "v") -> str:
 class Expression:
     """An immutable parsed expression in one bound variable."""
 
-    __slots__ = ("root", "var", "source", "_scalar", "_array", "_each", "_text")
+    __slots__ = ("root", "var", "source", "_scalar", "_array", "_each", "_text", "_hash")
 
     def __init__(self, root: Node, var: str, source: str | None = None):
         self.root = root
@@ -358,6 +358,7 @@ class Expression:
         self._array = eval(code, _ARRAY_ENV)
         self._each = None  # compiled at the first evaluate_each
         self._text: str | None = None
+        self._hash: int | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -367,7 +368,11 @@ class Expression:
         )
 
     def __hash__(self) -> int:
-        return hash((self.root, self.var))
+        # taken once: hashing the tree costs microseconds, and the step grid
+        # looks its columns up by the production function
+        if self._hash is None:
+            self._hash = hash((self.root, self.var))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Expression({self.serialize()!r}, var={self.var!r})"

@@ -779,7 +779,7 @@ class _WindowBlock:
                 self.xy = block.traj.value_array(times)
             u = self.xy[comp] if self.xy is not None else block.traj.value_array(times, comp)
             try:
-                fh = f.eval_array(u)
+                fh = f.evaluate_array(u)
             except EvalDomainError:
                 for v in u.tolist():  # the scalar f names the first value that fails
                     f(v)

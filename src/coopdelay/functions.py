@@ -1,24 +1,24 @@
 """Strictly increasing production functions with reliable numeric inversion.
 
-A ProductionFunction wraps either a parsed expression or an arbitrary
-scalar callable.  Monotonicity of an expression is proved symbolically
+A production function is a parsed expression (`expr.Expression`), as the
+rates and the modulations are.  Its monotonicity is proved symbolically
 when its syntax tree is built from increasing pieces (the variable; exp,
 ln, sqrt and tanh of a monotone argument; sums with constants or terms of
-the same direction; scaling by a nonzero constant).  Other expressions and
-opaque callables are certified by grid sampling.  Either way the verified
-interval, the grid size and the method are recorded on the certificate so
-downstream consumers know exactly what was checked.  `verify_positive`
-samples a growth modulation G (an expression) for positivity on the same
-kind of grid.
+the same direction; scaling by a nonzero constant).  Other expressions are
+certified by grid sampling.  Either way the verified interval, the grid
+size and the method are recorded on the certificate so downstream
+consumers know exactly what was checked.  `verify_positive` samples a
+growth modulation G for positivity on the same kind of grid.
 
-Inverses are computed by one scalar bisection, which monotonicity makes
-bracketing-safe.  Values below the function's range invert to 0 by
-convention; this convention is applied globally and surfaced in run
-reports.  Nothing is inverted on arrays: the relation scan samples along
-u = f1^-1(x) instead (see analysis.scan_relation).
+Inverses are computed by one scalar bisection, of any increasing scalar
+callable, which monotonicity makes bracketing-safe.  Values below the
+function's range invert to 0 by convention; this convention is applied
+globally and surfaced in run reports.  Nothing is inverted on arrays: the
+relation scan samples along u = f1^-1(x) instead (see
+analysis.scan_relation).
 
-The separator g = alpha*f1^-1 + (1-alpha)*f2 of the bound sequences is its
-own class, not a ProductionFunction: it is evaluated and inverted only
+The separator g = alpha*f1^-1 + (1-alpha)*f2 of the bound sequences is not
+an expression but a class of its own: it is evaluated and inverted only
 along u = f1^-1(x), and nothing hands it to `inverse_auto`.  Its inverse
 needs no inverse of f1: f1^-1 is 0 on [0, f1(0)], so there g^-1 is an
 inverse of f2, and above it g(f1(u)) = alpha*u + (1-alpha)*f2(f1(u)) is
@@ -33,10 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Call, EvalDomainError, Expression, Neg, Node, Num, Var, parse
+from .expr import Call, EvalDomainError, Expression, Neg, Node, Num, Var
 
 __all__ = [
-    "ProductionFunction",
     "MonotonicityCertificate",
     "MonotonicityViolation",
     "PositivityCertificate",
@@ -80,9 +79,10 @@ class PositivityCertificate:
 
 @dataclass(frozen=True)
 class PositivityViolation:
-    x: float
+    x: float  # first grid point where g is not positive; NaN for a domain error
     value: float | None
     detail: str = ""
+    kind: str = "not-positive"  # | "domain-error" (somewhere on the grid)
 
 
 class InverseRangeError(ValueError):
@@ -96,72 +96,6 @@ class InverseRangeError(ValueError):
         super().__init__(
             f"target {y!r} exceeds f({bracket_hi!r}) = {f_hi!r}; enlarge the bracket"
         )
-
-
-def _vectorize(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    def array_fn(vs: np.ndarray) -> np.ndarray:
-        vs = np.asarray(vs, dtype=float)
-        out = np.empty(vs.shape, dtype=float)
-        flat = vs.ravel()
-        dst = out.ravel()
-        for i in range(flat.size):
-            dst[i] = fn(float(flat[i]))
-        return out
-
-    return array_fn
-
-
-class ProductionFunction:
-    """A strictly increasing scalar map on the non-negative reals."""
-
-    __slots__ = ("_fn", "_array_fn", "name", "expression", "_inverse_fn")
-
-    def __init__(
-        self,
-        fn: Callable[[float], float],
-        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        *,
-        name: str | None = None,
-        inverse_fn: Callable[[float], float] | None = None,
-        expression: Expression | None = None,
-    ):
-        self._fn = fn
-        self._array_fn = array_fn if array_fn is not None else _vectorize(fn)
-        self.name = name or getattr(fn, "__name__", "f")
-        self.expression = expression
-        self._inverse_fn = inverse_fn
-
-    @classmethod
-    def from_expression(cls, body: str | Expression, var: str = "x") -> "ProductionFunction":
-        e = body if isinstance(body, Expression) else parse(body, var=var)
-        return cls(e.evaluate, e.evaluate_array, name=e.serialize(), expression=e)
-
-    def __call__(self, v: float) -> float:
-        return self._fn(v)
-
-    def eval_array(self, vs: np.ndarray) -> np.ndarray:
-        return self._array_fn(np.asarray(vs, dtype=float))
-
-    def evaluate_each(self, vs: list) -> list | None:
-        """The expression's `evaluate_each`; None for a function that is not
-        an expression, which is then called value by value."""
-        return None if self.expression is None else self.expression.evaluate_each(vs)
-
-    def __repr__(self) -> str:
-        return f"ProductionFunction({self.name!r})"
-
-    # -- inversion ----------------------------------------------------
-
-    @property
-    def bisects(self) -> bool:
-        """Whether `inverse` bisects over the bracket it is given; a closed-form
-        inverse does not read the bracket."""
-        return self._inverse_fn is None
-
-    def inverse(self, y: float, bracket_hi: float, tol: float = DEFAULT_INVERSE_TOL) -> float:
-        if self._inverse_fn is not None:
-            return max(0.0, self._inverse_fn(y))
-        return inverse(self, y, bracket_hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +148,7 @@ def _direction(node: Node) -> int | None:
 
 
 def verify_increasing(
-    f: ProductionFunction, x_max: float, n_grid: int = DEFAULT_GRID
+    f: Expression, x_max: float, n_grid: int = DEFAULT_GRID
 ) -> MonotonicityCertificate | MonotonicityViolation:
     """Certify that f is strictly increasing and positive for positive
     arguments on [0, x_max].  Returns the first offending adjacent pair
@@ -222,20 +156,19 @@ def verify_increasing(
 
     f is sampled on a uniform grid in every case: a decreasing adjacent
     pair, a domain error or a non-positive value rejects it.  Equal
-    adjacent values are where the two methods differ.  When f carries an
-    expression that the symbolic rules prove increasing (method
-    "symbolic"), ties are float resolution of a saturating function
-    (tanh rounds to 1.0 from x ~ 19) and are not held against it.  A
-    monotone argument takes its extreme values at the interval's ends,
-    which the grid contains, so a clean sample also rules out a domain
-    error in between.  Otherwise (method "grid") ties covering more than
-    20% of the grid mean the function is genuinely flat somewhere, and it
-    is rejected."""
+    adjacent values are where the two methods differ.  When the symbolic
+    rules prove f increasing (method "symbolic"), ties are float resolution
+    of a saturating function (tanh rounds to 1.0 from x ~ 19) and are not
+    held against it.  A monotone argument takes its extreme values at the
+    interval's ends, which the grid contains, so a clean sample also rules
+    out a domain error in between.  Otherwise (method "grid") ties covering
+    more than 20% of the grid mean the function is genuinely flat
+    somewhere, and it is rejected."""
     if x_max <= 0 or n_grid < 2:
         raise ValueError("x_max must be positive and n_grid at least 2")
     xs = np.linspace(0.0, x_max, n_grid)
     try:
-        vals = f.eval_array(xs)
+        vals = f.evaluate_array(xs)
     except EvalDomainError as e:
         return MonotonicityViolation("domain-error", 0.0, x_max, detail=str(e))
     diffs = np.diff(vals)
@@ -247,7 +180,7 @@ def verify_increasing(
         )
     flat = np.nonzero(diffs == 0.0)[0]
     plateau = flat.size / diffs.size
-    proved = f.expression is not None and _direction(f.expression.root) == 1
+    proved = _direction(f.root) == 1
     if plateau > 0.2 and not proved:
         i = int(flat[0])
         return MonotonicityViolation(
@@ -275,12 +208,13 @@ def verify_positive(
 ) -> PositivityCertificate | PositivityViolation:
     """Check on a uniform grid of [0, x_max] that the modulation g is
     positive for positive arguments; returns the first grid point where it
-    is not, or a certificate recording the grid."""
+    is not, a domain error of g on the grid, or a certificate recording the
+    grid."""
     xs = np.linspace(0.0, x_max, n_grid)
     try:
         vals = g.evaluate_array(xs)
     except EvalDomainError as e:
-        return PositivityViolation(x=float("nan"), value=None, detail=str(e))
+        return PositivityViolation(x=math.nan, value=None, detail=str(e), kind="domain-error")
     bad = np.nonzero((xs > 0.0) & (vals <= 0.0))[0]
     if bad.size:
         i = int(bad[0])
@@ -289,12 +223,13 @@ def verify_positive(
 
 
 def inverse(
-    f: ProductionFunction | Callable[[float], float],
+    f: Callable[[float], float],
     y: float,
     bracket_hi: float,
     tol: float = DEFAULT_INVERSE_TOL,
 ) -> float:
-    """Invert a verified-increasing f on [0, bracket_hi] by bisection.
+    """Invert a verified-increasing scalar callable f on [0, bracket_hi] by
+    bisection.
 
     Values below f(0) return 0 by convention; values above f(bracket_hi)
     raise InverseRangeError so the caller can enlarge the interval.  The
@@ -302,11 +237,10 @@ def inverse(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    fn = f if callable(f) and not isinstance(f, ProductionFunction) else f.__call__
-    f_lo = fn(0.0)
+    f_lo = f(0.0)
     if y <= f_lo:
         return 0.0
-    f_hi = fn(bracket_hi)
+    f_hi = f(bracket_hi)
     if y > f_hi:
         raise InverseRangeError(y, bracket_hi, f_hi)
     lo, hi = 0.0, float(bracket_hi)
@@ -316,7 +250,7 @@ def inverse(
         best_x, best_err = hi, abs(f_hi - y)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = fn(mid)
+        fm = f(mid)
         err = abs(fm - y)
         if err < best_err:
             best_x, best_err = mid, err
@@ -332,7 +266,7 @@ def inverse(
 
 
 def inverse_auto(
-    f: ProductionFunction,
+    f: Expression,
     y: float,
     bracket_hi: float,
     tol: float = DEFAULT_INVERSE_TOL,
@@ -341,15 +275,14 @@ def inverse_auto(
 
     The bracket grows by evaluating f alone, and f is inverted once, over
     the first bracket whose top reaches y: the same bracket, result and
-    InverseRangeError as inverting over each doubled bracket in turn.  A
-    function whose inverse does not read the bracket is inverted at once."""
+    InverseRangeError as inverting over each doubled bracket in turn."""
     hi = float(bracket_hi)
-    if f.bisects and y > f(0.0):  # at or below f(0) the inverse is 0
+    if y > f(0.0):  # at or below f(0) the inverse is 0
         while y > (f_hi := f(hi)):
             if hi >= BRACKET_CAP:
                 raise InverseRangeError(y, hi, f_hi)
             hi = min(BRACKET_CAP, 2.0 * hi)
-    return f.inverse(y, hi, tol)
+    return inverse(f, y, hi, tol)
 
 
 class Separator:
@@ -358,20 +291,20 @@ class Separator:
     Lies strictly between f1^-1 and f2 wherever they differ, which is what
     synchronizes the two components of the bound sequences.
 
-    g(x) bisects f1^-1 from [0, bracket_hi], growing the bracket as needed
-    (`f1_inverse`).  Every other use goes along u = f1^-1(x), which needs
+    g(x) inverts f1 by bisection on [0, bracket_hi], growing the bracket as
+    needed (`f1_inverse`).  Every other use goes along u = f1^-1(x), which needs
     no inverse of f1: `at(x, u)` is g(x) for a known u, and at(f1(u), u) =
     alpha * u + (1 - alpha) * f2(f1(u)) = h(u) is g(f1(u)).
     `inverse_xu(y)` returns x = g^-1(y) together with its u, from one
     bisection of h (or of f2 where x <= f1(0), there u = 0).  A bounded f1
-    needs no special case: h is unbounded even where f1 is not.
+    needs no special case: h is unbounded even where f1 is not.  f1 and f2
+    are the production expressions; g holds an inverse of f1, so no
+    expression can write it.
     """
 
     __slots__ = ("f1", "f2", "alpha", "_bracket_hi", "_f1_0", "_f2_f1_0", "_g_0", "_g_f1_0")
 
-    def __init__(
-        self, f1: ProductionFunction, f2: ProductionFunction, alpha: float, bracket_hi: float
-    ):
+    def __init__(self, f1: Expression, f2: Expression, alpha: float, bracket_hi: float):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         self.f1, self.f2, self.alpha = f1, f2, alpha
@@ -404,7 +337,7 @@ class Separator:
             # within the tolerance of g(f1(0)) the h bisection could only
             # return u ~ tol; the clamp keeps x in [0, f1(0)] instead
             target = min(y / (1.0 - self.alpha), self._f2_f1_0)
-            return self.f2.inverse(target, self._f1_0), 0.0
+            return inverse(self.f2, target, self._f1_0), 0.0
         f1 = self.f1
 
         def h(u: float) -> float:

@@ -33,12 +33,11 @@ The step.  `_compile_steps` writes the RK4 step once, as a template of
 Python source, and renders it in two ways.  Both take the step's end from
 its item, so steps end where `feeds._Ahead.rows` puts them, and no other
 code forms a step end; the items end at the horizon.  The compiled loop,
-generated when both production functions are expressions and no kernel is
-a mixture, takes every step whose feeds are plain for its kernels with all
-of it inline (from `expr._emit`'s source of f, r and G): a number, or None
-for f of the stage state, for a point kernel, and a row of a uniform or
-triangular window, its value read from the block's running sums, with its
-tail panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
+generated when no kernel is a mixture, takes every step whose feeds are
+plain for its kernels with all of it inline (from `expr._emit`'s source of
+f, r and G): a number, or None for f of the stage state, for a point
+kernel, and a row of a uniform or triangular window, its value read from
+the block's running sums, with its tail panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
 window's row and tail in `rhs`'s and `window_feed`'s operation order; each
 rate is evaluated once per stage time, and a rate of 1 or an unset G folds
 away (1.0 * z == z).  Its guards are tests without calls that fail wherever
@@ -469,10 +468,10 @@ class _StepGrid:
         if i > column.hi:  # nothing read between hi and i
             column.lo = column.hi = i
         if i < column.lo:
-            fu[i : column.lo] = f.eval_array(row[i : column.lo])
+            fu[i : column.lo] = f.evaluate_array(row[i : column.lo])
             column.lo = i
         if column.hi < n:
-            fu[column.hi : n] = f.eval_array(row[column.hi : n])
+            fu[column.hi : n] = f.evaluate_array(row[column.hi : n])
             column.hi = n
         return fu[i:n]
 
@@ -500,9 +499,9 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
 def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, threshold: float, ratio: float,
                    extinction: float, checked: bool = False):
     """The run's RK4 step (see the module docstring), rendered from one
-    template: the compiled loop (None when a production function is not an
-    expression or a kernel is a mixture), or with checked the checked step
-    and the store of its end, as the pair (step, store).
+    template: the compiled loop (None when a kernel is a mixture), or with
+    checked the checked step and the store of its end, as the pair (step,
+    store).
 
     run(feeds, t, x, y, dx, dy, steps) takes a step per item of feeds from
     the state at t, whose slopes are dx, dy and which ends step number steps,
@@ -530,11 +529,11 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     if not checked:
         kinds = ["point" if isinstance(kernel, PointMassKernel) else
                  "window" if isinstance(kernel, _DensityWindowKernel) else None for kernel in (spec.k1, spec.k2)]
-        if None in kinds or spec.f1.expression is None or spec.f2.expression is None:
+        if None in kinds:
             return None
         # per component: its name, f, its kernel's kind, the component f reads, r and G
-        comps = (("x", spec.f1.expression.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
-                 ("y", spec.f2.expression.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
+        comps = (("x", spec.f1.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
+                 ("y", spec.f2.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
     # per component fed through a density window: its name, the component
     # f reads, f's name and the column of f of that component on the grid
     windows = [(c, read, name, grid.column(f, comp)) for c, read, name, f, comp, kernel

@@ -39,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from .expr import EvalDomainError, Expression, parse
-from .functions import ProductionFunction
 
 __all__ = [
     "DelayKernel",
@@ -157,7 +156,7 @@ class DelayKernel:
         """The density of the window [floor, t] at the times nodes."""
         raise NotImplementedError
 
-    def integrate(self, f: ProductionFunction, u, t):
+    def integrate(self, f: Expression, u, t):
         """The feedback integral of f against the history component u at t,
         one time or a block's stage times (see `feeds`)."""
         raise NotImplementedError

@@ -97,7 +97,7 @@ class FnComponent:
 
     def window(self, kernel, f, t: float) -> float:
         rule = plan(kernel, t, self.n_quad)
-        return float(np.dot(rule.weights, f.eval_array(self.array(rule.nodes)) * rule.density))
+        return float(np.dot(rule.weights, f.evaluate_array(self.array(rule.nodes)) * rule.density))
 
     def mix(self, atoms, density) -> float:
         total = 0.0

@@ -24,29 +24,23 @@ from coopdelay.cli import execute_run
 from coopdelay.config import Numerics, Outputs, RunConfig
 from coopdelay.dynamics import InitialFunction, SystemSpec, check_rate_divergence
 from coopdelay.expr import parse
-from coopdelay.functions import ProductionFunction, Separator, inverse_auto
+from coopdelay.functions import Separator, inverse_auto
 from coopdelay.integrator import integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
 from coopdelay.presets import preset_system_mapping
 
 
 def pf(text):
-    return ProductionFunction.from_expression(text)
+    return parse(text)
 
 
 TOL_CLASSIFY = Numerics().tol_classify
 
 
 def tangent_pair_below():
-    """f1^-1(x) = x*(1+(x-1)^2) given exactly; f2 = identity.
-    delta = -x*(x-1)^2 <= 0 with equality only at x = 1."""
-    q = pf("x*(1+(x-1)^2)")
-
-    def fwd(v, _q=q):
-        return inverse_auto(_q, v, 8.0)
-
-    f1 = ProductionFunction(fwd, inverse_fn=q.__call__, name="q^-1")
-    return f1, pf("x")
+    """f1 = identity; f2 = x - x*(x-1)^2/(2*(x^2+1)), increasing on [0, 8].
+    delta = -x*(x-1)^2/(2*(x^2+1)) <= 0 with equality only at x = 1."""
+    return pf("x"), pf("x - x*(x-1)^2/(2*(x^2+1))")
 
 
 class TestFindEquilibrium:

@@ -29,6 +29,7 @@ from coopdelay.config import (
     parse_kernel,
     system_from_mapping,
 )
+from coopdelay.integrator import default_dt
 from coopdelay.kernels import (
     GeneralMixtureKernel,
     PointMassKernel,
@@ -207,13 +208,23 @@ NUMERICS_OUT_OF_RANGE = [
         *[(command, (CONFIGS / f"{name}.cfg").read_text().replace("[numerics]\n", f"[numerics]\n{key} = {value}\n"),
            [], EXIT_VALIDATION, f"[numerics] {key}: must be {rule}")
           for name in ("linear_decay", "sqrt_logistic_point") for command, key, value, rule in NUMERICS_OUT_OF_RANGE],
+        # a modulation that cannot be evaluated on the grid is named a domain
+        # error, as the production functions' gate names one, not a value
+        # that is not positive at x = nan
+        *[(command, (CONFIGS / "linear_decay.cfg").read_text().replace("[system]\n", f"[system]\n{line}\n"), [],
+           EXIT_VALIDATION, text)
+          for command, line, text in (
+              ("run", "g1 = ln(x) + 5",
+               "validation: g1: domain-error on [0, 10] ln(x) + 5.0: divide by zero encountered in log"),
+              ("classify", "g2 = x - 1", "validation: g2: not-positive near x=0.001"))],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
          "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "f1-overflows-the-bracket",
          "converge_rtol-nan",
          "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
          "window_spans-inf", "extinction_threshold-inf",
-         *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE]],
+         *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE],
+         "g1-domain-error", "g2-not-positive"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"
@@ -284,6 +295,18 @@ class TestPipeline:
         assert rep["certification"]["status"] == "pass"
         assert (tmp_path / "linear_decay.csv").exists()
         assert (tmp_path / "linear_decay.json").exists()
+
+    def test_a_config_without_dt_runs_at_the_default_step(self, tmp_path):
+        # no dt in the file or on the command line: integrate takes
+        # default_dt, 1e-3 of the smallest delay span (here t - 1)
+        text = (CONFIGS / "sqrt_logistic_point.cfg").read_text()
+        path = write_config(tmp_path, "no_dt.cfg", text.replace("dt = 2e-3\n", ""))
+        cfg = load_config(path)
+        assert cfg.numerics.dt is None
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / cfg.outputs.report).read_text())
+        want = default_dt(system_from_mapping(cfg.system), cfg.numerics.horizon)
+        assert report["outcome"]["diagnostics"]["dt"] == want == 1e-3
 
     def test_monotonicity_gate(self, tmp_path):
         p = write_config(

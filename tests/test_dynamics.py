@@ -11,13 +11,12 @@ from coopdelay.dynamics import (
     validate_system,
 )
 from coopdelay.expr import parse
-from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
 from reference_history import FnComponent
 
 
 def pf(text):
-    return ProductionFunction.from_expression(text)
+    return parse(text)
 
 
 def make_spec(

@@ -3,7 +3,9 @@ entry in a module's __all__ or in the package's own imports."""
 
 import ast
 import importlib
+import io
 import pkgutil
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,18 @@ import pytest
 import coopdelay
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(coopdelay.__path__))
+SOURCES = sorted(Path(coopdelay.__path__[0]).glob("*.py"))
+
+# CPython's parser keeps a module's tokens in one array that it grows by
+# doubling, and the step past 8,192 tokens costs at once: under tracemalloc,
+# compiling feeds.py padded to 8,183 tokens (counted as below: tokenize,
+# without comments and blank lines) peaks at 2.79 MB, and at 8,199 tokens at
+# 3.25 MB (Python 3.11).  Where no bytecode is cached
+# (PYTHONDONTWRITEBYTECODE=1, as on the benchmark's host), every process
+# compiles every module, so a module that crosses the step raises each
+# run's peak memory by that much, whatever its code does.  This names the
+# module instead.
+TOKEN_LIMIT = 8180
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,13 +63,20 @@ def test_every_import_is_used(name):
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
                                   "_cmd_classify", "_midpoint", "QuadPlan", "step_end", "make_separator",
-                                  "align_lower_start", "align_upper_start"])
+                                  "align_lower_start", "align_upper_start", "ProductionFunction", "_vectorize"])
 def test_removed_layers_stay_removed(name):
-    # G1/G2 are plain expressions, the reference history, the Simpson plan
-    # and the step end oracle live in the tests, blocks of steps are the one
-    # feed path and `feeds._Ahead.rows` the one place that ends steps, run
-    # and classify share one handler, `_hermite` is the one Hermite
-    # evaluator, and the separator is built by its class and aligned with
-    # the box inside `monotone_iteration`
+    # f1, f2, G1 and G2 are plain expressions, the reference history, the
+    # Simpson plan and the step end oracle live in the tests, blocks of steps
+    # are the one feed path and `feeds._Ahead.rows` the one place that ends
+    # steps, run and classify share one handler, `_hermite` is the one
+    # Hermite evaluator, and the separator is built by its class and aligned
+    # with the box inside `monotone_iteration`
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_modules_stay_below_the_parser_token_doubling(path):
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    count = sum(1 for t in tokens if t.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count < TOKEN_LIMIT, f"{path.name} has {count} tokens; split it before it reaches 8,192"

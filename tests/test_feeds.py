@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import SystemSpec
-from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var, parse
-from coopdelay.functions import ProductionFunction
+from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var
 from coopdelay.integrator import IntegrationError, integrate
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, TriangularDensityKernel, UniformDensityKernel
 from reference_history import WINDOW_RTOL, block_plan, drive, step_end
 from test_expr import _trees
-from test_integrator import CONFIGS, on_path, spec_of
+from test_integrator import CONFIGS, Watched, checked_only, spec_of
 
 
 def stored_history(dt, horizon=2.0):
@@ -411,13 +410,12 @@ def test_domain_error_in_the_known_part_surfaces_at_the_per_stage_step():
     # at the floor fails first; the message, stop time and, on the checked
     # step, whose every rhs call counts, the rhs call count are those of the
     # per-stage path this replaced; the compiled step raises the same
-    def spec(path):
-        return on_path(spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"),
-                               k2=UniformDensityKernel("t-1"), phi="2", psi="1+t"), path)
-
+    spec = spec_of("sqrt(x-0.5)", "1+x/2", k1=UniformDensityKernel("t-0.3-t^2/2"), k2=UniformDensityKernel("t-1"),
+                   phi="2", psi="1+t")
     message = "right-hand side failed near t=2.18: sqrt(x - 0.5) at 0.4978874999999998: math domain error"
-    assert run(spec("generic"), 3.0, 0.01) == (message, 873)
-    assert run(spec("compiled"), 3.0, 0.01)[0] == message
+    with checked_only():
+        assert run(spec, 3.0, 0.01) == (message, 873)
+    assert run(spec, 3.0, 0.01)[0] == message
 
 
 def test_a_mixture_atom_raises_before_its_density_at_one_stage():
@@ -431,6 +429,29 @@ def test_a_mixture_atom_raises_before_its_density_at_one_stage():
     assert str(e.value) == "right-hand side failed at t=0: sqrt(t + 0.8) + 0.6 at -2.0: math domain error"
 
 
+def y_midpoint(traj, step):
+    """The grid's y node at the midpoint of the step, as the step template
+    stores it (in `_hermite(0.5, ...)`'s operations)."""
+    (_, y0, _, dy0), (_, y1, _, dy1) = traj._v[step : step + 2].tolist()
+    return integrator._hermite(0.5, traj._t.item(step + 1) - traj._t.item(step), y0, y1, dy0, dy1)
+
+
+def failing_at(bad, raised):
+    """f = 1 + x/2, undefined at the value bad alone; each scalar
+    evaluation there is recorded in raised."""
+
+    def scalar(v):
+        if v == bad:
+            raised.append(v)
+            raise EvalDomainError("undefined at the node")
+
+    def array(vs):
+        if np.any(vs == bad):
+            raise EvalDomainError("undefined at the node")
+
+    return Watched("1+x/2", scalar, array)
+
+
 def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
     # f1 fails at the value the grid holds at the midpoint of step 20 (t =
     # 0.205), the y node the next step reads first, inside a block; the
@@ -438,23 +459,15 @@ def test_domain_error_at_an_accepted_node_surfaces_at_the_per_stage_step():
     # this replaced
     spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel("t-1"), k2=UniformDensityKernel("t-1"),
                    phi="2+sin(3*t)", psi="1+t^2/4")
-    traj, outcome = integrate(spec, horizon=0.3, dt=0.01)
-    (_, y0, _, dy0), (_, y1, _, dy1) = traj._v[20:22].tolist()
-    bad = integrator._hermite(0.5, traj._t.item(21) - traj._t.item(20), y0, y1, dy0, dy1)
-    body = parse("1+x/2")
+    bad = y_midpoint(integrate(spec, horizon=0.3, dt=0.01)[0], 20)
 
-    def scalar(v):
-        if abs(v - bad) <= 1e-13:
+    def near(vs):
+        if np.any(np.abs(np.asarray(vs) - bad) <= 1e-13):
             raise EvalDomainError("undefined near the node")
-        return body.evaluate(v)
 
-    def array(vs):
-        if np.any(np.abs(vs - bad) <= 1e-13):
-            raise EvalDomainError("undefined near the node")
-        return body.evaluate_array(vs)
-
-    spec.f1 = ProductionFunction(scalar, array)
-    assert run(spec, 0.5, 0.01) == ("right-hand side failed near t=0.21: undefined near the node", 85)
+    spec.f1 = Watched("1+x/2", near, near)
+    with checked_only():
+        assert run(spec, 0.5, 0.01) == ("right-hand side failed near t=0.21: undefined near the node", 85)
 
 
 def test_a_domain_error_at_a_node_no_window_reads_leaves_the_run_unchanged():
@@ -467,29 +480,42 @@ def test_a_domain_error_at_a_node_no_window_reads_leaves_the_run_unchanged():
     dt = 0.01
     spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel(f"t-{1.3 * dt!r}"), k2=UniformDensityKernel("t-1"),
                    phi="2+sin(3*t)", psi="1+t^2/4")
-    body = parse("1+x/2")
-    spec.f1 = ProductionFunction(body.evaluate, body.evaluate_array)  # not an expression: the checked step
-    want, outcome = integrate(spec, horizon=0.5, dt=dt)
+    with checked_only():
+        want, outcome = integrate(spec, horizon=0.5, dt=dt)
     assert outcome.diagnostics["block_ends"]["limit"] >= 1 and outcome.diagnostics["compiled_steps"] == 0
-    (_, y0, _, dy0), (_, y1, _, dy1) = want._v[7:9].tolist()
-    bad = integrator._hermite(0.5, want._t.item(8) - want._t.item(7), y0, y1, dy0, dy1)
+    bad = y_midpoint(want, 7)
     raised = []
-
-    def scalar(v):
-        if v == bad:
-            raised.append(v)
-            raise EvalDomainError("undefined at the node")
-        return body.evaluate(v)
-
-    def array(vs):
-        if np.any(vs == bad):
-            raise EvalDomainError("undefined at the node")
-        return body.evaluate_array(vs)
-
-    spec.f1 = ProductionFunction(scalar, array)
-    got, outcome = integrate(spec, horizon=0.5, dt=dt)
+    spec.f1 = failing_at(bad, raised)
+    with checked_only():
+        got, outcome = integrate(spec, horizon=0.5, dt=dt)
     assert raised == [bad] and outcome.status == "reached-horizon"
     assert np.array_equal(got._v[: got.n + 1], want._v[: want.n + 1])
+
+
+@pytest.mark.parametrize("lag, step", [("t-1", 7), ("t-0.025", 3)])
+def test_a_domain_error_at_a_stored_node_stops_the_first_step_that_reads_it(lag, step):
+    # blocks of 8, 16 and 26 steps after the derivative at t = 0.  f1 fails
+    # at the grid's y midpoint of the step alone, which the checked step
+    # stores with its error (`_Column`).  t - 1 weighs every node of the
+    # last time unit, so the midpoint of step 7, the first block's last, is
+    # read first by the next block, whose set-up raises the node's error
+    # again (`_StepGrid.fed`).  t - 0.025 reaches 2.5 steps back: step 4's
+    # rows are the first to weigh step 3's midpoint, in the same block,
+    # whose own nodes `_WindowBlock._steps` reads step by step.  Either way
+    # the run stops at the step after the node's, with f's error
+    dt = 0.01
+    spec = spec_of("1+x/2", "x/2", k1=UniformDensityKernel(lag), k2=UniformDensityKernel("t-1"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    with checked_only():
+        want, outcome = integrate(spec, horizon=0.5, dt=dt)
+    assert outcome.diagnostics["blocks"] == 3 and outcome.diagnostics["block_ends"]["raise"] == 0
+    bad, t_read = y_midpoint(want, step), want._t.item(step + 1)
+    raised = []
+    spec.f1 = failing_at(bad, raised)
+    with checked_only(), pytest.raises(IntegrationError) as e:
+        integrate(spec, horizon=0.5, dt=dt)
+    assert str(e.value) == f"right-hand side failed near t={t_read!r}: undefined at the node"
+    assert raised == [bad]  # stored once; every later read raises the kept error
 
 
 def test_converge_rtol_zero_skips_the_convergence_window(monkeypatch):

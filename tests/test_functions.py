@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopdelay import functions
-from coopdelay.expr import EvalDomainError, parse
+from coopdelay.expr import EvalDomainError, Expression, parse
 from coopdelay.functions import (
     BRACKET_CAP,
     DEFAULT_INVERSE_TOL,
@@ -14,17 +14,17 @@ from coopdelay.functions import (
     MonotonicityCertificate,
     MonotonicityViolation,
     PositivityCertificate,
-    ProductionFunction,
     Separator,
     inverse,
     inverse_auto,
     verify_increasing,
     verify_positive,
 )
+from test_integrator import Watched
 
 
-def pf(text: str) -> ProductionFunction:
-    return ProductionFunction.from_expression(text)
+def pf(text: str) -> Expression:
+    return parse(text)
 
 
 class TestVerify:
@@ -123,7 +123,7 @@ def inverse_by_retries(f, y, bracket_hi, tol=DEFAULT_INVERSE_TOL, cap=BRACKET_CA
     hi = float(bracket_hi)
     while True:
         try:
-            return f.inverse(y, hi, tol)
+            return inverse(f, y, hi, tol)
         except InverseRangeError:
             if hi >= cap:
                 raise
@@ -187,13 +187,6 @@ class TestInverseAuto:
         with pytest.raises(InverseRangeError) as err:
             inverse_auto(f, 2.5, 1.0)
         assert (err.value.y, err.value.bracket_hi, err.value.f_hi) == (2.5, BRACKET_CAP, 2.0)
-
-    def test_self_inverting_functions_are_not_evaluated(self):
-        evals = []
-        closed = ProductionFunction(lambda v: evals.append(v) or 2.0 * v, inverse_fn=lambda v: v / 2.0)
-        for y in (0.5, 3.0, 1e6):
-            assert inverse_auto(closed, y, 1.0) == y / 2.0
-        assert evals == []
 
 
 class TestSeparator:
@@ -278,26 +271,16 @@ class TestSeparator:
     def test_inverse_is_one_flat_bisection(self):
         # one g^-1 call bisects once, in u; a nested inversion of f1 inside
         # every probe of g would make thousands of evaluations
-        calls = [0]
-
-        def counted(text):
-            f = pf(text)
-
-            def fn(v):
-                calls[0] += 1
-                return f(v)
-
-            return ProductionFunction(fn, f.eval_array)
-
+        calls = []
         for f1_text, f2_text, alpha in (self.LV + (0.5,), self.LV + (0.999,),
                                         ("1.5*tanh(x)", "x", 0.9), ("1+x/2", "1+x/2", 0.5)):
-            f1, f2 = counted(f1_text), counted(f2_text)
+            f1, f2 = Watched(f1_text, calls.append), Watched(f2_text, calls.append)
             g = Separator(f1, f2, alpha, bracket_hi=100.0)
             knee = (1.0 - alpha) * f2(f1(0.0))
             for y in (0.5 * (g(0.0) + knee), knee + 1e-3, 1.0, 3.0, 40.0):
-                calls[0] = 0
+                calls.clear()
                 g.inverse_xu(y)
-                assert calls[0] <= 250, (f1_text, alpha, y, calls[0])
+                assert len(calls) <= 250, (f1_text, alpha, y, len(calls))
 
 
 class TestModulation:
@@ -308,15 +291,3 @@ class TestModulation:
         res = verify_positive(parse("x-1"), 2.0)
         assert not isinstance(res, PositivityCertificate)
         assert res.x <= 1.0
-
-
-def test_callable_backed_function_with_cheap_inverse():
-    # forward map given numerically, inverse supplied directly
-    quartic = pf("x*(1+(x-1)^2)")
-
-    def fwd(v, _q=quartic):
-        return inverse_auto(_q, v, 8.0)
-
-    f = ProductionFunction(fwd, inverse_fn=quartic.__call__, name="q^-1")
-    assert f.inverse(0.5, bracket_hi=8.0) == pytest.approx(quartic(0.5), abs=1e-12)
-    assert f(quartic(0.7)) == pytest.approx(0.7, abs=1e-9)

@@ -1,4 +1,4 @@
-import dataclasses
+import contextlib
 import gc
 import itertools
 import json
@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
-from coopdelay.expr import EvalDomainError, parse
+from coopdelay.expr import EvalDomainError, Expression, parse
 from coopdelay.feeds import _InStep, block_feeds, window_feed
-from coopdelay.functions import ProductionFunction
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
@@ -40,7 +39,7 @@ from reference_history import Stage, check, drive, in_step_read, stage_read, ste
 
 
 def pf(text):
-    return ProductionFunction.from_expression(text)
+    return parse(text)
 
 
 def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None, g2=None):
@@ -58,17 +57,55 @@ def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None,
     )
 
 
-def on_path(spec, path):
-    """The spec for the compiled step, or for the checked step alone
-    ("generic") a copy with callable-backed production functions, which the
-    compiled step does not take."""
-    if path == "compiled":
-        return spec
+@contextlib.contextmanager
+def checked_only():
+    """Runs inside take every step by the checked step: `_compile_steps`
+    renders no compiled loop, as for a mixture kernel."""
+    render = integrator._compile_steps
 
-    def callable_backed(f):
-        return ProductionFunction(f.expression.evaluate, f.expression.evaluate_array)
+    def checked_render(*args, checked=False):
+        return render(*args, checked=True) if checked else None
 
-    return dataclasses.replace(spec, f1=callable_backed(spec.f1), f2=callable_backed(spec.f2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "_compile_steps", checked_render)
+        yield
+
+
+def on_path(path):
+    """The context of a run on the compiled step, or on the checked step
+    alone ("generic")."""
+    return contextlib.nullcontext() if path == "compiled" else checked_only()
+
+
+class Watched(Expression):
+    """A production function that calls seen(v) before each scalar
+    evaluation and seen_array(vs) before each array evaluation, to count
+    them or to raise at chosen values.  It has no generated pass, so blocks
+    read it value by value; the compiled loop inlines f's source and never
+    calls it, so a run that watches it takes the checked step
+    (`checked_only`)."""
+
+    __slots__ = ("seen", "seen_array")
+
+    def __init__(self, text, seen=None, seen_array=None):
+        e = parse(text)
+        super().__init__(e.root, e.var, e.source)
+        self.seen, self.seen_array = seen, seen_array
+
+    def evaluate(self, v):
+        if self.seen is not None:
+            self.seen(v)
+        return super().evaluate(v)
+
+    __call__ = evaluate
+
+    def evaluate_array(self, vs):
+        if self.seen_array is not None:
+            self.seen_array(vs)
+        return super().evaluate_array(vs)
+
+    def evaluate_each(self, vs):
+        return None
 
 
 PATHS = ["compiled", "generic"]
@@ -158,8 +195,9 @@ class TestBlowup:
         # on both paths; with zero lags the compiled step takes every
         # accepted step
         for path in PATHS:
-            _, outcome = integrate(on_path(spec_of(f, f, phi="0.5", psi="0.5"), path), horizon=3.0, dt=dt,
-                                   blowup_threshold=threshold, stage_ratio=ratio)
+            with on_path(path):
+                _, outcome = integrate(spec_of(f, f, phi="0.5", psi="0.5"), horizon=3.0, dt=dt,
+                                       blowup_threshold=threshold, stage_ratio=ratio)
             assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
             assert outcome.diagnostics["guard_values"] == guard_values(threshold, *self.GUARD_VALUES[guard])
             assert outcome.blowup_time == outcome.t_final == pytest.approx(t_stop, abs=1e-12)
@@ -171,7 +209,8 @@ class TestBlowup:
         # with a NaN threshold only the finiteness test can fire
         spec = spec_of("x+2", "x+2", g1="1e308", g2="-1e308")
         for path in PATHS:
-            _, outcome = integrate(on_path(spec, path), horizon=1.0, dt=0.1, blowup_threshold=math.nan)
+            with on_path(path):
+                _, outcome = integrate(spec, horizon=1.0, dt=0.1, blowup_threshold=math.nan)
             assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", "stage-1")
             values = outcome.diagnostics["guard_values"]
             assert values == {"state": ["inf", "-inf"], "increments": ["inf", "-inf"], "threshold": "nan",
@@ -404,18 +443,8 @@ def count_array_lookups(monkeypatch):
 def counted_production(text):
     """A production function that records its scalar arguments and the size
     of each array evaluation."""
-    e = parse(text)
     scalars, sizes = [], []
-
-    def scalar_fn(v):
-        scalars.append(v)
-        return e.evaluate(v)
-
-    def array_fn(vs):
-        sizes.append(np.size(vs))
-        return e.evaluate_array(vs)
-
-    return ProductionFunction(scalar_fn, array_fn), scalars, sizes
+    return Watched(text, scalars.append, lambda vs: sizes.append(np.size(vs))), scalars, sizes
 
 
 BODIES = ["x", "sqrt(x)+2", "2*tanh(x)", "x^2+x", "exp(-x)"]
@@ -646,7 +675,8 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     f1, f1_scalars, f1_sizes = counted_production("1+x/2")
     f2, f2_scalars, f2_sizes = counted_production("x/2")
     spec.f1, spec.f2 = f1, f2
-    _, outcome = integrate(spec, horizon=0.5, dt=0.01)
+    with checked_only():
+        _, outcome = integrate(spec, horizon=0.5, dt=0.01)
     steps = outcome.diagnostics["steps"]
     assert outcome.status == "reached-horizon" and steps == 50
     # blocks of 8 and 16 steps from t = 0 and one of 26 to the horizon
@@ -708,7 +738,8 @@ def test_a_run_ends_its_steps_where_the_blocks_end_them(monkeypatch, path):
     monkeypatch.setattr(feeds._Ahead, "rows", split)
     spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-0.3"), k2=PointMassKernel("t-0.7"),
                    phi="2+sin(3*t)", psi="1+t^2/4")
-    traj, outcome = integrate(on_path(spec, path), horizon=1.0, dt=0.01, converge_rtol=0.0)
+    with on_path(path):
+        traj, outcome = integrate(spec, horizon=1.0, dt=0.01, converge_rtol=0.0)
     ends = [0.0] + [step_end(j, 0.01, 1.0, 1e-12) for j in range(100)]
     assert traj.step_times().tolist() == sorted(ends + [extra])
     assert outcome.diagnostics["steps"] == 101
@@ -721,9 +752,9 @@ def test_nodes_stored_while_the_arrays_grow_mid_run_are_bit_identical(monkeypatc
     # a trajectory made with 16 rows grows again and again in the run, the
     # compiled loop storing through views that integrate remakes before
     # each of its calls; nodes and outcome are those of a run that never grows
-    spec = on_path(spec_of("sqrt(x)+1", "x/2", k1=kernel, k2=PointMassKernel("t-0.7"), phi="2+sin(3*t)",
-                           psi="1+t^2/4"), path)
-    want_traj, want = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
+    spec = spec_of("sqrt(x)+1", "x/2", k1=kernel, k2=PointMassKernel("t-0.7"), phi="2+sin(3*t)", psi="1+t^2/4")
+    with on_path(path):
+        want_traj, want = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
     sizes = []
 
     class Small(Trajectory):
@@ -735,7 +766,8 @@ def test_nodes_stored_while_the_arrays_grow_mid_run_are_bit_identical(monkeypatc
             sizes.append(self._t.size)
 
     monkeypatch.setattr(integrator, "Trajectory", Small)
-    traj, outcome = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
+    with on_path(path):
+        traj, outcome = integrate(spec, horizon=4.0, dt=0.01, converge_rtol=0.0)
     assert want_traj._t.size > traj.n + 1 and sorted(set(sizes)) == [16, 32, 64, 128, 256, 512]
     assert (traj.n, traj.t_front) == (want_traj.n, want_traj.t_front) == (400, 4.0)
     for got, ref in ((traj.step_times(), want_traj.step_times()), (traj._v[: traj.n + 1], want_traj._v[: traj.n + 1])):
@@ -771,10 +803,11 @@ WINDOW_COUNTS = {"sqrt_logistic_point": (1176, 1), "linear_decay": (619, 0)}
 def test_runs_stop_at_the_first_check_the_full_window_rule_passes(name, path):
     cfg = load_config(CONFIGS / f"{name}.cfg")
     num = cfg.numerics
-    spec = on_path(system_from_mapping(cfg.system), path)
-    traj, outcome = integrate(spec, num.horizon, num.dt, blowup_threshold=num.blowup_threshold,
-                              stage_ratio=num.stage_ratio, converge_rtol=num.converge_rtol,
-                              window_spans=num.window_spans, extinction_threshold=num.extinction_threshold)
+    spec = system_from_mapping(cfg.system)
+    with on_path(path):
+        traj, outcome = integrate(spec, num.horizon, num.dt, blowup_threshold=num.blowup_threshold,
+                                  stage_ratio=num.stage_ratio, converge_rtol=num.converge_rtol,
+                                  window_spans=num.window_spans, extinction_threshold=num.extinction_threshold)
     checks = window_checks(spec, traj, num.dt, num.converge_rtol, num.window_spans)
     passed = [n for n, ok in checks if ok]
     assert outcome.status in ("converged", "reached-horizon", "blow-up")
@@ -1142,7 +1175,7 @@ class TestPointStageView:
         kernel = PointMassKernel("t-1")
         calls = count_array_lookups(monkeypatch)
         evals = []
-        f = ProductionFunction(lambda v: evals.append(v) or v * v)
+        f = Watched("x*x", evals.append)
         spec = spec_of("x", "x", k1=kernel, k2=kernel)
         spec.f1 = spec.f2 = f
         items = block_feeds(spec, traj, None, STEP, traj.t_front + STEP, 1e-12, Counter())
@@ -1210,8 +1243,9 @@ class TestPointLagStops:
         # compiled step leaves to the checked step
         k = PointMassKernel("t-0.2")
         for path in PATHS:
-            _, outcome = integrate(on_path(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), path), horizon=3.0, dt=dt,
-                                   blowup_threshold=threshold, stage_ratio=ratio)
+            with on_path(path):
+                _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi=v, psi=v), horizon=3.0, dt=dt,
+                                       blowup_threshold=threshold, stage_ratio=ratio)
             assert (outcome.status, outcome.diagnostics["stage_guard"]) == ("blow-up", guard)
             assert outcome.diagnostics["guard_values"] == guard_values(threshold, *self.GUARD_VALUES[guard])
             assert outcome.blowup_time == outcome.t_final == t_stop
@@ -1223,8 +1257,8 @@ class TestPointLagStops:
         f = "x^2+x+ln(2e6-x)"
         k = PointMassKernel("t-0.2")
         for path in PATHS:
-            _, outcome = integrate(on_path(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), path), horizon=10.0,
-                                   dt=0.01)
+            with on_path(path):
+                _, outcome = integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
             assert outcome.status == "blow-up" and outcome.t_final == 1.74
             assert outcome.diagnostics["stage_guard"] == (
                 "domain-error:x^2.0 + x + ln(2000000.0 - x) at 2335488.544829695: math domain error"
@@ -1236,9 +1270,10 @@ class TestPointLagStops:
     def test_domain_error_at_a_small_state_fails(self, lag, near):
         f = "x^2+x+sqrt(5-x)"
         k = PointMassKernel(lag)
+        message = rf"right-hand side failed near t={near}: .*math domain error"
         for path in PATHS:
-            with pytest.raises(IntegrationError, match=rf"right-hand side failed near t={near}: .*math domain error"):
-                integrate(on_path(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), path), horizon=10.0, dt=0.01)
+            with on_path(path), pytest.raises(IntegrationError, match=message):
+                integrate(spec_of(f, f, k1=k, k2=k, phi="0.5", psi="0.5"), horizon=10.0, dt=0.01)
 
     def test_turning_lag_reads_the_whole_run(self):
         # the lagged time t - 1 - t^2/10 turns back for t > 5 and reaches
@@ -1303,7 +1338,8 @@ def test_compiled_step_runs_bit_identically_to_the_generic_loop(run):
 
     def result(path):
         try:
-            traj, outcome = integrate(on_path(spec, path), dt=dt, **options)
+            with on_path(path):
+                traj, outcome = integrate(spec, dt=dt, **options)
         except Exception as e:  # noqa: BLE001 - the type and text are compared
             return type(e).__name__, str(e)
         diagnostics = dict(outcome.diagnostics)
@@ -1352,7 +1388,8 @@ def test_a_checked_step_inside_a_block_carries_the_window_sums(monkeypatch):
     starts = list(itertools.accumulate(served[1:], initial=0))
     assert checked == list(range(196, 203)) and 188 in starts and 212 in starts and not set(starts) & set(checked)
     assert outcome.diagnostics["compiled_steps"] == 300 - len(checked)
-    generic, _ = integrate(on_path(spec, "generic"), horizon=3.0, dt=0.01)
+    with checked_only():
+        generic, _ = integrate(spec, horizon=3.0, dt=0.01)
     assert traj._v[: traj.n + 1].tobytes() == generic._v[: generic.n + 1].tobytes()
 
 

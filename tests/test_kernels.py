@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdelay.expr import Expression
+from coopdelay.expr import Expression, parse
 from coopdelay import kernels
-from coopdelay.functions import ProductionFunction
 from coopdelay.kernels import (
     GeneralMixtureKernel,
     KernelCertificate,
@@ -20,7 +19,7 @@ from reference_history import FnComponent, plan
 
 
 def pf(text):
-    return ProductionFunction.from_expression(text)
+    return parse(text)
 
 
 IDENTITY = pf("x")
