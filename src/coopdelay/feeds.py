@@ -70,7 +70,6 @@ error message is a Python float.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import TYPE_CHECKING
@@ -173,11 +172,9 @@ _DEFERRED = (_InStep, _Sum, _Raise)
 
 def _each(fn, vs) -> list:
     """fn at each of vs, or a `_Raise` of what it raises there: one generated
-    pass (`Expression.evaluate_each`), bit for bit, where fn has one that
-    does not fail, or else value by value, so each error keeps its value and
-    message."""
-    each = getattr(fn, "evaluate_each", None)
-    out = each(vs) if each is not None and vs else None
+    pass (`Expression.evaluate_each`), bit for bit, where it does not fail,
+    or else value by value, so each error keeps its value and message."""
+    out = fn.evaluate_each(vs) if vs else []
     if out is None:
         out = []
         for v in vs:
@@ -502,7 +499,7 @@ class _Reader:
         if id(lag) in block.stored:
             return _each(f, block.values[comp, i : i + plan.size].tolist())
         traj = block.traj
-        data = (traj.phi, traj.psi)[comp] or functools.partial(traj.value_scalar, comp=comp)
+        data = (traj.phi, traj.psi)[comp]
         if plan.__class__ is not list:
             if (plan <= block.front).all():  # stored history and the initial data alone
                 early = plan <= 0.0

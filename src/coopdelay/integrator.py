@@ -5,9 +5,9 @@ per accepted step end holds the time and x, y, x', y' there, node 0 holds
 the initial state with the slope of the first right-hand-side call, and
 segment i is the cubic Hermite from node i to node i + 1.  Nodes are
 stored through flat memoryviews of the node arrays: the compiled loop
-stores the ends of its steps itself, into room for CHECK_EVERY nodes that
-`integrate` reserves before each of its calls, and the start node and the
-checked step's ends go through `Trajectory.append`.  Nothing is ever cut:
+stores the ends of its steps itself, into room it reserves for the steps up
+to its next convergence check, and the start node and the checked step's
+ends go through `Trajectory.append`.  Nothing is ever cut:
 a delay may be unbounded, so a lag can read any time of the run, and the
 checks after a run read all of it.  The initial functions serve times
 up to 0.  Inside the current step, which is not stored yet, a read at s
@@ -44,7 +44,9 @@ away (1.0 * z == z).  Its guards are tests without calls that fail wherever
 the checked guards fire (and also at a state equal to the threshold or on a
 NaN increment).  At a feed that is not plain, an exception of the inline
 arithmetic, a guard that fails or a non-finite derivative or f at a node it
-hands the state before the step and the step's item back.  The checked
+hands the state before the step and the step's item back.  Per step it
+makes no call but those of f, r and G: its tests of size and finiteness
+are comparisons.  The checked
 step, generated when a run first needs it, takes that one step, and every
 step of a run the compiled loop does not take: each stage calls `rhs` (as
 the module holds it then) on the `window_feed` values, and each guard
@@ -64,25 +66,31 @@ from the step start to the stage time reads its midpoint from the quadratic
 above and ends at the stage state (see `feeds`).
 
 Runs terminate early on blow-up, on extinction (both components below the
-extinction threshold) or on convergence of the state over a trailing
-window.  The window is checked after every CHECK_EVERY-th step, at the
-step's time t.  It reaches back max(window_spans * spec.max_span(t),
-100 * dt), and no check is made until t minus the window lies after t = 0,
-the first stored time.  It holds the stored steps from the first at or
-after t minus the window to the state, and the run converges when x and y
-each span (max - min) less than converge_rtol there, relative to max(1, |x|)
-and max(1, |y|) of the state.  Before it reads the window, a check compares
-the state with the window's first stored step x_i, y_i: when
-|x - x_i| / max(1, |x|) >= converge_rtol, or the same for y, it fails
-without reading the rest (`_ends_apart`).  This reject is exact: max - min
->= |x - x_i| for a window holding both nodes, and rounded subtraction, abs
-and division by the same max(1, |x|) are monotone, so it never refuses a
+extinction threshold) or on convergence of the state over a trailing window.
+The window is checked after every CHECK_EVERY-th step, at the step's time t,
+by one check that `integrate` defines: the compiled loop calls it itself,
+and `integrate` after a checked step, so the loop hands the run back only
+when the run must decide (a step it does not take, extinction, convergence
+or the horizon).  The window reaches back max(window_spans *
+spec.max_span(t), 100 * dt), and no check is made until t minus the window
+lies after t = 0, the first stored time.  The window holds the stored steps
+from the first at or after t minus the window to the state, and the run
+converges when x and y each span (max - min) less than converge_rtol there,
+relative to max(1, |x|) and max(1, |y|) of the state.  Before it reads the
+window, a check compares the state with the window's first stored step x_i,
+y_i: when |x - x_i| / max(1, |x|) >= converge_rtol, or the same for y, it
+fails without reading the rest (`_ends_apart`).  This reject is exact: max -
+min >= |x - x_i| for a window holding both nodes, and rounded subtraction,
+abs and division by the same max(1, |x|) are monotone, so it never refuses a
 window the range test accepts (a NaN fails >= and goes on to the range
 test).  A run that approaches a limit moves almost monotonically, so its
-window's range is mostly the gap between the window's ends, and nearly
-every failing check stops there.  With zero lags the window is 100 * dt, a
-fixed number of steps rather than a span of time, so a run at dt = 1e-300
-"converges" before its state can move.
+window's range is mostly the gap between the window's ends, and nearly every
+failing check stops there.  With zero lags the window is 100 * dt, a fixed
+number of steps rather than a span of time, so a run at dt = 1e-300
+"converges" before its state can move.  A lag proportional to t has a span
+proportional to t, and the window may then never fit: for the lag t/2 the
+window is 5 * t, so pantograph_logistic makes no check and cannot stop on
+convergence, however flat its state.
 
 Blow-up is declared when a state or stage value passes the threshold,
 turns non-finite, or a stage increment outruns the step
@@ -97,6 +105,7 @@ with IntegrationError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -488,7 +497,9 @@ class RunOutcome:
 
 
 def default_dt(spec: SystemSpec, horizon: float) -> float:
-    """1e-3 of the smallest delay span, clamped to [1e-4, 1e-2]."""
+    """1e-3 of the smallest, over 101 times from 0 to the horizon, of
+    `spec.max_span` (the longer of the two kernels' spans), clamped to
+    [1e-4, 1e-2]."""
     spans = []
     for t in np.linspace(0.0, horizon, 101):
         spans.append(spec.max_span(float(t)))
@@ -503,19 +514,19 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     checked the checked step and the store of its end, as the pair (step,
     store).
 
-    run(feeds, t, x, y, dx, dy, steps) takes a step per item of feeds from
-    the state at t, whose slopes are dx, dy and which ends step number steps,
-    each to the end its item carries, and returns the state it reached with
-    its slopes, the steps taken in all, and None: when feeds ends at the
-    horizon, at extinction, or after every CHECK_EVERY-th step, where the
-    caller checks the convergence window (and skips it when converge_rtol
-    is 0), so it takes at most CHECK_EVERY steps a call.  It stores each
-    step's end itself, through the trajectory's node views into the room
-    `integrate` reserves before the call, and sets the trajectory's n and
-    t_front, which the blocks built between its steps read.  At a step whose
-    item is not plain, which raises, fires a guard or ends in a non-finite
-    derivative or f at a node, it returns the state before the step and the
-    step's item instead.
+    run(feeds, check, t, x, y, dx, dy, steps) takes a step per item of feeds
+    from the state at t, whose slopes are dx, dy and which ends step number
+    steps, each to the end its item carries.  After every CHECK_EVERY-th
+    step it calls check(t, x, y), the convergence check of `integrate`.  It
+    returns the state it reached with its slopes, the steps taken in all,
+    and None: when feeds ends at the horizon, at extinction, or when check
+    returns True.  It stores each step's end itself, through the
+    trajectory's node views, reserving room for the steps up to the next
+    check as it goes, and sets the trajectory's n and t_front, which the
+    blocks built between its steps read.  At a step whose item is not
+    plain, which raises, fires a guard or ends in a non-finite derivative
+    or f at a node, it returns the state before the step and the step's
+    item instead.
 
     step(item, t, x, y, dx, dy) takes that step to the end item carries,
     with its feeds, and returns the end time and state with its slopes.  A
@@ -620,13 +631,15 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         if checked:  # a window fed otherwise has no running sums
             head = [f"if f{c}e.__class__ is tuple:", f"    S, i0{c}, i1{c}, j0{c}, j1{c} = f{c}e[9:]"]
             return [*head, *("    " + line for line in sums)]
-        return [f"P{c}(fm{c})", f"P{c}(fe{c})", f"S = S{c}e", *sums]
+        return [f"P{c} += fm{c}, fe{c}", f"S = S{c}e", *sums]
 
     stage = {"x": "sx", "y": "sy"}
     body = [
         "h = t1 - t",
         "tm = t + 0.5 * h",
-        "scale0 = 1.0 + max(abs(x), abs(y))",
+        # the compiled loop's m is max(abs(x), abs(y)) but for the sign of a
+        # zero or a NaN, which 1.0 + m drops or which fails every guard
+        "scale0 = 1.0 + max(abs(x), abs(y))" if checked else "scale0 = 1.0 + m",
         "bound = RATIO * scale0",
         "sx = x + 0.5 * h * dx",
         "sy = y + 0.5 * h * dy",
@@ -678,9 +691,16 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         nodes = [*midpoints(), *(f"fm{c} = {_emit(comps[0 if c == 'x' else 1][1], read + 'm')}"
                                  for c, read, _, _ in windows)]
         finite = ["dx1", "dy1", *(f"fm{c}" for c, _, _, _ in windows)]
+        # ax is abs(x) but for the sign of a zero and of a NaN, and m, like
+        # max(ax, ay), is its first operand unless the second is greater
+        largest = ["ax = x if x >= 0.0 else -x", "ay = y if y >= 0.0 else -y", "m = ay if ay > ax else ax"]
         source = "\n".join([
-            "def run(feeds, t, x, y, dx, dy, steps):",
+            "def run(feeds, check, t, x, y, dx, dy, steps):",
+            "    traj.reserve(CHECK_EVERY)",
             "    T, V, i = traj._tm, traj._vm, traj.n",
+            "    cap = traj._t.size",
+            *(f"    P{c} = C{c}.pending" for c, _, _, _ in windows),
+            *("    " + line for line in largest),
             "    for item in feeds:",
             "        t1, fxm, fym, fxe, fye = item",
             f"        if not ({' and '.join(plain)}):",
@@ -690,10 +710,11 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             *("            " + line for line in [*values, *body, *nodes]),
             "        except Exception:",
             "            return t, x, y, dx, dy, steps, item",
-            # a non-finite k2, k3 or k4 makes the next guarded state non-finite
-            f"        if not ({' and '.join(f'isfinite({v})' for v in finite)}):",
+            # a non-finite k2, k3 or k4 makes the next guarded state non-finite;
+            # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
+            f"        if not ({' and '.join(f'{v} - {v} == 0.0' for v in finite)}):",
             "            return t, x, y, dx, dy, steps, item",
-            # the node, into the room integrate reserved
+            # the node, into the room reserved at entry or at the last check
             "        i += 1",
             "        T[i] = t1",
             "        at = 4 * i",
@@ -706,10 +727,17 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             *("        " + line for c, _, _, _ in windows for line in advance(c)),
             "        steps += 1",
             "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
-            "        if max(abs(x), abs(y)) < EXTINCTION:",
+            *("        " + line for line in largest),
+            "        if m < EXTINCTION:",
             "            break",
             "        if steps % CHECK_EVERY == 0:",
-            "            break",
+            "            if check(t, x, y):",
+            "                break",
+            # room for the nodes up to the next check
+            "            if i + CHECK_EVERY >= cap:",
+            "                traj.reserve(CHECK_EVERY)",
+            "                T, V = traj._tm, traj._vm",
+            "                cap = traj._t.size",
             "    return t, x, y, dx, dy, steps, None",
         ])
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
@@ -722,7 +750,6 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         namespace["append"] = traj.append
     for c, _, _, column in windows:
         namespace[f"C{c}"] = column
-        namespace[f"P{c}"] = column.pending.append
     exec(compile(source, f"<{'checked' if checked else 'compiled'} step>", "exec"), namespace)
     # the namespace would hold them in a cycle
     return (namespace.pop("step"), namespace.pop("store")) if checked else namespace.pop("run")
@@ -757,8 +784,12 @@ def integrate(
     blow-up, extinction or convergence (see the module docstring).
 
     Convergence is checked after every CHECK_EVERY-th step, at its time t,
-    over the trailing window max(window_spans * spec.max_span(t), 100 * dt),
-    once t minus the window lies after t = 0.  The run converges when x and
+    by one check defined here: the compiled loop calls it between its steps
+    and hands the run back only when it must decide, and this loop calls it
+    after a checked step.  The window is max(window_spans *
+    spec.max_span(t), 100 * dt), and a check is made once t minus the
+    window lies after t = 0 (never for a lag proportional to t, see the
+    module docstring).  The run converges when x and
     y each span less than converge_rtol, relative to max(1, |x|) and
     max(1, |y|) of the state, over the stored steps from the first at or
     after t minus the window.  A check whose state and first window step
@@ -807,13 +838,35 @@ def integrate(
     compiled = 0
     checks = scans = 0
 
+    def check(t, x, y):
+        """The convergence check after a CHECK_EVERY-th step at t, x, y: True
+        when the window holds still, which also sets conv_point."""
+        nonlocal checks, scans, conv_point
+        # converge_rtol <= 0 can never stop the run: skip the window
+        if not converge_rtol > 0.0:
+            return False
+        start = t - max(window_spans * spec.max_span(t), 100.0 * dt)
+        T = traj._tm
+        if not start > T[0]:
+            return False
+        checks += 1
+        # the first node at or after start, as searchsorted(side="left") on
+        # the strictly increasing times
+        i = bisect_left(T, start, 0, traj.n + 1)
+        if _ends_apart(x, y, traj._vm[4 * i], traj._vm[4 * i + 1], converge_rtol):
+            return False
+        scans += 1
+        if _spread_within(traj.step_values(0)[i:], traj.step_values(1)[i:], x, y, converge_rtol):
+            conv_point = (x, y)
+            return True
+        return False
+
     while t < horizon - eps_t:
         if run is None:
             item = next(feeds)
         else:
-            traj.reserve(CHECK_EVERY)  # run stores at most CHECK_EVERY steps
             taken = steps
-            t, x, y, dx, dy, steps, item = run(feeds, t, x, y, dx, dy, steps)
+            t, x, y, dx, dy, steps, item = run(feeds, check, t, x, y, dx, dy, steps)
             compiled += steps - taken
         if item is not None:  # the step, checked
             if step is None:
@@ -834,27 +887,15 @@ def integrate(
             store(item, t, x, y, dx, dy, *end)
             t, x, y, dx, dy = end
             steps += 1
-
         if max(abs(x), abs(y)) < extinction_threshold:
             status = "extinct"
             extinct_time = t
             break
-
-        # converge_rtol <= 0 can never stop the run: skip the window
-        if converge_rtol > 0.0 and steps % CHECK_EVERY == 0:
-            window = max(window_spans * spec.max_span(t), 100.0 * dt)
-            ts = traj.step_times()
-            if t - window > ts[0]:
-                checks += 1
-                i_from = int(ts.searchsorted(t - window, side="left"))
-                x_i, y_i = traj._v[i_from, :2].tolist()
-                if not _ends_apart(x, y, x_i, y_i, converge_rtol):
-                    scans += 1
-                    if _spread_within(traj.step_values(0)[i_from:], traj.step_values(1)[i_from:], x, y,
-                                      converge_rtol):
-                        status = "converged"
-                        conv_point = (x, y)
-                        break
+        if item is not None and steps % CHECK_EVERY == 0:
+            check(t, x, y)
+        if conv_point is not None:
+            status = "converged"
+            break
 
     if status == "blow-up":
         blow_time = t

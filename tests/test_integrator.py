@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import gc
 import itertools
 import json
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
 
@@ -862,6 +864,148 @@ def test_the_end_point_reject_never_refuses_a_window_the_full_rule_accepts(windo
         assert not _ends_apart(x, y, float(xs[0]), float(ys[0]), rtol)
 
 
+# -- the compiled loop: the checks it makes and the calls it does not make ---
+
+
+def rendered_loop(spec, dt=0.01):
+    """The ast of the compiled loop `_compile_steps` renders for spec."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    traj = Trajectory(spec.phi, spec.psi)
+    traj.append(0.0, 1.0, 1.0, 0.0, 0.0)
+    grid = _StepGrid(traj, dt) if spec.k1.density_lag is not None or spec.k2.density_lag is not None else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "compile", spy, raising=False)
+        _compile_steps(spec, traj, grid, 1e12, 2.0, 1e-12)
+    return ast.parse(sources[0]).body[0]
+
+
+@pytest.mark.parametrize("kernel", [PointMassKernel("t-1"), UniformDensityKernel("t-1")])
+def test_the_compiled_loop_makes_no_call_per_step(kernel):
+    # f = x/2, r = 1 and no G inline without a call, so a call in the loop's
+    # body outside the branch of every CHECK_EVERY-th step would be the
+    # loop's own: a max, abs or isfinite back in the step
+    run = rendered_loop(spec_of("x/2", "x/2", k1=kernel, k2=PointMassKernel("t-0.5")))
+    loop = next(node for node in run.body if isinstance(node, ast.For))
+    every = [node for node in loop.body if isinstance(node, ast.If) and "CHECK_EVERY" in ast.unparse(node.test)]
+    assert len(every) == 1 and "check(t, x, y)" in ast.unparse(every[0])
+    calls = [ast.unparse(call) for node in loop.body if node not in every
+             for call in ast.walk(node) if isinstance(call, ast.Call)]
+    assert calls == []
+
+
+# zeros, subnormals, infinities, NaN, the largest magnitudes and any float
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+    st.floats(),
+)
+
+
+@pytest.fixture(scope="module")
+def call_free_forms():
+    """m of x, y by the lines the compiled loop computes it with, and the
+    loop's source."""
+    run = rendered_loop(linear_half_decay())
+    lines = [ast.unparse(node) for node in run.body
+             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in ("ax", "ay", "m")]
+    namespace = {}
+    exec("def largest(x, y):\n" + "".join(f"    {line}\n" for line in lines) + "    return m", namespace)
+    return namespace["largest"], ast.unparse(run)
+
+
+@given(x=EDGE_FLOATS, y=EDGE_FLOATS, v=EDGE_FLOATS, threshold=st.one_of(st.just(1e-12), EDGE_FLOATS))
+@settings(max_examples=400, deadline=None)
+def test_the_call_free_forms_decide_as_the_calls(call_free_forms, x, y, v, threshold):
+    largest, source = call_free_forms
+    m, want = largest(x, y), max(abs(x), abs(y))
+    # bit for bit, a NaN read as NaN: abs clears the sign of a NaN and no
+    # comparison can, and a NaN fails every guard whatever its sign
+    assert bits(1.0 + m) == bits(1.0 + want)
+    assert (m < threshold) == (want < threshold)
+    assert "dx1 - dx1 == 0.0" in source and (v - v == 0.0) == math.isfinite(v)
+
+
+@given(gaps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60),
+       picks=st.lists(st.tuples(st.sampled_from(["node", "between", "before"]), st.integers(0, 60)), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_the_window_start_search_matches_searchsorted(gaps, picks):
+    # the node views of arrays that grew as the nodes came in (from 16 rows)
+    traj = Trajectory(capacity=16)
+    t = 0.0
+    traj.append(t, 1.0, 1.0, 0.0, 0.0)
+    for gap in gaps:
+        t += gap
+        traj.append(t, 1.0, 1.0, 0.0, 0.0)
+    ts = traj.step_times()
+    for kind, j in picks:
+        j %= ts.size
+        s = {"node": ts[j], "between": 0.5 * (ts[j] + ts[min(j + 1, ts.size - 1)]), "before": -1.0 - j}[kind]
+        assert bisect_left(traj._tm, float(s), 0, traj.n + 1) == ts.searchsorted(s, side="left")
+
+
+@pytest.mark.parametrize("lag", [0.1234, 0.2])
+def test_each_check_compares_the_state_with_the_first_node_of_its_window(monkeypatch, lag):
+    # windows of 1.234 and 2.0 start between nodes and about on one, in
+    # arrays that grow again and again in the run: each check reads the
+    # node searchsorted finds
+    compared, ends_apart = [], integrator._ends_apart
+
+    def spy(x, y, x_i, y_i, rtol):
+        compared.append((x, y, x_i, y_i))
+        return ends_apart(x, y, x_i, y_i, rtol)
+
+    class Small(Trajectory):
+        def __init__(self, phi=None, psi=None, capacity=4096):
+            super().__init__(phi, psi, 16)
+
+    monkeypatch.setattr(integrator, "_ends_apart", spy)
+    monkeypatch.setattr(integrator, "Trajectory", Small)
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel(f"t-{lag!r}"), k2=PointMassKernel("t-0.071"),
+                   phi="2+sin(3*t)", psi="1+t^2/4")
+    traj, outcome = integrate(spec, horizon=6.0, dt=0.01)
+    ts, xs, ys = traj.step_times(), traj.step_values(0), traj.step_values(1)
+    want = []
+    for n, _ in window_checks(spec, traj, 0.01, integrator.CONVERGE_RTOL, integrator.WINDOW_SPANS):
+        i = ts.searchsorted(ts[n] - max(integrator.WINDOW_SPANS * spec.max_span(float(ts[n])), 1.0), side="left")
+        want.append((xs[n], ys[n], xs[i], ys[i]))
+    assert traj._t.size >= 512 and outcome.diagnostics["window_checks"] == len(compared) == len(want) > 0
+    assert compared == want
+
+
+@pytest.mark.parametrize("name", ["sqrt_logistic_point", "linear_decay", "pantograph_logistic"])
+def test_the_compiled_loop_returns_only_when_the_run_must_decide(monkeypatch, name):
+    # it checks the window itself, so a run enters it once and again after
+    # each checked step, not after every CHECK_EVERY-th step
+    entries, compile_steps = [], integrator._compile_steps
+
+    def spy(*args, **kwargs):
+        compiled = compile_steps(*args, **kwargs)
+        if kwargs.get("checked"):
+            return compiled
+
+        def counted(*run_args):
+            entries.append(run_args[2])
+            return compiled(*run_args)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "_compile_steps", spy)
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    num = cfg.numerics
+    _, outcome = integrate(system_from_mapping(cfg.system), num.horizon, num.dt,
+                           blowup_threshold=num.blowup_threshold, stage_ratio=num.stage_ratio,
+                           converge_rtol=num.converge_rtol, window_spans=num.window_spans,
+                           extinction_threshold=num.extinction_threshold)
+    diagnostics = outcome.diagnostics
+    assert len(entries) == 1 + diagnostics["steps"] - diagnostics["compiled_steps"] <= 2
+    if name in WINDOW_COUNTS:
+        assert (diagnostics["window_checks"], diagnostics["window_scans"]) == WINDOW_COUNTS[name]
+
+
 # state at t = 3 of the accuracy probes that read inside a step, from the
 # previous scheme at step 0.02/32: the windows by a fixed 64- and 32-panel
 # Simpson rule over dense history reads (that rule's own error is about
@@ -1151,6 +1295,17 @@ POINT_LAGS = st.one_of(
 )
 
 
+class NoData:
+    """Initial data that cover no time: every read raises, as it would
+    without an initial function."""
+
+    def evaluate_each(self, ts):
+        return None
+
+    def __call__(self, t):
+        raise HistoryUnderflowError(f"no initial data cover t={t!r}")
+
+
 class TestPointStageView:
     @given(
         lag=POINT_LAGS,
@@ -1203,7 +1358,7 @@ class TestPointStageView:
 
     def test_lookup_error_surfaces_at_the_stage_time_that_reads_it(self):
         stored, _ = stored_history()
-        traj = Trajectory()  # the same nodes, without initial functions
+        traj = Trajectory(NoData(), NoData())  # the same nodes, with initial data that cover nothing
         for t, row in zip(stored.step_times().tolist(), stored._v[: stored.n + 1].tolist()):
             traj.append(t, *row)
         # at the midpoint the lag reads stored history; at the step end it
