@@ -453,10 +453,12 @@ def monotone_iteration(
     giving a' with its u'.  Only the start inverts f1 by bisection, once per
     side.
 
-    The sandwich a <= a' <= K <= A' <= A is asserted at every step, and
-    b' = g(a'), B' = g(A') are checked from the carried u (exact on the
-    h(b) branch, the bisection's accuracy on the other); a numerical
-    failure raises StallError.
+    Every step checks the sandwich a <= a' <= K <= A' <= A up to a
+    tolerance: a bound may move back by eps = 1e-12 * max(1, |A0|, |B0|),
+    and may pass K by max(eps, tol), so a lower bound can end above K (or
+    an upper one below it) by that much.  b' = g(a'), B' = g(A') are
+    checked from the carried u (exact on the h(b) branch, the bisection's
+    accuracy on the other).  A failed check raises StallError.
     """
     m1, m2, M1, M2 = box
     a = min(m1, g.inverse_xu(m2)[0])

@@ -66,8 +66,11 @@ def resolve_x_max(spec, numerics: Numerics) -> tuple[float, RelationClass | None
     if numerics.x_max is not None:
         return numerics.x_max, None
     t_floor = spec.data_floor()
-    _, hi1 = spec.phi.bounds(t_floor)
-    _, hi2 = spec.psi.bounds(t_floor)
+    try:
+        _, hi1 = spec.phi.bounds(t_floor)
+        _, hi2 = spec.psi.bounds(t_floor)
+    except EvalDomainError:  # validate_system names the initial data it cannot evaluate
+        hi1 = hi2 = 1.0
     x0 = 10.0 * max(1.0, hi1, hi2)
     try:
         rel = analysis.scan_relation(spec.f1, spec.f2, x0, numerics.tol_classify,

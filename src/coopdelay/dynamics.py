@@ -66,9 +66,14 @@ class InitialFunction:
         return out and [self.value_at_zero if t >= 0.0 else v for t, v in zip(ts, out)]
 
     def array(self, ts: np.ndarray) -> np.ndarray:
+        """self(t) at each of the times ts: the body is evaluated at the
+        times before 0 only."""
         ts = np.asarray(ts, dtype=float)
-        out = self.body.evaluate_array(np.minimum(ts, 0.0))
-        return np.where(ts >= 0.0, self.value_at_zero, out)
+        out = np.full(ts.shape, self.value_at_zero)
+        before = ts < 0.0
+        if before.any():
+            out[before] = self.body.evaluate_array(ts[before])
+        return out
 
     def bounds(self, t_floor: float, n: int = 4001) -> tuple[float, float]:
         """Sampled (inf, sup) over [t_floor, 0]; exact for constant bodies."""
@@ -245,7 +250,12 @@ def validate_system(
             t_bad = float(ts[np.argmax(vals < 0.0)])
             rep.errors.append(f"{name}: negative initial data at t={t_bad:.6g}")
         if not init.body.is_constant:
-            at0 = init.body.evaluate(0.0)
+            try:
+                at0 = init.body.evaluate(0.0)
+            except EvalDomainError:
+                rep.notes.append(f"{name}: value at 0 {init.value_at_zero!r} stands in for the expression, "
+                                 "which is undefined at 0")
+                continue
             if abs(at0 - init.value_at_zero) > 1e-9 * max(1.0, abs(at0)):
                 rep.notes.append(
                     f"{name}: value at 0 overrides the expression tail "

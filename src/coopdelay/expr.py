@@ -346,19 +346,17 @@ def _emit(node: Node, var: str = "v") -> str:
 class Expression:
     """An immutable parsed expression in one bound variable."""
 
-    __slots__ = ("root", "var", "source", "_scalar", "_array", "_each", "_text", "_hash")
+    __slots__ = ("root", "var", "_scalar", "_array", "_each", "_text")
 
-    def __init__(self, root: Node, var: str, source: str | None = None):
+    def __init__(self, root: Node, var: str):
         self.root = root
         self.var = var
-        self.source = source
         # one compile; the scalar and array callables share its code object
         code = compile(f"lambda v: {_emit(root)}", "<expr>", "eval")
         self._scalar = eval(code, _SCALAR_ENV)
         self._array = eval(code, _ARRAY_ENV)
         self._each = None  # compiled at the first evaluate_each
         self._text: str | None = None
-        self._hash: int | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -368,11 +366,7 @@ class Expression:
         )
 
     def __hash__(self) -> int:
-        # taken once: hashing the tree costs microseconds, and the step grid
-        # looks its columns up by the production function
-        if self._hash is None:
-            self._hash = hash((self.root, self.var))
-        return self._hash
+        return hash((self.root, self.var))
 
     def __repr__(self) -> str:
         return f"Expression({self.serialize()!r}, var={self.var!r})"
@@ -442,4 +436,4 @@ def parse(source: str, var: str = "x") -> Expression:
     """Parse source into an Expression bound to the named variable."""
     if not source or not source.strip():
         raise ParseError("empty expression", 1)
-    return Expression(_Parser(source, var).parse(), var, source)
+    return Expression(_Parser(source, var).parse(), var)

@@ -51,19 +51,24 @@ step, generated when a run first needs it, takes that one step, and every
 step of a run the compiled loop does not take: each stage calls `rhs` (as
 the module holds it then) on the `window_feed` values, and each guard
 raises with its name and the values it compared.  Both store each accepted
-step and do a window's work of it: f, by the scalar f, of the step's
-midpoint (the Hermite cubic at s = 1/2, in `_hermite`'s operation order)
-and of its end (which the compiled loop takes from the end's derivative),
-into the column of the component the window reads (`_Column`; the checked
-step keeps an error f raises at one node with that node), and, from the
-same lines, those nodes, weighed as the row hands them over, into its
-block's running sums.  The nodes they make are bit-identical.  The
-derivative at t = 0 is one `rhs` call.
+step and do a window's work of it: f, by the scalar f, of the component
+the window reads at the step's midpoint (the Hermite cubic at s = 1/2, in
+`_hermite`'s operation order) and at its end (which the compiled loop takes
+from the end's derivative), handed to the step grid as that component's
+pending f values (the checked step keeps an error f raises at one node
+with that node, `_StepGrid.node`), and, from the same lines, those nodes,
+weighed as the row hands them over, into its block's running sums.  The
+nodes they make are bit-identical.  The derivative at t = 0 is one `rhs`
+call.
 
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
-ends and Hermite midpoints, with f of each node evaluated once; the panel
-from the step start to the stage time reads its midpoint from the quadratic
-above and ends at the stage state (see `feeds`).
+ends and Hermite midpoints.  The grid holds the node times and f of each
+node, evaluated once; it keeps no values of x and y: f of a node the step
+did not hand over is read from the trajectory (`Trajectory.value_array`),
+and in a run those are the start node and the nodes below it, which read
+the initial data.  The panel from the step start to the stage time reads
+its midpoint from the quadratic above and ends at the stage state (see
+`feeds`).
 
 Runs terminate early on blow-up, on extinction (both components below the
 extinction threshold) or on convergence of the state over a trailing window.
@@ -319,59 +324,29 @@ class Trajectory:
             fh.writelines(map("%.17g,%.17g,%.17g\n".__mod__, rows))
 
 
-class _Column:
-    """f of one component on the step grid, for the windows fed from it.
-
-    Nodes lo to hi hold f in fu.  The step template evaluates f once, with
-    the scalar f, at each node of a step it stores and appends it to pending,
-    which `_StepGrid.sync` moves into fu; other nodes are evaluated when a
-    window first reads them (`_StepGrid.fed`), as an array.  An error f
-    raised at a stored node is kept with the node's index (errors), and
-    raised again by each read that covers that node.
-    """
-
-    __slots__ = ("fu", "lo", "hi", "pending", "errors")
-
-    def __init__(self, size: int, n: int):
-        self.fu = np.empty(size)
-        self.lo = self.hi = n
-        self.pending: list = []
-        self.errors: list = []
-
-    def node(self, f, u: float, feed) -> float:
-        """f at u, appended as the node the checked step stores next.  An
-        error f raises is kept with that node's index, and on the running
-        sums of a factored window's row feed, which add the node; the node
-        then holds NaN.  No traceback, whose frames would hold the column in
-        a cycle."""
-        try:
-            value = f(u)
-        except ERRORS as e:
-            e.with_traceback(None)
-            self.errors.append((self.hi + len(self.pending), e))
-            if feed.__class__ is tuple and feed[9].error is None:
-                feed[9].error = e
-            value = math.nan
-        self.pending.append(value)
-        return value
-
-
 class _StepGrid:
-    """x, y and f of them on the grid of step ends and step midpoints.
+    """Node times and f of them on the grid of step ends and step midpoints.
 
     Node times ascend and step ends sit at even indices, so a run of nodes
     between step ends is a run of whole Simpson panels, weighted dt/6 times
-    1, 4, 2, 4, ... (see `feeds`).  `sync` takes in the steps the trajectory
-    stored since the last sync: each step's midpoint, the value of its
-    Hermite cubic at s = 1/2, and its end.  Below the first stored time the
-    times go on at multiples of dt/2 as far back as a floor has reached
-    (`extend`), and a component's values there are its initial data, read
-    when f of it is first asked for, so a window reads only the initial data
-    of the component it is fed from.  f of a component is kept per column
-    (`_Column`).
+    1, 4, 2, 4, ... (see `feeds`).  `sync` takes in the times of the steps
+    the trajectory stored since the last sync, each step's midpoint and its
+    end, with the f values the step template evaluated there.  Below the
+    first stored time the times go on at multiples of dt/2 as far back as a
+    floor has reached (`extend`).
+
+    Row comp of fu holds f of component comp (f1 of y in row 1, f2 of x in
+    row 0) at the nodes from lo[comp] to n.  The step template evaluates f
+    once, with the scalar f, at each node of a step it stores and appends it
+    to pending[comp]; a node below lo[comp] is read from the trajectory when
+    a window first reaches it (`fed`), which at times up to 0 reads the
+    component's initial data, so a window reads only the initial data of
+    the component it is fed from.  An error f raised at a stored node is
+    kept with the node's index (errors[comp]), and raised again by each read
+    that covers that node.
     """
 
-    __slots__ = ("traj", "dt", "n", "m", "t", "xy", "filled", "columns")
+    __slots__ = ("traj", "dt", "n", "m", "t", "fu", "lo", "pending", "errors")
 
     def __init__(self, traj: Trajectory, dt: float):
         self.traj = traj
@@ -379,11 +354,13 @@ class _StepGrid:
         self.n = 0
         self.m = 0  # the trajectory's nodes in the grid
         self.t = np.empty(0)
-        self.xy = np.empty((2, 0))
-        self.filled = [0, 0]  # per component, the lowest node that holds its value
-        self.columns: dict = {}
+        self.fu = np.empty((2, 0))
+        self.lo = [0, 0]
+        self.pending: list = [[], []]
+        self.errors: list = [[], []]
         self._resize(2 * traj._t.size, 0)
         self.sync()
+        self.lo = [self.n, self.n]
 
     def _resize(self, size: int, shift: int) -> None:
         """Make room for size nodes, moving the n stored ones up by shift."""
@@ -393,48 +370,36 @@ class _StepGrid:
         elif not shift:
             return
         n = self.n
-        for name in ("t", "xy"):
+        for name in ("t", "fu"):
             old = getattr(self, name)
             new = np.empty(old.shape[:-1] + (cap,)) if cap != old.shape[-1] else old
             new[..., shift : shift + n] = old[..., :n]
             setattr(self, name, new)
-        self.filled = [i + shift for i in self.filled]
-        for column in self.columns.values():
-            old = column.fu
-            new = np.empty(cap) if cap != old.size else old
-            new[shift : shift + n] = old[:n]
-            column.fu = new
-            column.lo += shift
-            column.hi += shift
-            column.errors = [(i + shift, e) for i, e in column.errors]
+        self.lo = [i + shift for i in self.lo]
+        self.errors = [[(i + shift, e) for i, e in errors] for errors in self.errors]
 
     def sync(self) -> None:
-        """Take in the trajectory's nodes since the last sync, and the f
-        values the step template evaluated at them."""
+        """Take in the trajectory's node times since the last sync, and the
+        f values the step template evaluated at them."""
         traj = self.traj
         m = traj.n + 1
         if m == self.m:
             return
         first = max(self.m, 1)  # the first new step end after the start node
-        ts, v = traj._t[first - 1 : m], traj._v[first - 1 : m].T
-        h = ts[1:] - ts[:-1]
+        ts = traj._t[first - 1 : m]
         self._resize(self.n + 2 * (m - first) + 1, 0)
         n = self.n
         if not self.m:  # the start node
             self.t[n] = ts[0]
-            self.xy[:, n] = v[:2, 0]
             n += 1
         end = n + 2 * (m - first)
-        self.t[n:end:2] = ts[:-1] + 0.5 * h
+        self.t[n:end:2] = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
         self.t[n + 1 : end : 2] = ts[1:]
-        self.xy[:, n:end:2] = _hermite(0.5, h, v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:])
-        self.xy[:, n + 1 : end : 2] = v[:2, 1:]
+        for fu, pending in zip(self.fu, self.pending):
+            if pending:
+                fu[n : n + len(pending)] = pending
+                pending.clear()
         self.n, self.m = end, m
-        for column in self.columns.values():
-            if column.pending:
-                column.fu[column.hi : column.hi + len(column.pending)] = column.pending
-                column.hi += len(column.pending)
-                column.pending.clear()
 
     def extend(self, floor: float) -> None:
         """Extend the grid's times down to the first step end at or below
@@ -450,39 +415,37 @@ class _StepGrid:
         self.n += 2 * k
         self.t[: 2 * k] = lowest + np.arange(-2 * k, 0) * half
 
-    def column(self, f, comp: int) -> _Column:
-        """The column of f of the component, made when first asked for."""
-        column = self.columns.get((f, comp))
-        if column is None:
-            self.sync()
-            column = self.columns[f, comp] = _Column(self.t.size, self.n)
-        return column
+    def node(self, comp: int, f, u: float, feed) -> float:
+        """f at u, appended as the node of the component the checked step
+        stores next.  An error f raises is kept with that node's index, and
+        on the running sums of a factored window's row feed, which add the
+        node; the node then holds NaN.  No traceback, whose frames would hold
+        the grid in a cycle."""
+        pending = self.pending[comp]
+        try:
+            value = f(u)
+        except ERRORS as e:
+            e.with_traceback(None)
+            self.errors[comp].append((self.n + len(pending), e))
+            if feed.__class__ is tuple and feed[9].error is None:
+                feed[9].error = e
+            value = math.nan
+        pending.append(value)
+        return value
 
     def fed(self, f, comp: int, i: int) -> np.ndarray:
         """f of the component at the nodes from i on, each evaluated once;
-        below the stored nodes the component's initial data are read first
-        (HistoryUnderflowError without them)."""
-        column = self.column(f, comp)
+        the nodes below lo are read from the trajectory first
+        (HistoryUnderflowError without initial data there)."""
         self.sync()
-        n = self.n
-        for j, error in column.errors:
+        for j, error in self.errors[comp]:
             if j >= i:
                 raise error
-        row = self.xy[comp]
-        low = self.filled[comp]
-        if i < low:
-            row[i:low] = self.traj.value_array(self.t[i:low], comp)
-            self.filled[comp] = i
-        fu = column.fu
-        if i > column.hi:  # nothing read between hi and i
-            column.lo = column.hi = i
-        if i < column.lo:
-            fu[i : column.lo] = f.evaluate_array(row[i : column.lo])
-            column.lo = i
-        if column.hi < n:
-            fu[column.hi : n] = f.evaluate_array(row[column.hi : n])
-            column.hi = n
-        return fu[i:n]
+        lo = self.lo[comp]
+        if i < lo:
+            self.fu[comp, i:lo] = f.evaluate_array(self.traj.value_array(self.t[i:lo], comp))
+            self.lo[comp] = i
+        return self.fu[comp, i : self.n]
 
 
 @dataclass
@@ -533,9 +496,9 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     guard that fires raises _StageGuard(name, values), values what it
     compared; what a feed or the right-hand side raises passes through.
     store(item, t, x, y, dx, dy, t1, x1, y1, dx1, dy1) stores the step's
-    end.  An error of f at a node it stores is raised again by the first read
-    of that node (see `_Column`), and by the sums of a factored window that
-    add it.
+    end, and f at its midpoint and end into the grid (`_StepGrid.node`).  An
+    error of f at a node it stores is raised again by the first read of that
+    node, and by the sums of a factored window that add it.
     """
     if not checked:
         kinds = ["point" if isinstance(kernel, PointMassKernel) else
@@ -546,10 +509,9 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         comps = (("x", spec.f1.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
                  ("y", spec.f2.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))
     # per component fed through a density window: its name, the component
-    # f reads, f's name and the column of f of that component on the grid
-    windows = [(c, read, name, grid.column(f, comp)) for c, read, name, f, comp, kernel
-               in (("x", "y", "f1", spec.f1, 1, spec.k1), ("y", "x", "f2", spec.f2, 0, spec.k2))
-               if kernel.density_lag is not None]
+    # f reads, f's name and the grid's row of f of that component
+    windows = [(c, read, name, comp) for c, read, name, comp, kernel
+               in (("x", "y", "f1", 1, spec.k1), ("y", "x", "f2", 0, spec.k2)) if kernel.density_lag is not None]
 
     def rates(tv: str) -> list:
         """Each rate at the stage time tv, once; a rate of 1 folds away.  The
@@ -667,9 +629,9 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         store = ["append(t1, x1, y1, dx1, dy1)"]
         if windows:
             store += ["_, fxm, fym, fxe, fye = item", "h = t1 - t", *midpoints()]
-            for c, read, name, _ in windows:
-                store += [f"fm{c} = C{c}.node({name}, {read}m, f{c}e)", f"fe{c} = C{c}.node({name}, {read}1, f{c}e)",
-                          *advance(c)]
+            for c, read, name, comp in windows:
+                store += [f"fm{c} = grid.node({comp}, {name}, {read}m, f{c}e)",
+                          f"fe{c} = grid.node({comp}, {name}, {read}1, f{c}e)", *advance(c)]
         source = "\n".join([
             "def step(item, t, x, y, dx, dy):",
             *("    " + line for line in ["t1, fxm, fym, fxe, fye = item", *body, "return t1, x1, y1, dx1, dy1"]),
@@ -699,7 +661,7 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             "    traj.reserve(CHECK_EVERY)",
             "    T, V, i = traj._tm, traj._vm, traj.n",
             "    cap = traj._t.size",
-            *(f"    P{c} = C{c}.pending" for c, _, _, _ in windows),
+            *(f"    P{c} = grid.pending[{comp}]" for c, _, _, comp in windows),
             *("    " + line for line in largest),
             "    for item in feeds:",
             "        t1, fxm, fym, fxe, fye = item",
@@ -744,12 +706,10 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     namespace = dict(
         _SCALAR_ENV, float=float, tuple=tuple, Exception=Exception, isfinite=math.isfinite, traj=traj,
         THRESHOLD=threshold, RATIO=ratio, RATIO4=6.0 * ratio, EXTINCTION=extinction, CHECK_EVERY=CHECK_EVERY,
-        rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard,
+        rhs=rhs, spec=spec, window_feed=window_feed, f1=spec.f1, f2=spec.f2, StageGuard=_StageGuard, grid=grid,
     )
     if checked:
         namespace["append"] = traj.append
-    for c, _, _, column in windows:
-        namespace[f"C{c}"] = column
     exec(compile(source, f"<{'checked' if checked else 'compiled'} step>", "exec"), namespace)
     # the namespace would hold them in a cycle
     return (namespace.pop("step"), namespace.pop("store")) if checked else namespace.pop("run")

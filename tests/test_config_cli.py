@@ -137,6 +137,10 @@ LINEAR_PAIR = (
     "[system]\nf1 = 0.5*x + 1\nf2 = 0.5*x + 1\nr1 = 1\nr2 = 1\n"
     'kernel1 = point lag="{lag}"\nkernel2 = point lag="{lag}"\nphi = {phi}\npsi = 1\n'
 )
+SQRT_PAIR = (
+    "[system]\nf1 = 2*sqrt(x)\nf2 = 2*sqrt(x)\nr1 = 1\nr2 = 1\n"
+    'kernel1 = {kernel} lag="t - 1"\nkernel2 = {kernel} lag="t - 1"\nphi = {phi}\n{phi0}psi = 1\n'
+)
 
 
 NUMERICS_OUT_OF_RANGE = [
@@ -217,6 +221,15 @@ NUMERICS_OUT_OF_RANGE = [
               ("run", "g1 = ln(x) + 5",
                "validation: g1: domain-error on [0, 10] ln(x) + 5.0: divide by zero encountered in log"),
               ("classify", "g2 = x - 1", "validation: g2: not-positive near x=0.001"))],
+        # initial data the pipeline cannot evaluate: undefined on [-1, -0.5)
+        # inside the data window, named by the validation rather than a
+        # traceback from the inspection window's data bounds
+        ("run", SQRT_PAIR.format(kernel="point", phi="sqrt(t + 0.5)", phi0=""), [], EXIT_VALIDATION,
+         "validation: phi: sqrt(t + 0.5): invalid value encountered in sqrt"),
+        # undefined at 0 only, where phi0 stands in: the run certifies, and
+        # the note says so in words
+        ("run", SQRT_PAIR.format(kernel="uniform", phi="1 + exp(1/t)", phi0="phi0 = 1\n"), [], EXIT_OK,
+         "phi: value at 0 1.0 stands in for the expression, which is undefined at 0"),
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
          "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "f1-overflows-the-bracket",
@@ -224,7 +237,7 @@ NUMERICS_OUT_OF_RANGE = [
          "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
          "window_spans-inf", "extinction_threshold-inf",
          *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE],
-         "g1-domain-error", "g2-not-positive"],
+         "g1-domain-error", "g2-not-positive", "phi-undefined-in-window", "phi-undefined-at-0"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"

@@ -10,7 +10,7 @@ from coopdelay.dynamics import (
     rhs,
     validate_system,
 )
-from coopdelay.expr import parse
+from coopdelay.expr import EvalDomainError, parse
 from coopdelay.kernels import GeneralMixtureKernel, PointMassKernel, UniformDensityKernel
 from reference_history import FnComponent
 
@@ -124,6 +124,15 @@ class TestInitialFunction:
         f = InitialFunction("2 - t", value_at_zero=3.0)
         out = f.array(np.array([-2.0, -1.0, 0.0]))
         assert out.tolist() == [4.0, 3.0, 3.0]
+
+    def test_array_does_not_evaluate_the_body_from_zero_on(self):
+        # ln(-t) raises at t >= 0, where the value at 0 stands in anyway
+        f = InitialFunction("ln(-t) + 2", value_at_zero=3.0)
+        assert f.array(np.array([-1.0, 0.0, 0.5])).tolist() == [2.0, 3.0, 3.0]
+        assert f.array(np.array([0.0, 1.0])).tolist() == [3.0, 3.0]
+        assert f.array(0.0) == 3.0
+        with pytest.raises(EvalDomainError):
+            f.body.evaluate_array(np.array([0.0]))
 
     def test_bounds_sampled(self):
         f = InitialFunction("2 + sin(t)")

@@ -63,14 +63,16 @@ def test_every_import_is_used(name):
 @pytest.mark.parametrize("name", ["Modulation", "HistoryComponent", "FnComponent", "History", "SimpleHistory",
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
                                   "_cmd_classify", "_midpoint", "QuadPlan", "step_end", "make_separator",
-                                  "align_lower_start", "align_upper_start", "ProductionFunction", "_vectorize"])
+                                  "align_lower_start", "align_upper_start", "ProductionFunction", "_vectorize",
+                                  "_Column"])
 def test_removed_layers_stay_removed(name):
     # f1, f2, G1 and G2 are plain expressions, the reference history, the
     # Simpson plan and the step end oracle live in the tests, blocks of steps
     # are the one feed path and `feeds._Ahead.rows` the one place that ends
     # steps, run and classify share one handler, `_hermite` is the one
-    # Hermite evaluator, and the separator is built by its class and aligned
-    # with the box inside `monotone_iteration`
+    # Hermite evaluator, the separator is built by its class and aligned
+    # with the box inside `monotone_iteration`, and the step grid holds f of
+    # both components itself
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []
 
@@ -80,3 +82,21 @@ def test_modules_stay_below_the_parser_token_doubling(path):
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
     count = sum(1 for t in tokens if t.type not in (tokenize.COMMENT, tokenize.NL))
     assert count < TOKEN_LIMIT, f"{path.name} has {count} tokens; split it before it reaches 8,192"
+
+
+def test_every_slot_is_read():
+    # a member that is stored but never loaded is dead weight: each name in
+    # a class's __slots__ is read as an attribute somewhere in the package
+    slots, loads = {}, set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.Assign) and [t.id for t in item.targets] == ["__slots__"]:
+                        names = ast.literal_eval(item.value)
+                        for name in (names,) if isinstance(names, str) else names:
+                            slots[f"{path.stem}.{node.name}.{name}"] = name
+    assert slots
+    assert sorted(key for key, name in slots.items() if name not in loads) == []

@@ -496,7 +496,7 @@ def test_a_domain_error_at_a_node_no_window_reads_leaves_the_run_unchanged():
 def test_a_domain_error_at_a_stored_node_stops_the_first_step_that_reads_it(lag, step):
     # blocks of 8, 16 and 26 steps after the derivative at t = 0.  f1 fails
     # at the grid's y midpoint of the step alone, which the checked step
-    # stores with its error (`_Column`).  t - 1 weighs every node of the
+    # stores with its error (`_StepGrid.node`).  t - 1 weighs every node of the
     # last time unit, so the midpoint of step 7, the first block's last, is
     # read first by the next block, whose set-up raises the node's error
     # again (`_StepGrid.fed`).  t - 0.025 reaches 2.5 steps back: step 4's

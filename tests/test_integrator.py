@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from pathlib import Path
@@ -91,7 +92,7 @@ class Watched(Expression):
 
     def __init__(self, text, seen=None, seen_array=None):
         e = parse(text)
-        super().__init__(e.root, e.var, e.source)
+        super().__init__(e.root, e.var)
         self.seen, self.seen_array = seen, seen_array
 
     def evaluate(self, v):
@@ -570,7 +571,9 @@ class TestStageView:
         store(before, front, *state, *slope, t1, 3.0, 4.0, 0.0, 0.0)
         grid.sync()
         assert list(grid.t[grid.n - 2 : grid.n]) == [front + 0.5 * (t1 - front), t1]
-        assert grid.xy[0, grid.n - 1] == 3.0
+        # f1 (x) of y at the step's midpoint and end, as the store handed them over
+        mid = 0.5 * state[1] + 0.5 * 4.0 + (t1 - front) * (0.125 * slope[1] + -0.125 * 0.0)
+        assert grid.fed(f, 1, grid.n - 2).tolist() == [mid, 4.0]
         after = next(items)  # the next step's feeds read the new segment
         t2 = step_end(traj.n, STEP, 3.0, 3e-12)
         check(after[3], stage_at(traj, t2, (9.0, 9.0)), kernel, f, 1)
@@ -587,18 +590,20 @@ class TestStageView:
         spec.f1 = spec.f2 = f
         calls = count_array_lookups(monkeypatch)
         _, item = first_items(spec, traj)
-        # one lookup of the head reads of the derivative at the front, and one
-        # of the block's 8 steps, at the floor and the head midpoint of each
-        # stage time, for both components as they lie in stored history; per
-        # component f over the grid nodes from the earliest floor and over
+        # per component one lookup of the 41 grid nodes from the earliest
+        # floor to the front, which a grid made over a stored history reads
+        # from the trajectory; one lookup of the head reads of the derivative
+        # at the front, and one of the block's 8 steps, at the floor and the
+        # head midpoint of each stage time, for both components as they lie
+        # in stored history; per component f over those grid nodes and over
         # the head reads of each block
-        assert calls == [2, 2 * 2 * 8] and len(sizes) == 6
+        assert calls == [41, 2, 41, 2 * 2 * 8] and len(sizes) == 6
         reads = len(scalars)
         feeds = {}
         for slot in range(4):
             for stage in ((1.5, 2.5), (7.0, 8.0)):
                 feeds[slot, stage] = window_feed(f, item[1 + slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
-        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 2 and len(sizes) == 6
+        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 4 and len(sizes) == 6
         for slot in range(4):
             assert feeds[slot, (1.5, 2.5)] != feeds[slot, (7.0, 8.0)]  # one known part, two tails
 
@@ -685,10 +690,11 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     blocks = [8, 16, 26]
     assert outcome.diagnostics["blocks"] == len(blocks)
     # the initial data back to the floor -1 at t = 0, the step ends -1,
-    # -0.99, ..., 0 with their midpoints, once per fed component; then per
-    # block and fed component the floor and head midpoint of each stage
-    # time, the derivative at t = 0's one stage time included
-    assert calls == [200, 2] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
+    # -0.99, ..., 0 with their midpoints, the start node included, once per
+    # fed component; then per block and fed component the floor and head
+    # midpoint of each stage time, the derivative at t = 0's one stage time
+    # included
+    assert calls == [201, 2] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
     # nothing is read one time at a time; a point kernel reads the initial
     # data of the component it is fed from at each stage time, one pass per
     # block
@@ -704,6 +710,41 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
         # tail reads per stage
         assert sizes == [201, 2] + [2 * 2 * b for b in blocks]
         assert len(scalars) == 2 * steps + 4 * 2 * steps
+
+
+@pytest.mark.parametrize("path", ["compiled", "generic"])
+@pytest.mark.parametrize("case", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction",
+                                  "quadratic_integro", "mixture", "floors-in-own-steps"])
+def test_the_grid_reads_the_trajectory_at_the_start_node_and_below_only(monkeypatch, case, path):
+    # the grid exists before the first step, and the step hands it f of
+    # every node it stores, so the only nodes whose values the grid reads
+    # from the trajectory are the start node and the initial data below it:
+    # one read per fed component, at set-up.  The mixture runs the checked
+    # step on both paths; under uniform t - 0.013 at dt 0.01 the floors lie
+    # in the block's own steps
+    if case == "mixture":
+        kernel = feedback_window("u/4+1", "t-0.5")
+        spec, horizon, dt = spec_of("1+x/2", "x/2", k1=kernel, k2=kernel, phi="2+sin(3*t)", psi="1+t^2/4"), 1.0, 0.01
+    elif case == "floors-in-own-steps":
+        kernel = UniformDensityKernel("t - 0.013")
+        spec, horizon, dt = spec_of("1+x/2", "x/2", k1=kernel, k2=kernel, phi="2+sin(3*t)", psi="1+t^2/4"), 1.0, 0.01
+    else:
+        cfg = load_config(CONFIGS / f"{case}.cfg")
+        spec, horizon, dt = system_from_mapping(cfg.system), 3.0, cfg.numerics.dt
+    asked = []
+    value_array = Trajectory.value_array
+
+    def spy(self, ts, comp=None):
+        if sys._getframe(1).f_code is _StepGrid.fed.__code__:
+            asked.append(float(np.max(ts)))
+        return value_array(self, ts, comp)
+
+    monkeypatch.setattr(Trajectory, "value_array", spy)
+    with on_path(path):
+        _, outcome = integrate(spec, horizon=horizon, dt=dt)
+    assert outcome.diagnostics["steps"] >= 100
+    assert (outcome.diagnostics["compiled_steps"] > 0) == (path == "compiled" and case != "mixture")
+    assert asked == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("name", ["logistic_distributed", "sqrt_logistic_triangular", "exp_log_extinction"])
