@@ -40,6 +40,8 @@ EXIT_NUMERICAL = 3
 EXIT_CERTIFICATION = 4
 
 REPORT_SCHEMA = 1
+# the phases of `execute_run` timed in the report's timing_seconds, in order
+PHASES = ("setup", "classify", "certificates", "integrate", "certify", "csv")
 
 GLOBAL_NOTES = [
     "inverse values below a production function's range evaluate to 0; "
@@ -138,7 +140,19 @@ def execute_run(
     analysis_only: bool = False,
     out_dir: Path | None = None,
 ) -> RunResult:
-    t_start = time.perf_counter()
+    """Validate, classify, build the certificates and, unless analysis_only,
+    integrate, certify and write the trajectory; the report's
+    `timing_seconds` holds the total and the seconds of each phase (0 for a
+    phase the run skips)."""
+    start = last = time.perf_counter()
+    timing = dict.fromkeys(PHASES, 0.0)
+
+    def lap(phase: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        timing[phase] = now - last
+        last = now
+
     num = config.numerics
     try:
         spec = system_from_mapping(
@@ -160,6 +174,7 @@ def execute_run(
             EXIT_VALIDATION,
             message="validation: " + "; ".join(validation.errors),
         )
+    lap("setup")
 
     notes = list(GLOBAL_NOTES) + validation.notes
     cls = classify(spec.f1, spec.f2, x_max, num.tol_classify, num.scan_grid, relation=relation)
@@ -167,8 +182,10 @@ def execute_run(
     caveats = list(cls.caveats)
     if not rates["all_divergent"]:
         caveats.append(RATE_DIVERGENCE_CAVEAT)
+    lap("classify")
 
     box, bounds = _build_certificates(spec, cls, num, notes)
+    lap("certificates")
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -200,6 +217,7 @@ def execute_run(
             )
         except IntegrationError as e:
             return RunResult(EXIT_NUMERICAL, message=f"numerical: {e}")
+        lap("integrate")
         report["outcome"] = {
             "status": outcome.status,
             "t_final": outcome.t_final,
@@ -214,8 +232,7 @@ def execute_run(
         }
         cert = certify_run(spec, traj, outcome, cls, box=box, bounds=bounds, caveats=caveats)
         report["certification"] = cert.to_dict()
-
-    report["timing_seconds"] = time.perf_counter() - t_start
+        lap("certify")
 
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
     result = RunResult(EXIT_OK, report=report)
@@ -226,6 +243,8 @@ def execute_run(
         traj_name = config.outputs.trajectory or f"{config.label or 'run'}_trajectory.csv"
         result.trajectory_path = out_dir / traj_name
         traj.to_csv(result.trajectory_path, stride=config.outputs.stride)
+        lap("csv")
+    report["timing_seconds"] = {"total": time.perf_counter() - start, **timing}
     result.report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     if report["certification"] is not None and report["certification"]["status"] == "mismatch":

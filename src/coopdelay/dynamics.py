@@ -34,7 +34,9 @@ __all__ = [
 
 # wire name of the report caveat set when the rate-divergence heuristic fails
 RATE_DIVERGENCE_CAVEAT = "a5-heuristic-failed"
-# validate_system samples the initial data at this many times of the data window
+# the initial data are sampled at this many times of the data window, the
+# one grid (`InitialFunction.samples`) on which validate_system checks them
+# and the pipeline bounds them, so data that pass can be bounded
 INIT_GRID = 2001
 
 
@@ -75,13 +77,18 @@ class InitialFunction:
             out[before] = self.body.evaluate_array(ts[before])
         return out
 
-    def bounds(self, t_floor: float, n: int = 4001) -> tuple[float, float]:
-        """Sampled (inf, sup) over [t_floor, 0]; exact for constant bodies."""
+    def samples(self, t_floor: float) -> tuple[np.ndarray, np.ndarray]:
+        """INIT_GRID times evenly spaced over [t_floor, 0], and self there."""
+        ts = np.linspace(min(t_floor, -1e-9), 0.0, INIT_GRID)
+        return ts, self.array(ts)
+
+    def bounds(self, t_floor: float) -> tuple[float, float]:
+        """(inf, sup) of the samples over [t_floor, 0]; exact for constant
+        bodies."""
         if self.body.is_constant:
             c = self.body.evaluate(0.0)
             return min(c, self.value_at_zero), max(c, self.value_at_zero)
-        ts = np.linspace(min(t_floor, -1e-9), 0.0, n)
-        vals = self.array(ts)
+        vals = self.samples(t_floor)[1]
         return float(np.min(vals)), float(np.max(vals))
 
 
@@ -237,12 +244,11 @@ def validate_system(
     rep.notes.append("rates checked non-negative and bounded on the sampled horizon only")
 
     rep.t_floor = spec.data_floor()
-    ts = np.linspace(rep.t_floor, 0.0, INIT_GRID)
     for name, init in (("phi", spec.phi), ("psi", spec.psi)):
         if init.value_at_zero <= 0.0:
             rep.errors.append(f"{name}: value at 0 must be strictly positive")
         try:
-            vals = init.array(ts)
+            ts, vals = init.samples(rep.t_floor)
         except EvalDomainError as e:
             rep.errors.append(f"{name}: {e}")
             continue

@@ -39,21 +39,25 @@ nodes as it stores the step, with the weights the block hands over
 row's lead-in, its nodes before that one, comes from suffix sums over the
 known nodes, by the row's own density factors.  Only a density that does
 not factor (a mixture's) keeps dense weights, over every node.  Two head
-reads and the tail panel complete a feed.
+reads and the tail panel complete a feed; a head whose floor is a step
+end has no width and reads nothing.
 
-From MIN_BLOCK steps on, a block ends before the step that first reads its
-own steps, or, for a density that does not factor, whose dense weights
-would pass WINDOW_ELEMENTS; any block ends after the first step whose lag
-raises (BLOCK_ENDS counts why blocks end).  A build that raises is tried
-again with half the steps, and a one-step build that raises builds each
-feed of the step alone, as a block of one row; a feed whose build raises
-becomes a `_Raise`, and in a block of one row so does a window whose build
-raises, so a mixture's atoms raise before its density.  The derivative at
-the front is a block of one row too: its item's end is its one stage time,
-which serves as both the midpoint and the end.  A window whose floors
-all lie behind the front hands over its rows CHUNK steps at a time; any
-other works out each step's rows as the step reads them, after the steps
-before it are stored.
+Blocks double from MIN_BLOCK steps, up to MAX_BLOCK in a run with a density
+window, whose rows hold weights, and up to MAX_POINT_BLOCK in a run of
+point lags alone, whose rows hold numbers, so that its blocks mostly end
+where its reads end them.  From MIN_BLOCK steps on, a block ends before the
+step that first reads its own steps, or, for a density that does not
+factor, whose dense weights would pass WINDOW_ELEMENTS; any block ends
+after the first step whose lag raises (BLOCK_ENDS counts why blocks end).
+A build that raises is tried again with half the steps, and a one-step
+build that raises builds each feed of the step alone, as a block of one
+row; a feed whose build raises becomes a `_Raise`, and in a block of one
+row so does a window whose build raises, so a mixture's atoms raise before
+its density.  The derivative at the front is a block of one row too: its
+item's end is its one stage time, which serves as both the midpoint and the
+end.  A window whose floors all lie behind the front hands over its rows
+CHUNK steps at a time; any other works out each step's rows as the step
+reads them, after the steps before it are stored.
 
 Blocks are planned by masks (`_plan_lag`, `_Block`) over float arrays
 (`_Ahead`): the stage times, the step starts and each lag's values there,
@@ -85,14 +89,21 @@ if TYPE_CHECKING:
 
 __all__ = ["BLOCK_ENDS", "block_feeds", "window_feed"]
 
-# the longest block bounds the work done ahead of a stop and the block's
-# memory, and so does the element budget of the dense window weights of a
-# density that does not factor (stage times x nodes; 256 KB at 1 << 15); a
-# factored window's rows are made CHUNK steps at a time, so a block holds
-# few of them at once (they take about 0.6 KB per step of a window that
-# feeds both components)
+# blocks double from MIN_BLOCK steps.  A block of a run with a density
+# window ends at MAX_BLOCK steps: its rows hold weights, so the cap bounds
+# the work done ahead of a stop and the block's memory, and so does the
+# element budget of the dense window weights of a density that does not
+# factor (stage times x nodes; 256 KB at 1 << 15); a factored window's rows
+# are made CHUNK steps at a time, so a block holds few of them at once (they
+# take about 0.6 KB per step of a window that feeds both components).  A
+# block of a run of point lags alone holds a number per row, so it runs on
+# to MAX_POINT_BLOCK steps, which still bounds the work done ahead of a
+# stop, or to the first read of its own steps: such a block costs a fixed
+# 50-90 us to set up and 0.1-0.5 us per step (shared 2-core x86-64 host),
+# and a lag t - 1 at dt 2e-3 knows its reads 500 steps ahead
 MIN_BLOCK = 8
 MAX_BLOCK = 256
+MAX_POINT_BLOCK = 1024
 WINDOW_ELEMENTS = 1 << 15
 CHUNK = 32
 # what a lag, a read or f may raise, raised again at the stage that reads it
@@ -229,11 +240,12 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
     step grid, None without density parts; ends counts the blocks built by
     why each ended (BLOCK_ENDS).  A block is built when the run reaches its
     first step, at most twice as long as the last (MIN_BLOCK to MAX_BLOCK
-    steps)."""
+    steps, or MAX_POINT_BLOCK without a grid)."""
     front = traj.t_front
     # the derivative: a block of one row, at the front
     yield from _block(spec, traj, grid, _Ahead(traj.n, front, dt, horizon, eps_t, np.array([front])), 1, dt)[0]
     ahead = _Ahead(traj.n, front, dt, horizon, eps_t)
+    cap = MAX_POINT_BLOCK if grid is None else MAX_BLOCK
     limit = MIN_BLOCK
     while ahead.taus.size or not ahead.done:  # up to the horizon
         items, steps, reason = _block(spec, traj, grid, ahead, limit, dt)
@@ -241,7 +253,7 @@ def block_feeds(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, dt: 
         yield from items
         items = None  # not held while the next block is built
         ahead.advance(steps)
-        limit = min(MAX_BLOCK, max(MIN_BLOCK, 2 * steps))
+        limit = min(cap, max(MIN_BLOCK, 2 * steps))
 
 
 class _Ahead:
@@ -600,7 +612,8 @@ class _WindowBlock:
     the floor and the head's midpoint (`times`) come with the known part, or
     once their step is stored for a floor in the block's own steps (`late`);
     such a row of a factored density adds its own nodes as its step reads
-    them.
+    them.  A head whose floor is a step end has no width and weighs
+    exactly 0: it reads nothing.
     """
 
     __slots__ = ("kernel", "fixed", "rows", "spans", "lo", "k", "c", "s", "simpson", "first", "last", "tau", "a",
@@ -723,12 +736,16 @@ class _WindowBlock:
         inc[: len(common), max(c - k, 0) : s.size - k] = common[:, kc:]
         self.inc = inc
         head = (third * dh[:, 0], 4.0 * third * dh[:, 1])
+        # a head whose floor is its first node has no width: nothing reads it
+        wide = e > a
         self.late = None
-        self.early = None  # the rows whose heads are read with the known part: all
         if late is not None:
-            self.late = [(w0, w1, x, m) if flag else None for w0, w1, x, m, flag
-                         in zip(head[0].tolist(), head[1].tolist(), a.tolist(), mid.tolist(), late.tolist())]
-            self.early = np.flatnonzero(~late)
+            self.late = [((w0, w1, x, m) if width else ()) if flag else None for w0, w1, x, m, width, flag
+                         in zip(*(v.tolist() for v in (*head, a, mid, wide, late)))]
+            wide &= ~late
+        self.early = None  # the rows whose heads are read with the known part: all
+        if not wide.all():
+            self.early = np.flatnonzero(wide)
             head = (head[0][self.early], head[1][self.early])
             a, mid = a[self.early], mid[self.early]
         self.head = head
@@ -850,8 +867,9 @@ class _WindowBlock:
                 for q in range(g, h):
                     value = known[q] + c0[q] * s0 + c1[q] * s1 + wl[q] * fp + dense[q - g]
                     if late is not None and late[q] is not None:
-                        w0, w1, a, m = late[q]
-                        value += w0 * f(block.read(a)[comp]) + w1 * f(block.read(m)[comp])
+                        if late[q]:  # a head with width
+                            w0, w1, a, m = late[q]
+                            value += w0 * f(block.read(a)[comp]) + w1 * f(block.read(m)[comp])
                         if own is None:  # its nodes, own ones all, from its first to its step's start
                             value += self._own_part(q, fo)
                     pair[rows[q] & 1] = value if tail is None else (

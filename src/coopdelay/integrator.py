@@ -288,15 +288,18 @@ class Trajectory:
         return out if comp is None else out[comp]
 
     def _stored(self, ts: np.ndarray) -> np.ndarray:
-        """Stored-segment values of x and y at the positive times ts."""
+        """Stored-segment values of x and y at the positive times ts: x, y,
+        x' and y' at both ends of each segment in one gather, transposed
+        once, so `_hermite` reads a contiguous row per component."""
         # a time before the first segment reads the first segment, as in
         # value_scalar
         idx = self._t[: self.n].searchsorted(ts, side="right") - 1
         np.maximum(idx, 0, out=idx)
         t0 = self._t[idx]
         h = self._t[idx + 1] - t0
-        a = self._v[idx].T
-        b = self._v[idx + 1].T
+        m = idx.size
+        ends = self._v.take(np.concatenate((idx, idx + 1)), axis=0).T.copy()
+        a, b = ends[:, :m], ends[:, m:]
         return _hermite((ts - t0) / h, h, a[:2], b[:2], a[2:], b[2:])
 
     # -- step-resolution views -------------------------------------------

@@ -18,6 +18,7 @@ from coopdelay.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    PHASES,
     execute_run,
     main,
 )
@@ -230,6 +231,12 @@ NUMERICS_OUT_OF_RANGE = [
         # the note says so in words
         ("run", SQRT_PAIR.format(kernel="uniform", phi="1 + exp(1/t)", phi0="phi0 = 1\n"), [], EXIT_OK,
          "phi: value at 0 1.0 stands in for the expression, which is undefined at 0"),
+        # undefined on (-0.99985, -0.99965), between the samples of the data
+        # window [-1, 0]: the validation and the data bounds read the same
+        # samples, so data that pass can be bounded, and no stage time of the
+        # run reads phi there
+        *[(command, SQRT_PAIR.format(kernel="point", phi="1 + 0*sqrt(abs(t + 0.99975) - 0.0001)", phi0=""), [],
+           EXIT_OK, text) for command, text in (("classify", "fate=to-equilibrium"), ("run", "certification=pass"))],
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
          "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "f1-overflows-the-bracket",
@@ -237,7 +244,8 @@ NUMERICS_OUT_OF_RANGE = [
          "converge_rtol-inf", "converge_rtol-negative", "blowup_threshold-inf", "stage_ratio-nan",
          "window_spans-inf", "extinction_threshold-inf",
          *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE],
-         "g1-domain-error", "g2-not-positive", "phi-undefined-in-window", "phi-undefined-at-0"],
+         "g1-domain-error", "g2-not-positive", "phi-undefined-in-window", "phi-undefined-at-0",
+         "phi-undefined-between-samples-classify", "phi-undefined-between-samples-run"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"
@@ -308,6 +316,20 @@ class TestPipeline:
         assert rep["certification"]["status"] == "pass"
         assert (tmp_path / "linear_decay.csv").exists()
         assert (tmp_path / "linear_decay.json").exists()
+
+    @pytest.mark.parametrize("mode", ["run", "classify"])
+    def test_the_report_times_each_phase(self, tmp_path, mode):
+        # every phase is timed, 0 for one the mode skips, and the phases are
+        # consecutive parts of the total
+        cfg = load_config(CONFIGS / "sqrt_logistic_point.cfg")
+        cfg.numerics.horizon = 4.0
+        result = execute_run(cfg, analysis_only=mode == "classify", out_dir=tmp_path)
+        timing = json.loads(result.report_path.read_text())["timing_seconds"]
+        assert sorted(timing) == sorted(["total", *PHASES])
+        assert all(seconds >= 0.0 for seconds in timing.values())
+        assert sum(timing[phase] for phase in PHASES) <= timing["total"]
+        skipped = [phase for phase in PHASES if timing[phase] == 0.0]
+        assert skipped == ([] if mode == "run" else ["integrate", "certify", "csv"])
 
     def test_a_config_without_dt_runs_at_the_default_step(self, tmp_path):
         # no dt in the file or on the command line: integrate takes

@@ -321,6 +321,52 @@ def test_a_long_window_holds_no_weights_per_row_and_node():
     assert peak < 1_800_000
 
 
+def block_spy(monkeypatch) -> list:
+    """The (steps, why it ended) of each block `feeds._block` builds."""
+    built = []
+    block = feeds._block
+
+    def spy(*args):
+        items, steps, why = block(*args)
+        built.append((steps, why))
+        return items, steps, why
+
+    monkeypatch.setattr(feeds, "_block", spy)
+    return built
+
+
+def test_point_blocks_run_past_max_block_until_a_read_of_their_own_steps(monkeypatch):
+    # sqrt_logistic_point's lags t - 1 at dt 2e-3 know their reads 500 steps
+    # ahead: without a window the blocks double past MAX_BLOCK and end before
+    # the first step that reads their own steps
+    built = block_spy(monkeypatch)
+    cfg = load_config(CONFIGS / "sqrt_logistic_point.cfg")
+    _, outcome = integrate(system_from_mapping(cfg.system), horizon=6.0, dt=cfg.numerics.dt)
+    assert outcome.diagnostics["steps"] == 3000
+    blocks = built[1:]  # the first is the derivative at t = 0
+    assert blocks == [(8, "limit"), (16, "limit"), (32, "limit"), (64, "limit"), (128, "limit"), (256, "limit"),
+                      *[(500, "own-steps")] * 4, (496, "horizon")]
+    assert feeds.MAX_BLOCK < 500 <= feeds.MAX_POINT_BLOCK
+    reasons = [why for _, why in blocks]
+    assert outcome.diagnostics["block_ends"] == {reason: reasons.count(reason) for reason in feeds.BLOCK_ENDS}
+
+
+def test_blocks_of_a_run_with_a_window_stop_at_max_block(monkeypatch):
+    # reads 3 time units (600 steps) ahead, which would let point blocks run
+    # on: a window in the run holds every block, its point rows included, to
+    # MAX_BLOCK steps
+    built = block_spy(monkeypatch)
+    spec = spec_of("1+x/2", "x/2", k1=PointMassKernel("t-3"), k2=UniformDensityKernel("t-3"), phi="2+sin(3*t)",
+                   psi="1+t^2/4")
+    _, outcome = integrate(spec, horizon=6.0, dt=5e-3)
+    assert outcome.diagnostics["steps"] == 1200
+    blocks = built[1:]
+    assert max(steps for steps, _ in blocks) == feeds.MAX_BLOCK
+    assert blocks[-4:] == [(256, "limit"), (256, "limit"), (256, "limit"), (184, "horizon")]
+    reasons = [why for _, why in blocks]
+    assert outcome.diagnostics["block_ends"] == {reason: reasons.count(reason) for reason in feeds.BLOCK_ENDS}
+
+
 # the states at t = 3 of the per-stage path, at the config's step; its
 # blocks of window feeds matched it to 1e-12 at every node.  The blocks
 # double from 8 steps to MAX_BLOCK: at dt 5e-3 the block after 128 steps
@@ -366,24 +412,15 @@ def test_window_configs_agree_with_the_per_stage_path(name):
     ids=["uniform", "point-triangular", "in-step", "one-in-step", "mixture", "own-steps"],
 )
 def test_block_steps_count_the_steps_a_block_serves(monkeypatch, k1, k2, sizes):
-    served, reasons = [], []
-    block = feeds._block
-
-    def spy(*args):
-        built = block(*args)
-        served.append(built[1])
-        reasons.append(built[2])
-        return built
-
-    monkeypatch.setattr(feeds, "_block", spy)
+    built = block_spy(monkeypatch)
     spec = spec_of("1+x/2", "x/2", k1=k1, k2=k2, phi="2+sin(3*t)", psi="1+t^2/4")
     _, outcome = integrate(spec, horizon=3.0, dt=0.01)
     assert outcome.diagnostics["steps"] == 300
     # the first is the derivative at t = 0
-    assert served == [1] + sizes and outcome.diagnostics["blocks"] == len(sizes)
+    assert [steps for steps, _ in built] == [1] + sizes and outcome.diagnostics["blocks"] == len(sizes)
     # why each block ended, as the report counts it: the last at the horizon,
     # and only a density that does not factor on the element budget
-    reasons = reasons[1:]
+    reasons = [why for _, why in built[1:]]
     assert outcome.diagnostics["block_ends"] == {reason: reasons.count(reason) for reason in feeds.BLOCK_ENDS}
     assert reasons[-1] == "horizon" and ("budget" in reasons) == isinstance(k1, GeneralMixtureKernel)
 

@@ -592,18 +592,20 @@ class TestStageView:
         _, item = first_items(spec, traj)
         # per component one lookup of the 41 grid nodes from the earliest
         # floor to the front, which a grid made over a stored history reads
-        # from the trajectory; one lookup of the head reads of the derivative
-        # at the front, and one of the block's 8 steps, at the floor and the
-        # head midpoint of each stage time, for both components as they lie
-        # in stored history; per component f over those grid nodes and over
-        # the head reads of each block
-        assert calls == [41, 2, 41, 2 * 2 * 8] and len(sizes) == 6
+        # from the trajectory; one lookup of the block's 8 steps, at the
+        # floor and the head midpoint of each stage time whose head has
+        # width, for both components as they lie in stored history; per
+        # component f over those grid nodes and over the block's head reads.
+        # The floors of the derivative at the front (1.0) and of 4 of the
+        # block's 16 stage times (1.1, 1.2000000000000002, 1.25, 1.35) are
+        # step ends: heads of no width, which read nothing
+        assert calls == [41, 41, 2 * (16 - 4)] and len(sizes) == 4
         reads = len(scalars)
         feeds = {}
         for slot in range(4):
             for stage in ((1.5, 2.5), (7.0, 8.0)):
                 feeds[slot, stage] = window_feed(f, item[1 + slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
-        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 4 and len(sizes) == 6
+        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 3 and len(sizes) == 4
         for slot in range(4):
             assert feeds[slot, (1.5, 2.5)] != feeds[slot, (7.0, 8.0)]  # one known part, two tails
 
@@ -689,12 +691,22 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     # blocks of 8 and 16 steps from t = 0 and one of 26 to the horizon
     blocks = [8, 16, 26]
     assert outcome.diagnostics["blocks"] == len(blocks)
+    # a head has width where its floor t - 1 is no step end of the grid,
+    # whose nodes below 0 are m * dt/2 (`_StepGrid.extend`): per block, the
+    # stage times whose floor is none of those; at t = 0 the floor -1 is one
+    dt = 0.01
+    ends = set((np.arange(-200, 1) * (0.5 * dt))[0::2].tolist())
+    t1 = np.arange(1, steps + 1) * dt
+    t0 = np.concatenate(([0.0], t1[:-1]))
+    floors = (np.stack((t0 + 0.5 * (t1 - t0), t1), axis=1).ravel() - 1.0).tolist()
+    wide = [sum(a not in ends for a in floors[2 * lo : 2 * hi])
+            for lo, hi in itertools.pairwise(itertools.accumulate(blocks, initial=0))]
+    assert wide == [11, 17, 33]
     # the initial data back to the floor -1 at t = 0, the step ends -1,
     # -0.99, ..., 0 with their midpoints, the start node included, once per
     # fed component; then per block and fed component the floor and head
-    # midpoint of each stage time, the derivative at t = 0's one stage time
-    # included
-    assert calls == [201, 2] * fed + [2 * 2 * b for b in blocks for _ in range(fed)]
+    # midpoint of each stage time whose head has width
+    assert calls == [201] * fed + [2 * w for w in wide for _ in range(fed)]
     # nothing is read one time at a time; a point kernel reads the initial
     # data of the component it is fed from at each stage time, one pass per
     # block
@@ -705,10 +717,9 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
             assert sizes == []
             continue
         # f over the initial data once, at t = 0, and over each block's head
-        # reads, the derivative at t = 0's two included; per step f of the
-        # two grid nodes it adds, in the step that stores them, and of two
-        # tail reads per stage
-        assert sizes == [201, 2] + [2 * 2 * b for b in blocks]
+        # reads; per step f of the two grid nodes it adds, in the step that
+        # stores them, and of two tail reads per stage
+        assert sizes == [201] + [2 * w for w in wide]
         assert len(scalars) == 2 * steps + 4 * 2 * steps
 
 
@@ -1117,7 +1128,17 @@ def lookup_time(traj, drawn):
     if drawn[0] == "front":
         return traj.t_front
     ends = traj.step_times()
+    if drawn[0] == "mid":
+        return float(ends[drawn[1]] + 0.5 * (ends[drawn[1] + 1] - ends[drawn[1]]))
     return float(ends[drawn[1] % len(ends)])
+
+
+ARRAY_TIMES = st.one_of(
+    LOOKUP_TIMES,
+    st.integers(min_value=0, max_value=39).map(lambda i: ("mid", i)),  # segment midpoints
+    st.floats(min_value=0.0, max_value=STEP, exclude_min=True),  # before node 1
+    st.floats(min_value=-3.0, max_value=-1e-300),  # negative times only
+)
 
 
 class TestScalarLookup:
@@ -1135,6 +1156,21 @@ class TestScalarLookup:
                 v = traj.value_scalar(t, comp)
                 assert type(v) is float
                 assert bits(v) == bits(both[comp])
+
+    @given(times=st.lists(ARRAY_TIMES, min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_array_over_many_times_matches_scalar_at_each_bit_for_bit(self, times):
+        # one value_array over many times at once, as a block reads stored
+        # history, with and without initial data among them
+        traj = arithmetic_history()
+        ts = np.array([lookup_time(traj, drawn) for drawn in times])
+        for part in (ts, ts[ts > 0.0]):
+            for comp in (None, 0, 1):
+                got = traj.value_array(part, comp)
+                assert got.shape == ((2,) if comp is None else ()) + part.shape
+                for t, v in zip(part.tolist(), (got.T if comp is None else got).tolist()):
+                    want = traj.value_scalar(t, comp)
+                    assert [bits(u) for u in np.ravel(v)] == [bits(u) for u in np.ravel(want)]
 
 def count_scalar_lookups(monkeypatch):
     calls = []
