@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dynamics import InitialFunction, SystemSpec
-from .expr import ParseError, parse
+from .expr import EvalDomainError, ParseError, parse
 from .kernels import (
     DelayKernel,
     GeneralMixtureKernel,
@@ -134,7 +134,7 @@ def parse_kernel(text: str, key: str = "kernel") -> DelayKernel:
                 for part in raw.split(","):
                     lag, _, w = part.rpartition(":")
                     if not lag:
-                        raise ConfigError(key, f"atom needs lag:weight, got {part!r}")
+                        raise ValueError(f"atom needs lag:weight, got {part!r}")
                     atoms.append((lag.strip(), float(w)))
             density = opts.pop("density", None)
             density_lag = opts.pop("density_lag", None)
@@ -172,11 +172,14 @@ def system_from_mapping(system: dict, *, max_lag_bound: float = 1e3,
                 raise ConfigError(f"[system] {k}", "not a number") from None
         return None
 
-    try:
-        phi = InitialFunction(expr_of("phi", "t"), opt_float("phi0"))
-        psi = InitialFunction(expr_of("psi", "t"), opt_float("psi0"))
-    except Exception as e:
-        raise ConfigError("[system] phi/psi", str(e)) from None
+    def initial(k: str) -> InitialFunction:
+        body, at_zero = expr_of(k, "t"), opt_float(f"{k}0")
+        try:
+            return InitialFunction(body, at_zero)
+        except EvalDomainError as e:  # the body at 0, where no value stands in
+            raise ConfigError(f"[system] {k}", str(e)) from None
+
+    phi, psi = initial("phi"), initial("psi")
     g1 = system.get("g1")
     g2 = system.get("g2")
     f1 = expr_of("f1", "x")

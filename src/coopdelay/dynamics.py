@@ -111,7 +111,9 @@ class SystemSpec:
     label: str = ""
 
     def max_span(self, t: float) -> float:
-        return max(self.k1.span(t), self.k2.span(t))
+        """The longer of the two kernels' spans at t: t minus the earlier
+        support floor."""
+        return t - min(self.k1.support_floor(t), self.k2.support_floor(t))
 
     def data_floor(self) -> float:
         """Start of the initial-data window the analysis reads: the earlier
@@ -199,7 +201,8 @@ def validate_system(
     construction and report a residual of 0), non-negative bounded rates
     on the sampled horizon, and admissible initial data over the window
     [spec.data_floor(), 0] that the analysis reads.  Sampled checks are
-    noted as such.
+    noted as such: the rates, a mixture's mass, and initial data whose body
+    is not constant (a constant body is checked exactly).
     """
     rep = ValidationReport()
 
@@ -256,6 +259,8 @@ def validate_system(
             t_bad = float(ts[np.argmax(vals < 0.0)])
             rep.errors.append(f"{name}: negative initial data at t={t_bad:.6g}")
         if not init.body.is_constant:
+            rep.notes.append(f"{name}: initial data checked at {INIT_GRID} sampled times of "
+                             f"[{rep.t_floor:.6g}, 0] only")
             try:
                 at0 = init.body.evaluate(0.0)
             except EvalDomainError:

@@ -33,32 +33,32 @@ The step.  `_compile_steps` writes the RK4 step once, as a template of
 Python source, and renders it in two ways.  Both take the step's end from
 its item, so steps end where `feeds._Ahead.rows` puts them, and no other
 code forms a step end; the items end at the horizon.  The compiled loop,
-generated when no kernel is a mixture, takes every step whose feeds are
-plain for its kernels with all of it inline (from `expr._emit`'s source of
-f, r and G): a number, or None for f of the stage state, for a point
-kernel, and a row of a uniform or triangular window, its value read from
-the block's running sums, with its tail panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
+rendered unless a kernel's mass is sampled (a mixture's), takes every step
+whose feeds are plain for its kernels with all of it inline (from
+`expr._emit`'s source of f, r and G): for a kernel without a density a
+number, or None for f of the stage state, and for one with a density a row
+of its window, its value read from the block's running sums, with its tail
+panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
 window's row and tail in `rhs`'s and `window_feed`'s operation order; each
 rate is evaluated once per stage time, and a rate of 1 or an unset G folds
 away (1.0 * z == z).  Its guards are tests without calls that fail wherever
 the checked guards fire (and also at a state equal to the threshold or on a
 NaN increment).  At a feed that is not plain, an exception of the inline
 arithmetic, a guard that fails or a non-finite derivative or f at a node it
-hands the state before the step and the step's item back.  Per step it
-makes no call but those of f, r and G: its tests of size and finiteness
-are comparisons.  The checked
-step, generated when a run first needs it, takes that one step, and every
-step of a run the compiled loop does not take: each stage calls `rhs` (as
-the module holds it then) on the `window_feed` values, and each guard
-raises with its name and the values it compared.  Both store each accepted
-step and do a window's work of it: f, by the scalar f, of the component
-the window reads at the step's midpoint (the Hermite cubic at s = 1/2, in
-`_hermite`'s operation order) and at its end (which the compiled loop takes
-from the end's derivative), handed to the step grid as that component's
-pending f values (the checked step keeps an error f raises at one node
-with that node, `_StepGrid.node`), and, from the same lines, those nodes,
-weighed as the row hands them over, into its block's running sums.  The
-nodes they make are bit-identical.  The derivative at t = 0 is one `rhs`
+hands the state before the step and the step's item back.  Per step it makes
+no call but those of f, r and G: its tests of size and finiteness are
+comparisons.  The checked step, generated when a run first needs it, takes
+that one step, and every step of a run the compiled loop does not take: each
+stage calls `rhs` (as the module holds it then) on the `window_feed` values,
+and each guard raises with its name and the values it compared.  Both store
+each accepted step and do a window's work of it: f, by the scalar f, of the
+component the window reads at the step's midpoint (the Hermite cubic at
+s = 1/2, in `_hermite`'s operation order) and at its end (which the compiled
+loop takes from the end's derivative), handed to the step grid as that
+component's pending f values (the checked step keeps an error f raises at
+one node with that node, `_StepGrid.node`), and, from the same lines, those
+nodes, weighed as the row hands them over, into its block's running sums.
+The nodes they make are bit-identical.  The derivative at t = 0 is one `rhs`
 call.
 
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
@@ -116,7 +116,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SystemSpec, rhs
-from .kernels import HistoryUnderflowError, PointMassKernel, _DensityWindowKernel
+from .kernels import HistoryUnderflowError
 from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
 from .feeds import BLOCK_ENDS, ERRORS, block_feeds, window_feed
 
@@ -476,9 +476,11 @@ def default_dt(spec: SystemSpec, horizon: float) -> float:
 def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, threshold: float, ratio: float,
                    extinction: float, checked: bool = False):
     """The run's RK4 step (see the module docstring), rendered from one
-    template: the compiled loop (None when a kernel is a mixture), or with
-    checked the checked step and the store of its end, as the pair (step,
-    store).
+    template: the compiled loop, or with checked the checked step and the
+    store of its end, as the pair (step, store).  The loop reads each
+    kernel's parts: it is None when a kernel's mass is sampled, and it feeds
+    a kernel without a density as a point and one with a density as a
+    window.
 
     run(feeds, check, t, x, y, dx, dy, steps) takes a step per item of feeds
     from the state at t, whose slopes are dx, dy and which ends step number
@@ -504,10 +506,9 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     node, and by the sums of a factored window that add it.
     """
     if not checked:
-        kinds = ["point" if isinstance(kernel, PointMassKernel) else
-                 "window" if isinstance(kernel, _DensityWindowKernel) else None for kernel in (spec.k1, spec.k2)]
-        if None in kinds:
+        if spec.k1.sampled_mass or spec.k2.sampled_mass:
             return None
+        kinds = ["point" if kernel.density_lag is None else "window" for kernel in (spec.k1, spec.k2)]
         # per component: its name, f, its kernel's kind, the component f reads, r and G
         comps = (("x", spec.f1.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
                  ("y", spec.f2.root, kinds[1], "x", spec.r2.root, spec.g2 and spec.g2.root))

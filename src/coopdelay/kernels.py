@@ -6,16 +6,19 @@ or triangular density over a trailing window, or a general mixture of
 atoms plus one density piece.  A purely singular-continuous distribution
 is out of scope; atoms plus a density cover every supported model.
 
-The feedback integral sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds
-is `integrate(f, u, t)`, which names the kernel's parts to the history
-component u: `u.point(lag, f, t)` per point mass, `u.window(kernel, f, t)`
-for the density, and `u.mix` to weigh a mixture's atoms and add its density.
-The component chooses the quadrature: the integrator's (see `feeds`) reads a
-block of stage times t on its grid of step ends and midpoints.  A
-density kernel names its window's floor lag (`density_lag`), the floor h(t)
-(`density_floor`) and the density at given times (`density_at`); a uniform
-or triangular density also states how it factors (`density_factors`), so a
-block of windows can weigh most of its nodes through shared sums.  Density
+A kernel is its parts: the lags of its point masses (`atom_lags()`) and
+the floor lag h of its density's window [h(t), t] (`density_lag`, None
+without a density).  `DelayKernel` derives the support's lags, floor and
+span and the density's floor h(t) from them.  A kernel class states its
+parts, its density at given times (`density_at`; a uniform or triangular
+one also how it factors, `density_factors`, so a block of windows can weigh
+most of its nodes through shared sums) and the feedback integral
+sum(w_j * f(u(lag_j(t)))) + integral density * f(u(s)) ds as
+`integrate(f, u, t)`, which names the parts to the history component u:
+`u.point(lag, f, t)` per point mass, `u.window(kernel, f, t)` for the
+density, and `u.mix` to weigh a mixture's atoms and add its density.  The
+component chooses the quadrature: the integrator's (see `feeds`) reads a
+block of stage times t on its grid of step ends and midpoints.  Density
 windows compare equal by kind and lag, so equal windows share their reads; a
 config gives equal point descriptors one kernel object.  Reads before the
 start of recorded history raise HistoryUnderflowError.
@@ -109,17 +112,12 @@ def _as_lag(lag: str | Expression) -> Expression:
     return lag if isinstance(lag, Expression) else parse(lag, var="t")
 
 
-def _check_window(floor: float, t: float) -> None:
-    if t - floor <= 0.0:
-        raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
-
-
 class DelayKernel:
-    """Base class; subclasses define the distribution at each time t.
+    """A kernel is its parts: point masses at the lags `atom_lags()` and a
+    density on [h(t), t], h the lag `density_lag` (None without a density).
+    The support and the density's floor are defined here, from the parts."""
 
-    A kernel with a density part names its window's floor
-    (`density_floor`) and its density (`density_at`).
-    """
+    __slots__ = ("_support",)
 
     # unit mass depends on the kernel's parameters and is checked by
     # quadrature (`mass`) on a sampled grid, instead of holding by
@@ -137,20 +135,38 @@ class DelayKernel:
         return ()
 
     def support_lags(self) -> tuple[Expression, ...]:
-        """Every lag expression of the kernel; the support floor is their
-        minimum."""
-        raise NotImplementedError
+        """Every lag expression of the kernel, the atoms' and then the
+        density's; the support floor is their minimum."""
+        lag = self.density_lag
+        return self.atom_lags() if lag is None else self.atom_lags() + (lag,)
 
     def support_floor(self, t: float) -> float:
-        raise NotImplementedError
+        """The earliest time the kernel reads at t, its least lag.
+        `SystemSpec.max_span` reads it at every convergence check of a run,
+        so the lags are kept once found (a kernel's parts are fixed once it
+        is built, as a window's hash is), and one lag is read without min."""
+        try:
+            lags = self._support
+        except AttributeError:
+            lags = self._support = self.support_lags()
+        try:
+            (lag,) = lags
+        except ValueError:
+            return min([lag.evaluate(t) for lag in lags])
+        return lag.evaluate(t)
 
     def span(self, t: float) -> float:
         return t - self.support_floor(t)
 
     def density_floor(self, t: float) -> float:
-        """Start h(t) of the density part's window [h(t), t]; ValueError when
-        the window is empty."""
-        raise NotImplementedError
+        """Start h(t) of the density part's window [h(t), t]; ValueError
+        without a density or when the window is empty."""
+        if self.density_lag is None:
+            raise ValueError("kernel has no density part")
+        floor = self.density_lag.evaluate(t)
+        if t - floor <= 0.0:
+            raise ValueError(f"kernel window is empty at t={t!r} (floor {floor!r})")
+        return floor
 
     def density_at(self, t: float, floor: float, nodes: np.ndarray) -> np.ndarray:
         """The density of the window [floor, t] at the times nodes."""
@@ -162,24 +178,14 @@ class DelayKernel:
         raise NotImplementedError
 
 
-class _LagKernel(DelayKernel):
-    """A kernel fixed by its kind and one lag expression h(t)."""
+class PointMassKernel(DelayKernel):
+    """Unit mass concentrated at s = h(t).  Compared by identity: a config
+    gives equal point descriptors one kernel object."""
 
     __slots__ = ("lag",)
 
     def __init__(self, lag: str | Expression):
         self.lag = _as_lag(lag)
-
-    def support_lags(self):
-        return (self.lag,)
-
-    def support_floor(self, t: float) -> float:
-        return self.lag.evaluate(t)
-
-
-class PointMassKernel(_LagKernel):
-    """Unit mass concentrated at s = h(t).  Compared by identity: a config
-    gives equal point descriptors one kernel object."""
 
     def atom_lags(self):
         return (self.lag,)
@@ -188,7 +194,7 @@ class PointMassKernel(_LagKernel):
         return u.point(self.lag, f, t)
 
 
-class _DensityWindowKernel(_LagKernel):
+class _DensityWindowKernel(DelayKernel):
     """Shared machinery for densities supported on [h(t), t].
 
     Two windows of the same kind and lag are equal, so a history can share
@@ -196,26 +202,17 @@ class _DensityWindowKernel(_LagKernel):
     tree.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("density_lag", "_hash")
 
     def __init__(self, lag: str | Expression):
-        super().__init__(lag)
-        self._hash = hash((type(self), self.lag))
+        self.density_lag = _as_lag(lag)
+        self._hash = hash((type(self), self.density_lag))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.lag == self.lag
+        return type(other) is type(self) and other.density_lag == self.density_lag
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def density_lag(self):
-        return self.lag
-
-    def density_floor(self, t):
-        floor = self.lag.evaluate(t)
-        _check_window(floor, t)
-        return floor
 
     def integrate(self, f, u, t):
         return u.window(self, f, t)
@@ -279,19 +276,6 @@ class GeneralMixtureKernel(DelayKernel):
     def atom_lags(self):
         return tuple(lag for lag, _ in self.atoms)
 
-    def support_lags(self):
-        return self.atom_lags() + ((self.density_lag,) if self.density_lag is not None else ())
-
-    def support_floor(self, t: float) -> float:
-        return min(lag.evaluate(t) for lag in self.support_lags())
-
-    def density_floor(self, t):
-        if self.density is None:
-            raise ValueError("mixture kernel has no density part")
-        floor = self.density_lag.evaluate(t)
-        _check_window(floor, t)
-        return floor
-
     def density_at(self, t, floor, nodes):
         return self.density.evaluate_array(t - nodes)
 
@@ -321,7 +305,7 @@ def _check_at(kernel: DelayKernel, t: float, n_quad: int) -> KernelViolation | t
         if floor > t + 1e-12:
             return KernelViolation(t, "advanced-lag", f"support floor {floor!r} exceeds t={t!r}")
         if not kernel.atom_lags():
-            _check_window(floor, t)
+            kernel.density_floor(t)
         for lag in kernel.atom_lags():
             lv = lag.evaluate(t)
             if lv > t + 1e-12:

@@ -142,6 +142,8 @@ SQRT_PAIR = (
     "[system]\nf1 = 2*sqrt(x)\nf2 = 2*sqrt(x)\nr1 = 1\nr2 = 1\n"
     'kernel1 = {kernel} lag="t - 1"\nkernel2 = {kernel} lag="t - 1"\nphi = {phi}\n{phi0}psi = 1\n'
 )
+LINEAR = LINEAR_PAIR.format(lag="t - 1", phi="1")
+LINEAR_KERNEL = LINEAR.replace('kernel1 = point lag="t - 1"', "kernel1 = {}")
 
 
 NUMERICS_OUT_OF_RANGE = [
@@ -236,7 +238,19 @@ NUMERICS_OUT_OF_RANGE = [
         # samples, so data that pass can be bounded, and no stage time of the
         # run reads phi there
         *[(command, SQRT_PAIR.format(kernel="point", phi="1 + 0*sqrt(abs(t + 0.99975) - 0.0001)", phi0=""), [],
-           EXIT_OK, text) for command, text in (("classify", "fate=to-equilibrium"), ("run", "certification=pass"))],
+           EXIT_OK, text) for command, text in (("classify", "fate=to-equilibrium"), ("run", "certification=pass"),
+                                                ("run", "phi: initial data checked at 2001 sampled times of [-1, 0] only"))],
+        # each initial function is built under its own key, which an error
+        # names alone
+        *[("classify", LINEAR.replace(old, new), [], EXIT_VALIDATION, text)
+          for old, new, text in (
+              ("phi = 1\n", "phi = 1\nphi0 = abc\n", "validation: [system] phi0: not a number"),
+              ("psi = 1\n", "psi = 1+\n", "validation: [system] psi: unexpected 'end of input'"),
+              ("psi = 1\n", "psi = ln(-t)\n", "validation: [system] psi: ln(-t) at 0.0: math domain error"))],
+        # the inspection window's scan raises on f1: the window falls back
+        # to 10 times the data sup, where the validation names the error
+        ("classify", LINEAR.replace("f1 = 0.5*x + 1", "f1 = ln(x - 1)"), [],
+         EXIT_VALIDATION, "validation: f1: domain-error on [0, 10] ln(x - 1.0): divide by zero encountered in log"),
     ],
     ids=["data-window", "data-touching-0", "dt-override", "horizon-override", "x_max-negative", "dt-nan",
          "horizon-inf", "x_max-inf", "empty-window", "lag-raises", "advanced-lag", "f1-overflows-the-bracket",
@@ -245,7 +259,9 @@ NUMERICS_OUT_OF_RANGE = [
          "window_spans-inf", "extinction_threshold-inf",
          *[f"{name}-{key}" for name in ("linear_decay", "sqrt_logistic_point") for _, key, _, _ in NUMERICS_OUT_OF_RANGE],
          "g1-domain-error", "g2-not-positive", "phi-undefined-in-window", "phi-undefined-at-0",
-         "phi-undefined-between-samples-classify", "phi-undefined-between-samples-run"],
+         "phi-undefined-between-samples-classify", "phi-undefined-between-samples-run",
+         "phi-undefined-between-samples-noted", "phi0-not-a-number",
+         "psi-unparseable", "psi-undefined-at-0", "scan-raises"],
 )
 def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, system, args, code, text):
     path = write_config(tmp_path, "case.cfg", system) if system else CONFIGS / "linear_decay.cfg"
@@ -254,6 +270,40 @@ def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, sys
     captured = capsys.readouterr()
     reports = "".join(p.read_text() for p in sorted(out_dir.glob("*.json")))
     assert text in captured.out + captured.err + reports
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LINEAR_KERNEL.format('point lag="t - 1'), "[system] kernel1: unparseable kernel descriptor"),
+        (LINEAR_KERNEL.format('""'), "[system] kernel1: empty kernel descriptor"),
+        (LINEAR_KERNEL.format("point t-1"), "[system] kernel1: expected key=value, got 't-1'"),
+        (LINEAR_KERNEL.format('mixture atoms="0.5"'), "validation: [system] kernel1: atom needs lag:weight, got '0.5'"),
+        (LINEAR_KERNEL.format('mixture atoms="t-1:0.5" density="1"'),
+         "[system] kernel1: a mixture density requires its lag expression"),
+        (LINEAR_KERNEL.format("mixture"), "[system] kernel1: mixture kernel needs atoms or a density"),
+        (LINEAR_KERNEL.format('mixture atoms="t-1:0, t-2:1"'), "[system] kernel1: atom weights must be positive"),
+        (LINEAR.replace("r2 = 1\n", ""), "[system] r2: missing required key"),
+        (LINEAR + "r3 = 1\n", "[system] r3: unknown key"),
+        ("[system\nf1 = x\n", "case.cfg: malformed config"),
+        (LINEAR + "[extra]\na = 1\n", "[extra]: unknown section"),
+        ("[numerics]\ndt = 1e-3\n", "[system]: missing section"),
+        (LINEAR + "[outputs]\ncolour = red\n", "[outputs] colour: unknown key"),
+        (LINEAR + "[outputs]\nstride = 0\n", "[outputs] stride: must be at least 1"),
+    ],
+    ids=["unparseable-kernel", "empty-kernel", "token-without-equals", "atom-without-weight", "density-without-lag",
+         "mixture-without-parts", "atom-weight-zero", "missing-key", "unknown-key", "malformed-file",
+         "unknown-section", "missing-system", "unknown-outputs-key", "stride-zero"],
+)
+def test_config_errors_name_their_section_and_key(tmp_path, capsys, text, message):
+    # an atom without its weight was named twice, "[system] kernel1:
+    # [system] kernel1: ..."
+    path = write_config(tmp_path, "case.cfg", text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    key = message.removeprefix("validation: ").split(": ")[0]
+    assert message in captured.out + captured.err
+    assert f"{key}: {key}" not in captured.out + captured.err
 
 
 class TestParseKernel:

@@ -205,6 +205,24 @@ class TestValidation:
             assert rep.ok
             assert (note in rep.notes) == noted
 
+    def test_sampled_initial_data_note(self):
+        # phi is undefined on (-0.99985, -0.99965), between the 2,001
+        # samples of [-1, 0]: a body that is not constant is checked at
+        # those samples only, and the report says so; a constant one is
+        # checked exactly
+        for phi, psi, noted in (
+            ("1 + 0*sqrt(abs(t + 0.99975) - 0.0001)", "1", {"phi"}),
+            ("2 + sin(3*t)", "1 + t^2/4", {"phi", "psi"}),
+            ("1", "1/3", set()),
+        ):
+            spec = make_spec(f1="2*sqrt(x)", f2="2*sqrt(x)", k1=PointMassKernel("t-1"), k2=PointMassKernel("t-1"),
+                             phi=phi, psi=psi)
+            rep = validate_system(spec, horizon=10.0, x_max=20.0)
+            assert rep.ok
+            notes = {name for name in ("phi", "psi")
+                     if f"{name}: initial data checked at 2001 sampled times of [-1, 0] only" in rep.notes}
+            assert notes == noted
+
     def test_t_floor_reaches_kernel_support(self):
         spec = make_spec(k1=PointMassKernel("t-3"), k2=UniformDensityKernel("t-1"))
         rep = validate_system(spec, horizon=10.0, x_max=20.0)

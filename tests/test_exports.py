@@ -64,17 +64,34 @@ def test_every_import_is_used(name):
                                   "_StageHistory", "_StageComponent", "_Window", "SERVED", "_cmd_run",
                                   "_cmd_classify", "_midpoint", "QuadPlan", "step_end", "make_separator",
                                   "align_lower_start", "align_upper_start", "ProductionFunction", "_vectorize",
-                                  "_Column"])
+                                  "_Column", "_LagKernel", "_check_window"])
 def test_removed_layers_stay_removed(name):
     # f1, f2, G1 and G2 are plain expressions, the reference history, the
     # Simpson plan and the step end oracle live in the tests, blocks of steps
     # are the one feed path and `feeds._Ahead.rows` the one place that ends
     # steps, run and classify share one handler, `_hermite` is the one
     # Hermite evaluator, the separator is built by its class and aligned
-    # with the box inside `monotone_iteration`, and the step grid holds f of
-    # both components itself
+    # with the box inside `monotone_iteration`, the step grid holds f of
+    # both components itself, and a kernel's support and density floor are
+    # defined once, on `DelayKernel`
     modules = [coopdelay] + [importlib.import_module(f"coopdelay.{m}") for m in MODULES]
     assert [m.__name__ for m in modules if hasattr(m, name)] == []
+
+
+def test_a_kernel_is_read_through_its_parts():
+    # the run reads a kernel's parts (atom lags, density lag, sampled mass)
+    # and never tests its class, and the support and the density floor are
+    # defined on the base class alone
+    for name in ("integrator", "feeds"):
+        tree = ast.parse(Path(coopdelay.__path__[0], f"{name}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and node.module == "kernels" for alias in node.names}
+        assert imported <= {"HistoryUnderflowError"}, name
+    tree = ast.parse(Path(coopdelay.__path__[0], "kernels.py").read_text())
+    derived = {"support_lags", "support_floor", "span", "density_floor"}
+    defined = {(node.name, item.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef) and item.name in derived}
+    assert defined == {("DelayKernel", name) for name in derived}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

@@ -316,6 +316,20 @@ class TestValidate:
         assert UniformDensityKernel("t-1").atom_lags() == ()
         assert TriangularDensityKernel("t-1").atom_lags() == ()
 
+    def test_density_floor_needs_a_density(self):
+        # a kernel without a density part has no window floor
+        for k in (PointMassKernel("t-1"), GeneralMixtureKernel(atoms=[("t-1", 1.0)])):
+            with pytest.raises(ValueError, match="no density part"):
+                k.density_floor(2.0)
+        for lag, floor in (("t-1", 1.0), ("t", None)):
+            for k in (UniformDensityKernel(lag), TriangularDensityKernel(lag),
+                      GeneralMixtureKernel(density="1", density_lag=lag)):
+                if floor is None:
+                    with pytest.raises(ValueError, match=r"window is empty at t=2.0 \(floor 2.0\)"):
+                        k.density_floor(2.0)
+                else:
+                    assert k.density_floor(2.0) == floor
+
     def test_only_mixtures_have_sampled_mass(self):
         assert GeneralMixtureKernel(atoms=[("t-1", 1.0)]).sampled_mass
         for k in (PointMassKernel("t-1"), UniformDensityKernel("t-1"), TriangularDensityKernel("t-1")):
