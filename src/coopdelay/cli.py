@@ -236,12 +236,14 @@ def execute_run(
 
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
     result = RunResult(EXIT_OK, report=report)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_name = config.outputs.report or f"{config.label or 'run'}_report.json"
     result.report_path = out_dir / report_name
+    # an output name may hold directories: each output's own, made before it is written
+    result.report_path.parent.mkdir(parents=True, exist_ok=True)
     if traj is not None:
         traj_name = config.outputs.trajectory or f"{config.label or 'run'}_trajectory.csv"
         result.trajectory_path = out_dir / traj_name
+        result.trajectory_path.parent.mkdir(parents=True, exist_ok=True)
         traj.to_csv(result.trajectory_path, stride=config.outputs.stride)
         lap("csv")
     report["timing_seconds"] = {"total": time.perf_counter() - start, **timing}

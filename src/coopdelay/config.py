@@ -253,17 +253,36 @@ def check_numerics(numerics: Numerics) -> None:
             raise ConfigError(f"[numerics] {k}", "must be finite and non-negative")
 
 
+def _one_line(e: configparser.Error) -> str:
+    """configparser's error on one line, with its line number; the caller
+    names the file."""
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        return f"no section header at line {e.lineno}: {e.line.rstrip()!r}"
+    if isinstance(e, configparser.ParsingError):  # the lines come as reprs
+        return "; ".join(f"cannot parse line {lineno}: {line}" for lineno, line in e.errors)
+    if isinstance(e, configparser.DuplicateOptionError):
+        return f"key {e.option!r} of [{e.section}] repeated at line {e.lineno}"
+    # what else strict reading raises: a DuplicateSectionError
+    return f"section [{e.section}] repeated at line {e.lineno}"
+
+
 def load_config(path) -> RunConfig:
     """Read and structurally validate a config file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(str(path), "no such config file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(str(path), f"cannot read: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(str(path), f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        cp.read(path)
+        cp.read_string(text, source=str(path))
     except configparser.Error as e:
-        raise ConfigError(str(path), f"malformed config: {e}") from None
+        raise ConfigError(str(path), f"malformed config: {_one_line(e)}") from None
     for section in cp.sections():
         if section not in ("system", "numerics", "outputs"):
             raise ConfigError(f"[{section}]", "unknown section")

@@ -27,7 +27,7 @@ Feedbacks.  Every right-hand side, the derivative at t = 0's included,
 takes its two feedbacks from `feeds.block_feeds`, one item per step, the
 step's end and four feeds (x and y at the step's midpoint, then at its
 end), read a block of upcoming steps at a time; what they read inside the
-step is read at the stage with `feeds.window_feed`.
+step is read at the stage with `windows.window_feed`.
 
 The step.  `_compile_steps` writes the RK4 step once, as a template of
 Python source, and renders it in two ways.  Both take the step's end from
@@ -61,14 +61,8 @@ nodes, weighed as the row hands them over, into its block's running sums.
 The nodes they make are bit-identical.  The derivative at t = 0 is one `rhs`
 call.
 
-Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
-ends and Hermite midpoints.  The grid holds the node times and f of each
-node, evaluated once; it keeps no values of x and y: f of a node the step
-did not hand over is read from the trajectory (`Trajectory.value_array`),
-and in a run those are the start node and the nodes below it, which read
-the initial data.  The panel from the step start to the stage time reads
-its midpoint from the quadratic above and ends at the stage state (see
-`feeds`).
+Density kernels are composite Simpson on the step grid of step ends and
+Hermite midpoints (`windows`).
 
 Runs terminate early on blow-up, on extinction (both components below the
 extinction threshold) or on convergence of the state over a trailing window.
@@ -103,7 +97,7 @@ turns non-finite, or a stage increment outruns the step
 reported time is the last accepted state, the final moment the trajectory
 is trustworthy, and the diagnostics name the guard and the values it
 compared.  A domain error at a state past 1e6 is a blow-up too; any other
-error a feed or the right-hand side raises (`feeds.ERRORS`) ends the run
+error a feed or the right-hand side raises (`windows.ERRORS`) ends the run
 with IntegrationError.
 """
 
@@ -118,7 +112,8 @@ import numpy as np
 from .dynamics import SystemSpec, rhs
 from .kernels import HistoryUnderflowError
 from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
-from .feeds import BLOCK_ENDS, ERRORS, block_feeds, window_feed
+from .feeds import BLOCK_ENDS, block_feeds
+from .windows import ERRORS, _StepGrid, window_feed
 
 __all__ = [
     "Trajectory",
@@ -327,130 +322,6 @@ class Trajectory:
             fh.writelines(map("%.17g,%.17g,%.17g\n".__mod__, rows))
 
 
-class _StepGrid:
-    """Node times and f of them on the grid of step ends and step midpoints.
-
-    Node times ascend and step ends sit at even indices, so a run of nodes
-    between step ends is a run of whole Simpson panels, weighted dt/6 times
-    1, 4, 2, 4, ... (see `feeds`).  `sync` takes in the times of the steps
-    the trajectory stored since the last sync, each step's midpoint and its
-    end, with the f values the step template evaluated there.  Below the
-    first stored time the times go on at multiples of dt/2 as far back as a
-    floor has reached (`extend`).
-
-    Row comp of fu holds f of component comp (f1 of y in row 1, f2 of x in
-    row 0) at the nodes from lo[comp] to n.  The step template evaluates f
-    once, with the scalar f, at each node of a step it stores and appends it
-    to pending[comp]; a node below lo[comp] is read from the trajectory when
-    a window first reaches it (`fed`), which at times up to 0 reads the
-    component's initial data, so a window reads only the initial data of
-    the component it is fed from.  An error f raised at a stored node is
-    kept with the node's index (errors[comp]), and raised again by each read
-    that covers that node.
-    """
-
-    __slots__ = ("traj", "dt", "n", "m", "t", "fu", "lo", "pending", "errors")
-
-    def __init__(self, traj: Trajectory, dt: float):
-        self.traj = traj
-        self.dt = dt
-        self.n = 0
-        self.m = 0  # the trajectory's nodes in the grid
-        self.t = np.empty(0)
-        self.fu = np.empty((2, 0))
-        self.lo = [0, 0]
-        self.pending: list = [[], []]
-        self.errors: list = [[], []]
-        self._resize(2 * traj._t.size, 0)
-        self.sync()
-        self.lo = [self.n, self.n]
-
-    def _resize(self, size: int, shift: int) -> None:
-        """Make room for size nodes, moving the n stored ones up by shift."""
-        cap = self.t.size
-        if size > cap:
-            cap = max(size, 2 * cap)
-        elif not shift:
-            return
-        n = self.n
-        for name in ("t", "fu"):
-            old = getattr(self, name)
-            new = np.empty(old.shape[:-1] + (cap,)) if cap != old.shape[-1] else old
-            new[..., shift : shift + n] = old[..., :n]
-            setattr(self, name, new)
-        self.lo = [i + shift for i in self.lo]
-        self.errors = [[(i + shift, e) for i, e in errors] for errors in self.errors]
-
-    def sync(self) -> None:
-        """Take in the trajectory's node times since the last sync, and the
-        f values the step template evaluated at them."""
-        traj = self.traj
-        m = traj.n + 1
-        if m == self.m:
-            return
-        first = max(self.m, 1)  # the first new step end after the start node
-        ts = traj._t[first - 1 : m]
-        self._resize(self.n + 2 * (m - first) + 1, 0)
-        n = self.n
-        if not self.m:  # the start node
-            self.t[n] = ts[0]
-            n += 1
-        end = n + 2 * (m - first)
-        self.t[n:end:2] = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
-        self.t[n + 1 : end : 2] = ts[1:]
-        for fu, pending in zip(self.fu, self.pending):
-            if pending:
-                fu[n : n + len(pending)] = pending
-                pending.clear()
-        self.n, self.m = end, m
-
-    def extend(self, floor: float) -> None:
-        """Extend the grid's times down to the first step end at or below
-        floor."""
-        lowest = float(self.t[0])
-        if floor >= lowest:
-            return
-        half = 0.5 * self.dt
-        k = max(1, math.ceil((lowest - floor) / self.dt))
-        while lowest + (-2 * k) * half > floor:
-            k += 1
-        self._resize(self.n + 2 * k, 2 * k)
-        self.n += 2 * k
-        self.t[: 2 * k] = lowest + np.arange(-2 * k, 0) * half
-
-    def node(self, comp: int, f, u: float, feed) -> float:
-        """f at u, appended as the node of the component the checked step
-        stores next.  An error f raises is kept with that node's index, and
-        on the running sums of a factored window's row feed, which add the
-        node; the node then holds NaN.  No traceback, whose frames would hold
-        the grid in a cycle."""
-        pending = self.pending[comp]
-        try:
-            value = f(u)
-        except ERRORS as e:
-            e.with_traceback(None)
-            self.errors[comp].append((self.n + len(pending), e))
-            if feed.__class__ is tuple and feed[9].error is None:
-                feed[9].error = e
-            value = math.nan
-        pending.append(value)
-        return value
-
-    def fed(self, f, comp: int, i: int) -> np.ndarray:
-        """f of the component at the nodes from i on, each evaluated once;
-        the nodes below lo are read from the trajectory first
-        (HistoryUnderflowError without initial data there)."""
-        self.sync()
-        for j, error in self.errors[comp]:
-            if j >= i:
-                raise error
-        lo = self.lo[comp]
-        if i < lo:
-            self.fu[comp, i:lo] = f.evaluate_array(self.traj.value_array(self.t[i:lo], comp))
-            self.lo[comp] = i
-        return self.fu[comp, i : self.n]
-
-
 @dataclass
 class RunOutcome:
     status: str  # "reached-horizon" | "converged" | "blow-up" | "extinct"
@@ -576,7 +447,7 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     # a factored window's row: (known, c0, c1, wl, wm, wt, a, b, c, sums,
     # i0, i1, j0, j1), its value known + c0 * s0 + c1 * s1 + wl * fp with the
     # block's running sums, and the weights of the step's start and midpoint
-    # in s0 (i) and s1 (j) (see `feeds`)
+    # in s0 (i) and s1 (j) (see `windows`)
     def row(c: str, slot: str) -> str:
         incs = f"i0{c}, i1{c}, j0{c}, j1{c}" if slot == "e" else "_, _, _, _"
         return (f"k{c}{slot}, p{c}{slot}, r{c}{slot}, l{c}{slot}, w{c}{slot}, v{c}{slot}, a{c}{slot}, b{c}{slot}, "

@@ -43,8 +43,8 @@ import numpy as np
 
 from coopdelay.expr import EvalDomainError
 from coopdelay import feeds
-from coopdelay.feeds import block_feeds, window_feed
-from coopdelay.integrator import CHECK_EVERY, _compile_steps, _StepGrid
+from coopdelay.feeds import block_feeds
+from coopdelay.integrator import CHECK_EVERY, _compile_steps
 from coopdelay.kernels import (
     DEFAULT_PANELS,
     GeneralMixtureKernel,
@@ -52,6 +52,7 @@ from coopdelay.kernels import (
     PointMassKernel,
     simpson_nodes_weights,
 )
+from coopdelay.windows import _StepGrid, window_feed
 
 WINDOW_RTOL = 1e-12
 ERRORS = (EvalDomainError, HistoryUnderflowError, ValueError)

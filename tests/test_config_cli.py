@@ -290,20 +290,38 @@ def test_bad_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command, sys
         ("[numerics]\ndt = 1e-3\n", "[system]: missing section"),
         (LINEAR + "[outputs]\ncolour = red\n", "[outputs] colour: unknown key"),
         (LINEAR + "[outputs]\nstride = 0\n", "[outputs] stride: must be at least 1"),
+        # a file that cannot be read or parsed: one line that names it once
+        (b"\xff\xfe[system]\n", "case.cfg: not UTF-8 text: invalid start byte at byte 0"),
+        (None, "case.cfg: cannot read: Is a directory"),
+        ("[system\nf1 = x\n", "case.cfg: malformed config: no section header at line 1: '[system'"),
+        (LINEAR + "f3\n", "case.cfg: malformed config: cannot parse line 10: 'f3\\n'"),
+        (LINEAR + "[system]\n", "case.cfg: malformed config: section [system] repeated at line 10"),
+        (LINEAR + "f1 = x\n", "case.cfg: malformed config: key 'f1' of [system] repeated at line 10"),
     ],
     ids=["unparseable-kernel", "empty-kernel", "token-without-equals", "atom-without-weight", "density-without-lag",
          "mixture-without-parts", "atom-weight-zero", "missing-key", "unknown-key", "malformed-file",
-         "unknown-section", "missing-system", "unknown-outputs-key", "stride-zero"],
+         "unknown-section", "missing-system", "unknown-outputs-key", "stride-zero", "not-utf-8", "directory",
+         "no-section-header", "unparseable-line", "repeated-section", "repeated-key"],
 )
 def test_config_errors_name_their_section_and_key(tmp_path, capsys, text, message):
     # an atom without its weight was named twice, "[system] kernel1:
-    # [system] kernel1: ..."
-    path = write_config(tmp_path, "case.cfg", text)
+    # [system] kernel1: ..."; a directory was read as an empty file, bytes
+    # that are not UTF-8 raised a traceback, and a malformed file's error
+    # took three lines and named the file twice
+    path = tmp_path / "case.cfg"
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        write_config(tmp_path, "case.cfg", text)
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     key = message.removeprefix("validation: ").split(": ")[0]
     assert message in captured.out + captured.err
     assert f"{key}: {key}" not in captured.out + captured.err
+    assert len((captured.out + captured.err).splitlines()) == 1
+    assert (captured.out + captured.err).count(str(path)) <= 1
 
 
 class TestParseKernel:
@@ -366,6 +384,18 @@ class TestPipeline:
         assert rep["certification"]["status"] == "pass"
         assert (tmp_path / "linear_decay.csv").exists()
         assert (tmp_path / "linear_decay.json").exists()
+
+    def test_outputs_in_missing_directories(self, tmp_path):
+        # a trajectory under a directory that did not exist ended the run in
+        # FileNotFoundError after the whole integration, and wrote no report
+        text = (CONFIGS / "linear_decay.cfg").read_text()
+        text = text.replace("trajectory = linear_decay.csv", "trajectory = sub/dir/linear_decay.csv")
+        text = text.replace("report = linear_decay.json", "report = other/linear_decay.json")
+        path = write_config(tmp_path, "nested.cfg", text)
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "sub" / "dir" / "linear_decay.csv").is_file()
+        assert json.loads((out_dir / "other" / "linear_decay.json").read_text())["fate"] == "to-zero"
 
     @pytest.mark.parametrize("mode", ["run", "classify"])
     def test_the_report_times_each_phase(self, tmp_path, mode):

@@ -82,7 +82,7 @@ def test_a_kernel_is_read_through_its_parts():
     # the run reads a kernel's parts (atom lags, density lag, sampled mass)
     # and never tests its class, and the support and the density floor are
     # defined on the base class alone
-    for name in ("integrator", "feeds"):
+    for name in ("integrator", "feeds", "windows"):
         tree = ast.parse(Path(coopdelay.__path__[0], f"{name}.py").read_text())
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     and node.module == "kernels" for alias in node.names}
@@ -92,6 +92,55 @@ def test_a_kernel_is_read_through_its_parts():
     defined = {(node.name, item.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef) and item.name in derived}
     assert defined == {("DelayKernel", name) for name in derived}
+
+
+def test_each_name_is_defined_in_one_module():
+    # a name moved to another module leaves no copy behind: no top-level
+    # def, class or assignment (dunder names aside) is made in two modules
+    where = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("__") and name.endswith("__")):
+                    where.setdefault(name, []).append(path.name)
+    assert {name: paths for name, paths in where.items() if len(paths) > 1} == {}
+
+
+def _runtime_imports(name: str) -> set:
+    """The package modules that a module imports when it runs: every import
+    but those under `if TYPE_CHECKING:`."""
+    tree = ast.parse(Path(coopdelay.__path__[0], f"{name}.py").read_text())
+    typing_only = {id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+                   and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("coopdelay")):
+            module = (node.module or "").removeprefix("coopdelay").lstrip(".")
+            modules |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.removeprefix("coopdelay.") for alias in node.names
+                        if alias.name.startswith("coopdelay.")}
+    return modules
+
+
+def test_imports_run_one_way():
+    # expr, kernels <- windows <- feeds <- integrator: the density window
+    # knows neither the block driver nor the step, and the block driver
+    # takes the trajectory's type alone from the integrator, for its
+    # annotations
+    assert _runtime_imports("windows") & {"feeds", "integrator"} == set()
+    assert "integrator" not in _runtime_imports("feeds")
+    assert {"windows", "feeds"} <= _runtime_imports("integrator") and "windows" in _runtime_imports("feeds")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

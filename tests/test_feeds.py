@@ -8,8 +8,10 @@ to rounding.  The stops and the window configs' states are pinned to those
 of the per-stage path that blocks replaced.
 """
 
+import contextlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopdelay import feeds, integrator
+from coopdelay import feeds, integrator, windows
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import SystemSpec
 from coopdelay.expr import BinOp, EvalDomainError, Expression, Num, Var
@@ -187,7 +189,7 @@ def planned(kernels, plans: dict, taus: np.ndarray, n: int) -> dict:
         lag, window = lags[key]
         out[key] = plan[:n].tolist()
         for r in np.flatnonzero(np.isnan(plan[:n])).tolist():
-            error = feeds._error(lag, taus.item(r), window).error
+            error = windows._error(lag, taus.item(r), window).error
             out[key][r] = type(error), str(error)
     return out
 
@@ -464,6 +466,48 @@ def test_a_mixture_atom_raises_before_its_density_at_one_stage():
     with pytest.raises(IntegrationError) as e:
         integrate(spec, horizon=3.0, dt=0.01)
     assert str(e.value) == "right-hand side failed at t=0: sqrt(t + 0.8) + 0.6 at -2.0: math domain error"
+
+
+def test_a_raising_f_at_an_own_step_point_read_surfaces_at_its_stage(monkeypatch):
+    # t - 0.013 at dt 0.01 reads 1.3 steps back, so from a block's third step
+    # on each row reads a time in the block's own steps (`_Reader._late`,
+    # once the step that holds it is stored).  y passes 1.5 near t = 1.13,
+    # where f1 = sqrt(1.5 - y) has no value: the read's error becomes a
+    # `_Raise` there and is raised at the stage that reads it, by the
+    # compiled loop's hand-back and by the checked step alike
+    made = []
+    init = windows._Raise.__init__
+
+    def spy(self, error):
+        made.append(sys._getframe(1).f_code)
+        init(self, error)
+
+    monkeypatch.setattr(windows._Raise, "__init__", spy)
+    kernel = PointMassKernel("t - 0.013")
+    spec = spec_of("sqrt(1.5 - x)", "1 + x", k1=kernel, k2=kernel)
+    message = "right-hand side failed near t=1.1300000000000001: sqrt(1.5 - x) at 1.5000872069321742: math domain error"
+    for render in (contextlib.nullcontext, checked_only):
+        del made[:]
+        with render(), pytest.raises(IntegrationError) as e:
+            integrate(spec, horizon=3.0, dt=0.01, converge_rtol=0)
+        assert str(e.value) == message
+        assert made == [feeds._Reader._late.__code__]
+
+
+def test_a_head_read_only_the_array_pass_rejects_raises_the_array_s_error():
+    # psi spikes to 1e200 at -0.013 alone, the floor of t - 0.013 at t = 0,
+    # where the derivative's one row reads its head.  f1 = 1/(1 + x*x) of
+    # 1e200 is 0.0 by the scalar f (x*x is inf), but the array pass raises
+    # on the overflow: the scalar pass names no value that fails, so the
+    # array's error is raised, at t = 0
+    seen = []
+    spec = spec_of("1", "1 + x/2", k1=UniformDensityKernel("t - 0.013"), k2=UniformDensityKernel("t - 1"),
+                   psi="1 + 1e200*exp(-1e12*(t + 0.013)^2)")
+    spec.f1 = Watched("1/(1 + x*x)", seen.append)
+    with pytest.raises(IntegrationError) as e:
+        integrate(spec, horizon=1.0, dt=0.01)
+    assert str(e.value) == "right-hand side failed at t=0: 1.0/(1.0 + x*x): overflow encountered in multiply"
+    assert 1e200 in seen and spec.f1(1e200) == 0.0
 
 
 def y_midpoint(traj, step):

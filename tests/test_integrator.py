@@ -19,14 +19,13 @@ from coopdelay import feeds, integrator
 from coopdelay.config import load_config, system_from_mapping
 from coopdelay.dynamics import InitialFunction, SystemSpec
 from coopdelay.expr import EvalDomainError, Expression, parse
-from coopdelay.feeds import _InStep, block_feeds, window_feed
+from coopdelay.feeds import block_feeds
 from coopdelay.integrator import (
     IntegrationError,
     Trajectory,
     _compile_steps,
     _ends_apart,
     _spread_within,
-    _StepGrid,
     default_dt,
     detect_nonoscillation_violation,
     integrate,
@@ -38,6 +37,7 @@ from coopdelay.kernels import (
     TriangularDensityKernel,
     UniformDensityKernel,
 )
+from coopdelay.windows import _InStep, _StepGrid, window_feed
 from reference_history import Stage, check, drive, in_step_read, stage_read, step_end, window_checks
 
 
