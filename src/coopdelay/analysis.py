@@ -790,10 +790,15 @@ def certify_run(
     if expected == "to-equilibrium":
         gap_x = bounds.terminal_gap if bounds is not None else 0.0
         gap_y = bounds.terminal_gap_y if bounds is not None else 0.0
-        ok = abs(fx - K) <= gap_x + FATE_TOL and abs(fy - f2K) <= gap_y + FATE_TOL
+        dev_x, dev_y = abs(fx - K), abs(fy - f2K)
+        ok = dev_x <= gap_x + FATE_TOL and dev_y <= gap_y + FATE_TOL
         checks.append({
             "name": "fate", "status": "pass" if ok else "fail",
-            "detail": f"terminal ({fx:.6g}, {fy:.6g}) vs equilibrium ({K:.6g}, {f2K:.6g})",
+            "detail": (
+                f"terminal ({fx:.6g}, {fy:.6g}) vs equilibrium ({K:.6g}, {f2K:.6g}): "
+                f"|x - K| {dev_x:.6g} vs bound {gap_x + FATE_TOL:.6g}, "
+                f"|y - f2(K)| {dev_y:.6g} vs bound {gap_y + FATE_TOL:.6g} (gap + {FATE_TOL:g})"
+            ),
         })
     elif expected == "to-zero":
         envelope = max(bounds.terminal_gap, bounds.terminal_gap_y) if bounds is not None else 0.0

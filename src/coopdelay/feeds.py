@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .windows import _DEFERRED, ERRORS, _InStep, _Raise, _StepGrid, _Sum, _WindowBlock, _error
+from .windows import _DEFERRED, ERRORS, _each, _InStep, _Raise, _StepGrid, _Sum, _WindowBlock, _error
 
 if TYPE_CHECKING:
     from .dynamics import SystemSpec
@@ -85,21 +85,6 @@ WINDOW_ELEMENTS = 1 << 15
 # reached WINDOW_ELEMENTS, a row reads its own steps, a lag or read raised,
 # or the horizon
 BLOCK_ENDS = ("limit", "budget", "own-steps", "raise", "horizon")
-
-
-def _each(fn, vs) -> list:
-    """fn at each of vs, or a `_Raise` of what it raises there: one generated
-    pass (`Expression.evaluate_each`), bit for bit, where it does not fail,
-    or else value by value, so each error keeps its value and message."""
-    out = fn.evaluate_each(vs) if vs else []
-    if out is None:
-        out = []
-        for v in vs:
-            try:
-                out.append(fn(v))
-            except ERRORS as e:
-                out.append(_Raise(e))
-    return out
 
 
 def _each_array(fn, vs: list) -> np.ndarray:
@@ -450,8 +435,19 @@ class _Reader:
 
     def mix(self, atoms: list, density):
         """Per step, (midpoint, end) sums of the weighted atoms' feeds and
-        then the density's."""
+        then the density's (`_sum`)."""
         parts = [(w, _rows(feeds)) for w, feeds in [*atoms, *([(1.0, density)] if density is not None else [])]]
         for _ in range((len(self.block.taus) + 1) // 2):
             rows = [(w, next(feeds), next(feeds)) for w, feeds in parts]
-            yield [_Sum([(w, row[e]) for w, *row in rows]) for e in (0, 1)]
+            yield [_sum([(w, m) for w, m, _ in rows]), _sum([(w, e) for w, _, e in rows])]
+
+
+def _sum(parts: list):
+    """Weighted feeds: where every feed is a number, the number `_Sum` gives,
+    by the same additions in the same order from 0.0, or else a `_Sum`."""
+    total = 0.0
+    for w, feed in parts:
+        if feed.__class__ is not float:
+            return _Sum(parts)
+        total += w * feed
+    return total

@@ -33,25 +33,26 @@ The step.  `_compile_steps` writes the RK4 step once, as a template of
 Python source, and renders it in two ways.  Both take the step's end from
 its item, so steps end where `feeds._Ahead.rows` puts them, and no other
 code forms a step end; the items end at the horizon.  The compiled loop,
-rendered unless a kernel's mass is sampled (a mixture's), takes every step
+rendered for every kernel, takes every step of the run.  It takes a step
 whose feeds are plain for its kernels with all of it inline (from
 `expr._emit`'s source of f, r and G): for a kernel without a density a
-number, or None for f of the stage state, and for one with a density a row
-of its window, its value read from the block's running sums, with its tail
-panel.  It forms the stage states, r(t) * (G(x) * (feed - x)) and the
-window's row and tail in `rhs`'s and `window_feed`'s operation order; each
-rate is evaluated once per stage time, and a rate of 1 or an unset G folds
-away (1.0 * z == z).  Its guards are tests without calls that fail wherever
-the checked guards fire (and also at a state equal to the threshold or on a
-NaN increment).  At a feed that is not plain, an exception of the inline
-arithmetic, a guard that fails or a non-finite derivative or f at a node it
-hands the state before the step and the step's item back.  Per step it makes
-no call but those of f, r and G: its tests of size and finiteness are
-comparisons.  The checked step, generated when a run first needs it, takes
-that one step, and every step of a run the compiled loop does not take: each
-stage calls `rhs` (as the module holds it then) on the `window_feed` values,
-and each guard raises with its name and the values it compared.  Both store
-each accepted step and do a window's work of it: f, by the scalar f, of the
+number (a mixture of atoms that read numbers is one), or None for f of the
+stage state, and for one with a density a row of its window, its value read
+from the block's running sums, with its tail panel.  It forms the stage
+states, r(t) * (G(x) * (feed - x)) and the window's row and tail in `rhs`'s
+and `window_feed`'s operation order; each rate is evaluated once per stage
+time, and a rate of 1 or an unset G folds away (1.0 * z == z).  Its guards
+are tests without calls that fail wherever the checked guards fire (and
+also at a state equal to the threshold or on a NaN increment).  A step with
+a feed that is not plain (a `_Sum`, `_InStep` or `_Raise`), or whose inline
+arithmetic raises, fails a guard or ends in a non-finite derivative or f at
+a node, the loop hands to the checked step, from the same state, and goes
+on from its end.  Per step inline it makes no call but those of f, r and G:
+its tests of size and finiteness are comparisons.  The checked step,
+generated when a run first needs it, takes that one step: each stage calls
+`rhs` (as the module holds it then) on the `window_feed` values, and each
+guard raises with its name and the values it compared.  Both store each
+accepted step and do a window's work of it: f, by the scalar f, of the
 component the window reads at the step's midpoint (the Hermite cubic at
 s = 1/2, in `_hermite`'s operation order) and at its end (which the compiled
 loop takes from the end's derivative), handed to the step grid as that
@@ -67,12 +68,12 @@ Hermite midpoints (`windows`).
 Runs terminate early on blow-up, on extinction (both components below the
 extinction threshold) or on convergence of the state over a trailing window.
 The window is checked after every CHECK_EVERY-th step, at the step's time t,
-by one check that `integrate` defines: the compiled loop calls it itself,
-and `integrate` after a checked step, so the loop hands the run back only
-when the run must decide (a step it does not take, extinction, convergence
-or the horizon).  The window reaches back max(window_spans *
-spec.max_span(t), 100 * dt), and no check is made until t minus the window
-lies after t = 0, the first stored time.  The window holds the stored steps
+by one check that `integrate` defines and the loop calls, so `integrate`
+enters the loop once, and the loop returns once: at the horizon, at
+extinction or on convergence, or with what the checked step raises (a guard
+that fires, or an error of a feed or the right-hand side).  The window
+reaches back max(window_spans * spec.max_span(t), 100 * dt), and no check
+is made until t minus the window lies after t = 0, the first stored time.  The window holds the stored steps
 from the first at or after t minus the window to the state, and the run
 converges when x and y each span (max - min) less than converge_rtol there,
 relative to max(1, |x|) and max(1, |y|) of the state.  Before it reads the
@@ -113,7 +114,7 @@ from .dynamics import SystemSpec, rhs
 from .kernels import HistoryUnderflowError
 from .expr import _SCALAR_ENV, EvalDomainError, Num, _emit
 from .feeds import BLOCK_ENDS, block_feeds
-from .windows import ERRORS, _StepGrid, window_feed
+from .windows import ERRORS, _each, _StepGrid, window_feed
 
 __all__ = [
     "Trajectory",
@@ -138,8 +139,9 @@ class IntegrationError(RuntimeError):
 
 
 class _StageGuard(Exception):
-    """A blow-up guard fired inside a step; the arguments are its name and
-    the values it compared."""
+    """A blow-up guard fired inside a step.  The checked step's has as its
+    arguments the guard's name and the values it compared; the compiled
+    loop's has none, and hands the step to the checked step."""
 
 
 def _json_safe(v):
@@ -259,7 +261,8 @@ class Trajectory:
     def value_array(self, ts: np.ndarray, comp: int | None = None) -> np.ndarray:
         """Values of x and y at the times ts, as the rows of a (2, len(ts))
         array, or of the component comp alone (and only its initial data),
-        from one segment search and one Hermite basis."""
+        from one segment search and one Hermite basis; the initial data by
+        their generated scalar code (`windows._each`)."""
         ts = np.asarray(ts, dtype=float)
         if ts.size:
             lo = ts.min()
@@ -276,7 +279,7 @@ class Trajectory:
                     fn = self.phi if c == 0 else self.psi
                     if fn is None:
                         raise HistoryUnderflowError("no initial function")
-                    out[c, neg] = fn.array(ts[neg])
+                    out[c, neg] = _each(fn, ts[neg].tolist(), keep=False)
             pos = ~neg
             if np.any(pos):
                 out[:, pos] = self._stored(ts[pos])
@@ -349,23 +352,23 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     """The run's RK4 step (see the module docstring), rendered from one
     template: the compiled loop, or with checked the checked step and the
     store of its end, as the pair (step, store).  The loop reads each
-    kernel's parts: it is None when a kernel's mass is sampled, and it feeds
-    a kernel without a density as a point and one with a density as a
-    window.
+    kernel's parts: it feeds a kernel without a density as a point and one
+    with a density as a window.
 
-    run(feeds, check, t, x, y, dx, dy, steps) takes a step per item of feeds
-    from the state at t, whose slopes are dx, dy and which ends step number
-    steps, each to the end its item carries.  After every CHECK_EVERY-th
-    step it calls check(t, x, y), the convergence check of `integrate`.  It
-    returns the state it reached with its slopes, the steps taken in all,
-    and None: when feeds ends at the horizon, at extinction, or when check
-    returns True.  It stores each step's end itself, through the
-    trajectory's node views, reserving room for the steps up to the next
-    check as it goes, and sets the trajectory's n and t_front, which the
-    blocks built between its steps read.  At a step whose item is not
-    plain, which raises, fires a guard or ends in a non-finite derivative
-    or f at a node, it returns the state before the step and the step's
-    item instead.
+    run(feeds, check, checked, t, x, y, dx, dy) takes a step per item of
+    feeds from the start state at t, whose slopes are dx, dy, each to the
+    end its item carries.  After every CHECK_EVERY-th step it calls
+    check(t, x, y), the convergence check of `integrate`.  It returns once,
+    with the run's status: "reached-horizon" when feeds ends, "extinct", or
+    "converged" when check returns True.  It stores each step's end itself,
+    through the trajectory's node views, reserving room for the steps up to
+    the next check as it goes, and sets the trajectory's n and t_front,
+    which the blocks built between its steps read.  A step whose item is
+    not plain, or which raises, fails a guard or ends in a non-finite
+    derivative or f at a node, it hands to checked(item, t, x, y, dx, dy),
+    which takes and stores the step from the same state and returns its end
+    state with its slopes; the loop then reads the node views again.  What
+    checked raises ends the run.
 
     step(item, t, x, y, dx, dy) takes that step to the end item carries,
     with its feeds, and returns the end time and state with its slopes.  A
@@ -377,8 +380,6 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
     node, and by the sums of a factored window that add it.
     """
     if not checked:
-        if spec.k1.sampled_mass or spec.k2.sampled_mass:
-            return None
         kinds = ["point" if kernel.density_lag is None else "window" for kernel in (spec.k1, spec.k2)]
         # per component: its name, f, its kernel's kind, the component f reads, r and G
         comps = (("x", spec.f1.root, kinds[0], "y", spec.r1.root, spec.g1 and spec.g1.root),
@@ -442,7 +443,7 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             tests += [f"-THRESHOLD < {sx} < THRESHOLD", f"-THRESHOLD < {sy} < THRESHOLD"]
         if k is not None:
             tests += [f"-bound <= h * {k[0]} <= bound", f"-bound <= h * {k[1]} <= bound"]
-        return [f"if not ({' and '.join(tests)}):", "    return t, x, y, dx, dy, steps, item"]
+        return [f"if not ({' and '.join(tests)}):", "    raise StageGuard"]
 
     # a factored window's row: (known, c0, c1, wl, wm, wt, a, b, c, sums,
     # i0, i1, j0, j1), its value known + c0 * s0 + c1 * s1 + wl * fp with the
@@ -532,7 +533,7 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
         # max(ax, ay), is its first operand unless the second is greater
         largest = ["ax = x if x >= 0.0 else -x", "ay = y if y >= 0.0 else -y", "m = ay if ay > ax else ax"]
         source = "\n".join([
-            "def run(feeds, check, t, x, y, dx, dy, steps):",
+            "def run(feeds, check, checked, t, x, y, dx, dy):",
             "    traj.reserve(CHECK_EVERY)",
             "    T, V, i = traj._tm, traj._vm, traj.n",
             "    cap = traj._t.size",
@@ -540,42 +541,45 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             *("    " + line for line in largest),
             "    for item in feeds:",
             "        t1, fxm, fym, fxe, fye = item",
-            f"        if not ({' and '.join(plain)}):",
-            "            return t, x, y, dx, dy, steps, item",
-            *("        " + line for line in unpack),
-            "        try:",
-            *("            " + line for line in [*values, *body, *nodes]),
-            "        except Exception:",
-            "            return t, x, y, dx, dy, steps, item",
+            f"        inline = {' and '.join(plain)}",
+            "        if inline:",
+            *("            " + line for line in unpack),
+            "            try:",
+            *("                " + line for line in [*values, *body, *nodes]),
             # a non-finite k2, k3 or k4 makes the next guarded state non-finite;
             # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
-            f"        if not ({' and '.join(f'{v} - {v} == 0.0' for v in finite)}):",
-            "            return t, x, y, dx, dy, steps, item",
+            f"                inline = {' and '.join(f'{v} - {v} == 0.0' for v in finite)}",
+            "            except Exception:",
+            "                inline = False",
+            "        if inline:",
             # the node, into the room reserved at entry or at the last check
-            "        i += 1",
-            "        T[i] = t1",
-            "        at = 4 * i",
-            "        V[at] = x1",
-            "        V[at + 1] = y1",
-            "        V[at + 2] = dx1",
-            "        V[at + 3] = dy1",
-            "        traj.n = i",
-            "        traj.t_front = t1",
-            *("        " + line for c, _, _, _ in windows for line in advance(c)),
-            "        steps += 1",
+            "            i += 1",
+            "            T[i] = t1",
+            "            at = 4 * i",
+            "            V[at] = x1",
+            "            V[at + 1] = y1",
+            "            V[at + 2] = dx1",
+            "            V[at + 3] = dy1",
+            "            traj.n = i",
+            "            traj.t_front = t1",
+            *("            " + line for c, _, _, _ in windows for line in advance(c)),
+            "        else:",
+            "            t1, x1, y1, dx1, dy1 = checked(item, t, x, y, dx, dy)",
+            "            T, V, i = traj._tm, traj._vm, traj.n",
+            "            cap = traj._t.size",
             "        t, x, y, dx, dy = t1, x1, y1, dx1, dy1",
             *("        " + line for line in largest),
             "        if m < EXTINCTION:",
-            "            break",
-            "        if steps % CHECK_EVERY == 0:",
+            "            return 'extinct'",
+            "        if i % CHECK_EVERY == 0:",
             "            if check(t, x, y):",
-            "                break",
+            "                return 'converged'",
             # room for the nodes up to the next check
             "            if i + CHECK_EVERY >= cap:",
             "                traj.reserve(CHECK_EVERY)",
             "                T, V = traj._tm, traj._vm",
             "                cap = traj._t.size",
-            "    return t, x, y, dx, dy, steps, None",
+            "    return 'reached-horizon'",
         ])
     # rhs as the module holds it now, so a patched rhs counts the checked step's calls
     namespace = dict(
@@ -618,16 +622,22 @@ def integrate(
     """Advance the system to the horizon or an earlier detected outcome:
     blow-up, extinction or convergence (see the module docstring).
 
+    One call of the compiled loop takes every step (`_compile_steps`),
+    handing those it cannot take inline to the checked step, compiled here
+    when a step first needs it; the outcome's state and steps are the
+    trajectory's front, and compiled_steps the steps the checked step did
+    not take.  A guard that fires in the checked step is a blow-up, and so
+    is a domain error at a state past 1e6; any other error of a feed or the
+    right-hand side raises IntegrationError.
+
     Convergence is checked after every CHECK_EVERY-th step, at its time t,
-    by one check defined here: the compiled loop calls it between its steps
-    and hands the run back only when it must decide, and this loop calls it
-    after a checked step.  The window is max(window_spans *
-    spec.max_span(t), 100 * dt), and a check is made once t minus the
-    window lies after t = 0 (never for a lag proportional to t, see the
-    module docstring).  The run converges when x and
-    y each span less than converge_rtol, relative to max(1, |x|) and
-    max(1, |y|) of the state, over the stored steps from the first at or
-    after t minus the window.  A check whose state and first window step
+    by one check defined here, which the loop calls.  The window is
+    max(window_spans * spec.max_span(t), 100 * dt), and a check is made
+    once t minus the window lies after t = 0 (never for a lag proportional
+    to t, see the module docstring).  The run converges when x and y each
+    span less than converge_rtol, relative to max(1, |x|) and max(1, |y|)
+    of the state, over the stored steps from the first at or after t minus
+    the window.  A check whose state and first window step
     already differ by that much fails without reading the rest of the
     window, which decides exactly as the full test.  Pass converge_rtol=0
     to disable the stop.  outcome.diagnostics counts the checks made
@@ -661,17 +671,21 @@ def integrate(
         raise IntegrationError(f"right-hand side failed at t=0: {e}") from e
     traj._v[0, 2:] = dx, dy
 
-    steps = 0
-    guard_note = guard_values = None
-    status = "reached-horizon"
-    blow_time = None
-    conv_point = None
-    extinct_time = None
+    guard_note = guard_values = conv_point = None
     options = (spec, traj, grid, blowup_threshold, stage_ratio, extinction_threshold)
-    run = _compile_steps(*options)
-    step = None  # the checked step and its store, compiled when a step first needs them
-    compiled = 0
-    checks = scans = 0
+    step = store = None  # the checked step and its store, compiled when a step first needs them
+    checks = scans = taken = 0
+
+    def checked(item, t, x, y, dx, dy):
+        """The checked step of item from t, x, y with its slopes, and the
+        store of its end, which it returns."""
+        nonlocal step, store, taken
+        if step is None:
+            step, store = _compile_steps(*options, checked=True)
+        end = step(item, t, x, y, dx, dy)
+        store(item, t, x, y, dx, dy, *end)
+        taken += 1
+        return end
 
     def check(t, x, y):
         """The convergence check after a CHECK_EVERY-th step at t, x, y: True
@@ -696,53 +710,30 @@ def integrate(
             return True
         return False
 
-    while t < horizon - eps_t:
-        if run is None:
-            item = next(feeds)
-        else:
-            taken = steps
-            t, x, y, dx, dy, steps, item = run(feeds, check, t, x, y, dx, dy, steps)
-            compiled += steps - taken
-        if item is not None:  # the step, checked
-            if step is None:
-                step, store = _compile_steps(*options, checked=True)
-            try:
-                end = step(item, t, x, y, dx, dy)
-            except _StageGuard as e:
-                guard_note, values = e.args
-                guard_values = {key: _json_safe(v) for key, v in values.items()}
-                status = "blow-up"
-                break
-            except ERRORS as e:
-                if not (isinstance(e, EvalDomainError) and max(abs(x), abs(y)) > 1e6):
-                    raise IntegrationError(f"right-hand side failed near t={t!r}: {e}") from e
-                guard_note = f"domain-error:{e}"
-                status = "blow-up"
-                break
-            store(item, t, x, y, dx, dy, *end)
-            t, x, y, dx, dy = end
-            steps += 1
-        if max(abs(x), abs(y)) < extinction_threshold:
-            status = "extinct"
-            extinct_time = t
-            break
-        if item is not None and steps % CHECK_EVERY == 0:
-            check(t, x, y)
-        if conv_point is not None:
-            status = "converged"
-            break
-
-    if status == "blow-up":
-        blow_time = t
+    try:
+        status = _compile_steps(*options)(feeds, check, checked, t, x, y, dx, dy)
+    except _StageGuard as e:
+        guard_note, values = e.args
+        guard_values = {key: _json_safe(v) for key, v in values.items()}
+        status = "blow-up"
+    except ERRORS as e:
+        x, y = traj._v[traj.n, :2].tolist()
+        if not (isinstance(e, EvalDomainError) and max(abs(x), abs(y)) > 1e6):
+            raise IntegrationError(f"right-hand side failed near t={traj.t_front!r}: {e}") from e
+        guard_note = f"domain-error:{e}"
+        status = "blow-up"
+    # the last accepted state: the trajectory's front
+    t, steps = traj.t_front, traj.n
+    x, y = traj._v[steps, :2].tolist()
     outcome = RunOutcome(
         status=status,
         final_state=(x, y),
         t_final=t,
-        blowup_time=blow_time,
+        blowup_time=t if status == "blow-up" else None,
         converged_point=conv_point,
-        extinct_time=extinct_time,
+        extinct_time=t if status == "extinct" else None,
         diagnostics={"steps": steps, "blocks": sum(ends.values()), "block_ends": ends, "dt": dt,
-                     "stage_guard": guard_note, "guard_values": guard_values, "compiled_steps": compiled,
+                     "stage_guard": guard_note, "guard_values": guard_values, "compiled_steps": steps - taken,
                      "window_checks": checks, "window_scans": scans},
     )
     return traj, outcome

@@ -7,19 +7,22 @@ wm, wt, a, b, c, sums, ...), whose value is known + c0*s0 + c1*s1 + wl*fp
 with its block's running sums (`_Sums`) plus the tail panel wm*f(a*u0 +
 b*us + c*du0) + wt*f(us), the panel's midpoint read from the in-step
 quadratic; `_InStep`, f of that quadratic at a lagged time inside the step;
-`_Sum`, weighted feeds (a mixture, or a window whose floor lies inside the
-step); or `_Raise`, a lag, read or f that failed, raised at the stage that
-reads it, so a guard that fires at an earlier stage still wins.  The block
-driver (`feeds`) builds them for point masses and densities alike.
+`_Sum`, weighted feeds (a mixture with a part that is no number, or a window
+whose floor lies inside the step); or `_Raise`, a lag, read or f that
+failed, raised at the stage that reads it, so a guard that fires at an
+earlier stage still wins.  The block driver (`feeds`) builds them for point
+masses and densities alike.
 
 Density kernels: composite Simpson on the step grid (`_StepGrid`) of step
 ends and Hermite midpoints.  The grid holds the node times and f of each
 node, evaluated once; it keeps no values of x and y: f of a node the step
 did not hand over is read from the trajectory (`Trajectory.value_array`),
 and in a run those are the start node and the nodes below it, which read
-the initial data.  The panel from the step start to the stage time reads
-its midpoint from the in-step quadratic (see `integrator`) and ends at the
-stage state.
+the initial data.  f at those nodes and at a window's head reads is one
+pass of its generated scalar code (`_each`), as at a point read, so a
+window and a point lag agree on f at the same value.  The panel from the
+step start to the stage time reads its midpoint from the in-step quadratic
+(see `integrator`) and ends at the stage state.
 
 A window is composite Simpson on the step grid, in sums of non-negative
 terms, never a difference of sums (`_WindowBlock`).  A uniform or
@@ -139,6 +142,24 @@ def _error(lag, t: float, window=None) -> _Raise:
         raise ValueError(f"advanced lag {s!r} exceeds t={t!r}")
     except ERRORS as e:
         return _Raise(e)
+
+
+def _each(fn, vs: list, keep: bool = True) -> list:
+    """fn at each of vs: one generated pass (`Expression.evaluate_each`), bit
+    for bit, where it does not fail, or else value by value, so that each
+    error keeps its value and message; an error is kept in its value's place
+    as a `_Raise`, or without keep the first is raised."""
+    out = fn.evaluate_each(vs) if vs else []
+    if out is None:
+        out = []
+        for v in vs:
+            try:
+                out.append(fn(v))
+            except ERRORS as e:
+                if not keep:
+                    raise
+                out.append(_Raise(e))
+    return out
 
 
 def window_feed(f, feed, us: float, u0: float, du0: float) -> float:
@@ -276,7 +297,7 @@ class _StepGrid:
                 raise error
         lo = self.lo[comp]
         if i < lo:
-            self.fu[comp, i:lo] = f.evaluate_array(self.traj.value_array(self.t[i:lo], comp))
+            self.fu[comp, i:lo] = _each(f, self.traj.value_array(self.t[i:lo], comp).tolist(), keep=False)
             self.lo[comp] = i
         return self.fu[comp, i : self.n]
 
@@ -493,12 +514,7 @@ class _WindowBlock:
             if self.xy is None and times.min() > 0.0:  # stored history: both components at once
                 self.xy = block.traj.value_array(times)
             u = self.xy[comp] if self.xy is not None else block.traj.value_array(times, comp)
-            try:
-                fh = f.evaluate_array(u)
-            except EvalDomainError:
-                for v in u.tolist():  # the scalar f names the first value that fails
-                    f(v)
-                raise
+            fh = np.array(_each(f, u.tolist(), keep=False))
             m = fh.size // 2
             heads = self.head[0] * fh[:m] + self.head[1] * fh[m:]
             if self.early is None:

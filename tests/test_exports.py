@@ -166,3 +166,23 @@ def test_every_slot_is_read():
                             slots[f"{path.stem}.{node.name}.{name}"] = name
     assert slots
     assert sorted(key for key, name in slots.items() if name not in loads) == []
+
+
+def test_one_step_loop_and_one_evaluation_of_f():
+    # the run's steps are all taken by the one loop `_compile_steps` renders,
+    # for every kernel alike, and the run evaluates f and the initial data by
+    # their generated scalar code alone (`Expression.evaluate_each`, then
+    # value by value), so a window and a point lag agree on f at the same
+    # value; numpy's own `np.array` evaluates nothing
+    root = Path(coopdelay.__path__[0])
+    trees = {name: ast.parse((root / f"{name}.py").read_text()) for name in ("integrator", "feeds", "windows")}
+    integrate = next(node for node in trees["integrator"].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "integrate")
+    assert [node.lineno for node in ast.walk(integrate) if isinstance(node, (ast.For, ast.While))] == []
+    assert [node.lineno for node in ast.walk(trees["integrator"])
+            if "sampled_mass" in (getattr(node, "attr", None), getattr(node, "id", None))] == []
+    array_passes = [f"{name}.py:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and (node.func.attr == "evaluate_array"
+                         or node.func.attr == "array" and ast.unparse(node.func.value) != "np")]
+    assert array_passes == []

@@ -494,20 +494,20 @@ def test_a_raising_f_at_an_own_step_point_read_surfaces_at_its_stage(monkeypatch
         assert made == [feeds._Reader._late.__code__]
 
 
-def test_a_head_read_only_the_array_pass_rejects_raises_the_array_s_error():
+def test_a_window_head_read_and_a_point_read_agree_on_f():
     # psi spikes to 1e200 at -0.013 alone, the floor of t - 0.013 at t = 0,
-    # where the derivative's one row reads its head.  f1 = 1/(1 + x*x) of
-    # 1e200 is 0.0 by the scalar f (x*x is inf), but the array pass raises
-    # on the overflow: the scalar pass names no value that fails, so the
-    # array's error is raised, at t = 0
-    seen = []
-    spec = spec_of("1", "1 + x/2", k1=UniformDensityKernel("t - 0.013"), k2=UniformDensityKernel("t - 1"),
-                   psi="1 + 1e200*exp(-1e12*(t + 0.013)^2)")
-    spec.f1 = Watched("1/(1 + x*x)", seen.append)
-    with pytest.raises(IntegrationError) as e:
-        integrate(spec, horizon=1.0, dt=0.01)
-    assert str(e.value) == "right-hand side failed at t=0: 1.0/(1.0 + x*x): overflow encountered in multiply"
-    assert 1e200 in seen and spec.f1(1e200) == 0.0
+    # where the derivative's one row reads its head, and the time a point lag
+    # t - 0.013 reads there.  f1 = 1/(1 + x*x) of 1e200 is 0.0 by the scalar
+    # f (x*x is inf), and a head read evaluates f by the same scalar code as
+    # a point read: the window run goes on as the point run does
+    for kernel in (UniformDensityKernel("t - 0.013"), PointMassKernel("t - 0.013")):
+        seen = []
+        spec = spec_of("1", "1 + x/2", k1=kernel, k2=UniformDensityKernel("t - 1"),
+                       psi="1 + 1e200*exp(-1e12*(t + 0.013)^2)")
+        spec.f1 = Watched("1/(1 + x*x)", seen.append)
+        _, outcome = integrate(spec, horizon=1.0, dt=0.01)
+        assert outcome.status == "reached-horizon" and outcome.diagnostics["steps"] == 100
+        assert 1e200 in seen and spec.f1(1e200) == 0.0
 
 
 def y_midpoint(traj, step):

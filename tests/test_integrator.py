@@ -62,12 +62,25 @@ def spec_of(f1, f2, r1="1", r2="1", k1=None, k2=None, phi="1", psi="1", g1=None,
 
 @contextlib.contextmanager
 def checked_only():
-    """Runs inside take every step by the checked step: `_compile_steps`
-    renders no compiled loop, as for a mixture kernel."""
+    """Runs inside take every step by the checked step: in place of the
+    compiled loop, `_compile_steps` gives a driver that hands it every item,
+    with the loop's extinction test and check cadence."""
     render = integrator._compile_steps
 
-    def checked_render(*args, checked=False):
-        return render(*args, checked=True) if checked else None
+    def checked_render(spec, traj, grid, threshold, ratio, extinction, checked=False):
+        if checked:
+            return render(spec, traj, grid, threshold, ratio, extinction, checked=True)
+
+        def run(feeds, check, take, t, x, y, dx, dy):
+            for item in feeds:
+                t, x, y, dx, dy = take(item, t, x, y, dx, dy)
+                if max(abs(x), abs(y)) < extinction:
+                    return "extinct"
+                if traj.n % integrator.CHECK_EVERY == 0 and check(t, x, y):
+                    return "converged"
+            return "reached-horizon"
+
+        return run
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrator, "_compile_steps", checked_render)
@@ -595,17 +608,18 @@ class TestStageView:
         # from the trajectory; one lookup of the block's 8 steps, at the
         # floor and the head midpoint of each stage time whose head has
         # width, for both components as they lie in stored history; per
-        # component f over those grid nodes and over the block's head reads.
-        # The floors of the derivative at the front (1.0) and of 4 of the
-        # block's 16 stage times (1.1, 1.2000000000000002, 1.25, 1.35) are
-        # step ends: heads of no width, which read nothing
-        assert calls == [41, 41, 2 * (16 - 4)] and len(sizes) == 4
+        # component f over those grid nodes and over the block's head reads,
+        # value by value (`Watched` has no generated pass).  The floors of
+        # the derivative at the front (1.0) and of 4 of the block's 16 stage
+        # times (1.1, 1.2000000000000002, 1.25, 1.35) are step ends: heads
+        # of no width, which read nothing
+        assert calls == [41, 41, 2 * (16 - 4)] and sizes == [] and len(scalars) == 2 * (41 + 2 * (16 - 4))
         reads = len(scalars)
         feeds = {}
         for slot in range(4):
             for stage in ((1.5, 2.5), (7.0, 8.0)):
                 feeds[slot, stage] = window_feed(f, item[1 + slot], stage[1 - slot % 2], state[1 - slot % 2], 0.0)
-        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 3 and len(sizes) == 4
+        assert len(scalars) - reads == 2 * 4 * 2 and len(calls) == 3 and sizes == []
         for slot in range(4):
             assert feeds[slot, (1.5, 2.5)] != feeds[slot, (7.0, 8.0)]  # one known part, two tails
 
@@ -707,20 +721,22 @@ def test_grid_reads_no_history_after_set_up(monkeypatch, k1, k2, windows, points
     # fed component; then per block and fed component the floor and head
     # midpoint of each stage time whose head has width
     assert calls == [201] * fed + [2 * w for w in wide for _ in range(fed)]
-    # nothing is read one time at a time; a point kernel reads the initial
-    # data of the component it is fed from at each stage time, one pass per
-    # block
+    # nothing is read one time at a time.  Those lookups read the initial
+    # data (every time lies at or below 0), in one pass each, and a point
+    # kernel reads the initial data of the component it is fed from at each
+    # stage time, one pass per block, after the windows' reads
     assert scalar_reads == []
-    assert data_reads == ([1] + [2 * b for b in blocks]) * points
+    per_block = zip([[201] * fed] + [[2 * w] * fed for w in wide], [1] + [2 * b for b in blocks])
+    assert data_reads == [n for window_reads, point in per_block for n in window_reads + [point] * points]
     for scalars, sizes, kernel in ((f1_scalars, f1_sizes, k1), (f2_scalars, f2_sizes, k2)):
+        assert sizes == []
         if isinstance(kernel, PointMassKernel):
-            assert sizes == []
             continue
-        # f over the initial data once, at t = 0, and over each block's head
-        # reads; per step f of the two grid nodes it adds, in the step that
-        # stores them, and of two tail reads per stage
-        assert sizes == [201] + [2 * w for w in wide]
-        assert len(scalars) == 2 * steps + 4 * 2 * steps
+        # f value by value (`Watched` has no generated pass): over the
+        # initial data once, at t = 0, and over each block's head reads; per
+        # step f of the two grid nodes it adds, in the step that stores them,
+        # and of two tail reads per stage
+        assert len(scalars) == 201 + sum(2 * w for w in wide) + 2 * steps + 4 * 2 * steps
 
 
 @pytest.mark.parametrize("path", ["compiled", "generic"])
@@ -939,12 +955,17 @@ def rendered_loop(spec, dt=0.01):
 @pytest.mark.parametrize("kernel", [PointMassKernel("t-1"), UniformDensityKernel("t-1")])
 def test_the_compiled_loop_makes_no_call_per_step(kernel):
     # f = x/2, r = 1 and no G inline without a call, so a call in the loop's
-    # body outside the branch of every CHECK_EVERY-th step would be the
-    # loop's own: a max, abs or isfinite back in the step
+    # body outside the branch of every CHECK_EVERY-th step and the hand-off
+    # to the checked step would be the loop's own: a max, abs or isfinite
+    # back in the step
     run = rendered_loop(spec_of("x/2", "x/2", k1=kernel, k2=PointMassKernel("t-0.5")))
     loop = next(node for node in run.body if isinstance(node, ast.For))
     every = [node for node in loop.body if isinstance(node, ast.If) and "CHECK_EVERY" in ast.unparse(node.test)]
     assert len(every) == 1 and "check(t, x, y)" in ast.unparse(every[0])
+    hand_off = [node for node in loop.body if isinstance(node, ast.If) and node.orelse]
+    assert len(hand_off) == 1 and ast.unparse(hand_off[0].test) == "inline"
+    assert ast.unparse(hand_off[0].orelse[0]) == "t1, x1, y1, dx1, dy1 = checked(item, t, x, y, dx, dy)"
+    hand_off[0].orelse = []  # set aside, as the branch of every CHECK_EVERY-th step
     calls = [ast.unparse(call) for node in loop.body if node not in every
              for call in ast.walk(node) if isinstance(call, ast.Call)]
     assert calls == []
@@ -1030,8 +1051,35 @@ def test_each_check_compares_the_state_with_the_first_node_of_its_window(monkeyp
 
 @pytest.mark.parametrize("name", ["sqrt_logistic_point", "linear_decay", "pantograph_logistic"])
 def test_the_compiled_loop_returns_only_when_the_run_must_decide(monkeypatch, name):
-    # it checks the window itself, so a run enters it once and again after
-    # each checked step, not after every CHECK_EVERY-th step
+    # it checks the window itself and hands a step it cannot take inline to
+    # the checked step, so a run enters it exactly once, at t = 0
+    entries = loop_entries(monkeypatch)
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    num = cfg.numerics
+    _, outcome = integrate(system_from_mapping(cfg.system), num.horizon, num.dt,
+                           blowup_threshold=num.blowup_threshold, stage_ratio=num.stage_ratio,
+                           converge_rtol=num.converge_rtol, window_spans=num.window_spans,
+                           extinction_threshold=num.extinction_threshold)
+    diagnostics = outcome.diagnostics
+    assert entries == [0.0]
+    assert diagnostics["steps"] - diagnostics["compiled_steps"] == (name == "pantograph_logistic")
+    if name in WINDOW_COUNTS:
+        assert (diagnostics["window_checks"], diagnostics["window_scans"]) == WINDOW_COUNTS[name]
+
+
+# the paper's general kernel and a window whose floor lies inside the step:
+# a mixture of atoms alone feeds numbers, which the loop takes inline; a
+# mixture with a density and the in-step floor feed `_Sum`s, which it hands
+# to the checked step
+ONE_LOOP = {
+    "atoms": lambda: GeneralMixtureKernel([("t-1", 0.5), ("t-2", 0.5)]),
+    "atom-and-density": lambda: GeneralMixtureKernel([("t-1", 0.25)], density="0.75*2*(1-u)", density_lag="t-1"),
+    "in-step-floor": lambda: UniformDensityKernel("t-0.003"),
+}
+
+
+def loop_entries(monkeypatch):
+    """The times at which runs enter the loop `_compile_steps` renders."""
     entries, compile_steps = [], integrator._compile_steps
 
     def spy(*args, **kwargs):
@@ -1040,22 +1088,50 @@ def test_the_compiled_loop_returns_only_when_the_run_must_decide(monkeypatch, na
             return compiled
 
         def counted(*run_args):
-            entries.append(run_args[2])
+            entries.append(run_args[3])
             return compiled(*run_args)
 
         return counted
 
     monkeypatch.setattr(integrator, "_compile_steps", spy)
-    cfg = load_config(CONFIGS / f"{name}.cfg")
-    num = cfg.numerics
-    _, outcome = integrate(system_from_mapping(cfg.system), num.horizon, num.dt,
-                           blowup_threshold=num.blowup_threshold, stage_ratio=num.stage_ratio,
-                           converge_rtol=num.converge_rtol, window_spans=num.window_spans,
-                           extinction_threshold=num.extinction_threshold)
-    diagnostics = outcome.diagnostics
-    assert len(entries) == 1 + diagnostics["steps"] - diagnostics["compiled_steps"] <= 2
-    if name in WINDOW_COUNTS:
-        assert (diagnostics["window_checks"], diagnostics["window_scans"]) == WINDOW_COUNTS[name]
+    return entries
+
+
+@pytest.mark.parametrize("case", ONE_LOOP)
+def test_one_loop_takes_every_kernel_bit_identically(monkeypatch, case):
+    kernel = ONE_LOOP[case]()
+    spec = spec_of("1+x/2", "1+x/2", k1=kernel, k2=kernel, phi="5", psi="5")
+    with checked_only():
+        want, expected = integrate(spec, horizon=5.0, dt=0.01, converge_rtol=0.0)
+    entries = loop_entries(monkeypatch)
+    traj, outcome = integrate(spec, horizon=5.0, dt=0.01, converge_rtol=0.0)
+    assert entries == [0.0]
+    steps = outcome.diagnostics["steps"]
+    assert steps == 500 and outcome.diagnostics["compiled_steps"] == (steps if case == "atoms" else 0)
+    assert expected.diagnostics.pop("compiled_steps") == 0
+    outcome.diagnostics.pop("compiled_steps")
+    assert outcome == expected
+    assert traj.step_times().tobytes() == want.step_times().tobytes()
+    assert traj._v[: traj.n + 1].tobytes() == want._v[: want.n + 1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["atoms", "atom-and-density"])
+def test_a_guard_in_a_mixture_run_reports_as_on_the_checked_step(monkeypatch, case):
+    # x^2 + x from data 2 passes 1e3 before t = 5; the loop hands the step
+    # whose guard fails to the checked step, which names the guard and the
+    # values it compared
+    kernel = ONE_LOOP[case]()
+    spec = spec_of("x^2+x", "x^2+x", k1=kernel, k2=kernel, phi="2", psi="2")
+    options = dict(horizon=10.0, dt=0.05, blowup_threshold=1e3, converge_rtol=0.0)
+    with checked_only():
+        _, expected = integrate(spec, **options)
+    entries = loop_entries(monkeypatch)
+    _, outcome = integrate(spec, **options)
+    assert entries == [0.0] and outcome.status == expected.status == "blow-up"
+    assert outcome.diagnostics["stage_guard"] == expected.diagnostics["stage_guard"] is not None
+    assert outcome.diagnostics["guard_values"] == expected.diagnostics["guard_values"] is not None
+    assert (outcome.blowup_time, outcome.final_state) == (expected.blowup_time, expected.final_state)
+    assert outcome.diagnostics["compiled_steps"] == (outcome.diagnostics["steps"] if case == "atoms" else 0)
 
 
 # state at t = 3 of the accuracy probes that read inside a step, from the
@@ -1272,14 +1348,16 @@ def point_runs(draw):
     return dt, lag1, lag2, draw(ORACLE_BODIES), draw(ORACLE_BODIES), draw(st.sampled_from([None, "x"]))
 
 
-def steps_reading_inside(traj, lags):
+def steps_reading_inside(traj, lags, stage=False):
     """The accepted steps at one of whose stage times a lag reads inside the
-    step, before the stage time: the feeds the compiled step leaves to the
-    checked step."""
+    step, before the stage time, or with stage also at it: the feeds the
+    compiled step leaves to the checked step (with stage, a mixture's, whose
+    sum with f of the stage state is no number)."""
     ts = traj.step_times().tolist()
     lags = [parse(lag, var="t") for lag in lags]
     return sum(
-        any(t0 < lag.evaluate(t) < t for lag in lags for t in (t0 + 0.5 * (t1 - t0), t1))
+        any(t0 < lag.evaluate(t) and (stage or lag.evaluate(t) < t) for lag in lags
+            for t in (t0 + 0.5 * (t1 - t0), t1))
         for t0, t1 in zip(ts, ts[1:]))
 
 
@@ -1288,7 +1366,8 @@ def steps_reading_inside(traj, lags):
 def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
     # the mixture weighs f(u(lag(t))) by 1 at every stage, the point kernel
     # hands it over as it is; the compiled step takes the point kernel's
-    # steps but those that read inside themselves, and no mixture step
+    # steps but those that read inside themselves, and the mixture's but
+    # those that also read the stage state: a mixture of numbers is a number
     dt, lag1, lag2, f1, f2, g = run
 
     def result(kernel):
@@ -1302,16 +1381,17 @@ def test_point_kernel_runs_bit_identically_to_a_one_atom_mixture(run):
         nodes = [traj.step_times().tobytes()] + [traj.step_values(c).tobytes() for c in range(4)]
         diagnostics = dict(outcome.diagnostics)
         compiled = diagnostics.pop("compiled_steps")
-        inside = steps_reading_inside(traj, [lag1] if lag2 is None else [lag1, lag2])
-        return (nodes, outcome.status, [bits(v) for v in outcome.final_state], diagnostics), (compiled, inside)
+        lags = [lag1] if lag2 is None else [lag1, lag2]
+        counts = (compiled, steps_reading_inside(traj, lags), steps_reading_inside(traj, lags, stage=True))
+        return (nodes, outcome.status, [bits(v) for v in outcome.final_state], diagnostics), counts
 
     point, point_counts = result(PointMassKernel)
     mixture, mixture_counts = result(lambda lag: GeneralMixtureKernel([(lag, 1.0)]))
     assert point == mixture
     if point_counts is not None:
-        compiled, inside = point_counts
+        compiled, inside, stage = point_counts
         assert compiled == point[3]["steps"] - inside
-        assert mixture_counts[0] == 0
+        assert mixture_counts[0] == point[3]["steps"] - stage
 
 
 class CountedLag:
