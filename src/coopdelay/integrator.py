@@ -539,31 +539,37 @@ def _compile_steps(spec: SystemSpec, traj: Trajectory, grid: _StepGrid | None, t
             "    cap = traj._t.size",
             *(f"    P{c} = grid.pending[{comp}]" for c, _, _, comp in windows),
             *("    " + line for line in largest),
+            # set on the way to the checked step alone, which is called outside
+            # the except clause, so that its errors do not chain to the inline one
+            "    hand = False",
             "    for item in feeds:",
             "        t1, fxm, fym, fxe, fye = item",
-            f"        inline = {' and '.join(plain)}",
-            "        if inline:",
+            f"        if {' and '.join(plain)}:",
             *("            " + line for line in unpack),
             "            try:",
             *("                " + line for line in [*values, *body, *nodes]),
             # a non-finite k2, k3 or k4 makes the next guarded state non-finite;
             # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
-            f"                inline = {' and '.join(f'{v} - {v} == 0.0' for v in finite)}",
+            f"                if not ({' and '.join(f'{v} - {v} == 0.0' for v in finite)}):",
+            "                    raise StageGuard",
             "            except Exception:",
-            "                inline = False",
-            "        if inline:",
+            "                hand = True",
+            "            else:",
             # the node, into the room reserved at entry or at the last check
-            "            i += 1",
-            "            T[i] = t1",
-            "            at = 4 * i",
-            "            V[at] = x1",
-            "            V[at + 1] = y1",
-            "            V[at + 2] = dx1",
-            "            V[at + 3] = dy1",
-            "            traj.n = i",
-            "            traj.t_front = t1",
-            *("            " + line for c, _, _, _ in windows for line in advance(c)),
+            "                i += 1",
+            "                T[i] = t1",
+            "                at = 4 * i",
+            "                V[at] = x1",
+            "                V[at + 1] = y1",
+            "                V[at + 2] = dx1",
+            "                V[at + 3] = dy1",
+            "                traj.n = i",
+            "                traj.t_front = t1",
+            *("                " + line for c, _, _, _ in windows for line in advance(c)),
             "        else:",
+            "            hand = True",
+            "        if hand:",
+            "            hand = False",
             "            t1, x1, y1, dx1, dy1 = checked(item, t, x, y, dx, dy)",
             "            T, V, i = traj._tm, traj._vm, traj.n",
             "            cap = traj._t.size",

@@ -962,11 +962,10 @@ def test_the_compiled_loop_makes_no_call_per_step(kernel):
     loop = next(node for node in run.body if isinstance(node, ast.For))
     every = [node for node in loop.body if isinstance(node, ast.If) and "CHECK_EVERY" in ast.unparse(node.test)]
     assert len(every) == 1 and "check(t, x, y)" in ast.unparse(every[0])
-    hand_off = [node for node in loop.body if isinstance(node, ast.If) and node.orelse]
-    assert len(hand_off) == 1 and ast.unparse(hand_off[0].test) == "inline"
-    assert ast.unparse(hand_off[0].orelse[0]) == "t1, x1, y1, dx1, dy1 = checked(item, t, x, y, dx, dy)"
-    hand_off[0].orelse = []  # set aside, as the branch of every CHECK_EVERY-th step
-    calls = [ast.unparse(call) for node in loop.body if node not in every
+    hand_off = [node for node in loop.body if isinstance(node, ast.If) and ast.unparse(node.test) == "hand"]
+    assert len(hand_off) == 1
+    assert "t1, x1, y1, dx1, dy1 = checked(item, t, x, y, dx, dy)" in map(ast.unparse, hand_off[0].body)
+    calls = [ast.unparse(call) for node in loop.body if node not in every + hand_off
              for call in ast.walk(node) if isinstance(call, ast.Call)]
     assert calls == []
 
